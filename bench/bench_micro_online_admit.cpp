@@ -5,8 +5,8 @@
 //     persistent OnlineWeightedView patched after each admission plus the
 //     shared-closure server scan),
 //   * Online_CP and Online_SP, on GEANT and Waxman sweeps up to 400 nodes,
-//   * periodic departures so the era reset (release -> cache drop) is paid
-//     inside the measured loop, not just steady-state cache hits.
+//   * periodic departures so repairs across weight decreases are paid
+//     inside the measured loop, not just steady-state kept trees.
 //
 // Every row carries an admission checksum - sum over requests of
 // (i+1) * (admitted ? 1 + cost : -1) - which is bit-deterministic, so the CI

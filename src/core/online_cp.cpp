@@ -60,7 +60,7 @@ void OnlineCp::after_release(const nfv::Footprint& footprint) {
 void OnlineCp::after_restore() {
   // Every weight is a pure function of its residual, so a full rebuild from
   // the restored residuals reproduces the uninterrupted run's view exactly;
-  // the dropped tree cache and era counter never influence decisions.
+  // the dropped repair store never influences decisions.
   if (view_.has_value()) view_->rebuild();
 }
 
@@ -134,9 +134,9 @@ AdmissionDecision OnlineCp::try_admit_fast(const nfv::Request& request) {
   NFVM_COUNTER_INC("core.online.closure_scans");
 
   // Phase B: one shortest-path tree per distinct terminal for the WHOLE
-  // scan — O(|servers| + |D_k| + 1) Dijkstras instead of
-  // O(|servers| * (|D_k| + 2)) — primed in parallel through the view's
-  // tree cache.
+  // scan instead of |D_k| + 2 per candidate. Server trees come from the
+  // view's repair store (mostly kept or repaired, not recomputed); the
+  // source and destination trees are computed fresh, in parallel.
   std::vector<graph::VertexId> sources;
   sources.reserve(1 + request.destinations.size() + eval.size());
   sources.push_back(request.source);

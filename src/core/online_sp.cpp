@@ -19,7 +19,8 @@ OnlineSp::OnlineSp(const topo::Topology& topo, const OnlineSpOptions& options)
   if (options.incremental_view) {
     // The scan's Dijkstras run on the physical link weights (the per-request
     // pruning only removes edges, it never reweights), so the view's weight
-    // function is residual-independent: admissions keep every cached tree.
+    // function is residual-independent: only eligibility flips reach the
+    // stored server trees.
     view_.emplace(topo, [this](graph::EdgeId e) { return topo_->graph.weight(e); });
   }
 }
@@ -86,7 +87,7 @@ AdmissionDecision OnlineSp::try_admit_fast(const nfv::Request& request) {
   NFVM_COUNTER_INC("core.online.closure_scans");
 
   // Phase B: one shortest-path tree per terminal (source + candidate
-  // servers), served from / primed into the view's cache.
+  // servers); server trees come from the view's repair store.
   std::vector<graph::VertexId> sources;
   sources.reserve(1 + eval.size());
   sources.push_back(request.source);

@@ -15,10 +15,10 @@ namespace nfvm::core {
 
 struct OnlineSpOptions {
   /// Admission fast path: evaluate the server scan against a persistent
-  /// working view with one cached shortest-path tree per terminal instead of
-  /// filtering the graph and running per-server Dijkstras from scratch each
-  /// request. Bit-identical decisions to the rebuild path at any thread
-  /// count. See docs/performance.md, "The online fast path".
+  /// working view that keeps one repaired shortest-path tree per server
+  /// instead of filtering the graph and running per-server Dijkstras from
+  /// scratch each request. Bit-identical decisions to the rebuild path at
+  /// any thread count. See docs/performance.md, "The online fast path".
   bool incremental_view = true;
 };
 
@@ -39,8 +39,8 @@ class OnlineSp final : public OnlineAlgorithm {
   AdmissionDecision try_admit_fast(const nfv::Request& request);
 
   /// Engaged iff options.incremental_view. SP's working weights are the
-  /// physical link weights (constant), so allocations never dirty cached
-  /// trees — only releases drop them.
+  /// physical link weights (constant), so only eligibility flips ever reach
+  /// the stored server trees.
   std::optional<OnlineWeightedView> view_;
 };
 

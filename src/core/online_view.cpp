@@ -1,12 +1,10 @@
 #include "core/online_view.h"
 
-#include <algorithm>
 #include <utility>
 
-#include "graph/dijkstra.h"
+#include "graph/sp_engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/thread_pool.h"
 
 namespace nfvm::core {
 
@@ -14,12 +12,12 @@ OnlineWeightedView::OnlineWeightedView(const topo::Topology& topo,
                                        EdgeWeightFn edge_weight)
     : topo_(&topo),
       edge_weight_(std::move(edge_weight)),
-      view_(topo.graph.num_vertices()) {
+      view_(topo.graph.num_vertices()),
+      store_(topo.servers) {
   for (graph::EdgeId e = 0; e < topo_->graph.num_edges(); ++e) {
     const graph::Edge& ed = topo_->graph.edge(e);
     view_.add_edge(ed.u, ed.v, edge_weight_(e));
   }
-  ++era_;
   NFVM_COUNTER_INC("core.online.view_rebuilds");
 }
 
@@ -29,62 +27,38 @@ void OnlineWeightedView::rebuild() {
     const double w = edge_weight_(e);
     if (view_.weight(e) != w) view_.set_weight(e, w);
   }
-  cache_.clear();
-  built_at_b_.clear();
-  ++era_;
+  store_.clear();
   NFVM_COUNTER_INC("core.online.view_rebuilds");
 }
 
-void OnlineWeightedView::apply_allocate(const nfv::Footprint& footprint) {
-  NFVM_SPAN("online/view_patch");
-  std::vector<graph::EdgeId> changed;
-  changed.reserve(footprint.bandwidth.size());
+std::size_t OnlineWeightedView::patch(const nfv::Footprint& footprint) {
+  std::size_t changed = 0;
   for (const auto& [e, amount] : footprint.bandwidth) {
     const double w = edge_weight_(e);
     if (view_.weight(e) != w) {
       view_.set_weight(e, w);
-      changed.push_back(e);
+      ++changed;
     }
   }
+  return changed;
+}
+
+void OnlineWeightedView::apply_allocate(const nfv::Footprint& footprint) {
+  NFVM_SPAN("online/view_patch");
+  const std::size_t changed = patch(footprint);
   ++patches_applied_;
   NFVM_COUNTER_INC("core.online.view_patches");
-  churn_ewma_ += 0.125 * (static_cast<double>(changed.size()) - churn_ewma_);
-  if (!policy_incremental()) {
-    // Rebuild mode bypasses the cache entirely, so skip the rebind scan and
-    // keep the cache empty — a later flip back to incremental then starts
-    // cold instead of serving trees that were never maintained.
-    cache_.clear();
-    built_at_b_.clear();
-    return;
-  }
-  if (changed.empty()) return;  // no weight moved: cached trees stay exact
-  std::sort(changed.begin(), changed.end());
-  // Eager weight-invalidation: drop exactly the trees containing a patched
-  // edge. Surviving trees are weight-clean, so lookups only re-check
-  // eligibility (see the era invariant in the header).
-  cache_.rebind_keep(view_, [&](graph::VertexId, const graph::ShortestPaths& tree) {
-    for (graph::EdgeId pe : tree.parent_edge) {
-      if (pe != graph::kInvalidEdge &&
-          std::binary_search(changed.begin(), changed.end(), pe)) {
-        return false;
-      }
-    }
-    return true;
-  });
+  churn_ewma_ += 0.125 * (static_cast<double>(changed) - churn_ewma_);
+  // Rebuild mode bypasses the store, so drop it: a later flip back to
+  // incremental then starts cold instead of diffing a long-stale snapshot.
+  if (!policy_incremental()) store_.clear();
 }
 
 void OnlineWeightedView::apply_release(const nfv::Footprint& footprint) {
   NFVM_SPAN("online/view_release");
-  for (const auto& [e, amount] : footprint.bandwidth) {
-    const double w = edge_weight_(e);
-    if (view_.weight(e) != w) view_.set_weight(e, w);
-  }
-  // Residuals grew back: previously ineligible/expensive edges may now lie
-  // on shorter paths, which per-edge validation cannot detect. New era.
-  cache_.clear();
-  built_at_b_.clear();
-  ++era_;
-  NFVM_COUNTER_INC("core.online.view_rebuilds");
+  // Residuals grew back: some weights fall and some edges become eligible
+  // again. The store sees both as decreases at its next diff and repairs.
+  patch(footprint);
 }
 
 bool OnlineWeightedView::policy_incremental() const noexcept {
@@ -104,72 +78,24 @@ void OnlineWeightedView::build_eligibility_mask(const nfv::ResourceState& state,
   }
 }
 
-bool OnlineWeightedView::tree_valid(const nfv::ResourceState& state,
-                                    graph::VertexId source,
-                                    const graph::ShortestPaths& tree,
-                                    double b) const {
-  const auto it = built_at_b_.find(source);
-  if (it == built_at_b_.end() || b < it->second) return false;
-  for (graph::EdgeId pe : tree.parent_edge) {
-    if (pe != graph::kInvalidEdge &&
-        !nfv::edge_eligible(state, topo_->graph, pe, b)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 std::vector<std::shared_ptr<const graph::ShortestPaths>>
 OnlineWeightedView::trees_for(const nfv::ResourceState& state,
                               std::span<const graph::VertexId> sources,
                               double b) {
   NFVM_SPAN("online/view_trees");
+  build_eligibility_mask(state, b);
+  if (policy_incremental()) {
+    NFVM_COUNTER_INC("core.online.view_policy_incremental");
+    return store_.trees(view_, sources, mask_);
+  }
+  // Rebuild mode: one batched masked SSSP for every slot. Bit-identical to
+  // the store, whose trees equal a fresh masked Dijkstra by construction.
+  NFVM_COUNTER_INC("core.online.view_policy_rebuild");
+  std::vector<graph::ShortestPaths> batch =
+      graph::batch_dijkstra(view_, sources, mask_);
   std::vector<std::shared_ptr<const graph::ShortestPaths>> trees(sources.size());
-
-  if (!policy_incremental()) {
-    // Rebuild mode: no cache probe, no validity walk — one eligibility
-    // sweep and one batched masked SSSP for every slot. Bit-identical to
-    // the incremental path because a valid cached tree IS a fresh filtered
-    // Dijkstra (era invariant).
-    NFVM_COUNTER_INC("core.online.view_policy_rebuild");
-    build_eligibility_mask(state, b);
-    std::vector<graph::ShortestPaths> batch =
-        graph::batch_dijkstra(view_, sources, mask_);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      trees[i] =
-          std::make_shared<const graph::ShortestPaths>(std::move(batch[i]));
-    }
-    return trees;
-  }
-
-  NFVM_COUNTER_INC("core.online.view_policy_incremental");
-  std::vector<std::size_t> missing;
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    // A repeated source lands in `missing` more than once before the first
-    // computation is cached; the slots get identical trees either way.
-    auto cached = cache_.try_get(view_, sources[i]);
-    if (cached && tree_valid(state, sources[i], *cached, b)) {
-      trees[i] = std::move(cached);
-    } else {
-      missing.push_back(i);
-    }
-  }
-  if (!missing.empty()) {
-    build_eligibility_mask(state, b);
-    std::vector<graph::VertexId> miss_sources;
-    miss_sources.reserve(missing.size());
-    for (std::size_t i : missing) miss_sources.push_back(sources[i]);
-    std::vector<graph::ShortestPaths> batch =
-        graph::batch_dijkstra(view_, miss_sources, mask_);
-    for (std::size_t j = 0; j < missing.size(); ++j) {
-      trees[missing[j]] =
-          std::make_shared<const graph::ShortestPaths>(std::move(batch[j]));
-    }
-  }
-  // Insert in `sources` order so cache state is thread-count independent.
-  for (std::size_t i : missing) {
-    cache_.put(view_, sources[i], trees[i]);
-    built_at_b_[sources[i]] = b;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    trees[i] = std::make_shared<const graph::ShortestPaths>(std::move(batch[i]));
   }
   return trees;
 }

@@ -5,53 +5,46 @@
 // the admitted footprint change weight. Instead of rebuilding the filtered,
 // reweighted graph from scratch for every request, this class keeps one
 // Graph mirroring the physical topology edge-for-edge (edge id == physical
-// edge id) and *patches* the touched weights after each allocation.
+// edge id) and *patches* the touched weights after each allocation and
+// release.
 //
 // Bandwidth/table eligibility is deliberately NOT baked into the view:
-// queries run a filtered Dijkstra with the per-request predicate
-// nfv::edge_eligible(state, g, e, b_k). That is what makes a shortest-path
-// tree computed for one request reusable by later ones.
+// queries run a masked Dijkstra with the per-request predicate
+// nfv::edge_eligible(state, g, e, b_k). A tree is therefore a function of
+// the edges' *effective* weights (weight if eligible at b_k, infinity
+// otherwise), and that is what the repair store tracks.
 //
-// Cached-tree reuse invariant (the correctness core — see
-// docs/performance.md, "The online fast path"): within an *era* (no release
-// since the last rebuild), residuals only shrink, so weights only grow and
-// the eligible edge set at threshold b' is a subset of the set at b_T <= b'.
-// A cached tree from `source` is therefore bit-identical to a freshly
-// computed filtered Dijkstra iff
-//   (1) it was computed this era,
-//   (2) b' >= b_T (the threshold recorded when it was computed), and
-//   (3) every tree edge is still eligible at b' and weight-unchanged.
-// Condition (3)'s weight half is enforced eagerly: apply_allocate evicts
-// exactly the cached trees containing a patched edge (SpCache::rebind_keep),
-// so surviving entries are weight-clean by induction and the per-lookup
-// validation only walks eligibility. Releases break the era's monotonicity
-// (residuals grow back, shorter paths may appear), so apply_release drops
-// the whole cache.
+// Repair invariant (the correctness core — see docs/performance.md,
+// "Repairing the server trees", and graph/sp_repair.h): the view keeps one
+// persistent shortest-path tree per topology server in a graph::SpTreeStore.
+// Each trees_for call diffs the effective weights against the store's
+// snapshot, and every server tree it returns is brought up to date by an
+// exact repair — kept as is when only non-tree edges got more expensive,
+// repaired locally otherwise, recomputed in full when a tie makes the local
+// parent rule unsafe. Source and destination trees are computed fresh. Every
+// tree is bit-identical to a fresh masked Dijkstra on the current view, so
+// admissions, releases and bandwidth changes need no invalidation at all.
 //
-// Adaptive policy: the cache only pays for itself when the Dijkstra work it
-// saves exceeds the bookkeeping it adds — rebind_keep scans every cached
-// tree's parent_edge array per admission and tree_valid walks it again per
-// lookup, both O(|V|) per tree, while the saved Dijkstra is O(|E| log |V|).
-// On small graphs (GEANT: 61 links) the bookkeeping loses; on large Waxman
-// configs it wins ~10x. trees_for therefore measures graph size against
-// patch churn (EWMA of edges patched per admission) and below the threshold
-// runs in REBUILD mode: weights are still patched in place, but every tree
-// is computed fresh via one batched masked SSSP and the cache is bypassed
-// and kept empty. Both modes produce bit-identical trees (a valid cached
-// tree equals a fresh filtered Dijkstra by the era invariant), so the
-// policy can never change a decision — only what it costs. Counted by
-// core.online.view_policy_{incremental,rebuild}.
+// Adaptive policy: the store only pays for itself when the Dijkstra work it
+// saves exceeds the bookkeeping it adds — an O(|E|) effective-weight diff per
+// call plus the per-tree change scan. On small graphs (GEANT: 61 links) the
+// bookkeeping loses. trees_for therefore measures graph size against patch
+// churn (EWMA of edges patched per admission) and below the threshold runs
+// in REBUILD mode: weights are still patched in place, but every tree is
+// computed fresh via one batched masked SSSP and the store is dropped, so a
+// flip back to incremental starts cold. Both modes produce bit-identical
+// trees, so the policy can never change a decision — only what it costs.
+// Counted by core.online.view_policy_{incremental,rebuild}.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.h"
-#include "graph/sp_engine.h"
+#include "graph/sp_repair.h"
 #include "nfv/resources.h"
 #include "topology/topology.h"
 
@@ -59,7 +52,7 @@ namespace nfvm::core {
 
 /// Adaptive-policy override. kAdaptive (the default) picks per call from
 /// graph size and patch churn; the force modes exist for tests that pin the
-/// cache machinery and for benchmarks that measure one mode in isolation.
+/// repair store and for benchmarks that measure one mode in isolation.
 enum class ViewPolicy { kAdaptive, kForceIncremental, kForceRebuild };
 
 class OnlineWeightedView {
@@ -76,84 +69,75 @@ class OnlineWeightedView {
   /// need no id remapping.
   const graph::Graph& graph() const noexcept { return view_; }
 
-  /// Recomputes every edge weight and drops all cached trees
-  /// (`core.online.view_rebuilds`). Constructor-equivalent reset.
+  /// Recomputes every edge weight and drops the repair store
+  /// (`core.online.view_rebuilds`). Constructor-equivalent reset, used after
+  /// a snapshot restore replaced the residuals wholesale.
   void rebuild();
 
-  /// Patches the weights of the footprint's edges after an admission and
-  /// evicts exactly the cached trees containing a changed edge
+  /// Patches the weights of the footprint's edges after an admission
   /// (`core.online.view_patches`).
   void apply_allocate(const nfv::Footprint& footprint);
 
-  /// Patches the footprint's edge weights after a release and drops the
-  /// whole tree cache: a release starts a new era (counted by
-  /// `core.online.view_rebuilds`).
+  /// Patches the footprint's edge weights after a release.
   void apply_release(const nfv::Footprint& footprint);
 
   /// Shortest-path trees from each of `sources` on the view, restricted to
   /// edges eligible at bandwidth threshold `b` (nfv::edge_eligible against
-  /// `state`). Cached trees are reused only when the era invariant above
-  /// guarantees bit-identity with a fresh filtered Dijkstra; the misses are
-  /// computed in parallel on util::ThreadPool::global() and inserted in
-  /// `sources` order, so results and cache state are thread-count
-  /// independent. Repeated sources yield identical trees in each slot.
+  /// `state`). Server trees come from the repair store, brought up to date
+  /// in parallel on util::ThreadPool::global(); other sources are computed
+  /// fresh. Every tree equals a fresh filtered Dijkstra bit for bit, at any
+  /// thread count. A repeated source gets one tree, shared by its slots.
   std::vector<std::shared_ptr<const graph::ShortestPaths>> trees_for(
       const nfv::ResourceState& state, std::span<const graph::VertexId> sources,
       double b);
 
   // --- State export (serve snapshot/restore + tests) ------------------------
   // The view's *decision-relevant* state is entirely derivable from the
-  // residuals (weights are a pure function of them); the era counter and
-  // tree cache are performance state only. These accessors exist so
+  // residuals (weights are a pure function of them); the stored trees and
+  // the patch count are performance state only. These accessors exist so
   // snapshot round-trip tests can assert exactly that: after a restore the
-  // weights must match the uninterrupted run edge-for-edge, while era/cache
+  // weights must match the uninterrupted run edge-for-edge, while the store
   // may legitimately differ without perturbing a single decision.
 
-  /// Eras completed: construction + every rebuild() / apply_release().
-  std::uint64_t era() const noexcept { return era_; }
-  /// Cached shortest-path trees currently held.
-  std::size_t cached_trees() const noexcept { return cache_.size(); }
+  /// Persistent server trees currently held by the repair store.
+  std::size_t stored_trees() const noexcept { return store_.size(); }
   /// Patched-weight applications since construction (apply_allocate calls).
   std::uint64_t patches_applied() const noexcept { return patches_applied_; }
 
-  /// True when the adaptive policy currently selects the incremental cache
+  /// True when the adaptive policy currently selects the repair store
   /// (performance state only — the decision stream is identical either way).
   bool policy_incremental() const noexcept;
 
   /// Pins or restores the adaptive policy (performance state only).
   void set_policy(ViewPolicy policy) noexcept { policy_ = policy; }
 
-  /// Calibrated policy floor: below this many edges the cache bookkeeping
+  /// Calibrated policy floor: below this many edges the store's bookkeeping
   /// costs more than the Dijkstras it saves (GEANT's 61 links fall under,
   /// the smallest Waxman config's ~200 stay over).
   static constexpr std::size_t kPolicyMinEdges = 128;
   /// If a typical admission patches more than this fraction of all edges,
-  /// rebind_keep evicts most of the cache every request and caching loses
+  /// most trees need a large repair every request and the store loses
   /// regardless of size.
   static constexpr double kPolicyMaxChurnFraction = 0.5;
 
  private:
-  bool tree_valid(const nfv::ResourceState& state, graph::VertexId source,
-                  const graph::ShortestPaths& tree, double b) const;
   /// Fills mask_ with nfv::edge_eligible(state, e, b) for every edge — the
   /// predicate is a pure function of (state, b), so one O(|E|) sweep
   /// replaces a per-scanned-edge std::function call in every Dijkstra.
   void build_eligibility_mask(const nfv::ResourceState& state, double b);
+  /// Re-reads the footprint's edge weights; returns how many changed.
+  std::size_t patch(const nfv::Footprint& footprint);
 
   const topo::Topology* topo_;
   EdgeWeightFn edge_weight_;
   graph::Graph view_;
-  graph::SpCache cache_;
+  /// One persistent tree per topology server.
+  graph::SpTreeStore store_;
   /// Per-edge eligibility bitmap scratch, rebuilt once per trees_for call.
   std::vector<std::uint8_t> mask_;
   /// EWMA of edges whose weight actually changed per apply_allocate.
   double churn_ewma_ = 0.0;
   ViewPolicy policy_ = ViewPolicy::kAdaptive;
-  /// b_T per cached source: the eligibility threshold the tree was computed
-  /// at. Stale entries for evicted sources are harmless (overwritten on the
-  /// next insert, ignored when try_get misses).
-  std::unordered_map<graph::VertexId, double> built_at_b_;
-  std::uint64_t era_ = 0;
   std::uint64_t patches_applied_ = 0;
 };
 

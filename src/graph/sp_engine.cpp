@@ -12,19 +12,25 @@ namespace nfvm::graph {
 
 // --- SpEngine ---------------------------------------------------------------
 
-void SpEngine::heap_push(HeapItem item) {
-  heap_.push_back(item);
-  std::size_t i = heap_.size() - 1;
+void SpEngine::heap_update(VertexId v, double d) {
+  std::size_t i = heap_pos_[v];
+  if (i == kNotInHeap) {
+    i = heap_.size();
+    heap_.push_back(HeapItem{d, v});
+  }
+  const HeapItem item{d, v};
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
-    if (!item_less(heap_[i], heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
+    if (!item_less(item, heap_[parent])) break;
+    heap_place(i, heap_[parent]);
     i = parent;
   }
+  heap_place(i, item);
 }
 
 SpEngine::HeapItem SpEngine::heap_pop() {
   const HeapItem top = heap_.front();
+  heap_pos_[top.vertex] = kNotInHeap;
   const HeapItem last = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) {
@@ -38,12 +44,17 @@ SpEngine::HeapItem SpEngine::heap_pop() {
         if (item_less(heap_[j], heap_[best])) best = j;
       }
       if (!item_less(heap_[best], last)) break;
-      heap_[i] = heap_[best];
+      heap_place(i, heap_[best]);
       i = best;
     }
-    heap_[i] = last;
+    heap_place(i, last);
   }
   return top;
+}
+
+void SpEngine::heap_clear() {
+  for (const HeapItem& item : heap_) heap_pos_[item.vertex] = kNotInHeap;
+  heap_.clear();
 }
 
 void SpEngine::prepare(const Graph& g) {
@@ -52,18 +63,21 @@ void SpEngine::prepare(const Graph& g) {
   if (stamp_.size() < n) {
     stamp_.resize(n, 0);
     target_stamp_.resize(n, 0);
+    mark_.resize(n, 0);
+    settled_.resize(n, 0);
+    heap_pos_.resize(n, kNotInHeap);
     dist_.resize(n);
     parent_.resize(n);
     parent_edge_.resize(n);
   }
   if (++generation_ == 0) {  // wrapped: stamps are ambiguous, hard reset
     std::fill(stamp_.begin(), stamp_.end(), 0);
+    std::fill(settled_.begin(), settled_.end(), 0);
     std::fill(bucket_stamp_.begin(), bucket_stamp_.end(), 0);
     for (std::vector<VertexId>& bucket : buckets_) bucket.clear();
     generation_ = 1;
   }
-  heap_.clear();
-  reached_.clear();
+  heap_clear();
 }
 
 void SpEngine::touch(VertexId v) {
@@ -72,39 +86,42 @@ void SpEngine::touch(VertexId v) {
   dist_[v] = kInfiniteDistance;
   parent_[v] = kInvalidVertex;
   parent_edge_[v] = kInvalidEdge;
-  reached_.push_back(v);
 }
 
-void SpEngine::run(std::span<const VertexId> seeds,
+template <bool kStamped>
+void SpEngine::run(Labels out, std::span<const VertexId> seeds,
                    const std::function<bool(EdgeId)>* edge_allowed,
                    const std::uint8_t* edge_mask, std::size_t targets_remaining) {
   NFVM_SPAN("graph/dijkstra");
   last_settled_target_ = kInvalidVertex;
   last_used_dial_ = view_.dial_eligible();
   for (VertexId s : seeds) {
-    touch(s);
-    dist_[s] = 0.0;
+    if constexpr (kStamped) touch(s);
+    out.dist[s] = 0.0;
   }
   if (last_used_dial_) {
-    run_dial(seeds, edge_allowed, edge_mask, targets_remaining);
+    run_dial<kStamped>(out, seeds, edge_allowed, edge_mask, targets_remaining);
     NFVM_COUNTER_INC("graph.dijkstra.dial_runs");
   } else {
-    run_heap(seeds, edge_allowed, edge_mask, targets_remaining);
+    for (VertexId s : seeds) heap_update(s, 0.0);
+    run_heap<kStamped>(out, edge_allowed, edge_mask, targets_remaining);
   }
   NFVM_COUNTER_INC("graph.dijkstra.runs");
 }
 
-void SpEngine::run_heap(std::span<const VertexId> seeds,
-                        const std::function<bool(EdgeId)>* edge_allowed,
+// Indexed-heap loop. Each vertex is queued at most once and its key only
+// ever decreases, so the pop sequence is the (distance, id) order of the
+// settled vertices — the same sequence the historical lazy-deletion heap
+// produced after skipping its stale entries (tests/test_sp_repair.cpp
+// compares the two).
+template <bool kStamped>
+void SpEngine::run_heap(Labels out, const std::function<bool(EdgeId)>* edge_allowed,
                         const std::uint8_t* edge_mask,
                         std::size_t targets_remaining) {
   NFVM_OBS_ONLY(std::uint64_t edges_scanned = 0; std::uint64_t edges_relaxed = 0;)
-  for (VertexId s : seeds) heap_push(HeapItem{0.0, s});
-
   while (!heap_.empty()) {
     const HeapItem top = heap_pop();
     const VertexId u = top.vertex;
-    if (top.dist > dist_[u]) continue;  // stale entry
     if (targets_remaining > 0 && target_stamp_[u] == target_generation_) {
       target_stamp_[u] = 0;  // settled: count each distinct target once
       last_settled_target_ = u;
@@ -115,16 +132,17 @@ void SpEngine::run_heap(std::span<const VertexId> seeds,
       if (edge_mask != nullptr && edge_mask[entry.edge] == 0) continue;
       NFVM_OBS_ONLY(++edges_scanned;)
       const double nd = top.dist + entry.weight;
-      touch(entry.neighbor);
-      if (nd < dist_[entry.neighbor]) {
+      if constexpr (kStamped) touch(entry.neighbor);
+      if (nd < out.dist[entry.neighbor]) {
         NFVM_OBS_ONLY(++edges_relaxed;)
-        dist_[entry.neighbor] = nd;
-        parent_[entry.neighbor] = u;
-        parent_edge_[entry.neighbor] = entry.edge;
-        heap_push(HeapItem{nd, entry.neighbor});
+        out.dist[entry.neighbor] = nd;
+        out.parent[entry.neighbor] = u;
+        out.parent_edge[entry.neighbor] = entry.edge;
+        heap_update(entry.neighbor, nd);
       }
     }
   }
+  heap_clear();  // leftovers of an early exit
   NFVM_COUNTER_ADD("graph.dijkstra.edges_scanned", edges_scanned);
   NFVM_COUNTER_ADD("graph.dijkstra.edges_relaxed", edges_relaxed);
 }
@@ -137,7 +155,8 @@ void SpEngine::run_heap(std::span<const VertexId> seeds,
 // nd in [d' + 1, d' + ring - 1], which never wraps onto a still-undrained
 // smaller distance. Draining each bucket in ascending vertex-id order
 // therefore settles vertices in exactly the heap's (distance, id) order.
-void SpEngine::run_dial(std::span<const VertexId> seeds,
+template <bool kStamped>
+void SpEngine::run_dial(Labels out, std::span<const VertexId> seeds,
                         const std::function<bool(EdgeId)>* edge_allowed,
                         const std::uint8_t* edge_mask,
                         std::size_t targets_remaining) {
@@ -171,7 +190,7 @@ void SpEngine::run_dial(std::span<const VertexId> seeds,
       continue;
     }
     // Stage and sort: every entry here has stored distance exactly d, so
-    // ascending id is the heap's tie-break. Entries whose dist_ no longer
+    // ascending id is the heap's tie-break. Entries whose dist no longer
     // equals d were improved before being drained — stale, skip.
     bucket_scratch_.assign(bucket.begin(), bucket.end());
     bucket.clear();
@@ -179,7 +198,7 @@ void SpEngine::run_dial(std::span<const VertexId> seeds,
     std::sort(bucket_scratch_.begin(), bucket_scratch_.end());
     const double dd = static_cast<double>(d);
     for (VertexId u : bucket_scratch_) {
-      if (dist_[u] != dd) continue;  // stale entry
+      if (out.dist[u] != dd) continue;  // stale entry
       if (targets_remaining > 0 && target_stamp_[u] == target_generation_) {
         target_stamp_[u] = 0;
         last_settled_target_ = u;
@@ -196,12 +215,12 @@ void SpEngine::run_dial(std::span<const VertexId> seeds,
         if (edge_mask != nullptr && edge_mask[entry.edge] == 0) continue;
         NFVM_OBS_ONLY(++edges_scanned;)
         const double nd = dd + entry.weight;
-        touch(entry.neighbor);
-        if (nd < dist_[entry.neighbor]) {
+        if constexpr (kStamped) touch(entry.neighbor);
+        if (nd < out.dist[entry.neighbor]) {
           NFVM_OBS_ONLY(++edges_relaxed;)
-          dist_[entry.neighbor] = nd;
-          parent_[entry.neighbor] = u;
-          parent_edge_[entry.neighbor] = entry.edge;
+          out.dist[entry.neighbor] = nd;
+          out.parent[entry.neighbor] = u;
+          out.parent_edge[entry.neighbor] = entry.edge;
           bucket_at(static_cast<std::size_t>(static_cast<std::uint64_t>(nd) % ring))
               .push_back(entry.neighbor);
           ++pending;
@@ -214,28 +233,42 @@ void SpEngine::run_dial(std::span<const VertexId> seeds,
   NFVM_COUNTER_ADD("graph.dijkstra.edges_relaxed", edges_relaxed);
 }
 
-ShortestPaths SpEngine::materialize(VertexId source) const {
-  ShortestPaths sp;
-  sp.source = source;
-  const std::size_t n = view_.num_vertices();
-  sp.dist.assign(n, kInfiniteDistance);
-  sp.parent.assign(n, kInvalidVertex);
-  sp.parent_edge.assign(n, kInvalidEdge);
-  for (VertexId v : reached_) {
-    sp.dist[v] = dist_[v];
-    sp.parent[v] = parent_[v];
-    sp.parent_edge[v] = parent_edge_[v];
+namespace {
+
+/// Resets `tree` to "nothing reached" from `source` on an n-vertex graph.
+void reset_tree(ShortestPaths& tree, VertexId source, std::size_t n) {
+  tree.source = source;
+  tree.dist.assign(n, kInfiniteDistance);
+  tree.parent.assign(n, kInvalidVertex);
+  tree.parent_edge.assign(n, kInvalidEdge);
+}
+
+}  // namespace
+
+void SpEngine::compute_prepared(ShortestPaths& tree, const std::uint8_t* edge_mask) {
+  const VertexId source = tree.source;
+  reset_tree(tree, source, view_.num_vertices());
+  run<false>({tree.dist.data(), tree.parent.data(), tree.parent_edge.data()},
+             {&source, 1}, nullptr, edge_mask, 0);
+}
+
+void SpEngine::compute(const Graph& g, ShortestPaths& tree,
+                       std::span<const std::uint8_t> edge_mask) {
+  if (!g.has_vertex(tree.source)) {
+    throw std::out_of_range("dijkstra: invalid source vertex");
   }
-  return sp;
+  if (!edge_mask.empty() && edge_mask.size() < g.num_edges()) {
+    throw std::invalid_argument("dijkstra: edge mask smaller than edge count");
+  }
+  prepare(g);
+  compute_prepared(tree, edge_mask.empty() ? nullptr : edge_mask.data());
 }
 
 ShortestPaths SpEngine::shortest_paths(const Graph& g, VertexId source) {
-  if (!g.has_vertex(source)) {
-    throw std::out_of_range("dijkstra: invalid source vertex");
-  }
-  prepare(g);
-  run({&source, 1}, nullptr, nullptr, 0);
-  return materialize(source);
+  ShortestPaths sp;
+  sp.source = source;
+  compute(g, sp, {});
+  return sp;
 }
 
 ShortestPaths SpEngine::shortest_paths_filtered(
@@ -245,21 +278,19 @@ ShortestPaths SpEngine::shortest_paths_filtered(
     throw std::out_of_range("dijkstra: invalid source vertex");
   }
   prepare(g);
-  run({&source, 1}, &edge_allowed, nullptr, 0);
-  return materialize(source);
+  ShortestPaths sp;
+  reset_tree(sp, source, g.num_vertices());
+  run<false>({sp.dist.data(), sp.parent.data(), sp.parent_edge.data()},
+             {&source, 1}, &edge_allowed, nullptr, 0);
+  return sp;
 }
 
 ShortestPaths SpEngine::shortest_paths_masked(
     const Graph& g, VertexId source, std::span<const std::uint8_t> edge_mask) {
-  if (!g.has_vertex(source)) {
-    throw std::out_of_range("dijkstra: invalid source vertex");
-  }
-  if (!edge_mask.empty() && edge_mask.size() < g.num_edges()) {
-    throw std::invalid_argument("dijkstra: edge mask smaller than edge count");
-  }
-  prepare(g);
-  run({&source, 1}, nullptr, edge_mask.empty() ? nullptr : edge_mask.data(), 0);
-  return materialize(source);
+  ShortestPaths sp;
+  sp.source = source;
+  compute(g, sp, edge_mask);
+  return sp;
 }
 
 std::vector<ShortestPaths> SpEngine::batch_shortest_paths(
@@ -274,15 +305,13 @@ std::vector<ShortestPaths> SpEngine::batch_shortest_paths(
     throw std::invalid_argument("dijkstra: edge mask smaller than edge count");
   }
   const std::uint8_t* mask = edge_mask.empty() ? nullptr : edge_mask.data();
-  std::vector<ShortestPaths> out;
-  out.reserve(sources.size());
-  for (VertexId s : sources) {
+  std::vector<ShortestPaths> out(sources.size());
+  for (std::size_t i = 0; i < sources.size(); ++i) {
     // prepare() after the first source is two loads (view match) plus a
-    // generation bump — the workspace "clear" is the stamp, not an O(n)
-    // fill, so the whole batch reuses one set of buffers.
+    // generation bump, so the whole batch shares one CSR sync and heap.
     prepare(g);
-    run({&s, 1}, nullptr, mask, 0);
-    out.push_back(materialize(s));
+    out[i].source = sources[i];
+    compute_prepared(out[i], mask);
   }
   return out;
 }
@@ -301,7 +330,7 @@ double SpEngine::shortest_distance(const Graph& g, VertexId from, VertexId to) {
     target_generation_ = 1;
   }
   target_stamp_[to] = target_generation_;
-  run({&from, 1}, nullptr, nullptr, 1);
+  run<true>(workspace(), {&from, 1}, nullptr, nullptr, 1);
   target_stamp_[to] = 0;
   return stamp_[to] == generation_ ? dist_[to] : kInfiniteDistance;
 }
@@ -327,7 +356,7 @@ std::vector<double> SpEngine::distances_to(const Graph& g, VertexId from,
       ++distinct;
     }
   }
-  run({&from, 1}, nullptr, nullptr, distinct);
+  run<true>(workspace(), {&from, 1}, nullptr, nullptr, distinct);
   std::vector<double> out;
   out.reserve(targets.size());
   for (VertexId t : targets) {
@@ -353,7 +382,7 @@ VertexId SpEngine::grow_step(const Graph& g,
     }
   }
   // Stop at the FIRST settled target — pending terminals race, closest wins.
-  run(tree_vertices, nullptr, nullptr, distinct > 0 ? 1 : 0);
+  run<true>(workspace(), tree_vertices, nullptr, nullptr, distinct > 0 ? 1 : 0);
   for (VertexId t : targets) target_stamp_[t] = 0;
   return last_settled_target_;
 }
@@ -441,25 +470,6 @@ void SpCache::put(const Graph& g, VertexId source,
     index_.erase(lru_.back().first);
     lru_.pop_back();
   }
-}
-
-void SpCache::rebind_keep(
-    const Graph& g,
-    const std::function<bool(VertexId, const ShortestPaths&)>& keep) {
-  NFVM_OBS_ONLY(std::uint64_t dropped = 0;)
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (keep(it->first, *it->second)) {
-      ++it;
-      continue;
-    }
-    index_.erase(it->first);
-    it = lru_.erase(it);
-    NFVM_OBS_ONLY(++dropped;)
-  }
-  uid_ = g.uid();
-  epoch_ = g.epoch();
-  bound_ = true;
-  NFVM_COUNTER_ADD("graph.spcache.keyed_evictions", dropped);
 }
 
 void SpCache::clear() {

@@ -7,13 +7,14 @@
 // header provides the shared substrate:
 //
 //  * SpEngine — owns a CsrView (rebuilt lazily when the graph's
-//    (uid, epoch) changes) plus scratch dist/parent/parent_edge buffers
-//    with generation-stamped lazy reset, a 4-ary heap, early-exit
-//    point-to-point / target-set queries, and filtered-edge variants
-//    (std::function predicate or a precomputed per-edge byte mask).
-//    The dijkstra() free functions are thin wrappers over the per-thread
-//    engine, so existing call sites keep working and allocate nothing
-//    beyond the returned ShortestPaths.
+//    (uid, epoch) changes), an indexed (decrease-key) 4-ary heap, and
+//    generation-stamped scratch buffers for early-exit point-to-point /
+//    target-set queries. Full-tree queries write straight into the
+//    returned ShortestPaths; filtered variants take a std::function
+//    predicate or a precomputed per-edge byte mask. The dijkstra() free
+//    functions are thin wrappers over the per-thread engine, so existing
+//    call sites keep working and allocate nothing beyond the returned
+//    ShortestPaths.
 //
 //    When the CSR weight inspection proves every edge weight is a strictly
 //    positive integer <= kMaxDialWeight (true for every topology generator
@@ -23,6 +24,10 @@
 //    vertex-id order. That drain order reproduces the heap's
 //    (distance, vertex id) pop order exactly, so the two paths are
 //    bit-identical — which tests/test_sp_dial.cpp asserts.
+//
+//    SpEngine::repair brings an existing tree up to date after a batch of
+//    edge-weight / mask changes without a full run (graph/sp_repair.h holds
+//    the exactness argument and the persistent store built on it).
 //
 //  * SpCache — an LRU of shortest-path trees keyed by
 //    (graph uid, graph epoch, source). Sharing one cache across a
@@ -34,7 +39,9 @@
 // Tie-breaking: the engine's heap orders items by (distance, vertex id),
 // exactly like the std::priority_queue<pair<double, VertexId>> it
 // replaces, and CSR entries keep Graph::neighbors order — so the engine
-// returns bit-identical trees to the historical implementation.
+// returns bit-identical trees to the historical implementation. The
+// decrease-key heap pops the same (distance, id) minimum the historical
+// lazy-deletion heap reached after skipping its stale entries.
 //
 // Thread model: SpEngine and SpCache are NOT thread-safe; use one per
 // thread (SpEngine::thread_local_engine()) or confine a cache to the
@@ -48,6 +55,7 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "graph/csr.h"
@@ -55,6 +63,29 @@
 #include "graph/graph.h"
 
 namespace nfvm::graph {
+
+/// One edge whose *effective* weight changed under a shortest-path tree:
+/// its weight when the edge is allowed by the query's mask, and
+/// kInfiniteDistance when it is masked out.
+struct EdgeChange {
+  EdgeId edge = kInvalidEdge;
+  double old_weight = kInfiniteDistance;
+  double new_weight = kInfiniteDistance;
+};
+
+/// What SpEngine::repair did to a tree.
+enum class RepairOutcome : std::uint8_t {
+  kKept,        ///< the keep rule proved the tree unchanged; not touched
+  kRepaired,    ///< dist / parent / parent_edge repaired in place
+  kRecomputed,  ///< a tie made a local repair unsafe; recomputed in full
+};
+
+/// The keep rule: true when every change is on a non-tree edge of `tree`
+/// and its effective weight did not go down. Such a tree is bit-identical
+/// to a fresh run on the changed graph, ties or not (docs/performance.md,
+/// "Repairing the server trees").
+bool tree_unaffected(const Graph& g, const ShortestPaths& tree,
+                     std::span<const EdgeChange> changes);
 
 class SpEngine {
  public:
@@ -86,6 +117,32 @@ class SpEngine {
   std::vector<ShortestPaths> batch_shortest_paths(
       const Graph& g, std::span<const VertexId> sources,
       std::span<const std::uint8_t> edge_mask = {});
+
+  /// Full masked Dijkstra from `tree.source`, written into `tree` (resized
+  /// to the graph). Lets a caller that keeps a tree reuse its buffers.
+  void compute(const Graph& g, ShortestPaths& tree,
+               std::span<const std::uint8_t> edge_mask);
+
+  /// True when every reachable vertex of `tree` other than its source is
+  /// locally tie-free under `edge_mask`: its tight in-neighbours (u != v,
+  /// dist[u] + w == dist[v]) have pairwise distinct distances, all strictly
+  /// below dist[v]. On such a tree each parent is determined by the
+  /// distances alone, which is what lets repair() rebuild parents locally.
+  bool tie_free(const Graph& g, const ShortestPaths& tree,
+                std::span<const std::uint8_t> edge_mask);
+
+  /// Brings `tree` — a tree on `g` before `changes` — up to date with g's
+  /// current weights under `edge_mask`, bit-identical to a fresh
+  /// compute(). `changes` must list every edge whose effective weight
+  /// differs from the one the tree was built against (duplicates are not
+  /// allowed; unchanged extras are harmless). `tie_free` is the tree's
+  /// tie_free() flag: a tree that is not tie-free, or a repair that meets a
+  /// tie, is recomputed in full and the flag refreshed. Counted by
+  /// graph.sp_repair.{trees_kept,trees_repaired,tie_fallbacks,
+  /// vertices_touched}.
+  RepairOutcome repair(const Graph& g, ShortestPaths& tree,
+                       std::span<const EdgeChange> changes,
+                       std::span<const std::uint8_t> edge_mask, bool& tie_free);
 
   /// Point-to-point distance, stopping as soon as `to` is settled (the
   /// classic early exit: no work beyond the target's distance ring).
@@ -128,35 +185,73 @@ class SpEngine {
     double dist;
     VertexId vertex;
   };
+  /// Output label arrays a run writes: the caller's tree, or the stamped
+  /// workspace below for early-exit queries.
+  struct Labels {
+    double* dist;
+    VertexId* parent;
+    EdgeId* parent_edge;
+  };
 
   /// (distance, vertex id) lexicographic — the historical pop order.
   static bool item_less(const HeapItem& a, const HeapItem& b) noexcept {
     return a.dist < b.dist || (a.dist == b.dist && a.vertex < b.vertex);
   }
+  static constexpr std::uint32_t kNotInHeap = static_cast<std::uint32_t>(-1);
 
-  void heap_push(HeapItem item);
+  /// Inserts `v` at distance `d`, or lowers its key when already queued.
+  void heap_update(VertexId v, double d);
+  /// Removes and returns the (distance, id) minimum.
   HeapItem heap_pop();
+  void heap_place(std::size_t i, HeapItem item) {
+    heap_[i] = item;
+    heap_pos_[item.vertex] = static_cast<std::uint32_t>(i);
+  }
+  /// Empties the heap, restoring heap_pos_ to kNotInHeap for every entry
+  /// an early exit left queued.
+  void heap_clear();
 
-  /// Refreshes the view, advances the generation and clears the heap.
+  /// Refreshes the view, sizes the scratch buffers, advances the
+  /// generation and clears the heap.
   void prepare(const Graph& g);
   /// Lazily initializes v's workspace slots for this generation.
   void touch(VertexId v);
+  Labels workspace() noexcept {
+    return {dist_.data(), parent_.data(), parent_edge_.data()};
+  }
   /// Core dispatch: seeds every vertex of `seeds` at distance zero, then
   /// runs the Dial loop when the view's weight inspection allows it and
-  /// the 4-ary heap loop otherwise. `edge_allowed` / `edge_mask` may be
-  /// null. When `targets_remaining` > 0 the run stops once that many
-  /// target-stamped vertices are settled.
-  void run(std::span<const VertexId> seeds,
+  /// the 4-ary heap loop otherwise. kStamped runs write the generation-
+  /// stamped workspace (labels are initialized on first touch); otherwise
+  /// `out` is a tree the caller pre-filled with infinity / invalid ids.
+  /// `edge_allowed` / `edge_mask` may be null. When `targets_remaining` > 0
+  /// the run stops once that many target-stamped vertices are settled.
+  template <bool kStamped>
+  void run(Labels out, std::span<const VertexId> seeds,
            const std::function<bool(EdgeId)>* edge_allowed,
            const std::uint8_t* edge_mask, std::size_t targets_remaining);
-  void run_heap(std::span<const VertexId> seeds,
+  template <bool kStamped>
+  void run_heap(Labels out, const std::function<bool(EdgeId)>* edge_allowed,
+                const std::uint8_t* edge_mask, std::size_t targets_remaining);
+  template <bool kStamped>
+  void run_dial(Labels out, std::span<const VertexId> seeds,
                 const std::function<bool(EdgeId)>* edge_allowed,
                 const std::uint8_t* edge_mask, std::size_t targets_remaining);
-  void run_dial(std::span<const VertexId> seeds,
-                const std::function<bool(EdgeId)>* edge_allowed,
-                const std::uint8_t* edge_mask, std::size_t targets_remaining);
-  /// Copies the touched region of the workspace into a ShortestPaths.
-  ShortestPaths materialize(VertexId source) const;
+  /// Full masked run into `tree` (view already prepared).
+  void compute_prepared(ShortestPaths& tree, const std::uint8_t* edge_mask);
+  /// v's parent and parent edge as determined by its tight in-neighbours
+  /// (see tie_free); false when v is not locally tie-free. Reads the view
+  /// prepared for the tree's graph.
+  bool tight_parent(const ShortestPaths& tree, VertexId v,
+                    const std::uint8_t* edge_mask, VertexId& parent,
+                    EdgeId& parent_edge);
+  bool tie_free_prepared(const ShortestPaths& tree, const std::uint8_t* edge_mask);
+  /// The local repair behind repair(); false when it met a tie. The tree is
+  /// then partly rewritten and the heap may still hold vertices: the caller
+  /// clears the heap and recomputes.
+  bool repair_prepared(const Graph& g, ShortestPaths& tree,
+                       std::span<const EdgeChange> changes,
+                       const std::uint8_t* edge_mask);
 
   CsrView view_;
   std::vector<double> dist_;
@@ -166,8 +261,8 @@ class SpEngine {
   std::uint32_t generation_ = 0;
   std::vector<std::uint32_t> target_stamp_;
   std::uint32_t target_generation_ = 0;
-  std::vector<HeapItem> heap_;     // 4-ary min-heap, lazy deletion
-  std::vector<VertexId> reached_;  // vertices touched this run
+  std::vector<HeapItem> heap_;  // indexed 4-ary min-heap
+  std::vector<std::uint32_t> heap_pos_;  // vertex -> heap slot, or kNotInHeap
   /// Dial bucket ring, sized max_integer_weight + 1 and reused across
   /// queries. A bucket whose stamp is stale belongs to an earlier query
   /// (e.g. abandoned by an early exit) and is cleared lazily on first use.
@@ -176,6 +271,19 @@ class SpEngine {
   std::vector<VertexId> bucket_scratch_;  // drain staging, sorted by id
   bool last_used_dial_ = false;
   VertexId last_settled_target_ = kInvalidVertex;
+  /// Repair scratch: the old tree's children (CSR by parent), the
+  /// invalidated region, the re-settled vertices (settled_ == generation_),
+  /// the vertices queued for a parent check (deduplicated by mark_), and
+  /// one vertex's tight in-neighbours.
+  std::vector<std::uint32_t> child_start_;
+  std::vector<std::uint32_t> child_cursor_;
+  std::vector<VertexId> child_list_;
+  std::vector<VertexId> region_;
+  std::vector<std::uint32_t> settled_;
+  std::vector<VertexId> recheck_;
+  std::vector<std::uint32_t> mark_;
+  std::uint32_t mark_generation_ = 0;
+  std::vector<std::pair<double, VertexId>> tight_;
 };
 
 /// Parallel batched SSSP over the global ThreadPool: slot i of the result
@@ -214,18 +322,6 @@ class SpCache {
   /// current (uid, epoch) of `g`. Replaces any existing entry for `source`.
   void put(const Graph& g, VertexId source,
            std::shared_ptr<const ShortestPaths> paths);
-
-  /// Keyed invalidation: rebinds the cache to the *current* (uid, epoch) of
-  /// `g` without the wholesale flush of the implicit sync(). Entries for
-  /// which `keep(source, tree)` returns true survive under the new key (LRU
-  /// order preserved); the rest are evicted and counted by
-  /// `graph.spcache.keyed_evictions`. For callers that mutate the graph in a
-  /// controlled way — e.g. the online incremental view patching a few edge
-  /// weights after an admission — and can prove exactly which cached trees
-  /// the mutation left intact. The caller owns that proof: a kept entry is
-  /// served as-is on the next try_get.
-  void rebind_keep(const Graph& g,
-                   const std::function<bool(VertexId, const ShortestPaths&)>& keep);
 
   void clear();
   std::size_t size() const noexcept { return index_.size(); }

@@ -1,0 +1,113 @@
+// Persistent shortest-path trees, repaired in place across edge changes.
+//
+// Online_CP prices every candidate server with a tree from that server, and
+// between two requests those trees barely change: an admission raises the
+// weights of a few dozen links, a release lowers them, and a new bandwidth
+// demand flips the eligibility of a few more. SpTreeStore keeps one tree per
+// declared root and, on each query, brings it up to date with
+// SpEngine::repair instead of recomputing it. Every returned tree is
+// bit-identical (dist, parent, parent_edge) to a fresh SpEngine run.
+//
+// Exactness (docs/performance.md, "Repairing the server trees"):
+//
+//  * Changed edges. The store keeps one snapshot of every edge's effective
+//    weight (its weight when the mask allows it, infinity otherwise) and a
+//    log of the edges whose effective weight moved, each with its previous
+//    value. A tree records the log position it was last brought up to date
+//    at, so its change set C is the log suffix, first entry per edge, minus
+//    edges that moved back.
+//  * Keep rule. When every edge of C is a non-tree edge whose effective
+//    weight did not go down, the tree is unchanged — even with ties: such a
+//    change can neither create a shorter path nor remove a parent edge, and
+//    the settle order of a Dijkstra run depends only on the tree.
+//  * Distances. Subtrees under changed tree edges are invalidated, seeded
+//    from their boundary and from the endpoints of decreased edges, and
+//    re-settled by Dijkstra. fl(a + w) is monotone in a, so a Dijkstra
+//    distance is the unique minimum over paths of the left-to-right
+//    floating-point sums; the repaired distances therefore carry the same
+//    bits as a fresh run.
+//  * Parents. Dijkstra's parent for v is the first tight in-neighbour it
+//    settles. When v's tight in-neighbours have pairwise distinct
+//    distances, all below dist[v], that is the one with the smallest
+//    distance (first tight parallel edge in adjacency order). Parents are
+//    recomputed only where the tight set can have changed — invalidated or
+//    re-settled vertices, old children of re-settled vertices, vertices a
+//    re-settled vertex is tight for, and endpoints of C — and any tie there
+//    falls back to a full recompute. Trees that were not tie-free to begin
+//    with (zero-weight plateaus, unit weights) are recomputed in full
+//    unless the keep rule applies.
+//
+// The store is plain per-owner state — no globals, no thread-locals — so
+// two owners replaying the same stream do identical work. Not thread-safe;
+// repairs of different trees fan out over util::ThreadPool::global().
+#pragma once
+
+#include <cstdint>
+#include <memory>
+#include <span>
+#include <vector>
+
+#include "graph/dijkstra.h"
+#include "graph/graph.h"
+#include "graph/sp_engine.h"
+
+namespace nfvm::graph {
+
+class SpTreeStore {
+ public:
+  /// Trees from `roots` persist across calls; every other source is
+  /// computed fresh on each call and not kept.
+  explicit SpTreeStore(std::span<const VertexId> roots);
+  SpTreeStore(const SpTreeStore&) = delete;
+  SpTreeStore& operator=(const SpTreeStore&) = delete;
+
+  /// Shortest-path trees on `g` over the edges whose mask byte is nonzero
+  /// (an empty mask allows every edge); slot i is the tree from sources[i].
+  /// A repeated source gets one tree, shared by its slots. Persistent trees
+  /// are repaired (or kept) in place when nobody else holds them, and
+  /// copied first when a caller still does. Results are identical at any
+  /// thread count.
+  std::vector<std::shared_ptr<const ShortestPaths>> trees(
+      const Graph& g, std::span<const VertexId> sources,
+      std::span<const std::uint8_t> edge_mask);
+
+  /// Drops every stored tree, the weight snapshot and the change log.
+  void clear();
+
+  /// Persistent trees currently held.
+  std::size_t size() const noexcept;
+
+ private:
+  struct Entry {
+    std::shared_ptr<ShortestPaths> tree;  // null until first built
+    std::uint64_t synced_at = 0;          // log position it is current at
+    bool tie_free = false;
+  };
+  struct LogEntry {
+    EdgeId edge;
+    double old_weight;  // effective weight before this change
+  };
+
+  /// Binds to `g` (dropping everything on a different graph) and appends
+  /// every edge whose effective weight moved since the last call.
+  void sync(const Graph& g, std::span<const std::uint8_t> edge_mask);
+  /// C for a tree current at log position `since`.
+  std::vector<EdgeChange> changes_since(std::uint64_t since);
+  std::uint64_t log_end() const noexcept { return log_base_ + log_.size(); }
+
+  std::vector<Entry> entries_;           // one per distinct root
+  std::vector<std::uint32_t> entry_of_;  // vertex -> entries_ index + 1, 0 = none
+  bool bound_ = false;
+  std::uint64_t uid_ = 0;
+  std::vector<double> effective_;  // per edge, as of the last sync
+  std::vector<LogEntry> log_;
+  std::uint64_t log_base_ = 0;  // absolute position of log_[0]
+  std::vector<std::uint32_t> seen_;  // per-edge dedupe stamp for changes_since
+  std::uint32_t seen_generation_ = 0;
+  /// Per-vertex dedupe for trees(): the first slot of a source this call.
+  std::vector<std::uint32_t> slot_stamp_;
+  std::vector<std::size_t> slot_index_;
+  std::uint32_t slot_generation_ = 0;
+};
+
+}  // namespace nfvm::graph

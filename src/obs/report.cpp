@@ -1,6 +1,8 @@
 #include "obs/report.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -250,11 +252,15 @@ void flatten_bench(const JsonValue& doc, std::map<std::string, double>& scalars)
   flatten_metrics(doc.at("metrics"), "metrics.", scalars);
 }
 
-bool key_ignored(const std::string& key, const CompareOptions& options) {
-  for (const std::string& pattern : options.ignore) {
+bool key_matches(const std::string& key, const std::vector<std::string>& patterns) {
+  for (const std::string& pattern : patterns) {
     if (!pattern.empty() && key.find(pattern) != std::string::npos) return true;
   }
   return false;
+}
+
+bool key_ignored(const std::string& key, const CompareOptions& options) {
+  return key_matches(key, options.ignore);
 }
 
 std::string format_value(double value) {
@@ -413,6 +419,10 @@ CompareReport compare_artifacts(const Artifact& baseline,
     if (cand_it == candidate.scalars.end() ||
         (base_it != baseline.scalars.end() && base_it->first < cand_it->first)) {
       report.only_baseline.push_back(base_it->first);
+      if (key_matches(base_it->first, options.exact)) {
+        report.exact_missing.push_back(base_it->first);
+        ++report.num_regressions;
+      }
       ++base_it;
       continue;
     }
@@ -433,8 +443,13 @@ CompareReport compare_artifacts(const Artifact& baseline,
     } else {
       delta.rel = (delta.candidate - delta.baseline) / std::abs(delta.baseline);
     }
+    delta.exact = key_matches(delta.key, options.exact);
     delta.regression =
-        std::abs(delta.rel) > options.threshold && !key_ignored(delta.key, options);
+        delta.exact
+            ? std::bit_cast<std::uint64_t>(delta.baseline) !=
+                  std::bit_cast<std::uint64_t>(delta.candidate)
+            : std::abs(delta.rel) > options.threshold &&
+                  !key_ignored(delta.key, options);
     if (delta.regression) ++report.num_regressions;
     report.deltas.push_back(std::move(delta));
     ++base_it;
@@ -623,6 +638,10 @@ void write_report_markdown(std::ostream& out, const Artifact& baseline,
     out << "; ignoring keys containing:";
     for (const std::string& pattern : options.ignore) out << " `" << pattern << "`";
   }
+  if (!options.exact.empty()) {
+    out << "\n- exact:";
+    for (const std::string& pattern : options.exact) out << " `" << pattern << "`";
+  }
   if (!options.min_bounds.empty()) {
     out << "\n- floors:";
     for (const auto& [pattern, bound] : options.min_bounds) {
@@ -653,7 +672,7 @@ void write_report_markdown(std::ostream& out, const Artifact& baseline,
     out << "| `" << delta.key << "` | " << format_value(delta.baseline) << " | "
         << format_value(delta.candidate) << " | " << format_rel(delta.rel) << " | "
         << (delta.regression
-                ? "REGRESSION"
+                ? (delta.exact ? "EXACT MISMATCH" : "REGRESSION")
                 : (key_ignored(delta.key, options) && std::abs(delta.rel) > options.threshold
                        ? "ignored"
                        : "ok"))
@@ -670,6 +689,11 @@ void write_report_markdown(std::ostream& out, const Artifact& baseline,
   if (!report.only_baseline.empty()) {
     out << "\nKeys missing from candidate:";
     for (const std::string& key : report.only_baseline) out << " `" << key << "`";
+    out << "\n";
+  }
+  if (!report.exact_missing.empty()) {
+    out << "\nEXACT keys missing from candidate:";
+    for (const std::string& key : report.exact_missing) out << " `" << key << "`";
     out << "\n";
   }
 }
@@ -693,6 +717,12 @@ void write_report_json(std::ostream& out, const Artifact& baseline,
     w.key("min").value(bound);
     w.end_object();
   }
+  w.end_array();
+  w.key("exact").begin_array();
+  for (const std::string& pattern : options.exact) w.value(pattern);
+  w.end_array();
+  w.key("exact_missing").begin_array();
+  for (const std::string& key : report.exact_missing) w.value(key);
   w.end_array();
   w.key("min_violations").begin_array();
   for (const Delta& violation : report.min_violations) {

@@ -61,8 +61,11 @@ struct Delta {
   /// (candidate - baseline) / |baseline|; +-inf when baseline is 0 and the
   /// candidate moved.
   double rel = 0.0;
-  /// Exceeded the threshold (in either direction) and was not ignored.
+  /// Exceeded the threshold (in either direction) and was not ignored, or
+  /// is an exact key that differs from the baseline at all.
   bool regression = false;
+  /// Gated by CompareOptions::exact rather than the threshold.
+  bool exact = false;
 };
 
 struct CompareOptions {
@@ -79,6 +82,12 @@ struct CompareOptions {
   /// the historical silent-regression hole), but a hard floor like
   /// `speedup_vs_legacy >= 0.95` still holds the line.
   std::vector<std::pair<std::string, double>> min_bounds;
+  /// Exact keys: a key containing any of these substrings must equal the
+  /// baseline bit for bit — independent of the threshold and the ignore
+  /// list — and must not disappear from the candidate. For decision
+  /// columns (admission counts, checksums), where a 30% threshold would let
+  /// a changed decision through.
+  std::vector<std::string> exact;
 };
 
 struct CompareReport {
@@ -89,6 +98,9 @@ struct CompareReport {
   /// Candidate scalars below a min_bounds floor (Delta::baseline holds the
   /// bound). Counted in num_regressions.
   std::vector<Delta> min_violations;
+  /// Exact keys present in the baseline but missing from the candidate.
+  /// Counted in num_regressions.
+  std::vector<std::string> exact_missing;
   std::size_t num_regressions = 0;
 };
 

@@ -229,6 +229,31 @@ TEST(ReportCompare, IgnorePatternsSuppressGating) {
   EXPECT_EQ(r.num_regressions, 0u);
 }
 
+TEST(ReportCompare, ExactKeysMustMatchBitForBit) {
+  const report::Artifact base = report::load_artifact(write_temp(
+      "cmp_exact_base.json",
+      R"({"counters":{"admitted":47,"checksum":120760.019,"runs":100,"gone":1},)"
+      R"("gauges":{},"histograms":{}})"));
+  const report::Artifact cand = report::load_artifact(write_temp(
+      "cmp_exact_cand.json",
+      R"({"counters":{"admitted":40,"checksum":120760.019,"runs":120},)"
+      R"("gauges":{},"histograms":{}})"));
+  report::CompareOptions options;
+  options.threshold = 0.3;  // admitted -15% and runs +20% both pass this
+  EXPECT_EQ(report::compare_artifacts(base, cand, options).num_regressions, 0u);
+  options.exact = {"admitted", "checksum", "gone"};
+  options.ignore = {"admitted"};  // exact gating ignores the ignore list
+  const report::CompareReport r = report::compare_artifacts(base, cand, options);
+  // admitted differs, gone disappeared; checksum matches, runs is not exact.
+  EXPECT_EQ(r.num_regressions, 2u);
+  ASSERT_EQ(r.exact_missing.size(), 1u);
+  EXPECT_EQ(r.exact_missing[0], "counters.gone");
+  for (const report::Delta& d : r.deltas) {
+    EXPECT_EQ(d.exact, d.key != "counters.runs") << d.key;
+    EXPECT_EQ(d.regression, d.key == "counters.admitted") << d.key;
+  }
+}
+
 TEST(ReportCompare, TracksKeysOnlyOnOneSide) {
   const report::Artifact base = report::load_artifact(write_temp(
       "cmp_only_base.json",

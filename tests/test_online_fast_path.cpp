@@ -1,7 +1,7 @@
 // The online admission fast path: trace equivalence between the incremental
-// (patched weighted view + shared-closure scan) and legacy rebuild paths,
-// OnlineWeightedView patch/era semantics, keyed SpCache invalidation, the
-// table-driven KMB entry points, and RejectTracker precedence.
+// (patched weighted view + repaired server trees + shared-closure scan) and
+// legacy rebuild paths, the OnlineWeightedView repair store, and
+// RejectTracker precedence.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -14,6 +14,7 @@
 #include "graph/dijkstra.h"
 #include "graph/steiner.h"
 #include "nfv/resources.h"
+#include "obs/metrics.h"
 #include "sim/request_gen.h"
 #include "topology/waxman.h"
 #include "util/rng.h"
@@ -66,7 +67,7 @@ void run_trace_equivalence(Algo& fast, Algo& rebuild, std::size_t num_requests) 
       admitted_rebuild.push_back(dr.footprint);
     }
     // Departures: release the oldest still-held footprint every 7 requests,
-    // exercising the era reset (cache drop + weight re-patch) mid-sequence.
+    // so server trees are repaired across weight decreases mid-sequence.
     if (i % 7 == 6 && !admitted_fast.empty()) {
       fast.release(admitted_fast.front());
       rebuild.release(admitted_rebuild.front());
@@ -78,6 +79,12 @@ void run_trace_equivalence(Algo& fast, Algo& rebuild, std::size_t num_requests) 
   EXPECT_EQ(fast.num_rejected(), rebuild.num_rejected());
 }
 
+#if NFVM_OBS
+std::uint64_t counter_value(const char* name) {
+  return obs::Registry::global().counter(name)->value();
+}
+#endif
+
 TEST(OnlineFastPath, CpTraceEquivalenceWithDepartures) {
   util::Rng rng(91);
   const topo::Topology topo = topo::make_waxman(60, rng);
@@ -87,7 +94,14 @@ TEST(OnlineFastPath, CpTraceEquivalenceWithDepartures) {
   rebuild_opts.incremental_view = false;
   OnlineCp fast(topo, fast_opts);
   OnlineCp rebuild(topo, rebuild_opts);
-  run_trace_equivalence(fast, rebuild, 80);
+  obs::Registry::global().reset_values();
+  // Long enough to leave the zero-weight warm-up, where ties force full
+  // recomputes, and to repair trees across releases afterwards.
+  run_trace_equivalence(fast, rebuild, 200);
+#if NFVM_OBS
+  EXPECT_GT(counter_value("graph.sp_repair.trees_repaired"), 0u);
+  EXPECT_GT(counter_value("graph.sp_repair.trees_kept"), 0u);
+#endif
 }
 
 TEST(OnlineFastPath, CpTraceEquivalenceLinearWeights) {
@@ -128,11 +142,12 @@ TEST(OnlineFastPath, NonKmbEngineFallsBackToRebuildPath) {
 }
 
 // ---------------------------------------------------------------------------
-// OnlineWeightedView: patching, keyed invalidation, eras
+// OnlineWeightedView: patching and the repair store
 // ---------------------------------------------------------------------------
 
 /// Triangle 0-1-2 (0-2 direct more expensive than 0-1 + 1-2) plus a tail
 /// 2-3: the tree from 1 never contains edge 0-2, the tree from 0 does.
+/// Every vertex is a server, so every tree is kept by the repair store.
 topo::Topology triangle_tail_topology() {
   topo::Topology t;
   t.name = "triangle_tail";
@@ -141,23 +156,40 @@ topo::Topology triangle_tail_topology() {
   t.graph.add_edge(1, 2, 1.0);  // e1
   t.graph.add_edge(0, 2, 1.5);  // e2
   t.graph.add_edge(2, 3, 1.0);  // e3
-  t.servers = {2};
+  t.servers = {0, 1, 2, 3};
   t.link_bandwidth = {1000, 1000, 1000, 1000};
-  t.server_compute = {0, 0, 8000, 0};
+  t.server_compute = {8000, 8000, 8000, 8000};
   return t;
 }
 
-TEST(OnlineWeightedView, PatchEvictsOnlyTreesContainingChangedEdges) {
-  const topo::Topology topo = triangle_tail_topology();
-  nfv::ResourceState state(topo);
-  // Weight = f(residual): halves of consumed bandwidth on top of the static
-  // link weight, so allocations move exactly the touched edges.
-  OnlineWeightedView view(topo, [&](graph::EdgeId e) {
+/// Weight = f(residual): the static link weight plus consumed bandwidth in
+/// thousandths, so allocations move exactly the touched edges.
+OnlineWeightedView::EdgeWeightFn consumption_weight(const topo::Topology& topo,
+                                                    const nfv::ResourceState& state) {
+  return [&topo, &state](graph::EdgeId e) {
     const double consumed =
         state.bandwidth_capacity(e) - state.residual_bandwidth(e);
     return topo.graph.weight(e) + consumed / 1000.0;
-  });
-  view.set_policy(ViewPolicy::kForceIncremental);  // pin the cache machinery
+  };
+}
+
+/// The tree every stored one must equal: a fresh filtered Dijkstra.
+void expect_fresh(const OnlineWeightedView& view, const nfv::ResourceState& state,
+                  const graph::ShortestPaths& tree, double b) {
+  const graph::ShortestPaths fresh =
+      graph::dijkstra_filtered(view.graph(), tree.source, [&](graph::EdgeId e) {
+        return nfv::edge_eligible(state, view.graph(), e, b);
+      });
+  EXPECT_EQ(tree.dist, fresh.dist) << "source " << tree.source;
+  EXPECT_EQ(tree.parent, fresh.parent) << "source " << tree.source;
+  EXPECT_EQ(tree.parent_edge, fresh.parent_edge) << "source " << tree.source;
+}
+
+TEST(OnlineWeightedView, PatchRepairsOnlyTreesContainingChangedEdges) {
+  const topo::Topology topo = triangle_tail_topology();
+  nfv::ResourceState state(topo);
+  OnlineWeightedView view(topo, consumption_weight(topo, state));
+  view.set_policy(ViewPolicy::kForceIncremental);  // pin the repair store
 
   const std::vector<graph::VertexId> sources = {0, 1};
   const auto first = view.trees_for(state, sources, 50.0);
@@ -172,27 +204,33 @@ TEST(OnlineWeightedView, PatchEvictsOnlyTreesContainingChangedEdges) {
   view.apply_allocate(fp);
 
   const auto second = view.trees_for(state, sources, 50.0);
-  EXPECT_NE(second[0].get(), first[0].get());  // contained e2: evicted
-  EXPECT_EQ(second[1].get(), first[1].get());  // untouched: cache hit
-  // The recomputed tree sees the patched weight: e2 now costs 1.6, so the
-  // path 0-1-2 (2.0) still loses; bump it past 2.0 and the tree reroutes.
+  // e2 is a tree edge of the tree from 0: repaired into a copy, because
+  // `first` still holds the old one.
+  EXPECT_NE(second[0].get(), first[0].get());
+  EXPECT_EQ(second[1].get(), first[1].get());  // non-tree increase: kept
+  EXPECT_EQ(first[0]->dist[2], 1.5);           // the old tree is untouched
+  expect_fresh(view, state, *second[0], 50.0);
+  // e2 now costs 1.6, so the path 0-1-2 (2.0) still loses; bump it past
+  // 2.0 and the repaired tree reroutes.
   nfv::Footprint fp2;
   fp2.bandwidth = {{2, 500.0}};
   state.allocate(fp2);
   view.apply_allocate(fp2);
   const auto third = view.trees_for(state, sources, 50.0);
   EXPECT_EQ(third[0]->parent_edge[2], 1u);  // rerouted around the hot link
+  expect_fresh(view, state, *third[0], 50.0);
+  expect_fresh(view, state, *third[1], 50.0);
 }
 
-TEST(OnlineWeightedView, AllocationWithoutWeightChangeKeepsCache) {
+TEST(OnlineWeightedView, AllocationWithoutWeightChangeKeepsTree) {
   const topo::Topology topo = triangle_tail_topology();
   nfv::ResourceState state(topo);
   // Residual-independent weights (the OnlineSp configuration): allocations
-  // never dirty the cache.
+  // that leave every edge eligible change nothing the tree can see.
   OnlineWeightedView view(topo,
                           [&](graph::EdgeId e) { return topo.graph.weight(e); });
-  // Pin the incremental cache: these tests assert cache mechanics, and the
-  // adaptive policy would (correctly) pick rebuild mode on a 4-edge graph.
+  // Pin the repair store: the adaptive policy would (correctly) pick
+  // rebuild mode on a 4-edge graph.
   view.set_policy(ViewPolicy::kForceIncremental);
   const std::vector<graph::VertexId> sources = {0};
   const auto first = view.trees_for(state, sources, 50.0);
@@ -204,60 +242,75 @@ TEST(OnlineWeightedView, AllocationWithoutWeightChangeKeepsCache) {
   EXPECT_EQ(second[0].get(), first[0].get());
 }
 
-TEST(OnlineWeightedView, ReleaseStartsNewEraDroppingAllTrees) {
+TEST(OnlineWeightedView, ReleaseRepairsTreesInsteadOfDropping) {
   const topo::Topology topo = triangle_tail_topology();
   nfv::ResourceState state(topo);
-  OnlineWeightedView view(topo,
-                          [&](graph::EdgeId e) { return topo.graph.weight(e); });
-  // Pin the incremental cache: these tests assert cache mechanics, and the
-  // adaptive policy would (correctly) pick rebuild mode on a 4-edge graph.
+  OnlineWeightedView view(topo, consumption_weight(topo, state));
   view.set_policy(ViewPolicy::kForceIncremental);
-  const std::vector<graph::VertexId> sources = {0, 1};
-  const auto first = view.trees_for(state, sources, 50.0);
+  const std::vector<graph::VertexId> sources = {0, 3};
+  obs::Registry::global().reset_values();
+  view.trees_for(state, sources, 50.0);
+  EXPECT_EQ(view.stored_trees(), 2u);
+
+  // Make e2 expensive enough to reroute the tree from 0, then release it.
   nfv::Footprint fp;
-  fp.bandwidth = {{3, 100.0}};
+  fp.bandwidth = {{2, 600.0}};
   state.allocate(fp);
   view.apply_allocate(fp);
+  const auto loaded = view.trees_for(state, sources, 50.0);
+  ASSERT_EQ(loaded[0]->parent_edge[2], 1u);
+  const graph::ShortestPaths* held = loaded[0].get();
   state.release(fp);
   view.apply_release(fp);
-  const auto second = view.trees_for(state, sources, 50.0);
-  // Even weight-identical trees must be recomputed: a release can only be
-  // trusted through a full era reset.
-  EXPECT_NE(second[0].get(), first[0].get());
-  EXPECT_NE(second[1].get(), first[1].get());
+  obs::Registry::global().reset_values();
+  const auto released = view.trees_for(state, sources, 50.0);
+#if NFVM_OBS
+  // Both trees are repaired from the release's weight decrease; nothing is
+  // recomputed.
+  EXPECT_EQ(counter_value("graph.dijkstra.runs"), 0u);
+  EXPECT_EQ(counter_value("graph.sp_repair.trees_repaired"), 2u);
+#endif
+  // The store still holds both trees; the one from 0 is back on e2 and
+  // identical to a fresh run.
+  EXPECT_EQ(view.stored_trees(), 2u);
+  EXPECT_EQ(released[0]->parent_edge[2], 2u);
+  EXPECT_EQ(held->parent_edge[2], 1u);  // a held tree is never rewritten
+  expect_fresh(view, state, *released[0], 50.0);
+  expect_fresh(view, state, *released[1], 50.0);
 }
 
-TEST(OnlineWeightedView, LowerBandwidthThresholdForcesRecompute) {
+TEST(OnlineWeightedView, LowerBandwidthThresholdRepairsTree) {
   const topo::Topology topo = triangle_tail_topology();
   nfv::ResourceState state(topo);
-  OnlineWeightedView view(topo,
-                          [&](graph::EdgeId e) { return topo.graph.weight(e); });
-  // Pin the incremental cache: these tests assert cache mechanics, and the
-  // adaptive policy would (correctly) pick rebuild mode on a 4-edge graph.
+  OnlineWeightedView view(topo, consumption_weight(topo, state));
   view.set_policy(ViewPolicy::kForceIncremental);
+  nfv::Footprint fp;
+  fp.bandwidth = {{2, 920.0}};  // 80 left on e2
+  state.allocate(fp);
+  view.apply_allocate(fp);
   const std::vector<graph::VertexId> sources = {0};
   const auto at_100 = view.trees_for(state, sources, 100.0);
-  // b' < b_T: eligibility at b' is a superset, the cached tree may be wrong.
+  ASSERT_EQ(at_100[0]->parent_edge[2], 1u);  // e2 ineligible at b = 100
+  // b' < b_T: e2 becomes eligible again (an effective-weight decrease).
   const auto at_50 = view.trees_for(state, sources, 50.0);
-  EXPECT_NE(at_50[0].get(), at_100[0].get());
-  // b' >= b_T with all tree edges still eligible: reuse.
-  const auto at_80 = view.trees_for(state, sources, 80.0);
-  EXPECT_EQ(at_80[0].get(), at_50[0].get());
+  expect_fresh(view, state, *at_50[0], 50.0);
+  // Back up to b' >= b_T: e2 drops out again.
+  const auto at_90 = view.trees_for(state, sources, 90.0);
+  EXPECT_EQ(at_90[0]->parent_edge[2], 1u);
+  expect_fresh(view, state, *at_90[0], 90.0);
 }
 
-TEST(OnlineWeightedView, IneligibleTreeEdgeForcesRecompute) {
+TEST(OnlineWeightedView, IneligibleTreeEdgeIsRepaired) {
   const topo::Topology topo = triangle_tail_topology();
   nfv::ResourceState state(topo);
   OnlineWeightedView view(topo,
                           [&](graph::EdgeId e) { return topo.graph.weight(e); });
-  // Pin the incremental cache: these tests assert cache mechanics, and the
-  // adaptive policy would (correctly) pick rebuild mode on a 4-edge graph.
   view.set_policy(ViewPolicy::kForceIncremental);
   const std::vector<graph::VertexId> sources = {0};
   const auto before = view.trees_for(state, sources, 50.0);
   ASSERT_EQ(before[0]->parent_edge[2], 2u);  // uses e2
   // Starve e2 below the request bandwidth WITHOUT changing weights (weights
-  // are residual-independent here), so only per-lookup eligibility can
+  // are residual-independent here), so only the eligibility diff can
   // notice.
   nfv::Footprint fp;
   fp.bandwidth = {{2, 960.0}};
@@ -266,13 +319,84 @@ TEST(OnlineWeightedView, IneligibleTreeEdgeForcesRecompute) {
   const auto after = view.trees_for(state, sources, 50.0);
   EXPECT_NE(after[0].get(), before[0].get());
   EXPECT_EQ(after[0]->parent_edge[2], 1u);  // rerouted: e2 now ineligible
-  // A fresh filtered Dijkstra agrees bit-for-bit.
-  const graph::ShortestPaths fresh =
-      graph::dijkstra_filtered(view.graph(), 0, [&](graph::EdgeId e) {
-        return nfv::edge_eligible(state, topo.graph, e, 50.0);
-      });
-  EXPECT_EQ(after[0]->dist, fresh.dist);
-  EXPECT_EQ(after[0]->parent_edge, fresh.parent_edge);
+  expect_fresh(view, state, *after[0], 50.0);
+}
+
+/// The unit square 0-1-3 / 0-2-3 with a chord 1-2: from 0, vertex 3 has two
+/// tight in-neighbours at one distance, so the tree is not tie-free.
+topo::Topology tied_square_topology() {
+  topo::Topology t;
+  t.name = "tied_square";
+  t.graph = graph::Graph(4);
+  t.graph.add_edge(0, 1, 1.0);  // e0
+  t.graph.add_edge(0, 2, 1.0);  // e1
+  t.graph.add_edge(1, 3, 1.0);  // e2
+  t.graph.add_edge(2, 3, 1.0);  // e3
+  t.graph.add_edge(1, 2, 1.0);  // e4: never on a tree from 0
+  t.servers = {0};
+  t.link_bandwidth = {1000, 1000, 1000, 1000, 1000};
+  t.server_compute = {8000, 0, 0, 0};
+  return t;
+}
+
+TEST(OnlineWeightedView, NonTreeIncreaseKeepsTreeWithTies) {
+  const topo::Topology topo = tied_square_topology();
+  nfv::ResourceState state(topo);
+  OnlineWeightedView view(topo, consumption_weight(topo, state));
+  view.set_policy(ViewPolicy::kForceIncremental);
+  const std::vector<graph::VertexId> sources = {0};
+  obs::Registry::global().reset_values();
+  const auto first = view.trees_for(state, sources, 50.0);
+  ASSERT_EQ(first[0]->dist[3], 2.0);
+
+  // Raise the chord (a non-tree edge): kept as is, ties and all.
+  nfv::Footprint chord;
+  chord.bandwidth = {{4, 300.0}};
+  state.allocate(chord);
+  view.apply_allocate(chord);
+  const auto second = view.trees_for(state, sources, 50.0);
+  EXPECT_EQ(second[0].get(), first[0].get());
+  expect_fresh(view, state, *second[0], 50.0);
+
+  // Lower it again: a decrease on a tree with ties cannot be repaired
+  // locally, so the tree is recomputed in full (and still exact).
+  state.release(chord);
+  view.apply_release(chord);
+  const auto third = view.trees_for(state, sources, 50.0);
+  expect_fresh(view, state, *third[0], 50.0);
+#if NFVM_OBS
+  EXPECT_EQ(counter_value("graph.sp_repair.trees_kept"), 1u);
+  EXPECT_EQ(counter_value("graph.sp_repair.tie_fallbacks"), 1u);
+  EXPECT_EQ(counter_value("graph.sp_repair.trees_repaired"), 0u);
+#endif
+}
+
+TEST(OnlineWeightedView, AfterRestoreDropsStore) {
+  // A restore installs residuals wholesale; OnlineCp::after_restore rebuilds
+  // the view, which drops every stored tree. The first request after the
+  // restore therefore computes all its trees fresh — and decides exactly
+  // like a twin that never restored.
+  util::Rng rng(95);
+  const topo::Topology topo = topo::make_waxman(60, rng);
+  util::Rng workload(96);
+  sim::RequestGenerator gen(topo, workload);
+  const std::vector<nfv::Request> requests = gen.sequence(60);
+  OnlineCp live(topo);
+  OnlineCp restored(topo);
+  for (std::size_t i = 0; i + 1 < requests.size(); ++i) {
+    live.process(requests[i]);
+    restored.process(requests[i]);
+  }
+  restored.restore_resources(live.resources().export_residuals());
+  obs::Registry::global().reset_values();
+  const AdmissionDecision a = restored.process(requests.back());
+#if NFVM_OBS
+  EXPECT_EQ(counter_value("graph.sp_repair.trees_kept"), 0u);
+  EXPECT_EQ(counter_value("graph.sp_repair.trees_repaired"), 0u);
+  EXPECT_GT(counter_value("graph.dijkstra.runs"), 0u);
+#endif
+  const AdmissionDecision b = live.process(requests.back());
+  expect_same_decision(a, b, requests.size() - 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -215,7 +215,7 @@ TEST(ServeSnapshot, ViewWeightsAreAPureFunctionOfRestoredResiduals) {
   // The snapshot deliberately does NOT serialize OnlineWeightedView state:
   // its weights are a pure function of the residuals, so rebuilding from
   // bit-exact restored residuals must reproduce them edge-for-edge, while
-  // the era counter and patch count - performance state only - may differ.
+  // the patch count and stored trees - performance state only - may differ.
   const topo::Topology topo = make_topo();
   nfv::ResourceState live(topo);
   const auto weight_against = [&topo](const nfv::ResourceState& state) {

@@ -126,48 +126,6 @@ TEST(SpCache, TryGetAndPutRoundTrip) {
   EXPECT_EQ(cache.try_get(g, 0), nullptr);
 }
 
-TEST(SpCache, RebindKeepSurvivesEpochBumpForKeptEntries) {
-  obs::Registry::global().reset_values();
-  Graph g(4);
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(1, 2, 1.0);
-  const EdgeId tail = g.add_edge(2, 3, 1.0);
-  SpCache cache;
-  const auto from0 = cache.paths_from(g, 0);
-  const auto from1 = cache.paths_from(g, 1);
-  const auto from2 = cache.paths_from(g, 2);
-  ASSERT_EQ(cache.size(), 3u);
-
-  g.set_weight(tail, 5.0);  // epoch bump: a plain lookup would flush all
-  cache.rebind_keep(g, [](VertexId source, const ShortestPaths&) {
-    return source == 1;  // caller's proof: only source 1 is still valid
-  });
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.try_get(g, 1).get(), from1.get());  // kept under the new key
-  EXPECT_EQ(cache.try_get(g, 0), nullptr);
-  EXPECT_EQ(cache.try_get(g, 2), nullptr);
-#if NFVM_OBS
-  EXPECT_EQ(counter_value("graph.spcache.keyed_evictions"), 2u);
-#endif
-}
-
-TEST(SpCache, RebindKeepPreservesLruOrder) {
-  Graph g(3);
-  g.add_edge(0, 1, 1.0);
-  const EdgeId e1 = g.add_edge(1, 2, 1.0);
-  SpCache cache(/*capacity=*/2);
-  const auto from0 = cache.paths_from(g, 0);
-  cache.paths_from(g, 1);
-  cache.paths_from(g, 0);  // touch 0: source 1 is now the LRU
-
-  g.set_weight(e1, 2.0);
-  cache.rebind_keep(g, [](VertexId, const ShortestPaths&) { return true; });
-  EXPECT_EQ(cache.size(), 2u);
-  cache.paths_from(g, 2);  // over capacity: evicts the LRU (source 1)
-  EXPECT_EQ(cache.try_get(g, 0).get(), from0.get());
-  EXPECT_EQ(cache.try_get(g, 1), nullptr);
-}
-
 TEST(SpCache, UnboundedWhenCapacityZero) {
   util::Rng rng(23);
   const topo::Topology topo = topo::make_waxman(25, rng);

@@ -1,0 +1,386 @@
+// Randomized oracle for exact shortest-path-tree repair: after every batch
+// of weight / mask changes, SpEngine::repair and SpTreeStore must return
+// trees bit-identical (dist, parent, parent_edge) to a fresh SpEngine run,
+// on multigraphs with parallel edges, self-loops and heavy ties. Also pins
+// the indexed (decrease-key) heap against the historical lazy-deletion
+// 4-ary heap, kept here as the reference implementation.
+#include "graph/sp_repair.h"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "graph/csr.h"
+#include "graph/sp_engine.h"
+#include "util/rng.h"
+#include "util/thread_pool.h"
+
+namespace nfvm::graph {
+namespace {
+
+/// Restores the global pool to single-threaded when a test exits.
+struct GlobalThreadsGuard {
+  ~GlobalThreadsGuard() { util::ThreadPool::set_global_threads(1); }
+};
+
+// --- Reference: the lazy-deletion 4-ary heap Dijkstra ------------------------
+
+/// The engine's historical heap loop: pushes a new (distance, id) item on
+/// every improvement and skips stale items on pop.
+ShortestPaths lazy_heap_dijkstra(const Graph& g, VertexId source,
+                                 std::span<const std::uint8_t> mask) {
+  struct Item {
+    double dist;
+    VertexId vertex;
+  };
+  const auto less = [](const Item& a, const Item& b) {
+    return a.dist < b.dist || (a.dist == b.dist && a.vertex < b.vertex);
+  };
+  std::vector<Item> heap;
+  const auto push = [&](Item item) {
+    heap.push_back(item);
+    std::size_t i = heap.size() - 1;
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 4;
+      if (!less(heap[i], heap[parent])) break;
+      std::swap(heap[i], heap[parent]);
+      i = parent;
+    }
+  };
+  const auto pop = [&]() {
+    const Item top = heap.front();
+    const Item last = heap.back();
+    heap.pop_back();
+    if (!heap.empty()) {
+      std::size_t i = 0;
+      for (;;) {
+        const std::size_t first = 4 * i + 1;
+        if (first >= heap.size()) break;
+        const std::size_t end = std::min(first + 4, heap.size());
+        std::size_t best = first;
+        for (std::size_t j = first + 1; j < end; ++j) {
+          if (less(heap[j], heap[best])) best = j;
+        }
+        if (!less(heap[best], last)) break;
+        heap[i] = heap[best];
+        i = best;
+      }
+      heap[i] = last;
+    }
+    return top;
+  };
+
+  const CsrView view(g);
+  ShortestPaths sp;
+  sp.source = source;
+  sp.dist.assign(g.num_vertices(), kInfiniteDistance);
+  sp.parent.assign(g.num_vertices(), kInvalidVertex);
+  sp.parent_edge.assign(g.num_vertices(), kInvalidEdge);
+  sp.dist[source] = 0.0;
+  push(Item{0.0, source});
+  while (!heap.empty()) {
+    const Item top = pop();
+    if (top.dist > sp.dist[top.vertex]) continue;  // stale
+    for (const CsrEntry& entry : view.out(top.vertex)) {
+      if (!mask.empty() && mask[entry.edge] == 0) continue;
+      const double nd = top.dist + entry.weight;
+      if (nd < sp.dist[entry.neighbor]) {
+        sp.dist[entry.neighbor] = nd;
+        sp.parent[entry.neighbor] = top.vertex;
+        sp.parent_edge[entry.neighbor] = entry.edge;
+        push(Item{nd, entry.neighbor});
+      }
+    }
+  }
+  return sp;
+}
+
+// --- Random multigraphs and change steps --------------------------------------
+
+enum class Weights { kZeroToThree, kOneToFour, kReal, kRealOrZero };
+
+std::string weights_name(Weights w) {
+  switch (w) {
+    case Weights::kZeroToThree: return "0..3";
+    case Weights::kOneToFour: return "1..4";
+    case Weights::kReal: return "real";
+    case Weights::kRealOrZero: return "real or zero";
+  }
+  return "?";
+}
+
+double draw_weight(util::Rng& rng, Weights kind) {
+  switch (kind) {
+    case Weights::kZeroToThree:
+      return static_cast<double>(rng.uniform_int(0, 3));
+    case Weights::kOneToFour:
+      return static_cast<double>(rng.uniform_int(1, 4));
+    case Weights::kReal:
+      // Exponential-cost-like reals: many magnitudes, no exact ties.
+      return rng.uniform_real(0.0, 1.0) * rng.uniform_real(0.0, 8.0);
+    case Weights::kRealOrZero:
+      // Reals, but a link can fall back to zero (an idle link under the
+      // exponential cost model). random_multigraph starts from reals, so
+      // trees start tie-free and repairs meet the ties midway.
+      return rng.bernoulli(0.1) ? 0.0 : draw_weight(rng, Weights::kReal);
+  }
+  return 1.0;
+}
+
+/// A connected-ish random multigraph: a random spanning path plus extra
+/// random edges, some of them parallel edges and self-loops.
+Graph random_multigraph(util::Rng& rng, Weights kind) {
+  if (kind == Weights::kRealOrZero) kind = Weights::kReal;
+  const std::size_t n = static_cast<std::size_t>(rng.uniform_int(2, 36));
+  Graph g(n);
+  std::vector<VertexId> order(n);
+  for (VertexId v = 0; v < n; ++v) order[v] = v;
+  rng.shuffle(std::span<VertexId>(order));
+  for (std::size_t i = 1; i < n; ++i) {
+    g.add_edge(order[i - 1], order[i], draw_weight(rng, kind));
+  }
+  const std::size_t extra = static_cast<std::size_t>(rng.uniform_int(0, 3 * n));
+  for (std::size_t i = 0; i < extra; ++i) {
+    const VertexId u = static_cast<VertexId>(rng.next_below(n));
+    VertexId v = static_cast<VertexId>(rng.next_below(n));
+    if (rng.bernoulli(0.05)) v = u;  // self-loop
+    g.add_edge(u, v, draw_weight(rng, kind));
+    if (rng.bernoulli(0.1)) g.add_edge(u, v, draw_weight(rng, kind));  // parallel
+  }
+  return g;
+}
+
+double effective(const Graph& g, std::span<const std::uint8_t> mask, EdgeId e) {
+  return mask[e] != 0 ? g.weight(e) : kInfiniteDistance;
+}
+
+/// Applies 1-5 random weight changes or mask flips; returns the effective
+/// change of every touched edge (first old value, last new value).
+std::vector<EdgeChange> random_step(util::Rng& rng, Weights kind, Graph& g,
+                                    std::vector<std::uint8_t>& mask) {
+  std::vector<EdgeChange> changes;
+  const std::size_t count = static_cast<std::size_t>(rng.uniform_int(1, 5));
+  for (std::size_t k = 0; k < count; ++k) {
+    const EdgeId e = static_cast<EdgeId>(rng.next_below(g.num_edges()));
+    const double before = effective(g, mask, e);
+    if (rng.bernoulli(0.3)) {
+      mask[e] = mask[e] != 0 ? 0 : 1;
+    } else {
+      g.set_weight(e, draw_weight(rng, kind));
+    }
+    const auto it = std::find_if(changes.begin(), changes.end(),
+                                 [e](const EdgeChange& c) { return c.edge == e; });
+    if (it == changes.end()) {
+      changes.push_back(EdgeChange{e, before, effective(g, mask, e)});
+    } else {
+      it->new_weight = effective(g, mask, e);
+    }
+  }
+  std::erase_if(changes,
+                [](const EdgeChange& c) { return c.old_weight == c.new_weight; });
+  return changes;
+}
+
+void expect_same_tree(const ShortestPaths& got, const ShortestPaths& want,
+                      const std::string& where) {
+  ASSERT_EQ(got.source, want.source) << where;
+  ASSERT_EQ(got.dist.size(), want.dist.size()) << where;
+  for (VertexId v = 0; v < want.dist.size(); ++v) {
+    ASSERT_EQ(got.dist[v], want.dist[v]) << where << " dist at " << v;
+    ASSERT_EQ(got.parent[v], want.parent[v]) << where << " parent at " << v;
+    ASSERT_EQ(got.parent_edge[v], want.parent_edge[v])
+        << where << " parent_edge at " << v;
+  }
+}
+
+std::vector<std::uint8_t> random_mask(util::Rng& rng, std::size_t m) {
+  std::vector<std::uint8_t> mask(m);
+  for (std::uint8_t& b : mask) b = rng.bernoulli(0.9) ? 1 : 0;
+  return mask;
+}
+
+// --- Tests ---------------------------------------------------------------------
+
+TEST(SpRepair, IndexedHeapMatchesLazyHeapReference) {
+  SpEngine engine;
+  util::Rng rng(4242);
+  std::size_t heap_runs = 0;
+  for (const Weights kind : {Weights::kZeroToThree, Weights::kReal}) {
+    for (int trial = 0; trial < 200; ++trial) {
+      const Graph g = random_multigraph(rng, kind);
+      const std::vector<std::uint8_t> mask = random_mask(rng, g.num_edges());
+      const VertexId s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+      const ShortestPaths got = engine.shortest_paths_masked(g, s, mask);
+      heap_runs += engine.last_used_dial() ? 0 : 1;
+      expect_same_tree(got, lazy_heap_dijkstra(g, s, mask),
+                       weights_name(kind) + " trial " + std::to_string(trial));
+    }
+  }
+  // Zero weights and reals keep almost every run off the Dial ring.
+  EXPECT_GT(heap_runs, 350u);
+}
+
+TEST(SpRepair, RandomStepsMatchFreshRun) {
+  SpEngine engine;
+  SpEngine fresh_engine;
+  for (const Weights kind : {Weights::kZeroToThree, Weights::kOneToFour,
+                             Weights::kReal, Weights::kRealOrZero}) {
+    util::Rng rng(777 + static_cast<std::uint64_t>(kind));
+    std::size_t kept = 0;
+    std::size_t repaired = 0;
+    std::size_t recomputed = 0;
+    for (int graph_trial = 0; graph_trial < 40; ++graph_trial) {
+      Graph g = random_multigraph(rng, kind);
+      std::vector<std::uint8_t> mask = random_mask(rng, g.num_edges());
+      ShortestPaths tree;
+      tree.source = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+      engine.compute(g, tree, mask);
+      bool tie_free = engine.tie_free(g, tree, mask);
+      for (int step = 0; step < 60; ++step) {
+        const std::vector<EdgeChange> changes = random_step(rng, kind, g, mask);
+        const bool was_tie_free = tie_free;
+        const RepairOutcome outcome = engine.repair(g, tree, changes, mask, tie_free);
+        const ShortestPaths fresh = fresh_engine.shortest_paths_masked(g, tree.source, mask);
+        const std::string where = weights_name(kind) + " graph " +
+                                  std::to_string(graph_trial) + " step " +
+                                  std::to_string(step);
+        expect_same_tree(tree, fresh, where);
+        // Ties always fall back; a claimed tie-free tree really is one.
+        if (!was_tie_free) {
+          EXPECT_NE(outcome, RepairOutcome::kRepaired) << where;
+        }
+        if (tie_free) {
+          EXPECT_TRUE(fresh_engine.tie_free(g, fresh, mask)) << where;
+        }
+        kept += outcome == RepairOutcome::kKept;
+        repaired += outcome == RepairOutcome::kRepaired;
+        recomputed += outcome == RepairOutcome::kRecomputed;
+      }
+    }
+    EXPECT_GT(kept, 0u) << weights_name(kind);
+    if (kind == Weights::kReal) {
+      EXPECT_GT(repaired, 0u);
+      EXPECT_GT(repaired, recomputed);  // reals rarely tie
+    } else {
+      // Integers tie a lot; zeros make ties appear during repairs.
+      EXPECT_GT(recomputed, 0u) << weights_name(kind);
+    }
+    if (kind == Weights::kRealOrZero) {
+      EXPECT_GT(repaired, 0u);
+    }
+  }
+}
+
+TEST(SpRepair, ZeroWeightPlateauIsNotTieFree) {
+  Graph g(3);
+  g.add_edge(0, 1, 0.0);
+  g.add_edge(1, 2, 1.5);
+  SpEngine engine;
+  const ShortestPaths tree = engine.shortest_paths(g, 0);
+  // Vertex 1 sits at distance 0 beside the source: its parent depends on
+  // the settle order, not on distances alone.
+  EXPECT_FALSE(engine.tie_free(g, tree, {}));
+  g.set_weight(0, 0.5);
+  const ShortestPaths positive = engine.shortest_paths(g, 0);
+  EXPECT_TRUE(engine.tie_free(g, positive, {}));
+}
+
+TEST(SpRepair, ParallelEdgesTakeTheFirstTightOne) {
+  // Three parallel 0-1 edges: the second and third tie at the minimum, so
+  // the parent edge is the second, after a repair as in a fresh run.
+  Graph g(3);
+  g.add_edge(0, 1, 2.5);                    // e0
+  const EdgeId e1 = g.add_edge(0, 1, 0.75);  // e1
+  g.add_edge(0, 1, 0.75);                   // e2
+  g.add_edge(1, 2, 1.25);                   // e3
+  SpEngine engine;
+  ShortestPaths tree = engine.shortest_paths(g, 0);
+  bool tie_free = engine.tie_free(g, tree, {});
+  ASSERT_TRUE(tie_free);  // parallel edges from one neighbour are no tie
+  ASSERT_EQ(tree.parent_edge[1], e1);
+  g.set_weight(0, 0.5);  // e0 becomes the unique best
+  const EdgeChange change{0, 2.5, 0.5};
+  EXPECT_EQ(engine.repair(g, tree, {&change, 1}, {}, tie_free),
+            RepairOutcome::kRepaired);
+  expect_same_tree(tree, engine.shortest_paths(g, 0), "after decrease");
+  EXPECT_EQ(tree.parent_edge[1], 0u);
+}
+
+/// Drives an SpTreeStore through random steps with repeated sources,
+/// non-root sources and callers holding trees across steps; every slot must
+/// equal a fresh run, and a held tree must never change.
+void run_store_oracle(std::size_t threads) {
+  GlobalThreadsGuard guard;
+  util::ThreadPool::set_global_threads(threads);
+  SpEngine fresh_engine;
+  util::Rng rng(9001);
+  for (int graph_trial = 0; graph_trial < 30; ++graph_trial) {
+    const Weights kind = graph_trial % 3 == 0 ? Weights::kOneToFour : Weights::kReal;
+    Graph g = random_multigraph(rng, kind);
+    std::vector<std::uint8_t> mask = random_mask(rng, g.num_edges());
+    std::vector<VertexId> roots;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      if (rng.bernoulli(0.5)) roots.push_back(v);
+    }
+    SpTreeStore store(roots);
+    std::vector<std::shared_ptr<const ShortestPaths>> held;
+    std::vector<ShortestPaths> held_copies;
+    for (int step = 0; step < 40; ++step) {
+      random_step(rng, kind, g, mask);
+      std::vector<VertexId> sources;
+      const std::size_t count = static_cast<std::size_t>(rng.uniform_int(1, 8));
+      for (std::size_t k = 0; k < count; ++k) {
+        sources.push_back(static_cast<VertexId>(rng.next_below(g.num_vertices())));
+      }
+      if (!sources.empty()) sources.push_back(sources.front());  // a repeat
+      const auto trees = store.trees(g, sources, mask);
+      ASSERT_EQ(trees.size(), sources.size());
+      const std::string where = "graph " + std::to_string(graph_trial) +
+                                " step " + std::to_string(step);
+      for (std::size_t i = 0; i < sources.size(); ++i) {
+        expect_same_tree(*trees[i],
+                         fresh_engine.shortest_paths_masked(g, sources[i], mask),
+                         where + " slot " + std::to_string(i));
+      }
+      EXPECT_EQ(trees.front().get(), trees.back().get()) << where;
+      for (std::size_t h = 0; h < held.size(); ++h) {
+        expect_same_tree(*held[h], held_copies[h], where + " held tree");
+      }
+      if (rng.bernoulli(0.3)) {
+        held.push_back(trees.front());
+        held_copies.push_back(*trees.front());
+      }
+    }
+  }
+}
+
+TEST(SpRepair, StoreMatchesFreshRunSingleThread) { run_store_oracle(1); }
+
+TEST(SpRepair, StoreMatchesFreshRunFourThreads) { run_store_oracle(4); }
+
+TEST(SpRepair, StoreDropsEverythingOnClear) {
+  Graph g(3);
+  g.add_edge(0, 1, 1.5);
+  g.add_edge(1, 2, 2.5);
+  const std::vector<VertexId> roots = {0, 2};
+  SpTreeStore store(roots);
+  const std::vector<std::uint8_t> mask(g.num_edges(), 1);
+  const std::vector<VertexId> sources = {0, 1, 2};
+  const auto first = store.trees(g, sources, mask);
+  EXPECT_EQ(store.size(), 2u);  // vertex 1 is not a root: never stored
+  const auto again = store.trees(g, sources, mask);
+  EXPECT_EQ(again[0].get(), first[0].get());  // nothing changed: kept
+  EXPECT_NE(again[1].get(), first[1].get());  // transient: fresh each call
+  store.clear();
+  EXPECT_EQ(store.size(), 0u);
+  const auto rebuilt = store.trees(g, sources, mask);
+  EXPECT_NE(rebuilt[0].get(), first[0].get());
+  expect_same_tree(*rebuilt[2], *first[2], "after clear");
+}
+
+}  // namespace
+}  // namespace nfvm::graph

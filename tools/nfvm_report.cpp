@@ -37,6 +37,9 @@
 //   --min SUBSTR=X    candidate keys containing SUBSTR must be >= X
 //                     (repeatable); an absolute floor that gates even when
 //                     the key is on the ignore list
+//   --exact SUBSTR    keys containing SUBSTR must equal the baseline bit
+//                     for bit (repeatable); for decision columns such as
+//                     admission counts and checksums
 //   --md FILE         also write a markdown report ("-" for stdout)
 //   --json FILE       also write an "nfvm-report-v1" JSON report ("-")
 //
@@ -62,6 +65,7 @@ using nfvm::obs::report::CompareReport;
       << "usage: nfvm-report summary ARTIFACT\n"
          "       nfvm-report diff BASELINE CANDIDATE [--threshold X]\n"
          "                   [--ignore SUBSTR]... [--min SUBSTR=VALUE]...\n"
+         "                   [--exact SUBSTR]...\n"
          "                   [--md FILE|-] [--json FILE|-]\n"
          "       nfvm-report --check BASELINE CANDIDATE [diff options]\n"
          "       nfvm-report --validate FILE...\n"
@@ -140,6 +144,9 @@ int run_diff(const std::string& baseline_path, const std::string& candidate_path
     if (!report.min_violations.empty()) {
       std::cerr << " (" << report.min_violations.size() << " below a --min floor)";
     }
+    std::size_t exact = report.exact_missing.size();
+    for (const auto& delta : report.deltas) exact += delta.exact && delta.regression;
+    if (exact > 0) std::cerr << " (" << exact << " --exact mismatch(es))";
     std::cerr << "\n";
     if (check) return 1;
   }
@@ -304,6 +311,8 @@ int main(int argc, char** argv) {
         usage("--min needs a numeric VALUE after '='");
       }
       options.min_bounds.emplace_back(spec.substr(0, eq), bound);
+    } else if (arg == "--exact") {
+      options.exact.push_back(next());
     } else if (arg == "--md") {
       md_path = next();
     } else if (arg == "--json") {
