@@ -12,6 +12,13 @@
 // approximate mode; their `exact` column records whether the beamed cost
 // still matched the exhaustive K = 6 cost on this workload.
 //
+// Each row also carries `decision_digest`, an FNV-1a digest of every
+// request's decision (admitted flag, cost as %.17g, servers, edge uses)
+// folded below 2^53 so the JSON number is exact. CI gates it with
+// `nfvm-report --exact`: unlike the legacy-vs-branch-and-bound check above,
+// which compares two searches over the same KMB code, it catches a changed
+// decision from any layer, the Steiner kernel included.
+//
 // Two regimes are measured:
 //  * a homogeneous random (Waxman) network with randomly placed servers,
 //    where a server near the source is usually available and one chain
@@ -21,6 +28,10 @@
 //    moves the cost a lot even though one well-placed instance usually
 //    suffices - a steep combination landscape that the branch-and-bound
 //    bounds prune more than half away.
+#include <cstdint>
+#include <cstdio>
+#include <string_view>
+
 #include "bench_common.h"
 #include "topology/geant.h"
 
@@ -34,7 +45,37 @@ struct ModeResult {
   bench::OfflineStats stats;
   std::size_t evaluated = 0;
   std::size_t pruned = 0;
+  std::uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
 };
+
+void fnv1a(std::uint64_t& hash, std::string_view text) {
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+}
+
+/// Folds one decision into the running digest: admitted flag, cost (%.17g
+/// round-trips the double), chain servers and (edge, multiplicity) uses.
+void digest_decision(std::uint64_t& hash, const core::OfflineSolution& sol) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%d %.17g", sol.admitted ? 1 : 0,
+                sol.admitted ? sol.tree.cost : 0.0);
+  fnv1a(hash, buf);
+  if (!sol.admitted) {
+    fnv1a(hash, "\n");
+    return;
+  }
+  for (const graph::VertexId s : sol.tree.servers) {
+    std::snprintf(buf, sizeof(buf), " s%u", static_cast<unsigned>(s));
+    fnv1a(hash, buf);
+  }
+  for (const auto& [edge, uses] : sol.tree.edge_uses) {
+    std::snprintf(buf, sizeof(buf), " e%u:%d", static_cast<unsigned>(edge), uses);
+    fnv1a(hash, buf);
+  }
+  fnv1a(hash, "\n");
+}
 
 ModeResult run_mode(const topo::Topology& topo, const core::LinearCosts& costs,
                     const std::vector<nfv::Request>& requests, std::size_t k,
@@ -49,6 +90,7 @@ ModeResult run_mode(const topo::Topology& topo, const core::LinearCosts& costs,
     core::OfflineSolution sol = core::appro_multi(topo, costs, req, opts);
     r.evaluated += sol.combinations_explored;
     r.pruned += sol.combinations_pruned;
+    digest_decision(r.digest, sol);
     return sol;
   });
   return r;
@@ -75,7 +117,8 @@ void add_row(util::Table& table, const std::string& topo_name, std::size_t k,
            1)
       .add(r.stats.time_ms.mean() > 0 ? legacy_ms / r.stats.time_ms.mean() : 0.0,
            2)
-      .add(exact ? "yes" : "no");
+      .add(exact ? "yes" : "no")
+      .add(std::to_string(r.digest & ((std::uint64_t{1} << 53) - 1)));
 }
 
 /// True when the two searches agreed on every request — the decisions are
@@ -135,7 +178,7 @@ int main() {
   util::Table table({"topology", "K", "search", "mean_cost", "cost_vs_K1",
                      "mean_ms", "mean_servers", "combos_evaluated",
                      "combos_pruned", "pct_pruned", "speedup_vs_exhaustive",
-                     "exact"});
+                     "exact", "decision_digest"});
 
   bool all_exact = true;
   {

@@ -201,8 +201,9 @@ OfflineSolution appro_multi(const topo::Topology& topo, const LinearCosts& costs
 
   // Realize-fallthrough: when the cheapest tree violates the delay bound or
   // the residual capacities, re-search with its key as the floor to obtain
-  // the next candidate in the legacy sort order. Each pass spends from the
-  // same evaluation budget.
+  // the next candidate in the legacy sort order. Later passes reuse the
+  // bounds and evaluations of earlier ones, so the shared evaluation budget
+  // (and combinations_explored) counts each combination once per call.
   ComboKey floor;
   bool have_floor = false;
   bool any_connected = false;

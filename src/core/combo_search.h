@@ -60,7 +60,10 @@ struct ComboSearchResult {
   ComboKey key;
   /// Steiner tree edges (auxiliary-graph ids) of the found combination.
   std::vector<graph::EdgeId> tree_edges;
-  /// Combinations actually evaluated during this search pass.
+  /// Combinations evaluated for the first time during this pass. A later
+  /// pass of the same search reuses earlier evaluations without counting
+  /// (or budgeting) them again, so the sum over passes counts each
+  /// combination at most once.
   std::size_t evaluated = 0;
   /// Combinations discarded by the bound without evaluation — skipped
   /// candidates count one each, a killed prefix counts every unvisited
@@ -89,15 +92,40 @@ class ComboSearch {
   /// candidate. The floor cannot tighten pruning (an equal-cost,
   /// larger-index candidate still qualifies), so bounds only compare
   /// against this pass's own incumbent. At most `max_evaluations`
-  /// evaluator calls are spent.
+  /// evaluator calls are spent. Every pass walks the same candidate order
+  /// as a fresh search would; candidate bounds, subtree bounds and
+  /// evaluations met by an earlier pass are reused instead of recomputed.
   ComboSearchResult next_best(const ComboKey* floor,
                               std::size_t max_evaluations);
 
  private:
+  /// One combination some pass has built. Candidates live for the whole
+  /// search, stored per size in prefix-tree order: the children of a
+  /// prefix are created together, the first time a pass expands it, so a
+  /// later pass finds them by position without any lookup.
+  struct Cand {
+    std::vector<std::size_t> idx;
+    ComboBounds::Partial partial;
+    double bound = 0.0;
+    /// Position of the first child in the next level, kNoChildren until
+    /// some pass expands this prefix.
+    std::size_t first_child = kNoChildren;
+    bool has_subtree_bound = false;
+    double subtree_bound = 0.0;
+    bool evaluated = false;
+    ComboEvaluation result;
+  };
+  static constexpr std::size_t kNoChildren = static_cast<std::size_t>(-1);
+
+  Cand make_cand(const std::vector<std::size_t>& prefix_idx,
+                 const ComboBounds::Partial& prefix_partial, std::size_t i) const;
+
   std::size_t pool_size_ = 0;
   const ComboBounds* bounds_ = nullptr;
   std::size_t max_servers_ = 0;
   Evaluator evaluator_;
+  /// levels_[k - 1]: every size-k candidate built so far.
+  std::vector<std::vector<Cand>> levels_;
 };
 
 }  // namespace nfvm::core

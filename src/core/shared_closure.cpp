@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "graph/kmb_kernel.h"
 #include "obs/hdr_histogram.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -410,44 +411,26 @@ SharedComboSolver::SharedComboSolver(const SharedOracle& oracle,
   }
 }
 
-graph::SteinerResult SharedComboSolver::solve() {
+graph::SteinerResult SharedComboSolver::solve() const {
+  graph::KmbKernel& kernel = graph::KmbKernel::thread_local_kernel();
   const std::size_t t = request_.destinations.size() + 1;  // s' + dests
-  std::vector<bool> in_tree(t, false);
-  std::vector<double> best(t, graph::kInfiniteDistance);
-  std::vector<std::size_t> best_from(t, 0);
-  best[0] = 0.0;
-  std::vector<std::pair<std::size_t, std::size_t>> mst;
-  for (std::size_t step = 0; step < t; ++step) {
-    std::size_t pick = t;
-    for (std::size_t i = 0; i < t; ++i) {
-      if (!in_tree[i] && (pick == t || best[i] < best[pick])) pick = i;
-    }
-    if (best[pick] >= graph::kInfiniteDistance) {
-      return graph::SteinerResult{};  // disconnected closure
-    }
-    in_tree[pick] = true;
-    if (pick != 0) mst.emplace_back(best_from[pick], pick);
-    for (std::size_t j = 0; j < t; ++j) {
-      if (in_tree[j]) continue;
-      const double d = closure_distance(pick, j);
-      if (d < best[j]) {
-        best[j] = d;
-        best_from[j] = pick;
-      }
-    }
+  if (!kernel.closure_mst(t, [this](std::size_t a, std::size_t b) {
+        return closure_distance(a, b);
+      })) {
+    return graph::SteinerResult{};  // disconnected closure
   }
+  kernel.begin_union(aux_.num_real_edges + aux_.combo.size());
+  for (const auto& [a, b] : kernel.closure_edges()) expand(kernel, a, b);
 
-  edge_set_.clear();
-  for (const auto& [a, b] : mst) expand(a, b);
-  std::vector<graph::EdgeRecord> union_edges;
-  union_edges.reserve(edge_set_.size());
-  for (graph::EdgeId e : edge_set_) union_edges.push_back(aux_.record(e));
-
-  std::vector<graph::VertexId> terminals;
-  terminals.push_back(aux_.virtual_source);
-  terminals.insert(terminals.end(), request_.destinations.begin(),
-                   request_.destinations.end());
-  return graph::kmb_finish(aux_.num_vertices(), union_edges, terminals);
+  // Counted as an external-union finish, like the kmb_finish overloads.
+  NFVM_SPAN("steiner/kmb_finish");
+  NFVM_COUNTER_INC("graph.steiner.kmb_finish.runs");
+  const std::span<const graph::VertexId> terms = kernel.distinct_terminals(
+      aux_.num_vertices(), std::span(&aux_.virtual_source, 1),
+      request_.destinations);
+  if (terms.size() == 1) return graph::SteinerResult{true, {}, 0.0};
+  return kernel.finish_union(aux_.num_vertices(), terms,
+                             [this](graph::EdgeId e) { return aux_.record(e); });
 }
 
 SharedComboSolver::Via SharedComboSolver::vertex_distance(
@@ -506,37 +489,39 @@ double SharedComboSolver::closure_distance(std::size_t a, std::size_t b) const {
   return std::min(direct, via_virtual);
 }
 
-void SharedComboSolver::emit_via(const graph::ShortestPaths& sp_x,
-                                 graph::VertexId y, const Via& via) {
+void SharedComboSolver::emit_via(graph::KmbKernel& kernel,
+                                 const graph::ShortestPaths& sp_x,
+                                 graph::VertexId y, const Via& via) const {
   if (via.p == graph::kInvalidVertex) {
-    for (graph::EdgeId e : graph::path_edges(sp_x, y)) edge_set_.insert(e);
+    kernel.add_path(sp_x, y);
     return;
   }
-  for (graph::EdgeId e : graph::path_edges(sp_x, via.p)) edge_set_.insert(e);
+  kernel.add_path(sp_x, via.p);
   for (const StarEntry& e : star_) {
     if ((e.vertex == via.p || e.vertex == via.q) &&
         e.edge != graph::kInvalidEdge) {
-      edge_set_.insert(e.edge);
+      kernel.add_edge(e.edge);
     }
   }
-  for (graph::EdgeId e : graph::path_edges(oracle_.from(via.q), y)) {
-    edge_set_.insert(e);
-  }
+  kernel.add_path(oracle_.from(via.q), y);
 }
 
-void SharedComboSolver::emit_sprime(std::size_t dest_index) {
+void SharedComboSolver::emit_sprime(graph::KmbKernel& kernel,
+                                    std::size_t dest_index) const {
   const ViaSprime& vs = via_sprime_[dest_index];
   const std::size_t combo_index = static_cast<std::size_t>(
       std::find(aux_.combo.begin(), aux_.combo.end(), vs.server) -
       aux_.combo.begin());
-  edge_set_.insert(static_cast<graph::EdgeId>(aux_.num_real_edges + combo_index));
-  emit_via(oracle_.from(vs.server), request_.destinations[dest_index], vs.inner);
+  kernel.add_edge(static_cast<graph::EdgeId>(aux_.num_real_edges + combo_index));
+  emit_via(kernel, oracle_.from(vs.server), request_.destinations[dest_index],
+           vs.inner);
 }
 
-void SharedComboSolver::expand(std::size_t a, std::size_t b) {
+void SharedComboSolver::expand(graph::KmbKernel& kernel, std::size_t a,
+                               std::size_t b) const {
   if (a > b) std::swap(a, b);
   if (a == 0) {
-    emit_sprime(b - 1);
+    emit_sprime(kernel, b - 1);
     return;
   }
   const graph::VertexId x = request_.destinations[a - 1];
@@ -544,10 +529,10 @@ void SharedComboSolver::expand(std::size_t a, std::size_t b) {
   const Via direct = vertex_distance(oracle_.from(x), y);
   const double via_virtual = via_sprime_[a - 1].value + via_sprime_[b - 1].value;
   if (via_virtual < direct.value) {
-    emit_sprime(a - 1);
-    emit_sprime(b - 1);
+    emit_sprime(kernel, a - 1);
+    emit_sprime(kernel, b - 1);
   } else {
-    emit_via(oracle_.from(x), y, direct);
+    emit_via(kernel, oracle_.from(x), y, direct);
   }
 }
 

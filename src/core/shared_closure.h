@@ -23,7 +23,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <set>
 #include <span>
 #include <vector>
 
@@ -31,6 +30,10 @@
 #include "graph/dijkstra.h"
 #include "graph/steiner.h"
 #include "nfv/request.h"
+
+namespace nfvm::graph {
+class KmbKernel;
+}  // namespace nfvm::graph
 
 namespace nfvm::core {
 
@@ -226,12 +229,14 @@ class ComboBounds {
 
 /// Evaluates one combination via the shared tables; returns a Steiner tree
 /// in auxiliary-graph edge ids. Deterministic: identical output to running
-/// KMB inside the materialized auxiliary graph.
+/// KMB inside the materialized auxiliary graph. The closure MST, the path
+/// union and the finish run on this thread's graph::KmbKernel, so solve()
+/// allocates only the returned edge vector.
 class SharedComboSolver {
  public:
   SharedComboSolver(const SharedOracle& oracle, const AuxOverlay& aux);
 
-  graph::SteinerResult solve();
+  graph::SteinerResult solve() const;
 
  private:
   struct StarEntry {
@@ -256,17 +261,16 @@ class SharedComboSolver {
   Via vertex_distance(const graph::ShortestPaths& sp_x, graph::VertexId y) const;
   ViaSprime best_via_sprime(graph::VertexId y) const;
   double closure_distance(std::size_t a, std::size_t b) const;
-  void emit_via(const graph::ShortestPaths& sp_x, graph::VertexId y,
-                const Via& via);
-  void emit_sprime(std::size_t dest_index);
-  void expand(std::size_t a, std::size_t b);
+  void emit_via(graph::KmbKernel& kernel, const graph::ShortestPaths& sp_x,
+                graph::VertexId y, const Via& via) const;
+  void emit_sprime(graph::KmbKernel& kernel, std::size_t dest_index) const;
+  void expand(graph::KmbKernel& kernel, std::size_t a, std::size_t b) const;
 
   const SharedOracle& oracle_;
   const AuxOverlay& aux_;
   const nfv::Request& request_;
   std::vector<StarEntry> star_;
   std::vector<ViaSprime> via_sprime_;
-  std::set<graph::EdgeId> edge_set_;  // ascending iteration = deterministic
 };
 
 }  // namespace nfvm::core

@@ -32,15 +32,8 @@ std::vector<VertexId> path_vertices(const ShortestPaths& sp, VertexId target) {
 }
 
 std::vector<EdgeId> path_edges(const ShortestPaths& sp, VertexId target) {
-  if (target >= sp.dist.size()) {
-    throw std::out_of_range("path_edges: invalid target vertex");
-  }
-  if (!sp.reachable(target)) return {};
   std::vector<EdgeId> edges;
-  for (VertexId v = target; v != sp.source && sp.parent[v] != kInvalidVertex;
-       v = sp.parent[v]) {
-    edges.push_back(sp.parent_edge[v]);
-  }
+  for_each_path_edge(sp, target, [&edges](EdgeId e) { edges.push_back(e); });
   std::reverse(edges.begin(), edges.end());
   return edges;
 }

@@ -6,6 +6,7 @@
 
 #include <functional>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "graph/graph.h"
@@ -43,6 +44,22 @@ std::vector<VertexId> path_vertices(const ShortestPaths& sp, VertexId target);
 /// Edges of the shortest path source -> target in travel order. Empty when
 /// unreachable or target == source.
 std::vector<EdgeId> path_edges(const ShortestPaths& sp, VertexId target);
+
+/// Calls `fn(e)` for every edge of the shortest path source -> target,
+/// walking parent pointers up from `target` (reverse travel order) without
+/// building a path vector. Same edges and same errors as path_edges: throws
+/// std::out_of_range for a bad target, visits nothing when unreachable.
+template <typename Fn>
+void for_each_path_edge(const ShortestPaths& sp, VertexId target, Fn&& fn) {
+  if (target >= sp.dist.size()) {
+    throw std::out_of_range("path_edges: invalid target vertex");
+  }
+  if (!sp.reachable(target)) return;
+  for (VertexId v = target; v != sp.source && sp.parent[v] != kInvalidVertex;
+       v = sp.parent[v]) {
+    fn(sp.parent_edge[v]);
+  }
+}
 
 /// Weight of the shortest path between two vertices. Early-exits as soon as
 /// `to` is settled instead of exploring the whole graph. Throws

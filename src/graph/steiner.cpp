@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <queue>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "graph/apsp.h"
 #include "graph/dijkstra.h"
-#include "graph/mst.h"
+#include "graph/kmb_kernel.h"
 #include "graph/sp_engine.h"
 #include "graph/union_find.h"
 #include "obs/metrics.h"
@@ -18,70 +16,20 @@
 namespace nfvm::graph {
 namespace {
 
+/// An owned copy of the sorted distinct terminals, for callers that build
+/// further Steiner trees (and so reuse the kernel's scratch) while holding
+/// them.
 std::vector<VertexId> distinct_terminals(const Graph& g,
                                          std::span<const VertexId> terminals) {
-  if (terminals.empty()) {
-    throw std::invalid_argument("steiner: terminal set must be non-empty");
-  }
-  std::vector<VertexId> distinct(terminals.begin(), terminals.end());
-  for (VertexId t : distinct) {
-    if (!g.has_vertex(t)) throw std::out_of_range("steiner: invalid terminal");
-  }
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
-  return distinct;
+  const std::span<const VertexId> distinct =
+      KmbKernel::thread_local_kernel().distinct_terminals(g.num_vertices(),
+                                                          terminals);
+  return std::vector<VertexId>(distinct.begin(), distinct.end());
 }
 
-/// Removes non-terminal leaves until none remain; returns surviving edges.
-std::vector<EdgeId> prune_leaves(const Graph& g, std::vector<EdgeId> edges,
-                                 std::span<const VertexId> terminals) {
-  std::vector<bool> is_terminal(g.num_vertices(), false);
-  for (VertexId t : terminals) is_terminal[t] = true;
-
-  // Incidence restricted to `edges`.
-  std::vector<std::vector<std::size_t>> incident(g.num_vertices());
-  std::vector<std::size_t> degree(g.num_vertices(), 0);
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    const Edge& ed = g.edge(edges[i]);
-    incident[ed.u].push_back(i);
-    incident[ed.v].push_back(i);
-    ++degree[ed.u];
-    ++degree[ed.v];
-  }
-
-  std::vector<bool> edge_removed(edges.size(), false);
-  std::queue<VertexId> leaves;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (degree[v] == 1 && !is_terminal[v]) leaves.push(v);
-  }
-  while (!leaves.empty()) {
-    const VertexId v = leaves.front();
-    leaves.pop();
-    if (degree[v] != 1 || is_terminal[v]) continue;
-    for (std::size_t idx : incident[v]) {
-      if (edge_removed[idx]) continue;
-      edge_removed[idx] = true;
-      const Edge& ed = g.edge(edges[idx]);
-      const VertexId other = ed.u == v ? ed.v : ed.u;
-      --degree[v];
-      --degree[other];
-      if (degree[other] == 1 && !is_terminal[other]) leaves.push(other);
-      break;  // a degree-1 vertex has exactly one live incident edge
-    }
-  }
-
-  std::vector<EdgeId> kept;
-  kept.reserve(edges.size());
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    if (!edge_removed[i]) kept.push_back(edges[i]);
-  }
-  return kept;
-}
-
-double edges_weight(const Graph& g, std::span<const EdgeId> edges) {
-  double w = 0.0;
-  for (EdgeId e : edges) w += g.weight(e);
-  return w;
+EdgeRecord graph_record(const Graph& g, EdgeId e) {
+  const Edge& ed = g.edge(e);
+  return EdgeRecord{e, ed.u, ed.v, ed.weight};
 }
 
 /// KMB steps 2-5 against per-terminal shortest-path tables (one table per
@@ -89,57 +37,29 @@ double edges_weight(const Graph& g, std::span<const EdgeId> edges) {
 /// and kmb_steiner_from_tables (caller-cached tables) funnel through here,
 /// which is what makes the two bit-identical.
 SteinerResult kmb_from_terminal_tables(const Graph& g,
-                                       const std::vector<VertexId>& terms,
+                                       std::span<const VertexId> terms,
                                        std::span<const ShortestPaths* const> sp) {
-  SteinerResult result;
   for (std::size_t i = 1; i < terms.size(); ++i) {
-    if (!sp[0]->reachable(terms[i])) return result;  // connected == false
+    if (!sp[0]->reachable(terms[i])) return SteinerResult{};  // disconnected
   }
 
   // Step 2: MST of the metric closure (Prim on the t x t distance matrix).
-  const std::size_t t = terms.size();
-  std::vector<std::pair<std::size_t, std::size_t>> closure_edges;  // (i, j)
+  // Every terminal is reachable from terms[0], so the closure is connected.
+  KmbKernel& kernel = KmbKernel::thread_local_kernel();
   {
     NFVM_SPAN("steiner/kmb/closure_mst");
-    std::vector<bool> in_tree(t, false);
-    std::vector<double> best(t, kInfiniteDistance);
-    std::vector<std::size_t> best_from(t, 0);
-    best[0] = 0.0;
-    for (std::size_t step = 0; step < t; ++step) {
-      std::size_t pick = t;
-      for (std::size_t i = 0; i < t; ++i) {
-        if (!in_tree[i] && (pick == t || best[i] < best[pick])) pick = i;
-      }
-      in_tree[pick] = true;
-      if (pick != 0) closure_edges.emplace_back(best_from[pick], pick);
-      for (std::size_t j = 0; j < t; ++j) {
-        if (in_tree[j]) continue;
-        const double d = sp[pick]->dist[terms[j]];
-        if (d < best[j]) {
-          best[j] = d;
-          best_from[j] = pick;
-        }
-      }
-    }
+    kernel.closure_mst(terms.size(), [&](std::size_t i, std::size_t j) {
+      return sp[i]->dist[terms[j]];
+    });
   }
 
   NFVM_SPAN("steiner/kmb/expand_prune");
   // Step 3: expand closure edges into shortest paths; union of their edges.
-  std::unordered_set<EdgeId> edge_set;
-  for (const auto& [i, j] : closure_edges) {
-    for (EdgeId e : path_edges(*sp[i], terms[j])) edge_set.insert(e);
-  }
-  std::vector<EdgeId> expanded(edge_set.begin(), edge_set.end());
-  std::sort(expanded.begin(), expanded.end());  // determinism
-
-  // Step 4: MST of the expanded subgraph.
-  MstResult sub_mst = kruskal_mst_subset(g, expanded);
-
-  // Step 5: prune non-terminal leaves.
-  result.edges = prune_leaves(g, std::move(sub_mst.edges), terms);
-  result.weight = edges_weight(g, result.edges);
-  result.connected = true;
-  return result;
+  kernel.begin_union(g.num_edges());
+  for (const auto& [i, j] : kernel.closure_edges()) kernel.add_path(*sp[i], terms[j]);
+  // Steps 4-5: MST of the union, then non-terminal leaf pruning.
+  return kernel.finish_union(g.num_vertices(), terms,
+                             [&g](EdgeId e) { return graph_record(g, e); });
 }
 
 }  // namespace
@@ -172,13 +92,16 @@ SteinerResult kmb_steiner_from_tables(
     const std::function<const ShortestPaths&(VertexId)>& table_for) {
   NFVM_SPAN("steiner/kmb_from_tables");
   NFVM_COUNTER_INC("graph.steiner.kmb.runs");
-  const std::vector<VertexId> terms = distinct_terminals(g, terminals);
+  const std::span<const VertexId> terms =
+      KmbKernel::thread_local_kernel().distinct_terminals(g.num_vertices(),
+                                                          terminals);
   SteinerResult result;
   if (terms.size() == 1) {
     result.connected = true;
     return result;
   }
-  std::vector<const ShortestPaths*> tables(terms.size());
+  thread_local std::vector<const ShortestPaths*> tables;
+  tables.resize(terms.size());
   for (std::size_t i = 0; i < terms.size(); ++i) tables[i] = &table_for(terms[i]);
   return kmb_from_terminal_tables(g, terms, tables);
 }
@@ -231,23 +154,11 @@ SteinerResult kmb_finish(const Graph& g, std::span<const EdgeId> union_edges,
                          std::span<const VertexId> terminals) {
   NFVM_SPAN("steiner/kmb_finish");
   NFVM_COUNTER_INC("graph.steiner.kmb_finish.runs");
-  const std::vector<VertexId> terms = distinct_terminals(g, terminals);
-  SteinerResult result;
-  if (terms.size() == 1) {
-    result.connected = true;
-    return result;
-  }
-  MstResult sub_mst = kruskal_mst_subset(g, union_edges);
-  // Connectivity: all terminals must share one component of the forest.
-  UnionFind uf(g.num_vertices());
-  for (EdgeId e : sub_mst.edges) uf.unite(g.edge(e).u, g.edge(e).v);
-  for (VertexId t : terms) {
-    if (uf.find(t) != uf.find(terms[0])) return result;  // connected == false
-  }
-  result.edges = prune_leaves(g, std::move(sub_mst.edges), terms);
-  result.weight = edges_weight(g, result.edges);
-  result.connected = true;
-  return result;
+  KmbKernel& kernel = KmbKernel::thread_local_kernel();
+  const std::span<const VertexId> terms =
+      kernel.distinct_terminals(g.num_vertices(), terminals);
+  if (terms.size() == 1) return SteinerResult{true, {}, 0.0};
+  return kernel.finish_edges(g, union_edges, terms);
 }
 
 SteinerResult kmb_finish(std::size_t num_vertices,
@@ -255,83 +166,11 @@ SteinerResult kmb_finish(std::size_t num_vertices,
                          std::span<const VertexId> terminals) {
   NFVM_SPAN("steiner/kmb_finish");
   NFVM_COUNTER_INC("graph.steiner.kmb_finish.runs");
-  if (terminals.empty()) {
-    throw std::invalid_argument("steiner: terminal set must be non-empty");
-  }
-  std::vector<VertexId> terms(terminals.begin(), terminals.end());
-  for (VertexId t : terms) {
-    if (t >= num_vertices) throw std::out_of_range("steiner: invalid terminal");
-  }
-  std::sort(terms.begin(), terms.end());
-  terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
-
-  SteinerResult result;
-  if (terms.size() == 1) {
-    result.connected = true;
-    return result;
-  }
-
-  // Kruskal over the records: stable sort by weight (ties keep input order,
-  // exactly like kruskal_mst_subset) and unite in that order.
-  std::vector<std::size_t> order(union_edges.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return union_edges[a].weight < union_edges[b].weight;
-  });
-  UnionFind uf(num_vertices);
-  std::vector<std::size_t> kept;  // indices into union_edges, in MST order
-  kept.reserve(union_edges.size());
-  for (std::size_t i : order) {
-    const EdgeRecord& r = union_edges[i];
-    if (r.u >= num_vertices || r.v >= num_vertices) {
-      throw std::out_of_range("kmb_finish: edge record endpoint out of range");
-    }
-    if (uf.unite(r.u, r.v)) kept.push_back(i);
-  }
-  for (VertexId t : terms) {
-    if (uf.find(t) != uf.find(terms[0])) return result;  // connected == false
-  }
-
-  // Leaf pruning, mirroring prune_leaves over the kept records.
-  std::vector<bool> is_terminal(num_vertices, false);
-  for (VertexId t : terms) is_terminal[t] = true;
-  std::vector<std::vector<std::size_t>> incident(num_vertices);
-  std::vector<std::size_t> degree(num_vertices, 0);
-  for (std::size_t k = 0; k < kept.size(); ++k) {
-    const EdgeRecord& r = union_edges[kept[k]];
-    incident[r.u].push_back(k);
-    incident[r.v].push_back(k);
-    ++degree[r.u];
-    ++degree[r.v];
-  }
-  std::vector<bool> edge_removed(kept.size(), false);
-  std::queue<VertexId> leaves;
-  for (VertexId v = 0; v < num_vertices; ++v) {
-    if (degree[v] == 1 && !is_terminal[v]) leaves.push(v);
-  }
-  while (!leaves.empty()) {
-    const VertexId v = leaves.front();
-    leaves.pop();
-    if (degree[v] != 1 || is_terminal[v]) continue;
-    for (std::size_t idx : incident[v]) {
-      if (edge_removed[idx]) continue;
-      edge_removed[idx] = true;
-      const EdgeRecord& r = union_edges[kept[idx]];
-      const VertexId other = r.u == v ? r.v : r.u;
-      --degree[v];
-      --degree[other];
-      if (degree[other] == 1 && !is_terminal[other]) leaves.push(other);
-      break;  // a degree-1 vertex has exactly one live incident edge
-    }
-  }
-  for (std::size_t k = 0; k < kept.size(); ++k) {
-    if (edge_removed[k]) continue;
-    const EdgeRecord& r = union_edges[kept[k]];
-    result.edges.push_back(r.id);
-    result.weight += r.weight;
-  }
-  result.connected = true;
-  return result;
+  KmbKernel& kernel = KmbKernel::thread_local_kernel();
+  const std::span<const VertexId> terms =
+      kernel.distinct_terminals(num_vertices, terminals);
+  if (terms.size() == 1) return SteinerResult{true, {}, 0.0};
+  return kernel.finish_records(num_vertices, union_edges, terms);
 }
 
 SteinerResult takahashi_matsuyama_steiner(const Graph& g,
@@ -475,7 +314,8 @@ SteinerResult exact_steiner(const Graph& g, std::span<const VertexId> terminals,
   }
 
   // Reconstruct the edge set.
-  std::unordered_set<EdgeId> edge_set;
+  KmbKernel& kernel = KmbKernel::thread_local_kernel();
+  kernel.begin_union(g.num_edges());
   struct Frame {
     std::size_t mask;
     VertexId v;
@@ -487,7 +327,7 @@ SteinerResult exact_steiner(const Graph& g, std::span<const VertexId> terminals,
     const Choice c = choice[f.mask][f.v];
     switch (c.kind) {
       case 0: {  // base: path terminal -> v
-        for (EdgeId e : path_edges(sp(c.aux), f.v)) edge_set.insert(e);
+        kernel.add_path(sp(c.aux), f.v);
         break;
       }
       case 1: {  // merge at v
@@ -496,7 +336,7 @@ SteinerResult exact_steiner(const Graph& g, std::span<const VertexId> terminals,
         break;
       }
       case 2: {  // extend u -> v
-        for (EdgeId e : path_edges(sp(c.aux), f.v)) edge_set.insert(e);
+        kernel.add_path(sp(c.aux), f.v);
         stack.push_back(Frame{f.mask, static_cast<VertexId>(c.aux)});
         break;
       }
@@ -505,15 +345,10 @@ SteinerResult exact_steiner(const Graph& g, std::span<const VertexId> terminals,
     }
   }
 
-  std::vector<EdgeId> chosen(edge_set.begin(), edge_set.end());
-  std::sort(chosen.begin(), chosen.end());
   // Ties can make the reconstructed union contain a cycle of equal total
   // weight; clean it up into a tree of the same (optimal) weight.
-  MstResult cleaned = kruskal_mst_subset(g, chosen);
-  result.edges = prune_leaves(g, std::move(cleaned.edges), terms);
-  result.weight = edges_weight(g, result.edges);
-  result.connected = true;
-  return result;
+  return kernel.finish_union(g.num_vertices(), terms,
+                             [&g](EdgeId e) { return graph_record(g, e); });
 }
 
 bool is_steiner_tree(const Graph& g, std::span<const EdgeId> edges,

@@ -43,10 +43,12 @@ SteinerResult kmb_steiner(const Graph& g, std::span<const VertexId> terminals);
 /// kmb_steiner except that step 1 (one SSSP per distinct terminal) is
 /// replaced by `table_for(t)` lookups. `table_for` must return the full
 /// shortest-path tree rooted at `t` on `g` (same graph, same weights) and
-/// the reference must stay valid for the duration of the call. This is the
-/// online fast path's entry point: the per-request terminal trees are primed
-/// once (and cached across requests) instead of being recomputed per
-/// candidate server, and the result is bit-identical to kmb_steiner.
+/// the reference must stay valid for the duration of the call; it must not
+/// itself build a Steiner tree on the calling thread (the call runs on that
+/// thread's graph::KmbKernel scratch). This is the online fast path's entry
+/// point: the per-request terminal trees are primed once (and cached across
+/// requests) instead of being recomputed per candidate server, and the
+/// result is bit-identical to kmb_steiner.
 SteinerResult kmb_steiner_from_tables(
     const Graph& g, std::span<const VertexId> terminals,
     const std::function<const ShortestPaths&(VertexId)>& table_for);
@@ -96,11 +98,11 @@ SteinerResult improve_steiner(const Graph& g, SteinerResult current,
                               std::span<const VertexId> terminals,
                               std::size_t max_rounds = 2);
 
-/// The final two KMB steps, shared with external metric-closure
-/// implementations (e.g. Appro_Multi's shared-Dijkstra engine): minimum
-/// spanning tree of the union subgraph formed by `union_edges`, then
-/// repeated removal of non-terminal leaves. `union_edges` must connect all
-/// distinct terminals; result.connected reflects whether it did.
+/// The final two KMB steps over a caller-built union: minimum spanning tree
+/// of the union subgraph formed by `union_edges` (Kruskal by weight, ties in
+/// input order), then repeated removal of non-terminal leaves. `union_edges`
+/// must connect all distinct terminals; result.connected reflects whether it
+/// did. Runs on the thread's graph::KmbKernel.
 SteinerResult kmb_finish(const Graph& g, std::span<const EdgeId> union_edges,
                          std::span<const VertexId> terminals);
 

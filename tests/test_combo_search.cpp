@@ -142,7 +142,13 @@ TEST(ComboSearch, RealizeFallthroughMatchesLegacyUnderDelayBound) {
       legacy_opts.search = ApproMultiOptions::Search::kLegacySweep;
       ApproMultiOptions bnb_opts = legacy_opts;
       bnb_opts.search = ApproMultiOptions::Search::kBranchAndBound;
-      expect_same_decision(run(inst, legacy_opts), run(inst, bnb_opts));
+      const OfflineSolution legacy = run(inst, legacy_opts);
+      const OfflineSolution bnb = run(inst, bnb_opts);
+      expect_same_decision(legacy, bnb);
+      // Fallthrough passes reuse earlier evaluations, so no combination is
+      // evaluated twice in one call and the search never exceeds the sweep.
+      EXPECT_LE(bnb.combinations_explored, legacy.combinations_explored)
+          << "seed " << seed << " delay " << delay_ms;
     }
   }
 }
@@ -165,7 +171,10 @@ TEST(ComboSearch, RealizeFallthroughMatchesLegacyUnderCapacity) {
   ApproMultiOptions bnb_opts = legacy_opts;
   bnb_opts.resources = &state_b;
   bnb_opts.search = ApproMultiOptions::Search::kBranchAndBound;
-  expect_same_decision(run(inst, legacy_opts), run(inst, bnb_opts));
+  const OfflineSolution legacy = run(inst, legacy_opts);
+  const OfflineSolution bnb = run(inst, bnb_opts);
+  expect_same_decision(legacy, bnb);
+  EXPECT_LE(bnb.combinations_explored, legacy.combinations_explored);
 }
 
 TEST(ComboSearch, PruningAccountingCoversTheCombinationSpace) {
