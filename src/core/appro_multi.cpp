@@ -1,6 +1,7 @@
 #include "core/appro_multi.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "core/aux_graph.h"
@@ -197,7 +198,14 @@ OfflineSolution appro_multi(const topo::Topology& topo, const LinearCosts& costs
     }
     return ComboEvaluation{st.connected, st.weight, std::move(st.edges)};
   };
-  ComboSearch search(pool.size(), bounds, options.max_servers, evaluator);
+  // The shared engine's trees depend on a star-free combination only
+  // through its per-destination routes, which makes dominance exact there;
+  // the reference engine's Dijkstra ties give no such guarantee. Single
+  // servers are never dominated, so K = 1 needs no table.
+  std::optional<SprimeTable> sprime;
+  if (shared && options.max_servers > 1) sprime.emplace(oracle, pool);
+  ComboSearch search(pool.size(), bounds, options.max_servers, evaluator,
+                     sprime ? &*sprime : nullptr);
 
   // Realize-fallthrough: when the cheapest tree violates the delay bound or
   // the residual capacities, re-search with its key as the floor to obtain
@@ -221,6 +229,8 @@ OfflineSolution appro_multi(const topo::Topology& topo, const LinearCosts& costs
     sol.combinations_explored += pass.evaluated;
     sol.combinations_pruned =
         util::saturating_add(sol.combinations_pruned, pass.pruned);
+    sol.combinations_dominated =
+        util::saturating_add(sol.combinations_dominated, pass.dominated);
     if (!pass.found) break;
     any_connected = true;
 
@@ -249,6 +259,8 @@ OfflineSolution appro_multi(const topo::Topology& topo, const LinearCosts& costs
                    sol.combinations_explored);
   NFVM_COUNTER_ADD("core.appro_multi.combinations_pruned",
                    sol.combinations_pruned);
+  NFVM_COUNTER_ADD("core.appro_multi.combinations_dominated",
+                   sol.combinations_dominated);
   NFVM_HDR_OBSERVE("core.appro_multi.combinations_per_call",
                    sol.combinations_explored);
   if (!sol.admitted) {

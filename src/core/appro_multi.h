@@ -35,9 +35,13 @@ struct OfflineSolution {
   /// Server combinations (Appro_Multi) or candidate servers
   /// (Alg_One_Server) evaluated.
   std::size_t combinations_explored = 0;
-  /// Combinations the branch-and-bound search discarded via lower bounds
-  /// without evaluating (0 for the legacy sweep and for Alg_One_Server).
+  /// Combinations the branch-and-bound search discarded without evaluating,
+  /// via lower bounds or as dominated, summed over its passes (0 for the
+  /// legacy sweep and for Alg_One_Server).
   std::size_t combinations_pruned = 0;
+  /// The share of combinations_pruned skipped as dominated (shared engine
+  /// only; see core/combo_search.h).
+  std::size_t combinations_dominated = 0;
 };
 
 struct ApproMultiOptions {
@@ -48,8 +52,9 @@ struct ApproMultiOptions {
   /// Safety valve for pathological |V_S| choose K blow-ups: the number of
   /// combinations *evaluated* per request, counted identically in both
   /// search modes (branch-and-bound counts evaluator calls across every
-  /// re-search pass; pruned combinations are free and do not consume
-  /// budget). The search stops deterministically once the budget is spent.
+  /// re-search pass; pruned combinations, dominated ones included, are free
+  /// and do not consume budget). The search stops deterministically once
+  /// the budget is spent.
   /// When the valve actually binds, the two modes may legitimately return
   /// different results — they spend the budget on different combinations.
   std::size_t max_combinations = std::numeric_limits<std::size_t>::max();
@@ -64,7 +69,10 @@ struct ApproMultiOptions {
   ///    (virtual edges and the zero-cost star are composed from the shared
   ///    tables). Produces identical trees whenever shortest paths are
   ///    unique (ties may resolve differently, still within the KMB
-  ///    guarantee) and is ~|D_k| times faster on large sweeps. Requires
+  ///    guarantee) and is ~|D_k| times faster on large sweeps. Under
+  ///    branch-and-bound it also skips dominated combinations
+  ///    (core/combo_search.h), so it evaluates fewer combinations than the
+  ///    reference engine for the same decision. Requires
   ///    steiner_engine == kKmb (throws std::invalid_argument otherwise).
   enum class Engine { kReference, kSharedDijkstra };
   Engine engine = Engine::kReference;

@@ -35,22 +35,61 @@ bool combo_key_less(const ComboKey& a, const ComboKey& b) {
 }
 
 ComboSearch::ComboSearch(std::size_t pool_size, const ComboBounds& bounds,
-                         std::size_t max_servers, Evaluator evaluator)
+                         std::size_t max_servers, Evaluator evaluator,
+                         const SprimeTable* sprime)
     : pool_size_(pool_size),
       bounds_(&bounds),
       max_servers_(std::min(max_servers, pool_size)),
       evaluator_(std::move(evaluator)),
-      levels_(max_servers_) {}
+      sprime_(sprime),
+      levels_(max_servers_) {
+  root_.partial = bounds_->root();
+  if (sprime_ != nullptr) {
+    root_.routes.resize(sprime_->num_destinations());
+    for (std::size_t i = 0; i < pool_size_; ++i) {
+      if (sprime_->source_adjacent(i)) last_source_adjacent_ = i;
+    }
+  }
+}
 
-ComboSearch::Cand ComboSearch::make_cand(
-    const std::vector<std::size_t>& prefix_idx,
-    const ComboBounds::Partial& prefix_partial, std::size_t i) const {
+ComboSearch::Cand ComboSearch::make_cand(const Cand& prefix,
+                                         std::size_t i) const {
   Cand c;
-  c.idx = prefix_idx;
+  c.idx = prefix.idx;
   c.idx.push_back(i);
-  c.partial = bounds_->extend(prefix_partial, i);
-  c.bound = bounds_->candidate_bound(c.idx);
+  c.partial = bounds_->extend(prefix.partial, i);
+  if (sprime_ != nullptr && !sprime_->source_adjacent(i)) route(prefix, i, c);
+  if (c.witness == kNoServer) c.bound = bounds_->candidate_bound(c.idx);
   return c;
+}
+
+void ComboSearch::route(const Cand& prefix, std::size_t i, Cand& c) const {
+  if (prefix.witness != kNoServer) {
+    // The prefix's idle member stays idle: i can only take over routes.
+    c.witness = prefix.witness;
+    return;
+  }
+  if (prefix.routes.empty()) return;  // a source-adjacent member
+  c.routes = prefix.routes;
+  for (std::size_t d = 0; d < c.routes.size(); ++d) {
+    // Strict: ties keep the earlier member, as SharedComboSolver does.
+    const double v = sprime_->value(i, d);
+    if (v < c.routes[d].value) c.routes[d] = Route{v, i};
+  }
+  if (c.idx.size() >= 2) {
+    for (const std::size_t member : c.idx) {
+      const bool routes_some =
+          std::any_of(c.routes.begin(), c.routes.end(),
+                      [member](const Route& r) { return r.server == member; });
+      if (!routes_some) {
+        c.witness = member;
+        break;
+      }
+    }
+  }
+  if (c.witness != kNoServer || c.idx.size() == max_servers_) {
+    c.routes = {};
+  }
 }
 
 ComboSearchResult ComboSearch::next_best(const ComboKey* floor,
@@ -77,13 +116,12 @@ ComboSearchResult ComboSearch::next_best(const ComboKey* floor,
   bool stop = false;
   for (std::size_t k = 1; k <= max_servers_ && !stop; ++k) {
     std::vector<Cand>& level = levels_[k - 1];
-    std::vector<std::size_t> cands;  // positions in `level`
+    std::vector<std::size_t> members;  // positions in `level`
     if (k == 1) {
       if (level.empty()) {
-        const ComboBounds::Partial root = bounds_->root();
-        for (std::size_t i = 0; i < n; ++i) level.push_back(make_cand({}, root, i));
+        for (std::size_t i = 0; i < n; ++i) level.push_back(make_cand(root_, i));
       }
-      for (std::size_t i = 0; i < n; ++i) cands.push_back(i);
+      for (std::size_t i = 0; i < n; ++i) members.push_back(i);
     } else {
       if (frontier.empty()) break;
       std::vector<Cand>& prefixes = levels_[k - 2];
@@ -93,14 +131,22 @@ ComboSearchResult ComboSearch::next_best(const ComboKey* floor,
         if (prefix.first_child == kNoChildren) {
           prefix.first_child = level.size();
           for (std::size_t i = start; i < n; ++i) {
-            level.push_back(make_cand(prefix.idx, prefix.partial, i));
+            level.push_back(make_cand(prefix, i));
           }
         }
         for (std::size_t i = start; i < n; ++i) {
-          cands.push_back(prefix.first_child + (i - start));
+          members.push_back(prefix.first_child + (i - start));
         }
       }
     }
+    // Dominated members are discarded up front; the rest are candidates.
+    std::vector<std::size_t> cands;
+    for (const std::size_t pos : members) {
+      if (level[pos].witness == kNoServer) cands.push_back(pos);
+    }
+    res.pruned = util::saturating_add(res.pruned, members.size() - cands.size());
+    res.dominated =
+        util::saturating_add(res.dominated, members.size() - cands.size());
     std::sort(cands.begin(), cands.end(), [&level](std::size_t a, std::size_t b) {
       if (level[a].bound != level[b].bound) return level[a].bound < level[b].bound;
       return level[a].idx < level[b].idx;
@@ -171,10 +217,20 @@ ComboSearchResult ComboSearch::next_best(const ComboKey* floor,
     if (stop || k == max_servers_) break;
 
     std::vector<std::size_t> next;
-    for (const std::size_t pos : cands) {
+    for (const std::size_t pos : members) {
       Cand& c = level[pos];
       const std::size_t last = c.idx.back();
       if (last + 1 >= n) continue;
+      if (c.witness != kNoServer &&
+          (last_source_adjacent_ == kNoServer || last_source_adjacent_ < last)) {
+        // Every completion adds only servers that are not source-adjacent,
+        // so every completion inherits the witness.
+        const std::size_t completions =
+            util::count_combinations_upto(n - 1 - last, max_servers_ - k);
+        res.pruned = util::saturating_add(res.pruned, completions);
+        res.dominated = util::saturating_add(res.dominated, completions);
+        continue;
+      }
       if (best != nullptr) {
         if (!c.has_subtree_bound) {
           c.subtree_bound = bounds_->subtree_bound(c.partial, last + 1);

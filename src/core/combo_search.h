@@ -12,6 +12,13 @@
 //     bulk cut of the level's tail, and
 //   * stop extending a prefix when every completion from the remaining
 //     server pool is bounded above the incumbent.
+// With the shared engine's SprimeTable it also
+//   * skips a dominated combination — one without a source-adjacent server
+//     in which some member is the first minimum of d_i(s', y) for no
+//     destination y — before computing its bound: it evaluates to the same
+//     weight and tree as the combination without that member, whose
+//     canonical key is smaller (docs/performance.md, "Dominated
+//     combinations").
 // Exactness does not depend on the evaluation order: pruning uses strict
 // inequality (a pruned candidate has true cost >= bound > incumbent cost,
 // so its canonical key exceeds the incumbent's regardless of indices),
@@ -65,10 +72,14 @@ struct ComboSearchResult {
   /// (or budgeting) them again, so the sum over passes counts each
   /// combination at most once.
   std::size_t evaluated = 0;
-  /// Combinations discarded by the bound without evaluation — skipped
-  /// candidates count one each, a killed prefix counts every unvisited
-  /// completion (saturating).
+  /// Combinations discarded without evaluation by the bounds or as
+  /// dominated — skipped candidates count one each, a killed prefix counts
+  /// every unvisited completion (saturating). Each pass counts what it
+  /// discards, so a combination a fallthrough pass discards again counts
+  /// again.
   std::size_t pruned = 0;
+  /// The dominated share of `pruned`, counted the same way.
+  std::size_t dominated = 0;
   /// True when the evaluation budget stopped the search before the
   /// combination space was exhausted; the result is then the best among the
   /// combinations evaluated so far (matching the legacy budget valve).
@@ -82,8 +93,11 @@ class ComboSearch {
   /// results for equal inputs) and safe to call from worker threads.
   using Evaluator = std::function<ComboEvaluation(std::span<const std::size_t>)>;
 
+  /// A non-null `sprime` (one row per pool server) enables the dominance
+  /// skip; it is exact only for the shared engine's evaluator.
   ComboSearch(std::size_t pool_size, const ComboBounds& bounds,
-              std::size_t max_servers, Evaluator evaluator);
+              std::size_t max_servers, Evaluator evaluator,
+              const SprimeTable* sprime = nullptr);
 
   /// The minimum-key combination, or — when `floor` is non-null — the
   /// minimum-key combination with key strictly greater than `*floor`.
@@ -99,6 +113,14 @@ class ComboSearch {
                               std::size_t max_evaluations);
 
  private:
+  static constexpr std::size_t kNoServer = static_cast<std::size_t>(-1);
+  /// First minimum, over a candidate's members in pool order, of
+  /// SprimeTable::value(., d) for one destination d.
+  struct Route {
+    double value = graph::kInfiniteDistance;
+    std::size_t server = kNoServer;
+  };
+
   /// One combination some pass has built. Candidates live for the whole
   /// search, stored per size in prefix-tree order: the children of a
   /// prefix are created together, the first time a pass expands it, so a
@@ -106,6 +128,14 @@ class ComboSearch {
   struct Cand {
     std::vector<std::size_t> idx;
     ComboBounds::Partial partial;
+    /// One Route per destination while the dominance test applies and has
+    /// not fired (no source-adjacent member, not dominated); empty
+    /// otherwise, and on the last level, which is never extended.
+    std::vector<Route> routes;
+    /// Pool index of a member routing no destination, kNoServer unless
+    /// dominated. A dominated candidate has no bound and is never
+    /// evaluated.
+    std::size_t witness = kNoServer;
     double bound = 0.0;
     /// Position of the first child in the next level, kNoChildren until
     /// some pass expands this prefix.
@@ -117,13 +147,21 @@ class ComboSearch {
   };
   static constexpr std::size_t kNoChildren = static_cast<std::size_t>(-1);
 
-  Cand make_cand(const std::vector<std::size_t>& prefix_idx,
-                 const ComboBounds::Partial& prefix_partial, std::size_t i) const;
+  Cand make_cand(const Cand& prefix, std::size_t i) const;
+  /// Carries the prefix's routes to `c` (the prefix plus pool index i) and
+  /// sets c.witness when some member of `c` routes no destination.
+  void route(const Cand& prefix, std::size_t i, Cand& c) const;
 
   std::size_t pool_size_ = 0;
   const ComboBounds* bounds_ = nullptr;
   std::size_t max_servers_ = 0;
   Evaluator evaluator_;
+  const SprimeTable* sprime_ = nullptr;
+  /// Largest source-adjacent pool index, kNoServer when there is none (or
+  /// no table): a dominated prefix past it dominates its whole subtree.
+  std::size_t last_source_adjacent_ = kNoServer;
+  /// The empty prefix every size-1 candidate extends.
+  Cand root_;
   /// levels_[k - 1]: every size-k candidate built so far.
   std::vector<std::vector<Cand>> levels_;
 };

@@ -536,4 +536,25 @@ void SharedComboSolver::expand(graph::KmbKernel& kernel, std::size_t a,
   }
 }
 
+SprimeTable::SprimeTable(const SharedOracle& oracle,
+                         std::span<const graph::VertexId> pool)
+    : num_dests_(oracle.request->destinations.size()),
+      value_(pool.size() * num_dests_, graph::kInfiniteDistance),
+      source_adjacent_(pool.size(), 0) {
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    const AuxOverlay aux = build_aux_overlay(*oracle.ctx, oracle.request->source,
+                                             std::span(&pool[i], 1));
+    // The overlay zeroes exactly the (s_k, v) edges of source-adjacent
+    // combination servers, the same test the solver's star uses.
+    if (!aux.zero_edges.empty()) {
+      source_adjacent_[i] = 1;
+      continue;
+    }
+    const SharedComboSolver solver(oracle, aux);
+    for (std::size_t d = 0; d < num_dests_; ++d) {
+      value_[i * num_dests_ + d] = solver.sprime_distance(d);
+    }
+  }
+}
+
 }  // namespace nfvm::core

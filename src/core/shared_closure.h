@@ -238,6 +238,12 @@ class SharedComboSolver {
 
   graph::SteinerResult solve() const;
 
+  /// d_i(s', destinations[dest_index]): the first minimum, in combination
+  /// order, of virtual-edge weight plus star-or-direct distance.
+  double sprime_distance(std::size_t dest_index) const {
+    return via_sprime_[dest_index].value;
+  }
+
  private:
   struct StarEntry {
     graph::VertexId vertex;
@@ -271,6 +277,39 @@ class SharedComboSolver {
   const nfv::Request& request_;
   std::vector<StarEntry> star_;
   std::vector<ViaSprime> via_sprime_;
+};
+
+/// Per-request pool server × destination table of the values the shared
+/// engine minimizes to route destinations from the virtual source:
+/// value(i, d) = virt(pool[i]) + star-or-direct distance from pool[i] to
+/// destination d, with the zero-cost star reduced to {s_k}. Filled by
+/// single-server SharedComboSolvers, so each entry is bit for bit the term
+/// SharedComboSolver compares for pool[i] in any combination whose star is
+/// {s_k}, i.e. any combination without a source-adjacent server.
+///
+/// The combination search uses it to skip dominated combinations
+/// (docs/performance.md, "Dominated combinations"): in such a combination
+/// the tree depends on the servers only through which member is the first
+/// minimum of value(., d) for each destination d, so a member that is the
+/// first minimum for no destination can be dropped without changing the
+/// evaluated weight or tree.
+class SprimeTable {
+ public:
+  SprimeTable(const SharedOracle& oracle, std::span<const graph::VertexId> pool);
+
+  std::size_t num_destinations() const { return num_dests_; }
+  double value(std::size_t i, std::size_t d) const {
+    return value_[i * num_dests_ + d];
+  }
+  /// pool[i] is a neighbour of the source: a combination holding it has a
+  /// larger zero-cost star, so its values do not apply (they are left
+  /// infinite).
+  bool source_adjacent(std::size_t i) const { return source_adjacent_[i] != 0; }
+
+ private:
+  std::size_t num_dests_ = 0;
+  std::vector<double> value_;
+  std::vector<char> source_adjacent_;
 };
 
 }  // namespace nfvm::core

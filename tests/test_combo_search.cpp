@@ -1,11 +1,21 @@
 // Branch-and-bound combination search: exhaustive equivalence, beam
-// monotonicity, pruning accounting and thread-count invariance.
+// monotonicity, pruning accounting, thread-count invariance and the
+// shared engine's dominated-combination skip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
+#include <memory>
+#include <mutex>
+#include <span>
 #include <vector>
 
 #include "core/appro_multi.h"
+#include "core/aux_graph.h"
+#include "core/combo_search.h"
+#include "core/shared_closure.h"
 #include "nfv/resources.h"
 #include "sim/request_gen.h"
 #include "topology/geant.h"
@@ -61,6 +71,14 @@ Instance geant_instance(std::uint64_t seed, std::size_t dests) {
   return inst;
 }
 
+/// Unit link costs and one compute cost: shortest paths and the servers'
+/// routing values tie everywhere.
+Instance tie_instance(std::uint64_t seed, std::size_t n, std::size_t dests) {
+  Instance inst = random_instance(seed, n, dests);
+  inst.costs = uniform_costs(inst.topo, 1.0, 0.01);
+  return inst;
+}
+
 /// The branch-and-bound result must match the legacy sweep EXACTLY —
 /// bitwise-equal cost, same servers, same edge multiset, same reject
 /// reason — because the search guarantees the same argmin combination.
@@ -80,6 +98,18 @@ OfflineSolution run(const Instance& inst, const ApproMultiOptions& opts) {
   return appro_multi(inst.topo, inst.costs, inst.request, opts);
 }
 
+constexpr ApproMultiOptions::Engine kEngines[] = {
+    ApproMultiOptions::Engine::kReference,
+    ApproMultiOptions::Engine::kSharedDijkstra};
+
+/// |V_S|, from the K = 1 legacy sweep (it evaluates every single server).
+std::size_t pool_size(const Instance& inst) {
+  ApproMultiOptions probe;
+  probe.max_servers = 1;
+  probe.search = ApproMultiOptions::Search::kLegacySweep;
+  return run(inst, probe).combinations_explored;
+}
+
 struct Case {
   std::uint64_t seed;
   std::size_t n;  // 0 = GEANT
@@ -95,8 +125,7 @@ TEST_P(BnbEquivalenceTest, MatchesExhaustiveSweepAtAnyThreadCount) {
   const Instance inst =
       c.n == 0 ? geant_instance(c.seed, c.dests) : random_instance(c.seed, c.n, c.dests);
 
-  for (const auto engine : {ApproMultiOptions::Engine::kReference,
-                            ApproMultiOptions::Engine::kSharedDijkstra}) {
+  for (const auto engine : kEngines) {
     ApproMultiOptions legacy_opts;
     legacy_opts.max_servers = c.k;
     legacy_opts.engine = engine;
@@ -131,74 +160,271 @@ TEST(ComboSearch, RealizeFallthroughMatchesLegacyUnderDelayBound) {
   GlobalThreadsGuard guard;
   // Tight delay bounds knock out the cheapest candidates, exercising the
   // floor-based re-search against the legacy sorted fallthrough.
-  for (std::uint64_t seed : {31u, 32u, 33u, 34u}) {
-    Instance inst = random_instance(seed, 40, 4);
-    util::Rng delay_rng(seed + 1000);
-    topo::assign_delays(inst.topo, delay_rng);
-    for (const double delay_ms : {2.0, 5.0, 10.0, 40.0}) {
-      inst.request.max_delay_ms = delay_ms;
-      ApproMultiOptions legacy_opts;
-      legacy_opts.max_servers = 3;
-      legacy_opts.search = ApproMultiOptions::Search::kLegacySweep;
-      ApproMultiOptions bnb_opts = legacy_opts;
-      bnb_opts.search = ApproMultiOptions::Search::kBranchAndBound;
-      const OfflineSolution legacy = run(inst, legacy_opts);
-      const OfflineSolution bnb = run(inst, bnb_opts);
-      expect_same_decision(legacy, bnb);
-      // Fallthrough passes reuse earlier evaluations, so no combination is
-      // evaluated twice in one call and the search never exceeds the sweep.
-      EXPECT_LE(bnb.combinations_explored, legacy.combinations_explored)
-          << "seed " << seed << " delay " << delay_ms;
+  for (const auto engine : kEngines) {
+    for (std::uint64_t seed : {31u, 32u, 33u, 34u}) {
+      Instance inst = random_instance(seed, 40, 4);
+      util::Rng delay_rng(seed + 1000);
+      topo::assign_delays(inst.topo, delay_rng);
+      for (const double delay_ms : {2.0, 5.0, 10.0, 40.0}) {
+        inst.request.max_delay_ms = delay_ms;
+        ApproMultiOptions legacy_opts;
+        legacy_opts.max_servers = 3;
+        legacy_opts.engine = engine;
+        legacy_opts.search = ApproMultiOptions::Search::kLegacySweep;
+        ApproMultiOptions bnb_opts = legacy_opts;
+        bnb_opts.search = ApproMultiOptions::Search::kBranchAndBound;
+        const OfflineSolution legacy = run(inst, legacy_opts);
+        const OfflineSolution bnb = run(inst, bnb_opts);
+        expect_same_decision(legacy, bnb);
+        // Fallthrough passes reuse earlier evaluations, so no combination
+        // is evaluated twice in one call and the search never exceeds the
+        // sweep.
+        EXPECT_LE(bnb.combinations_explored, legacy.combinations_explored)
+            << "seed " << seed << " delay " << delay_ms;
+      }
     }
   }
 }
 
 TEST(ComboSearch, RealizeFallthroughMatchesLegacyUnderCapacity) {
   GlobalThreadsGuard guard;
-  const Instance inst = random_instance(41, 35, 4);
-  nfv::ResourceState state_a(inst.topo);
-  nfv::ResourceState state_b(inst.topo);
-  for (graph::EdgeId e = 0; e < inst.topo.num_links(); e += 4) {
-    nfv::Footprint fp;
-    fp.bandwidth = {{e, 600.0}};
-    state_a.allocate(fp);
-    state_b.allocate(fp);
+  for (const auto engine : kEngines) {
+    for (std::uint64_t seed : {41u, 42u, 43u, 44u, 45u, 46u}) {
+      const Instance inst = random_instance(seed, 35, 4);
+      nfv::ResourceState state_a(inst.topo);
+      nfv::ResourceState state_b(inst.topo);
+      for (graph::EdgeId e = 0; e < inst.topo.num_links(); e += 4) {
+        nfv::Footprint fp;
+        fp.bandwidth = {{e, 600.0}};
+        state_a.allocate(fp);
+        state_b.allocate(fp);
+      }
+      ApproMultiOptions legacy_opts;
+      legacy_opts.max_servers = 3;
+      legacy_opts.engine = engine;
+      legacy_opts.resources = &state_a;
+      legacy_opts.search = ApproMultiOptions::Search::kLegacySweep;
+      ApproMultiOptions bnb_opts = legacy_opts;
+      bnb_opts.resources = &state_b;
+      bnb_opts.search = ApproMultiOptions::Search::kBranchAndBound;
+      const OfflineSolution legacy = run(inst, legacy_opts);
+      const OfflineSolution bnb = run(inst, bnb_opts);
+      expect_same_decision(legacy, bnb);
+      EXPECT_LE(bnb.combinations_explored, legacy.combinations_explored)
+          << "seed " << seed;
+    }
   }
-  ApproMultiOptions legacy_opts;
-  legacy_opts.max_servers = 3;
-  legacy_opts.resources = &state_a;
-  legacy_opts.search = ApproMultiOptions::Search::kLegacySweep;
-  ApproMultiOptions bnb_opts = legacy_opts;
-  bnb_opts.resources = &state_b;
-  bnb_opts.search = ApproMultiOptions::Search::kBranchAndBound;
-  const OfflineSolution legacy = run(inst, legacy_opts);
-  const OfflineSolution bnb = run(inst, bnb_opts);
-  expect_same_decision(legacy, bnb);
-  EXPECT_LE(bnb.combinations_explored, legacy.combinations_explored);
 }
 
 TEST(ComboSearch, PruningAccountingCoversTheCombinationSpace) {
   GlobalThreadsGuard guard;
-  for (std::uint64_t seed : {51u, 52u, 53u}) {
-    const Instance inst = random_instance(seed, 40, 4);
-    // |V_S| via the K = 1 legacy sweep (it evaluates every single server).
-    ApproMultiOptions probe;
-    probe.max_servers = 1;
-    probe.search = ApproMultiOptions::Search::kLegacySweep;
-    const std::size_t n = run(inst, probe).combinations_explored;
-    ASSERT_GT(n, 0u);
+  for (const auto engine : kEngines) {
+    for (std::uint64_t seed : {51u, 52u, 53u}) {
+      const Instance inst = random_instance(seed, 40, 4);
+      const std::size_t n = pool_size(inst);
+      ASSERT_GT(n, 0u);
 
+      ApproMultiOptions bnb_opts;
+      bnb_opts.max_servers = 3;
+      bnb_opts.engine = engine;
+      bnb_opts.search = ApproMultiOptions::Search::kBranchAndBound;
+      const OfflineSolution sol = run(inst, bnb_opts);
+      // Uncapacitated, no delay bound: the cheapest candidate realizes on
+      // the first pass, so every combination was either evaluated or
+      // pruned (dominated ones included).
+      ASSERT_TRUE(sol.admitted);
+      EXPECT_EQ(sol.combinations_explored + sol.combinations_pruned,
+                util::count_combinations_upto(n, std::min<std::size_t>(3, n)));
+      EXPECT_GE(sol.combinations_explored, 1u);
+      EXPECT_LE(sol.combinations_dominated, sol.combinations_pruned);
+      if (engine == ApproMultiOptions::Engine::kReference) {
+        EXPECT_EQ(sol.combinations_dominated, 0u);
+      }
+    }
+  }
+}
+
+/// The shared engine's per-request state, set up the way appro_multi sets
+/// it up, for tests that drive ComboSearch and SharedComboSolver directly.
+struct SharedSearchRig {
+  explicit SharedSearchRig(const Instance& inst)
+      : request(inst.request),
+        ctx(build_work_context(inst.topo, inst.costs, request, nullptr)),
+        dest_trees(context_trees(ctx, request.destinations)),
+        pool(ctx.eligible_servers),
+        oracle(build_shared_oracle(ctx, request, pool)),
+        bounds(ctx, request, pool, dest_trees),
+        sprime(oracle, pool) {}
+
+  std::vector<graph::VertexId> servers(std::span<const std::size_t> idx) const {
+    std::vector<graph::VertexId> combo;
+    for (const std::size_t i : idx) combo.push_back(pool[i]);
+    return combo;
+  }
+  graph::SteinerResult solve(std::span<const std::size_t> idx) const {
+    const AuxOverlay aux = build_aux_overlay(ctx, request.source, servers(idx));
+    return SharedComboSolver(oracle, aux).solve();
+  }
+
+  nfv::Request request;
+  WorkContext ctx;
+  std::vector<std::shared_ptr<const graph::ShortestPaths>> dest_trees;
+  std::vector<graph::VertexId> pool;
+  SharedOracle oracle;
+  ComboBounds bounds;
+  SprimeTable sprime;
+};
+
+/// Solves C and C \ {witness} and requires the same weight bits and the
+/// same tree, C's virtual edge ids mapped to the subset's.
+void expect_same_tree_without(const SharedSearchRig& rig,
+                              const std::vector<std::size_t>& idx,
+                              std::size_t witness) {
+  std::vector<std::size_t> subset;
+  for (const std::size_t i : idx) {
+    if (i != witness) subset.push_back(i);
+  }
+  ASSERT_EQ(subset.size() + 1, idx.size());
+  for (const std::size_t i : idx) ASSERT_FALSE(rig.sprime.source_adjacent(i));
+
+  const graph::SteinerResult full = rig.solve(idx);
+  const graph::SteinerResult sub = rig.solve(subset);
+  ASSERT_EQ(full.connected, sub.connected);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(full.weight),
+            std::bit_cast<std::uint64_t>(sub.weight));
+  const std::size_t real = rig.ctx.cost_graph.num_edges();
+  std::vector<graph::EdgeId> mapped;
+  for (const graph::EdgeId e : full.edges) {
+    if (e < real) {
+      mapped.push_back(e);
+      continue;
+    }
+    const std::size_t server = idx[e - real];
+    ASSERT_NE(server, witness) << "the witness routes a destination";
+    const auto pos = std::find(subset.begin(), subset.end(), server) - subset.begin();
+    mapped.push_back(static_cast<graph::EdgeId>(real + pos));
+  }
+  EXPECT_EQ(mapped, sub.edges);
+}
+
+constexpr std::size_t kNoWitness = std::numeric_limits<std::size_t>::max();
+
+/// From scratch, the definition the search applies incrementally: the pool
+/// index of a member that is the first minimum of the table values for no
+/// destination, in a combination of at least two members none of which is
+/// source-adjacent; kNoWitness when there is none.
+std::size_t idle_member(const SprimeTable& sprime, std::span<const std::size_t> idx) {
+  if (idx.size() < 2) return kNoWitness;
+  for (const std::size_t i : idx) {
+    if (sprime.source_adjacent(i)) return kNoWitness;
+  }
+  std::vector<char> routes(idx.size(), 0);
+  for (std::size_t d = 0; d < sprime.num_destinations(); ++d) {
+    double best = std::numeric_limits<double>::infinity();
+    std::size_t first = idx.size();
+    for (std::size_t j = 0; j < idx.size(); ++j) {
+      if (sprime.value(idx[j], d) < best) {
+        best = sprime.value(idx[j], d);
+        first = j;
+      }
+    }
+    if (first < idx.size()) routes[first] = 1;
+  }
+  for (std::size_t j = 0; j < idx.size(); ++j) {
+    if (routes[j] == 0) return idx[j];
+  }
+  return kNoWitness;
+}
+
+TEST(ComboSearch, DominatedCombinationsSolveLikeTheirWitnessSubset) {
+  GlobalThreadsGuard guard;
+  constexpr std::size_t kMaxServers = 3;
+  std::vector<Instance> instances;
+  for (std::uint64_t seed : {91u, 92u, 93u, 94u}) {
+    instances.push_back(random_instance(seed, 100, 2 + seed % 4));
+  }
+  for (std::uint64_t seed : {95u, 96u, 97u}) {
+    instances.push_back(geant_instance(seed, 3 + seed % 3));
+  }
+  for (std::uint64_t seed : {98u, 99u}) {
+    instances.push_back(tie_instance(seed, 100, 4));
+  }
+  std::size_t dominated_total = 0;
+  for (const Instance& inst : instances) {
+    const SharedSearchRig rig(inst);
+    // Nothing connects, so the search never has an incumbent and no bound
+    // prunes: the combinations it does not evaluate are exactly the ones
+    // it marks dominated, bulk-counted subtrees included.
+    std::mutex mu;
+    std::vector<std::vector<std::size_t>> evaluated;
+    ComboSearch search(
+        rig.pool.size(), rig.bounds, kMaxServers,
+        [&mu, &evaluated](std::span<const std::size_t> idx) {
+          const std::lock_guard<std::mutex> lock(mu);
+          evaluated.emplace_back(idx.begin(), idx.end());
+          return ComboEvaluation{};
+        },
+        &rig.sprime);
+    const ComboSearchResult res =
+        search.next_best(nullptr, std::numeric_limits<std::size_t>::max());
+    ASSERT_FALSE(res.found);
+    std::sort(evaluated.begin(), evaluated.end());
+
+    const std::size_t n = rig.pool.size();
+    std::size_t space = 0;
+    std::size_t skipped = 0;
+    for (std::size_t k = 1; k <= std::min(kMaxServers, n); ++k) {
+      std::vector<std::size_t> idx(k);
+      for (std::size_t i = 0; i < k; ++i) idx[i] = i;
+      do {
+        ++space;
+        const std::size_t witness = idle_member(rig.sprime, idx);
+        const bool marked =
+            !std::binary_search(evaluated.begin(), evaluated.end(), idx);
+        ASSERT_EQ(marked, witness != kNoWitness);
+        if (!marked) continue;
+        ++skipped;
+        expect_same_tree_without(rig, idx, witness);
+      } while (util::next_combination(idx, n));
+    }
+    EXPECT_EQ(res.evaluated, evaluated.size());
+    EXPECT_EQ(res.evaluated + res.pruned, space);
+    EXPECT_EQ(res.pruned, res.dominated);
+    EXPECT_EQ(res.dominated, skipped);
+    dominated_total += skipped;
+  }
+  EXPECT_GT(dominated_total, 0u);
+}
+
+TEST(ComboSearch, FallthroughPassesSkipDominatedAndMatchLegacy) {
+  GlobalThreadsGuard guard;
+  std::size_t later_pass_dominated = 0;
+  for (std::uint64_t seed : {31u, 32u, 33u, 34u}) {
+    Instance inst = random_instance(seed, 40, 4);
+    util::Rng delay_rng(seed + 1000);
+    topo::assign_delays(inst.topo, delay_rng);
     ApproMultiOptions bnb_opts;
     bnb_opts.max_servers = 3;
-    bnb_opts.search = ApproMultiOptions::Search::kBranchAndBound;
-    const OfflineSolution sol = run(inst, bnb_opts);
-    // Uncapacitated, no delay bound: the cheapest candidate realizes on the
-    // first pass, so every combination was either evaluated or pruned.
-    ASSERT_TRUE(sol.admitted);
-    EXPECT_EQ(sol.combinations_explored + sol.combinations_pruned,
-              util::count_combinations_upto(n, std::min<std::size_t>(3, n)));
-    EXPECT_GE(sol.combinations_explored, 1u);
+    bnb_opts.engine = ApproMultiOptions::Engine::kSharedDijkstra;
+    ApproMultiOptions legacy_opts = bnb_opts;
+    legacy_opts.search = ApproMultiOptions::Search::kLegacySweep;
+    // Without a delay bound the first candidate realizes: one pass.
+    const OfflineSolution one_pass = run(inst, bnb_opts);
+    ASSERT_TRUE(one_pass.admitted);
+    for (const double delay_ms : {2.0, 5.0, 10.0}) {
+      inst.request.max_delay_ms = delay_ms;
+      const OfflineSolution legacy = run(inst, legacy_opts);
+      const OfflineSolution bnb = run(inst, bnb_opts);
+      expect_same_decision(legacy, bnb);
+      // The delay bound only acts in realize, so the first pass is the
+      // one-pass call's; anything beyond its dominated count was met by
+      // fallthrough passes.
+      ASSERT_GE(bnb.combinations_dominated, one_pass.combinations_dominated);
+      later_pass_dominated +=
+          bnb.combinations_dominated - one_pass.combinations_dominated;
+    }
   }
+  EXPECT_GT(later_pass_dominated, 0u);
 }
 
 TEST(ComboSearch, ExploredAndPrunedAreThreadCountInvariant) {
@@ -235,34 +461,33 @@ TEST(ComboSearch, EvaluationBudgetIsRespectedInBothModes) {
 
 TEST(BeamSearch, CostIsNonIncreasingInWidthAndExactAtFullPool) {
   GlobalThreadsGuard guard;
-  for (std::uint64_t seed : {81u, 82u, 83u}) {
-    const Instance inst = random_instance(seed, 40, 5);
-    ApproMultiOptions exact_opts;
-    exact_opts.max_servers = 3;
-    const OfflineSolution exact = run(inst, exact_opts);
-    ASSERT_TRUE(exact.admitted);
+  for (const auto engine : kEngines) {
+    for (std::uint64_t seed : {81u, 82u, 83u}) {
+      const Instance inst = random_instance(seed, 40, 5);
+      ApproMultiOptions exact_opts;
+      exact_opts.max_servers = 3;
+      exact_opts.engine = engine;
+      const OfflineSolution exact = run(inst, exact_opts);
+      ASSERT_TRUE(exact.admitted);
 
-    // |V_S| from the K = 1 legacy sweep.
-    ApproMultiOptions probe;
-    probe.max_servers = 1;
-    probe.search = ApproMultiOptions::Search::kLegacySweep;
-    const std::size_t n = run(inst, probe).combinations_explored;
+      const std::size_t n = pool_size(inst);
 
-    double prev = std::numeric_limits<double>::infinity();
-    for (std::size_t m = 1; m <= n; ++m) {
-      ApproMultiOptions beam_opts = exact_opts;
-      beam_opts.beam_width = m;
-      const OfflineSolution beamed = run(inst, beam_opts);
-      ASSERT_TRUE(beamed.admitted) << "beam width " << m;
-      // Nested pools: widening the beam only adds candidate combinations.
-      EXPECT_LE(beamed.tree.cost, prev + 1e-12) << "beam width " << m;
-      EXPECT_GE(beamed.tree.cost, exact.tree.cost - 1e-12) << "beam width " << m;
-      prev = beamed.tree.cost;
-      if (m == n) {
-        // The full-width beam IS the exact search, bit for bit.
-        EXPECT_EQ(beamed.tree.cost, exact.tree.cost);
-        EXPECT_EQ(beamed.tree.servers, exact.tree.servers);
-        EXPECT_EQ(beamed.tree.edge_uses, exact.tree.edge_uses);
+      double prev = std::numeric_limits<double>::infinity();
+      for (std::size_t m = 1; m <= n; ++m) {
+        ApproMultiOptions beam_opts = exact_opts;
+        beam_opts.beam_width = m;
+        const OfflineSolution beamed = run(inst, beam_opts);
+        ASSERT_TRUE(beamed.admitted) << "beam width " << m;
+        // Nested pools: widening the beam only adds candidate combinations.
+        EXPECT_LE(beamed.tree.cost, prev + 1e-12) << "beam width " << m;
+        EXPECT_GE(beamed.tree.cost, exact.tree.cost - 1e-12) << "beam width " << m;
+        prev = beamed.tree.cost;
+        if (m == n) {
+          // The full-width beam IS the exact search, bit for bit.
+          EXPECT_EQ(beamed.tree.cost, exact.tree.cost);
+          EXPECT_EQ(beamed.tree.servers, exact.tree.servers);
+          EXPECT_EQ(beamed.tree.edge_uses, exact.tree.edge_uses);
+        }
       }
     }
   }
