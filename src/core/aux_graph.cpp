@@ -4,7 +4,6 @@
 #include <map>
 #include <stdexcept>
 
-#include "graph/subgraph.h"
 #include "graph/tree.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"

@@ -1,13 +1,11 @@
 #include "core/online_cp.h"
 
-#include <algorithm>
 #include <optional>
 #include <vector>
 
 #include "core/delay.h"
 #include "core/shared_closure.h"
 #include "graph/steiner.h"
-#include "graph/subgraph.h"
 #include "graph/tree.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -28,16 +26,8 @@ OnlineCp::OnlineCp(const topo::Topology& topo, const OnlineCpOptions& options)
                    ? options.sigma_e
                    : static_cast<double>(topo.num_switches()) - 1.0),
       linear_weights_(options.linear_weights),
-      steiner_engine_(options.steiner_engine),
-      name_(options.linear_weights ? "Online_CP(linear)" : "Online_CP") {
-  // The fast path replaces the per-candidate Steiner call with a
-  // shared-closure KMB; other engines keep the rebuild path so ablations
-  // still exercise exactly the engine they ask for.
-  if (options.incremental_view &&
-      steiner_engine_ == graph::SteinerEngine::kKmb) {
-    view_.emplace(topo, [this](graph::EdgeId e) { return edge_weight(e); });
-  }
-}
+      name_(options.linear_weights ? "Online_CP(linear)" : "Online_CP"),
+      view_(topo, [this](graph::EdgeId e) { return edge_weight(e); }) {}
 
 double OnlineCp::edge_weight(graph::EdgeId e) const {
   if (linear_weights_) return state_.bandwidth_utilization(e);
@@ -50,35 +40,29 @@ double OnlineCp::server_weight(graph::VertexId v) const {
 }
 
 void OnlineCp::after_allocate(const nfv::Footprint& footprint) {
-  if (view_.has_value()) view_->apply_allocate(footprint);
+  view_.apply_allocate(footprint);
 }
 
 void OnlineCp::after_release(const nfv::Footprint& footprint) {
-  if (view_.has_value()) view_->apply_release(footprint);
+  view_.apply_release(footprint);
 }
 
 void OnlineCp::after_restore() {
   // Every weight is a pure function of its residual, so a full rebuild from
   // the restored residuals reproduces the uninterrupted run's view exactly;
   // the dropped repair store never influences decisions.
-  if (view_.has_value()) view_->rebuild();
-}
-
-AdmissionDecision OnlineCp::try_admit(const nfv::Request& request) {
-  NFVM_SPAN("online_cp/try_admit");
-  if (view_.has_value()) return try_admit_fast(request);
-  return try_admit_rebuild(request);
+  view_.rebuild();
 }
 
 namespace {
 
 /// What a candidate-server evaluation produces, written into its own slot by
 /// the parallel scan; the sequential replay loop consumes the slots in true
-/// server order, so reasons and the admitted candidate are identical to the
-/// sequential rebuild path. Only the Steiner evaluation and the candidate's
-/// cost live here — route assembly, the delay check and the footprint are
-/// deferred to the replay loop, which (like the rebuild scan) only pays them
-/// for candidates surviving the cost prune.
+/// server order, so reasons and the admitted candidate are identical to a
+/// sequential per-server scan (tests/reference keeps one as the oracle).
+/// Only the Steiner evaluation and the candidate's cost live here — route
+/// assembly, the delay check and the footprint are deferred to the replay
+/// loop, which only pays them for candidates surviving the cost prune.
 struct CpCandidateSlot {
   bool connected = false;
   bool over_sigma_e = false;
@@ -89,7 +73,8 @@ struct CpCandidateSlot {
 
 }  // namespace
 
-AdmissionDecision OnlineCp::try_admit_fast(const nfv::Request& request) {
+AdmissionDecision OnlineCp::try_admit(const nfv::Request& request) {
+  NFVM_SPAN("online_cp/try_admit");
   AdmissionDecision decision;
   const double b = request.bandwidth_mbps;
   const double demand = request.compute_demand_mhz();
@@ -144,7 +129,7 @@ AdmissionDecision OnlineCp::try_admit_fast(const nfv::Request& request) {
                  request.destinations.end());
   sources.insert(sources.end(), eval.begin(), eval.end());
   NFVM_OBS_ONLY(phase_watch.reset();)
-  const auto trees = view_->trees_for(state_, sources, b);
+  const auto trees = view_.trees_for(state_, sources, b);
   TerminalTables tables(topo_->graph.num_vertices());
   for (std::size_t i = 0; i < sources.size(); ++i) {
     tables.set(sources[i], trees[i]);
@@ -177,7 +162,7 @@ AdmissionDecision OnlineCp::try_admit_fast(const nfv::Request& request) {
       terminals.insert(terminals.end(), request.destinations.begin(),
                        request.destinations.end());
       graph::SteinerResult st =
-          graph::kmb_steiner_from_tables(view_->graph(), terminals, table_for);
+          graph::kmb_steiner_from_tables(view_.graph(), terminals, table_for);
       if (!st.connected) return;
       slot.connected = true;
       if (st.weight >= sigma_e_) {
@@ -187,7 +172,7 @@ AdmissionDecision OnlineCp::try_admit_fast(const nfv::Request& request) {
 
       // Backhaul from v to the LCA of {v} ∪ D_k (Algorithm 2, steps 10-12)
       // prices the candidate; route assembly waits for the replay loop.
-      const graph::RootedTree rooted(view_->graph(), st.edges, request.source);
+      const graph::RootedTree rooted(view_.graph(), st.edges, request.source);
       std::vector<graph::VertexId> lca_args;
       lca_args.push_back(v);
       lca_args.insert(lca_args.end(), request.destinations.begin(),
@@ -204,12 +189,11 @@ AdmissionDecision OnlineCp::try_admit_fast(const nfv::Request& request) {
     })
   }
 
-  // Phase D: sequential replay in true server order — identical branch
-  // structure to the rebuild scan, so the winner, the reject reason and the
-  // cause match it bit for bit at any thread count. Candidates surviving the
+  // Phase D: sequential replay in true server order — the branch structure
+  // of a sequential per-server scan, so the winner, the reject reason and
+  // the cause are the same at any thread count. Candidates surviving the
   // cost prune (a strictly decreasing cost chain, typically a handful) get
-  // their routes, delay check and footprint here, exactly like the rebuild
-  // scan's post-prune body.
+  // their routes, delay check and footprint here.
   struct Candidate {
     double cost = 0.0;
     PseudoMulticastTree tree;
@@ -239,7 +223,7 @@ AdmissionDecision OnlineCp::try_admit_fast(const nfv::Request& request) {
       continue;
     }
 
-    const graph::RootedTree rooted(view_->graph(), slot.edges, request.source);
+    const graph::RootedTree rooted(view_.graph(), slot.edges, request.source);
     std::vector<graph::VertexId> lca_args;
     lca_args.push_back(v);
     lca_args.insert(lca_args.end(), request.destinations.begin(),
@@ -297,169 +281,6 @@ AdmissionDecision OnlineCp::try_admit_fast(const nfv::Request& request) {
     best = std::move(cand);
   }
   NFVM_OBS_ONLY(if (rec) rec->realize_us = phase_watch.elapsed_us();)
-
-  if (!best.has_value()) {
-    decision.reject_reason = std::string(reject.reason());
-    decision.reject_cause = reject.cause();
-    return decision;
-  }
-  decision.admitted = true;
-  decision.tree = std::move(best->tree);
-  decision.footprint = std::move(best->footprint);
-  return decision;
-}
-
-AdmissionDecision OnlineCp::try_admit_rebuild(const nfv::Request& request) {
-  AdmissionDecision decision;
-  const double b = request.bandwidth_mbps;
-  const double demand = request.compute_demand_mhz();
-
-  NFVM_OBS_ONLY(RequestRecord* const rec = active_record();
-                util::Stopwatch phase_watch;)
-
-  // Step 5 of Algorithm 2: the weighted graph G_k, restricted to links that
-  // can still carry b_k.
-  graph::Subgraph sub = [&] {
-    NFVM_SPAN("online_cp/build_weighted_graph");
-    graph::Subgraph filtered =
-        graph::filter_edges(topo_->graph, [&](graph::EdgeId e) {
-          return nfv::edge_eligible(state_, topo_->graph, e, b);
-        });
-    for (graph::EdgeId e = 0; e < filtered.graph.num_edges(); ++e) {
-      filtered.graph.set_weight(e, edge_weight(filtered.original_edge[e]));
-    }
-    return filtered;
-  }();
-  NFVM_OBS_ONLY(if (rec) rec->classify_us = phase_watch.elapsed_us();
-                phase_watch.reset();)
-
-  struct Candidate {
-    double cost = 0.0;
-    graph::VertexId server = graph::kInvalidVertex;
-    PseudoMulticastTree tree;
-    nfv::Footprint footprint;
-  };
-  std::optional<Candidate> best;
-  RejectTracker reject("no server has sufficient residual computing",
-                       RejectCause::kCompute);
-  NFVM_OBS_ONLY(std::uint64_t candidates_evaluated = 0;)
-
-  NFVM_SPAN("online_cp/server_scan");
-  for (graph::VertexId v : topo_->servers) {
-    if (state_.residual_compute(v) < demand) {
-      NFVM_OBS_ONLY(if (rec) ++rec->skipped_compute;)
-      continue;
-    }
-    const double wv = server_weight(v);
-    if (wv >= sigma_v_) {
-      reject.update(RejectTracker::kRankThreshold,
-                    "all candidate servers exceed the computing threshold",
-                    RejectCause::kThreshold);
-      NFVM_OBS_ONLY(if (rec) ++rec->skipped_sigma_v;)
-      continue;
-    }
-    NFVM_OBS_ONLY(++candidates_evaluated;)
-
-    // Steiner tree over {s_k, v} ∪ D_k (Algorithm 2, step 8).
-    std::vector<graph::VertexId> terminals;
-    terminals.reserve(request.destinations.size() + 2);
-    terminals.push_back(request.source);
-    terminals.push_back(v);
-    terminals.insert(terminals.end(), request.destinations.begin(),
-                     request.destinations.end());
-    const graph::SteinerResult st =
-        graph::steiner_tree(sub.graph, terminals, steiner_engine_);
-    if (!st.connected) {
-      reject.update(RejectTracker::kRankCandidate,
-                    "source, server and destinations are disconnected at b_k",
-                    RejectCause::kBandwidth);
-      NFVM_OBS_ONLY(if (rec) ++rec->failed_disconnected;)
-      continue;
-    }
-    if (st.weight >= sigma_e_) {
-      reject.update(RejectTracker::kRankCandidate,
-                    "every candidate tree exceeds the bandwidth threshold",
-                    RejectCause::kThreshold);
-      NFVM_OBS_ONLY(if (rec) ++rec->failed_sigma_e;)
-      continue;
-    }
-
-    // Pseudo-multicast tree: root at s_k, backhaul from v to the LCA of
-    // {v} ∪ D_k (Algorithm 2, steps 10-12).
-    const graph::RootedTree rooted(sub.graph, st.edges, request.source);
-    std::vector<graph::VertexId> lca_args;
-    lca_args.push_back(v);
-    lca_args.insert(lca_args.end(), request.destinations.begin(),
-                    request.destinations.end());
-    const graph::VertexId meet = rooted.lca(lca_args);
-    const double w_back = rooted.path_weight(v, meet);
-    const double cost = st.weight + wv + w_back;
-    if (best.has_value() && cost >= best->cost) {
-      NFVM_OBS_ONLY(if (rec) ++rec->cost_pruned;)
-      continue;
-    }
-
-    Candidate cand;
-    cand.cost = cost;
-    cand.server = v;
-    cand.tree.source = request.source;
-    cand.tree.servers = {v};
-    cand.tree.cost = cost;
-
-    std::vector<graph::EdgeId> traversals;  // physical ids
-    traversals.reserve(st.edges.size());
-    for (graph::EdgeId e : st.edges) traversals.push_back(sub.original_edge[e]);
-    for (graph::EdgeId e : rooted.path_edges(v, meet)) {
-      traversals.push_back(sub.original_edge[e]);
-    }
-    cand.tree.edge_uses = accumulate_edge_uses(std::move(traversals));
-
-    const std::vector<graph::VertexId> to_server =
-        rooted.path_vertices(request.source, v);
-    for (graph::VertexId d : request.destinations) {
-      DestinationRoute route;
-      route.destination = d;
-      route.server = v;
-      route.walk = to_server;
-      route.server_index = route.walk.size() - 1;
-      const std::vector<graph::VertexId> down = rooted.path_vertices(v, d);
-      route.walk.insert(route.walk.end(), down.begin() + 1, down.end());
-      cand.tree.routes.push_back(std::move(route));
-    }
-
-    if (!meets_delay_bound(*topo_, request, cand.tree)) {
-      reject.update(RejectTracker::kRankCandidate,
-                    "no candidate tree meets the delay bound",
-                    RejectCause::kDelay);
-      NFVM_OBS_ONLY(if (rec) ++rec->failed_delay;)
-      continue;
-    }
-    cand.footprint = cand.tree.footprint(request, topo_->graph);
-    if (!state_.can_allocate(cand.footprint)) {
-      // Double-traversed backhaul links can need 2 b_k; charge honestly and
-      // skip candidates that no longer fit.
-      reject.update(RejectTracker::kRankCandidate,
-                    "backhaul multiplicities exceed residual bandwidth",
-                    RejectCause::kBandwidth);
-      NFVM_OBS_ONLY(if (rec) ++rec->failed_capacity;)
-      continue;
-    }
-    NFVM_OBS_ONLY(if (rec) {
-      ++rec->candidates_feasible;
-      rec->chosen_server = static_cast<std::int64_t>(v);
-      rec->cost_total = cost;
-      rec->cost_steiner = st.weight;
-      rec->cost_server = wv;
-      rec->cost_backhaul = w_back;
-    })
-    best = std::move(cand);
-  }
-  NFVM_COUNTER_ADD("core.online_cp.candidates_evaluated", candidates_evaluated);
-  NFVM_OBS_ONLY(if (rec) {
-    rec->servers_eligible = candidates_evaluated;
-    rec->servers_evaluated = candidates_evaluated;
-    rec->eval_us = phase_watch.elapsed_us();
-  })
 
   if (!best.has_value()) {
     decision.reject_reason = std::string(reject.reason());

@@ -16,12 +16,9 @@
 // sigma_v = sigma_e = |V| - 1 (Theorem 2).
 #pragma once
 
-#include <optional>
-
 #include "core/cost_model.h"
 #include "core/online.h"
 #include "core/online_view.h"
-#include "graph/steiner.h"
 
 namespace nfvm::core {
 
@@ -36,18 +33,13 @@ struct OnlineCpOptions {
   /// (w proportional to utilization), keeping everything else identical.
   /// Used by bench_ablation_cost_model to isolate the cost model's effect.
   bool linear_weights = false;
-  /// Steiner approximation used per candidate server (paper: KMB).
-  graph::SteinerEngine steiner_engine = graph::SteinerEngine::kKmb;
-  /// Admission fast path: keep a persistent incremental weighted view of the
-  /// network (patched after each admission instead of rebuilt per request)
-  /// and evaluate the server scan from one shared shortest-path tree per
-  /// terminal. Bit-identical decisions to the rebuild path at any thread
-  /// count; only effective with the KMB Steiner engine (other engines fall
-  /// back to the rebuild path). See docs/performance.md, "The online fast
-  /// path".
-  bool incremental_view = true;
 };
 
+/// The admission scan keeps a persistent weighted view of the network,
+/// patched after each admission and release, and evaluates every candidate
+/// server's KMB tree from one shared shortest-path tree per terminal.
+/// Decisions are bit-identical at any thread count. See
+/// docs/performance.md, "The online fast path".
 class OnlineCp final : public OnlineAlgorithm {
  public:
   explicit OnlineCp(const topo::Topology& topo, const OnlineCpOptions& options = {});
@@ -65,12 +57,6 @@ class OnlineCp final : public OnlineAlgorithm {
   void after_restore() override;
 
  private:
-  /// Legacy path: rebuild the filtered weighted subgraph per request and run
-  /// one KMB (|D_k| + 2 Dijkstras) per candidate server.
-  AdmissionDecision try_admit_rebuild(const nfv::Request& request);
-  /// Fast path: patch-maintained weighted view + shared-closure server scan
-  /// (one shortest-path tree per terminal for the whole scan).
-  AdmissionDecision try_admit_fast(const nfv::Request& request);
   double edge_weight(graph::EdgeId e) const;
   double server_weight(graph::VertexId v) const;
 
@@ -78,11 +64,9 @@ class OnlineCp final : public OnlineAlgorithm {
   double sigma_v_;
   double sigma_e_;
   bool linear_weights_;
-  graph::SteinerEngine steiner_engine_;
   std::string name_;
-  /// Engaged iff the fast path is active (options.incremental_view with the
-  /// KMB engine).
-  std::optional<OnlineWeightedView> view_;
+  /// Declared last: its constructor weighs every edge with edge_weight().
+  OnlineWeightedView view_;
 };
 
 }  // namespace nfvm::core

@@ -1,10 +1,10 @@
 #include "core/online_sp.h"
 
+#include <optional>
 #include <vector>
 
 #include "core/delay.h"
 #include "graph/dijkstra.h"
-#include "graph/subgraph.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/thread_pool.h"
@@ -12,39 +12,29 @@
 
 namespace nfvm::core {
 
-OnlineSp::OnlineSp(const topo::Topology& topo) : OnlineSp(topo, OnlineSpOptions{}) {}
-
-OnlineSp::OnlineSp(const topo::Topology& topo, const OnlineSpOptions& options)
-    : OnlineAlgorithm(topo) {
-  if (options.incremental_view) {
-    // The scan's Dijkstras run on the physical link weights (the per-request
-    // pruning only removes edges, it never reweights), so the view's weight
-    // function is residual-independent: only eligibility flips reach the
-    // stored server trees.
-    view_.emplace(topo, [this](graph::EdgeId e) { return topo_->graph.weight(e); });
-  }
-}
+// The scan's Dijkstras run on the physical link weights (the per-request
+// pruning only removes edges, it never reweights), so the view's weight
+// function is residual-independent: only eligibility flips reach the stored
+// server trees.
+OnlineSp::OnlineSp(const topo::Topology& topo)
+    : OnlineAlgorithm(topo),
+      view_(topo, [this](graph::EdgeId e) { return topo_->graph.weight(e); }) {}
 
 void OnlineSp::after_allocate(const nfv::Footprint& footprint) {
-  if (view_.has_value()) view_->apply_allocate(footprint);
+  view_.apply_allocate(footprint);
 }
 
 void OnlineSp::after_release(const nfv::Footprint& footprint) {
-  if (view_.has_value()) view_->apply_release(footprint);
-}
-
-AdmissionDecision OnlineSp::try_admit(const nfv::Request& request) {
-  if (view_.has_value()) return try_admit_fast(request);
-  return try_admit_rebuild(request);
+  view_.apply_release(footprint);
 }
 
 namespace {
 
 /// Per-candidate evaluation written by the parallel scan, replayed
-/// sequentially in true server order for reason/winner parity with the
-/// rebuild path. The delay check and footprint are deferred to the replay
-/// loop, which (like the rebuild scan) only pays them for candidates
-/// surviving the cost prune.
+/// sequentially in true server order so reasons and the winner match a
+/// sequential per-server scan (tests/reference keeps one as the oracle).
+/// The delay check and footprint are deferred to the replay loop, which
+/// only pays them for candidates surviving the cost prune.
 struct SpCandidateSlot {
   bool server_reachable = false;
   bool dests_reachable = false;
@@ -54,7 +44,7 @@ struct SpCandidateSlot {
 
 }  // namespace
 
-AdmissionDecision OnlineSp::try_admit_fast(const nfv::Request& request) {
+AdmissionDecision OnlineSp::try_admit(const nfv::Request& request) {
   AdmissionDecision decision;
   const double b = request.bandwidth_mbps;
   const double demand = request.compute_demand_mhz();
@@ -93,7 +83,7 @@ AdmissionDecision OnlineSp::try_admit_fast(const nfv::Request& request) {
   sources.push_back(request.source);
   sources.insert(sources.end(), eval.begin(), eval.end());
   NFVM_OBS_ONLY(phase_watch.reset();)
-  const auto trees = view_->trees_for(state_, sources, b);
+  const auto trees = view_.trees_for(state_, sources, b);
   const graph::ShortestPaths& from_source = *trees[0];
   NFVM_OBS_ONLY(if (rec) rec->closure_us = phase_watch.elapsed_us();
                 phase_watch.reset();)
@@ -128,9 +118,9 @@ AdmissionDecision OnlineSp::try_admit_fast(const nfv::Request& request) {
     rec->eval_us = phase_watch.elapsed_us();
   } phase_watch.reset();)
 
-  // Phase D: sequential replay — the same branch ladder as the rebuild scan
-  // (note the cost prune sits BEFORE the delay check, silently). Delay and
-  // footprint are only paid by prune survivors, like the rebuild scan.
+  // Phase D: sequential replay — the branch ladder of a sequential
+  // per-server scan (note the cost prune sits BEFORE the delay check,
+  // silently). Delay and footprint are only paid by prune survivors.
   struct Candidate {
     double cost = 0.0;
     PseudoMulticastTree tree;
@@ -180,107 +170,6 @@ AdmissionDecision OnlineSp::try_admit_fast(const nfv::Request& request) {
     best = Candidate{slot.cost, std::move(slot.tree), std::move(footprint)};
   }
   NFVM_OBS_ONLY(if (rec) rec->realize_us = phase_watch.elapsed_us();)
-
-  if (!best.has_value()) {
-    decision.reject_reason = std::string(reject.reason());
-    decision.reject_cause = reject.cause();
-    return decision;
-  }
-  decision.admitted = true;
-  decision.tree = std::move(best->tree);
-  decision.footprint = std::move(best->footprint);
-  return decision;
-}
-
-AdmissionDecision OnlineSp::try_admit_rebuild(const nfv::Request& request) {
-  AdmissionDecision decision;
-  const double b = request.bandwidth_mbps;
-  const double demand = request.compute_demand_mhz();
-
-  NFVM_OBS_ONLY(RequestRecord* const rec = active_record();
-                util::Stopwatch phase_watch;)
-
-  // Remove links and servers without enough available resources; all
-  // remaining links weigh 1.
-  const graph::Subgraph sub = graph::filter_edges(topo_->graph, [&](graph::EdgeId e) {
-    return nfv::edge_eligible(state_, topo_->graph, e, b);
-  });
-
-  const graph::ShortestPaths from_source = graph::dijkstra(sub.graph, request.source);
-  NFVM_OBS_ONLY(if (rec) rec->classify_us = phase_watch.elapsed_us();
-                phase_watch.reset();)
-
-  struct Candidate {
-    double cost = 0.0;
-    PseudoMulticastTree tree;
-    nfv::Footprint footprint;
-  };
-  std::optional<Candidate> best;
-  RejectTracker reject("no server has sufficient residual computing",
-                       RejectCause::kCompute);
-
-  for (graph::VertexId v : topo_->servers) {
-    if (state_.residual_compute(v) < demand) {
-      NFVM_OBS_ONLY(if (rec) ++rec->skipped_compute;)
-      continue;
-    }
-    NFVM_OBS_ONLY(if (rec) ++rec->servers_eligible;)
-    if (!from_source.reachable(v)) {
-      reject.update(RejectTracker::kRankCandidate,
-                    "server unreachable at the demanded bandwidth",
-                    RejectCause::kBandwidth);
-      NFVM_OBS_ONLY(if (rec) ++rec->failed_disconnected;)
-      continue;
-    }
-    const graph::ShortestPaths from_server = graph::dijkstra(sub.graph, v);
-    NFVM_OBS_ONLY(if (rec) ++rec->servers_evaluated;)
-    bool all_reachable = true;
-    for (graph::VertexId d : request.destinations) {
-      if (!from_server.reachable(d)) {
-        all_reachable = false;
-        break;
-      }
-    }
-    if (!all_reachable) {
-      reject.update(RejectTracker::kRankCandidate,
-                    "a destination is unreachable at the demanded bandwidth",
-                    RejectCause::kBandwidth);
-      NFVM_OBS_ONLY(if (rec) ++rec->failed_disconnected;)
-      continue;
-    }
-
-    PseudoMulticastTree tree = make_one_server_spt_tree(
-        request, v, from_source, from_server, &sub.original_edge, /*cost=*/0.0);
-    // Cost = number of link traversals (unit weights on links).
-    tree.cost = static_cast<double>(tree.total_link_traversals());
-    if (best.has_value() && tree.cost >= best->cost) {
-      NFVM_OBS_ONLY(if (rec) ++rec->cost_pruned;)
-      continue;
-    }
-    if (!meets_delay_bound(*topo_, request, tree)) {
-      reject.update(RejectTracker::kRankCandidate,
-                    "no candidate tree meets the delay bound",
-                    RejectCause::kDelay);
-      NFVM_OBS_ONLY(if (rec) ++rec->failed_delay;)
-      continue;
-    }
-
-    nfv::Footprint footprint = tree.footprint(request, topo_->graph);
-    if (!state_.can_allocate(footprint)) {
-      reject.update(RejectTracker::kRankCandidate,
-                    "path overlaps exceed residual bandwidth",
-                    RejectCause::kBandwidth);
-      NFVM_OBS_ONLY(if (rec) ++rec->failed_capacity;)
-      continue;
-    }
-    NFVM_OBS_ONLY(if (rec) {
-      ++rec->candidates_feasible;
-      rec->chosen_server = static_cast<std::int64_t>(v);
-      rec->cost_total = tree.cost;
-    })
-    best = Candidate{tree.cost, std::move(tree), std::move(footprint)};
-  }
-  NFVM_OBS_ONLY(if (rec) rec->eval_us = phase_watch.elapsed_us();)
 
   if (!best.has_value()) {
     decision.reject_reason = std::string(reject.reason());

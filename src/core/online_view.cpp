@@ -63,7 +63,6 @@ void OnlineWeightedView::apply_release(const nfv::Footprint& footprint) {
 
 bool OnlineWeightedView::policy_incremental() const noexcept {
   if (policy_ == ViewPolicy::kForceIncremental) return true;
-  if (policy_ == ViewPolicy::kForceRebuild) return false;
   const std::size_t m = view_.num_edges();
   if (m < kPolicyMinEdges) return false;
   return churn_ewma_ <= kPolicyMaxChurnFraction * static_cast<double>(m);

@@ -51,9 +51,9 @@
 namespace nfvm::core {
 
 /// Adaptive-policy override. kAdaptive (the default) picks per call from
-/// graph size and patch churn; the force modes exist for tests that pin the
-/// repair store and for benchmarks that measure one mode in isolation.
-enum class ViewPolicy { kAdaptive, kForceIncremental, kForceRebuild };
+/// graph size and patch churn; kForceIncremental pins the repair store, so
+/// tests can exercise it on graphs too small for the policy to pick it.
+enum class ViewPolicy { kAdaptive, kForceIncremental };
 
 class OnlineWeightedView {
  public:

@@ -355,11 +355,10 @@ void write_explain(std::ostream& out, const RequestEvent& event) {
     return;
   }
 
-  if (doc.has("fast_path")) {
-    out << "path       "
-        << (doc.at("fast_path").boolean ? "shared-closure fast path"
-                                        : "rebuild path")
-        << "\n";
+  // Only Online_CP and Online_SP run the shared-closure scan; every other
+  // algorithm records fast_path=false and has no scan to name.
+  if (doc.has("fast_path") && doc.at("fast_path").boolean) {
+    out << "path       shared-closure scan\n";
   }
   out << "latency_us total=" << format_us(number_or(doc, "total_us", 0))
       << " decision=" << format_us(event.decision_us) << "\n";

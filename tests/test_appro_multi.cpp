@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/components.h"
-#include "graph/subgraph.h"
+#include "reference/subgraph.h"
 #include "topology/waxman.h"
 #include "util/rng.h"
 
@@ -261,7 +261,7 @@ TEST(ApproMultiCap, CapacitatedSolutionRespectsResiduals) {
   std::vector<bool> pruned(topo.num_links(), false);
   for (graph::EdgeId e = 0; e < topo.num_links(); e += 5) {
     pruned[e] = true;
-    const graph::Subgraph sub = graph::filter_edges(
+    const reference::Subgraph sub = reference::filter_edges(
         topo.graph, [&](graph::EdgeId x) { return !pruned[x]; });
     if (!graph::is_connected(sub.graph)) {
       pruned[e] = false;

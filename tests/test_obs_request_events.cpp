@@ -17,8 +17,10 @@ namespace nfvm::obs::report {
 namespace {
 
 /// Writes a small synthetic v2 event log through the real EventLog + stamp
-/// machinery, exactly as nfvm-sim does.
-std::string write_fixture_log(const std::string& name) {
+/// machinery, exactly as nfvm-sim does. With `with_static_route`, a fourth
+/// request decided by SP_static (fixed routes, fast_path false) follows.
+std::string write_fixture_log(const std::string& name,
+                              bool with_static_route = false) {
   const std::string path = ::testing::TempDir() + "/" + name;
   EventLog log;
   EXPECT_TRUE(log.open(path));
@@ -28,10 +30,11 @@ std::string write_fixture_log(const std::string& name) {
       .field("seed", std::uint64_t{7});
   log.set_stamp(stamp);
 
-  const auto emit = [&log](std::uint64_t index, bool admitted, double total_us) {
+  const auto emit = [&log](std::uint64_t index, bool admitted, double total_us,
+                           bool fast_path = true) {
     JsonLine line;
     line.field("event", "request")
-        .field("algorithm", "Online_CP")
+        .field("algorithm", fast_path ? "Online_CP" : "SP_static")
         .field("index", index)
         .field("request_id", index + 1)
         .field("source", std::uint64_t{3})
@@ -45,7 +48,7 @@ std::string write_fixture_log(const std::string& name) {
           .field("reject_reason", "tree exceeds the bandwidth threshold");
     }
     line.field("decision_us", total_us + 1.0)
-        .field("fast_path", true)
+        .field("fast_path", fast_path)
         .field("total_us", total_us)
         .field("phase_classify_us", total_us * 0.05)
         .field("phase_closure_us", total_us * 0.40)
@@ -62,6 +65,7 @@ std::string write_fixture_log(const std::string& name) {
   emit(0, true, 100.0);
   emit(1, true, 200.0);
   emit(2, false, 150.0);
+  if (with_static_route) emit(3, true, 50.0, /*fast_path=*/false);
   // A non-request line (run summary) that loaders must skip.
   JsonLine summary;
   summary.field("event", "summary").field("requests", std::uint64_t{3});
@@ -171,16 +175,25 @@ TEST(RequestEvents, FindRequestPrefersIdThenIndex) {
 }
 
 TEST(RequestEvents, ExplainPrintsAdmittedAndRejected) {
-  const auto events = load_request_events(write_fixture_log("req_events_explain.jsonl"));
+  const auto events = load_request_events(
+      write_fixture_log("req_events_explain.jsonl", /*with_static_route=*/true));
+  ASSERT_EQ(events.size(), 4u);
   std::ostringstream admitted;
   write_explain(admitted, events[0]);
   EXPECT_NE(admitted.str().find("ADMITTED"), std::string::npos);
   EXPECT_NE(admitted.str().find("chosen_server=4"), std::string::npos);
   EXPECT_NE(admitted.str().find("closure"), std::string::npos);
+  EXPECT_NE(admitted.str().find("path       shared-closure scan\n"),
+            std::string::npos);
   std::ostringstream rejected;
   write_explain(rejected, events[2]);
   EXPECT_NE(rejected.str().find("REJECTED"), std::string::npos);
   EXPECT_NE(rejected.str().find("threshold"), std::string::npos);
+  // SP_static routes on fixed paths: no scan, so no path line at all.
+  std::ostringstream fixed;
+  write_explain(fixed, events[3]);
+  EXPECT_NE(fixed.str().find("ADMITTED"), std::string::npos);
+  EXPECT_EQ(fixed.str().find("\npath "), std::string::npos);
 }
 
 TEST(RequestEvents, DecisionsProjectionIsTimingFree) {

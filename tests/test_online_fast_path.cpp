@@ -1,10 +1,12 @@
-// The online admission fast path: trace equivalence between the incremental
-// (patched weighted view + repaired server trees + shared-closure scan) and
-// legacy rebuild paths, the OnlineWeightedView repair store, and
-// RejectTracker precedence.
+// The online admission fast path: trace equivalence between the production
+// scans (patched weighted view + repaired server trees + shared-closure
+// scan) and the per-request rebuild scans kept in tests/reference, the
+// OnlineWeightedView repair store, and RejectTracker precedence.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <queue>
+#include <string>
 #include <vector>
 
 #include "core/online.h"
@@ -12,18 +14,23 @@
 #include "core/online_sp.h"
 #include "core/online_view.h"
 #include "graph/dijkstra.h"
-#include "graph/steiner.h"
 #include "nfv/resources.h"
 #include "obs/metrics.h"
+#include "reference/online_reference.h"
 #include "sim/request_gen.h"
+#include "sim/simulator.h"
+#include "topology/geant.h"
 #include "topology/waxman.h"
 #include "util/rng.h"
 
 namespace nfvm::core {
 namespace {
 
+using reference::OnlineCpRebuild;
+using reference::OnlineSpRebuild;
+
 // ---------------------------------------------------------------------------
-// Trace equivalence: fast path vs rebuild path
+// Trace equivalence: production scan vs the reference rebuild scan
 // ---------------------------------------------------------------------------
 
 void expect_same_decision(const AdmissionDecision& a, const AdmissionDecision& b,
@@ -50,33 +57,33 @@ void expect_same_decision(const AdmissionDecision& a, const AdmissionDecision& b
 
 /// Feeds the same request sequence (with periodic departures) through both
 /// algorithms and requires byte-identical decision streams.
-template <typename Algo>
-void run_trace_equivalence(Algo& fast, Algo& rebuild, std::size_t num_requests) {
+void run_trace_equivalence(OnlineAlgorithm& fast, OnlineAlgorithm& reference,
+                           std::size_t num_requests) {
   util::Rng workload(515);
   sim::RequestGenerator gen(fast.topology(), workload);
   const std::vector<nfv::Request> requests = gen.sequence(num_requests);
 
   std::vector<nfv::Footprint> admitted_fast;
-  std::vector<nfv::Footprint> admitted_rebuild;
+  std::vector<nfv::Footprint> admitted_reference;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const AdmissionDecision df = fast.process(requests[i]);
-    const AdmissionDecision dr = rebuild.process(requests[i]);
+    const AdmissionDecision dr = reference.process(requests[i]);
     expect_same_decision(df, dr, i);
     if (df.admitted) {
       admitted_fast.push_back(df.footprint);
-      admitted_rebuild.push_back(dr.footprint);
+      admitted_reference.push_back(dr.footprint);
     }
     // Departures: release the oldest still-held footprint every 7 requests,
     // so server trees are repaired across weight decreases mid-sequence.
     if (i % 7 == 6 && !admitted_fast.empty()) {
       fast.release(admitted_fast.front());
-      rebuild.release(admitted_rebuild.front());
+      reference.release(admitted_reference.front());
       admitted_fast.erase(admitted_fast.begin());
-      admitted_rebuild.erase(admitted_rebuild.begin());
+      admitted_reference.erase(admitted_reference.begin());
     }
   }
-  EXPECT_EQ(fast.num_admitted(), rebuild.num_admitted());
-  EXPECT_EQ(fast.num_rejected(), rebuild.num_rejected());
+  EXPECT_EQ(fast.num_admitted(), reference.num_admitted());
+  EXPECT_EQ(fast.num_rejected(), reference.num_rejected());
 }
 
 #if NFVM_OBS
@@ -88,16 +95,12 @@ std::uint64_t counter_value(const char* name) {
 TEST(OnlineFastPath, CpTraceEquivalenceWithDepartures) {
   util::Rng rng(91);
   const topo::Topology topo = topo::make_waxman(60, rng);
-  OnlineCpOptions fast_opts;
-  ASSERT_TRUE(fast_opts.incremental_view);  // fast path is the default
-  OnlineCpOptions rebuild_opts;
-  rebuild_opts.incremental_view = false;
-  OnlineCp fast(topo, fast_opts);
-  OnlineCp rebuild(topo, rebuild_opts);
+  OnlineCp fast(topo);
+  OnlineCpRebuild reference(topo);
   obs::Registry::global().reset_values();
   // Long enough to leave the zero-weight warm-up, where ties force full
   // recomputes, and to repair trees across releases afterwards.
-  run_trace_equivalence(fast, rebuild, 200);
+  run_trace_equivalence(fast, reference, 200);
 #if NFVM_OBS
   EXPECT_GT(counter_value("graph.sp_repair.trees_repaired"), 0u);
   EXPECT_GT(counter_value("graph.sp_repair.trees_kept"), 0u);
@@ -107,38 +110,131 @@ TEST(OnlineFastPath, CpTraceEquivalenceWithDepartures) {
 TEST(OnlineFastPath, CpTraceEquivalenceLinearWeights) {
   util::Rng rng(92);
   const topo::Topology topo = topo::make_waxman(40, rng);
-  OnlineCpOptions fast_opts;
-  fast_opts.linear_weights = true;
-  OnlineCpOptions rebuild_opts;
-  rebuild_opts.linear_weights = true;
-  rebuild_opts.incremental_view = false;
-  OnlineCp fast(topo, fast_opts);
-  OnlineCp rebuild(topo, rebuild_opts);
-  run_trace_equivalence(fast, rebuild, 60);
+  OnlineCpOptions opts;
+  opts.linear_weights = true;
+  OnlineCp fast(topo, opts);
+  OnlineCpRebuild reference(topo, opts);
+  run_trace_equivalence(fast, reference, 60);
 }
 
 TEST(OnlineFastPath, SpTraceEquivalenceWithDepartures) {
   util::Rng rng(93);
   const topo::Topology topo = topo::make_waxman(60, rng);
-  OnlineSpOptions rebuild_opts;
-  rebuild_opts.incremental_view = false;
-  OnlineSp fast(topo);  // default options: fast path on
-  OnlineSp rebuild(topo, rebuild_opts);
-  run_trace_equivalence(fast, rebuild, 80);
+  OnlineSp fast(topo);
+  OnlineSpRebuild reference(topo);
+  run_trace_equivalence(fast, reference, 80);
 }
 
-TEST(OnlineFastPath, NonKmbEngineFallsBackToRebuildPath) {
-  // A non-KMB Steiner engine must keep working (and agree with an explicit
-  // rebuild configuration) even though it cannot use the shared closure.
-  util::Rng rng(94);
-  const topo::Topology topo = topo::make_waxman(30, rng);
-  OnlineCpOptions a_opts;
-  a_opts.steiner_engine = graph::SteinerEngine::kTakahashiMatsuyama;
-  OnlineCpOptions b_opts = a_opts;
-  b_opts.incremental_view = false;
-  OnlineCp a(topo, a_opts);
-  OnlineCp b(topo, b_opts);
-  run_trace_equivalence(a, b, 40);
+// ---------------------------------------------------------------------------
+// Trace equivalence on the nfvm-sim configurations: `--topology geant` and
+// `--topology waxman --nodes 100` at `--seed 7`, static (`--requests 120`)
+// and dynamic (`--dynamic --requests 600 --mean-duration 300`).
+// ---------------------------------------------------------------------------
+
+constexpr std::uint64_t kCliSeed = 7;
+
+/// The network nfvm-sim builds for `--topology <name> --nodes 100`.
+topo::Topology cli_topology(const std::string& name) {
+  util::Rng rng(kCliSeed);
+  if (name == "geant") return topo::make_geant(rng);
+  topo::WaxmanOptions wo;
+  wo.target_mean_degree = 4.0;
+  return topo::make_waxman(100, rng, wo);
+}
+
+/// nfvm-sim's static workload (`--requests 120`), processed by both
+/// algorithms in lockstep with provenance recording on, as in an nfvm-sim
+/// run with an event log.
+template <typename Fast, typename Reference>
+void check_cli_static(const std::string& topology) {
+  const topo::Topology topo = cli_topology(topology);
+  util::Rng workload(kCliSeed + 1);
+  sim::RequestGenerator gen(topo, workload);
+  const std::vector<nfv::Request> requests = gen.sequence(120);
+  Fast fast(topo);
+  Reference reference(topo);
+  fast.set_record_provenance(true);
+  reference.set_record_provenance(true);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const AdmissionDecision df = fast.process(requests[i]);
+    const AdmissionDecision dr = reference.process(requests[i]);
+    expect_same_decision(df, dr, i);
+  }
+  EXPECT_EQ(fast.num_admitted(), reference.num_admitted());
+}
+
+/// nfvm-sim's dynamic workload on Waxman-100 (`--dynamic --requests 600
+/// --mean-duration 300`): departures are released in time order before each
+/// arrival, exactly as sim::run_online_dynamic does.
+template <typename Fast, typename Reference>
+void check_cli_dynamic() {
+  const topo::Topology topo = cli_topology("waxman");
+  util::Rng workload(kCliSeed + 1);
+  sim::RequestGenerator gen(topo, workload);
+  sim::DynamicWorkloadOptions dyn;
+  dyn.mean_duration = 300.0;
+  const std::vector<sim::TimedRequest> requests =
+      sim::make_poisson_workload(gen, workload, 600, dyn);
+
+  Fast fast(topo);
+  Reference reference(topo);
+  fast.set_record_provenance(true);
+  reference.set_record_provenance(true);
+  struct Departure {
+    double time;
+    nfv::Footprint fast;
+    nfv::Footprint reference;
+  };
+  const auto later = [](const Departure& a, const Departure& b) {
+    return a.time > b.time;
+  };
+  std::priority_queue<Departure, std::vector<Departure>, decltype(later)> active(later);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const sim::TimedRequest& tr = requests[i];
+    while (!active.empty() && active.top().time <= tr.arrival_time) {
+      fast.release(active.top().fast);
+      reference.release(active.top().reference);
+      active.pop();
+    }
+    const AdmissionDecision df = fast.process(tr.request);
+    const AdmissionDecision dr = reference.process(tr.request);
+    expect_same_decision(df, dr, i);
+    if (df.admitted) {
+      active.push(Departure{tr.arrival_time + tr.duration, df.footprint, dr.footprint});
+    }
+  }
+  EXPECT_EQ(fast.num_admitted(), reference.num_admitted());
+}
+
+TEST(OnlineFastPath, CpMatchesReferenceOnCliGeant) {
+  check_cli_static<OnlineCp, OnlineCpRebuild>("geant");
+}
+
+TEST(OnlineFastPath, SpMatchesReferenceOnCliGeant) {
+  check_cli_static<OnlineSp, OnlineSpRebuild>("geant");
+}
+
+TEST(OnlineFastPath, CpMatchesReferenceOnCliWaxman100) {
+  check_cli_static<OnlineCp, OnlineCpRebuild>("waxman");
+}
+
+TEST(OnlineFastPath, SpMatchesReferenceOnCliWaxman100) {
+  check_cli_static<OnlineSp, OnlineSpRebuild>("waxman");
+}
+
+TEST(OnlineFastPath, CpMatchesReferenceOnCliDynamicWaxman100) {
+  obs::Registry::global().reset_values();
+  check_cli_dynamic<OnlineCp, OnlineCpRebuild>();
+#if NFVM_OBS
+  // The run leaves the zero-weight warm-up, so releases and admissions are
+  // answered by repaired server trees: the comparison covers the repair
+  // path, not just full recomputes.
+  EXPECT_GT(counter_value("graph.sp_repair.trees_repaired"), 0u);
+#endif
+}
+
+TEST(OnlineFastPath, SpMatchesReferenceOnCliDynamicWaxman100) {
+  check_cli_dynamic<OnlineSp, OnlineSpRebuild>();
 }
 
 // ---------------------------------------------------------------------------

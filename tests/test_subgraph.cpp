@@ -1,9 +1,12 @@
-#include "graph/subgraph.h"
+#include "reference/subgraph.h"
 
 #include <gtest/gtest.h>
 
-namespace nfvm::graph {
+namespace nfvm::reference {
 namespace {
+
+using graph::EdgeId;
+using graph::Graph;
 
 Graph square() {
   Graph g(4);
@@ -59,4 +62,4 @@ TEST(Subgraph, EndpointsPreserved) {
 }
 
 }  // namespace
-}  // namespace nfvm::graph
+}  // namespace nfvm::reference

@@ -55,27 +55,19 @@
 #include <sstream>
 #include <string>
 
-#include "core/online_cp.h"
-#include "core/online_sp.h"
-#include "core/online_sp_static.h"
+#include "cli_setup.h"
 #include "obs/event_log.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "serve/daemon.h"
 #include "serve/fault_plan.h"
 #include "serve/snapshot.h"
-#include "topology/geant.h"
-#include "topology/rocketfuel.h"
-#include "topology/transit_stub.h"
-#include "topology/waxman.h"
 #include "util/thread_pool.h"
 
 namespace {
 
 using namespace nfvm;
 
-constexpr const char* kTopologies = "waxman|transit-stub|geant|as1755|as4755";
-constexpr const char* kAlgorithms = "online_cp|online_sp|online_sp_static";
 constexpr const char* kLogLevels = "error|warn|info|debug";
 
 std::atomic<bool> g_stop{false};
@@ -112,16 +104,9 @@ struct Options {
                "                  [--max-inflight N] [--request-deadline-ms X]\n"
                "                  [--fault-plan FILE] [--threads N]\n"
                "                  [--metrics-json FILE] [--log-level " << kLogLevels << "]\n"
-               "  topologies: " << kTopologies << "\n"
-               "  algorithms: " << kAlgorithms << "\n";
+               "  topologies: " << cli::kTopologies << "\n"
+               "  algorithms: " << cli::kAlgorithms << "\n";
   std::exit(error.empty() ? 0 : 2);
-}
-
-bool one_of(const std::string& value, std::initializer_list<const char*> accepted) {
-  for (const char* a : accepted) {
-    if (value == a) return true;
-  }
-  return false;
 }
 
 void validate_writable(const char* flag, const std::string& path) {
@@ -145,13 +130,13 @@ std::string read_file_or_usage(const char* flag, const std::string& path) {
 /// bindable socket directory - so a typo can never surface as a mid-serve
 /// failure with live clients attached.
 void validate_options(Options& opts) {
-  if (!one_of(opts.topology, {"waxman", "transit-stub", "geant", "as1755", "as4755"})) {
-    usage("--topology must be one of " + std::string(kTopologies) + " (got \"" +
-          opts.topology + "\")");
+  if (!cli::one_of(cli::kTopologies, opts.topology)) {
+    usage("--topology must be one of " + std::string(cli::kTopologies) +
+          " (got \"" + opts.topology + "\")");
   }
-  if (!one_of(opts.algorithm, {"online_cp", "online_sp", "online_sp_static"})) {
-    usage("--algorithm must be one of " + std::string(kAlgorithms) + " (got \"" +
-          opts.algorithm + "\")");
+  if (!cli::one_of(cli::kAlgorithms, opts.algorithm)) {
+    usage("--algorithm must be one of " + std::string(cli::kAlgorithms) +
+          " (got \"" + opts.algorithm + "\")");
   }
   if (opts.max_inflight == 0) {
     usage("--max-inflight must be positive (a zero-capacity queue can never "
@@ -228,25 +213,6 @@ Options parse_args(int argc, char** argv) {
   }
   validate_options(opts);
   return opts;
-}
-
-topo::Topology build_topology(const Options& opts, util::Rng& rng) {
-  if (opts.topology == "waxman") {
-    topo::WaxmanOptions wo;
-    wo.target_mean_degree = 4.0;
-    return topo::make_waxman(opts.nodes, rng, wo);
-  }
-  if (opts.topology == "transit-stub") return topo::make_transit_stub(opts.nodes, rng);
-  if (opts.topology == "geant") return topo::make_geant(rng);
-  if (opts.topology == "as1755") return topo::make_as1755(rng);
-  return topo::make_as4755(rng);  // validated at parse time
-}
-
-std::unique_ptr<core::OnlineAlgorithm> build_algorithm(const std::string& name,
-                                                       const topo::Topology& topo) {
-  if (name == "online_cp") return std::make_unique<core::OnlineCp>(topo);
-  if (name == "online_sp") return std::make_unique<core::OnlineSp>(topo);
-  return std::make_unique<core::OnlineSpStatic>(topo);  // validated at parse time
 }
 
 /// The configuration echo stamped into snapshots and compared on restore:
@@ -377,13 +343,13 @@ int main(int argc, char** argv) {
   ::signal(SIGPIPE, SIG_IGN);
 
   util::Rng rng(opts.seed);
-  topo::Topology topo = build_topology(opts, rng);
+  topo::Topology topo = cli::build_topology(opts.topology, opts.nodes, rng);
   if (opts.max_delay_ms > 0) topo::assign_delays(topo, rng);
   // stdout carries nothing but protocol replies; diagnostics go to stderr.
   std::cerr << "# nfvm-serve: " << topo.name << ", " << topo.num_switches()
             << " switches, algorithm " << opts.algorithm << "\n";
 
-  auto algorithm = build_algorithm(opts.algorithm, topo);
+  auto algorithm = cli::build_algorithm(opts.algorithm, topo);
   serve::DaemonOptions daemon_opts;
   daemon_opts.max_inflight = opts.max_inflight;
   daemon_opts.request_deadline_ms = opts.request_deadline_ms;

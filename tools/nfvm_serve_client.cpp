@@ -43,17 +43,12 @@
 #include <string>
 #include <thread>
 
+#include "cli_setup.h"
 #include "serve/trace_gen.h"
-#include "topology/geant.h"
-#include "topology/rocketfuel.h"
-#include "topology/transit_stub.h"
-#include "topology/waxman.h"
 
 namespace {
 
 using namespace nfvm;
-
-constexpr const char* kTopologies = "waxman|transit-stub|geant|as1755|as4755";
 
 struct Options {
   std::string topology = "waxman";
@@ -81,21 +76,14 @@ struct Options {
                "                         [--dest-ratio X] [--max-delay MS]\n"
                "                         [--snapshot-cmd-every N] [--final-stats]\n"
                "                         [--out FILE] [--input FILE] [--connect SOCKET]\n"
-               "  topologies: " << kTopologies << "\n";
+               "  topologies: " << cli::kTopologies << "\n";
   std::exit(error.empty() ? 0 : 2);
 }
 
-bool one_of(const std::string& value, std::initializer_list<const char*> accepted) {
-  for (const char* a : accepted) {
-    if (value == a) return true;
-  }
-  return false;
-}
-
 void validate_options(const Options& opts) {
-  if (!one_of(opts.topology, {"waxman", "transit-stub", "geant", "as1755", "as4755"})) {
-    usage("--topology must be one of " + std::string(kTopologies) + " (got \"" +
-          opts.topology + "\")");
+  if (!cli::one_of(cli::kTopologies, opts.topology)) {
+    usage("--topology must be one of " + std::string(cli::kTopologies) +
+          " (got \"" + opts.topology + "\")");
   }
   if (opts.diurnal_amplitude < 0.0 || opts.diurnal_amplitude >= 1.0) {
     usage("--diurnal-amplitude must be in [0, 1)");
@@ -146,23 +134,11 @@ Options parse_args(int argc, char** argv) {
   return opts;
 }
 
-topo::Topology build_topology(const Options& opts, util::Rng& rng) {
-  if (opts.topology == "waxman") {
-    topo::WaxmanOptions wo;
-    wo.target_mean_degree = 4.0;
-    return topo::make_waxman(opts.nodes, rng, wo);
-  }
-  if (opts.topology == "transit-stub") return topo::make_transit_stub(opts.nodes, rng);
-  if (opts.topology == "geant") return topo::make_geant(rng);
-  if (opts.topology == "as1755") return topo::make_as1755(rng);
-  return topo::make_as4755(rng);  // validated at parse time
-}
-
 std::string make_trace(const Options& opts) {
   // Mirror nfvm-serve's topology construction exactly (including the delay
   // assignment draw) so generated vertex ids are valid on the daemon side.
   util::Rng rng(opts.seed);
-  topo::Topology topo = build_topology(opts, rng);
+  topo::Topology topo = cli::build_topology(opts.topology, opts.nodes, rng);
   if (opts.max_delay_ms > 0) topo::assign_delays(topo, rng);
 
   serve::TraceGenOptions trace;

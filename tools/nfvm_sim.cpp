@@ -27,6 +27,9 @@
 //                            Results are bit-identical for any thread count.
 //     --beam-width <m>       offline mode: restrict Appro_Multi to the m most
 //                            central eligible servers (0 = exact, default)
+//     --legacy-path          offline mode: run Appro_Multi's exhaustive
+//                            combination sweep instead of branch-and-bound
+//                            (same decisions; CI diffs the two tables)
 //     --dump-topology <file> write the topology in nfvm-topology format
 //     --dump-dot <file>      write a Graphviz rendering of the topology
 //   Observability (see docs/observability.md):
@@ -70,12 +73,10 @@
 #include <string>
 #include <vector>
 
+#include "cli_setup.h"
 #include "core/alg_one_server.h"
 #include "core/appro_multi.h"
 #include "core/chain_split.h"
-#include "core/online_cp.h"
-#include "core/online_sp.h"
-#include "core/online_sp_static.h"
 #include "io/dot.h"
 #include "io/serialize.h"
 #include "obs/event_log.h"
@@ -91,10 +92,6 @@
 #include "sim/soak.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
-#include "topology/geant.h"
-#include "topology/rocketfuel.h"
-#include "topology/transit_stub.h"
-#include "topology/waxman.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -103,8 +100,7 @@ namespace {
 using namespace nfvm;
 
 constexpr const char* kModes = "online|offline";
-constexpr const char* kTopologies = "waxman|transit-stub|geant|as1755|as4755";
-constexpr const char* kAlgorithms = "online_cp|online_sp|online_sp_static|all";
+const std::string kAlgorithms = std::string(cli::kAlgorithms) + "|all";
 constexpr const char* kLogLevels = "error|warn|info|debug";
 
 /// Soak-mode graceful shutdown: SIGINT/SIGTERM stop the arrival loop at the
@@ -124,11 +120,11 @@ struct Options {
   double dest_ratio = 0.0;  // 0 = paper default range
   double max_delay_ms = 0.0;  // 0 = unconstrained
   bool dynamic = false;
-  /// Online: run Online_CP / Online_SP with incremental_view off
-  /// (per-request rebuild). Offline: run Appro_Multi with the legacy
-  /// materialize-everything combination sweep instead of branch-and-bound.
-  /// Decisions must be byte-identical to the default fast path — CI diffs
-  /// the two decision streams in both modes.
+  /// Offline only: run Appro_Multi with the legacy materialize-everything
+  /// combination sweep instead of branch-and-bound. Decisions must be
+  /// byte-identical to the default search — CI diffs the two offline
+  /// tables. Online mode has one admission path; the tests compare it
+  /// against the reference scans in tests/reference.
   bool legacy_path = false;
   /// Offline: Appro_Multi beam width (0 = exact full server pool).
   std::size_t beam_width = 0;
@@ -156,25 +152,19 @@ struct Options {
   if (!error.empty()) std::cerr << "error: " << error << "\n";
   std::cerr << "usage: nfvm_sim [--mode " << kModes << "] [--topology T] [--nodes N] [--seed S]\n"
                "                [--algorithm A] [--requests R] [--dest-ratio X]\n"
-               "                [--max-delay MS] [--dynamic] [--legacy-path]\n"
+               "                [--max-delay MS] [--dynamic]\n"
                "                [--arrival-rate X] [--mean-duration X]\n"
                "                [--soak N] [--diurnal-amplitude A] [--diurnal-period P]\n"
-               "                [--threads N] [--beam-width M]\n"
+               "                [--threads N] [--beam-width M] [--legacy-path]\n"
                "                [--dump-topology FILE] [--dump-dot FILE]\n"
                "                [--metrics-json FILE|-] [--trace FILE] [--events FILE|-]\n"
                "                [--run-dir DIR] [--timeseries FILE] [--sample-interval-ms N]\n"
                "                [--slo FILE] [--slo-out FILE]\n"
                "                [--log-level " << kLogLevels << "]\n"
-               "  topologies: " << kTopologies << "\n"
-               "  algorithms: " << kAlgorithms << "\n";
+               "  topologies: " << cli::kTopologies << "\n"
+               "  algorithms: " << kAlgorithms << "\n"
+               "  --beam-width and --legacy-path apply to --mode offline only\n";
   std::exit(error.empty() ? 0 : 2);
-}
-
-bool one_of(const std::string& value, std::initializer_list<const char*> accepted) {
-  for (const char* a : accepted) {
-    if (value == a) return true;
-  }
-  return false;
 }
 
 /// Eagerly proves an output path is writable (open-for-append creates the
@@ -192,16 +182,16 @@ void validate_writable(const char* flag, const std::string& path) {
 /// time - a typo in --algorithm or --trace must not surface as a mid-run (or
 /// end-of-run) failure after topology generation.
 void validate_options(Options& opts) {
-  if (!one_of(opts.mode, {"online", "offline"})) {
+  if (!cli::one_of(kModes, opts.mode)) {
     usage("--mode must be one of " + std::string(kModes) + " (got \"" +
           opts.mode + "\")");
   }
-  if (!one_of(opts.topology, {"waxman", "transit-stub", "geant", "as1755", "as4755"})) {
-    usage("--topology must be one of " + std::string(kTopologies) + " (got \"" +
-          opts.topology + "\")");
+  if (!cli::one_of(cli::kTopologies, opts.topology)) {
+    usage("--topology must be one of " + std::string(cli::kTopologies) +
+          " (got \"" + opts.topology + "\")");
   }
-  if (!one_of(opts.algorithm, {"online_cp", "online_sp", "online_sp_static", "all"})) {
-    usage("--algorithm must be one of " + std::string(kAlgorithms) + " (got \"" +
+  if (!cli::one_of(kAlgorithms, opts.algorithm)) {
+    usage("--algorithm must be one of " + kAlgorithms + " (got \"" +
           opts.algorithm + "\")");
   }
   if (opts.sample_interval_ms <= 0) {
@@ -209,6 +199,9 @@ void validate_options(Options& opts) {
   }
   if (opts.beam_width > 0 && opts.mode != "offline") {
     usage("--beam-width only applies to --mode offline");
+  }
+  if (opts.legacy_path && opts.mode != "offline") {
+    usage("--legacy-path only applies to --mode offline");
   }
   if (opts.soak > 0) {
     if (opts.mode != "online") usage("--soak requires --mode online");
@@ -327,34 +320,6 @@ Options parse_args(int argc, char** argv) {
   }
   validate_options(opts);
   return opts;
-}
-
-topo::Topology build_topology(const Options& opts, util::Rng& rng) {
-  if (opts.topology == "waxman") {
-    topo::WaxmanOptions wo;
-    wo.target_mean_degree = 4.0;
-    return topo::make_waxman(opts.nodes, rng, wo);
-  }
-  if (opts.topology == "transit-stub") return topo::make_transit_stub(opts.nodes, rng);
-  if (opts.topology == "geant") return topo::make_geant(rng);
-  if (opts.topology == "as1755") return topo::make_as1755(rng);
-  return topo::make_as4755(rng);  // validated at parse time
-}
-
-std::unique_ptr<core::OnlineAlgorithm> build_algorithm(const std::string& name,
-                                                       const topo::Topology& topo,
-                                                       bool legacy_path) {
-  if (name == "online_cp") {
-    core::OnlineCpOptions cp_opts;
-    cp_opts.incremental_view = !legacy_path;
-    return std::make_unique<core::OnlineCp>(topo, cp_opts);
-  }
-  if (name == "online_sp") {
-    core::OnlineSpOptions sp_opts;
-    sp_opts.incremental_view = !legacy_path;
-    return std::make_unique<core::OnlineSp>(topo, sp_opts);
-  }
-  return std::make_unique<core::OnlineSpStatic>(topo);  // validated at parse time
 }
 
 /// Context for the end-of-run artifact flush: everything write_artifacts
@@ -530,7 +495,7 @@ int main(int argc, char** argv) {
   }
 
   util::Rng rng(opts.seed);
-  topo::Topology topo = build_topology(opts, rng);
+  topo::Topology topo = cli::build_topology(opts.topology, opts.nodes, rng);
   if (opts.max_delay_ms > 0) topo::assign_delays(topo, rng);
   std::cout << "# topology " << topo.name << ": " << topo.num_switches()
             << " switches, " << topo.num_links() << " links, "
@@ -624,7 +589,7 @@ int main(int argc, char** argv) {
   if (opts.soak > 0) {
     util::Rng workload(opts.seed + 1);
     sim::RequestGenerator gen(topo, workload, gen_opts);
-    auto algo = build_algorithm(opts.algorithm, topo, opts.legacy_path);
+    auto algo = cli::build_algorithm(opts.algorithm, topo);
     sim::SoakOptions soak;
     soak.num_requests = opts.soak;
     soak.arrival_rate = opts.arrival_rate;
@@ -686,7 +651,7 @@ int main(int argc, char** argv) {
     // Fresh, identical workload per algorithm.
     util::Rng workload(opts.seed + 1);
     sim::RequestGenerator gen(topo, workload, gen_opts);
-    auto algo = build_algorithm(name, topo, opts.legacy_path);
+    auto algo = cli::build_algorithm(name, topo);
     obs::log_info("admission run: " + std::string(algo->name()) + ", " +
                   std::to_string(opts.requests) + " requests");
     const auto reject_cells = [&table](const auto& m) {
