@@ -9,6 +9,7 @@
 #include "graph/steiner.h"
 #include "graph/tree.h"
 #include "graph/union_find.h"
+#include "reference/exact_steiner.h"
 #include "topology/waxman.h"
 #include "util/rng.h"
 
@@ -54,7 +55,7 @@ void BM_ExactSteiner(benchmark::State& state) {
     terminals.push_back(static_cast<graph::VertexId>(p));
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::exact_steiner(topo.graph, terminals));
+    benchmark::DoNotOptimize(reference::exact_steiner(topo.graph, terminals));
   }
 }
 BENCHMARK(BM_ExactSteiner)->Arg(4)->Arg(6)->Arg(8);

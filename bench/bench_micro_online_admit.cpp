@@ -18,10 +18,10 @@
 // than a baseline-relative delta. Each mode runs twice with fresh algorithm
 // instances and reports the min time, so one scheduler hiccup cannot sink
 // the ratio. The binary itself exits non-zero when the two paths (or the
-// two repeats) disagree on any sequence, when the adaptive path loses to
-// the reference rebuild scan on GEANT CP (floor 1.0x - the small-graph case
-// the view policy exists to protect), or when it fails 10x on the largest
-// Waxman CP case. The rebuild rows keep the mode name "rebuild" and the
+// two repeats) disagree on any sequence, when the incremental path loses to
+// the reference rebuild scan on GEANT CP (floor 1.0x - the smallest graph,
+// where the repair store's per-request diff weighs most), or when it fails
+// 10x on the largest Waxman CP case. The rebuild rows keep the mode name "rebuild" and the
 // ratio column its "speedup_vs_legacy" name, so the checked-in baseline and
 // the CI gate read them unchanged.
 #include <map>
@@ -220,9 +220,9 @@ int main() {
   bench::finish("micro_online_admit", table);
 
   if (!checksums_agree) return 1;
-  // Named speedup floors: the adaptive view policy must never lose to the
-  // legacy rebuild on small GEANT (the case it exists to protect), and the
-  // incremental path must keep its order-of-magnitude win at scale.
+  // Named speedup floors: the incremental path must never lose to the
+  // legacy rebuild on small GEANT, where the repair store's per-request
+  // diff weighs most, and must keep its order-of-magnitude win at scale.
   struct Floor {
     const char* name;
     double min;

@@ -8,7 +8,8 @@
 //     equivalent per-source engine loop,
 //   * cold SP-tree computation vs SpCache hits (the per-request tree reuse
 //     Appro_Multi / Alg_One_Server / SP_static rely on),
-//   * APSP builds at 1 / 2 / 4 worker threads.
+//   * APSP builds at 1 / 2 / 4 worker threads (the test-only
+//     reference::AllPairsShortestPaths, which fans sources out on the pool).
 //
 // Every row carries a dist_checksum — the sum of finite shortest-path
 // distances produced by that case. The checksums are bit-deterministic, so
@@ -22,8 +23,8 @@
 #include <queue>
 
 #include "bench_common.h"
-#include "graph/apsp.h"
 #include "graph/sp_engine.h"
+#include "reference/apsp.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -70,7 +71,7 @@ double tree_checksum(const graph::ShortestPaths& sp) {
   return sum;
 }
 
-double apsp_checksum(const graph::AllPairsShortestPaths& apsp) {
+double apsp_checksum(const reference::AllPairsShortestPaths& apsp) {
   double sum = 0.0;
   for (graph::VertexId u = 0; u < apsp.num_vertices(); ++u) {
     for (graph::VertexId v = 0; v < apsp.num_vertices(); ++v) {
@@ -256,7 +257,7 @@ int main() {
   for (std::size_t threads : {1u, 2u, 4u}) {
     util::ThreadPool::set_global_threads(threads);
     util::Stopwatch watch;
-    const graph::AllPairsShortestPaths apsp(g);
+    const reference::AllPairsShortestPaths apsp(g);
     row("apsp_threads_" + std::to_string(threads), g.num_vertices(),
         watch.elapsed_ms(), apsp_checksum(apsp), 0.0);
   }

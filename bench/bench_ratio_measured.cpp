@@ -8,7 +8,7 @@
 // The table reports mean and worst observed ratios; all must sit within the
 // proved bounds, and typically far below them.
 #include "bench_common.h"
-#include "core/exact_offline.h"
+#include "reference/exact_offline.h"
 
 int main() {
   using namespace nfvm;
@@ -36,14 +36,14 @@ int main() {
       request.destinations.push_back(static_cast<graph::VertexId>(picks[j]));
     }
 
-    const core::OfflineSolution opt1 = core::exact_one_server(topo, costs, request);
+    const core::OfflineSolution opt1 = reference::exact_one_server(topo, costs, request);
     core::ApproMultiOptions a1;
     a1.max_servers = 1;
     const core::OfflineSolution appro1 = core::appro_multi(topo, costs, request, a1);
     const core::OfflineSolution base = core::alg_one_server(topo, costs, request);
-    core::ExactOfflineOptions e2;
+    reference::ExactOfflineOptions e2;
     e2.max_servers = 2;
-    const core::OfflineSolution aux2 = core::exact_auxiliary(topo, costs, request, e2);
+    const core::OfflineSolution aux2 = reference::exact_auxiliary(topo, costs, request, e2);
     core::ApproMultiOptions a2;
     a2.max_servers = 2;
     const core::OfflineSolution appro2 = core::appro_multi(topo, costs, request, a2);

@@ -24,17 +24,6 @@
 // parent rule unsafe. Source and destination trees are computed fresh. Every
 // tree is bit-identical to a fresh masked Dijkstra on the current view, so
 // admissions, releases and bandwidth changes need no invalidation at all.
-//
-// Adaptive policy: the store only pays for itself when the Dijkstra work it
-// saves exceeds the bookkeeping it adds — an O(|E|) effective-weight diff per
-// call plus the per-tree change scan. On small graphs (GEANT: 61 links) the
-// bookkeeping loses. trees_for therefore measures graph size against patch
-// churn (EWMA of edges patched per admission) and below the threshold runs
-// in REBUILD mode: weights are still patched in place, but every tree is
-// computed fresh via one batched masked SSSP and the store is dropped, so a
-// flip back to incremental starts cold. Both modes produce bit-identical
-// trees, so the policy can never change a decision — only what it costs.
-// Counted by core.online.view_policy_{incremental,rebuild}.
 #pragma once
 
 #include <cstdint>
@@ -49,11 +38,6 @@
 #include "topology/topology.h"
 
 namespace nfvm::core {
-
-/// Adaptive-policy override. kAdaptive (the default) picks per call from
-/// graph size and patch churn; kForceIncremental pins the repair store, so
-/// tests can exercise it on graphs too small for the policy to pick it.
-enum class ViewPolicy { kAdaptive, kForceIncremental };
 
 class OnlineWeightedView {
  public:
@@ -104,29 +88,13 @@ class OnlineWeightedView {
   /// Patched-weight applications since construction (apply_allocate calls).
   std::uint64_t patches_applied() const noexcept { return patches_applied_; }
 
-  /// True when the adaptive policy currently selects the repair store
-  /// (performance state only — the decision stream is identical either way).
-  bool policy_incremental() const noexcept;
-
-  /// Pins or restores the adaptive policy (performance state only).
-  void set_policy(ViewPolicy policy) noexcept { policy_ = policy; }
-
-  /// Calibrated policy floor: below this many edges the store's bookkeeping
-  /// costs more than the Dijkstras it saves (GEANT's 61 links fall under,
-  /// the smallest Waxman config's ~200 stay over).
-  static constexpr std::size_t kPolicyMinEdges = 128;
-  /// If a typical admission patches more than this fraction of all edges,
-  /// most trees need a large repair every request and the store loses
-  /// regardless of size.
-  static constexpr double kPolicyMaxChurnFraction = 0.5;
-
  private:
   /// Fills mask_ with nfv::edge_eligible(state, e, b) for every edge — the
   /// predicate is a pure function of (state, b), so one O(|E|) sweep
-  /// replaces a per-scanned-edge std::function call in every Dijkstra.
+  /// serves every tree of the call.
   void build_eligibility_mask(const nfv::ResourceState& state, double b);
-  /// Re-reads the footprint's edge weights; returns how many changed.
-  std::size_t patch(const nfv::Footprint& footprint);
+  /// Re-reads the footprint's edge weights.
+  void patch(const nfv::Footprint& footprint);
 
   const topo::Topology* topo_;
   EdgeWeightFn edge_weight_;
@@ -135,9 +103,6 @@ class OnlineWeightedView {
   graph::SpTreeStore store_;
   /// Per-edge eligibility bitmap scratch, rebuilt once per trees_for call.
   std::vector<std::uint8_t> mask_;
-  /// EWMA of edges whose weight actually changed per apply_allocate.
-  double churn_ewma_ = 0.0;
-  ViewPolicy policy_ = ViewPolicy::kAdaptive;
   std::uint64_t patches_applied_ = 0;
 };
 

@@ -11,12 +11,6 @@ ShortestPaths dijkstra(const Graph& g, VertexId source) {
   return SpEngine::thread_local_engine().shortest_paths(g, source);
 }
 
-ShortestPaths dijkstra_filtered(const Graph& g, VertexId source,
-                                const std::function<bool(EdgeId)>& edge_allowed) {
-  return SpEngine::thread_local_engine().shortest_paths_filtered(g, source,
-                                                                 edge_allowed);
-}
-
 std::vector<VertexId> path_vertices(const ShortestPaths& sp, VertexId target) {
   if (target >= sp.dist.size()) {
     throw std::out_of_range("path_vertices: invalid target vertex");

@@ -4,7 +4,6 @@
 // Graph class enforces it), so Dijkstra is always applicable.
 #pragma once
 
-#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -31,11 +30,6 @@ struct ShortestPaths {
 
 /// Runs Dijkstra from `source`. Throws std::out_of_range for a bad source.
 ShortestPaths dijkstra(const Graph& g, VertexId source);
-
-/// Dijkstra that ignores edges for which `edge_allowed(e)` is false.
-/// Used to prune links without sufficient residual bandwidth.
-ShortestPaths dijkstra_filtered(const Graph& g, VertexId source,
-                                const std::function<bool(EdgeId)>& edge_allowed);
 
 /// Vertices of the shortest path source -> target (inclusive). Empty when
 /// target is unreachable; {source} when target == source.

@@ -5,8 +5,9 @@
 //
 // Every KMB tree in the library is finished here: kmb_steiner and
 // kmb_steiner_from_tables (Online_CP's candidate scan), both kmb_finish
-// overloads, exact_steiner's cleanup and core::SharedComboSolver
-// (Appro_Multi's combination evaluation). Per-call work is sized by the
+// overloads and core::SharedComboSolver (Appro_Multi's combination
+// evaluation). The test-only Dreyfus–Wagner oracle in tests/reference also
+// cleans up its reconstructed union here. Per-call work is sized by the
 // union (tens of edges), not by |V|: path edges are deduplicated with
 // generation-stamped marks, and Kruskal and the leaf pruning run over local
 // vertex ids handed out in first-touch order. Once the scratch has grown to

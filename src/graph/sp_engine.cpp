@@ -90,7 +90,6 @@ void SpEngine::touch(VertexId v) {
 
 template <bool kStamped>
 void SpEngine::run(Labels out, std::span<const VertexId> seeds,
-                   const std::function<bool(EdgeId)>* edge_allowed,
                    const std::uint8_t* edge_mask, std::size_t targets_remaining) {
   NFVM_SPAN("graph/dijkstra");
   last_settled_target_ = kInvalidVertex;
@@ -100,11 +99,11 @@ void SpEngine::run(Labels out, std::span<const VertexId> seeds,
     out.dist[s] = 0.0;
   }
   if (last_used_dial_) {
-    run_dial<kStamped>(out, seeds, edge_allowed, edge_mask, targets_remaining);
+    run_dial<kStamped>(out, seeds, edge_mask, targets_remaining);
     NFVM_COUNTER_INC("graph.dijkstra.dial_runs");
   } else {
     for (VertexId s : seeds) heap_update(s, 0.0);
-    run_heap<kStamped>(out, edge_allowed, edge_mask, targets_remaining);
+    run_heap<kStamped>(out, edge_mask, targets_remaining);
   }
   NFVM_COUNTER_INC("graph.dijkstra.runs");
 }
@@ -115,8 +114,7 @@ void SpEngine::run(Labels out, std::span<const VertexId> seeds,
 // produced after skipping its stale entries (tests/test_sp_repair.cpp
 // compares the two).
 template <bool kStamped>
-void SpEngine::run_heap(Labels out, const std::function<bool(EdgeId)>* edge_allowed,
-                        const std::uint8_t* edge_mask,
+void SpEngine::run_heap(Labels out, const std::uint8_t* edge_mask,
                         std::size_t targets_remaining) {
   NFVM_OBS_ONLY(std::uint64_t edges_scanned = 0; std::uint64_t edges_relaxed = 0;)
   while (!heap_.empty()) {
@@ -128,7 +126,6 @@ void SpEngine::run_heap(Labels out, const std::function<bool(EdgeId)>* edge_allo
       if (--targets_remaining == 0) break;
     }
     for (const CsrEntry& entry : view_.out(u)) {
-      if (edge_allowed != nullptr && !(*edge_allowed)(entry.edge)) continue;
       if (edge_mask != nullptr && edge_mask[entry.edge] == 0) continue;
       NFVM_OBS_ONLY(++edges_scanned;)
       const double nd = top.dist + entry.weight;
@@ -157,7 +154,6 @@ void SpEngine::run_heap(Labels out, const std::function<bool(EdgeId)>* edge_allo
 // therefore settles vertices in exactly the heap's (distance, id) order.
 template <bool kStamped>
 void SpEngine::run_dial(Labels out, std::span<const VertexId> seeds,
-                        const std::function<bool(EdgeId)>* edge_allowed,
                         const std::uint8_t* edge_mask,
                         std::size_t targets_remaining) {
   NFVM_OBS_ONLY(std::uint64_t edges_scanned = 0; std::uint64_t edges_relaxed = 0;)
@@ -211,7 +207,6 @@ void SpEngine::run_dial(Labels out, std::span<const VertexId> seeds,
         }
       }
       for (const CsrEntry& entry : view_.out(u)) {
-        if (edge_allowed != nullptr && !(*edge_allowed)(entry.edge)) continue;
         if (edge_mask != nullptr && edge_mask[entry.edge] == 0) continue;
         NFVM_OBS_ONLY(++edges_scanned;)
         const double nd = dd + entry.weight;
@@ -249,7 +244,7 @@ void SpEngine::compute_prepared(ShortestPaths& tree, const std::uint8_t* edge_ma
   const VertexId source = tree.source;
   reset_tree(tree, source, view_.num_vertices());
   run<false>({tree.dist.data(), tree.parent.data(), tree.parent_edge.data()},
-             {&source, 1}, nullptr, edge_mask, 0);
+             {&source, 1}, edge_mask, 0);
 }
 
 void SpEngine::compute(const Graph& g, ShortestPaths& tree,
@@ -268,20 +263,6 @@ ShortestPaths SpEngine::shortest_paths(const Graph& g, VertexId source) {
   ShortestPaths sp;
   sp.source = source;
   compute(g, sp, {});
-  return sp;
-}
-
-ShortestPaths SpEngine::shortest_paths_filtered(
-    const Graph& g, VertexId source,
-    const std::function<bool(EdgeId)>& edge_allowed) {
-  if (!g.has_vertex(source)) {
-    throw std::out_of_range("dijkstra: invalid source vertex");
-  }
-  prepare(g);
-  ShortestPaths sp;
-  reset_tree(sp, source, g.num_vertices());
-  run<false>({sp.dist.data(), sp.parent.data(), sp.parent_edge.data()},
-             {&source, 1}, &edge_allowed, nullptr, 0);
   return sp;
 }
 
@@ -330,7 +311,7 @@ double SpEngine::shortest_distance(const Graph& g, VertexId from, VertexId to) {
     target_generation_ = 1;
   }
   target_stamp_[to] = target_generation_;
-  run<true>(workspace(), {&from, 1}, nullptr, nullptr, 1);
+  run<true>(workspace(), {&from, 1}, nullptr, 1);
   target_stamp_[to] = 0;
   return stamp_[to] == generation_ ? dist_[to] : kInfiniteDistance;
 }
@@ -356,7 +337,7 @@ std::vector<double> SpEngine::distances_to(const Graph& g, VertexId from,
       ++distinct;
     }
   }
-  run<true>(workspace(), {&from, 1}, nullptr, nullptr, distinct);
+  run<true>(workspace(), {&from, 1}, nullptr, distinct);
   std::vector<double> out;
   out.reserve(targets.size());
   for (VertexId t : targets) {
@@ -382,7 +363,7 @@ VertexId SpEngine::grow_step(const Graph& g,
     }
   }
   // Stop at the FIRST settled target — pending terminals race, closest wins.
-  run<true>(workspace(), tree_vertices, nullptr, nullptr, distinct > 0 ? 1 : 0);
+  run<true>(workspace(), tree_vertices, nullptr, distinct > 0 ? 1 : 0);
   for (VertexId t : targets) target_stamp_[t] = 0;
   return last_settled_target_;
 }

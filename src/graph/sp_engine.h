@@ -10,8 +10,9 @@
 //    (uid, epoch) changes), an indexed (decrease-key) 4-ary heap, and
 //    generation-stamped scratch buffers for early-exit point-to-point /
 //    target-set queries. Full-tree queries write straight into the
-//    returned ShortestPaths; filtered variants take a std::function
-//    predicate or a precomputed per-edge byte mask. The dijkstra() free
+//    returned ShortestPaths. Filtering is by a per-edge byte mask only:
+//    callers evaluate their predicate once per edge into the mask, so the
+//    relaxation loop never makes an indirect call. The dijkstra() free
 //    functions are thin wrappers over the per-thread engine, so existing
 //    call sites keep working and allocate nothing beyond the returned
 //    ShortestPaths.
@@ -50,7 +51,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <span>
@@ -97,16 +97,10 @@ class SpEngine {
   /// Throws std::out_of_range for a bad source.
   ShortestPaths shortest_paths(const Graph& g, VertexId source);
 
-  /// Dijkstra ignoring edges for which `edge_allowed(e)` is false.
-  ShortestPaths shortest_paths_filtered(
-      const Graph& g, VertexId source,
-      const std::function<bool(EdgeId)>& edge_allowed);
-
   /// Dijkstra ignoring edges whose mask byte is zero. `edge_mask` must
   /// cover every EdgeId of `g`; an empty mask means all edges allowed.
-  /// Equivalent to the std::function variant but without a per-scanned-edge
-  /// indirect call — callers that evaluate the same predicate across many
-  /// sources precompute the mask once.
+  /// Callers that evaluate the same predicate across many sources
+  /// precompute the mask once.
   ShortestPaths shortest_paths_masked(const Graph& g, VertexId source,
                                       std::span<const std::uint8_t> edge_mask);
 
@@ -224,18 +218,16 @@ class SpEngine {
   /// the 4-ary heap loop otherwise. kStamped runs write the generation-
   /// stamped workspace (labels are initialized on first touch); otherwise
   /// `out` is a tree the caller pre-filled with infinity / invalid ids.
-  /// `edge_allowed` / `edge_mask` may be null. When `targets_remaining` > 0
-  /// the run stops once that many target-stamped vertices are settled.
+  /// `edge_mask` may be null. When `targets_remaining` > 0 the run stops
+  /// once that many target-stamped vertices are settled.
   template <bool kStamped>
   void run(Labels out, std::span<const VertexId> seeds,
-           const std::function<bool(EdgeId)>* edge_allowed,
            const std::uint8_t* edge_mask, std::size_t targets_remaining);
   template <bool kStamped>
-  void run_heap(Labels out, const std::function<bool(EdgeId)>* edge_allowed,
-                const std::uint8_t* edge_mask, std::size_t targets_remaining);
+  void run_heap(Labels out, const std::uint8_t* edge_mask,
+                std::size_t targets_remaining);
   template <bool kStamped>
   void run_dial(Labels out, std::span<const VertexId> seeds,
-                const std::function<bool(EdgeId)>* edge_allowed,
                 const std::uint8_t* edge_mask, std::size_t targets_remaining);
   /// Full masked run into `tree` (view already prepared).
   void compute_prepared(ShortestPaths& tree, const std::uint8_t* edge_mask);

@@ -4,9 +4,9 @@
 //   used by every algorithm in the paper (Algorithm 1 step 7, Algorithm 2
 //   step 8, and the Alg_One_Server / SP baselines build on the same
 //   metric-closure machinery).
-// * `exact_steiner` — the Dreyfus–Wagner dynamic program, exponential in the
-//   number of terminals. Used by the test suite to check the approximation
-//   ratio and by the K=1 exact optimum oracle.
+//
+// The exact Dreyfus–Wagner oracle the tests measure these against lives in
+// tests/reference.
 #pragma once
 
 #include <functional>
@@ -17,7 +17,6 @@
 
 namespace nfvm::graph {
 
-class AllPairsShortestPaths;
 struct ShortestPaths;
 
 struct SteinerResult {
@@ -70,21 +69,6 @@ enum class SteinerEngine {
 /// Dispatches to the selected approximation.
 SteinerResult steiner_tree(const Graph& g, std::span<const VertexId> terminals,
                            SteinerEngine engine);
-
-/// Exact minimum Steiner tree via Dreyfus-Wagner. Throws
-/// std::invalid_argument when there are more than `kExactSteinerMaxTerminals`
-/// distinct terminals (the DP is Theta(3^t n)). Builds one all-pairs
-/// structure (parallel Dijkstra fan-out) and delegates to the overload below.
-inline constexpr std::size_t kExactSteinerMaxTerminals = 14;
-SteinerResult exact_steiner(const Graph& g, std::span<const VertexId> terminals);
-
-/// Dreyfus-Wagner against a caller-supplied all-pairs structure, so repeated
-/// exact queries on the same graph (e.g. the K=1 optimum oracle sweeping
-/// server combinations) share one APSP build. `apsp` must have been built
-/// from `g` with keep_parents == true; throws std::invalid_argument when its
-/// vertex count disagrees with `g`.
-SteinerResult exact_steiner(const Graph& g, std::span<const VertexId> terminals,
-                            const AllPairsShortestPaths& apsp);
 
 /// Vertex-insertion local search on top of a Steiner tree: for each vertex
 /// outside the current tree, rebuild the KMB tree with that vertex forced as

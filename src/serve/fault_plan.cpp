@@ -19,10 +19,11 @@ FaultKind kind_from_string(const std::string& name) {
 }
 
 std::uint64_t plan_u64(const obs::JsonValue& v, const char* what) {
-  if (!v.is_number() || v.number < 0 ||
+  // 2^64 and above are checked before the cast, which would be undefined.
+  if (!v.is_number() || v.number < 0 || !(v.number < 0x1p64) ||
       v.number != static_cast<double>(static_cast<std::uint64_t>(v.number))) {
     throw std::invalid_argument(std::string("fault plan: ") + what +
-                                " must be a non-negative integer");
+                                " must be a non-negative integer below 2^64");
   }
   return static_cast<std::uint64_t>(v.number);
 }

@@ -1,6 +1,7 @@
 #include "serve/protocol.h"
 
 #include <exception>
+#include <limits>
 
 #include "obs/event_log.h"
 #include "obs/json.h"
@@ -17,14 +18,25 @@ std::optional<nfv::NetworkFunction> nf_from_string(std::string_view name) {
 }
 
 /// Non-negative integral JSON number -> u64; throws std::runtime_error on a
-/// wrong type, a fraction, or a negative value.
+/// wrong type, a fraction, a negative value, or a value of 2^64 or more
+/// (checked before the cast, which would be undefined behaviour).
 std::uint64_t as_u64(const obs::JsonValue& v, const char* what) {
-  if (!v.is_number() || v.number < 0 ||
+  if (!v.is_number() || v.number < 0 || !(v.number < 0x1p64) ||
       v.number != static_cast<double>(static_cast<std::uint64_t>(v.number))) {
     throw std::runtime_error(std::string(what) +
-                             " must be a non-negative integer");
+                             " must be a non-negative integer below 2^64");
   }
   return static_cast<std::uint64_t>(v.number);
+}
+
+/// as_u64 narrowed to a vertex id. A value beyond graph::VertexId's range
+/// is rejected, not truncated onto some other vertex.
+graph::VertexId as_vertex(const obs::JsonValue& v, const char* what) {
+  const std::uint64_t id = as_u64(v, what);
+  if (id > std::numeric_limits<graph::VertexId>::max()) {
+    throw std::runtime_error(std::string(what) + " is not a valid vertex id");
+  }
+  return static_cast<graph::VertexId>(id);
 }
 
 Command parse_arrive(const obs::JsonValue& doc) {
@@ -32,15 +44,14 @@ Command parse_arrive(const obs::JsonValue& doc) {
   cmd.kind = CommandKind::kArrive;
   nfv::Request& r = cmd.request;
   r.id = as_u64(doc.at("id"), "id");
-  r.source = static_cast<graph::VertexId>(as_u64(doc.at("source"), "source"));
+  r.source = as_vertex(doc.at("source"), "source");
   const obs::JsonValue& dests = doc.at("destinations");
   if (!dests.is_array() || dests.array.empty()) {
     throw std::runtime_error("destinations must be a non-empty array");
   }
   r.destinations.reserve(dests.array.size());
   for (const obs::JsonValue& d : dests.array) {
-    r.destinations.push_back(
-        static_cast<graph::VertexId>(as_u64(d, "destination")));
+    r.destinations.push_back(as_vertex(d, "destination"));
   }
   const obs::JsonValue& bw = doc.at("bandwidth_mbps");
   if (!bw.is_number()) throw std::runtime_error("bandwidth_mbps must be a number");

@@ -4,7 +4,7 @@
 #include <algorithm>
 
 #include "core/appro_multi.h"
-#include "core/exact_offline.h"
+#include "reference/exact_offline.h"
 #include "sim/request_gen.h"
 #include "topology/geant.h"
 #include "topology/waxman.h"
@@ -120,10 +120,10 @@ TEST(SharedEngine, ValidAndWithinBoundOnTieHeavyGraphs) {
     EXPECT_TRUE(validate_pseudo_tree(inst.topo.graph, inst.request, sol.tree, &error))
         << error;
 
-    ExactOfflineOptions eopts;
+    reference::ExactOfflineOptions eopts;
     eopts.max_servers = 2;
     const OfflineSolution exact =
-        exact_auxiliary(inst.topo, inst.costs, inst.request, eopts);
+        reference::exact_auxiliary(inst.topo, inst.costs, inst.request, eopts);
     ASSERT_TRUE(exact.admitted);
     EXPECT_LE(sol.tree.cost, 2.0 * exact.tree.cost + 1e-9);
     EXPECT_GE(sol.tree.cost + 1e-9, exact.tree.cost);

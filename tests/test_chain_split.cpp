@@ -5,7 +5,7 @@
 #include <set>
 
 #include "core/appro_multi.h"
-#include "core/exact_offline.h"
+#include "reference/exact_offline.h"
 #include "topology/waxman.h"
 #include "util/rng.h"
 
@@ -96,7 +96,7 @@ TEST(ChainSplit, SingleFunctionMatchesOneServerOptimum) {
       r.destinations.push_back(static_cast<graph::VertexId>(picks[i]));
     }
     const ChainSplitSolution split = chain_split_multicast(topo, costs, r);
-    const OfflineSolution opt = exact_one_server(topo, costs, r);
+    const OfflineSolution opt = reference::exact_one_server(topo, costs, r);
     ASSERT_TRUE(split.admitted);
     ASSERT_TRUE(opt.admitted);
     EXPECT_GE(split.tree.cost + 1e-9, opt.tree.cost) << "seed " << seed;

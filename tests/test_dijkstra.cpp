@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "graph/sp_engine.h"
 #include "topology/waxman.h"
 #include "util/rng.h"
 
@@ -80,8 +84,9 @@ TEST(Dijkstra, ParallelEdgesUseCheapest) {
 TEST(Dijkstra, FilteredExcludesEdges) {
   const Graph g = triangle();
   // Forbid the cheap 0-1 edge; best route to 2 becomes the direct edge.
+  const std::vector<std::uint8_t> mask = {0, 1, 1};
   const ShortestPaths sp =
-      dijkstra_filtered(g, 0, [](EdgeId e) { return e != 0; });
+      SpEngine::thread_local_engine().shortest_paths_masked(g, 0, mask);
   EXPECT_DOUBLE_EQ(sp.dist[2], 5.0);
   EXPECT_EQ(path_vertices(sp, 2), (std::vector<VertexId>{0, 2}));
 }
@@ -89,7 +94,9 @@ TEST(Dijkstra, FilteredExcludesEdges) {
 TEST(Dijkstra, FilteredCanDisconnect) {
   Graph g(2);
   g.add_edge(0, 1, 1.0);
-  const ShortestPaths sp = dijkstra_filtered(g, 0, [](EdgeId) { return false; });
+  const std::vector<std::uint8_t> mask = {0};
+  const ShortestPaths sp =
+      SpEngine::thread_local_engine().shortest_paths_masked(g, 0, mask);
   EXPECT_FALSE(sp.reachable(1));
 }
 

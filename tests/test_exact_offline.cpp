@@ -1,4 +1,4 @@
-#include "core/exact_offline.h"
+#include "reference/exact_offline.h"
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,10 @@
 
 namespace nfvm::core {
 namespace {
+
+using reference::exact_auxiliary;
+using reference::exact_one_server;
+using reference::ExactOfflineOptions;
 
 struct Instance {
   topo::Topology topo;

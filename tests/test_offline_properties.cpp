@@ -11,6 +11,7 @@
 #include "core/appro_multi.h"
 #include "graph/dijkstra.h"
 #include "graph/steiner.h"
+#include "reference/exact_steiner.h"
 #include "topology/waxman.h"
 #include "util/rng.h"
 
@@ -56,7 +57,7 @@ double exact_optimum_k1(const Instance& inst) {
     std::vector<graph::VertexId> terminals{v};
     terminals.insert(terminals.end(), inst.request.destinations.begin(),
                      inst.request.destinations.end());
-    const graph::SteinerResult st = graph::exact_steiner(cw, terminals);
+    const graph::SteinerResult st = reference::exact_steiner(cw, terminals);
     if (!st.connected || !sp.reachable(v)) continue;
     best = std::min(best, sp.dist[v] + inst.costs.server_cost(v, demand) + st.weight);
   }
@@ -132,7 +133,7 @@ TEST_P(OfflineRatioTest, HigherKStaysAboveSteinerLowerBound) {
   std::vector<graph::VertexId> terminals{inst.request.source};
   terminals.insert(terminals.end(), inst.request.destinations.begin(),
                    inst.request.destinations.end());
-  const graph::SteinerResult lb = graph::exact_steiner(cw, terminals);
+  const graph::SteinerResult lb = reference::exact_steiner(cw, terminals);
   ASSERT_TRUE(lb.connected);
 
   ApproMultiOptions opts;

@@ -4,6 +4,7 @@
 // OnlineWeightedView repair store, and RejectTracker precedence.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <queue>
 #include <string>
@@ -14,6 +15,7 @@
 #include "core/online_sp.h"
 #include "core/online_view.h"
 #include "graph/dijkstra.h"
+#include "graph/sp_engine.h"
 #include "nfv/resources.h"
 #include "obs/metrics.h"
 #include "reference/online_reference.h"
@@ -206,12 +208,31 @@ void check_cli_dynamic() {
   EXPECT_EQ(fast.num_admitted(), reference.num_admitted());
 }
 
+#if NFVM_OBS
+/// Sum of the repair store's per-tree outcomes since the last registry
+/// reset: zero when no server tree came from the store.
+std::uint64_t stored_tree_outcomes() {
+  return counter_value("graph.sp_repair.trees_kept") +
+         counter_value("graph.sp_repair.trees_repaired") +
+         counter_value("graph.sp_repair.tie_fallbacks");
+}
+#endif
+
 TEST(OnlineFastPath, CpMatchesReferenceOnCliGeant) {
+  obs::Registry::global().reset_values();
   check_cli_static<OnlineCp, OnlineCpRebuild>("geant");
+#if NFVM_OBS
+  // GEANT's 61 links take the same repair-store path as every other graph.
+  EXPECT_GT(stored_tree_outcomes(), 0u);
+#endif
 }
 
 TEST(OnlineFastPath, SpMatchesReferenceOnCliGeant) {
+  obs::Registry::global().reset_values();
   check_cli_static<OnlineSp, OnlineSpRebuild>("geant");
+#if NFVM_OBS
+  EXPECT_GT(stored_tree_outcomes(), 0u);
+#endif
 }
 
 TEST(OnlineFastPath, CpMatchesReferenceOnCliWaxman100) {
@@ -269,13 +290,17 @@ OnlineWeightedView::EdgeWeightFn consumption_weight(const topo::Topology& topo,
   };
 }
 
-/// The tree every stored one must equal: a fresh filtered Dijkstra.
+/// The tree every stored one must equal: a fresh masked Dijkstra, with the
+/// mask built from the same nfv::edge_eligible predicate.
 void expect_fresh(const OnlineWeightedView& view, const nfv::ResourceState& state,
                   const graph::ShortestPaths& tree, double b) {
+  std::vector<std::uint8_t> mask(view.graph().num_edges());
+  for (graph::EdgeId e = 0; e < mask.size(); ++e) {
+    mask[e] = nfv::edge_eligible(state, view.graph(), e, b) ? 1 : 0;
+  }
+  graph::SpEngine engine;
   const graph::ShortestPaths fresh =
-      graph::dijkstra_filtered(view.graph(), tree.source, [&](graph::EdgeId e) {
-        return nfv::edge_eligible(state, view.graph(), e, b);
-      });
+      engine.shortest_paths_masked(view.graph(), tree.source, mask);
   EXPECT_EQ(tree.dist, fresh.dist) << "source " << tree.source;
   EXPECT_EQ(tree.parent, fresh.parent) << "source " << tree.source;
   EXPECT_EQ(tree.parent_edge, fresh.parent_edge) << "source " << tree.source;
@@ -285,7 +310,6 @@ TEST(OnlineWeightedView, PatchRepairsOnlyTreesContainingChangedEdges) {
   const topo::Topology topo = triangle_tail_topology();
   nfv::ResourceState state(topo);
   OnlineWeightedView view(topo, consumption_weight(topo, state));
-  view.set_policy(ViewPolicy::kForceIncremental);  // pin the repair store
 
   const std::vector<graph::VertexId> sources = {0, 1};
   const auto first = view.trees_for(state, sources, 50.0);
@@ -325,9 +349,6 @@ TEST(OnlineWeightedView, AllocationWithoutWeightChangeKeepsTree) {
   // that leave every edge eligible change nothing the tree can see.
   OnlineWeightedView view(topo,
                           [&](graph::EdgeId e) { return topo.graph.weight(e); });
-  // Pin the repair store: the adaptive policy would (correctly) pick
-  // rebuild mode on a 4-edge graph.
-  view.set_policy(ViewPolicy::kForceIncremental);
   const std::vector<graph::VertexId> sources = {0};
   const auto first = view.trees_for(state, sources, 50.0);
   nfv::Footprint fp;
@@ -342,7 +363,6 @@ TEST(OnlineWeightedView, ReleaseRepairsTreesInsteadOfDropping) {
   const topo::Topology topo = triangle_tail_topology();
   nfv::ResourceState state(topo);
   OnlineWeightedView view(topo, consumption_weight(topo, state));
-  view.set_policy(ViewPolicy::kForceIncremental);
   const std::vector<graph::VertexId> sources = {0, 3};
   obs::Registry::global().reset_values();
   view.trees_for(state, sources, 50.0);
@@ -379,7 +399,6 @@ TEST(OnlineWeightedView, LowerBandwidthThresholdRepairsTree) {
   const topo::Topology topo = triangle_tail_topology();
   nfv::ResourceState state(topo);
   OnlineWeightedView view(topo, consumption_weight(topo, state));
-  view.set_policy(ViewPolicy::kForceIncremental);
   nfv::Footprint fp;
   fp.bandwidth = {{2, 920.0}};  // 80 left on e2
   state.allocate(fp);
@@ -401,7 +420,6 @@ TEST(OnlineWeightedView, IneligibleTreeEdgeIsRepaired) {
   nfv::ResourceState state(topo);
   OnlineWeightedView view(topo,
                           [&](graph::EdgeId e) { return topo.graph.weight(e); });
-  view.set_policy(ViewPolicy::kForceIncremental);
   const std::vector<graph::VertexId> sources = {0};
   const auto before = view.trees_for(state, sources, 50.0);
   ASSERT_EQ(before[0]->parent_edge[2], 2u);  // uses e2
@@ -439,7 +457,6 @@ TEST(OnlineWeightedView, NonTreeIncreaseKeepsTreeWithTies) {
   const topo::Topology topo = tied_square_topology();
   nfv::ResourceState state(topo);
   OnlineWeightedView view(topo, consumption_weight(topo, state));
-  view.set_policy(ViewPolicy::kForceIncremental);
   const std::vector<graph::VertexId> sources = {0};
   obs::Registry::global().reset_values();
   const auto first = view.trees_for(state, sources, 50.0);

@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "core/appro_multi.h"
-#include "graph/apsp.h"
 #include "graph/steiner.h"
+#include "reference/apsp.h"
 #include "sim/offline_batch.h"
 #include "sim/request_gen.h"
 #include "topology/waxman.h"
@@ -33,9 +33,9 @@ TEST(ParallelDeterminism, ApspMatrixIsThreadCountInvariant) {
   const topo::Topology topo = make_topology(50, 31);
 
   util::ThreadPool::set_global_threads(1);
-  const graph::AllPairsShortestPaths serial(topo.graph, /*keep_parents=*/true);
+  const reference::AllPairsShortestPaths serial(topo.graph, /*keep_parents=*/true);
   util::ThreadPool::set_global_threads(4);
-  const graph::AllPairsShortestPaths parallel(topo.graph, /*keep_parents=*/true);
+  const reference::AllPairsShortestPaths parallel(topo.graph, /*keep_parents=*/true);
 
   ASSERT_EQ(serial.num_vertices(), parallel.num_vertices());
   for (graph::VertexId u = 0; u < serial.num_vertices(); ++u) {

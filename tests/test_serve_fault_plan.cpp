@@ -82,6 +82,10 @@ TEST(FaultPlan, RejectsMalformedPlans) {
                    R"({"schema":"nfvm-fault-plan-v1","seed":1,)"
                    R"("faults":[{"line":0,"kind":"garbage"}]})"),
                std::invalid_argument);
+  // A seed no 64-bit integer can hold.
+  EXPECT_THROW(FaultPlan::parse(
+                   R"({"schema":"nfvm-fault-plan-v1","seed":1e30,"faults":[]})"),
+               std::invalid_argument);
   // Missing faults array.
   EXPECT_THROW(
       FaultPlan::parse(R"({"schema":"nfvm-fault-plan-v1","seed":1})"),

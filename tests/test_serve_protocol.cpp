@@ -120,6 +120,33 @@ TEST(ServeProtocol, SemanticValidationRunsAtParseTime) {
                      R"("bandwidth_mbps":10,"chain":["NAT"]})",
                      failure)
                    .has_value());
+  // Vertex ids beyond the 32-bit id range: 2^32 + 1 and 2^32 + 3 would
+  // truncate onto the valid vertices 1 and 3.
+  EXPECT_FALSE(parse(topo,
+                     R"({"cmd":"arrive","id":1,"source":4294967297,"destinations":[3],)"
+                     R"("bandwidth_mbps":10,"chain":["NAT"]})",
+                     failure)
+                   .has_value());
+  EXPECT_FALSE(failure.malformed_json);
+  EXPECT_FALSE(parse(topo,
+                     R"({"cmd":"arrive","id":1,"source":1,"destinations":[4294967299],)"
+                     R"("bandwidth_mbps":10,"chain":["NAT"]})",
+                     failure)
+                   .has_value());
+  EXPECT_FALSE(failure.malformed_json);
+  // An id no 64-bit integer can hold.
+  EXPECT_FALSE(parse(topo,
+                     R"({"cmd":"arrive","id":1e30,"source":1,"destinations":[3],)"
+                     R"("bandwidth_mbps":10,"chain":["NAT"]})",
+                     failure)
+                   .has_value());
+  EXPECT_FALSE(failure.malformed_json);
+  // The same request with in-range ids parses.
+  EXPECT_TRUE(parse(topo,
+                    R"({"cmd":"arrive","id":1,"source":1,"destinations":[3],)"
+                    R"("bandwidth_mbps":10,"chain":["NAT"]})",
+                    failure)
+                  .has_value());
 }
 
 TEST(ServeProtocol, ReplyBuildersCarryTheContractFields) {

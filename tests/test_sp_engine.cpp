@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -100,10 +102,15 @@ TEST(SpEngine, SeesWeightUpdates) {
 TEST(SpEngine, FilteredMatchesFreeFunction) {
   util::Rng rng(3);
   const topo::Topology topo = topo::make_waxman(40, rng);
-  const auto allowed = [](EdgeId e) { return e % 3 != 0; };
+  std::vector<std::uint8_t> mask(topo.graph.num_edges());
+  for (EdgeId e = 0; e < mask.size(); ++e) mask[e] = e % 3 != 0 ? 1 : 0;
   SpEngine engine;
-  expect_trees_equal(engine.shortest_paths_filtered(topo.graph, 4, allowed),
-                     dijkstra_filtered(topo.graph, 4, allowed));
+  const VertexId source = 4;
+  const std::vector<ShortestPaths> batch =
+      batch_dijkstra(topo.graph, std::span<const VertexId>(&source, 1), mask);
+  ASSERT_EQ(batch.size(), 1u);
+  expect_trees_equal(engine.shortest_paths_masked(topo.graph, source, mask),
+                     batch[0]);
 }
 
 TEST(SpEngine, EarlyExitDistanceEqualsFullRun) {

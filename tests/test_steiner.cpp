@@ -4,8 +4,12 @@
 
 #include <algorithm>
 
+#include "reference/exact_steiner.h"
+
 namespace nfvm::graph {
 namespace {
+
+using reference::exact_steiner;
 
 /// Classic KMB example shape: a star whose center is a Steiner point.
 Graph star_with_ring() {

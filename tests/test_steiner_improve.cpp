@@ -2,6 +2,7 @@
 
 #include "graph/components.h"
 #include "graph/steiner.h"
+#include "reference/exact_steiner.h"
 #include "util/rng.h"
 
 namespace nfvm::graph {
@@ -59,7 +60,7 @@ TEST(SteinerImprove, NeverWorsens) {
     EXPECT_LE(improved.weight, kmb.weight + 1e-9) << "trial " << trial;
     EXPECT_TRUE(is_steiner_tree(g, improved.edges, terminals));
     // Still bounded below by the optimum.
-    const SteinerResult exact = exact_steiner(g, terminals);
+    const SteinerResult exact = reference::exact_steiner(g, terminals);
     EXPECT_GE(improved.weight + 1e-9, exact.weight);
   }
 }

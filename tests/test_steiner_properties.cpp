@@ -6,10 +6,13 @@
 
 #include "graph/components.h"
 #include "graph/steiner.h"
+#include "reference/exact_steiner.h"
 #include "util/rng.h"
 
 namespace nfvm::graph {
 namespace {
+
+using reference::exact_steiner;
 
 struct RandomCase {
   std::uint64_t seed;

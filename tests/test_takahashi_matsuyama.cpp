@@ -4,6 +4,7 @@
 
 #include "graph/components.h"
 #include "graph/steiner.h"
+#include "reference/exact_steiner.h"
 #include "util/rng.h"
 
 namespace nfvm::graph {
@@ -92,7 +93,7 @@ TEST_P(TmRatioTest, WithinTwiceOptimal) {
     terminals.push_back(static_cast<VertexId>(p));
   }
   const SteinerResult tm = takahashi_matsuyama_steiner(g, terminals);
-  const SteinerResult exact = exact_steiner(g, terminals);
+  const SteinerResult exact = reference::exact_steiner(g, terminals);
   ASSERT_TRUE(tm.connected);
   ASSERT_TRUE(exact.connected);
   EXPECT_GE(tm.weight + 1e-9, exact.weight);
