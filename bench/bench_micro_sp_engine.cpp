@@ -6,8 +6,6 @@
 //     graphs) vs the binary-heap fallback on a non-integer-weight clone,
 //   * batched multi-source SSSP (graph::batch_dijkstra on the pool) vs the
 //     equivalent per-source engine loop,
-//   * cold SP-tree computation vs SpCache hits (the per-request tree reuse
-//     Appro_Multi / Alg_One_Server / SP_static rely on),
 //   * APSP builds at 1 / 2 / 4 worker threads (the test-only
 //     reference::AllPairsShortestPaths, which fans sources out on the pool).
 //
@@ -86,12 +84,10 @@ double apsp_checksum(const reference::AllPairsShortestPaths& apsp) {
 
 int main() {
   constexpr std::size_t kNodes = 200;
-  constexpr std::size_t kSssspSources = 50;   // full-tree comparison sweep
-  constexpr std::size_t kCacheSources = 16;   // distinct roots in the cache
-  constexpr std::size_t kCacheQueries = 400;  // round-robin over the roots
+  constexpr std::size_t kSssspSources = 50;  // full-tree comparison sweep
 
-  std::cout << "# micro: CSR SpEngine vs adjacency Dijkstra, SP-tree cache, "
-               "parallel APSP\n";
+  std::cout << "# micro: CSR SpEngine vs adjacency Dijkstra, Dial ring, batched "
+               "SSSP, parallel APSP\n";
   std::cout << "# dist_checksum columns are deterministic and gate in CI; "
                "*_ms / *time* columns do not\n";
 
@@ -100,8 +96,8 @@ int main() {
   const graph::Graph& g = topo.graph;
   const std::size_t m = g.num_edges();
 
-  // time_ratio is per-case: cold/cached for the cache rows, heap/dial for
-  // the Dial row, sequential/batched for the batch row; 0 elsewhere.
+  // time_ratio is per-case: heap/dial for the Dial row, sequential/batched
+  // for the batch row; 0 elsewhere.
   util::Table table({"case", "n", "m", "reps", "time_ms", "dist_checksum",
                      "time_ratio"});
   const auto row = [&](const std::string& name, std::size_t reps, double ms,
@@ -222,35 +218,6 @@ int main() {
     row("sssp_sequential", kSssspSources, seq_ms, seq_checksum, 0.0);
     row("sssp_batched_t4", kSssspSources, batch_ms, batch_checksum,
         batch_ms > 0.0 ? seq_ms / batch_ms : 0.0);
-  }
-
-  // --- cold trees vs SpCache hits ---------------------------------------
-  const graph::VertexId probe = static_cast<graph::VertexId>(g.num_vertices() - 1);
-  double cold_ms = 0.0;
-  {
-    graph::SpEngine engine;
-    double checksum = 0.0;
-    util::Stopwatch watch;
-    for (std::size_t q = 0; q < kCacheQueries; ++q) {
-      const auto sp =
-          engine.shortest_paths(g, static_cast<graph::VertexId>(q % kCacheSources));
-      checksum += sp.dist[probe];
-    }
-    cold_ms = watch.elapsed_ms();
-    row("sp_tree_cold", kCacheQueries, cold_ms, checksum, 0.0);
-  }
-  {
-    graph::SpCache cache;
-    double checksum = 0.0;
-    util::Stopwatch watch;
-    for (std::size_t q = 0; q < kCacheQueries; ++q) {
-      const auto sp =
-          cache.paths_from(g, static_cast<graph::VertexId>(q % kCacheSources));
-      checksum += sp->dist[probe];
-    }
-    const double cached_ms = watch.elapsed_ms();
-    row("sp_tree_cached", kCacheQueries, cached_ms, checksum,
-        cached_ms > 0.0 ? cold_ms / cached_ms : 0.0);
   }
 
   // --- APSP at 1 / 2 / 4 threads ----------------------------------------

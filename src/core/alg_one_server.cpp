@@ -54,7 +54,7 @@ OfflineSolution alg_one_server(const topo::Topology& topo, const LinearCosts& co
   const std::vector<graph::VertexId>& dests = request.destinations;
 
   // Shortest paths from every destination (shared across candidate servers):
-  // computed in parallel and cached in the context's SP-tree cache.
+  // computed in parallel and kept in the context's tree table.
   const std::vector<std::shared_ptr<const graph::ShortestPaths>> sp_dest =
       context_trees(ctx, dests);
 

@@ -26,10 +26,6 @@ OfflineSolution appro_multi(const topo::Topology& topo, const LinearCosts& costs
     throw std::invalid_argument("appro_multi: max_servers (K) must be >= 1");
   }
   const bool shared = options.engine == ApproMultiOptions::Engine::kSharedDijkstra;
-  if (shared && options.steiner_engine != graph::SteinerEngine::kKmb) {
-    throw std::invalid_argument(
-        "appro_multi: the shared-Dijkstra engine requires the KMB Steiner engine");
-  }
   const bool bnb = options.search == ApproMultiOptions::Search::kBranchAndBound;
 
   NFVM_SPAN("appro_multi");
@@ -123,7 +119,7 @@ OfflineSolution appro_multi(const topo::Topology& topo, const LinearCosts& costs
         } else {
           const AuxiliaryGraph aux =
               build_auxiliary_graph(ctx, request.source, combos[i]);
-          st = graph::steiner_tree(aux.graph, terminals, options.steiner_engine);
+          st = graph::kmb_steiner(aux.graph, terminals);
         }
         evaluated[i] = Evaluated{st.connected, st.weight, std::move(st.edges)};
       });
@@ -194,7 +190,7 @@ OfflineSolution appro_multi(const topo::Topology& topo, const LinearCosts& costs
       st = SharedComboSolver(oracle, aux).solve();
     } else {
       const AuxiliaryGraph aux = build_auxiliary_graph(ctx, request.source, combo);
-      st = graph::steiner_tree(aux.graph, terminals, options.steiner_engine);
+      st = graph::kmb_steiner(aux.graph, terminals);
     }
     return ComboEvaluation{st.connected, st.weight, std::move(st.edges)};
   };

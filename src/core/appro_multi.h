@@ -18,7 +18,6 @@
 
 #include "core/cost_model.h"
 #include "core/pseudo_tree.h"
-#include "graph/steiner.h"
 #include "nfv/request.h"
 #include "nfv/resources.h"
 #include "topology/topology.h"
@@ -58,11 +57,10 @@ struct ApproMultiOptions {
   /// When the valve actually binds, the two modes may legitimately return
   /// different results — they spend the budget on different combinations.
   std::size_t max_combinations = std::numeric_limits<std::size_t>::max();
-  /// Steiner approximation used inside every auxiliary graph (paper: KMB).
-  graph::SteinerEngine steiner_engine = graph::SteinerEngine::kKmb;
   /// Evaluation engine for the combination sweep:
   ///  * kReference (default) — run full KMB in every auxiliary graph
-  ///    (|terminals| Dijkstras per combination; paper-literal).
+  ///    (|terminals| Dijkstras per combination; paper-literal, Algorithm 1
+  ///    step 7).
   ///  * kSharedDijkstra — precompute Dijkstras from the source, every
   ///    destination and every eligible server once per request, then
   ///    evaluate each combination's metric closure arithmetically
@@ -72,8 +70,7 @@ struct ApproMultiOptions {
   ///    guarantee) and is ~|D_k| times faster on large sweeps. Under
   ///    branch-and-bound it also skips dominated combinations
   ///    (core/combo_search.h), so it evaluates fewer combinations than the
-  ///    reference engine for the same decision. Requires
-  ///    steiner_engine == kKmb (throws std::invalid_argument otherwise).
+  ///    reference engine for the same decision.
   enum class Engine { kReference, kSharedDijkstra };
   Engine engine = Engine::kReference;
   /// Combination-search strategy:

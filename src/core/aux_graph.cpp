@@ -4,6 +4,7 @@
 #include <map>
 #include <stdexcept>
 
+#include "graph/sp_engine.h"
 #include "graph/tree.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -39,9 +40,9 @@ WorkContext build_work_context(const topo::Topology& topo, const LinearCosts& co
     ctx.to_physical.push_back(e);
   }
 
-  ctx.sp_cache = std::make_shared<graph::SpCache>();
   ctx.arena = std::make_shared<util::Arena>();
-  ctx.sp_source = *ctx.sp_cache->paths_from(ctx.cost_graph, request.source);
+  ctx.trees.resize(ctx.cost_graph.num_vertices());
+  ctx.sp_source = *context_trees(ctx, {&request.source, 1}).front();
 
   ctx.destinations_reachable = true;
   for (graph::VertexId d : request.destinations) {
@@ -67,34 +68,30 @@ WorkContext build_work_context(const topo::Topology& topo, const LinearCosts& co
 std::vector<std::shared_ptr<const graph::ShortestPaths>> context_trees(
     const WorkContext& ctx, std::span<const graph::VertexId> sources) {
   NFVM_SPAN("core/context_trees");
-  std::vector<std::shared_ptr<const graph::ShortestPaths>> trees(sources.size());
-  std::vector<std::size_t> missing;
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    // A repeated source later in `sources` lands in `missing` twice before
-    // the first computation is cached; both slots get identical trees.
-    trees[i] = ctx.sp_cache->try_get(ctx.cost_graph, sources[i]);
-    if (!trees[i]) missing.push_back(i);
+  std::vector<graph::VertexId> missing;
+  for (const graph::VertexId s : sources) {
+    if (ctx.trees.at(s) != nullptr ||
+        std::find(missing.begin(), missing.end(), s) != missing.end()) {
+      NFVM_COUNTER_INC("graph.spcache.hits");
+    } else {
+      NFVM_COUNTER_INC("graph.spcache.misses");
+      missing.push_back(s);
+    }
   }
   if (!missing.empty()) {
     // Batched multi-source SSSP: one engine invocation per pool chunk fills
-    // every missing terminal table off a single CSR sync and one
-    // generation-stamped workspace, instead of |missing| independent
-    // Dijkstra calls.
-    std::vector<graph::VertexId> miss_sources;
-    miss_sources.reserve(missing.size());
-    for (std::size_t i : missing) miss_sources.push_back(sources[i]);
+    // every missing tree off a single CSR sync, instead of |missing|
+    // independent Dijkstra calls.
     std::vector<graph::ShortestPaths> batch =
-        graph::batch_dijkstra(ctx.cost_graph, miss_sources);
+        graph::batch_dijkstra(ctx.cost_graph, missing);
     for (std::size_t j = 0; j < missing.size(); ++j) {
-      trees[missing[j]] =
+      ctx.trees[missing[j]] =
           std::make_shared<const graph::ShortestPaths>(std::move(batch[j]));
     }
   }
-  // Insert in `sources` order so the cache's LRU state does not depend on
-  // the parallel schedule.
-  for (std::size_t i : missing) {
-    ctx.sp_cache->put(ctx.cost_graph, sources[i], trees[i]);
-  }
+  std::vector<std::shared_ptr<const graph::ShortestPaths>> trees;
+  trees.reserve(sources.size());
+  for (const graph::VertexId s : sources) trees.push_back(ctx.trees[s]);
   return trees;
 }
 

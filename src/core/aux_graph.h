@@ -19,7 +19,6 @@
 #include "core/pseudo_tree.h"
 #include "graph/dijkstra.h"
 #include "graph/graph.h"
-#include "graph/sp_engine.h"
 #include "nfv/request.h"
 #include "nfv/resources.h"
 #include "topology/topology.h"
@@ -38,11 +37,12 @@ struct WorkContext {
   std::vector<graph::EdgeId> to_physical;
   /// Dijkstra from the request source on `cost_graph`.
   graph::ShortestPaths sp_source;
-  /// Shortest-path trees on `cost_graph`, shared by every algorithm stage
-  /// touching this request (source, destination and server trees). Seeded
-  /// with the source tree by build_work_context; self-invalidates if
-  /// `cost_graph` is ever mutated. Never null after build_work_context.
-  std::shared_ptr<graph::SpCache> sp_cache;
+  /// Shortest-path trees on `cost_graph` by root vertex, shared by every
+  /// algorithm stage touching this request (source, destination and server
+  /// trees); null until context_trees builds one. build_work_context seeds
+  /// the source tree. `cost_graph` never changes once built, so no entry
+  /// ever goes stale.
+  mutable std::vector<std::shared_ptr<const graph::ShortestPaths>> trees;
   /// Servers that can host SC_k: enough residual computing (capacitated
   /// case) and reachable from the source. Sorted ascending.
   std::vector<graph::VertexId> eligible_servers;
@@ -65,9 +65,11 @@ WorkContext build_work_context(const topo::Topology& topo, const LinearCosts& co
                                const nfv::ResourceState* resources);
 
 /// Shortest-path trees on ctx.cost_graph from each of `sources`, in order.
-/// Cached trees come straight from ctx.sp_cache; the missing ones are
-/// computed in parallel on util::ThreadPool::global() and inserted into the
-/// cache (in `sources` order, so cache state is thread-count independent).
+/// Trees already in ctx.trees are shared as they are; the missing ones are
+/// computed once each (a repeated source shares one tree) in one
+/// graph::batch_dijkstra fan-out and stored. Each lookup counts one of
+/// graph.spcache.{hits,misses}: a miss for the first lookup of a root, a
+/// hit for every later one. Throws std::out_of_range for a bad source.
 std::vector<std::shared_ptr<const graph::ShortestPaths>> context_trees(
     const WorkContext& ctx, std::span<const graph::VertexId> sources);
 

@@ -38,7 +38,6 @@ OfflineSolution compute_backup_tree(const topo::Topology& topo,
 
   ApproMultiOptions opts;
   opts.max_servers = options.max_servers;
-  opts.steiner_engine = options.steiner_engine;
   opts.engine = options.engine;
   opts.resources = &masked;
   OfflineSolution sol = appro_multi(topo, costs, request, opts);

@@ -20,7 +20,6 @@ namespace nfvm::core {
 struct BackupOptions {
   /// K for the backup tree (defaults to the paper's 3).
   std::size_t max_servers = 3;
-  graph::SteinerEngine steiner_engine = graph::SteinerEngine::kKmb;
   ApproMultiOptions::Engine engine = ApproMultiOptions::Engine::kReference;
   /// Residual state the backup must additionally fit into (nullptr = only
   /// the disjointness mask applies, on the full capacities).

@@ -48,7 +48,6 @@ BatchPlanResult plan_batch(const topo::Topology& topo, const LinearCosts& costs,
   nfv::ResourceState state(topo);
   ApproMultiOptions appro_opts;
   appro_opts.max_servers = options.max_servers;
-  appro_opts.steiner_engine = options.steiner_engine;
   appro_opts.engine = options.engine;
   appro_opts.resources = &state;
 

@@ -28,9 +28,8 @@ enum class BatchOrder {
 
 struct BatchPlanOptions {
   BatchOrder order = BatchOrder::kArrival;
-  /// K and Steiner engine for the underlying Appro_Multi_Cap calls.
+  /// K for the underlying Appro_Multi_Cap calls.
   std::size_t max_servers = 3;
-  graph::SteinerEngine steiner_engine = graph::SteinerEngine::kKmb;
   /// Evaluation engine forwarded to Appro_Multi_Cap (kSharedDijkstra makes
   /// large batches ~|D| times faster, see ApproMultiOptions::Engine).
   ApproMultiOptions::Engine engine = ApproMultiOptions::Engine::kReference;

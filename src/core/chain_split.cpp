@@ -7,6 +7,7 @@
 
 #include "core/delay.h"
 #include "graph/dijkstra.h"
+#include "graph/steiner.h"
 #include "graph/tree.h"
 
 namespace nfvm::core {
@@ -117,8 +118,7 @@ ChainSplitSolution chain_split_multicast(const topo::Topology& topo,
 
     std::vector<graph::VertexId> terminals{v};
     terminals.insert(terminals.end(), terminals_base.begin(), terminals_base.end());
-    graph::SteinerResult st =
-        graph::steiner_tree(work, terminals, options.steiner_engine);
+    graph::SteinerResult st = graph::kmb_steiner(work, terminals);
     if (!st.connected) continue;
     candidates.push_back(
         Candidate{walk_cost + st.weight, v, walk_cost, std::move(st)});

@@ -24,7 +24,6 @@
 
 #include "core/cost_model.h"
 #include "core/pseudo_tree.h"
-#include "graph/steiner.h"
 #include "nfv/request.h"
 #include "nfv/resources.h"
 #include "topology/topology.h"
@@ -35,8 +34,6 @@ struct ChainSplitOptions {
   /// Non-null enables capacity-aware pruning (links below b_k, and
   /// processing edges only where the per-NF demand fits the residual).
   const nfv::ResourceState* resources = nullptr;
-  /// Steiner engine for the final multicast tree.
-  graph::SteinerEngine steiner_engine = graph::SteinerEngine::kKmb;
 };
 
 struct ChainSplitSolution {

@@ -186,7 +186,7 @@ class OnlineAlgorithm {
   bool record_provenance_ = false;
 #if NFVM_OBS
   RequestRecord* active_record_ = nullptr;
-  /// Cached graph.spcache.{hits,misses} counters for cache attribution.
+  /// Cached graph.spcache.{hits,misses} counters for tree-table attribution.
   obs::Counter* spcache_hits_counter_ = nullptr;
   obs::Counter* spcache_misses_counter_ = nullptr;
 #endif

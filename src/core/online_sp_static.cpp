@@ -7,18 +7,23 @@
 namespace nfvm::core {
 
 OnlineSpStatic::OnlineSpStatic(const topo::Topology& topo)
-    : OnlineAlgorithm(topo) {}
+    : OnlineAlgorithm(topo), trees_(topo.graph.num_vertices()) {}
 
-std::shared_ptr<const graph::ShortestPaths> OnlineSpStatic::paths_from(
-    graph::VertexId v) {
-  return cache_.paths_from(topo_->graph, v);
+const graph::ShortestPaths& OnlineSpStatic::paths_from(graph::VertexId v) {
+  graph::ShortestPaths& tree = trees_.at(v);
+  if (tree.dist.empty()) {
+    NFVM_COUNTER_INC("graph.spcache.misses");
+    tree = graph::dijkstra(topo_->graph, v);
+  } else {
+    NFVM_COUNTER_INC("graph.spcache.hits");
+  }
+  return tree;
 }
 
 AdmissionDecision OnlineSpStatic::try_admit(const nfv::Request& request) {
   AdmissionDecision decision;
   const double demand = request.compute_demand_mhz();
-  const auto from_source_tree = paths_from(request.source);
-  const graph::ShortestPaths& from_source = *from_source_tree;
+  const graph::ShortestPaths& from_source = paths_from(request.source);
 
   struct Candidate {
     double cost = 0.0;
@@ -43,8 +48,7 @@ AdmissionDecision OnlineSpStatic::try_admit(const nfv::Request& request) {
       NFVM_OBS_ONLY(if (rec) ++rec->failed_disconnected;)
       continue;
     }
-    const auto from_server_tree = paths_from(v);
-    const graph::ShortestPaths& from_server = *from_server_tree;
+    const graph::ShortestPaths& from_server = paths_from(v);
     NFVM_OBS_ONLY(if (rec) ++rec->servers_evaluated;)
     bool all_reachable = true;
     for (graph::VertexId d : request.destinations) {

@@ -9,11 +9,10 @@
 // "SP" matches this static variant (see EXPERIMENTS.md, Fig. 8/9 notes).
 #pragma once
 
-#include <memory>
+#include <vector>
 
 #include "core/online.h"
 #include "graph/dijkstra.h"
-#include "graph/sp_engine.h"
 
 namespace nfvm::core {
 
@@ -28,11 +27,11 @@ class OnlineSpStatic final : public OnlineAlgorithm {
 
  private:
   /// Unit-weight shortest paths from `v` on the full topology, computed on
-  /// first use and cached for the lifetime of the run (the topology graph
-  /// never mutates, so the cache never self-invalidates).
-  std::shared_ptr<const graph::ShortestPaths> paths_from(graph::VertexId v);
+  /// first use and kept for the lifetime of the run (the topology graph
+  /// never mutates). Each call counts one of graph.spcache.{hits,misses}.
+  const graph::ShortestPaths& paths_from(graph::VertexId v);
 
-  graph::SpCache cache_{/*capacity=*/0};  // unbounded: one tree per switch
+  std::vector<graph::ShortestPaths> trees_;  // by switch; empty until used
 };
 
 }  // namespace nfvm::core

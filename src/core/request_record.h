@@ -60,10 +60,11 @@ struct RequestRecord {
   double cost_server = 0.0;
   double cost_backhaul = 0.0;
 
-  // --- SP-tree cache attribution --------------------------------------------
-  /// Global graph.spcache.{hits,misses} counter deltas across this decision.
-  /// Observational: parallel tree priming batches misses, so the split (not
-  /// the decision) may shift with the thread count.
+  // --- SP-tree table attribution --------------------------------------------
+  /// Global graph.spcache.{hits,misses} counter deltas across this decision:
+  /// lookups in the shortest-path tree tables (SP_static's per-switch
+  /// table; the online fast path keeps its trees in a repair store and
+  /// reads 0). Observational only.
   std::uint64_t spcache_hits = 0;
   std::uint64_t spcache_misses = 0;
 

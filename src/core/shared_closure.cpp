@@ -30,7 +30,7 @@ SharedOracle build_shared_oracle(const WorkContext& ctx,
   oracle.request = &request;
   oracle.tables = TerminalTables(ctx.cost_graph.num_vertices());
   // One parallel fan-out over destination + server trees, primed into (and
-  // served from) the context's shared SP-tree cache.
+  // served from) the context's shared tree table.
   std::vector<graph::VertexId> sources(request.destinations.begin(),
                                        request.destinations.end());
   sources.insert(sources.end(), servers.begin(), servers.end());

@@ -6,11 +6,11 @@
 // one per candidate server. This header factors that family out:
 //
 //   * TerminalTables — a per-request registry of shortest-path tables keyed
-//     by root vertex, pinning shared trees so cache eviction cannot free them
-//     mid-scan.
+//     by root vertex, pinning shared trees so they outlive their owner's
+//     scan.
 //   * SharedOracle / build_shared_oracle — the Appro_Multi per-request
 //     tables (source + destinations + eligible servers), primed in one
-//     parallel fan-out through the WorkContext SP-tree cache.
+//     parallel fan-out through the WorkContext's tree table.
 //   * SharedComboSolver — evaluates one server combination's Steiner tree
 //     from the tables over an AuxOverlay, never materializing the auxiliary
 //     graph. Distances in G_k^i decompose into
@@ -37,9 +37,9 @@ class KmbKernel;
 
 namespace nfvm::core {
 
-/// Shortest-path tables keyed by root vertex. Shared trees (typically owned
-/// by an SpCache) are pinned via shared_ptr; borrowed tables (set_unowned)
-/// must outlive the registry. Later set() calls for the same vertex override
+/// Shortest-path tables keyed by root vertex. Shared trees (typically from a
+/// WorkContext's tree table) are pinned via shared_ptr; borrowed tables
+/// (set_unowned) must outlive the registry. Later set() calls for the same vertex override
 /// earlier ones.
 class TerminalTables {
  public:
@@ -77,7 +77,7 @@ struct SharedOracle {
 };
 
 /// Primes the oracle's tables in one parallel fan-out (context_trees) through
-/// ctx.sp_cache. `servers` is the combination pool the oracle must answer
+/// ctx.trees. `servers` is the combination pool the oracle must answer
 /// for — the beamed Appro_Multi passes a subset of ctx.eligible_servers.
 SharedOracle build_shared_oracle(const WorkContext& ctx,
                                  const nfv::Request& request,

@@ -32,8 +32,4 @@ std::vector<EdgeId> path_edges(const ShortestPaths& sp, VertexId target) {
   return edges;
 }
 
-double shortest_distance(const Graph& g, VertexId from, VertexId to) {
-  return SpEngine::thread_local_engine().shortest_distance(g, from, to);
-}
-
 }  // namespace nfvm::graph

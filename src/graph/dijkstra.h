@@ -55,11 +55,4 @@ void for_each_path_edge(const ShortestPaths& sp, VertexId target, Fn&& fn) {
   }
 }
 
-/// Weight of the shortest path between two vertices. Early-exits as soon as
-/// `to` is settled instead of exploring the whole graph. Throws
-/// std::out_of_range for a bad `from` or `to`. Prefer caching a
-/// ShortestPaths (or a graph::SpCache) when querying many pairs from one
-/// source.
-double shortest_distance(const Graph& g, VertexId from, VertexId to);
-
 }  // namespace nfvm::graph

@@ -51,7 +51,7 @@ class Graph {
   explicit Graph(std::size_t num_vertices);
 
   /// A copy is a distinct graph object: it gets a fresh uid so derived views
-  /// and caches (CsrView, SpEngine, SpCache) never mistake it for the
+  /// and caches (CsrView, SpEngine, SpTreeStore) never mistake it for the
   /// original once the two diverge. Moves transfer the uid (the moved-to
   /// object IS the same logical graph); the moved-from object is left empty
   /// with a fresh uid.

@@ -1,41 +1,34 @@
-// Reusable shortest-path engine and shortest-path-tree cache.
+// Reusable shortest-path engine.
 //
 // Every algorithm in this library bottoms out in repeated Dijkstra runs.
-// The free functions in graph/dijkstra.h allocate three O(n) arrays and a
-// heap per call and scan the pointer-chasing adjacency lists; under heavy
-// request volumes that allocation and cache-miss traffic dominates. This
-// header provides the shared substrate:
+// The free function graph::dijkstra allocates its result per call; the
+// engine behind it keeps everything else — the CSR view, the heap and the
+// repair scratch — across calls, so under heavy request volumes no query
+// pays for allocation or pointer-chasing adjacency lists.
 //
 //  * SpEngine — owns a CsrView (rebuilt lazily when the graph's
-//    (uid, epoch) changes), an indexed (decrease-key) 4-ary heap, and
-//    generation-stamped scratch buffers for early-exit point-to-point /
-//    target-set queries. Full-tree queries write straight into the
+//    (uid, epoch) changes) and an indexed (decrease-key) 4-ary heap. Every
+//    query runs from one source to completion and writes straight into the
 //    returned ShortestPaths. Filtering is by a per-edge byte mask only:
 //    callers evaluate their predicate once per edge into the mask, so the
-//    relaxation loop never makes an indirect call. The dijkstra() free
-//    functions are thin wrappers over the per-thread engine, so existing
-//    call sites keep working and allocate nothing beyond the returned
-//    ShortestPaths.
+//    relaxation loop never makes an indirect call. graph::dijkstra is a thin
+//    wrapper over the per-thread engine.
 //
 //    When the CSR weight inspection proves every edge weight is a strictly
 //    positive integer <= kMaxDialWeight (true for every topology generator
 //    in the repo and all hop-count modes), queries take a bucket-queue
-//    (Dial) specialization instead of the heap: a generation-stamped
-//    bucket ring reused across queries, each bucket drained in ascending
-//    vertex-id order. That drain order reproduces the heap's
-//    (distance, vertex id) pop order exactly, so the two paths are
-//    bit-identical — which tests/test_sp_dial.cpp asserts.
+//    (Dial) specialization instead of the heap: a bucket ring reused across
+//    queries, each bucket drained in ascending vertex-id order. That drain
+//    order reproduces the heap's (distance, vertex id) pop order exactly,
+//    so the two paths are bit-identical — which tests/test_sp_dial.cpp
+//    asserts.
 //
 //    SpEngine::repair brings an existing tree up to date after a batch of
 //    edge-weight / mask changes without a full run (graph/sp_repair.h holds
 //    the exactness argument and the persistent store built on it).
 //
-//  * SpCache — an LRU of shortest-path trees keyed by
-//    (graph uid, graph epoch, source). Sharing one cache across a
-//    request's lifetime stops Appro_Multi / Alg_One_Server / the Steiner
-//    metric closure from recomputing the same source, destination and
-//    server trees. Any mutation (set_weight, add_edge) bumps the graph
-//    epoch and invalidates the whole cache on the next query.
+//  * batch_dijkstra — many sources on one graph, fanned out over the
+//    global ThreadPool, one engine per chunk.
 //
 // Tie-breaking: the engine's heap orders items by (distance, vertex id),
 // exactly like the std::priority_queue<pair<double, VertexId>> it
@@ -44,17 +37,13 @@
 // decrease-key heap pops the same (distance, id) minimum the historical
 // lazy-deletion heap reached after skipping its stale entries.
 //
-// Thread model: SpEngine and SpCache are NOT thread-safe; use one per
-// thread (SpEngine::thread_local_engine()) or confine a cache to the
-// thread that owns the request. Concurrent *reads* of a const Graph from
-// many engines are safe.
+// Thread model: SpEngine is NOT thread-safe; use one per thread
+// (SpEngine::thread_local_engine()). Concurrent *reads* of a const Graph
+// from many engines are safe.
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <memory>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -104,10 +93,10 @@ class SpEngine {
   ShortestPaths shortest_paths_masked(const Graph& g, VertexId source,
                                       std::span<const std::uint8_t> edge_mask);
 
-  /// Batched multi-source SSSP: one view refresh and one generation-stamped
-  /// workspace serve every source in order (slot i = tree from sources[i]),
-  /// so the batch pays a single CSR sync and no per-call O(n) clears.
-  /// Results are bit-identical to calling shortest_paths_masked per source.
+  /// Batched multi-source SSSP: one view refresh serves every source in
+  /// order (slot i = tree from sources[i]), so the batch pays a single CSR
+  /// sync. Results are bit-identical to calling shortest_paths_masked per
+  /// source.
   std::vector<ShortestPaths> batch_shortest_paths(
       const Graph& g, std::span<const VertexId> sources,
       std::span<const std::uint8_t> edge_mask = {});
@@ -138,32 +127,6 @@ class SpEngine {
                        std::span<const EdgeChange> changes,
                        std::span<const std::uint8_t> edge_mask, bool& tie_free);
 
-  /// Point-to-point distance, stopping as soon as `to` is settled (the
-  /// classic early exit: no work beyond the target's distance ring).
-  /// Throws std::out_of_range for a bad `from` or `to`.
-  double shortest_distance(const Graph& g, VertexId from, VertexId to);
-
-  /// Metric-closure row: distances from `from` to each of `targets`,
-  /// stopping once every (distinct) target is settled. Result is indexed
-  /// like `targets`; unreachable targets get kInfiniteDistance.
-  std::vector<double> distances_to(const Graph& g, VertexId from,
-                                   std::span<const VertexId> targets);
-
-  /// One Takahashi–Matsuyama growth step: seeds every vertex of
-  /// `tree_vertices` (must be distinct) at distance zero and stops as soon
-  /// as the first vertex of `targets` is settled, returning it —
-  /// kInvalidVertex when no target is reachable. Ties settle by
-  /// (distance, vertex id), so the result does not depend on seed order.
-  /// Read the attachment path afterwards via parent_of/parent_edge_of/
-  /// dist_of; the workspace stays valid until the next query.
-  VertexId grow_step(const Graph& g, std::span<const VertexId> tree_vertices,
-                     std::span<const VertexId> targets);
-
-  /// Workspace reads for vertices reached by the last query (unchecked).
-  VertexId parent_of(VertexId v) const noexcept { return parent_[v]; }
-  EdgeId parent_edge_of(VertexId v) const noexcept { return parent_edge_[v]; }
-  double dist_of(VertexId v) const noexcept { return dist_[v]; }
-
   /// True when the last query ran the bucket-queue (Dial) specialization.
   bool last_used_dial() const noexcept { return last_used_dial_; }
 
@@ -179,14 +142,6 @@ class SpEngine {
     double dist;
     VertexId vertex;
   };
-  /// Output label arrays a run writes: the caller's tree, or the stamped
-  /// workspace below for early-exit queries.
-  struct Labels {
-    double* dist;
-    VertexId* parent;
-    EdgeId* parent_edge;
-  };
-
   /// (distance, vertex id) lexicographic — the historical pop order.
   static bool item_less(const HeapItem& a, const HeapItem& b) noexcept {
     return a.dist < b.dist || (a.dist == b.dist && a.vertex < b.vertex);
@@ -202,35 +157,20 @@ class SpEngine {
     heap_pos_[item.vertex] = static_cast<std::uint32_t>(i);
   }
   /// Empties the heap, restoring heap_pos_ to kNotInHeap for every entry
-  /// an early exit left queued.
+  /// a repair that met a tie left queued. Every other query drains it.
   void heap_clear();
 
-  /// Refreshes the view, sizes the scratch buffers, advances the
-  /// generation and clears the heap.
+  /// Refreshes the view, sizes the scratch buffers and advances the
+  /// generation.
   void prepare(const Graph& g);
-  /// Lazily initializes v's workspace slots for this generation.
-  void touch(VertexId v);
-  Labels workspace() noexcept {
-    return {dist_.data(), parent_.data(), parent_edge_.data()};
-  }
-  /// Core dispatch: seeds every vertex of `seeds` at distance zero, then
-  /// runs the Dial loop when the view's weight inspection allows it and
-  /// the 4-ary heap loop otherwise. kStamped runs write the generation-
-  /// stamped workspace (labels are initialized on first touch); otherwise
-  /// `out` is a tree the caller pre-filled with infinity / invalid ids.
-  /// `edge_mask` may be null. When `targets_remaining` > 0 the run stops
-  /// once that many target-stamped vertices are settled.
-  template <bool kStamped>
-  void run(Labels out, std::span<const VertexId> seeds,
-           const std::uint8_t* edge_mask, std::size_t targets_remaining);
-  template <bool kStamped>
-  void run_heap(Labels out, const std::uint8_t* edge_mask,
-                std::size_t targets_remaining);
-  template <bool kStamped>
-  void run_dial(Labels out, std::span<const VertexId> seeds,
-                const std::uint8_t* edge_mask, std::size_t targets_remaining);
-  /// Full masked run into `tree` (view already prepared).
+  /// Full masked run from `tree.source` into `tree` (view already
+  /// prepared): the Dial loop when the view's weight inspection allows it,
+  /// the 4-ary heap loop otherwise. `edge_mask` may be null.
   void compute_prepared(ShortestPaths& tree, const std::uint8_t* edge_mask);
+  /// The two loops behind compute_prepared, on a tree whose labels are
+  /// reset and whose source sits at distance zero.
+  void run_heap(ShortestPaths& tree, const std::uint8_t* edge_mask);
+  void run_dial(ShortestPaths& tree, const std::uint8_t* edge_mask);
   /// v's parent and parent edge as determined by its tight in-neighbours
   /// (see tie_free); false when v is not locally tie-free. Reads the view
   /// prepared for the tree's graph.
@@ -246,27 +186,19 @@ class SpEngine {
                        const std::uint8_t* edge_mask);
 
   CsrView view_;
-  std::vector<double> dist_;
-  std::vector<VertexId> parent_;
-  std::vector<EdgeId> parent_edge_;
-  std::vector<std::uint32_t> stamp_;
-  std::uint32_t generation_ = 0;
-  std::vector<std::uint32_t> target_stamp_;
-  std::uint32_t target_generation_ = 0;
   std::vector<HeapItem> heap_;  // indexed 4-ary min-heap
   std::vector<std::uint32_t> heap_pos_;  // vertex -> heap slot, or kNotInHeap
   /// Dial bucket ring, sized max_integer_weight + 1 and reused across
-  /// queries. A bucket whose stamp is stale belongs to an earlier query
-  /// (e.g. abandoned by an early exit) and is cleared lazily on first use.
+  /// queries; every run leaves it empty.
   std::vector<std::vector<VertexId>> buckets_;
-  std::vector<std::uint32_t> bucket_stamp_;
   std::vector<VertexId> bucket_scratch_;  // drain staging, sorted by id
   bool last_used_dial_ = false;
-  VertexId last_settled_target_ = kInvalidVertex;
-  /// Repair scratch: the old tree's children (CSR by parent), the
-  /// invalidated region, the re-settled vertices (settled_ == generation_),
-  /// the vertices queued for a parent check (deduplicated by mark_), and
-  /// one vertex's tight in-neighbours.
+  /// Repair scratch: the invalidated region (stamp_ == generation_), the
+  /// old tree's children (CSR by parent), the re-settled vertices
+  /// (settled_ == generation_), the vertices queued for a parent check
+  /// (deduplicated by mark_), and one vertex's tight in-neighbours.
+  std::vector<std::uint32_t> stamp_;
+  std::uint32_t generation_ = 0;
   std::vector<std::uint32_t> child_start_;
   std::vector<std::uint32_t> child_cursor_;
   std::vector<VertexId> child_list_;
@@ -287,52 +219,5 @@ class SpEngine {
 std::vector<ShortestPaths> batch_dijkstra(
     const Graph& g, std::span<const VertexId> sources,
     std::span<const std::uint8_t> edge_mask = {});
-
-/// Default SpCache capacity: enough for a request's source + destinations +
-/// eligible servers on every topology in the repo without eviction churn.
-inline constexpr std::size_t kDefaultSpCacheCapacity = 256;
-
-class SpCache {
- public:
-  /// `capacity` == 0 means unbounded.
-  explicit SpCache(std::size_t capacity = kDefaultSpCacheCapacity);
-  SpCache(const SpCache&) = delete;
-  SpCache& operator=(const SpCache&) = delete;
-
-  /// The shortest-path tree from `source` on `g`: cached when (uid, epoch,
-  /// source) matches a previous query, computed (and inserted) otherwise.
-  /// The returned tree is shared — it stays valid after eviction as long
-  /// as the caller holds the pointer.
-  std::shared_ptr<const ShortestPaths> paths_from(const Graph& g, VertexId source);
-
-  /// Cache probe without computing: the cached tree for (g, source), or
-  /// nullptr on a miss. Lets parallel fan-outs compute only the missing
-  /// trees and then insert them with put().
-  std::shared_ptr<const ShortestPaths> try_get(const Graph& g, VertexId source);
-
-  /// Inserts a precomputed tree (e.g. built by a parallel fan-out) for the
-  /// current (uid, epoch) of `g`. Replaces any existing entry for `source`.
-  void put(const Graph& g, VertexId source,
-           std::shared_ptr<const ShortestPaths> paths);
-
-  void clear();
-  std::size_t size() const noexcept { return index_.size(); }
-  std::size_t capacity() const noexcept { return capacity_; }
-
- private:
-  /// Flushes when `g` is not the graph+epoch the cache was filled from.
-  void sync(const Graph& g);
-
-  using LruList =
-      std::list<std::pair<VertexId, std::shared_ptr<const ShortestPaths>>>;
-
-  std::size_t capacity_;
-  std::uint64_t uid_ = 0;
-  std::uint64_t epoch_ = 0;
-  bool bound_ = false;
-  LruList lru_;  // front = most recently used
-  std::unordered_map<VertexId, LruList::iterator> index_;
-  SpEngine engine_;
-};
 
 }  // namespace nfvm::graph

@@ -1,11 +1,7 @@
 #include "graph/steiner.h"
 
-#include <algorithm>
-#include <stdexcept>
-
 #include "graph/dijkstra.h"
 #include "graph/kmb_kernel.h"
-#include "graph/sp_engine.h"
 #include "graph/union_find.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -104,50 +100,6 @@ SteinerResult kmb_steiner_from_tables(
   return kmb_from_terminal_tables(g, terms, tables);
 }
 
-SteinerResult improve_steiner(const Graph& g, SteinerResult current,
-                              std::span<const VertexId> terminals,
-                              std::size_t max_rounds) {
-  if (!current.connected) {
-    throw std::invalid_argument("improve_steiner: input tree is disconnected");
-  }
-  const std::vector<VertexId> terms = distinct_terminals(g, terminals);
-  if (terms.size() <= 1) return current;
-
-  for (std::size_t round = 0; round < max_rounds; ++round) {
-    bool improved = false;
-    std::vector<bool> in_tree(g.num_vertices(), false);
-    for (EdgeId e : current.edges) {
-      in_tree[g.edge(e).u] = true;
-      in_tree[g.edge(e).v] = true;
-    }
-    for (VertexId t : terms) in_tree[t] = true;
-
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      if (in_tree[v]) continue;
-      std::vector<VertexId> extended(terms);
-      extended.push_back(v);
-      SteinerResult candidate = kmb_steiner(g, extended);
-      if (!candidate.connected) continue;
-      // Drop v again if it turned out useless (leaf pruning against the
-      // real terminal set).
-      candidate = kmb_finish(g, candidate.edges, terms);
-      if (candidate.connected && candidate.weight + 1e-12 < current.weight) {
-        current = std::move(candidate);
-        improved = true;
-        // Refresh tree membership for subsequent insertions this round.
-        std::fill(in_tree.begin(), in_tree.end(), false);
-        for (EdgeId e : current.edges) {
-          in_tree[g.edge(e).u] = true;
-          in_tree[g.edge(e).v] = true;
-        }
-        for (VertexId t : terms) in_tree[t] = true;
-      }
-    }
-    if (!improved) break;
-  }
-  return current;
-}
-
 SteinerResult kmb_finish(const Graph& g, std::span<const EdgeId> union_edges,
                          std::span<const VertexId> terminals) {
   NFVM_SPAN("steiner/kmb_finish");
@@ -169,60 +121,6 @@ SteinerResult kmb_finish(std::size_t num_vertices,
       kernel.distinct_terminals(num_vertices, terminals);
   if (terms.size() == 1) return SteinerResult{true, {}, 0.0};
   return kernel.finish_records(num_vertices, union_edges, terms);
-}
-
-SteinerResult takahashi_matsuyama_steiner(const Graph& g,
-                                          std::span<const VertexId> terminals) {
-  NFVM_SPAN("steiner/takahashi_matsuyama");
-  NFVM_COUNTER_INC("graph.steiner.tm.runs");
-  const std::vector<VertexId> terms = distinct_terminals(g, terminals);
-  SteinerResult result;
-  if (terms.size() == 1) {
-    result.connected = true;
-    return result;
-  }
-
-  const std::size_t n = g.num_vertices();
-  std::vector<bool> in_tree(n, false);
-  in_tree[terms[0]] = true;
-  std::vector<VertexId> tree_vertices;
-  tree_vertices.reserve(n);
-  tree_vertices.push_back(terms[0]);
-  std::vector<VertexId> pending(terms.begin() + 1, terms.end());
-
-  // Each round: one multi-source grow step on the shared engine (every
-  // tree vertex seeded at distance zero), attaching the nearest pending
-  // terminal along its shortest path. The engine settles ties by
-  // (distance, vertex id) and stops before relaxing the settled terminal —
-  // exactly the std::priority_queue loop this replaces — and brings the
-  // bucket-queue specialization to unit-weight graphs for free.
-  SpEngine& engine = SpEngine::thread_local_engine();
-  while (!pending.empty()) {
-    const VertexId reached = engine.grow_step(g, tree_vertices, pending);
-    if (reached == kInvalidVertex) return result;  // disconnected
-
-    pending.erase(std::find(pending.begin(), pending.end(), reached));
-    for (VertexId v = reached; !in_tree[v]; v = engine.parent_of(v)) {
-      in_tree[v] = true;
-      tree_vertices.push_back(v);
-      result.edges.push_back(engine.parent_edge_of(v));
-      result.weight += g.weight(engine.parent_edge_of(v));
-    }
-  }
-  std::sort(result.edges.begin(), result.edges.end());
-  result.connected = true;
-  return result;
-}
-
-SteinerResult steiner_tree(const Graph& g, std::span<const VertexId> terminals,
-                           SteinerEngine engine) {
-  switch (engine) {
-    case SteinerEngine::kKmb:
-      return kmb_steiner(g, terminals);
-    case SteinerEngine::kTakahashiMatsuyama:
-      return takahashi_matsuyama_steiner(g, terminals);
-  }
-  throw std::invalid_argument("steiner_tree: unknown engine");
 }
 
 bool is_steiner_tree(const Graph& g, std::span<const EdgeId> edges,

@@ -5,7 +5,8 @@
 //   step 8, and the Alg_One_Server / SP baselines build on the same
 //   metric-closure machinery).
 //
-// The exact Dreyfus–Wagner oracle the tests measure these against lives in
+// The exact Dreyfus–Wagner oracle the tests measure these against, and the
+// Takahashi–Matsuyama heuristic ablation A4 compares KMB with, live in
 // tests/reference.
 #pragma once
 
@@ -51,36 +52,6 @@ SteinerResult kmb_steiner(const Graph& g, std::span<const VertexId> terminals);
 SteinerResult kmb_steiner_from_tables(
     const Graph& g, std::span<const VertexId> terminals,
     const std::function<const ShortestPaths&(VertexId)>& table_for);
-
-/// Takahashi-Matsuyama (1980) path-heuristic: grow the tree from one
-/// terminal, repeatedly attaching the closest unconnected terminal via a
-/// shortest path (multi-source Dijkstra from the current tree). Same
-/// 2(1 - 1/t) guarantee as KMB, often different (sometimes better) trees,
-/// and cheaper per call: t Dijkstras but no metric-closure MST/expansion.
-SteinerResult takahashi_matsuyama_steiner(const Graph& g,
-                                          std::span<const VertexId> terminals);
-
-/// Selector for algorithms that take a pluggable Steiner engine.
-enum class SteinerEngine {
-  kKmb,
-  kTakahashiMatsuyama,
-};
-
-/// Dispatches to the selected approximation.
-SteinerResult steiner_tree(const Graph& g, std::span<const VertexId> terminals,
-                           SteinerEngine engine);
-
-/// Vertex-insertion local search on top of a Steiner tree: for each vertex
-/// outside the current tree, rebuild the KMB tree with that vertex forced as
-/// an extra terminal (then pruned back against the real terminals); adopt
-/// any improvement and repeat up to `max_rounds` passes. Never returns a
-/// worse tree; costs O(max_rounds * n * KMB), so use it for quality studies
-/// rather than inner loops. `current` must already be a valid result for
-/// `terminals` (e.g. from kmb_steiner); throws std::invalid_argument when
-/// it is disconnected.
-SteinerResult improve_steiner(const Graph& g, SteinerResult current,
-                              std::span<const VertexId> terminals,
-                              std::size_t max_rounds = 2);
 
 /// The final two KMB steps over a caller-built union: minimum spanning tree
 /// of the union subgraph formed by `union_edges` (Kruskal by weight, ties in

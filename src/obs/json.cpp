@@ -211,8 +211,16 @@ class JsonParser {
   JsonValue parse_value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      // Containers recurse; the cap keeps hostile input from exhausting
+      // the stack.
+      if (++depth_ > kMaxJsonDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxJsonDepth) + " levels");
+      }
+      JsonValue v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       JsonValue v;
       v.type = JsonValue::Type::kString;
@@ -380,6 +388,7 @@ class JsonParser {
   std::string_view text_;
   std::size_t pos_ = 0;
   std::uint64_t base_offset_ = 0;
+  std::size_t depth_ = 0;  // open containers
 };
 
 }  // namespace

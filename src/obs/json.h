@@ -7,6 +7,7 @@
 // RFC 8259 document and fails with a byte offset on malformed input.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -104,11 +105,16 @@ struct JsonValue {
   const JsonValue& at(const std::string& key) const;
 };
 
+/// Deepest container nesting parse_json accepts. The parser recurses once
+/// per level, so the cap keeps a hostile line from exhausting the stack;
+/// the repo's own artifacts nest at most 6 deep.
+inline constexpr std::size_t kMaxJsonDepth = 64;
+
 /// Parses one complete JSON document. Throws std::runtime_error with the
 /// byte offset on malformed input (trailing bytes, bad escapes, duplicate
 /// object keys - our writers never emit those, so a duplicate signals a
-/// corrupt artifact). \uXXXX escapes decode to UTF-8, including surrogate
-/// pairs.
+/// corrupt artifact - or nesting deeper than kMaxJsonDepth). \uXXXX escapes
+/// decode to UTF-8, including surrogate pairs.
 JsonValue parse_json(std::string_view text);
 
 /// As parse_json, but error byte offsets are reported relative to

@@ -5,7 +5,6 @@
 #include <map>
 
 #include "core/aux_graph.h"
-#include "graph/steiner.h"
 #include "graph/tree.h"
 #include "reference/exact_steiner.h"
 #include "util/combinatorics.h"
@@ -95,11 +94,18 @@ OfflineSolution exact_one_server(const topo::Topology& topo, const LinearCosts& 
 OfflineSolution exact_auxiliary(const topo::Topology& topo, const LinearCosts& costs,
                                 const nfv::Request& request,
                                 const ExactOfflineOptions& options) {
-  if (options.max_servers == 0) {
-    throw std::invalid_argument("exact_auxiliary: max_servers must be >= 1");
-  }
   if (request.destinations.size() + 1 > options.max_terminals) {
     throw std::invalid_argument("exact_auxiliary: too many destinations");
+  }
+  return auxiliary_sweep(topo, costs, request, options, exact_steiner);
+}
+
+OfflineSolution auxiliary_sweep(const topo::Topology& topo, const LinearCosts& costs,
+                                const nfv::Request& request,
+                                const ExactOfflineOptions& options,
+                                AuxSteiner steiner) {
+  if (options.max_servers == 0) {
+    throw std::invalid_argument("auxiliary_sweep: max_servers must be >= 1");
   }
   OfflineSolution sol;
   const WorkContext ctx = build_work_context(topo, costs, request, options.resources);
@@ -130,7 +136,7 @@ OfflineSolution exact_auxiliary(const topo::Topology& topo, const LinearCosts& c
       std::vector<graph::VertexId> combo(k);
       for (std::size_t i = 0; i < k; ++i) combo[i] = ctx.eligible_servers[idx[i]];
       const AuxiliaryGraph aux = build_auxiliary_graph(ctx, request.source, combo);
-      graph::SteinerResult st = exact_steiner(aux.graph, terminals);
+      graph::SteinerResult st = steiner(aux.graph, terminals);
       if (!st.connected) continue;
       if (st.weight < best_cost) {
         best_cost = st.weight;

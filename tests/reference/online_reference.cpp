@@ -107,8 +107,7 @@ AdmissionDecision OnlineCpRebuild::try_admit(const nfv::Request& request) {
     terminals.push_back(v);
     terminals.insert(terminals.end(), request.destinations.begin(),
                      request.destinations.end());
-    const graph::SteinerResult st =
-        graph::steiner_tree(sub.graph, terminals, graph::SteinerEngine::kKmb);
+    const graph::SteinerResult st = graph::kmb_steiner(sub.graph, terminals);
     if (!st.connected) {
       reject.update(RejectTracker::kRankCandidate,
                     "source, server and destinations are disconnected at b_k",

@@ -181,14 +181,5 @@ TEST(SharedEngine, CapacitatedRunsMatch) {
   }
 }
 
-TEST(SharedEngine, RejectsNonKmbSteinerEngine) {
-  const Instance inst = random_instance(801, 15, 2);
-  ApproMultiOptions opts;
-  opts.engine = ApproMultiOptions::Engine::kSharedDijkstra;
-  opts.steiner_engine = graph::SteinerEngine::kTakahashiMatsuyama;
-  EXPECT_THROW(appro_multi(inst.topo, inst.costs, inst.request, opts),
-               std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace nfvm::core

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "obs/metrics.h"
+#include "topology/waxman.h"
 #include "util/rng.h"
 
 namespace nfvm::core {
@@ -96,6 +103,60 @@ TEST(WorkContext, RejectsMalformedCostTables) {
   bad.link_unit_cost.pop_back();
   EXPECT_THROW(build_work_context(f.topo, bad, f.request, nullptr),
                std::invalid_argument);
+}
+
+#if NFVM_OBS
+std::uint64_t counter_value(const std::string& name) {
+  return obs::Registry::global().counter(name)->value();
+}
+#endif
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i]) != std::bit_cast<std::uint64_t>(b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(WorkContext, ContextTreesShareOneTreePerRoot) {
+  util::Rng rng(17);
+  const topo::Topology topo = topo::make_waxman(30, rng);
+  const LinearCosts costs = random_costs(topo, rng);
+  nfv::Request request;
+  request.id = 1;
+  request.source = 0;
+  request.destinations = {5, 9};
+  request.bandwidth_mbps = 100.0;
+  request.chain = nfv::ServiceChain({nfv::NetworkFunction::kNat});
+
+  obs::Registry::global().reset_values();
+  const WorkContext ctx = build_work_context(topo, costs, request, nullptr);
+  const std::vector<graph::VertexId> roots{7, 3, 7, 0};
+  const auto trees = context_trees(ctx, roots);
+  ASSERT_EQ(trees.size(), roots.size());
+  for (std::size_t i = 0; i < roots.size(); ++i) {
+    const graph::ShortestPaths fresh = graph::dijkstra(ctx.cost_graph, roots[i]);
+    EXPECT_EQ(trees[i]->source, roots[i]);
+    EXPECT_TRUE(same_bits(trees[i]->dist, fresh.dist)) << "root " << roots[i];
+    EXPECT_EQ(trees[i]->parent, fresh.parent);
+    EXPECT_EQ(trees[i]->parent_edge, fresh.parent_edge);
+  }
+  EXPECT_EQ(trees[0].get(), trees[2].get());  // a repeated root shares one tree
+  EXPECT_EQ(trees[3].get(), ctx.trees[0].get());  // build_work_context's tree
+  EXPECT_TRUE(same_bits(ctx.sp_source.dist, trees[3]->dist));
+  const auto again = context_trees(ctx, std::vector<graph::VertexId>{3});
+  EXPECT_EQ(again[0].get(), trees[1].get());
+  EXPECT_THROW(context_trees(ctx, std::vector<graph::VertexId>{30}),
+               std::out_of_range);
+#if NFVM_OBS
+  // A miss on each root's first lookup (the source's came from
+  // build_work_context), a hit on every later one.
+  EXPECT_EQ(counter_value("graph.spcache.misses"), 3u);
+  EXPECT_EQ(counter_value("graph.spcache.hits"), 3u);
+#endif
 }
 
 TEST(AuxGraph, StructureMatchesPaper) {

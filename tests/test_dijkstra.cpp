@@ -100,12 +100,6 @@ TEST(Dijkstra, FilteredCanDisconnect) {
   EXPECT_FALSE(sp.reachable(1));
 }
 
-TEST(Dijkstra, ShortestDistanceHelper) {
-  const Graph g = triangle();
-  EXPECT_DOUBLE_EQ(shortest_distance(g, 0, 2), 2.0);
-  EXPECT_THROW(shortest_distance(g, 0, 9), std::out_of_range);
-}
-
 TEST(Dijkstra, TriangleInequalityOnRandomGraph) {
   util::Rng rng(1234);
   const topo::Topology topo = topo::make_waxman(60, rng);

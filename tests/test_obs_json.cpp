@@ -103,6 +103,30 @@ TEST(JsonParser, ErrorsCarryByteOffsets) {
   }
 }
 
+TEST(JsonParser, NestingIsCappedAtMaxDepth) {
+  const std::string doc =
+      std::string(kMaxJsonDepth, '[') + std::string(kMaxJsonDepth, ']');
+  const JsonValue v = parse_json(doc);
+  EXPECT_TRUE(v.is_array());
+  EXPECT_THROW(parse_json("[" + doc + "]"), std::runtime_error);
+}
+
+// Both inputs overflowed the stack before the parser capped its nesting.
+TEST(JsonParser, DeepNestingIsAnErrorNotACrash) {
+  try {
+    parse_json(std::string(100000, '['));
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("JSON error at byte " +
+                                         std::to_string(kMaxJsonDepth) + ":"),
+              std::string::npos)
+        << e.what();
+  }
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  EXPECT_THROW(parse_json(objects), std::runtime_error);
+}
+
 TEST(JsonValue, AtThrowsOnMissingKey) {
   const JsonValue v = parse_json(R"({"present":1})");
   EXPECT_TRUE(v.has("present"));

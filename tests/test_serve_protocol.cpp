@@ -82,6 +82,13 @@ TEST(ServeProtocol, MalformedJsonYieldsParseErrorWithPosition) {
   EXPECT_NE(failure.reply.find("\"error\":\"parse\""), std::string::npos);
   EXPECT_NE(failure.reply.find("\"line\":57"), std::string::npos);
   EXPECT_NE(failure.reply.find("\"offset\":1234"), std::string::npos);
+
+  // A line nested past the parser's depth cap is a parse error too, not a
+  // stack overflow that takes the daemon down.
+  ParseFailure deep;
+  EXPECT_FALSE(parse(topo, std::string(20000, '['), deep).has_value());
+  EXPECT_TRUE(deep.malformed_json);
+  EXPECT_NE(deep.reply.find("\"error\":\"parse\""), std::string::npos);
 }
 
 TEST(ServeProtocol, UnknownCommandIsInvalidNotParse) {

@@ -131,18 +131,6 @@ TEST(SpDial, OversizedIntegerWeightSelectsHeap) {
   expect_trees_equal(sp, reference_dijkstra(g, 0));
 }
 
-TEST(SpDial, EarlyExitLeavesNoStaleBucketState) {
-  // A point-to-point query abandons ring entries mid-drain; the next full
-  // query must not see them (generation-stamped buckets).
-  const Graph g = reweighted_waxman(50, 7, +[](EdgeId) { return 1.0; });
-  SpEngine engine;
-  engine.shortest_distance(g, 0, g.num_vertices() - 1);
-  ASSERT_TRUE(engine.last_used_dial());
-  for (VertexId s = 0; s < g.num_vertices(); s += 11) {
-    expect_trees_equal(engine.shortest_paths(g, s), reference_dijkstra(g, s));
-  }
-}
-
 class SpBatch : public ::testing::TestWithParam<std::size_t> {
  protected:
   void TearDown() override { util::ThreadPool::set_global_threads(1); }

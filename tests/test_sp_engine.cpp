@@ -1,5 +1,6 @@
-// SpEngine: equivalence with the dijkstra() free functions, early-exit
-// point-to-point queries, target-set rows, and CsrView staleness tracking.
+// SpEngine: equivalence with the dijkstra() free function and the
+// historical heap loop, masked and batched runs, and CsrView staleness
+// tracking.
 #include "graph/sp_engine.h"
 
 #include <gtest/gtest.h>
@@ -111,63 +112,6 @@ TEST(SpEngine, FilteredMatchesFreeFunction) {
   ASSERT_EQ(batch.size(), 1u);
   expect_trees_equal(engine.shortest_paths_masked(topo.graph, source, mask),
                      batch[0]);
-}
-
-TEST(SpEngine, EarlyExitDistanceEqualsFullRun) {
-  util::Rng rng(9);
-  const topo::Topology topo = topo::make_waxman(45, rng);
-  SpEngine engine;
-  for (VertexId from : {VertexId{0}, VertexId{11}, VertexId{30}}) {
-    const ShortestPaths full = reference_dijkstra(topo.graph, from);
-    for (VertexId to = 0; to < topo.graph.num_vertices(); ++to) {
-      EXPECT_EQ(engine.shortest_distance(topo.graph, from, to), full.dist[to]);
-    }
-  }
-}
-
-TEST(SpEngine, EarlyExitHandlesDisconnectedPairs) {
-  Graph g(4);
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(2, 3, 1.0);
-  SpEngine engine;
-  EXPECT_EQ(engine.shortest_distance(g, 0, 3), kInfiniteDistance);
-  EXPECT_DOUBLE_EQ(engine.shortest_distance(g, 2, 3), 1.0);
-}
-
-TEST(SpEngine, ShortestDistanceValidatesEndpoints) {
-  Graph g(2);
-  g.add_edge(0, 1, 1.0);
-  SpEngine engine;
-  EXPECT_THROW(engine.shortest_distance(g, 5, 1), std::out_of_range);
-  EXPECT_THROW(engine.shortest_distance(g, 0, 5), std::out_of_range);
-  // The free-function wrapper validates the same way (satellite fix: the
-  // historical helper ignored a bad `from`).
-  EXPECT_THROW(shortest_distance(g, 9, 0), std::out_of_range);
-  EXPECT_THROW(shortest_distance(g, 0, 9), std::out_of_range);
-}
-
-TEST(SpEngine, DistancesToMatchesFullRunWithDuplicates) {
-  util::Rng rng(12);
-  const topo::Topology topo = topo::make_waxman(35, rng);
-  const ShortestPaths full = reference_dijkstra(topo.graph, 6);
-  const std::vector<VertexId> targets{3, 17, 3, 6, 30};
-  SpEngine engine;
-  const std::vector<double> d = engine.distances_to(topo.graph, 6, targets);
-  ASSERT_EQ(d.size(), targets.size());
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    EXPECT_EQ(d[i], full.dist[targets[i]]);
-  }
-}
-
-TEST(SpEngine, DistancesToUnreachableTargets) {
-  Graph g(4);
-  g.add_edge(0, 1, 2.0);
-  SpEngine engine;
-  const std::vector<VertexId> targets{1, 2, 3};
-  const std::vector<double> d = engine.distances_to(g, 0, targets);
-  EXPECT_DOUBLE_EQ(d[0], 2.0);
-  EXPECT_EQ(d[1], kInfiniteDistance);
-  EXPECT_EQ(d[2], kInfiniteDistance);
 }
 
 TEST(CsrView, MatchesAndRefreshTrackEpoch) {

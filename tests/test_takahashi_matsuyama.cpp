@@ -1,3 +1,7 @@
+// The Takahashi–Matsuyama reference heuristic (ablation A4's second engine):
+// edge cases, valid trees, and the 2(1 - 1/t) bound against Dreyfus–Wagner.
+#include "reference/takahashi_matsuyama.h"
+
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -9,6 +13,8 @@
 
 namespace nfvm::graph {
 namespace {
+
+using reference::takahashi_matsuyama_steiner;
 
 Graph random_connected_graph(util::Rng& rng, std::size_t n, double p) {
   for (;;) {
@@ -103,34 +109,6 @@ TEST_P(TmRatioTest, WithinTwiceOptimal) {
 INSTANTIATE_TEST_SUITE_P(Seeds, TmRatioTest,
                          ::testing::Values(201u, 202u, 203u, 204u, 205u, 206u,
                                            207u, 208u, 209u, 210u));
-
-TEST(SteinerEngineDispatch, SelectsRequestedEngine) {
-  util::Rng rng(31);
-  const Graph g = random_connected_graph(rng, 16, 0.3);
-  const std::vector<VertexId> terminals{0, 5, 10, 15};
-  const SteinerResult kmb = steiner_tree(g, terminals, SteinerEngine::kKmb);
-  const SteinerResult direct_kmb = kmb_steiner(g, terminals);
-  EXPECT_EQ(kmb.edges, direct_kmb.edges);
-  const SteinerResult tm =
-      steiner_tree(g, terminals, SteinerEngine::kTakahashiMatsuyama);
-  const SteinerResult direct_tm = takahashi_matsuyama_steiner(g, terminals);
-  EXPECT_EQ(tm.edges, direct_tm.edges);
-}
-
-TEST(SteinerEngineDispatch, BothEnginesValidTrees) {
-  util::Rng rng(37);
-  const Graph g = random_connected_graph(rng, 25, 0.2);
-  std::vector<VertexId> terminals;
-  for (std::size_t p : rng.sample_without_replacement(25, 7)) {
-    terminals.push_back(static_cast<VertexId>(p));
-  }
-  for (SteinerEngine engine :
-       {SteinerEngine::kKmb, SteinerEngine::kTakahashiMatsuyama}) {
-    const SteinerResult st = steiner_tree(g, terminals, engine);
-    ASSERT_TRUE(st.connected);
-    EXPECT_TRUE(is_steiner_tree(g, st.edges, terminals));
-  }
-}
 
 }  // namespace
 }  // namespace nfvm::graph
