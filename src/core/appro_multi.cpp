@@ -35,6 +35,7 @@ OfflineSolution appro_multi(const topo::Topology& topo, const LinearCosts& costs
   const WorkContext ctx =
       build_work_context(topo, costs, request, options.resources);
   NFVM_HDR_OBSERVE("core.appro_multi.context_us", phase_watch.elapsed_us());
+  NFVM_OBS_ONLY(phase_watch.reset();)
   if (!ctx.destinations_reachable) {
     sol.reject_reason = "a destination is unreachable with the demanded bandwidth";
     return sol;
@@ -82,6 +83,7 @@ OfflineSolution appro_multi(const topo::Topology& topo, const LinearCosts& costs
     const std::size_t max_k = std::min(options.max_servers, pool.size());
     bool budget_left = true;
     {
+      NFVM_HDR_OBSERVE("core.appro_multi.prepare_us", phase_watch.elapsed_us());
       NFVM_SPAN("appro_multi/enumerate_servers");
       NFVM_OBS_ONLY(phase_watch.reset();)
       for (std::size_t k = 1; k <= max_k && budget_left; ++k) {
@@ -179,7 +181,6 @@ OfflineSolution appro_multi(const topo::Topology& topo, const LinearCosts& costs
   // costs and trees; the search therefore returns exactly the combination
   // the legacy sweep would have ranked first (see core/combo_search.h).
   NFVM_SPAN("appro_multi/branch_and_bound");
-  NFVM_OBS_ONLY(phase_watch.reset();)
   const ComboBounds bounds(ctx, request, pool, dest_trees);
   const auto evaluator = [&](std::span<const std::size_t> idx) {
     std::vector<graph::VertexId> combo(idx.size());
@@ -202,6 +203,9 @@ OfflineSolution appro_multi(const topo::Topology& topo, const LinearCosts& costs
   if (shared && options.max_servers > 1) sprime.emplace(oracle, pool);
   ComboSearch search(pool.size(), bounds, options.max_servers, evaluator,
                      sprime ? &*sprime : nullptr);
+  // Everything between the context and the search: destination trees, the
+  // shared oracle, the bounds and the dominance table.
+  NFVM_HDR_OBSERVE("core.appro_multi.prepare_us", phase_watch.elapsed_us());
 
   // Realize-fallthrough: when the cheapest tree violates the delay bound or
   // the residual capacities, re-search with its key as the floor to obtain

@@ -121,7 +121,6 @@ ComboBounds::ComboBounds(
   }
 
   virt_.resize(n);
-  reach_.resize(n * nd);
   sdist_.resize(n);
   ddirect_.resize(n * nd);
   star_member_.assign(n, 0);
@@ -131,13 +130,8 @@ ComboBounds::ComboBounds(
     sdist_[i] = ctx.sp_source.dist[v];
     star_member_[i] =
         std::find(star.begin(), star.end(), v) != star.end() ? 1 : 0;
-    // Triangle inequality through the source: d(v, star) >= d(s_k, v) -
-    // max_a d(s_k, a). Keeps the bound free of per-server tables.
-    const double server_snear = std::max(0.0, ctx.sp_source.dist[v] - maxstar);
     for (std::size_t d = 0; d < nd; ++d) {
       ddirect_[i * nd + d] = dest_trees[d]->dist[v];
-      reach_[i * nd + d] =
-          std::min(dest_trees[d]->dist[v], server_snear + snear[d]);
     }
   }
 
@@ -150,17 +144,18 @@ ComboBounds::ComboBounds(
     }
   }
 
-  rdist_.resize(nd * nd, kInf);
-  rmin_.assign(nd, kInf);
-  for (std::size_t d = 0; d < nd; ++d) {
-    for (std::size_t e = 0; e < nd; ++e) {
-      if (e == d) continue;
-      rdist_[d * nd + e] =
-          std::min(dest_trees[d]->dist[request.destinations[e]],
-                   snear[d] + snear[e]);
-      rmin_[d] = std::min(rmin_[d], rdist_[d * nd + e]);
+  // The widened star's rows serve the prefix bounds; the rows of the star
+  // {s_k} (snear = dsrc_, maxstar = 0) serve every star-free candidate.
+  reach_.resize(n * nd);
+  free_reach_.resize(n * nd);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t d = 0; d < nd; ++d) {
+      reach_[i * nd + d] = reach(i, d, maxstar, snear);
+      free_reach_[i * nd + d] = reach(i, d, 0.0, dsrc_);
     }
   }
+  pair_rows(snear, rdist_, rmin_);
+  pair_rows(dsrc_, free_rdist_, free_rmin_);
 
   suffix_min_virt_.assign(n + 1, kInf);
   suffix_min_sv_.assign((n + 1) * nd, kInf);
@@ -194,6 +189,29 @@ ComboBounds::Partial ComboBounds::extend(const Partial& prefix,
   return p;
 }
 
+double ComboBounds::reach(std::size_t i, std::size_t d, double maxstar,
+                          std::span<const double> snear) const {
+  // Triangle inequality through the source: d(v, star) >= d(s_k, v) -
+  // max_a d(s_k, a). Keeps the bound free of per-server tables.
+  const double server_snear = std::max(0.0, sdist_[i] - maxstar);
+  return std::min(ddirect_[i * num_dests_ + d], server_snear + snear[d]);
+}
+
+void ComboBounds::pair_rows(std::span<const double> snear,
+                            std::vector<double>& rdist,
+                            std::vector<double>& rmin) const {
+  const std::size_t nd = num_dests_;
+  rdist.assign(nd * nd, graph::kInfiniteDistance);
+  rmin.assign(nd, graph::kInfiniteDistance);
+  for (std::size_t d = 0; d < nd; ++d) {
+    for (std::size_t e = 0; e < nd; ++e) {
+      if (e == d) continue;
+      rdist[d * nd + e] = std::min(ddraw_[d * nd + e], snear[d] + snear[e]);
+      rmin[d] = std::min(rmin[d], rdist[d * nd + e]);
+    }
+  }
+}
+
 double ComboBounds::candidate_bound(std::span<const std::size_t> idx) const {
   const std::size_t nd = num_dests_;
   // The combination is complete, so its zero-cost star is exactly
@@ -211,15 +229,21 @@ double ComboBounds::candidate_bound(std::span<const std::size_t> idx) const {
       maxstar = std::max(maxstar, sdist_[i]);
     }
   }
+  // A star-free combination's star is {s_k}: its rows were computed once.
+  std::span<const double> rdist = free_rdist_;
+  std::span<const double> rmin = free_rmin_;
   std::vector<double>& snear = scratch_snear_;
-  snear.assign(dsrc_.begin(), dsrc_.end());
   if (any_star) {
+    snear.assign(dsrc_.begin(), dsrc_.end());
     for (const std::size_t i : idx) {
       if (star_member_[i] == 0) continue;
       for (std::size_t d = 0; d < nd; ++d) {
         snear[d] = std::min(snear[d], ddirect_[i * nd + d]);
       }
     }
+    pair_rows(snear, scratch_rdist_, scratch_rmin_);
+    rdist = scratch_rdist_;
+    rmin = scratch_rmin_;
   }
 
   double min_virt = graph::kInfiniteDistance;
@@ -229,24 +253,11 @@ double ComboBounds::candidate_bound(std::span<const std::size_t> idx) const {
   min_reach.assign(nd, graph::kInfiniteDistance);
   for (const std::size_t i : idx) {
     min_virt = std::min(min_virt, virt_[i]);
-    const double server_snear = std::max(0.0, sdist_[i] - maxstar);
     for (std::size_t d = 0; d < nd; ++d) {
-      const double reach =
-          std::min(ddirect_[i * nd + d], server_snear + snear[d]);
-      min_sv[d] = std::min(min_sv[d], virt_[i] + reach);
-      min_reach[d] = std::min(min_reach[d], reach);
-    }
-  }
-
-  std::vector<double>& rdist = scratch_rdist_;
-  std::vector<double>& rmin = scratch_rmin_;
-  rdist.assign(nd * nd, graph::kInfiniteDistance);
-  rmin.assign(nd, graph::kInfiniteDistance);
-  for (std::size_t d = 0; d < nd; ++d) {
-    for (std::size_t e = 0; e < nd; ++e) {
-      if (e == d) continue;
-      rdist[d * nd + e] = std::min(ddraw_[d * nd + e], snear[d] + snear[e]);
-      rmin[d] = std::min(rmin[d], rdist[d * nd + e]);
+      const double r =
+          any_star ? reach(i, d, maxstar, snear) : free_reach_[i * nd + d];
+      min_sv[d] = std::min(min_sv[d], virt_[i] + r);
+      min_reach[d] = std::min(min_reach[d], r);
     }
   }
   return bound_from(min_virt, min_sv, min_reach, rdist, rmin);
@@ -268,14 +279,12 @@ double ComboBounds::subtree_bound(const Partial& prefix,
                     min_reach, rdist_, rmin_);
 }
 
-/// Scaled subset-MST sweep over the (|D| + 1)-terminal closure-matrix
-/// lower bounds M (terminal 0 = s', j >= 1 = dest j-1).
-///
-/// For ANY subset S of the terminals, the admitted tree T contains a
-/// subtree spanning S, so w(T) >= SMT(S); the classic Steiner-ratio
-/// argument (double the tree, Euler tour, shortcut, drop the heaviest of
-/// the |S| cycle edges) gives MST(closure|S) <= 2(1 - 1/|S|) * SMT(S), and
-/// entrywise M <= closure makes MST(M|S) a usable stand-in. Hence
+/// Why the sweep bounds the tree: for ANY subset S of the terminals, the
+/// admitted tree T contains a subtree spanning S, so w(T) >= SMT(S); the
+/// classic Steiner-ratio argument (double the tree, Euler tour, shortcut,
+/// drop the heaviest of the |S| cycle edges) gives
+/// MST(closure|S) <= 2(1 - 1/|S|) * SMT(S), and entrywise M <= closure
+/// makes MST(M|S) a usable stand-in. Hence
 ///   w(T) >= MST(M|S) * |S| / (2(|S| - 1)).
 /// Small, spread-out subsets enjoy a multiplier far better than the
 /// full-set 1/2 (|S| = 2 gives 1, |S| = 3 gives 3/4, ...), so the sweep
@@ -283,71 +292,142 @@ double ComboBounds::subtree_bound(const Partial& prefix,
 /// seeded at s' — the prefixes that pack the most metric spread into the
 /// fewest terminals. |S| = 2 reproduces the single-path bound; |S| = |D|+1
 /// sharpens the old half-MST bound by (|D|+1)/|D|.
-double ComboBounds::scaled_subset_mst_bound(
-    std::span<const double> min_sv, std::span<const double> rdist) const {
-  const std::size_t t = num_dests_ + 1;
-  const auto entry = [&](std::size_t a, std::size_t b) {
-    if (a > b) std::swap(a, b);
-    if (a == 0) return min_sv[b - 1];
-    return std::min(rdist[(a - 1) * num_dests_ + (b - 1)],
-                    min_sv[a - 1] + min_sv[b - 1]);
-  };
+double SubsetMstSweep::operator()(std::span<const double> min_sv,
+                                  std::span<const double> rdist) {
+  const std::size_t nd = min_sv.size();
+  const std::size_t t = nd + 1;
 
   // Farthest-point insertion order from s'. to_set[j] tracks each pending
   // destination's distance to the chosen set; ties break toward the
   // smaller terminal index, so the order — and with it the bound — is a
-  // pure function of the matrix entries (thread-count invariant).
-  std::vector<std::size_t>& order = scratch_order_;
-  std::vector<double>& to_set = scratch_to_set_;
-  std::vector<char>& chosen = scratch_chosen_;
-  order.assign(1, 0);
-  to_set.assign(t, graph::kInfiniteDistance);
-  chosen.assign(t, 0);
-  chosen[0] = 1;
-  for (std::size_t j = 1; j < t; ++j) to_set[j] = min_sv[j - 1];
-  // MST weight of each chosen prefix via Prim restricted to `order`.
-  std::vector<double>& prim = scratch_prim_;
-  std::vector<char>& in_tree = scratch_in_tree_;
-  prim.assign(t, graph::kInfiniteDistance);
+  // pure function of the matrix entries (thread-count invariant). A chosen
+  // terminal's to_set is -1, below every distance, so no scan picks it
+  // again.
+  to_set_.resize(t);
+  row_.resize(t);
+  parent_.resize(t);
+  up_.resize(t);
+  heavy_.resize(t);
+  heavy_id_.resize(t);
+  kept_.resize(2 * t);
+  on_path_.resize(t);
+  order_.assign(1, 0);
+  std::size_t pick = 0;
+  double far = -1.0;
+  for (std::size_t j = 1; j < t; ++j) {
+    to_set_[j] = min_sv[j - 1];
+    if (to_set_[j] > far) {
+      far = to_set_[j];
+      pick = j;
+    }
+  }
   double best_bound = 0.0;
-  for (std::size_t step = 1; step < t; ++step) {
-    std::size_t pick = 0;
-    double far = -1.0;
-    for (std::size_t j = 1; j < t; ++j) {
-      if (!chosen[j] && to_set[j] > far) {
-        far = to_set[j];
+  for (std::size_t s = 2; s <= t; ++s) {  // |S| once this step's p is in
+    if (far >= graph::kInfiniteDistance) return graph::kInfiniteDistance;
+    const std::size_t p = pick;
+    to_set_[p] = -1.0;
+    // One row of M serves both the pending terminals' distances to the set
+    // and the chosen terminals' edges to p; the same pass finds the next
+    // pick.
+    const double p_sv = min_sv[p - 1];
+    row_[0] = p_sv;
+    pick = 0;
+    far = -1.0;
+    const auto update = [&](std::size_t j) {
+      to_set_[j] = std::min(to_set_[j], row_[j]);
+      if (to_set_[j] > far) {
+        far = to_set_[j];
         pick = j;
       }
+    };
+    for (std::size_t j = 1; j < p; ++j) {
+      row_[j] = std::min(rdist[(j - 1) * nd + (p - 1)], min_sv[j - 1] + p_sv);
+      update(j);
     }
-    if (far >= graph::kInfiniteDistance) return graph::kInfiniteDistance;
-    chosen[pick] = 1;
-    order.push_back(pick);
-    for (std::size_t j = 1; j < t; ++j) {
-      if (!chosen[j]) to_set[j] = std::min(to_set[j], entry(pick, j));
+    for (std::size_t j = p + 1; j < t; ++j) {
+      row_[j] = std::min(rdist[(p - 1) * nd + (j - 1)], p_sv + min_sv[j - 1]);
+      update(j);
     }
 
-    const std::size_t s = order.size();  // |S| terminals in this prefix
-    double mst = 0.0;
-    std::fill(prim.begin(), prim.begin() + s, graph::kInfiniteDistance);
-    prim[0] = 0.0;  // indices into `order`; seed at s'
-    in_tree.assign(s, 0);
-    for (std::size_t grown = 0; grown < s; ++grown) {
-      std::size_t next = s;
-      for (std::size_t i = 0; i < s; ++i) {
-        if (!in_tree[i] && (next == s || prim[i] < prim[next])) next = i;
-      }
-      mst += prim[next];
-      in_tree[next] = 1;
-      for (std::size_t i = 0; i < s; ++i) {
-        if (!in_tree[i]) {
-          prim[i] = std::min(prim[i], entry(order[next], order[i]));
-        }
-      }
-    }
+    const double mst = insert(p);
     best_bound = std::max(best_bound, mst * static_cast<double>(s) /
                                           (2.0 * static_cast<double>(s - 1)));
   }
   return best_bound;
+}
+
+/// Vertex insertion (Chin and Houck, 1978). By the cycle property the MST
+/// of S ∪ {p} lies in MST(S) plus p's |S| edges. Walking the tree children
+/// before parents, each vertex x is joined to its parent u after x's whole
+/// subtree: edge (x, u) then closes one cycle, made of x's path to p, u's
+/// path to p and (x, u), and its heaviest edge is dropped. heavy_ tracks
+/// the heaviest edge on each vertex's path to p, so each join is O(1) and
+/// the insertion O(|S|). Only comparisons choose the kept edges, so they
+/// form an exact MST of the given entries.
+double SubsetMstSweep::insert(std::size_t p) {
+  const std::size_t t = row_.size();
+  for (const std::size_t x : order_) {
+    heavy_[x] = row_[x];
+    heavy_id_[x] = t + x;
+    kept_[x] = 1;
+    kept_[t + x] = 1;
+  }
+  for (std::size_t i = order_.size(); i-- > 1;) {
+    const std::size_t x = order_[i];
+    const std::size_t u = parent_[x];
+    const double link = up_[x];
+    if (link >= heavy_[x] && link >= heavy_[u]) {
+      kept_[x] = 0;
+    } else if (heavy_[x] >= heavy_[u]) {
+      kept_[heavy_id_[x]] = 0;
+    } else {
+      // u's old path to p is cut; it now reaches p through x.
+      kept_[heavy_id_[u]] = 0;
+      if (link >= heavy_[x]) {
+        heavy_[u] = link;
+        heavy_id_[u] = x;
+      } else {
+        heavy_[u] = heavy_[x];
+        heavy_id_[u] = heavy_id_[x];
+      }
+    }
+  }
+
+  // Re-root at p. The dropped tree edges cut the old tree into parts, and
+  // each part keeps exactly one edge to p: the parent pointers on the path
+  // from that edge's endpoint x up to the part's top turn around. Listing
+  // those paths ahead of the vertices that keep their parents yields the
+  // next parents-first order. The weight is summed in that order.
+  const std::size_t old_root = order_[0];
+  ++stamp_;
+  next_order_.assign(1, p);
+  double mst = 0.0;
+  for (const std::size_t x : order_) {
+    if (!kept_[t + x]) continue;
+    std::size_t below = p;
+    double weight = row_[x];
+    for (std::size_t v = x;;) {
+      const bool top = v == old_root || !kept_[v];
+      const std::size_t above = parent_[v];
+      const double above_weight = up_[v];
+      parent_[v] = below;
+      up_[v] = weight;
+      mst += weight;
+      on_path_[v] = stamp_;
+      next_order_.push_back(v);
+      if (top) break;
+      below = v;
+      weight = above_weight;
+      v = above;
+    }
+  }
+  for (const std::size_t x : order_) {
+    if (on_path_[x] == stamp_) continue;
+    mst += up_[x];
+    next_order_.push_back(x);
+  }
+  std::swap(order_, next_order_);
+  return mst;
 }
 
 double ComboBounds::bound_from(double min_virt, std::span<const double> min_sv,
@@ -379,7 +459,7 @@ double ComboBounds::bound_from(double min_virt, std::span<const double> min_sv,
   packing *= 0.5;
   // (d) Scaled subset-MST sweep over the closure lower bounds; subsumes
   // the single-path bound (a) via its |S| = 2 prefix.
-  const double subset_mst = scaled_subset_mst_bound(min_sv, rdist);
+  const double subset_mst = sweep_(min_sv, rdist);
   const double bound =
       std::max(std::max(single_path, forest), std::max(packing, subset_mst));
   // Tiny relative slack so float rounding in the bound arithmetic can never

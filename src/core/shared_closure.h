@@ -107,6 +107,49 @@ std::vector<graph::VertexId> beam_server_pool(
     std::span<const std::shared_ptr<const graph::ShortestPaths>> dest_trees,
     std::size_t beam_width);
 
+/// Scaled subset-MST sweep over a closure-matrix lower bound M on the
+/// terminals {s'} ∪ D (terminal 0 = s', terminal j >= 1 = destination j-1):
+///   M(0, j) = min_sv[j-1],
+///   M(a, b) = min(rdist[(a-1)·|D| + (b-1)], min_sv[a-1] + min_sv[b-1])
+/// for 0 < a < b. Returns the largest MST(M|S)·|S| / (2(|S| - 1)) over the
+/// farthest-point-insertion prefixes S of the terminals seeded at s', or
+/// infinity when some terminal has only infinite entries to a prefix
+/// (docs/performance.md, "The bounds"). Each prefix's MST is the previous
+/// one with one terminal inserted (Chin and Houck, 1978), so a sweep costs
+/// O(t²) for t = |D| + 1 terminals. Scratch buffers are reused across
+/// calls: one sweep at a time per object.
+class SubsetMstSweep {
+ public:
+  double operator()(std::span<const double> min_sv,
+                    std::span<const double> rdist);
+
+ private:
+  /// Adds terminal p, whose entries to the tree's vertices are in row_, to
+  /// the tree and returns the new tree's weight.
+  double insert(std::size_t p);
+
+  /// to_set_[j]: a pending terminal's distance to the chosen prefix.
+  std::vector<double> to_set_;
+  /// row_[j]: M(p, j) for the terminal p being inserted.
+  std::vector<double> row_;
+  /// The prefix's MST, rooted at the terminal inserted last: order_ lists
+  /// the tree's vertices, each after its parent, and every vertex x but
+  /// the root has a parent_[x] and the weight up_[x] of edge
+  /// (x, parent_[x]).
+  std::vector<std::size_t> order_;
+  std::vector<std::size_t> parent_;
+  std::vector<double> up_;
+  /// insert() state: the heaviest edge on each vertex's path to the new
+  /// terminal p, edge flags (x is the edge (x, parent_[x]), t + x the edge
+  /// (x, p)), a stamp per vertex on a re-rooted path and the next order_.
+  std::vector<double> heavy_;
+  std::vector<std::size_t> heavy_id_;
+  std::vector<char> kept_;
+  std::vector<std::size_t> on_path_;
+  std::size_t stamp_ = 0;
+  std::vector<std::size_t> next_order_;
+};
+
 /// Admissible (never overestimating) lower bounds on the Steiner cost of
 /// Appro_Multi server combinations, assembled once per request from the
 /// shared per-terminal tables. Used by the branch-and-bound combination
@@ -158,7 +201,8 @@ class ComboBounds {
   /// rebuilt against that combo-specific star instead of the widened
   /// pool-level star, which dominates the prefix relaxation entrywise —
   /// combinations avoiding the source-adjacent servers get (near-)exact
-  /// entries. NOT thread-safe: bound queries reuse per-object scratch
+  /// entries, computed once per request since their star is always {s_k}.
+  /// NOT thread-safe: bound queries reuse per-object scratch
   /// buffers, so all calls must come from one thread at a time (the
   /// combination search only queries bounds from its orchestration thread).
   double candidate_bound(std::span<const std::size_t> idx) const;
@@ -170,14 +214,22 @@ class ComboBounds {
  private:
   /// Assembles the four sub-bounds from per-destination ingredient minima
   /// and a destination-destination distance matrix (`rdist`/`rmin` are the
-  /// pool-level members for the prefix bounds, combo-specific scratch for
-  /// candidate_bound).
+  /// pool-level members for the prefix bounds, the star-free members or
+  /// combo-specific scratch for candidate_bound).
   double bound_from(double min_virt, std::span<const double> min_sv,
                     std::span<const double> min_reach,
                     std::span<const double> rdist,
                     std::span<const double> rmin) const;
-  double scaled_subset_mst_bound(std::span<const double> min_sv,
-                                 std::span<const double> rdist) const;
+  /// Lower bound on the star-or-direct distance from pool[i] to
+  /// destination d, for a zero-cost star whose members lie within `maxstar`
+  /// of s_k and whose distances to the destinations are `snear`.
+  double reach(std::size_t i, std::size_t d, double maxstar,
+               std::span<const double> snear) const;
+  /// The destination-destination rows for a star whose distances to the
+  /// destinations are `snear`: rdist[d * |D| + d'] = min(d(d, d'),
+  /// snear[d] + snear[d']) and rmin[d] = min over d' != d of it.
+  void pair_rows(std::span<const double> snear, std::vector<double>& rdist,
+                 std::vector<double>& rmin) const;
 
   std::size_t num_servers_ = 0;
   std::size_t num_dests_ = 0;
@@ -205,6 +257,11 @@ class ComboBounds {
   std::vector<double> dsrc_;
   /// ddraw_[d * |D| + d']: d(destination d, destination d').
   std::vector<double> ddraw_;
+  /// reach_, rdist_ and rmin_ for the star {s_k}, the star of every
+  /// combination without a source-adjacent member.
+  std::vector<double> free_reach_;
+  std::vector<double> free_rdist_;
+  std::vector<double> free_rmin_;
   /// Suffix minima over pool index j in [0, n]: row j holds the minima over
   /// servers [j, n), row n is infinite. Combining a prefix Partial with row
   /// `next` yields the minima over prefix ∪ [next, n).
@@ -212,19 +269,15 @@ class ComboBounds {
   std::vector<double> suffix_min_sv_;
   std::vector<double> suffix_min_reach_;
   /// Scratch reused across bound queries (hence the single-caller contract
-  /// above): combined minima for subtree_bound and the farthest-point /
-  /// Prim state for scaled_subset_mst_bound. Bounds run once per candidate,
-  /// so allocating here instead of per call keeps the search overhead flat.
+  /// above): combined minima, the star-specific closure rows and the
+  /// subset-MST sweep's state. Bounds run once per candidate, so allocating
+  /// here instead of per call keeps the search overhead flat.
   mutable std::vector<double> scratch_min_sv_;
   mutable std::vector<double> scratch_min_reach_;
   mutable std::vector<double> scratch_snear_;
   mutable std::vector<double> scratch_rdist_;
   mutable std::vector<double> scratch_rmin_;
-  mutable std::vector<std::size_t> scratch_order_;
-  mutable std::vector<double> scratch_to_set_;
-  mutable std::vector<char> scratch_chosen_;
-  mutable std::vector<double> scratch_prim_;
-  mutable std::vector<char> scratch_in_tree_;
+  mutable SubsetMstSweep sweep_;
 };
 
 /// Evaluates one combination via the shared tables; returns a Steiner tree

@@ -1,22 +1,28 @@
 // Branch-and-bound combination search: exhaustive equivalence, beam
-// monotonicity, pruning accounting, thread-count invariance and the
-// shared engine's dominated-combination skip.
+// monotonicity, pruning accounting, thread-count invariance, the shared
+// engine's dominated-combination skip, the admissibility of ComboBounds
+// and its subset-MST sweep against the Prim oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <ostream>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/appro_multi.h"
 #include "core/aux_graph.h"
 #include "core/combo_search.h"
 #include "core/shared_closure.h"
+#include "graph/steiner.h"
 #include "nfv/resources.h"
+#include "reference/subset_mst_sweep.h"
 #include "sim/request_gen.h"
 #include "topology/geant.h"
 #include "topology/waxman.h"
@@ -492,6 +498,170 @@ TEST(BeamSearch, CostIsNonIncreasingInWidthAndExactAtFullPool) {
     }
   }
 }
+
+/// A random closure-matrix lower bound on t terminals in one of four
+/// regimes: spread-out reals, small integers (ties and zeros everywhere),
+/// reals with zero and infinite entries mixed in, and mostly infinite
+/// entries (the sweep often stops at a prefix it cannot extend).
+struct SweepInput {
+  std::vector<double> min_sv;
+  std::vector<double> rdist;
+};
+
+SweepInput random_sweep_input(util::Rng& rng, std::size_t t, int regime) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto draw = [&rng, regime, inf]() -> double {
+    switch (regime) {
+      case 0:
+        return rng.uniform_real(0.0, 100.0);
+      case 1:
+        return static_cast<double>(rng.uniform_int(0, 3));
+      case 2:
+        if (rng.bernoulli(0.15)) return 0.0;
+        if (rng.bernoulli(0.15)) return inf;
+        return rng.uniform_real(0.0, 10.0);
+      default:
+        return rng.bernoulli(0.7) ? inf : rng.uniform_real(0.0, 10.0);
+    }
+  };
+  const std::size_t nd = t - 1;
+  SweepInput in;
+  for (std::size_t d = 0; d < nd; ++d) in.min_sv.push_back(draw());
+  for (std::size_t c = 0; c < nd * nd; ++c) in.rdist.push_back(draw());
+  return in;
+}
+
+TEST(SubsetMstSweep, MatchesPrimOracleOnRandomMatrices) {
+  util::Rng rng(2024);
+  // One object for every size, so scratch left by a larger matrix is
+  // exercised by the smaller ones after it.
+  SubsetMstSweep sweep;
+  std::size_t infinite = 0;
+  std::size_t finite = 0;
+  for (int round = 0; round < 6; ++round) {
+    for (std::size_t t = 1; t <= 40; ++t) {
+      for (int regime = 0; regime < 4; ++regime) {
+        const SweepInput in = random_sweep_input(rng, t, regime);
+        const double oracle = reference::scaled_subset_mst_prim(in.min_sv, in.rdist);
+        const double got = sweep(in.min_sv, in.rdist);
+        ASSERT_EQ(std::isinf(got), std::isinf(oracle))
+            << "t " << t << " regime " << regime << ": " << got << " vs " << oracle;
+        if (std::isinf(oracle)) {
+          ++infinite;
+          continue;
+        }
+        ++finite;
+        EXPECT_LE(std::abs(got - oracle), 1e-12 * std::abs(oracle))
+            << "t " << t << " regime " << regime << ": " << got << " vs " << oracle;
+      }
+    }
+  }
+  EXPECT_GT(infinite, 0u);
+  EXPECT_GT(finite, 0u);
+}
+
+struct BoundCase {
+  bool geant;
+  bool unit_costs;
+  std::size_t dests;
+};
+
+void PrintTo(const BoundCase& c, std::ostream* os) {
+  *os << (c.geant ? "GEANT" : "Waxman-100")
+      << (c.unit_costs ? ", unit costs" : ", random costs") << ", |D| = " << c.dests;
+}
+
+class ComboBoundsAdmissibilityTest : public ::testing::TestWithParam<BoundCase> {};
+
+/// candidate_bound(C) must not exceed C's evaluated Steiner cost under
+/// either engine, and subtree_bound(P, next) must not exceed the cheapest
+/// evaluated completion of P by servers drawn from pool indices >= next.
+TEST_P(ComboBoundsAdmissibilityTest, BoundsNeverExceedEvaluatedCosts) {
+  constexpr std::size_t kMaxServers = 3;
+  const BoundCase& c = GetParam();
+  Instance inst = c.geant ? geant_instance(1200 + c.dests, c.dests)
+                          : random_instance(1100 + c.dests, 100, c.dests);
+  if (c.unit_costs) inst.costs = uniform_costs(inst.topo);
+  const SharedSearchRig rig(inst);
+  const std::size_t n = rig.pool.size();
+  ASSERT_GT(n, 0u);
+  std::vector<graph::VertexId> terminals{
+      static_cast<graph::VertexId>(rig.ctx.cost_graph.num_vertices())};
+  terminals.insert(terminals.end(), rig.request.destinations.begin(),
+                   rig.request.destinations.end());
+
+  // Every combination with its cheaper engine's cost (infinite when neither
+  // connects); the bounds must hold for both engines, so the smaller cost
+  // is the one that can break them.
+  std::vector<std::vector<std::size_t>> combos;
+  std::vector<double> cost;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (std::size_t k = 1; k <= std::min(kMaxServers, n); ++k) {
+    std::vector<std::size_t> idx(k);
+    for (std::size_t i = 0; i < k; ++i) idx[i] = i;
+    do {
+      const graph::SteinerResult shared = rig.solve(idx);
+      const AuxiliaryGraph aux =
+          build_auxiliary_graph(rig.ctx, rig.request.source, rig.servers(idx));
+      const graph::SteinerResult ref = graph::kmb_steiner(aux.graph, terminals);
+      ASSERT_EQ(shared.connected, ref.connected);
+      const double evaluated =
+          shared.connected ? std::min(shared.weight, ref.weight) : inf;
+      const double bound = rig.bounds.candidate_bound(idx);
+      EXPECT_LE(bound, evaluated) << "combination of " << k << " servers";
+      if (c.dests == 1 && k == 1 && !rig.sprime.source_adjacent(idx[0]) &&
+          shared.connected) {
+        // One destination and one server off the source's star: the tree
+        // is the path s' -> v -> d, which the bound prices exactly.
+        EXPECT_GE(bound, evaluated * (1.0 - 1e-8)) << "server " << idx[0];
+      }
+      combos.push_back(idx);
+      cost.push_back(evaluated);
+    } while (util::next_combination(idx, n));
+  }
+
+  // Prefixes of every size below K, the empty one included.
+  std::vector<std::vector<std::size_t>> prefixes{{}};
+  for (const auto& idx : combos) {
+    if (idx.size() < kMaxServers) prefixes.push_back(idx);
+  }
+  std::size_t checked = 0;
+  for (const auto& prefix : prefixes) {
+    ComboBounds::Partial partial = rig.bounds.root();
+    for (const std::size_t i : prefix) partial = rig.bounds.extend(partial, i);
+    const std::size_t first = prefix.empty() ? 0 : prefix.back() + 1;
+    for (std::size_t next = first; next < n; ++next) {
+      double cheapest = inf;
+      for (std::size_t j = 0; j < combos.size(); ++j) {
+        const auto& idx = combos[j];
+        if (idx.size() <= prefix.size() || idx[prefix.size()] < next) continue;
+        if (!std::equal(prefix.begin(), prefix.end(), idx.begin())) continue;
+        cheapest = std::min(cheapest, cost[j]);
+      }
+      if (cheapest == inf) continue;
+      EXPECT_LE(rig.bounds.subtree_bound(partial, next), cheapest)
+          << "prefix of " << prefix.size() << " servers, next " << next;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WaxmanAndGeant, ComboBoundsAdmissibilityTest,
+    ::testing::Values(BoundCase{false, false, 1}, BoundCase{false, false, 5},
+                      BoundCase{false, false, 10}, BoundCase{false, false, 30},
+                      BoundCase{false, true, 1}, BoundCase{false, true, 5},
+                      BoundCase{false, true, 10}, BoundCase{false, true, 30},
+                      BoundCase{true, false, 1}, BoundCase{true, false, 5},
+                      BoundCase{true, false, 10}, BoundCase{true, false, 30},
+                      BoundCase{true, true, 1}, BoundCase{true, true, 5},
+                      BoundCase{true, true, 10}, BoundCase{true, true, 30}),
+    [](const ::testing::TestParamInfo<BoundCase>& info) {
+      return std::string(info.param.geant ? "geant" : "waxman100") +
+             (info.param.unit_costs ? "_unit" : "_random") + "_d" +
+             std::to_string(info.param.dests);
+    });
 
 }  // namespace
 }  // namespace nfvm::core
