@@ -6,12 +6,20 @@
 namespace nfvm::nfv {
 
 std::string Request::to_string() const {
-  std::string out = "r" + std::to_string(id) + "(s=" + std::to_string(source) + ", D={";
+  std::string out = "r";
+  out += std::to_string(id);
+  out += "(s=";
+  out += std::to_string(source);
+  out += ", D={";
   for (std::size_t i = 0; i < destinations.size(); ++i) {
     if (i > 0) out += ",";
     out += std::to_string(destinations[i]);
   }
-  out += "}, b=" + std::to_string(bandwidth_mbps) + "Mbps, SC=" + chain.to_string() + ")";
+  out += "}, b=";
+  out += std::to_string(bandwidth_mbps);
+  out += "Mbps, SC=";
+  out += chain.to_string();
+  out += ")";
   return out;
 }
 

@@ -84,8 +84,4 @@ void HdrHistogram::reset() noexcept {
   max_.store(-std::numeric_limits<double>::infinity(), std::memory_order_relaxed);
 }
 
-double estimate_quantile(const HdrHistogram& histogram, double q) {
-  return histogram.quantile(q);
-}
-
 }  // namespace nfvm::obs

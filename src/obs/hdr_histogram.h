@@ -1,12 +1,9 @@
 // Log-linear ("HDR-style") histogram with a bounded relative bucket width.
 //
-// The base-2 Histogram in metrics.h pays one bucket per octave, so a
-// quantile estimate is only guaranteed within a factor of 2 of the true
-// value. That is fine for coarse instruments (combination counts spanning
-// six orders of magnitude) but useless for latency SLOs, where "p99 is
-// somewhere between 0.5x and 2x" cannot drive a gate. HdrHistogram keeps
-// the same lock-free recording discipline but subdivides every octave into
-// kSubBuckets linear slices:
+// One bucket per octave would only place a quantile estimate within a
+// factor of 2 of the true value, which cannot drive a latency SLO. So
+// HdrHistogram subdivides every octave into kSubBuckets linear slices,
+// recording lock-free into relaxed atomics:
 //
 //   bucket (o, s) covers [2^o * (1 + s/128), 2^o * (1 + (s+1)/128))
 //
@@ -19,8 +16,7 @@
 //
 // Recording is one frexp plus a handful of relaxed atomics - cheap enough
 // for the per-request admission path, though not for inner relaxation
-// loops (the array is ~50 KiB per instrument; prefer the log2 Histogram
-// for high-cardinality instrument families).
+// loops (the array is ~50 KiB per instrument; count those with counters).
 #pragma once
 
 #include <array>
@@ -82,8 +78,5 @@ class HdrHistogram {
   std::atomic<double> min_;
   std::atomic<double> max_;
 };
-
-/// Convenience overload mirroring estimate_quantile(const Histogram&, q).
-double estimate_quantile(const HdrHistogram& histogram, double q);
 
 }  // namespace nfvm::obs

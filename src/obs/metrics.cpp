@@ -10,58 +10,6 @@
 
 namespace nfvm::obs {
 
-// --- Histogram --------------------------------------------------------------
-
-Histogram::Histogram() noexcept
-    : min_(std::numeric_limits<double>::infinity()),
-      max_(-std::numeric_limits<double>::infinity()) {}
-
-std::size_t Histogram::bucket_index(double sample) noexcept {
-  if (!(sample > 1.0)) return 0;  // <= 1, non-positive and NaN
-  const int exponent = std::ilogb(sample);
-  // sample in [2^exponent, 2^(exponent+1)); bucket upper bound is 2^i, so
-  // exact powers of two belong to bucket `exponent`, the rest one above.
-  const bool exact_power = std::ldexp(1.0, exponent) == sample;
-  const int bucket = exact_power ? exponent : exponent + 1;
-  if (bucket < 0) return 0;
-  return std::min<std::size_t>(static_cast<std::size_t>(bucket), kNumBuckets - 1);
-}
-
-double Histogram::bucket_upper_bound(std::size_t bucket) {
-  if (bucket >= kNumBuckets - 1) return std::numeric_limits<double>::infinity();
-  return std::ldexp(1.0, static_cast<int>(bucket));
-}
-
-void Histogram::observe(double sample) noexcept {
-  buckets_[bucket_index(sample)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  // fetch_add(double) is C++20; min/max need CAS loops.
-  double expected = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(expected, expected + sample,
-                                     std::memory_order_relaxed)) {
-  }
-  expected = min_.load(std::memory_order_relaxed);
-  while (sample < expected &&
-         !min_.compare_exchange_weak(expected, sample, std::memory_order_relaxed)) {
-  }
-  expected = max_.load(std::memory_order_relaxed);
-  while (sample > expected &&
-         !max_.compare_exchange_weak(expected, sample, std::memory_order_relaxed)) {
-  }
-}
-
-std::uint64_t Histogram::bucket_count(std::size_t bucket) const {
-  return buckets_.at(bucket).load(std::memory_order_relaxed);
-}
-
-void Histogram::reset() noexcept {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(std::numeric_limits<double>::infinity(), std::memory_order_relaxed);
-  max_.store(-std::numeric_limits<double>::infinity(), std::memory_order_relaxed);
-}
-
 // --- Quantile estimation ----------------------------------------------------
 
 double estimate_quantile(const std::vector<HistogramBucket>& buckets, double q,
@@ -100,15 +48,6 @@ double estimate_quantile(const std::vector<HistogramBucket>& buckets, double q,
   return std::numeric_limits<double>::quiet_NaN();  // unreachable: total > 0
 }
 
-double estimate_quantile(const Histogram& histogram, double q) {
-  std::vector<HistogramBucket> buckets;
-  buckets.reserve(Histogram::kNumBuckets);
-  for (std::size_t b = 0; b < Histogram::kNumBuckets; ++b) {
-    buckets.push_back({Histogram::bucket_upper_bound(b), histogram.bucket_count(b)});
-  }
-  return estimate_quantile(buckets, q, histogram.min(), histogram.max());
-}
-
 // --- Registry ---------------------------------------------------------------
 
 // Out-of-line so HdrHistogram can stay forward-declared in the header.
@@ -135,14 +74,6 @@ Gauge* Registry::gauge(std::string_view name) {
   const auto it = gauges_.find(name);
   if (it != gauges_.end()) return it->second.get();
   return gauges_.emplace(std::string(name), std::make_unique<Gauge>())
-      .first->second.get();
-}
-
-Histogram* Registry::histogram(std::string_view name) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = histograms_.find(name);
-  if (it != histograms_.end()) return it->second.get();
-  return histograms_.emplace(std::string(name), std::make_unique<Histogram>())
       .first->second.get();
 }
 
@@ -183,7 +114,6 @@ void Registry::reset_values() {
   const std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
   for (auto& [name, h] : hdr_histograms_) h->reset();
   for (auto& [name, w] : windowed_) w->reset();
 }
@@ -214,24 +144,22 @@ std::vector<std::string> Registry::counter_names() const {
 
 namespace {
 
-/// Body shared by both histogram kinds: stats, estimated percentiles (always
-/// exported when count > 0, so readers never re-derive them from buckets)
-/// and the dense bucket list up to the highest non-empty one.
-void write_histogram_body(JsonWriter& w, std::string_view kind,
-                          std::uint64_t count, double sum, double min_value,
-                          double max_value,
-                          const std::vector<HistogramBucket>& buckets) {
-  w.key("kind").value(kind);
-  w.key("count").value(count);
-  w.key("sum").value(sum);
-  if (count > 0) {
-    w.key("min").value(min_value);
-    w.key("max").value(max_value);
-    // Estimated within the containing bucket; see estimate_quantile for the
-    // log2 error bound and obs/hdr_histogram.h for the <= 1% hdr bound.
-    w.key("p50").value(estimate_quantile(buckets, 0.50, min_value, max_value));
-    w.key("p90").value(estimate_quantile(buckets, 0.90, min_value, max_value));
-    w.key("p99").value(estimate_quantile(buckets, 0.99, min_value, max_value));
+/// One histogram's body: stats, estimated percentiles (always exported when
+/// count > 0, so readers never re-derive them from buckets) and the dense
+/// bucket list up to the highest non-empty one.
+void write_histogram_body(JsonWriter& w, const HdrHistogram& h) {
+  const std::vector<HistogramBucket> buckets = h.snapshot_buckets();
+  w.key("kind").value("hdr");
+  w.key("count").value(h.count());
+  w.key("sum").value(h.sum());
+  if (h.count() > 0) {
+    w.key("min").value(h.min());
+    w.key("max").value(h.max());
+    // Estimated within the containing bucket: <= 1% relative error (see
+    // obs/hdr_histogram.h).
+    w.key("p50").value(estimate_quantile(buckets, 0.50, h.min(), h.max()));
+    w.key("p90").value(estimate_quantile(buckets, 0.90, h.min(), h.max()));
+    w.key("p99").value(estimate_quantile(buckets, 0.99, h.min(), h.max()));
   }
   w.key("buckets").begin_array();
   for (const HistogramBucket& bucket : buckets) {
@@ -245,23 +173,6 @@ void write_histogram_body(JsonWriter& w, std::string_view kind,
     w.end_object();
   }
   w.end_array();
-}
-
-std::vector<HistogramBucket> log2_snapshot_buckets(const Histogram& h) {
-  std::size_t highest = 0;
-  bool any = false;
-  for (std::size_t b = 0; b < Histogram::kNumBuckets; ++b) {
-    if (h.bucket_count(b) > 0) {
-      highest = b;
-      any = true;
-    }
-  }
-  std::vector<HistogramBucket> buckets;
-  if (!any) return buckets;
-  for (std::size_t b = 0; b <= highest; ++b) {
-    buckets.push_back({Histogram::bucket_upper_bound(b), h.bucket_count(b)});
-  }
-  return buckets;
 }
 
 }  // namespace
@@ -284,29 +195,11 @@ void Registry::write_json(std::ostream& out) const {
   }
   w.end_object();
 
-  // Both kinds share the "histograms" section, merged in name order.
   w.key("histograms").begin_object();
-  auto log2_it = histograms_.begin();
-  auto hdr_it = hdr_histograms_.begin();
-  while (log2_it != histograms_.end() || hdr_it != hdr_histograms_.end()) {
-    const bool take_log2 =
-        hdr_it == hdr_histograms_.end() ||
-        (log2_it != histograms_.end() && log2_it->first <= hdr_it->first);
-    if (take_log2) {
-      const Histogram& h = *log2_it->second;
-      w.key(log2_it->first).begin_object();
-      write_histogram_body(w, "log2", h.count(), h.sum(), h.min(), h.max(),
-                           log2_snapshot_buckets(h));
-      w.end_object();
-      ++log2_it;
-    } else {
-      const HdrHistogram& h = *hdr_it->second;
-      w.key(hdr_it->first).begin_object();
-      write_histogram_body(w, "hdr", h.count(), h.sum(), h.min(), h.max(),
-                           h.snapshot_buckets());
-      w.end_object();
-      ++hdr_it;
-    }
+  for (const auto& [name, h] : hdr_histograms_) {
+    w.key(name).begin_object();
+    write_histogram_body(w, *h);
+    w.end_object();
   }
   w.end_object();
 

@@ -1,10 +1,11 @@
-// Process-wide metrics: named counters, gauges and log-scale histograms.
+// Process-wide metrics: named counters, gauges and histograms (HDR in
+// obs/hdr_histogram.h, windowed in obs/window.h).
 //
 // Design constraints (this sits inside Dijkstra relaxation loops and the
 // per-request admission path):
 //   * Increments are lock-free - every instrument is a fixed set of relaxed
 //     atomics. The registry mutex is only taken on first lookup of a name.
-//   * Call sites use the NFVM_COUNTER_* / NFVM_HISTOGRAM_* macros, which
+//   * Call sites use the NFVM_COUNTER_* / NFVM_*_OBSERVE macros, which
 //     cache the instrument pointer in a function-local static: after the
 //     first execution an increment is one relaxed fetch_add.
 //   * Instrument pointers are stable for the life of the process.
@@ -15,7 +16,6 @@
 //     them directly still builds.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -60,40 +60,6 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Base-2 log-scale histogram for positive samples (timings in microseconds,
-/// combination counts, ...). Bucket i counts samples in (2^(i-1), 2^i];
-/// bucket 0 takes everything <= 1, the last bucket everything larger than
-/// 2^(kNumBuckets-2). Also tracks count/sum/min/max exactly.
-class Histogram {
- public:
-  static constexpr std::size_t kNumBuckets = 64;
-
-  void observe(double sample) noexcept;
-
-  std::uint64_t count() const noexcept { return count_.load(std::memory_order_relaxed); }
-  double sum() const noexcept { return sum_.load(std::memory_order_relaxed); }
-  /// +inf / -inf respectively when no sample was observed.
-  double min() const noexcept { return min_.load(std::memory_order_relaxed); }
-  double max() const noexcept { return max_.load(std::memory_order_relaxed); }
-  std::uint64_t bucket_count(std::size_t bucket) const;
-  /// Inclusive upper bound of `bucket` (+inf for the last).
-  static double bucket_upper_bound(std::size_t bucket);
-  /// Bucket a sample falls into (exposed for tests).
-  static std::size_t bucket_index(double sample) noexcept;
-
-  void reset() noexcept;
-
- private:
-  std::array<std::atomic<std::uint64_t>, kNumBuckets> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> min_;
-  std::atomic<double> max_;
-
- public:
-  Histogram() noexcept;
-};
-
 /// One exported histogram bucket: inclusive upper bound (may be +inf for the
 /// overflow bucket) and the number of samples that landed in it. This is the
 /// shape written by Registry::write_json and read back by nfvm-report.
@@ -102,7 +68,7 @@ struct HistogramBucket {
   std::uint64_t count = 0;
 };
 
-/// Estimates the q-quantile (q in [0, 1]) of a log2-bucketed histogram by
+/// Estimates the q-quantile (q in [0, 1]) of a bucketed histogram by
 /// linear interpolation inside the bucket containing the target rank.
 /// `buckets` must be ordered by ascending `le`; the lower bound of bucket i
 /// is buckets[i-1].le (0 for the first). When known, `min_value`/`max_value`
@@ -111,14 +77,11 @@ struct HistogramBucket {
 /// bucket is empty.
 ///
 /// Error bound: the true quantile lies in the same bucket as the estimate,
-/// and base-2 buckets span (2^(i-1), 2^i], so for samples > 1 the estimate
-/// is within a factor of 2 of the true value (relative error < 100%, and in
-/// practice far less for smooth distributions; see docs/observability.md).
+/// so the relative error is at most the bucket's width over its lower
+/// bound (<= 1/128 for HDR buckets, a factor of 2 for the log2 buckets of
+/// old artifacts).
 double estimate_quantile(const std::vector<HistogramBucket>& buckets, double q,
                          double min_value, double max_value);
-
-/// Convenience overload sampling a live histogram (uses its min/max).
-double estimate_quantile(const Histogram& histogram, double q);
 
 class HdrHistogram;        // obs/hdr_histogram.h
 class WindowedHistogram;   // obs/window.h
@@ -140,10 +103,8 @@ class Registry {
   /// lifetime; repeated calls with the same name return the same pointer.
   Counter* counter(std::string_view name);
   Gauge* gauge(std::string_view name);
-  Histogram* histogram(std::string_view name);
-  /// Tight-error latency instrument (obs/hdr_histogram.h). Lives in the
-  /// same "histograms" JSON section, tagged "kind": "hdr"; names must not
-  /// collide with log2 histograms.
+  /// Tight-error histogram (obs/hdr_histogram.h), written to the
+  /// "histograms" JSON section tagged "kind": "hdr".
   HdrHistogram* hdr_histogram(std::string_view name);
   /// Time-aware instrument (obs/window.h): sliding-window + decaying views
   /// of one sample stream. Created with the registry's default WindowOptions
@@ -175,7 +136,7 @@ class Registry {
   ///   {"schema": "nfvm-metrics-v2",
   ///    "counters": {name: value, ...},
   ///    "gauges":   {name: value, ...},
-  ///    "histograms": {name: {"kind": "log2"|"hdr", "count": n, "sum": s,
+  ///    "histograms": {name: {"kind": "hdr", "count": n, "sum": s,
   ///                          "min": m, "max": M, "p50": ..., "p90": ...,
   ///                          "p99": ...,
   ///                          "buckets": [{"le": bound, "count": n}, ...]}}}
@@ -190,7 +151,6 @@ class Registry {
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
   std::map<std::string, std::unique_ptr<HdrHistogram>, std::less<>> hdr_histograms_;
   std::map<std::string, std::unique_ptr<WindowedHistogram>, std::less<>> windowed_;
   std::unique_ptr<WindowOptions> window_options_;  // null = library defaults
@@ -229,13 +189,6 @@ inline constexpr std::string_view kMetricsSchema = "nfvm-metrics-v2";
     nfvm_obs_gauge_->set(static_cast<double>(sample));               \
   } while (0)
 
-#define NFVM_HISTOGRAM_OBSERVE(name, sample)                         \
-  do {                                                               \
-    static ::nfvm::obs::Histogram* const nfvm_obs_histogram_ =       \
-        ::nfvm::obs::Registry::global().histogram(name);             \
-    nfvm_obs_histogram_->observe(static_cast<double>(sample));       \
-  } while (0)
-
 /// Records into a tight-error HDR histogram (obs/hdr_histogram.h must be
 /// included by the call site's translation unit for observe()).
 #define NFVM_HDR_OBSERVE(name, sample)                               \
@@ -262,7 +215,6 @@ inline constexpr std::string_view kMetricsSchema = "nfvm-metrics-v2";
 #define NFVM_COUNTER_ADD(name, delta) ((void)0)
 #define NFVM_COUNTER_INC(name) ((void)0)
 #define NFVM_GAUGE_SET(name, sample) ((void)0)
-#define NFVM_HISTOGRAM_OBSERVE(name, sample) ((void)0)
 #define NFVM_HDR_OBSERVE(name, sample) ((void)0)
 #define NFVM_WINDOW_OBSERVE(name, sample) ((void)0)
 

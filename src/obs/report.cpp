@@ -54,7 +54,8 @@ std::string validate_metrics(const JsonValue& doc) {
   }
   for (const auto& [name, hist] : doc.at("histograms").object) {
     if (!hist.is_object()) return "metrics: histogram \"" + name + "\" is not an object";
-    // "kind" is new in nfvm-metrics-v2; v1 documents omit it.
+    // "kind" is new in nfvm-metrics-v2; v1 documents omit it. Artifacts
+    // written before the registry went HDR-only still carry "log2".
     if (hist.has("kind") &&
         (!hist.at("kind").is_string() ||
          (hist.at("kind").string != "log2" && hist.at("kind").string != "hdr"))) {

@@ -1,52 +1,19 @@
 #include "serve/trace_gen.h"
 
-#include <cmath>
 #include <queue>
-#include <stdexcept>
 #include <vector>
 
 #include "serve/protocol.h"
+#include "sim/soak.h"
 
 namespace nfvm::serve {
-
-namespace {
-
-constexpr double kTwoPi = 6.283185307179586;
-
-/// Next arrival instant after `clock` - run_soak's thinned-Poisson draw,
-/// duplicated rather than shared so the two RNG consumption orders can never
-/// drift apart silently (each is pinned by its own determinism test).
-double next_arrival(util::Rng& rng, double clock,
-                    const TraceGenOptions& options) {
-  const double peak_rate =
-      options.arrival_rate * (1.0 + options.diurnal_amplitude);
-  for (;;) {
-    clock += rng.exponential(peak_rate);
-    if (options.diurnal_amplitude == 0.0) return clock;
-    const double rate =
-        options.arrival_rate *
-        (1.0 + options.diurnal_amplitude *
-                   std::sin(kTwoPi * clock / options.diurnal_period));
-    if (rng.uniform01() * peak_rate < rate) return clock;
-  }
-}
-
-}  // namespace
 
 TraceSummary write_serve_trace(std::ostream& out, const topo::Topology& topo,
                                util::Rng& rng,
                                const TraceGenOptions& options) {
-  if (!(options.arrival_rate > 0) || !(options.mean_duration > 0)) {
-    throw std::invalid_argument("write_serve_trace: rates must be positive");
-  }
-  if (options.diurnal_amplitude < 0.0 || options.diurnal_amplitude >= 1.0) {
-    throw std::invalid_argument(
-        "write_serve_trace: diurnal amplitude must be in [0, 1)");
-  }
-  if (options.diurnal_amplitude > 0.0 && !(options.diurnal_period > 0.0)) {
-    throw std::invalid_argument(
-        "write_serve_trace: diurnal period must be positive");
-  }
+  sim::check_arrival_model("write_serve_trace", options.arrival_rate,
+                           options.mean_duration, options.diurnal_amplitude,
+                           options.diurnal_period);
 
   sim::RequestGenerator generator(topo, rng, options.request_gen);
   struct Departure {
@@ -67,7 +34,8 @@ TraceSummary write_serve_trace(std::ostream& out, const topo::Topology& topo,
 
   double clock = 0.0;
   for (std::size_t i = 0; i < options.num_requests; ++i) {
-    clock = next_arrival(rng, clock, options);
+    clock = sim::next_arrival(rng, clock, options.arrival_rate,
+                              options.diurnal_amplitude, options.diurnal_period);
     const double duration = rng.exponential(1.0 / options.mean_duration);
     nfv::Request request = generator.next();
     request.max_delay_ms = options.max_delay_ms;

@@ -24,7 +24,7 @@ namespace nfvm::serve {
 
 struct TraceGenOptions {
   std::size_t num_requests = 1000;
-  /// Poisson arrival model, as sim::SoakOptions.
+  /// Poisson arrival model, as sim::SoakOptions (sim::next_arrival).
   double arrival_rate = 1.0;
   double mean_duration = 20.0;
   double diurnal_amplitude = 0.0;
@@ -47,7 +47,7 @@ struct TraceSummary {
 };
 
 /// Writes the trace to `out`, one command per line. Throws
-/// std::invalid_argument for non-positive rates or a bad diurnal amplitude.
+/// std::invalid_argument as sim::check_arrival_model does.
 TraceSummary write_serve_trace(std::ostream& out, const topo::Topology& topo,
                                util::Rng& rng, const TraceGenOptions& options);
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <queue>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "obs/hdr_histogram.h"
@@ -13,42 +14,41 @@
 
 namespace nfvm::sim {
 
-namespace {
-
-constexpr double kTwoPi = 6.283185307179586;
-
-/// Next arrival instant after `clock`. Homogeneous draws at the peak rate
-/// are thinned down to the instantaneous rate (Lewis & Shedler); with zero
-/// amplitude every candidate is accepted and this reduces to the plain
-/// exponential gap.
-double next_arrival(util::Rng& rng, double clock, const SoakOptions& options) {
-  const double peak_rate = options.arrival_rate * (1.0 + options.diurnal_amplitude);
-  for (;;) {
-    clock += rng.exponential(peak_rate);
-    if (options.diurnal_amplitude == 0.0) return clock;
-    const double rate =
-        options.arrival_rate *
-        (1.0 + options.diurnal_amplitude *
-                   std::sin(kTwoPi * clock / options.diurnal_period));
-    if (rng.uniform01() * peak_rate < rate) return clock;
+void check_arrival_model(const char* who, double arrival_rate,
+                         double mean_duration, double diurnal_amplitude,
+                         double diurnal_period) {
+  const auto fail = [who](const char* what) {
+    throw std::invalid_argument(std::string(who) + ": " + what);
+  };
+  if (!(arrival_rate > 0) || !(mean_duration > 0)) fail("rates must be positive");
+  if (!(diurnal_amplitude >= 0.0 && diurnal_amplitude < 1.0)) {
+    fail("diurnal amplitude must be in [0, 1)");
+  }
+  if (diurnal_amplitude > 0.0 && !(diurnal_period > 0.0)) {
+    fail("diurnal period must be positive");
   }
 }
 
-}  // namespace
+double next_arrival(util::Rng& rng, double clock, double arrival_rate,
+                    double diurnal_amplitude, double diurnal_period) {
+  constexpr double kTwoPi = 6.283185307179586;
+  const double peak_rate = arrival_rate * (1.0 + diurnal_amplitude);
+  for (;;) {
+    clock += rng.exponential(peak_rate);
+    if (diurnal_amplitude == 0.0) return clock;
+    const double rate =
+        arrival_rate *
+        (1.0 + diurnal_amplitude * std::sin(kTwoPi * clock / diurnal_period));
+    if (rng.uniform01() * peak_rate < rate) return clock;
+  }
+}
 
 SoakMetrics run_soak(core::OnlineAlgorithm& algorithm,
                      RequestGenerator& generator, util::Rng& rng,
                      const SoakOptions& options) {
   NFVM_SPAN("sim/run_soak");
-  if (!(options.arrival_rate > 0) || !(options.mean_duration > 0)) {
-    throw std::invalid_argument("run_soak: rates must be positive");
-  }
-  if (options.diurnal_amplitude < 0.0 || options.diurnal_amplitude >= 1.0) {
-    throw std::invalid_argument("run_soak: diurnal amplitude must be in [0, 1)");
-  }
-  if (options.diurnal_amplitude > 0.0 && !(options.diurnal_period > 0.0)) {
-    throw std::invalid_argument("run_soak: diurnal period must be positive");
-  }
+  check_arrival_model("run_soak", options.arrival_rate, options.mean_duration,
+                      options.diurnal_amplitude, options.diurnal_period);
 
   SoakMetrics metrics;
   metrics.num_requests = options.num_requests;
@@ -75,7 +75,8 @@ SoakMetrics run_soak(core::OnlineAlgorithm& algorithm,
       metrics.clean_shutdown = false;
       break;
     }
-    clock = next_arrival(rng, clock, options);
+    clock = next_arrival(rng, clock, options.arrival_rate,
+                         options.diurnal_amplitude, options.diurnal_period);
     // Draw the holding time before processing so the RNG stream does not
     // depend on the admission outcome - rejected requests must consume the
     // same draws as admitted ones for cross-build reproducibility.

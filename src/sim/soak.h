@@ -22,6 +22,7 @@
 #include "core/online.h"
 #include "sim/request_gen.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 #include "util/stats.h"
 
 namespace nfvm::sim {
@@ -99,12 +100,27 @@ struct SoakMetrics {
   }
 };
 
+/// The arrival model run_soak and serve::write_serve_trace share. Throws
+/// std::invalid_argument ("<who>: ...") unless the rate and the mean
+/// duration are positive, the diurnal amplitude lies in [0, 1) (NaN does
+/// not) and, with the modulation on, the period is positive.
+void check_arrival_model(const char* who, double arrival_rate,
+                         double mean_duration, double diurnal_amplitude,
+                         double diurnal_period);
+
+/// Next arrival instant after `clock`. Homogeneous draws at the peak rate
+/// are thinned down to the instantaneous rate (Lewis & Shedler); with zero
+/// amplitude every candidate is accepted and this reduces to the plain
+/// exponential gap. Soak runs and serve traces replay only as long as this
+/// draw order holds.
+double next_arrival(util::Rng& rng, double clock, double arrival_rate,
+                    double diurnal_amplitude, double diurnal_period);
+
 /// Streams `options.num_requests` arrivals from `generator` through
 /// `algorithm`, releasing departed footprints before each arrival. `rng`
 /// drives the arrival process (inter-arrival gaps, holding times, diurnal
 /// thinning); `generator` draws the request bodies. Throws
-/// std::invalid_argument for non-positive rates or an amplitude outside
-/// [0, 1).
+/// std::invalid_argument as check_arrival_model does.
 SoakMetrics run_soak(core::OnlineAlgorithm& algorithm,
                      RequestGenerator& generator, util::Rng& rng,
                      const SoakOptions& options);

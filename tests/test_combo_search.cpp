@@ -450,6 +450,33 @@ TEST(ComboSearch, ExploredAndPrunedAreThreadCountInvariant) {
   expect_same_decision(serial, parallel);
 }
 
+/// Pins ComboBounds' destination-pair rows through the search's exact work
+/// on a fixed request set at K = 3. The bounds run well below the evaluated
+/// costs, so an inflated row (rdist_ or free_rdist_ scaled by 1.3) still
+/// passes the admissibility and sweep-equivalence tests and only shows as
+/// extra pruning, which these totals catch.
+TEST(ComboSearch, WorkAtKThreeIsPinnedOnASeededRequestSet) {
+  GlobalThreadsGuard guard;
+  std::size_t explored[2] = {0, 0};
+  std::size_t pruned[2] = {0, 0};
+  for (std::uint64_t seed = 1300; seed < 1312; ++seed) {
+    const Instance inst = seed % 2 == 0 ? random_instance(seed, 80, 4 + seed % 9)
+                                        : geant_instance(seed, 2 + seed % 7);
+    for (std::size_t e = 0; e < 2; ++e) {
+      ApproMultiOptions opts;
+      opts.max_servers = 3;
+      opts.engine = kEngines[e];
+      const OfflineSolution sol = run(inst, opts);
+      explored[e] += sol.combinations_explored;
+      pruned[e] += sol.combinations_pruned;
+    }
+  }
+  EXPECT_EQ(explored[0], 1144u);  // reference engine
+  EXPECT_EQ(pruned[0], 182u);
+  EXPECT_EQ(explored[1], 647u);  // shared engine
+  EXPECT_EQ(pruned[1], 679u);
+}
+
 TEST(ComboSearch, EvaluationBudgetIsRespectedInBothModes) {
   GlobalThreadsGuard guard;
   const Instance inst = random_instance(71, 40, 3);

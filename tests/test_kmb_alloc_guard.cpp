@@ -147,7 +147,9 @@ TEST_P(KmbAllocationGuard, SharedComboSolverAllocatesOnlyItsResult) {
 INSTANTIATE_TEST_SUITE_P(GraphSizes, KmbAllocationGuard,
                          ::testing::Values(std::size_t{50}, std::size_t{400}),
                          [](const ::testing::TestParamInfo<std::size_t>& info) {
-                           return "n" + std::to_string(info.param);
+                           std::string name = "n";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 }  // namespace

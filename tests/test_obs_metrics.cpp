@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/hdr_histogram.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs_test_util.h"
@@ -48,53 +49,6 @@ TEST(Gauge, HoldsLastWrite) {
   EXPECT_EQ(g.value(), 0.0);
 }
 
-TEST(Histogram, BucketIndexIsLogTwo) {
-  // Bucket 0 takes everything <= 1 (including non-positives), bucket i
-  // covers (2^(i-1), 2^i].
-  EXPECT_EQ(Histogram::bucket_index(-3.0), 0u);
-  EXPECT_EQ(Histogram::bucket_index(0.0), 0u);
-  EXPECT_EQ(Histogram::bucket_index(1.0), 0u);
-  EXPECT_EQ(Histogram::bucket_index(1.5), 1u);
-  EXPECT_EQ(Histogram::bucket_index(2.0), 1u);
-  EXPECT_EQ(Histogram::bucket_index(2.0001), 2u);
-  EXPECT_EQ(Histogram::bucket_index(4.0), 2u);
-  EXPECT_EQ(Histogram::bucket_index(1024.0), 10u);
-  EXPECT_EQ(Histogram::bucket_index(1025.0), 11u);
-  EXPECT_EQ(Histogram::bucket_index(std::numeric_limits<double>::infinity()),
-            Histogram::kNumBuckets - 1);
-}
-
-TEST(Histogram, BucketBoundsMatchIndex) {
-  for (std::size_t b = 0; b + 1 < Histogram::kNumBuckets; ++b) {
-    const double ub = Histogram::bucket_upper_bound(b);
-    EXPECT_EQ(Histogram::bucket_index(ub), b) << "bucket " << b;
-  }
-  EXPECT_TRUE(std::isinf(Histogram::bucket_upper_bound(Histogram::kNumBuckets - 1)));
-}
-
-TEST(Histogram, TracksCountSumMinMax) {
-  Histogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_TRUE(std::isinf(h.min()));
-  EXPECT_TRUE(std::isinf(h.max()));
-
-  h.observe(3.0);
-  h.observe(7.0);
-  h.observe(0.5);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_DOUBLE_EQ(h.sum(), 10.5);
-  EXPECT_DOUBLE_EQ(h.min(), 0.5);
-  EXPECT_DOUBLE_EQ(h.max(), 7.0);
-  EXPECT_EQ(h.bucket_count(0), 1u);  // 0.5
-  EXPECT_EQ(h.bucket_count(2), 1u);  // 3.0 in (2, 4]
-  EXPECT_EQ(h.bucket_count(3), 1u);  // 7.0 in (4, 8]
-
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.sum(), 0.0);
-  EXPECT_EQ(h.bucket_count(2), 0u);
-}
-
 TEST(Registry, GetOrCreateReturnsStablePointers) {
   Registry reg;
   Counter* a = reg.counter("x");
@@ -109,7 +63,7 @@ TEST(Registry, ResetValuesZeroesButKeepsInstruments) {
   Registry reg;
   Counter* c = reg.counter("events");
   Gauge* g = reg.gauge("level");
-  Histogram* h = reg.histogram("latency");
+  HdrHistogram* h = reg.hdr_histogram("latency");
   c->add(5);
   g->set(1.5);
   h->observe(10.0);
@@ -142,7 +96,7 @@ TEST(Registry, JsonRoundTrip) {
   reg.counter("graph.dijkstra.runs")->add(17);
   reg.counter("needs \"escaping\"\n")->add(1);
   reg.gauge("sim.final_bandwidth_utilization")->set(0.375);
-  Histogram* h = reg.histogram("online.decision_us");
+  HdrHistogram* h = reg.hdr_histogram("online.decision_us");
   h->observe(3.0);
   h->observe(100.0);
 
@@ -178,7 +132,7 @@ TEST(Registry, EmptyRegistryIsValidJson) {
 
 TEST(Registry, HistogramMinMaxOmittedWhenEmpty) {
   Registry reg;
-  reg.histogram("unused");
+  reg.hdr_histogram("unused");
   const test::JsonValue doc = test::parse_json(reg.to_json());
   const test::JsonValue& hist = doc.at("histograms").at("unused");
   EXPECT_EQ(hist.at("count").number, 0.0);
@@ -200,9 +154,9 @@ TEST(Macros, WriteToGlobalRegistry) {
 #if NFVM_OBS
   EXPECT_EQ(Registry::global().gauge("test.macro.gauge")->value(), 2.5);
 #endif
-  NFVM_HISTOGRAM_OBSERVE("test.macro.histogram", 9.0);
+  NFVM_HDR_OBSERVE("test.macro.histogram", 9.0);
 #if NFVM_OBS
-  EXPECT_GE(Registry::global().histogram("test.macro.histogram")->count(), 1u);
+  EXPECT_GE(Registry::global().hdr_histogram("test.macro.histogram")->count(), 1u);
 #endif
 }
 

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/hdr_histogram.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -24,16 +25,16 @@ TEST(EstimateQuantile, EmptyHistogramIsNaN) {
   EXPECT_TRUE(std::isnan(estimate_quantile({}, 0.5, kInf, -kInf)));
   EXPECT_TRUE(std::isnan(
       estimate_quantile({{2.0, 0}, {4.0, 0}}, 0.5, kInf, -kInf)));
-  Histogram h;
-  EXPECT_TRUE(std::isnan(estimate_quantile(h, 0.5)));
+  HdrHistogram h;
+  EXPECT_TRUE(std::isnan(h.quantile(0.5)));
 }
 
 TEST(EstimateQuantile, SingleSampleReturnsExactValueViaMinMaxClamp) {
-  Histogram h;
+  HdrHistogram h;
   h.observe(3.0);
   // min == max == 3 clamps the interpolation to the sample itself.
-  EXPECT_DOUBLE_EQ(estimate_quantile(h, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(estimate_quantile(h, 0.99), 3.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.5), 3.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.99), 3.0);
 }
 
 TEST(EstimateQuantile, InterpolatesWithinBucket) {
@@ -60,24 +61,6 @@ TEST(EstimateQuantile, WalksCumulativeCounts) {
   EXPECT_LE(p90, p99);
 }
 
-TEST(EstimateQuantile, WithinFactorOfTwoOfTrueQuantile) {
-  // The documented error bound: for samples > 1 the estimate lives in the
-  // same base-2 bucket as the true quantile, so it is off by < 2x.
-  Histogram h;
-  std::vector<double> samples;
-  for (int i = 1; i <= 1000; ++i) {
-    const double s = 1.0 + 0.25 * i;  // 1.25 .. 251
-    samples.push_back(s);
-    h.observe(s);
-  }
-  for (const double q : {0.5, 0.9, 0.99}) {
-    const double truth = samples[static_cast<std::size_t>(q * samples.size()) - 1];
-    const double estimate = estimate_quantile(h, q);
-    EXPECT_GT(estimate, truth / 2.0) << "q=" << q;
-    EXPECT_LT(estimate, truth * 2.0) << "q=" << q;
-  }
-}
-
 TEST(EstimateQuantile, OverflowBucketUsesMaxValue) {
   // All mass in the +Inf bucket: max_value caps the interpolation.
   const std::vector<HistogramBucket> buckets = {{2.0, 0}, {kInf, 4}};
@@ -92,8 +75,8 @@ TEST(ReportValidate, AcceptsRegistryOutput) {
   Registry registry;
   registry.counter("a")->add(3);
   registry.gauge("g")->set(0.5);
-  registry.histogram("h")->observe(7.0);
-  registry.histogram("h")->observe(1e30);  // lands in the overflow bucket
+  registry.hdr_histogram("h")->observe(7.0);
+  registry.hdr_histogram("h")->observe(1e30);  // lands in the overflow bucket
   const JsonValue doc = parse_json(registry.to_json());
   EXPECT_EQ(report::validate_document(doc), "");
 }

@@ -2,6 +2,7 @@
 // run-to-run determinism (the property the CI obs-smoke byte-diff relies on).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -110,6 +111,9 @@ TEST(Soak, RejectsBadOptions) {
   EXPECT_THROW(run(t, options, 15), std::invalid_argument);
   options = small_soak();
   options.diurnal_amplitude = -0.1;
+  EXPECT_THROW(run(t, options, 15), std::invalid_argument);
+  options = small_soak();
+  options.diurnal_amplitude = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(run(t, options, 15), std::invalid_argument);
   options = small_soak();
   options.diurnal_amplitude = 0.5;

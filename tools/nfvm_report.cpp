@@ -50,6 +50,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_setup.h"
 #include "obs/report.h"
 #include "obs/request_events.h"
 
@@ -59,29 +60,29 @@ using nfvm::obs::report::Artifact;
 using nfvm::obs::report::CompareOptions;
 using nfvm::obs::report::CompareReport;
 
-[[noreturn]] void usage(const std::string& error) {
-  if (!error.empty()) std::cerr << "error: " << error << "\n";
-  std::cerr
-      << "usage: nfvm-report summary ARTIFACT\n"
-         "       nfvm-report diff BASELINE CANDIDATE [--threshold X]\n"
-         "                   [--ignore SUBSTR]... [--min SUBSTR=VALUE]...\n"
-         "                   [--exact SUBSTR]...\n"
-         "                   [--md FILE|-] [--json FILE|-]\n"
-         "       nfvm-report --check BASELINE CANDIDATE [diff options]\n"
-         "       nfvm-report --validate FILE...\n"
-         "       nfvm-report latency EVENTS [--md|--json] [--check]\n"
-         "       nfvm-report explain EVENTS REQUEST\n"
-         "       nfvm-report decisions EVENTS\n"
-         "       nfvm-report slo ARTIFACT [--check]\n"
-         "an ARTIFACT is a metrics JSON, a BENCH_*.json, a manifest.json or\n"
-         "an nfvm-sim --run-dir directory; EVENTS is an events.jsonl or a\n"
-         "run-dir bundle (see docs/observability.md)\n";
-  std::exit(error.empty() ? 0 : 2);
-}
+using nfvm::cli::usage;
 
-Artifact load_or_die(const std::string& path) {
+constexpr const char* kUsage =
+    "usage: nfvm-report summary ARTIFACT\n"
+    "       nfvm-report diff BASELINE CANDIDATE [--threshold X]\n"
+    "                   [--ignore SUBSTR]... [--min SUBSTR=VALUE]...\n"
+    "                   [--exact SUBSTR]...\n"
+    "                   [--md FILE|-] [--json FILE|-]\n"
+    "       nfvm-report --check BASELINE CANDIDATE [diff options]\n"
+    "       nfvm-report --validate FILE...\n"
+    "       nfvm-report latency EVENTS [--md|--json] [--check]\n"
+    "       nfvm-report explain EVENTS REQUEST\n"
+    "       nfvm-report decisions EVENTS\n"
+    "       nfvm-report slo ARTIFACT [--check]\n"
+    "an ARTIFACT is a metrics JSON, a BENCH_*.json, a manifest.json or\n"
+    "an nfvm-sim --run-dir directory; EVENTS is an events.jsonl or a\n"
+    "run-dir bundle (see docs/observability.md)\n";
+
+/// `load(path)`; a load error is reported with the path and exits 2.
+template <typename Load>
+auto load_or_die(Load load, const std::string& path) {
   try {
-    return nfvm::obs::report::load_artifact(path);
+    return load(path);
   } catch (const std::exception& e) {
     std::cerr << "error: " << path << ": " << e.what() << "\n";
     std::exit(2);
@@ -122,8 +123,8 @@ int run_validate(const std::vector<std::string>& files) {
 int run_diff(const std::string& baseline_path, const std::string& candidate_path,
              const CompareOptions& options, const std::string& md_path,
              const std::string& json_path, bool check) {
-  const Artifact baseline = load_or_die(baseline_path);
-  const Artifact candidate = load_or_die(candidate_path);
+  const Artifact baseline = load_or_die(nfvm::obs::report::load_artifact, baseline_path);
+  const Artifact candidate = load_or_die(nfvm::obs::report::load_artifact, candidate_path);
   const CompareReport report =
       nfvm::obs::report::compare_artifacts(baseline, candidate, options);
 
@@ -153,16 +154,6 @@ int run_diff(const std::string& baseline_path, const std::string& candidate_path
   return 0;
 }
 
-std::vector<nfvm::obs::report::RequestEvent> load_events_or_die(
-    const std::string& path) {
-  try {
-    return nfvm::obs::report::load_request_events(path);
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << path << ": " << e.what() << "\n";
-    std::exit(2);
-  }
-}
-
 int run_latency(const std::vector<std::string>& args) {
   std::string path;
   bool md = false;
@@ -179,7 +170,7 @@ int run_latency(const std::vector<std::string>& args) {
   if (path.empty()) usage("latency needs an events artifact");
   if (md && json) usage("latency: pick one of --md / --json");
 
-  const auto events = load_events_or_die(path);
+  const auto events = load_or_die(nfvm::obs::report::load_request_events, path);
   if (check) {
     const std::string error = nfvm::obs::report::check_events(events);
     if (!error.empty()) {
@@ -222,7 +213,7 @@ int run_slo(const std::vector<std::string>& args) {
 }
 
 int run_explain(const std::string& path, const std::string& selector) {
-  const auto events = load_events_or_die(path);
+  const auto events = load_or_die(nfvm::obs::report::load_request_events, path);
   const nfvm::obs::report::RequestEvent* event =
       nfvm::obs::report::find_request(events, selector);
   if (event == nullptr) {
@@ -237,10 +228,9 @@ int run_explain(const std::string& path, const std::string& selector) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
-  if (args.empty()) usage("no command");
-  if (args[0] == "--help" || args[0] == "-h") usage("");
-
+  nfvm::cli::Args cursor(argc, argv, kUsage);
+  if (!cursor.next()) usage("no command");
+  const std::vector<std::string> args(argv + 1, argv + argc);
   std::string command = args[0];
   bool check = false;
   if (command == "--check") {
@@ -254,7 +244,7 @@ int main(int argc, char** argv) {
 
   if (command == "summary") {
     if (args.size() != 2) usage("summary takes exactly one artifact");
-    const Artifact artifact = load_or_die(args[1]);
+    const Artifact artifact = load_or_die(nfvm::obs::report::load_artifact, args[1]);
     nfvm::obs::report::write_summary(std::cout, artifact);
     return 0;
   }
@@ -274,7 +264,7 @@ int main(int argc, char** argv) {
 
   if (command == "decisions") {
     if (args.size() != 2) usage("decisions takes exactly one events artifact");
-    const auto events = load_events_or_die(args[1]);
+    const auto events = load_or_die(nfvm::obs::report::load_request_events, args[1]);
     nfvm::obs::report::write_decisions(std::cout, events);
     return 0;
   }
@@ -285,38 +275,26 @@ int main(int argc, char** argv) {
   std::string md_path;
   std::string json_path;
   std::vector<std::string> positional;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    const auto next = [&]() -> const std::string& {
-      if (i + 1 >= args.size()) usage(arg + " needs a value");
-      return args[++i];
-    };
+  while (cursor.next()) {
+    const std::string& arg = cursor.flag();
     if (arg == "--threshold") {
-      try {
-        options.threshold = std::stod(next());
-      } catch (const std::exception&) {
-        usage("--threshold needs a number");
-      }
+      options.threshold = cursor.real();
       if (options.threshold < 0.0) usage("--threshold must be >= 0");
     } else if (arg == "--ignore") {
-      options.ignore.push_back(next());
+      options.ignore.push_back(cursor.value());
     } else if (arg == "--min") {
-      const std::string spec = next();
+      const std::string spec = cursor.value();
       const std::size_t eq = spec.find('=');
       if (eq == std::string::npos || eq == 0) usage("--min needs SUBSTR=VALUE");
-      double bound = 0.0;
-      try {
-        bound = std::stod(spec.substr(eq + 1));
-      } catch (const std::exception&) {
-        usage("--min needs a numeric VALUE after '='");
-      }
-      options.min_bounds.emplace_back(spec.substr(0, eq), bound);
+      const auto bound = nfvm::cli::parse_real(std::string_view(spec).substr(eq + 1));
+      if (!bound) usage("--min needs a finite number VALUE after '='");
+      options.min_bounds.emplace_back(spec.substr(0, eq), *bound);
     } else if (arg == "--exact") {
-      options.exact.push_back(next());
+      options.exact.push_back(cursor.value());
     } else if (arg == "--md") {
-      md_path = next();
+      md_path = cursor.value();
     } else if (arg == "--json") {
-      json_path = next();
+      json_path = cursor.value();
     } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
       usage("unknown option \"" + arg + "\"");
     } else {

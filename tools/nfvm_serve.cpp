@@ -1,35 +1,21 @@
 // nfvm_serve - crash-safe online-admission daemon.
 //
 //   nfvm-serve [options]
-//     --topology <waxman|transit-stub|geant|as1755|as4755>   (default waxman)
-//     --nodes <n>            switches for generated topologies (default 100)
-//     --seed <s>             RNG seed for the topology (default 1)
-//     --algorithm <online_cp|online_sp|online_sp_static>     (default online_cp)
-//     --max-delay <ms>       per-request delay bound support (assigns link
-//                            delays; must match the trace generator's flag)
-//     --socket <path>        serve a Unix stream socket instead of stdin;
-//                            connections are accepted one at a time and the
-//                            engine state persists across them
-//     --snapshot <file>      snapshot target; enables {"cmd":"snapshot"} and
-//                            the final drain snapshot (atomic tmp+fsync+rename)
-//     --snapshot-every <n>   also snapshot automatically every n processed
-//                            lines (requires --snapshot)
-//     --restore <file>       rebuild engine state from a snapshot and skip the
-//                            consumed input prefix; the subsequent reply
-//                            stream is byte-identical to an uninterrupted run
-//     --max-inflight <n>     bounded inflight queue capacity (default 1024);
-//                            a full queue blocks the reader (backpressure)
-//     --request-deadline-ms <x>  shed arrive commands that waited in the
-//                            queue longer than x ms (reject_cause overload);
-//                            0 disables (default; keep 0 for byte-reproducible
-//                            runs)
-//     --fault-plan <file>    deterministic fault injection ("nfvm-fault-plan-
-//                            v1": stalls, garbage lines, duplicate/unknown
-//                            departs, mid-stream kills) - see docs/serving.md
-//     --threads <n>          worker threads (default NFVM_THREADS env, else 1);
-//                            decisions are bit-identical for any thread count
-//     --metrics-json <file>  dump the metrics registry as JSON at exit
-//     --log-level <level>    error|warn|info|debug (default warn)
+//     the network and engine flags of tools/cli_setup.h (the network ones as
+//     the trace generator's), with --algorithm online_cp by default
+//     --socket <path>        serve a Unix stream socket instead of stdin, one
+//                            connection at a time; engine state persists
+//     --snapshot <file>      snapshot target (atomic tmp+fsync+rename) for
+//                            {"cmd":"snapshot"} and the final drain snapshot
+//     --snapshot-every <n>   also snapshot every n processed lines
+//     --restore <file>       resume from a snapshot; the reply stream goes on
+//                            byte-identical to an uninterrupted run
+//     --max-inflight <n>     queue capacity (default 1024); a full queue
+//                            blocks the reader (backpressure)
+//     --request-deadline-ms <x>  shed arrives queued longer than x ms
+//                            (reject_cause overload); 0, the default, disables
+//                            shedding and keeps runs byte-reproducible
+//     --fault-plan <file>    deterministic fault injection (docs/serving.md)
 //
 // Protocol: one JSON command per input line, exactly one JSON reply per line
 // on stdout (or the socket) - including structured {"ok":false,...} replies
@@ -52,7 +38,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 
 #include "cli_setup.h"
@@ -68,18 +53,23 @@ namespace {
 
 using namespace nfvm;
 
-constexpr const char* kLogLevels = "error|warn|info|debug";
+const std::string kUsage =
+    std::string("usage: nfvm-serve [--topology T] [--nodes N] [--seed S] [--algorithm A]\n"
+                "                  [--max-delay MS] [--socket PATH]\n"
+                "                  [--snapshot FILE] [--snapshot-every N] [--restore FILE]\n"
+                "                  [--max-inflight N] [--request-deadline-ms X]\n"
+                "                  [--fault-plan FILE] [--threads N]\n"
+                "                  [--metrics-json FILE] [--log-level ") +
+    cli::kLogLevels + "]\n  topologies: " + cli::kTopologies +
+    "\n  algorithms: " + cli::kAlgorithms + "\n";
 
 std::atomic<bool> g_stop{false};
 
 void on_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
 
 struct Options {
-  std::string topology = "waxman";
-  std::size_t nodes = 100;
-  std::uint64_t seed = 1;
-  std::string algorithm = "online_cp";
-  double max_delay_ms = 0.0;
+  cli::NetworkFlags net;
+  cli::EngineFlags engine{.algorithm = "online_cp"};
   std::string socket_path;
   std::string snapshot_path;
   std::size_t snapshot_every = 0;
@@ -87,8 +77,6 @@ struct Options {
   std::size_t max_inflight = 1024;
   double request_deadline_ms = 0.0;
   std::string fault_plan_path;
-  std::size_t threads = 0;
-  std::string metrics_json;
   /// Loaded eagerly from restore_path / fault_plan_path so a missing,
   /// truncated, or malformed file fails at startup, not after the engine
   /// has been serving for an hour.
@@ -96,120 +84,63 @@ struct Options {
   serve::FaultPlan fault_plan;
 };
 
-[[noreturn]] void usage(const std::string& error) {
-  if (!error.empty()) std::cerr << "error: " << error << "\n";
-  std::cerr << "usage: nfvm-serve [--topology T] [--nodes N] [--seed S] [--algorithm A]\n"
-               "                  [--max-delay MS] [--socket PATH]\n"
-               "                  [--snapshot FILE] [--snapshot-every N] [--restore FILE]\n"
-               "                  [--max-inflight N] [--request-deadline-ms X]\n"
-               "                  [--fault-plan FILE] [--threads N]\n"
-               "                  [--metrics-json FILE] [--log-level " << kLogLevels << "]\n"
-               "  topologies: " << cli::kTopologies << "\n"
-               "  algorithms: " << cli::kAlgorithms << "\n";
-  std::exit(error.empty() ? 0 : 2);
-}
-
-void validate_writable(const char* flag, const std::string& path) {
-  if (path.empty()) return;
-  std::ofstream probe(path, std::ios::app);
-  if (!probe) {
-    usage(std::string(flag) + ": cannot open \"" + path + "\" for writing");
-  }
-}
-
-std::string read_file_or_usage(const char* flag, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) usage(std::string(flag) + ": cannot read \"" + path + "\"");
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
-}
-
-/// Every flag value is proven usable here - enumerations, queue bounds,
-/// writable snapshot target, loadable restore snapshot and fault plan, a
-/// bindable socket directory - so a typo can never surface as a mid-serve
-/// failure with live clients attached.
+/// Every flag value is proven usable here - queue bounds, writable snapshot
+/// target, loadable restore snapshot and fault plan, a bindable socket
+/// directory - so a typo can never surface as a mid-serve failure with live
+/// clients attached. Single values were checked as they were parsed.
 void validate_options(Options& opts) {
-  if (!cli::one_of(cli::kTopologies, opts.topology)) {
-    usage("--topology must be one of " + std::string(cli::kTopologies) +
-          " (got \"" + opts.topology + "\")");
-  }
-  if (!cli::one_of(cli::kAlgorithms, opts.algorithm)) {
-    usage("--algorithm must be one of " + std::string(cli::kAlgorithms) +
-          " (got \"" + opts.algorithm + "\")");
-  }
   if (opts.max_inflight == 0) {
-    usage("--max-inflight must be positive (a zero-capacity queue can never "
-          "admit a line)");
+    cli::usage("--max-inflight must be positive (a zero-capacity queue can never "
+               "admit a line)");
   }
   if (opts.request_deadline_ms < 0.0) {
-    usage("--request-deadline-ms must be non-negative (0 disables shedding)");
+    cli::usage("--request-deadline-ms must be non-negative (0 disables shedding)");
   }
   if (opts.snapshot_every > 0 && opts.snapshot_path.empty()) {
-    usage("--snapshot-every requires --snapshot (a path to write to)");
+    cli::usage("--snapshot-every requires --snapshot (a path to write to)");
   }
-  validate_writable("--snapshot", opts.snapshot_path);
-  validate_writable("--metrics-json", opts.metrics_json);
+  cli::validate_writable("--snapshot", opts.snapshot_path);
+  cli::validate_writable("--metrics-json", opts.engine.metrics_json);
   if (!opts.socket_path.empty()) {
     const auto parent = std::filesystem::path(opts.socket_path).parent_path();
     if (!parent.empty() && !std::filesystem::is_directory(parent)) {
-      usage("--socket: directory \"" + parent.string() + "\" does not exist");
+      cli::usage("--socket: directory \"" + parent.string() + "\" does not exist");
     }
   }
   if (!opts.restore_path.empty()) {
     try {
       opts.restore_snapshot = serve::load_snapshot(opts.restore_path);
     } catch (const std::exception& e) {
-      usage(std::string("--restore: ") + e.what());
+      cli::usage(std::string("--restore: ") + e.what());
     }
   }
   if (!opts.fault_plan_path.empty()) {
-    const std::string text = read_file_or_usage("--fault-plan", opts.fault_plan_path);
+    const std::string text = cli::read_file("--fault-plan", opts.fault_plan_path);
     try {
       opts.fault_plan = serve::FaultPlan::parse(text);
     } catch (const std::exception& e) {
-      usage("--fault-plan " + opts.fault_plan_path + ": " + e.what());
+      cli::usage("--fault-plan " + opts.fault_plan_path + ": " + e.what());
     }
   }
 }
 
 Options parse_args(int argc, char** argv) {
   Options opts;
-  auto need_value = [&](int& i) -> std::string {
-    if (i + 1 >= argc) usage(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") usage("");
-    else if (arg == "--topology") opts.topology = need_value(i);
-    else if (arg == "--nodes") opts.nodes = std::stoul(need_value(i));
-    else if (arg == "--seed") opts.seed = std::stoull(need_value(i));
-    else if (arg == "--algorithm") opts.algorithm = need_value(i);
-    else if (arg == "--max-delay") opts.max_delay_ms = std::stod(need_value(i));
-    else if (arg == "--socket") opts.socket_path = need_value(i);
-    else if (arg == "--snapshot") opts.snapshot_path = need_value(i);
-    else if (arg == "--snapshot-every") opts.snapshot_every = std::stoul(need_value(i));
-    else if (arg == "--restore") opts.restore_path = need_value(i);
-    else if (arg == "--max-inflight") {
-      const std::string value = need_value(i);
-      if (!value.empty() && value[0] == '-') usage("--max-inflight must be positive");
-      opts.max_inflight = std::stoul(value);
+  cli::Args args(argc, argv, kUsage);
+  while (args.next()) {
+    if (cli::parse_flag(args, opts.net) ||
+        cli::parse_flag(args, opts.engine, cli::kAlgorithms)) {
+      continue;
     }
-    else if (arg == "--request-deadline-ms") opts.request_deadline_ms = std::stod(need_value(i));
-    else if (arg == "--fault-plan") opts.fault_plan_path = need_value(i);
-    else if (arg == "--threads") opts.threads = std::stoul(need_value(i));
-    else if (arg == "--metrics-json") opts.metrics_json = need_value(i);
-    else if (arg == "--log-level") {
-      const std::string value = need_value(i);
-      const auto level = obs::parse_log_level(value);
-      if (!level.has_value()) {
-        usage("--log-level must be one of " + std::string(kLogLevels) +
-              " (got \"" + value + "\")");
-      }
-      obs::set_log_level(*level);
-    }
-    else usage("unknown option " + arg);
+    const std::string& arg = args.flag();
+    if (arg == "--socket") opts.socket_path = args.value();
+    else if (arg == "--snapshot") opts.snapshot_path = args.value();
+    else if (arg == "--snapshot-every") opts.snapshot_every = args.count();
+    else if (arg == "--restore") opts.restore_path = args.value();
+    else if (arg == "--max-inflight") opts.max_inflight = args.count();
+    else if (arg == "--request-deadline-ms") opts.request_deadline_ms = args.real();
+    else if (arg == "--fault-plan") opts.fault_plan_path = args.value();
+    else cli::usage("unknown option " + arg);
   }
   validate_options(opts);
   return opts;
@@ -221,12 +152,12 @@ Options parse_args(int argc, char** argv) {
 /// legitimately differ across a crash/restore boundary.
 std::map<std::string, std::string> snapshot_config(const Options& opts) {
   std::map<std::string, std::string> config;
-  config["topology"] = opts.topology;
-  config["nodes"] = std::to_string(opts.nodes);
-  config["seed"] = std::to_string(opts.seed);
+  config["topology"] = opts.net.topology;
+  config["nodes"] = std::to_string(opts.net.nodes);
+  config["seed"] = std::to_string(opts.net.seed);
   // Only whether delays were assigned matters (it changes the topology RNG
   // consumption); the per-request bound rides in the trace itself.
-  config["assign_delays"] = opts.max_delay_ms > 0.0 ? "true" : "false";
+  config["assign_delays"] = opts.net.max_delay_ms > 0.0 ? "true" : "false";
   return config;
 }
 
@@ -287,18 +218,18 @@ void emit_summary(const serve::DaemonStats& stats) {
 /// across connections.
 int serve_socket(const Options& opts, serve::Daemon& daemon) {
   const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listener < 0) usage(std::string("--socket: socket: ") + std::strerror(errno));
+  if (listener < 0) cli::usage(std::string("--socket: socket: ") + std::strerror(errno));
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   if (opts.socket_path.size() >= sizeof(addr.sun_path)) {
-    usage("--socket: path too long for AF_UNIX");
+    cli::usage("--socket: path too long for AF_UNIX");
   }
   std::strncpy(addr.sun_path, opts.socket_path.c_str(), sizeof(addr.sun_path) - 1);
   ::unlink(opts.socket_path.c_str());
   if (::bind(listener, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
       ::listen(listener, 1) != 0) {
-    usage("--socket: cannot bind/listen on \"" + opts.socket_path + "\": " +
-          std::strerror(errno));
+    cli::usage("--socket: cannot bind/listen on \"" + opts.socket_path + "\": " +
+               std::strerror(errno));
   }
   obs::log_info("listening on " + opts.socket_path);
 
@@ -334,7 +265,7 @@ int serve_socket(const Options& opts, serve::Daemon& daemon) {
 
 int main(int argc, char** argv) {
   const Options opts = parse_args(argc, argv);
-  if (opts.threads > 0) util::ThreadPool::set_global_threads(opts.threads);
+  if (opts.engine.threads > 0) util::ThreadPool::set_global_threads(opts.engine.threads);
 
   struct sigaction action{};
   action.sa_handler = on_signal;
@@ -342,14 +273,13 @@ int main(int argc, char** argv) {
   ::sigaction(SIGINT, &action, nullptr);
   ::signal(SIGPIPE, SIG_IGN);
 
-  util::Rng rng(opts.seed);
-  topo::Topology topo = cli::build_topology(opts.topology, opts.nodes, rng);
-  if (opts.max_delay_ms > 0) topo::assign_delays(topo, rng);
+  util::Rng rng(opts.net.seed);
+  topo::Topology topo = cli::build_topology(opts.net, rng);
   // stdout carries nothing but protocol replies; diagnostics go to stderr.
   std::cerr << "# nfvm-serve: " << topo.name << ", " << topo.num_switches()
-            << " switches, algorithm " << opts.algorithm << "\n";
+            << " switches, algorithm " << opts.engine.algorithm << "\n";
 
-  auto algorithm = cli::build_algorithm(opts.algorithm, topo);
+  auto algorithm = cli::build_algorithm(opts.engine.algorithm, topo);
   serve::DaemonOptions daemon_opts;
   daemon_opts.max_inflight = opts.max_inflight;
   daemon_opts.request_deadline_ms = opts.request_deadline_ms;
@@ -362,7 +292,7 @@ int main(int argc, char** argv) {
     try {
       daemon.restore(*opts.restore_snapshot);
     } catch (const std::exception& e) {
-      usage(std::string("--restore: ") + e.what());
+      cli::usage(std::string("--restore: ") + e.what());
     }
     std::cerr << "# restored from " << opts.restore_path << " (seq "
               << opts.restore_snapshot->seq << ", "
@@ -379,9 +309,9 @@ int main(int argc, char** argv) {
     emit_summary(stats);
   }
 
-  if (!opts.metrics_json.empty()) {
-    std::ofstream out(opts.metrics_json);
-    if (!out) usage("cannot open " + opts.metrics_json);
+  if (!opts.engine.metrics_json.empty()) {
+    std::ofstream out(opts.engine.metrics_json);
+    if (!out) cli::usage("cannot open " + opts.engine.metrics_json);
     obs::Registry::global().write_json(out);
   }
   return status;

@@ -1,18 +1,9 @@
 // nfvm_serve_client - trace generator and replay client for nfvm-serve.
 //
 //   nfvm-serve-client [options]
-//     --topology <waxman|transit-stub|geant|as1755|as4755>   (default waxman)
-//     --nodes <n>            switches for generated topologies (default 100)
-//     --seed <s>             RNG seed; MUST match the daemon's --seed and
-//                            --topology/--nodes so request vertices are valid
-//     --requests <r>         arrivals to generate (default 1000)
-//     --arrival-rate <x>     Poisson arrival rate (default 1.0)
-//     --mean-duration <x>    mean exponential holding time (default 20.0)
-//     --diurnal-amplitude <a>  rate modulation in [0,1) (default 0)
-//     --diurnal-period <p>   modulation period (default 86400)
-//     --dest-ratio <x>       fix Dmax/|V| (default: U[0.05, 0.2])
-//     --max-delay <ms>       per-request delay bound (daemon needs the same
-//                            flag so link delays exist)
+//     the network and workload flags of tools/cli_setup.h, with --requests
+//     1000 by default; the network ones MUST match the daemon's so request
+//     vertices are valid
 //     --snapshot-cmd-every <n>  interleave a {"cmd":"snapshot"} line after
 //                            every n arrivals (0 = none)
 //     --final-stats          end the trace with {"cmd":"stats"} (off for
@@ -50,111 +41,74 @@ namespace {
 
 using namespace nfvm;
 
+const std::string kUsage =
+    std::string("usage: nfvm-serve-client [--topology T] [--nodes N] [--seed S]\n"
+                "                         [--requests R] [--arrival-rate X] [--mean-duration X]\n"
+                "                         [--diurnal-amplitude A] [--diurnal-period P]\n"
+                "                         [--dest-ratio X] [--max-delay MS]\n"
+                "                         [--snapshot-cmd-every N] [--final-stats]\n"
+                "                         [--out FILE] [--input FILE] [--connect SOCKET]\n"
+                "  topologies: ") +
+    cli::kTopologies + "\n";
+
 struct Options {
-  std::string topology = "waxman";
-  std::size_t nodes = 100;
-  std::uint64_t seed = 1;
-  std::size_t requests = 1000;
-  double arrival_rate = 1.0;
-  double mean_duration = 20.0;
-  double diurnal_amplitude = 0.0;
-  double diurnal_period = 86'400.0;
-  double dest_ratio = 0.0;  // 0 = paper default range
-  double max_delay_ms = 0.0;
+  cli::NetworkFlags net;
+  cli::WorkloadFlags work{.requests = 1000};
   std::size_t snapshot_cmd_every = 0;
   bool final_stats = false;
   std::string out_path;
   std::string input_path;
+  std::string input;  // the --input trace, read eagerly
   std::string connect_path;
 };
 
-[[noreturn]] void usage(const std::string& error) {
-  if (!error.empty()) std::cerr << "error: " << error << "\n";
-  std::cerr << "usage: nfvm-serve-client [--topology T] [--nodes N] [--seed S]\n"
-               "                         [--requests R] [--arrival-rate X] [--mean-duration X]\n"
-               "                         [--diurnal-amplitude A] [--diurnal-period P]\n"
-               "                         [--dest-ratio X] [--max-delay MS]\n"
-               "                         [--snapshot-cmd-every N] [--final-stats]\n"
-               "                         [--out FILE] [--input FILE] [--connect SOCKET]\n"
-               "  topologies: " << cli::kTopologies << "\n";
-  std::exit(error.empty() ? 0 : 2);
-}
-
-void validate_options(const Options& opts) {
-  if (!cli::one_of(cli::kTopologies, opts.topology)) {
-    usage("--topology must be one of " + std::string(cli::kTopologies) +
-          " (got \"" + opts.topology + "\")");
-  }
-  if (opts.diurnal_amplitude < 0.0 || opts.diurnal_amplitude >= 1.0) {
-    usage("--diurnal-amplitude must be in [0, 1)");
-  }
-  if (!(opts.arrival_rate > 0.0)) usage("--arrival-rate must be positive");
-  if (!(opts.mean_duration > 0.0)) usage("--mean-duration must be positive");
-  if (!(opts.diurnal_period > 0.0)) usage("--diurnal-period must be positive");
+void validate_options(Options& opts) {
   if (!opts.input_path.empty()) {
     if (opts.connect_path.empty()) {
-      usage("--input replays an existing trace; it needs --connect "
-            "(to emit a trace, use --out)");
+      cli::usage("--input replays an existing trace; it needs --connect "
+                 "(to emit a trace, use --out)");
     }
-    std::ifstream probe(opts.input_path);
-    if (!probe) usage("--input: cannot read \"" + opts.input_path + "\"");
+    opts.input = cli::read_file("--input", opts.input_path);
   }
   if (!opts.out_path.empty() && !opts.connect_path.empty()) {
-    usage("--out and --connect are mutually exclusive (replies go to stdout)");
+    cli::usage("--out and --connect are mutually exclusive (replies go to stdout)");
   }
 }
 
 Options parse_args(int argc, char** argv) {
   Options opts;
-  auto need_value = [&](int& i) -> std::string {
-    if (i + 1 >= argc) usage(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") usage("");
-    else if (arg == "--topology") opts.topology = need_value(i);
-    else if (arg == "--nodes") opts.nodes = std::stoul(need_value(i));
-    else if (arg == "--seed") opts.seed = std::stoull(need_value(i));
-    else if (arg == "--requests") opts.requests = std::stoul(need_value(i));
-    else if (arg == "--arrival-rate") opts.arrival_rate = std::stod(need_value(i));
-    else if (arg == "--mean-duration") opts.mean_duration = std::stod(need_value(i));
-    else if (arg == "--diurnal-amplitude") opts.diurnal_amplitude = std::stod(need_value(i));
-    else if (arg == "--diurnal-period") opts.diurnal_period = std::stod(need_value(i));
-    else if (arg == "--dest-ratio") opts.dest_ratio = std::stod(need_value(i));
-    else if (arg == "--max-delay") opts.max_delay_ms = std::stod(need_value(i));
-    else if (arg == "--snapshot-cmd-every") opts.snapshot_cmd_every = std::stoul(need_value(i));
+  cli::Args args(argc, argv, kUsage);
+  while (args.next()) {
+    if (cli::parse_flag(args, opts.net) || cli::parse_flag(args, opts.work)) continue;
+    const std::string& arg = args.flag();
+    if (arg == "--snapshot-cmd-every") opts.snapshot_cmd_every = args.count();
     else if (arg == "--final-stats") opts.final_stats = true;
-    else if (arg == "--out") opts.out_path = need_value(i);
-    else if (arg == "--input") opts.input_path = need_value(i);
-    else if (arg == "--connect") opts.connect_path = need_value(i);
-    else usage("unknown option " + arg);
+    else if (arg == "--out") opts.out_path = args.value();
+    else if (arg == "--input") opts.input_path = args.value();
+    else if (arg == "--connect") opts.connect_path = args.value();
+    else cli::usage("unknown option " + arg);
   }
   validate_options(opts);
   return opts;
 }
 
 std::string make_trace(const Options& opts) {
-  // Mirror nfvm-serve's topology construction exactly (including the delay
-  // assignment draw) so generated vertex ids are valid on the daemon side.
-  util::Rng rng(opts.seed);
-  topo::Topology topo = cli::build_topology(opts.topology, opts.nodes, rng);
-  if (opts.max_delay_ms > 0) topo::assign_delays(topo, rng);
+  // nfvm-serve builds its network from the same flags through
+  // cli::build_topology, so generated vertex ids are valid on the daemon side.
+  util::Rng rng(opts.net.seed);
+  const topo::Topology topo = cli::build_topology(opts.net, rng);
 
   serve::TraceGenOptions trace;
-  trace.num_requests = opts.requests;
-  trace.arrival_rate = opts.arrival_rate;
-  trace.mean_duration = opts.mean_duration;
-  trace.diurnal_amplitude = opts.diurnal_amplitude;
-  trace.diurnal_period = opts.diurnal_period;
-  trace.max_delay_ms = opts.max_delay_ms;
+  trace.num_requests = opts.work.requests;
+  trace.arrival_rate = opts.work.arrival_rate;
+  trace.mean_duration = opts.work.mean_duration;
+  trace.diurnal_amplitude = opts.work.diurnal_amplitude;
+  trace.diurnal_period = opts.work.diurnal_period;
+  trace.max_delay_ms = opts.net.max_delay_ms;
   trace.snapshot_every = opts.snapshot_cmd_every;
   trace.final_stats = opts.final_stats;
-  if (opts.dest_ratio > 0) {
-    trace.request_gen.min_dest_ratio = opts.dest_ratio;
-    trace.request_gen.max_dest_ratio = opts.dest_ratio;
-  }
-  util::Rng workload(opts.seed + 1);
+  trace.request_gen = opts.work.request_gen();
+  util::Rng workload(opts.net.seed + 1);
   std::ostringstream out;
   const serve::TraceSummary summary =
       serve::write_serve_trace(out, topo, workload, trace);
@@ -169,16 +123,16 @@ std::string make_trace(const Options& opts) {
 /// daemon hangs up.
 int replay(const Options& opts, const std::string& trace) {
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) usage(std::string("--connect: socket: ") + std::strerror(errno));
+  if (fd < 0) cli::usage(std::string("--connect: socket: ") + std::strerror(errno));
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   if (opts.connect_path.size() >= sizeof(addr.sun_path)) {
-    usage("--connect: path too long for AF_UNIX");
+    cli::usage("--connect: path too long for AF_UNIX");
   }
   std::strncpy(addr.sun_path, opts.connect_path.c_str(), sizeof(addr.sun_path) - 1);
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-    usage("--connect: cannot connect to \"" + opts.connect_path + "\": " +
-          std::strerror(errno));
+    cli::usage("--connect: cannot connect to \"" + opts.connect_path + "\": " +
+               std::strerror(errno));
   }
 
   std::thread writer([&] {
@@ -217,15 +171,7 @@ int main(int argc, char** argv) {
   const Options opts = parse_args(argc, argv);
   ::signal(SIGPIPE, SIG_IGN);
 
-  std::string trace;
-  if (!opts.input_path.empty()) {
-    std::ifstream in(opts.input_path, std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    trace = buffer.str();
-  } else {
-    trace = make_trace(opts);
-  }
+  const std::string trace = opts.input_path.empty() ? make_trace(opts) : opts.input;
 
   if (!opts.connect_path.empty()) return replay(opts, trace);
 
@@ -235,7 +181,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   std::ofstream out(opts.out_path, std::ios::binary);
-  if (!out) usage("cannot open " + opts.out_path);
+  if (!out) cli::usage("cannot open " + opts.out_path);
   out << trace;
   return 0;
 }

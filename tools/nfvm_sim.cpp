@@ -1,30 +1,17 @@
 // nfvm_sim - command-line online-admission simulator.
 //
 //   nfvm_sim [options]
-//     --topology <waxman|transit-stub|geant|as1755|as4755>   (default waxman)
-//     --nodes <n>            switches for generated topologies (default 100)
-//     --seed <s>             RNG seed for topology + workload (default 1)
+//     the network, workload and engine flags of tools/cli_setup.h, with
+//     --requests 300 and --algorithm all (the three online algorithms) by
+//     default; the arrival flags drive --dynamic and --soak runs, and
+//     --metrics-json - writes to stdout
 //     --mode <online|offline>                                (default online)
-//     --algorithm <online_cp|online_sp|online_sp_static|all> (online mode)
-//     --requests <r>         arrivals (default 300)
-//     --dest-ratio <x>       fix Dmax/|V| (default: U[0.05, 0.2])
-//     --max-delay <ms>       delay bound per request (assigns link delays)
 //     --dynamic              Poisson arrivals + exponential holding times
-//     --arrival-rate <x>     (dynamic/soak, default 1.0)
-//     --mean-duration <x>    (dynamic/soak, default 20.0)
 //     --soak <n>             sustained-load run: stream n Poisson arrivals +
 //                            departures through one algorithm without
 //                            materializing the workload (requires a single
 //                            --algorithm); reports sustained req/s and
 //                            whole-run latency quantiles
-//     --diurnal-amplitude <a>  soak arrival-rate modulation in [0,1):
-//                            rate(t) = rate*(1 + a*sin(2*pi*t/period))
-//     --diurnal-period <p>   soak modulation period in sim-time units
-//                            (default 86400)
-//     --threads <n>          worker threads for the parallel fan-outs (APSP,
-//                            Steiner SSSP, Appro_Multi combinations, offline
-//                            batches). Default: NFVM_THREADS env var, else 1.
-//                            Results are bit-identical for any thread count.
 //     --beam-width <m>       offline mode: restrict Appro_Multi to the m most
 //                            central eligible servers (0 = exact, default)
 //     --legacy-path          offline mode: run Appro_Multi's exhaustive
@@ -32,33 +19,17 @@
 //                            (same decisions; CI diffs the two tables)
 //     --dump-topology <file> write the topology in nfvm-topology format
 //     --dump-dot <file>      write a Graphviz rendering of the topology
-//   Observability (see docs/observability.md):
-//     --metrics-json <file>  dump the metrics registry (counters/gauges/
-//                            histograms) as JSON at exit; "-" writes to stdout
-//     --trace <file>         record tracing spans; Chrome trace_event JSON,
-//                            loadable in chrome://tracing or Perfetto
-//     --events <file>        JSONL event log ("nfvm-events-v2"), one line per
-//                            processed request, stamped with the config hash
-//                            and seed and carrying full decision provenance
-//                            (phase timings, scan counts, reject context);
-//                            "-" writes to stdout
-//     --log-level <level>    error|warn|info|debug (default warn)
-//     --run-dir <dir>        write a self-describing artifact bundle:
-//                            manifest.json (argv, config, build provenance,
-//                            timings, peak RSS) plus metrics.json /
-//                            events.jsonl / trace.json defaults
-//     --timeseries <file>    periodic JSONL snapshots of the registry + RSS
-//                            ("nfvm-timeseries-v2": counters, gauges, windowed
-//                            quantiles, per-interval rates) from a background
-//                            sampler thread
+//   Observability (the artifacts are documented in docs/observability.md):
+//     --trace <file>         Chrome trace_event JSON of the tracing spans
+//     --events <file>        "nfvm-events-v2" JSONL, one line per processed
+//                            request with its decision provenance; "-" = stdout
+//     --run-dir <dir>        artifact bundle: manifest.json, plus metrics.json,
+//                            events.jsonl and trace.json unless redirected
+//     --timeseries <file>    "nfvm-timeseries-v2" registry + RSS snapshots
 //     --sample-interval-ms <n>  sampler period (default 1000)
-//     --slo <file>           declarative SLO spec (one objective per line,
-//                            see docs/observability.md); evaluated on the
-//                            sampler tick, breaches recorded in the event
-//                            log, verdict in manifest.json
-//     --slo-out <file>       write the "nfvm-slo-v1" outcome document
-//                            (default <run-dir>/slo.json, else stdout);
-//                            consumed by `nfvm-report slo [--check]`
+//     --slo <file>           SLO spec, evaluated on the sampler tick
+//     --slo-out <file>       "nfvm-slo-v1" outcome (default <run-dir>/slo.json,
+//                            else stdout)
 //
 // Prints one metrics row per algorithm; online rows include the
 // rejection-cause breakdown (rej_bw/rej_cpu/rej_thr/rej_dly/rej_other).
@@ -69,7 +40,6 @@
 #include <iostream>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -101,7 +71,22 @@ using namespace nfvm;
 
 constexpr const char* kModes = "online|offline";
 const std::string kAlgorithms = std::string(cli::kAlgorithms) + "|all";
-constexpr const char* kLogLevels = "error|warn|info|debug";
+const std::string kUsage =
+    std::string("usage: nfvm_sim [--mode ") + kModes +
+    "] [--topology T] [--nodes N] [--seed S]\n"
+    "                [--algorithm A] [--requests R] [--dest-ratio X]\n"
+    "                [--max-delay MS] [--dynamic]\n"
+    "                [--arrival-rate X] [--mean-duration X]\n"
+    "                [--soak N] [--diurnal-amplitude A] [--diurnal-period P]\n"
+    "                [--threads N] [--beam-width M] [--legacy-path]\n"
+    "                [--dump-topology FILE] [--dump-dot FILE]\n"
+    "                [--metrics-json FILE|-] [--trace FILE] [--events FILE|-]\n"
+    "                [--run-dir DIR] [--timeseries FILE] [--sample-interval-ms N]\n"
+    "                [--slo FILE] [--slo-out FILE]\n"
+    "                [--log-level " + cli::kLogLevels + "]\n"
+    "  topologies: " + cli::kTopologies + "\n"
+    "  algorithms: " + kAlgorithms + "\n"
+    "  --beam-width and --legacy-path apply to --mode offline only\n";
 
 /// Soak-mode graceful shutdown: SIGINT/SIGTERM stop the arrival loop at the
 /// next iteration, so the run still flushes its partial artifacts (manifest,
@@ -112,13 +97,9 @@ void on_soak_signal(int) { g_soak_stop.store(true, std::memory_order_relaxed); }
 
 struct Options {
   std::string mode = "online";
-  std::string topology = "waxman";
-  std::size_t nodes = 100;
-  std::uint64_t seed = 1;
-  std::string algorithm = "all";
-  std::size_t requests = 300;
-  double dest_ratio = 0.0;  // 0 = paper default range
-  double max_delay_ms = 0.0;  // 0 = unconstrained
+  cli::NetworkFlags net;
+  cli::WorkloadFlags work{.requests = 300};
+  cli::EngineFlags engine{.algorithm = "all"};
   bool dynamic = false;
   /// Offline only: run Appro_Multi with the legacy materialize-everything
   /// combination sweep instead of branch-and-bound. Decisions must be
@@ -128,119 +109,62 @@ struct Options {
   bool legacy_path = false;
   /// Offline: Appro_Multi beam width (0 = exact full server pool).
   std::size_t beam_width = 0;
-  double arrival_rate = 1.0;
-  double mean_duration = 20.0;
   std::size_t soak = 0;  // 0 = not a soak run
-  double diurnal_amplitude = 0.0;
-  double diurnal_period = 86'400.0;
-  std::size_t threads = 0;  // 0 = keep the NFVM_THREADS / default sizing
   std::string dump_topology;
   std::string dump_dot;
-  std::string metrics_json;
   std::string trace_file;
   std::string events_file;
   std::string run_dir;
   std::string timeseries_file;
-  long sample_interval_ms = 1000;
+  std::uint64_t sample_interval_ms = 1000;
   std::string slo_file;
   std::string slo_out;
   /// Parsed eagerly from slo_file so a malformed spec fails at startup.
   std::vector<obs::SloSpec> slo_specs;
 };
 
-[[noreturn]] void usage(const std::string& error) {
-  if (!error.empty()) std::cerr << "error: " << error << "\n";
-  std::cerr << "usage: nfvm_sim [--mode " << kModes << "] [--topology T] [--nodes N] [--seed S]\n"
-               "                [--algorithm A] [--requests R] [--dest-ratio X]\n"
-               "                [--max-delay MS] [--dynamic]\n"
-               "                [--arrival-rate X] [--mean-duration X]\n"
-               "                [--soak N] [--diurnal-amplitude A] [--diurnal-period P]\n"
-               "                [--threads N] [--beam-width M] [--legacy-path]\n"
-               "                [--dump-topology FILE] [--dump-dot FILE]\n"
-               "                [--metrics-json FILE|-] [--trace FILE] [--events FILE|-]\n"
-               "                [--run-dir DIR] [--timeseries FILE] [--sample-interval-ms N]\n"
-               "                [--slo FILE] [--slo-out FILE]\n"
-               "                [--log-level " << kLogLevels << "]\n"
-               "  topologies: " << cli::kTopologies << "\n"
-               "  algorithms: " << kAlgorithms << "\n"
-               "  --beam-width and --legacy-path apply to --mode offline only\n";
-  std::exit(error.empty() ? 0 : 2);
-}
-
-/// Eagerly proves an output path is writable (open-for-append creates the
-/// file without truncating existing content). A typo'd --trace path must
-/// fail here, not after the whole run has finished.
-void validate_writable(const char* flag, const std::string& path) {
-  if (path.empty() || path == "-") return;
-  std::ofstream probe(path, std::ios::app);
-  if (!probe) {
-    usage(std::string(flag) + ": cannot open \"" + path + "\" for writing");
-  }
-}
-
-/// Rejects bad enumeration values and unwritable artifact paths at parse
-/// time - a typo in --algorithm or --trace must not surface as a mid-run (or
-/// end-of-run) failure after topology generation.
+/// Rejects flag combinations and unwritable artifact paths at parse time -
+/// a typo in --trace must not surface as an end-of-run failure after
+/// topology generation. Single values were checked as they were parsed.
 void validate_options(Options& opts) {
-  if (!cli::one_of(kModes, opts.mode)) {
-    usage("--mode must be one of " + std::string(kModes) + " (got \"" +
-          opts.mode + "\")");
-  }
-  if (!cli::one_of(cli::kTopologies, opts.topology)) {
-    usage("--topology must be one of " + std::string(cli::kTopologies) +
-          " (got \"" + opts.topology + "\")");
-  }
-  if (!cli::one_of(kAlgorithms, opts.algorithm)) {
-    usage("--algorithm must be one of " + kAlgorithms + " (got \"" +
-          opts.algorithm + "\")");
-  }
-  if (opts.sample_interval_ms <= 0) {
-    usage("--sample-interval-ms must be positive");
+  if (opts.sample_interval_ms == 0) {
+    cli::usage("--sample-interval-ms must be positive");
   }
   if (opts.beam_width > 0 && opts.mode != "offline") {
-    usage("--beam-width only applies to --mode offline");
+    cli::usage("--beam-width only applies to --mode offline");
   }
   if (opts.legacy_path && opts.mode != "offline") {
-    usage("--legacy-path only applies to --mode offline");
+    cli::usage("--legacy-path only applies to --mode offline");
   }
   if (opts.soak > 0) {
-    if (opts.mode != "online") usage("--soak requires --mode online");
-    if (opts.algorithm == "all") {
-      usage("--soak streams one algorithm's telemetry; pick a single "
-            "--algorithm (e.g. online_cp)");
+    if (opts.mode != "online") cli::usage("--soak requires --mode online");
+    if (opts.engine.algorithm == "all") {
+      cli::usage("--soak streams one algorithm's telemetry; pick a single "
+                 "--algorithm (e.g. online_cp)");
     }
-    if (opts.dynamic) usage("--soak already implies a dynamic workload; drop --dynamic");
-  }
-  if (opts.diurnal_amplitude < 0.0 || opts.diurnal_amplitude >= 1.0) {
-    usage("--diurnal-amplitude must be in [0, 1)");
-  }
-  if (!(opts.diurnal_period > 0.0)) {
-    usage("--diurnal-period must be positive");
+    if (opts.dynamic) cli::usage("--soak already implies a dynamic workload; drop --dynamic");
   }
   if (!opts.slo_file.empty()) {
-    std::ifstream in(opts.slo_file);
-    if (!in) usage("--slo: cannot read \"" + opts.slo_file + "\"");
-    std::ostringstream text;
-    text << in.rdbuf();
     try {
-      opts.slo_specs = obs::parse_slo_specs(text.str());
+      opts.slo_specs = obs::parse_slo_specs(cli::read_file("--slo", opts.slo_file));
     } catch (const std::invalid_argument& e) {
-      usage("--slo " + opts.slo_file + ": " + e.what());
+      cli::usage("--slo " + opts.slo_file + ": " + e.what());
     }
     if (opts.slo_specs.empty()) {
-      usage("--slo " + opts.slo_file + ": no objectives found");
+      cli::usage("--slo " + opts.slo_file + ": no objectives found");
     }
   }
+  std::string& metrics_json = opts.engine.metrics_json;
   if (!opts.run_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(opts.run_dir, ec);
-    if (ec) usage("--run-dir: cannot create \"" + opts.run_dir + "\": " + ec.message());
+    if (ec) cli::usage("--run-dir: cannot create \"" + opts.run_dir + "\": " + ec.message());
     // The bundle always carries the standard artifacts; explicit flags
     // override the destination of an individual one.
     const auto in_dir = [&](const char* name) {
       return (std::filesystem::path(opts.run_dir) / name).string();
     };
-    if (opts.metrics_json.empty()) opts.metrics_json = in_dir("metrics.json");
+    if (metrics_json.empty()) metrics_json = in_dir("metrics.json");
     if (opts.events_file.empty()) opts.events_file = in_dir("events.jsonl");
     if (opts.trace_file.empty()) opts.trace_file = in_dir("trace.json");
     if (!opts.slo_file.empty() && opts.slo_out.empty()) {
@@ -249,77 +173,58 @@ void validate_options(Options& opts) {
   }
   // Two JSON artifacts interleaved on one stream are unparseable; catch the
   // conflict at parse time, not after the run.
-  if (opts.events_file == "-" && opts.metrics_json == "-") {
-    usage("--events and --metrics-json cannot both write to stdout (\"-\")");
+  if (opts.events_file == "-" && metrics_json == "-") {
+    cli::usage("--events and --metrics-json cannot both write to stdout (\"-\")");
   }
   // "-" (stdout) is supported for the line- and object-oriented artifacts
   // only; a Chrome trace or dot dump interleaved with the table is useless.
-  for (const auto& [flag, path] :
-       {std::pair<const char*, const std::string&>{"--trace", opts.trace_file},
-        {"--dump-topology", opts.dump_topology},
-        {"--dump-dot", opts.dump_dot},
-        {"--timeseries", opts.timeseries_file}}) {
-    if (path == "-") usage(std::string(flag) + " does not support \"-\" (stdout)");
-  }
-  validate_writable("--dump-topology", opts.dump_topology);
-  validate_writable("--dump-dot", opts.dump_dot);
-  validate_writable("--metrics-json", opts.metrics_json);
-  validate_writable("--trace", opts.trace_file);
-  validate_writable("--events", opts.events_file);
-  validate_writable("--timeseries", opts.timeseries_file);
-  if (opts.slo_out == "-") usage("--slo-out does not support \"-\" (stdout is the default)");
-  validate_writable("--slo-out", opts.slo_out);
+  cli::validate_writable("--dump-topology", opts.dump_topology);
+  cli::validate_writable("--dump-dot", opts.dump_dot);
+  if (metrics_json != "-") cli::validate_writable("--metrics-json", metrics_json);
+  cli::validate_writable("--trace", opts.trace_file);
+  if (opts.events_file != "-") cli::validate_writable("--events", opts.events_file);
+  cli::validate_writable("--timeseries", opts.timeseries_file);
+  cli::validate_writable("--slo-out", opts.slo_out);
 }
 
 Options parse_args(int argc, char** argv) {
   Options opts;
-  auto need_value = [&](int& i) -> std::string {
-    if (i + 1 >= argc) usage(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") usage("");
-    else if (arg == "--mode") opts.mode = need_value(i);
-    else if (arg == "--topology") opts.topology = need_value(i);
-    else if (arg == "--nodes") opts.nodes = std::stoul(need_value(i));
-    else if (arg == "--seed") opts.seed = std::stoull(need_value(i));
-    else if (arg == "--algorithm") opts.algorithm = need_value(i);
-    else if (arg == "--requests") opts.requests = std::stoul(need_value(i));
-    else if (arg == "--dest-ratio") opts.dest_ratio = std::stod(need_value(i));
-    else if (arg == "--max-delay") opts.max_delay_ms = std::stod(need_value(i));
+  cli::Args args(argc, argv, kUsage);
+  while (args.next()) {
+    if (cli::parse_flag(args, opts.net) || cli::parse_flag(args, opts.work) ||
+        cli::parse_flag(args, opts.engine, kAlgorithms)) {
+      continue;
+    }
+    const std::string& arg = args.flag();
+    if (arg == "--mode") opts.mode = args.choice(kModes);
     else if (arg == "--dynamic") opts.dynamic = true;
     else if (arg == "--legacy-path") opts.legacy_path = true;
-    else if (arg == "--arrival-rate") opts.arrival_rate = std::stod(need_value(i));
-    else if (arg == "--mean-duration") opts.mean_duration = std::stod(need_value(i));
-    else if (arg == "--soak") opts.soak = std::stoul(need_value(i));
-    else if (arg == "--diurnal-amplitude") opts.diurnal_amplitude = std::stod(need_value(i));
-    else if (arg == "--diurnal-period") opts.diurnal_period = std::stod(need_value(i));
-    else if (arg == "--threads") opts.threads = std::stoul(need_value(i));
-    else if (arg == "--beam-width") opts.beam_width = std::stoul(need_value(i));
-    else if (arg == "--dump-topology") opts.dump_topology = need_value(i);
-    else if (arg == "--dump-dot") opts.dump_dot = need_value(i);
-    else if (arg == "--metrics-json") opts.metrics_json = need_value(i);
-    else if (arg == "--trace") opts.trace_file = need_value(i);
-    else if (arg == "--events") opts.events_file = need_value(i);
-    else if (arg == "--run-dir") opts.run_dir = need_value(i);
-    else if (arg == "--timeseries") opts.timeseries_file = need_value(i);
-    else if (arg == "--sample-interval-ms") opts.sample_interval_ms = std::stol(need_value(i));
-    else if (arg == "--slo") opts.slo_file = need_value(i);
-    else if (arg == "--slo-out") opts.slo_out = need_value(i);
-    else if (arg == "--log-level") {
-      const std::string value = need_value(i);
-      const auto level = obs::parse_log_level(value);
-      if (!level.has_value()) {
-        usage("--log-level must be one of " + std::string(kLogLevels) +
-              " (got \"" + value + "\")");
-      }
-      obs::set_log_level(*level);
-    }
-    else usage("unknown option " + arg);
+    else if (arg == "--soak") opts.soak = args.count();
+    else if (arg == "--beam-width") opts.beam_width = args.count();
+    else if (arg == "--dump-topology") opts.dump_topology = args.value();
+    else if (arg == "--dump-dot") opts.dump_dot = args.value();
+    else if (arg == "--trace") opts.trace_file = args.value();
+    else if (arg == "--events") opts.events_file = args.value();
+    else if (arg == "--run-dir") opts.run_dir = args.value();
+    else if (arg == "--timeseries") opts.timeseries_file = args.value();
+    else if (arg == "--sample-interval-ms") opts.sample_interval_ms = args.count();
+    else if (arg == "--slo") opts.slo_file = args.value();
+    else if (arg == "--slo-out") opts.slo_out = args.value();
+    else cli::usage("unknown option " + arg);
   }
   validate_options(opts);
   return opts;
+}
+
+/// The rejection-cause cells of a results row.
+template <typename Metrics>
+void add_reject_cells(util::Table& table, const Metrics& m) {
+  table.add(m.rejected_because(core::RejectCause::kBandwidth))
+      .add(m.rejected_because(core::RejectCause::kCompute))
+      .add(m.rejected_because(core::RejectCause::kThreshold))
+      .add(m.rejected_because(core::RejectCause::kDelay))
+      .add(m.rejected_because(core::RejectCause::kOther) +
+           m.rejected_because(core::RejectCause::kNone));
 }
 
 /// Context for the end-of-run artifact flush: everything write_artifacts
@@ -342,26 +247,26 @@ struct RunContext {
 std::map<std::string, std::string> manifest_config(const Options& opts) {
   std::map<std::string, std::string> config;
   config["mode"] = opts.mode;
-  config["topology"] = opts.topology;
-  config["nodes"] = std::to_string(opts.nodes);
-  config["seed"] = std::to_string(opts.seed);
-  config["algorithm"] = opts.algorithm;
-  config["requests"] = std::to_string(opts.requests);
-  config["dest_ratio"] = util::format_double(opts.dest_ratio, 4);
-  config["max_delay_ms"] = util::format_double(opts.max_delay_ms, 3);
+  config["topology"] = opts.net.topology;
+  config["nodes"] = std::to_string(opts.net.nodes);
+  config["seed"] = std::to_string(opts.net.seed);
+  config["algorithm"] = opts.engine.algorithm;
+  config["requests"] = std::to_string(opts.work.requests);
+  config["dest_ratio"] = util::format_double(opts.work.dest_ratio, 4);
+  config["max_delay_ms"] = util::format_double(opts.net.max_delay_ms, 3);
   config["dynamic"] = opts.dynamic ? "true" : "false";
   config["legacy_path"] = opts.legacy_path ? "true" : "false";
   if (opts.mode == "offline") {
     config["beam_width"] = std::to_string(opts.beam_width);
   }
   if (opts.dynamic || opts.soak > 0) {
-    config["arrival_rate"] = util::format_double(opts.arrival_rate, 4);
-    config["mean_duration"] = util::format_double(opts.mean_duration, 4);
+    config["arrival_rate"] = util::format_double(opts.work.arrival_rate, 4);
+    config["mean_duration"] = util::format_double(opts.work.mean_duration, 4);
   }
   if (opts.soak > 0) {
     config["soak"] = std::to_string(opts.soak);
-    config["diurnal_amplitude"] = util::format_double(opts.diurnal_amplitude, 4);
-    config["diurnal_period"] = util::format_double(opts.diurnal_period, 4);
+    config["diurnal_amplitude"] = util::format_double(opts.work.diurnal_amplitude, 4);
+    config["diurnal_period"] = util::format_double(opts.work.diurnal_period, 4);
   }
   if (!opts.slo_file.empty()) config["slo"] = opts.slo_file;
   config["threads"] = std::to_string(util::ThreadPool::global().num_threads());
@@ -397,7 +302,7 @@ void write_artifacts(const Options& opts, const obs::EventLog& events,
       ctx.slo->write_json(std::cout);
     } else {
       std::ofstream out(opts.slo_out);
-      if (!out) usage("cannot open " + opts.slo_out);
+      if (!out) cli::usage("cannot open " + opts.slo_out);
       ctx.slo->write_json(out);
       obs::log_info("slo outcome written to " + opts.slo_out);
     }
@@ -409,18 +314,18 @@ void write_artifacts(const Options& opts, const obs::EventLog& events,
   if (!opts.trace_file.empty()) {
     obs::Tracer::global().stop();
     std::ofstream out(opts.trace_file);
-    if (!out) usage("cannot open " + opts.trace_file);
+    if (!out) cli::usage("cannot open " + opts.trace_file);
     obs::Tracer::global().write_chrome_trace(out);
     obs::log_info("trace written to " + opts.trace_file);
   }
-  if (!opts.metrics_json.empty()) {
-    if (opts.metrics_json == "-") {
+  if (!opts.engine.metrics_json.empty()) {
+    if (opts.engine.metrics_json == "-") {
       obs::Registry::global().write_json(std::cout);
     } else {
-      std::ofstream out(opts.metrics_json);
-      if (!out) usage("cannot open " + opts.metrics_json);
+      std::ofstream out(opts.engine.metrics_json);
+      if (!out) cli::usage("cannot open " + opts.engine.metrics_json);
       obs::Registry::global().write_json(out);
-      obs::log_info("metrics written to " + opts.metrics_json);
+      obs::log_info("metrics written to " + opts.engine.metrics_json);
     }
   }
   if (!opts.events_file.empty()) {
@@ -442,7 +347,7 @@ void write_artifacts(const Options& opts, const obs::EventLog& events,
     // run meet its objectives" without opening slo.json.
     if (ctx.slo) manifest.config["slo_pass"] = ctx.slo->pass() ? "true" : "false";
     for (const auto& [flag, path] :
-         {std::pair<const char*, const std::string&>{"metrics", opts.metrics_json},
+         {std::pair<const char*, const std::string&>{"metrics", opts.engine.metrics_json},
           {"events", opts.events_file},
           {"trace", opts.trace_file},
           {"timeseries", opts.timeseries_file},
@@ -454,7 +359,7 @@ void write_artifacts(const Options& opts, const obs::EventLog& events,
     const std::string manifest_path =
         (std::filesystem::path(opts.run_dir) / "manifest.json").string();
     std::ofstream out(manifest_path);
-    if (!out) usage("cannot open " + manifest_path);
+    if (!out) cli::usage("cannot open " + manifest_path);
     obs::write_manifest(out, manifest);
     obs::log_info("manifest written to " + manifest_path);
   }
@@ -464,7 +369,7 @@ void write_artifacts(const Options& opts, const obs::EventLog& events,
 
 int main(int argc, char** argv) {
   const Options opts = parse_args(argc, argv);
-  if (opts.threads > 0) util::ThreadPool::set_global_threads(opts.threads);
+  if (opts.engine.threads > 0) util::ThreadPool::set_global_threads(opts.engine.threads);
 
   RunContext ctx;
   ctx.argv.assign(argv, argv + argc);
@@ -474,11 +379,11 @@ int main(int argc, char** argv) {
   if (!opts.trace_file.empty()) obs::Tracer::global().start();
   obs::EventLog events;
   if (!opts.events_file.empty()) {
-    if (!events.open(opts.events_file)) usage("cannot open " + opts.events_file);
+    if (!events.open(opts.events_file)) cli::usage("cannot open " + opts.events_file);
     obs::JsonLine stamp;
     stamp.field("schema", obs::report::kEventsSchema)
         .field("config_hash", ctx.config_hash)
-        .field("seed", opts.seed);
+        .field("seed", opts.net.seed);
     events.set_stamp(stamp);
   }
   if (!opts.slo_specs.empty()) {
@@ -491,34 +396,29 @@ int main(int argc, char** argv) {
   if ((!opts.timeseries_file.empty() || ctx.slo != nullptr) &&
       !ctx.sampler.start(obs::Registry::global(), opts.timeseries_file,
                          std::chrono::milliseconds(opts.sample_interval_ms))) {
-    usage("cannot open " + opts.timeseries_file);
+    cli::usage("cannot open " + opts.timeseries_file);
   }
 
-  util::Rng rng(opts.seed);
-  topo::Topology topo = cli::build_topology(opts.topology, opts.nodes, rng);
-  if (opts.max_delay_ms > 0) topo::assign_delays(topo, rng);
+  util::Rng rng(opts.net.seed);
+  topo::Topology topo = cli::build_topology(opts.net, rng);
   std::cout << "# topology " << topo.name << ": " << topo.num_switches()
             << " switches, " << topo.num_links() << " links, "
             << topo.servers.size() << " servers\n";
 
   if (!opts.dump_topology.empty()) {
     std::ofstream out(opts.dump_topology);
-    if (!out) usage("cannot open " + opts.dump_topology);
+    if (!out) cli::usage("cannot open " + opts.dump_topology);
     io::write_topology(out, topo);
     std::cout << "# topology written to " << opts.dump_topology << "\n";
   }
   if (!opts.dump_dot.empty()) {
     std::ofstream out(opts.dump_dot);
-    if (!out) usage("cannot open " + opts.dump_dot);
+    if (!out) cli::usage("cannot open " + opts.dump_dot);
     out << io::to_dot(topo);
     std::cout << "# dot written to " << opts.dump_dot << "\n";
   }
 
-  sim::RequestGenOptions gen_opts;
-  if (opts.dest_ratio > 0) {
-    gen_opts.min_dest_ratio = opts.dest_ratio;
-    gen_opts.max_dest_ratio = opts.dest_ratio;
-  }
+  const sim::RequestGenOptions gen_opts = opts.work.request_gen();
 
   if (opts.mode == "offline") {
     // Offline single-request comparison: Appro_Multi (K=1..3), the
@@ -529,18 +429,18 @@ int main(int argc, char** argv) {
       // The span must close before write_artifacts stops the tracer, or it
       // would be dropped from the exported trace.
       NFVM_SPAN("cli/offline_batch");
-      util::Rng costs_rng(opts.seed + 2);
+      util::Rng costs_rng(opts.net.seed + 2);
       const core::LinearCosts costs = core::random_costs(topo, costs_rng);
-      util::Rng workload(opts.seed + 1);
+      util::Rng workload(opts.net.seed + 1);
       sim::RequestGenerator gen(topo, workload, gen_opts);
-      const std::size_t batch = std::min<std::size_t>(opts.requests, 100);
+      const std::size_t batch = std::min<std::size_t>(opts.work.requests, 100);
       obs::log_info("offline batch: " + std::to_string(batch) + " requests on " +
                     topo.name);
       std::vector<nfv::Request> batch_requests;
       batch_requests.reserve(batch);
       for (std::size_t i = 0; i < batch; ++i) {
         nfv::Request r = gen.next();
-        r.max_delay_ms = opts.max_delay_ms;
+        r.max_delay_ms = opts.net.max_delay_ms;
         batch_requests.push_back(std::move(r));
       }
       // Requests fan out across the thread pool; aggregation below walks the
@@ -574,10 +474,10 @@ int main(int argc, char** argv) {
   }
 
   std::vector<std::string> algorithms;
-  if (opts.algorithm == "all") {
+  if (opts.engine.algorithm == "all") {
     algorithms = {"online_cp", "online_sp", "online_sp_static"};
   } else {
-    algorithms = {opts.algorithm};
+    algorithms = {opts.engine.algorithm};
   }
 
   sim::SimulatorOptions sim_opts;
@@ -587,16 +487,16 @@ int main(int argc, char** argv) {
   sim_opts.record_provenance = events.is_open();
 
   if (opts.soak > 0) {
-    util::Rng workload(opts.seed + 1);
+    util::Rng workload(opts.net.seed + 1);
     sim::RequestGenerator gen(topo, workload, gen_opts);
-    auto algo = cli::build_algorithm(opts.algorithm, topo);
+    auto algo = cli::build_algorithm(opts.engine.algorithm, topo);
     sim::SoakOptions soak;
     soak.num_requests = opts.soak;
-    soak.arrival_rate = opts.arrival_rate;
-    soak.mean_duration = opts.mean_duration;
-    soak.diurnal_amplitude = opts.diurnal_amplitude;
-    soak.diurnal_period = opts.diurnal_period;
-    soak.max_delay_ms = opts.max_delay_ms;
+    soak.arrival_rate = opts.work.arrival_rate;
+    soak.mean_duration = opts.work.mean_duration;
+    soak.diurnal_amplitude = opts.work.diurnal_amplitude;
+    soak.diurnal_period = opts.work.diurnal_period;
+    soak.max_delay_ms = opts.net.max_delay_ms;
     soak.stop = &g_soak_stop;
     struct sigaction action{};
     action.sa_handler = on_soak_signal;
@@ -626,14 +526,9 @@ int main(int argc, char** argv) {
         .add(std::string(algo->name()))
         .add(m.num_requests)
         .add(m.num_admitted)
-        .add(m.acceptance_ratio(), 3)
-        .add(m.rejected_because(core::RejectCause::kBandwidth))
-        .add(m.rejected_because(core::RejectCause::kCompute))
-        .add(m.rejected_because(core::RejectCause::kThreshold))
-        .add(m.rejected_because(core::RejectCause::kDelay))
-        .add(m.rejected_because(core::RejectCause::kOther) +
-             m.rejected_because(core::RejectCause::kNone))
-        .add(m.peak_active)
+        .add(m.acceptance_ratio(), 3);
+    add_reject_cells(soak_table, m);
+    soak_table.add(m.peak_active)
         .add(m.wall_seconds, 1)
         .add(m.requests_per_s, 1)
         .add(m.p50_us, 1)
@@ -649,45 +544,34 @@ int main(int argc, char** argv) {
                      "rej_other", "peak_active"});
   for (const std::string& name : algorithms) {
     // Fresh, identical workload per algorithm.
-    util::Rng workload(opts.seed + 1);
+    util::Rng workload(opts.net.seed + 1);
     sim::RequestGenerator gen(topo, workload, gen_opts);
     auto algo = cli::build_algorithm(name, topo);
     obs::log_info("admission run: " + std::string(algo->name()) + ", " +
-                  std::to_string(opts.requests) + " requests");
-    const auto reject_cells = [&table](const auto& m) {
-      table.add(m.rejected_because(core::RejectCause::kBandwidth))
-          .add(m.rejected_because(core::RejectCause::kCompute))
-          .add(m.rejected_because(core::RejectCause::kThreshold))
-          .add(m.rejected_because(core::RejectCause::kDelay))
-          .add(m.rejected_because(core::RejectCause::kOther) +
-               m.rejected_because(core::RejectCause::kNone));
+                  std::to_string(opts.work.requests) + " requests");
+    const auto add_row = [&](const auto& m) {
+      table.begin_row()
+          .add(std::string(algo->name()))
+          .add(m.num_requests)
+          .add(m.num_admitted)
+          .add(m.acceptance_ratio(), 3)
+          .add(m.admitted_costs.empty() ? 0.0 : m.admitted_costs.mean(), 3);
+      add_reject_cells(table, m);
     };
     if (opts.dynamic) {
       sim::DynamicWorkloadOptions dyn;
-      dyn.arrival_rate = opts.arrival_rate;
-      dyn.mean_duration = opts.mean_duration;
-      auto requests = sim::make_poisson_workload(gen, workload, opts.requests, dyn);
-      for (auto& tr : requests) tr.request.max_delay_ms = opts.max_delay_ms;
+      dyn.arrival_rate = opts.work.arrival_rate;
+      dyn.mean_duration = opts.work.mean_duration;
+      auto requests = sim::make_poisson_workload(gen, workload, opts.work.requests, dyn);
+      for (auto& tr : requests) tr.request.max_delay_ms = opts.net.max_delay_ms;
       const sim::DynamicMetrics m = sim::run_online_dynamic(*algo, requests, sim_opts);
-      table.begin_row()
-          .add(std::string(algo->name()))
-          .add(m.num_requests)
-          .add(m.num_admitted)
-          .add(m.acceptance_ratio(), 3)
-          .add(m.admitted_costs.empty() ? 0.0 : m.admitted_costs.mean(), 3);
-      reject_cells(m);
+      add_row(m);
       table.add(m.peak_active);
     } else {
-      auto requests = gen.sequence(opts.requests);
-      for (auto& r : requests) r.max_delay_ms = opts.max_delay_ms;
+      auto requests = gen.sequence(opts.work.requests);
+      for (auto& r : requests) r.max_delay_ms = opts.net.max_delay_ms;
       const sim::SimulationMetrics m = sim::run_online(*algo, requests, sim_opts);
-      table.begin_row()
-          .add(std::string(algo->name()))
-          .add(m.num_requests)
-          .add(m.num_admitted)
-          .add(m.acceptance_ratio(), 3)
-          .add(m.admitted_costs.empty() ? 0.0 : m.admitted_costs.mean(), 3);
-      reject_cells(m);
+      add_row(m);
       table.add(std::string("-"));
     }
   }
