@@ -4,10 +4,12 @@
 //
 // Cost is non-increasing in K (more combinations are explored) while the
 // combination space grows roughly with C(|V_S|, K); the paper fixes K = 3.
-// Every K row runs BOTH searches over the same requests: the row reports the
-// branch-and-bound timings/counters and `speedup_vs_exhaustive` (legacy
-// wall time / branch-and-bound wall time). The two searches must agree
-// exactly on every decision — the bench exits non-zero if they diverge.
+// Every K row runs core::appro_multi (branch-and-bound) and the exhaustive
+// sweep over the same shared-table evaluation (reference::appro_multi,
+// tests/reference) on the same requests: the row reports the
+// branch-and-bound timings/counters and `speedup_vs_exhaustive` (sweep wall
+// time / branch-and-bound wall time). The two searches must agree exactly
+// on every decision — the bench exits non-zero if they diverge.
 // The trailing beam rows (K = 6, m = 2 and m = 4) measure the opt-in
 // approximate mode; their `exact` column records whether the beamed cost
 // still matched the exhaustive K = 6 cost on this workload.
@@ -15,9 +17,11 @@
 // Each row also carries `decision_digest`, an FNV-1a digest of every
 // request's decision (admitted flag, cost as %.17g, servers, edge uses)
 // folded below 2^53 so the JSON number is exact. CI gates it with
-// `nfvm-report --exact`: unlike the legacy-vs-branch-and-bound check above,
+// `nfvm-report --exact`: unlike the sweep-vs-branch-and-bound check above,
 // which compares two searches over the same KMB code, it catches a changed
-// decision from any layer, the Steiner kernel included.
+// decision from any layer, the Steiner kernel included. `combos_evaluated`
+// and `combos_pruned` are gated exactly too; pruned combinations include
+// the dominated ones the search skips (core/combo_search.h).
 //
 // Two regimes are measured:
 //  * a homogeneous random (Waxman) network with randomly placed servers,
@@ -33,6 +37,7 @@
 #include <string_view>
 
 #include "bench_common.h"
+#include "reference/appro_multi_reference.h"
 #include "topology/geant.h"
 
 namespace {
@@ -77,17 +82,20 @@ void digest_decision(std::uint64_t& hash, const core::OfflineSolution& sol) {
   fnv1a(hash, "\n");
 }
 
+/// core::appro_multi for kBranchAndBound, the reference sweep otherwise.
 ModeResult run_mode(const topo::Topology& topo, const core::LinearCosts& costs,
                     const std::vector<nfv::Request>& requests, std::size_t k,
-                    core::ApproMultiOptions::Search search,
-                    std::size_t beam_width) {
+                    reference::Search search, std::size_t beam_width) {
   ModeResult r;
   r.stats = bench::run_offline_batch(requests, [&](const nfv::Request& req) {
     core::ApproMultiOptions opts;
     opts.max_servers = k;
-    opts.search = search;
     opts.beam_width = beam_width;
-    core::OfflineSolution sol = core::appro_multi(topo, costs, req, opts);
+    core::OfflineSolution sol =
+        search == reference::Search::kBranchAndBound
+            ? core::appro_multi(topo, costs, req, opts)
+            : reference::appro_multi(topo, costs, req, opts,
+                                     reference::Engine::kSharedDijkstra, search);
     r.evaluated += sol.combinations_explored;
     r.pruned += sol.combinations_pruned;
     digest_decision(r.digest, sol);
@@ -138,10 +146,10 @@ bool sweep(const topo::Topology& topo, const core::LinearCosts& costs,
   double legacy_k6_ms = 0.0;
   double bnb_k6_cost = 0.0;
   for (std::size_t k = 1; k <= kMaxK; ++k) {
-    const ModeResult legacy = run_mode(topo, costs, requests, k,
-                                       core::ApproMultiOptions::Search::kLegacySweep, 0);
-    const ModeResult bnb = run_mode(topo, costs, requests, k,
-                                    core::ApproMultiOptions::Search::kBranchAndBound, 0);
+    const ModeResult legacy =
+        run_mode(topo, costs, requests, k, reference::Search::kLegacySweep, 0);
+    const ModeResult bnb =
+        run_mode(topo, costs, requests, k, reference::Search::kBranchAndBound, 0);
     const bool exact = same_decisions(legacy, bnb);
     if (!exact) {
       std::cerr << "ERROR: branch-and-bound diverged from the exhaustive sweep "
@@ -157,8 +165,8 @@ bool sweep(const topo::Topology& topo, const core::LinearCosts& costs,
             legacy.stats.time_ms.mean(), requests.size(), exact);
   }
   for (const std::size_t m : {std::size_t{2}, std::size_t{4}}) {
-    const ModeResult beam = run_mode(topo, costs, requests, kMaxK,
-                                     core::ApproMultiOptions::Search::kBranchAndBound, m);
+    const ModeResult beam =
+        run_mode(topo, costs, requests, kMaxK, reference::Search::kBranchAndBound, m);
     add_row(table, topo.name, kMaxK, "beam_m" + std::to_string(m), beam,
             k1_cost, legacy_k6_ms, requests.size(),
             beam.stats.cost.mean() == bnb_k6_cost);

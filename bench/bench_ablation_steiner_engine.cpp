@@ -8,9 +8,11 @@
 // against) the paper's choice of [12]. Production code runs KMB only, so
 // the Takahashi-Matsuyama engine comes from tests/reference.
 //
-// The KMB sweep is Appro_Multi computed the long way: the binary exits
-// non-zero when it disagrees with core::appro_multi at default options
-// (admission, cost bits or servers) on any request.
+// The KMB sweep is Appro_Multi computed the long way, KMB run in every
+// materialized auxiliary graph: the binary exits non-zero when it disagrees
+// with core::appro_multi at default options (admission, cost bits or
+// servers) on any request. Costs are random reals, so shortest paths are
+// unique and the two evaluations must give the same trees.
 #include <bit>
 #include <cstdint>
 

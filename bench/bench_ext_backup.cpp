@@ -36,12 +36,10 @@ int main() {
     for (std::size_t i = 0; i < per_point; ++i) {
       const nfv::Request r = gen.next();
       core::ApproMultiOptions opts;
-      opts.engine = core::ApproMultiOptions::Engine::kSharedDijkstra;
       const core::OfflineSolution primary = core::appro_multi(topo, costs, r, opts);
       if (!primary.admitted) continue;
       ++admitted;
       core::BackupOptions bopts;
-      bopts.engine = core::ApproMultiOptions::Engine::kSharedDijkstra;
       const core::OfflineSolution backup =
           core::compute_backup_tree(topo, costs, r, primary.tree, bopts);
       if (!backup.admitted) continue;

@@ -34,7 +34,6 @@ int main() {
   for (const auto& [order, label] : orders) {
     core::BatchPlanOptions opts;
     opts.order = order;
-    opts.engine = core::ApproMultiOptions::Engine::kSharedDijkstra;
     const core::BatchPlanResult r = core::plan_batch(topo, costs, requests, opts);
     table.begin_row()
         .add(label)

@@ -35,7 +35,6 @@ int main() {
           requests, [&](const nfv::Request& r) {
             core::ApproMultiOptions opts;
             opts.max_servers = 3;
-            opts.engine = core::ApproMultiOptions::Engine::kSharedDijkstra;
             return core::appro_multi(topo, costs, r, opts);
           });
       const bench::OfflineStats one = bench::run_offline_batch(

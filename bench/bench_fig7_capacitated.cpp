@@ -42,7 +42,6 @@ int main() {
         requests, [&](const nfv::Request& r) {
           core::ApproMultiOptions opts;
           opts.max_servers = 3;
-          opts.engine = core::ApproMultiOptions::Engine::kSharedDijkstra;
           return core::appro_multi(topo, costs, r, opts);
         });
 
@@ -53,7 +52,6 @@ int main() {
           core::ApproMultiOptions opts;
           opts.max_servers = 3;
           opts.resources = &state;
-          opts.engine = core::ApproMultiOptions::Engine::kSharedDijkstra;
           core::OfflineSolution sol = core::appro_multi(topo, costs, r, opts);
           if (sol.admitted) state.allocate(sol.tree.footprint(r));
           return sol;

@@ -120,26 +120,6 @@ void BM_ApproMultiSingleRequest(benchmark::State& state) {
 }
 BENCHMARK(BM_ApproMultiSingleRequest)->Arg(1)->Arg(2)->Arg(3);
 
-void BM_ApproMultiSharedEngine(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const topo::Topology topo = sweep_topology(100);
-  util::Rng rng(13);
-  const core::LinearCosts costs = core::random_costs(topo, rng);
-  nfv::Request request;
-  request.id = 1;
-  request.source = 0;
-  request.destinations = {10, 30, 50, 70, 90};
-  request.bandwidth_mbps = 120.0;
-  request.chain = nfv::ServiceChain({nfv::NetworkFunction::kFirewall});
-  for (auto _ : state) {
-    core::ApproMultiOptions opts;
-    opts.max_servers = k;
-    opts.engine = core::ApproMultiOptions::Engine::kSharedDijkstra;
-    benchmark::DoNotOptimize(core::appro_multi(topo, costs, request, opts));
-  }
-}
-BENCHMARK(BM_ApproMultiSharedEngine)->Arg(1)->Arg(2)->Arg(3);
-
 }  // namespace
 
 int main(int argc, char** argv) {

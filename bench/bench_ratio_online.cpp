@@ -41,7 +41,6 @@ int main() {
 
     core::BatchPlanOptions bopts;
     bopts.order = core::BatchOrder::kSmallestDemandFirst;
-    bopts.engine = core::ApproMultiOptions::Engine::kSharedDijkstra;
     const core::BatchPlanResult offline = core::plan_batch(topo, costs, requests, bopts);
 
     const double ratio =

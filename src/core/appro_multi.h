@@ -1,11 +1,18 @@
 // Appro_Multi (paper Algorithm 1) and its capacitated variant
 // Appro_Multi_Cap (Section IV-C).
 //
-// For each combination of at most K eligible servers, build the auxiliary
-// graph G_k^i, find a KMB Steiner tree spanning the virtual source and all
-// destinations, and keep the cheapest result over all combinations. The
+// For each combination of at most K eligible servers, find a KMB Steiner
+// tree spanning the virtual source and all destinations in the auxiliary
+// graph G_k^i, and keep the cheapest result over all combinations. The
 // returned pseudo-multicast tree routes every destination's traffic through
 // one of the chosen servers. Approximation ratio: 2K (Theorem 1).
+//
+// Each combination's tree comes from shortest-path tables computed once per
+// request (core/shared_closure.h), and a branch-and-bound search
+// (core/combo_search.h) returns the combination an exhaustive sweep would
+// rank first while evaluating a fraction of them. The trees are those of
+// KMB run in each materialized G_k^i whenever shortest paths are unique;
+// tests/reference keeps that engine and the sweep as oracles.
 //
 // Appro_Multi_Cap is the same algorithm run on the subgraph of links with
 // residual bandwidth >= b_k and servers with residual computing >= the
@@ -35,11 +42,11 @@ struct OfflineSolution {
   /// (Alg_One_Server) evaluated.
   std::size_t combinations_explored = 0;
   /// Combinations the branch-and-bound search discarded without evaluating,
-  /// via lower bounds or as dominated, summed over its passes (0 for the
-  /// legacy sweep and for Alg_One_Server).
+  /// via lower bounds or as dominated, summed over its passes (0 for
+  /// Alg_One_Server).
   std::size_t combinations_pruned = 0;
-  /// The share of combinations_pruned skipped as dominated (shared engine
-  /// only; see core/combo_search.h).
+  /// The share of combinations_pruned skipped as dominated (see
+  /// core/combo_search.h).
   std::size_t combinations_dominated = 0;
 };
 
@@ -49,41 +56,18 @@ struct ApproMultiOptions {
   /// Non-null enables the capacitated variant (Appro_Multi_Cap).
   const nfv::ResourceState* resources = nullptr;
   /// Safety valve for pathological |V_S| choose K blow-ups: the number of
-  /// combinations *evaluated* per request, counted identically in both
-  /// search modes (branch-and-bound counts evaluator calls across every
-  /// re-search pass; pruned combinations, dominated ones included, are free
-  /// and do not consume budget). The search stops deterministically once
-  /// the budget is spent.
-  /// When the valve actually binds, the two modes may legitimately return
-  /// different results — they spend the budget on different combinations.
+  /// combinations *evaluated* per request, counted across every re-search
+  /// pass; pruned combinations, dominated ones included, are free and do not
+  /// consume budget. The search stops deterministically once the budget is
+  /// spent, and may then return a costlier tree than the exact search.
   std::size_t max_combinations = std::numeric_limits<std::size_t>::max();
-  /// Evaluation engine for the combination sweep:
-  ///  * kReference (default) — run full KMB in every auxiliary graph
-  ///    (|terminals| Dijkstras per combination; paper-literal, Algorithm 1
-  ///    step 7).
-  ///  * kSharedDijkstra — precompute Dijkstras from the source, every
-  ///    destination and every eligible server once per request, then
-  ///    evaluate each combination's metric closure arithmetically
-  ///    (virtual edges and the zero-cost star are composed from the shared
-  ///    tables). Produces identical trees whenever shortest paths are
-  ///    unique (ties may resolve differently, still within the KMB
-  ///    guarantee) and is ~|D_k| times faster on large sweeps. Under
-  ///    branch-and-bound it also skips dominated combinations
-  ///    (core/combo_search.h), so it evaluates fewer combinations than the
-  ///    reference engine for the same decision.
-  enum class Engine { kReference, kSharedDijkstra };
-  Engine engine = Engine::kReference;
-  /// Combination-search strategy:
-  ///  * kBranchAndBound (default) — deterministic branch-and-bound over
-  ///    combination prefixes with admissible lower bounds
-  ///    (core/combo_search.h). Returns the same cost and the same argmin
-  ///    combination as the exhaustive sweep — bit-identical decisions at
-  ///    any thread count — while evaluating a fraction of the
-  ///    combinations.
-  ///  * kLegacySweep — materialize and evaluate every combination, then
-  ///    sort (the original implementation; kept as the equivalence
-  ///    baseline).
-  enum class Search { kLegacySweep, kBranchAndBound };
+  /// perfbench copies these two from sim::OfflineBatchOptions, so they keep
+  /// their names with one value each; nothing reads them. The paper-literal
+  /// engine and the exhaustive sweep are test oracles now
+  /// (tests/reference/appro_multi_reference.h).
+  enum class Engine { kSharedDijkstra };
+  Engine engine = Engine::kSharedDijkstra;
+  enum class Search { kBranchAndBound };
   Search search = Search::kBranchAndBound;
   /// Opt-in beam mode: restrict the sweep to the `beam_width` most central
   /// eligible servers (see beam_server_pool). 0 (default) or >= |V_S|

@@ -1,14 +1,12 @@
 #include "core/aux_graph.h"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 
 #include "graph/sp_engine.h"
 #include "graph/tree.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/thread_pool.h"
 
 namespace nfvm::core {
 
@@ -95,46 +93,6 @@ std::vector<std::shared_ptr<const graph::ShortestPaths>> context_trees(
   return trees;
 }
 
-AuxiliaryGraph build_auxiliary_graph(const WorkContext& ctx,
-                                     graph::VertexId source,
-                                     std::span<const graph::VertexId> combo) {
-  if (combo.empty()) {
-    throw std::invalid_argument("build_auxiliary_graph: empty server combination");
-  }
-  NFVM_COUNTER_INC("core.appro_multi.aux_graphs_built");
-  AuxiliaryGraph aux;
-  aux.num_real_edges = ctx.cost_graph.num_edges();
-  aux.combo.assign(combo.begin(), combo.end());
-
-  // Real part: same vertex/edge ids as cost_graph.
-  aux.graph = graph::Graph(ctx.cost_graph.num_vertices());
-  for (graph::EdgeId e = 0; e < ctx.cost_graph.num_edges(); ++e) {
-    const graph::Edge& ed = ctx.cost_graph.edge(e);
-    aux.graph.add_edge(ed.u, ed.v, ed.weight);
-  }
-
-  aux.virtual_source = aux.graph.add_vertex();
-
-  // Virtual edges s'_k -> v, weighted path-cost + chain cost.
-  aux.virtual_paths.reserve(combo.size());
-  for (graph::VertexId v : combo) {
-    if (!ctx.sp_source.reachable(v)) {
-      throw std::invalid_argument("build_auxiliary_graph: server unreachable");
-    }
-    const double w = ctx.sp_source.dist[v] + ctx.server_chain_cost[v];
-    aux.graph.add_edge(aux.virtual_source, v, w);
-    aux.virtual_paths.push_back(graph::path_edges(ctx.sp_source, v));
-  }
-
-  // Zero-cost correction: physical edges (s_k, v) with v in the combination.
-  for (const graph::Adjacency& adj : ctx.cost_graph.neighbors(source)) {
-    if (std::find(combo.begin(), combo.end(), adj.neighbor) != combo.end()) {
-      aux.graph.set_weight(adj.edge, 0.0);
-    }
-  }
-  return aux;
-}
-
 double AuxOverlay::weight(graph::EdgeId e) const {
   if (is_virtual(e)) return virtual_weight[virtual_index(e)];
   if (std::binary_search(zero_edges.begin(), zero_edges.end(), e)) return 0.0;
@@ -180,18 +138,21 @@ AuxOverlay build_aux_overlay(const WorkContext& ctx, graph::VertexId source,
   return aux;
 }
 
-namespace {
+PseudoMulticastTree realize_pseudo_tree(const WorkContext& ctx,
+                                        const AuxOverlay& aux,
+                                        const std::vector<graph::EdgeId>& tree_edges,
+                                        const nfv::Request& request) {
+  // Per-candidate record buffer from the request arena: realization is
+  // sequential (one candidate at a time), so a scope per call reuses the
+  // same warm bytes across the whole candidate walk.
+  util::ArenaScope scope(*ctx.arena);
+  std::span<graph::EdgeRecord> records =
+      scope.arena().make_span<graph::EdgeRecord>(tree_edges.size());
+  for (std::size_t i = 0; i < tree_edges.size(); ++i) {
+    records[i] = aux.record(tree_edges[i]);
+  }
+  const graph::RootedTree rooted(aux.num_vertices(), records, aux.virtual_source);
 
-/// Shared realization body: `aux_weight(e)`, `virtual_path_edges(i)` and the
-/// rooted view abstract over the materialized aux graph vs the overlay; the
-/// accumulation and routing logic is identical (and so is the output).
-template <typename AuxT, typename WeightFn, typename VirtualPathFn>
-PseudoMulticastTree realize_impl(const WorkContext& ctx, const AuxT& aux,
-                                 const graph::RootedTree& rooted,
-                                 const std::vector<graph::EdgeId>& tree_edges,
-                                 const nfv::Request& request,
-                                 const WeightFn& aux_weight,
-                                 const VirtualPathFn& virtual_path_edges) {
   PseudoMulticastTree tree;
   tree.source = request.source;
 
@@ -199,11 +160,11 @@ PseudoMulticastTree realize_impl(const WorkContext& ctx, const AuxT& aux,
   traversals.reserve(tree_edges.size());
   double cost = 0.0;
   for (graph::EdgeId e : tree_edges) {
-    cost += aux_weight(e);
+    cost += aux.weight(e);
     if (aux.is_virtual(e)) {
       const std::size_t i = aux.virtual_index(e);
       tree.servers.push_back(aux.combo[i]);
-      for (graph::EdgeId pe : virtual_path_edges(i)) {
+      for (graph::EdgeId pe : graph::path_edges(ctx.sp_source, aux.combo[i])) {
         traversals.push_back(ctx.to_physical[pe]);
       }
     } else {
@@ -234,45 +195,6 @@ PseudoMulticastTree realize_impl(const WorkContext& ctx, const AuxT& aux,
     tree.routes.push_back(std::move(route));
   }
   return tree;
-}
-
-}  // namespace
-
-PseudoMulticastTree realize_pseudo_tree(const WorkContext& ctx,
-                                        const AuxiliaryGraph& aux,
-                                        const std::vector<graph::EdgeId>& tree_edges,
-                                        const nfv::Request& request) {
-  const graph::RootedTree rooted(aux.graph, tree_edges, aux.virtual_source);
-  return realize_impl(
-      ctx, aux, rooted, tree_edges, request,
-      [&](graph::EdgeId e) { return aux.graph.weight(e); },
-      [&](std::size_t i) -> const std::vector<graph::EdgeId>& {
-        return aux.virtual_paths[i];
-      });
-}
-
-PseudoMulticastTree realize_pseudo_tree(const WorkContext& ctx,
-                                        const AuxOverlay& aux,
-                                        const std::vector<graph::EdgeId>& tree_edges,
-                                        const nfv::Request& request) {
-  // Per-candidate record buffer from the request arena: realization is
-  // sequential (one candidate at a time), so a scope per call reuses the
-  // same warm bytes across the whole candidate walk.
-  util::ArenaScope scope(*ctx.arena);
-  std::span<graph::EdgeRecord> records =
-      scope.arena().make_span<graph::EdgeRecord>(tree_edges.size());
-  for (std::size_t i = 0; i < tree_edges.size(); ++i) {
-    records[i] = aux.record(tree_edges[i]);
-  }
-  const graph::RootedTree rooted(aux.num_vertices(), records, aux.virtual_source);
-  return realize_impl(
-      ctx, aux, rooted, tree_edges, request,
-      [&](graph::EdgeId e) { return aux.weight(e); },
-      [&](std::size_t i) {
-        // The stored virtual_paths of the materialized variant are exactly
-        // path_edges(sp_source, combo[i]); re-derive on demand.
-        return graph::path_edges(ctx.sp_source, aux.combo[i]);
-      });
 }
 
 }  // namespace nfvm::core

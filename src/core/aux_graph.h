@@ -8,7 +8,9 @@
 // keep their bandwidth cost c_e * b_k, except that a physical edge (s_k, v)
 // with v ∈ V_S^i costs zero (the paper's double-counting correction). A
 // Steiner tree over {s'_k} ∪ D_k in G_k^i therefore forces every destination
-// path through a chosen server.
+// path through a chosen server. AuxOverlay holds G_k^i as a patch over the
+// working graph; the materialized copy is a test oracle
+// (tests/reference/appro_multi_reference.h).
 #pragma once
 
 #include <memory>
@@ -73,34 +75,11 @@ WorkContext build_work_context(const topo::Topology& topo, const LinearCosts& co
 std::vector<std::shared_ptr<const graph::ShortestPaths>> context_trees(
     const WorkContext& ctx, std::span<const graph::VertexId> sources);
 
-/// One auxiliary graph G_k^i.
-struct AuxiliaryGraph {
-  graph::Graph graph;
-  graph::VertexId virtual_source = graph::kInvalidVertex;
-  /// Edge ids < num_real_edges coincide with `cost_graph` edge ids; edge id
-  /// num_real_edges + i is the virtual edge to combo[i].
-  std::size_t num_real_edges = 0;
-  std::vector<graph::VertexId> combo;
-  /// Physical-path edges (cost_graph ids) realizing each virtual edge.
-  std::vector<std::vector<graph::EdgeId>> virtual_paths;
-
-  bool is_virtual(graph::EdgeId e) const { return e >= num_real_edges; }
-  std::size_t virtual_index(graph::EdgeId e) const { return e - num_real_edges; }
-};
-
-/// Builds G_k^i for the given combination. Every vertex of `combo` must be
-/// reachable in ctx.cost_graph (eligible_servers guarantees it); throws
-/// std::invalid_argument otherwise.
-AuxiliaryGraph build_auxiliary_graph(const WorkContext& ctx,
-                                     graph::VertexId source,
-                                     std::span<const graph::VertexId> combo);
-
-/// Lightweight view of G_k^i over ctx.cost_graph: instead of copying the
-/// whole working graph per combination (the dominant allocation of the
-/// Appro_Multi fan-out), it records only what differs from the working
-/// graph — the virtual-edge tail and the zero-cost star patch list. Edge
-/// ids follow the AuxiliaryGraph scheme exactly: ids < num_real_edges are
-/// cost_graph ids, id num_real_edges + i is the virtual edge to combo[i].
+/// G_k^i as a view over ctx.cost_graph: instead of copying the whole
+/// working graph per combination, it records only what differs from the
+/// working graph — the virtual-edge tail and the zero-cost star patch list.
+/// Edge ids < num_real_edges are cost_graph ids, id num_real_edges + i is
+/// the virtual edge to combo[i].
 struct AuxOverlay {
   const WorkContext* ctx = nullptr;
   graph::VertexId virtual_source = graph::kInvalidVertex;
@@ -118,32 +97,25 @@ struct AuxOverlay {
   std::size_t virtual_index(graph::EdgeId e) const { return e - num_real_edges; }
   /// Overlay edge weight (star patches and virtual edges applied).
   double weight(graph::EdgeId e) const;
-  /// Self-contained record of edge `e` for the record-based tree/Steiner
-  /// machinery (graph::kmb_finish, graph::RootedTree).
+  /// Self-contained record of edge `e` for the record-based tree machinery
+  /// (graph::RootedTree).
   graph::EdgeRecord record(graph::EdgeId e) const;
 };
 
-/// Builds the overlay for a combination: same validation and semantics as
-/// build_auxiliary_graph without materializing a Graph. Counted by
+/// Builds the overlay for a combination. Every vertex of `combo` must be
+/// reachable in ctx.cost_graph (eligible_servers guarantees it); throws
+/// std::invalid_argument otherwise, or for an empty combination. Counted by
 /// `core.appro_multi.aux_overlays`.
 AuxOverlay build_aux_overlay(const WorkContext& ctx, graph::VertexId source,
                              std::span<const graph::VertexId> combo);
 
 /// Realizes the physical pseudo-multicast tree from an auxiliary-graph
 /// Steiner tree (Algorithm 1 steps 10-12 plus the Fig. 3 routing semantics):
-/// virtual edges expand into the stored shortest path plus a chain instance
-/// at their server; every destination's walk is the physical path to its
-/// branch server followed by the tree path below it. Throws std::logic_error
-/// if `tree_edges` is not a tree spanning the virtual source and all
-/// destinations.
-PseudoMulticastTree realize_pseudo_tree(const WorkContext& ctx,
-                                        const AuxiliaryGraph& aux,
-                                        const std::vector<graph::EdgeId>& tree_edges,
-                                        const nfv::Request& request);
-
-/// Overlay variant: identical semantics and output to the AuxiliaryGraph
-/// overload (virtual paths are re-derived from ctx.sp_source, which is what
-/// the materialized graph stored), without building the aux graph copy.
+/// virtual edges expand into the source's shortest path to their server
+/// plus a chain instance there; every destination's walk is the physical
+/// path to its branch server followed by the tree path below it. Throws
+/// std::logic_error if `tree_edges` is not a tree spanning the virtual
+/// source and all destinations.
 PseudoMulticastTree realize_pseudo_tree(const WorkContext& ctx,
                                         const AuxOverlay& aux,
                                         const std::vector<graph::EdgeId>& tree_edges,

@@ -38,7 +38,6 @@ OfflineSolution compute_backup_tree(const topo::Topology& topo,
 
   ApproMultiOptions opts;
   opts.max_servers = options.max_servers;
-  opts.engine = options.engine;
   opts.resources = &masked;
   OfflineSolution sol = appro_multi(topo, costs, request, opts);
   if (sol.admitted && !link_disjoint(primary, sol.tree)) {

@@ -30,9 +30,6 @@ struct BatchPlanOptions {
   BatchOrder order = BatchOrder::kArrival;
   /// K for the underlying Appro_Multi_Cap calls.
   std::size_t max_servers = 3;
-  /// Evaluation engine forwarded to Appro_Multi_Cap (kSharedDijkstra makes
-  /// large batches ~|D| times faster, see ApproMultiOptions::Engine).
-  ApproMultiOptions::Engine engine = ApproMultiOptions::Engine::kReference;
 };
 
 struct BatchPlanResult {

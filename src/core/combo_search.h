@@ -1,12 +1,12 @@
 // Deterministic branch-and-bound over Appro_Multi server-combination
 // prefixes.
 //
-// The legacy sweep materializes every combination of at most K servers and
-// evaluates all of them. This search walks the same combination space as a
-// prefix tree level by level (size-major; within a level candidates are
-// taken in ascending lower-bound order so the incumbent tightens early),
-// seeds the incumbent with the K = 1 level, and uses the admissible
-// ComboBounds lower bounds to
+// An exhaustive sweep evaluates every combination of at most K servers (the
+// test oracle reference::appro_multi keeps one). This search walks the same
+// combination space as a prefix tree level by level (size-major; within a
+// level candidates are taken in ascending lower-bound order so the
+// incumbent tightens early), seeds the incumbent with the K = 1 level, and
+// uses the admissible ComboBounds lower bounds to
 //   * skip evaluating a combination whose bound already exceeds the
 //     incumbent cost — the per-level bound ordering makes this a single
 //     bulk cut of the level's tail, and

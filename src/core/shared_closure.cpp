@@ -502,7 +502,7 @@ graph::SteinerResult SharedComboSolver::solve() const {
   kernel.begin_union(aux_.num_real_edges + aux_.combo.size());
   for (const auto& [a, b] : kernel.closure_edges()) expand(kernel, a, b);
 
-  // Counted as an external-union finish, like the kmb_finish overloads.
+  // Counted as a KMB finish over an external union.
   NFVM_SPAN("steiner/kmb_finish");
   NFVM_COUNTER_INC("graph.steiner.kmb_finish.runs");
   const std::span<const graph::VertexId> terms = kernel.distinct_terminals(

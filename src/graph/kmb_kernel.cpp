@@ -46,16 +46,6 @@ void KmbKernel::add_edge(EdgeId e) {
   union_ids_.push_back(e);
 }
 
-SteinerResult KmbKernel::finish_edges(const Graph& g, std::span<const EdgeId> edges,
-                                      std::span<const VertexId> terms) {
-  records_.clear();
-  for (const EdgeId e : edges) {
-    const Edge& ed = g.edge(e);
-    records_.push_back(EdgeRecord{e, ed.u, ed.v, ed.weight});
-  }
-  return finish(g.num_vertices(), records_, terms, /*tie_by_id=*/false);
-}
-
 std::uint32_t KmbKernel::local_id(VertexId v) {
   if (vertex_mark_[v] == vertex_generation_) return local_of_[v];
   vertex_mark_[v] = vertex_generation_;
@@ -75,21 +65,21 @@ std::uint32_t KmbKernel::find(std::uint32_t x) {
 }
 
 SteinerResult KmbKernel::finish(std::size_t num_vertices,
-                                std::span<const EdgeRecord> edges,
-                                std::span<const VertexId> terms, bool tie_by_id) {
+                                std::span<const VertexId> terms) {
+  const std::span<const EdgeRecord> edges = records_;
   if (edges.size() > std::numeric_limits<std::uint32_t>::max()) {
     throw std::length_error("kmb: too many union edges");
   }
-  // Kruskal order. Tie keys are unique (positions, or the ids of a
-  // deduplicated union), so one unstable sort reproduces the stable sort
-  // by weight over the input order.
+  // Kruskal order. The union is deduplicated, so its ids are unique tie
+  // keys and one unstable sort reproduces the stable sort by weight over
+  // the union in id order.
   order_.clear();
   for (std::uint32_t i = 0; i < edges.size(); ++i) {
-    order_.push_back(Ranked{edges[i].weight, tie_by_id ? edges[i].id : i, i});
+    order_.push_back(Ranked{edges[i].weight, edges[i].id, i});
   }
   std::sort(order_.begin(), order_.end(), [](const Ranked& a, const Ranked& b) {
     if (a.weight != b.weight) return a.weight < b.weight;
-    return a.tie < b.tie;
+    return a.id < b.id;
   });
 
   // Kruskal over local vertex ids: union by size with path halving.

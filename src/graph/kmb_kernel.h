@@ -4,21 +4,20 @@
 // calls.
 //
 // Every KMB tree in the library is finished here: kmb_steiner and
-// kmb_steiner_from_tables (Online_CP's candidate scan), both kmb_finish
-// overloads and core::SharedComboSolver (Appro_Multi's combination
-// evaluation). The test-only Dreyfus–Wagner oracle in tests/reference also
-// cleans up its reconstructed union here. Per-call work is sized by the
-// union (tens of edges), not by |V|: path edges are deduplicated with
-// generation-stamped marks, and Kruskal and the leaf pruning run over local
-// vertex ids handed out in first-touch order. Once the scratch has grown to
-// a graph's size, a call allocates only the returned edge vector.
+// kmb_steiner_from_tables (Online_CP's candidate scan) and
+// core::SharedComboSolver (Appro_Multi's combination evaluation). The
+// test-only Dreyfus–Wagner oracle in tests/reference also cleans up its
+// reconstructed union here. Per-call work is sized by the union (tens of
+// edges), not by |V|: path edges are deduplicated with generation-stamped
+// marks, and Kruskal and the leaf pruning run over local vertex ids handed
+// out in first-touch order. Once the scratch has grown to a graph's size, a
+// call allocates only the returned edge vector.
 //
 // Exactness (docs/performance.md, "The KMB finishing kernel"):
 //   * Kruskal's accept/reject answers depend only on the edge order and on
 //     "same component?" answers, and neither depends on vertex numbering.
-//   * Sorting (weight, tie) pairs with unique tie keys (input position, or
-//     edge id for a deduplicated union) yields exactly the permutation a
-//     stable sort by weight gives over that input order.
+//   * Sorting (weight, id) pairs of a deduplicated union yields exactly the
+//     permutation a stable sort by weight gives over the union in id order.
 //   * Leaf pruning leaves a unique set whatever the queue order — the
 //     minimal subforest of the MST forest spanning the terminals — listed
 //     in Kruskal order and summed in that order.
@@ -84,31 +83,17 @@ class KmbKernel {
   SteinerResult finish_union(std::size_t num_vertices,
                              std::span<const VertexId> terms, RecordFn&& record);
 
-  /// Steps 4-5 over caller-supplied graph edges (duplicates allowed), taken
-  /// by (weight, input position). Throws std::out_of_range for an invalid
-  /// edge id.
-  SteinerResult finish_edges(const Graph& g, std::span<const EdgeId> edges,
-                             std::span<const VertexId> terms);
-
-  /// Steps 4-5 over caller-supplied records, taken by (weight, input
-  /// position). Throws std::out_of_range when a record endpoint is
-  /// >= num_vertices.
-  SteinerResult finish_records(std::size_t num_vertices,
-                               std::span<const EdgeRecord> edges,
-                               std::span<const VertexId> terms) {
-    return finish(num_vertices, edges, terms, /*tie_by_id=*/false);
-  }
-
  private:
   /// One Kruskal candidate: the sort key and the record it came from.
   struct Ranked {
     double weight;
-    std::uint32_t tie;
+    EdgeId id;
     std::uint32_t index;
   };
 
-  SteinerResult finish(std::size_t num_vertices, std::span<const EdgeRecord> edges,
-                       std::span<const VertexId> terms, bool tie_by_id);
+  /// Steps 4-5 over records_; throws std::out_of_range when a record
+  /// endpoint is >= num_vertices.
+  SteinerResult finish(std::size_t num_vertices, std::span<const VertexId> terms);
   /// Local id of global vertex `v`, assigning the next one on first touch.
   std::uint32_t local_id(VertexId v);
   std::uint32_t find(std::uint32_t x);
@@ -127,8 +112,7 @@ class KmbKernel {
   std::uint32_t edge_generation_ = 0;
   std::size_t union_num_edges_ = 0;
   std::vector<EdgeId> union_ids_;
-  // Records handed to finish() by finish_union / finish_edges. Never part
-  // of finish()'s own scratch below, so the input cannot alias it.
+  // The union's records, filled by finish_union for finish().
   std::vector<EdgeRecord> records_;
   // finish(): Kruskal order, local vertex ids, union-find, kept forest.
   std::vector<Ranked> order_;
@@ -182,7 +166,7 @@ SteinerResult KmbKernel::finish_union(std::size_t num_vertices,
                                       RecordFn&& record) {
   records_.clear();
   for (const EdgeId e : union_ids_) records_.push_back(record(e));
-  return finish(num_vertices, records_, terms, /*tie_by_id=*/true);
+  return finish(num_vertices, terms);
 }
 
 }  // namespace nfvm::graph

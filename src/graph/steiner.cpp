@@ -100,29 +100,6 @@ SteinerResult kmb_steiner_from_tables(
   return kmb_from_terminal_tables(g, terms, tables);
 }
 
-SteinerResult kmb_finish(const Graph& g, std::span<const EdgeId> union_edges,
-                         std::span<const VertexId> terminals) {
-  NFVM_SPAN("steiner/kmb_finish");
-  NFVM_COUNTER_INC("graph.steiner.kmb_finish.runs");
-  KmbKernel& kernel = KmbKernel::thread_local_kernel();
-  const std::span<const VertexId> terms =
-      kernel.distinct_terminals(g.num_vertices(), terminals);
-  if (terms.size() == 1) return SteinerResult{true, {}, 0.0};
-  return kernel.finish_edges(g, union_edges, terms);
-}
-
-SteinerResult kmb_finish(std::size_t num_vertices,
-                         std::span<const EdgeRecord> union_edges,
-                         std::span<const VertexId> terminals) {
-  NFVM_SPAN("steiner/kmb_finish");
-  NFVM_COUNTER_INC("graph.steiner.kmb_finish.runs");
-  KmbKernel& kernel = KmbKernel::thread_local_kernel();
-  const std::span<const VertexId> terms =
-      kernel.distinct_terminals(num_vertices, terminals);
-  if (terms.size() == 1) return SteinerResult{true, {}, 0.0};
-  return kernel.finish_records(num_vertices, union_edges, terms);
-}
-
 bool is_steiner_tree(const Graph& g, std::span<const EdgeId> edges,
                      std::span<const VertexId> terminals) {
   const std::vector<VertexId> terms = distinct_terminals(g, terminals);

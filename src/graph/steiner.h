@@ -53,24 +53,6 @@ SteinerResult kmb_steiner_from_tables(
     const Graph& g, std::span<const VertexId> terminals,
     const std::function<const ShortestPaths&(VertexId)>& table_for);
 
-/// The final two KMB steps over a caller-built union: minimum spanning tree
-/// of the union subgraph formed by `union_edges` (Kruskal by weight, ties in
-/// input order), then repeated removal of non-terminal leaves. `union_edges`
-/// must connect all distinct terminals; result.connected reflects whether it
-/// did. Runs on the thread's graph::KmbKernel.
-SteinerResult kmb_finish(const Graph& g, std::span<const EdgeId> union_edges,
-                         std::span<const VertexId> terminals);
-
-/// Record-based kmb_finish for implicit graphs (e.g. the auxiliary-graph
-/// overlay): `union_edges` carries endpoints and weights directly, vertex
-/// ids range over [0, num_vertices). Pipeline (stable sort by weight with
-/// input-order ties, union order, leaf pruning, weight summation order) is
-/// identical to the Graph overload, so results are bit-identical when the
-/// records mirror a materialized graph.
-SteinerResult kmb_finish(std::size_t num_vertices,
-                         std::span<const EdgeRecord> union_edges,
-                         std::span<const VertexId> terminals);
-
 /// Checks that `edges` forms a tree (acyclic, connected over touched
 /// vertices) containing every terminal. Utility shared by tests and the
 /// pseudo-multicast validator.

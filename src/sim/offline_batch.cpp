@@ -18,8 +18,6 @@ std::vector<OfflineRequestResult> run_offline_batch(
     for (std::size_t k = 1; k <= options.max_servers_sweep; ++k) {
       core::ApproMultiOptions ao;
       ao.max_servers = k;
-      ao.engine = options.engine;
-      ao.search = options.search;
       ao.beam_width = options.beam_width;
       result.appro_multi.push_back(core::appro_multi(topo, costs, request, ao));
     }

@@ -36,10 +36,10 @@ auto parallel_map(std::size_t count, Fn&& fn)
 struct OfflineBatchOptions {
   /// Appro_Multi is evaluated for K = 1 .. max_servers_sweep per request.
   std::size_t max_servers_sweep = 3;
-  /// Combination-sweep engine passed through to Appro_Multi.
+  /// Read by perfbench only, with one value each like
+  /// core::ApproMultiOptions::{engine,search}; the batch passes neither on.
   core::ApproMultiOptions::Engine engine =
       core::ApproMultiOptions::Engine::kSharedDijkstra;
-  /// Combination-search strategy passed through to Appro_Multi.
   core::ApproMultiOptions::Search search =
       core::ApproMultiOptions::Search::kBranchAndBound;
   /// Beam width passed through to Appro_Multi (0 = exact full pool).

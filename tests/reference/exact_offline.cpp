@@ -6,19 +6,17 @@
 
 #include "core/aux_graph.h"
 #include "graph/tree.h"
+#include "reference/appro_multi_reference.h"
 #include "reference/exact_steiner.h"
 #include "util/combinatorics.h"
 
 namespace nfvm::reference {
 
-using core::AuxiliaryGraph;
-using core::build_auxiliary_graph;
 using core::build_work_context;
 using core::DestinationRoute;
 using core::LinearCosts;
 using core::OfflineSolution;
 using core::PseudoMulticastTree;
-using core::realize_pseudo_tree;
 using core::WorkContext;
 using util::next_combination;
 

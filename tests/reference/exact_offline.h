@@ -15,9 +15,10 @@
 //   reported cost is within 2x of this value (the KMB guarantee), which the
 //   test suite verifies directly.
 // * `auxiliary_sweep` — that same combination loop with any Steiner solver
-//   in the auxiliary graphs. With graph::kmb_steiner it is Appro_Multi's
-//   reference engine swept exhaustively; ablation A4 runs it with KMB and
-//   with Takahashi–Matsuyama.
+//   in the auxiliary graphs. With graph::kmb_steiner it is the paper-literal
+//   engine swept exhaustively (reference::appro_multi with
+//   Engine::kReference, Search::kLegacySweep); ablation A4 runs it with KMB
+//   and with Takahashi–Matsuyama.
 #pragma once
 
 #include <span>
@@ -63,8 +64,8 @@ using AuxSteiner = graph::SteinerResult (*)(const graph::Graph&,
 /// Appro_Multi's enumeration order, each auxiliary graph solved by
 /// `steiner`; the first cheapest tree is realized. No delay or capacity
 /// check follows the realization, so with graph::kmb_steiner the result
-/// matches Appro_Multi's reference engine only when the request has no
-/// delay bound and the cheapest tree fits the residuals. Throws
+/// matches the paper-literal engine only when the request has no delay
+/// bound and the cheapest tree fits the residuals. Throws
 /// std::invalid_argument when max_servers is 0.
 core::OfflineSolution auxiliary_sweep(const topo::Topology& topo,
                                       const core::LinearCosts& costs,

@@ -7,19 +7,16 @@
 #include <vector>
 
 #include "graph/mst.h"
-#include "graph/union_find.h"
 
 namespace nfvm::reference {
 namespace {
 
 using graph::Edge;
 using graph::EdgeId;
-using graph::EdgeRecord;
 using graph::Graph;
 using graph::MstResult;
 using graph::ShortestPaths;
 using graph::SteinerResult;
-using graph::UnionFind;
 using graph::VertexId;
 
 std::vector<VertexId> distinct_terminals(const Graph& g,
@@ -136,105 +133,6 @@ SteinerResult kmb_steiner_from_tables(
   MstResult sub_mst = graph::kruskal_mst_subset(g, expanded);
   result.edges = prune_leaves(g, std::move(sub_mst.edges), terms);
   result.weight = edges_weight(g, result.edges);
-  result.connected = true;
-  return result;
-}
-
-SteinerResult kmb_finish(const Graph& g, std::span<const EdgeId> union_edges,
-                         std::span<const VertexId> terminals) {
-  const std::vector<VertexId> terms = distinct_terminals(g, terminals);
-  SteinerResult result;
-  if (terms.size() == 1) {
-    result.connected = true;
-    return result;
-  }
-  MstResult sub_mst = graph::kruskal_mst_subset(g, union_edges);
-  UnionFind uf(g.num_vertices());
-  for (EdgeId e : sub_mst.edges) uf.unite(g.edge(e).u, g.edge(e).v);
-  for (VertexId t : terms) {
-    if (uf.find(t) != uf.find(terms[0])) return result;
-  }
-  result.edges = prune_leaves(g, std::move(sub_mst.edges), terms);
-  result.weight = edges_weight(g, result.edges);
-  result.connected = true;
-  return result;
-}
-
-SteinerResult kmb_finish(std::size_t num_vertices,
-                         std::span<const EdgeRecord> union_edges,
-                         std::span<const VertexId> terminals) {
-  if (terminals.empty()) {
-    throw std::invalid_argument("steiner: terminal set must be non-empty");
-  }
-  std::vector<VertexId> terms(terminals.begin(), terminals.end());
-  for (VertexId t : terms) {
-    if (t >= num_vertices) throw std::out_of_range("steiner: invalid terminal");
-  }
-  std::sort(terms.begin(), terms.end());
-  terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
-
-  SteinerResult result;
-  if (terms.size() == 1) {
-    result.connected = true;
-    return result;
-  }
-
-  std::vector<std::size_t> order(union_edges.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return union_edges[a].weight < union_edges[b].weight;
-  });
-  UnionFind uf(num_vertices);
-  std::vector<std::size_t> kept;
-  kept.reserve(union_edges.size());
-  for (std::size_t i : order) {
-    const EdgeRecord& r = union_edges[i];
-    if (r.u >= num_vertices || r.v >= num_vertices) {
-      throw std::out_of_range("kmb_finish: edge record endpoint out of range");
-    }
-    if (uf.unite(r.u, r.v)) kept.push_back(i);
-  }
-  for (VertexId t : terms) {
-    if (uf.find(t) != uf.find(terms[0])) return result;
-  }
-
-  std::vector<bool> is_terminal(num_vertices, false);
-  for (VertexId t : terms) is_terminal[t] = true;
-  std::vector<std::vector<std::size_t>> incident(num_vertices);
-  std::vector<std::size_t> degree(num_vertices, 0);
-  for (std::size_t k = 0; k < kept.size(); ++k) {
-    const EdgeRecord& r = union_edges[kept[k]];
-    incident[r.u].push_back(k);
-    incident[r.v].push_back(k);
-    ++degree[r.u];
-    ++degree[r.v];
-  }
-  std::vector<bool> edge_removed(kept.size(), false);
-  std::queue<VertexId> leaves;
-  for (VertexId v = 0; v < num_vertices; ++v) {
-    if (degree[v] == 1 && !is_terminal[v]) leaves.push(v);
-  }
-  while (!leaves.empty()) {
-    const VertexId v = leaves.front();
-    leaves.pop();
-    if (degree[v] != 1 || is_terminal[v]) continue;
-    for (std::size_t idx : incident[v]) {
-      if (edge_removed[idx]) continue;
-      edge_removed[idx] = true;
-      const EdgeRecord& r = union_edges[kept[idx]];
-      const VertexId other = r.u == v ? r.v : r.u;
-      --degree[v];
-      --degree[other];
-      if (degree[other] == 1 && !is_terminal[other]) leaves.push(other);
-      break;
-    }
-  }
-  for (std::size_t k = 0; k < kept.size(); ++k) {
-    if (edge_removed[k]) continue;
-    const EdgeRecord& r = union_edges[kept[k]];
-    result.edges.push_back(r.id);
-    result.weight += r.weight;
-  }
   result.connected = true;
   return result;
 }

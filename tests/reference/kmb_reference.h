@@ -21,14 +21,4 @@ graph::SteinerResult kmb_steiner_from_tables(
     const graph::Graph& g, std::span<const graph::VertexId> terminals,
     const std::function<const graph::ShortestPaths&(graph::VertexId)>& table_for);
 
-/// graph::kmb_finish(Graph) as it was.
-graph::SteinerResult kmb_finish(const graph::Graph& g,
-                                std::span<const graph::EdgeId> union_edges,
-                                std::span<const graph::VertexId> terminals);
-
-/// graph::kmb_finish(records) as it was, with its own pruning loop.
-graph::SteinerResult kmb_finish(std::size_t num_vertices,
-                                std::span<const graph::EdgeRecord> union_edges,
-                                std::span<const graph::VertexId> terminals);
-
 }  // namespace nfvm::reference

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/components.h"
+#include "reference/appro_multi_reference.h"
 #include "reference/subgraph.h"
 #include "topology/waxman.h"
 #include "util/rng.h"
@@ -61,15 +62,15 @@ TEST(ApproMulti, ExploresAllCombinationsForK2) {
   PathFixture f;
   ApproMultiOptions opts;
   opts.max_servers = 2;
-  opts.search = ApproMultiOptions::Search::kLegacySweep;
-  const OfflineSolution sol = appro_multi(f.topo, f.costs, f.request, opts);
-  // C(2,1) + C(2,2) = 3 combinations, all evaluated by the legacy sweep.
+  const OfflineSolution sol = reference::appro_multi(
+      f.topo, f.costs, f.request, opts, reference::Engine::kSharedDijkstra,
+      reference::Search::kLegacySweep);
+  // C(2,1) + C(2,2) = 3 combinations, all evaluated by the exhaustive sweep.
   EXPECT_EQ(sol.combinations_explored, 3u);
   EXPECT_EQ(sol.combinations_pruned, 0u);
 
   // Branch-and-bound accounts for the same space: every combination is
   // either evaluated or pruned by the lower bound, never silently dropped.
-  opts.search = ApproMultiOptions::Search::kBranchAndBound;
   const OfflineSolution bnb = appro_multi(f.topo, f.costs, f.request, opts);
   EXPECT_EQ(bnb.combinations_explored + bnb.combinations_pruned, 3u);
   EXPECT_EQ(bnb.tree.cost, sol.tree.cost);

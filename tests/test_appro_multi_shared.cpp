@@ -1,9 +1,12 @@
-// Equivalence and validity of the shared-Dijkstra Appro_Multi engine.
+// Equivalence and validity of the shared-Dijkstra Appro_Multi engine
+// (core::appro_multi) against the paper-literal engine, which runs KMB in
+// every materialized auxiliary graph (tests/reference).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "core/appro_multi.h"
+#include "reference/appro_multi_reference.h"
 #include "reference/exact_offline.h"
 #include "sim/request_gen.h"
 #include "topology/geant.h"
@@ -19,6 +22,15 @@ struct Instance {
   LinearCosts costs;
   nfv::Request request;
 };
+
+/// The paper-literal engine under the same branch-and-bound search.
+OfflineSolution paper_literal(const topo::Topology& topo, const LinearCosts& costs,
+                              const nfv::Request& request,
+                              const ApproMultiOptions& options) {
+  return reference::appro_multi(topo, costs, request, options,
+                                reference::Engine::kReference,
+                                reference::Search::kBranchAndBound);
+}
 
 /// Continuous random costs: shortest paths unique almost surely, so the
 /// reference and shared engines must produce identical results.
@@ -51,13 +63,11 @@ TEST_P(SharedEngineTest, MatchesReferenceOnUniqueShortestPaths) {
   const Case& c = GetParam();
   const Instance inst = random_instance(c.seed, c.n, c.dests);
 
-  ApproMultiOptions ref;
-  ref.max_servers = c.k;
-  ApproMultiOptions fast = ref;
-  fast.engine = ApproMultiOptions::Engine::kSharedDijkstra;
+  ApproMultiOptions opts;
+  opts.max_servers = c.k;
 
-  const OfflineSolution a = appro_multi(inst.topo, inst.costs, inst.request, ref);
-  const OfflineSolution b = appro_multi(inst.topo, inst.costs, inst.request, fast);
+  const OfflineSolution a = paper_literal(inst.topo, inst.costs, inst.request, opts);
+  const OfflineSolution b = appro_multi(inst.topo, inst.costs, inst.request, opts);
   ASSERT_TRUE(a.admitted);
   ASSERT_TRUE(b.admitted);
   EXPECT_NEAR(a.tree.cost, b.tree.cost, 1e-9) << "engines diverged";
@@ -69,9 +79,11 @@ TEST_P(SharedEngineTest, MatchesReferenceOnUniqueShortestPaths) {
   // space.
   ApproMultiOptions probe;
   probe.max_servers = 1;
-  probe.search = ApproMultiOptions::Search::kLegacySweep;
   const std::size_t n =
-      appro_multi(inst.topo, inst.costs, inst.request, probe).combinations_explored;
+      reference::appro_multi(inst.topo, inst.costs, inst.request, probe,
+                             reference::Engine::kSharedDijkstra,
+                             reference::Search::kLegacySweep)
+          .combinations_explored;
   const std::size_t space =
       util::count_combinations_upto(n, std::min<std::size_t>(c.k, n));
   EXPECT_EQ(a.combinations_explored + a.combinations_pruned, space);
@@ -113,7 +125,6 @@ TEST(SharedEngine, ValidAndWithinBoundOnTieHeavyGraphs) {
 
     ApproMultiOptions fast;
     fast.max_servers = 2;
-    fast.engine = ApproMultiOptions::Engine::kSharedDijkstra;
     const OfflineSolution sol = appro_multi(inst.topo, inst.costs, inst.request, fast);
     ASSERT_TRUE(sol.admitted);
     std::string error;
@@ -143,12 +154,10 @@ TEST(SharedEngine, WorksOnGeantWithSourceAdjacentServers) {
   r.bandwidth_mbps = 140.0;
   r.chain = nfv::ServiceChain({nfv::NetworkFunction::kIds});
 
-  ApproMultiOptions ref;
-  ref.max_servers = 3;
-  ApproMultiOptions fast = ref;
-  fast.engine = ApproMultiOptions::Engine::kSharedDijkstra;
-  const OfflineSolution a = appro_multi(topo, costs, r, ref);
-  const OfflineSolution b = appro_multi(topo, costs, r, fast);
+  ApproMultiOptions opts;
+  opts.max_servers = 3;
+  const OfflineSolution a = paper_literal(topo, costs, r, opts);
+  const OfflineSolution b = appro_multi(topo, costs, r, opts);
   ASSERT_TRUE(a.admitted);
   ASSERT_TRUE(b.admitted);
   EXPECT_NEAR(a.tree.cost, b.tree.cost, 1e-9);
@@ -171,8 +180,7 @@ TEST(SharedEngine, CapacitatedRunsMatch) {
   ref.resources = &state_a;
   ApproMultiOptions fast = ref;
   fast.resources = &state_b;
-  fast.engine = ApproMultiOptions::Engine::kSharedDijkstra;
-  const OfflineSolution a = appro_multi(inst.topo, inst.costs, inst.request, ref);
+  const OfflineSolution a = paper_literal(inst.topo, inst.costs, inst.request, ref);
   const OfflineSolution b = appro_multi(inst.topo, inst.costs, inst.request, fast);
   ASSERT_EQ(a.admitted, b.admitted);
   if (a.admitted) {

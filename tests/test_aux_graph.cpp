@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "reference/appro_multi_reference.h"
 #include "topology/waxman.h"
 #include "util/rng.h"
 
@@ -163,28 +164,41 @@ TEST(AuxGraph, StructureMatchesPaper) {
   Fixture f;
   const WorkContext ctx = build_work_context(f.topo, f.costs, f.request, nullptr);
   const std::vector<graph::VertexId> combo{2, 4};
-  const AuxiliaryGraph aux = build_auxiliary_graph(ctx, f.request.source, combo);
+  const AuxOverlay aux = build_aux_overlay(ctx, f.request.source, combo);
 
-  EXPECT_EQ(aux.graph.num_vertices(), 6u);  // V + s'_k
+  EXPECT_EQ(aux.num_vertices(), 6u);  // V + s'_k
   EXPECT_EQ(aux.virtual_source, 5u);
   EXPECT_EQ(aux.num_real_edges, 4u);
-  EXPECT_EQ(aux.graph.num_edges(), 6u);  // 4 real + 2 virtual
   EXPECT_TRUE(aux.is_virtual(4));
   EXPECT_TRUE(aux.is_virtual(5));
   EXPECT_FALSE(aux.is_virtual(3));
   EXPECT_EQ(aux.virtual_index(4), 0u);
   EXPECT_EQ(aux.virtual_index(5), 1u);
+
+  // The materialized test oracle is the same graph, edge for edge.
+  const reference::AuxiliaryGraph full =
+      reference::build_auxiliary_graph(ctx, f.request.source, combo);
+  EXPECT_EQ(full.graph.num_vertices(), aux.num_vertices());
+  ASSERT_EQ(full.graph.num_edges(), 6u);  // 4 real + 2 virtual
+  for (graph::EdgeId e = 0; e < full.graph.num_edges(); ++e) {
+    const graph::EdgeRecord rec = aux.record(e);
+    EXPECT_EQ(rec.u, full.graph.edge(e).u) << "edge " << e;
+    EXPECT_EQ(rec.v, full.graph.edge(e).v) << "edge " << e;
+    EXPECT_EQ(rec.weight, full.graph.weight(e)) << "edge " << e;
+  }
 }
 
 TEST(AuxGraph, VirtualEdgeWeightIsPathPlusChainCost) {
   Fixture f;
   const WorkContext ctx = build_work_context(f.topo, f.costs, f.request, nullptr);
-  const AuxiliaryGraph aux =
-      build_auxiliary_graph(ctx, f.request.source, std::vector<graph::VertexId>{2});
+  const AuxOverlay aux =
+      build_aux_overlay(ctx, f.request.source, std::vector<graph::VertexId>{2});
   // Shortest path 0->2 costs 200 (two links at 100 each), plus chain cost.
   const double chain_cost = ctx.server_chain_cost[2];
-  EXPECT_DOUBLE_EQ(aux.graph.weight(4), 200.0 + chain_cost);
-  EXPECT_EQ(aux.virtual_paths[0], (std::vector<graph::EdgeId>{0, 1}));
+  EXPECT_DOUBLE_EQ(aux.weight(4), 200.0 + chain_cost);
+  // Realization expands the virtual edge into the source's path to 2.
+  EXPECT_EQ(graph::path_edges(ctx.sp_source, aux.combo[0]),
+            (std::vector<graph::EdgeId>{0, 1}));
 }
 
 TEST(AuxGraph, ZeroCostCorrectionAppliesToSourceServerLinks) {
@@ -192,10 +206,11 @@ TEST(AuxGraph, ZeroCostCorrectionAppliesToSourceServerLinks) {
   Fixture f;
   f.request.source = 1;
   const WorkContext ctx = build_work_context(f.topo, f.costs, f.request, nullptr);
-  const AuxiliaryGraph aux =
-      build_auxiliary_graph(ctx, f.request.source, std::vector<graph::VertexId>{2});
-  EXPECT_DOUBLE_EQ(aux.graph.weight(1), 0.0);  // physical (1,2) zeroed
-  EXPECT_DOUBLE_EQ(aux.graph.weight(0), 100.0);
+  const AuxOverlay aux =
+      build_aux_overlay(ctx, f.request.source, std::vector<graph::VertexId>{2});
+  EXPECT_DOUBLE_EQ(aux.weight(1), 0.0);  // physical (1,2) zeroed
+  EXPECT_DOUBLE_EQ(aux.weight(0), 100.0);
+  EXPECT_EQ(aux.zero_edges, (std::vector<graph::EdgeId>{1}));
 }
 
 TEST(AuxGraph, NoZeroCostForNonComboServers) {
@@ -203,17 +218,17 @@ TEST(AuxGraph, NoZeroCostForNonComboServers) {
   f.request.source = 3;  // adjacent to servers 2 and 4
   f.request.destinations = {0};
   const WorkContext ctx = build_work_context(f.topo, f.costs, f.request, nullptr);
-  const AuxiliaryGraph aux =
-      build_auxiliary_graph(ctx, f.request.source, std::vector<graph::VertexId>{4});
-  EXPECT_DOUBLE_EQ(aux.graph.weight(3), 0.0);    // (3,4): combo server
-  EXPECT_DOUBLE_EQ(aux.graph.weight(2), 100.0);  // (2,3): server not in combo
+  const AuxOverlay aux =
+      build_aux_overlay(ctx, f.request.source, std::vector<graph::VertexId>{4});
+  EXPECT_DOUBLE_EQ(aux.weight(3), 0.0);    // (3,4): combo server
+  EXPECT_DOUBLE_EQ(aux.weight(2), 100.0);  // (2,3): server not in combo
 }
 
 TEST(AuxGraph, EmptyComboThrows) {
   Fixture f;
   const WorkContext ctx = build_work_context(f.topo, f.costs, f.request, nullptr);
   EXPECT_THROW(
-      build_auxiliary_graph(ctx, f.request.source, std::vector<graph::VertexId>{}),
+      build_aux_overlay(ctx, f.request.source, std::vector<graph::VertexId>{}),
       std::invalid_argument);
 }
 
@@ -222,10 +237,10 @@ TEST(AuxGraph, SourceCoLocatedServerGetsZeroPath) {
   f.request.source = 2;  // the server itself
   f.request.destinations = {4};
   const WorkContext ctx = build_work_context(f.topo, f.costs, f.request, nullptr);
-  const AuxiliaryGraph aux =
-      build_auxiliary_graph(ctx, f.request.source, std::vector<graph::VertexId>{2});
-  EXPECT_DOUBLE_EQ(aux.graph.weight(4), ctx.server_chain_cost[2]);
-  EXPECT_TRUE(aux.virtual_paths[0].empty());
+  const AuxOverlay aux =
+      build_aux_overlay(ctx, f.request.source, std::vector<graph::VertexId>{2});
+  EXPECT_DOUBLE_EQ(aux.weight(4), ctx.server_chain_cost[2]);
+  EXPECT_TRUE(graph::path_edges(ctx.sp_source, aux.combo[0]).empty());
 }
 
 }  // namespace

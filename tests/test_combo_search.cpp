@@ -22,6 +22,7 @@
 #include "core/shared_closure.h"
 #include "graph/steiner.h"
 #include "nfv/resources.h"
+#include "reference/appro_multi_reference.h"
 #include "reference/subset_mst_sweep.h"
 #include "sim/request_gen.h"
 #include "topology/geant.h"
@@ -100,20 +101,33 @@ void expect_same_decision(const OfflineSolution& legacy,
   }
 }
 
+using reference::Engine;
+using reference::Search;
+
+/// core::appro_multi: the shared engine under branch-and-bound.
 OfflineSolution run(const Instance& inst, const ApproMultiOptions& opts) {
   return appro_multi(inst.topo, inst.costs, inst.request, opts);
 }
 
-constexpr ApproMultiOptions::Engine kEngines[] = {
-    ApproMultiOptions::Engine::kReference,
-    ApproMultiOptions::Engine::kSharedDijkstra};
+/// One engine x search pair: core::appro_multi for the shared engine under
+/// branch-and-bound, the reference copy (tests/reference) for the others.
+OfflineSolution run(const Instance& inst, const ApproMultiOptions& opts,
+                    Engine engine, Search search) {
+  if (engine == Engine::kSharedDijkstra && search == Search::kBranchAndBound) {
+    return run(inst, opts);
+  }
+  return reference::appro_multi(inst.topo, inst.costs, inst.request, opts, engine,
+                                search);
+}
+
+constexpr Engine kEngines[] = {Engine::kReference, Engine::kSharedDijkstra};
 
 /// |V_S|, from the K = 1 legacy sweep (it evaluates every single server).
 std::size_t pool_size(const Instance& inst) {
   ApproMultiOptions probe;
   probe.max_servers = 1;
-  probe.search = ApproMultiOptions::Search::kLegacySweep;
-  return run(inst, probe).combinations_explored;
+  return run(inst, probe, Engine::kSharedDijkstra, Search::kLegacySweep)
+      .combinations_explored;
 }
 
 struct Case {
@@ -132,17 +146,13 @@ TEST_P(BnbEquivalenceTest, MatchesExhaustiveSweepAtAnyThreadCount) {
       c.n == 0 ? geant_instance(c.seed, c.dests) : random_instance(c.seed, c.n, c.dests);
 
   for (const auto engine : kEngines) {
-    ApproMultiOptions legacy_opts;
-    legacy_opts.max_servers = c.k;
-    legacy_opts.engine = engine;
-    legacy_opts.search = ApproMultiOptions::Search::kLegacySweep;
-    ApproMultiOptions bnb_opts = legacy_opts;
-    bnb_opts.search = ApproMultiOptions::Search::kBranchAndBound;
+    ApproMultiOptions opts;
+    opts.max_servers = c.k;
 
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       util::ThreadPool::set_global_threads(threads);
-      const OfflineSolution legacy = run(inst, legacy_opts);
-      const OfflineSolution bnb = run(inst, bnb_opts);
+      const OfflineSolution legacy = run(inst, opts, engine, Search::kLegacySweep);
+      const OfflineSolution bnb = run(inst, opts, engine, Search::kBranchAndBound);
       expect_same_decision(legacy, bnb);
       EXPECT_EQ(legacy.combinations_pruned, 0u);
       EXPECT_LE(bnb.combinations_explored, legacy.combinations_explored);
@@ -173,14 +183,10 @@ TEST(ComboSearch, RealizeFallthroughMatchesLegacyUnderDelayBound) {
       topo::assign_delays(inst.topo, delay_rng);
       for (const double delay_ms : {2.0, 5.0, 10.0, 40.0}) {
         inst.request.max_delay_ms = delay_ms;
-        ApproMultiOptions legacy_opts;
-        legacy_opts.max_servers = 3;
-        legacy_opts.engine = engine;
-        legacy_opts.search = ApproMultiOptions::Search::kLegacySweep;
-        ApproMultiOptions bnb_opts = legacy_opts;
-        bnb_opts.search = ApproMultiOptions::Search::kBranchAndBound;
-        const OfflineSolution legacy = run(inst, legacy_opts);
-        const OfflineSolution bnb = run(inst, bnb_opts);
+        ApproMultiOptions opts;
+        opts.max_servers = 3;
+        const OfflineSolution legacy = run(inst, opts, engine, Search::kLegacySweep);
+        const OfflineSolution bnb = run(inst, opts, engine, Search::kBranchAndBound);
         expect_same_decision(legacy, bnb);
         // Fallthrough passes reuse earlier evaluations, so no combination
         // is evaluated twice in one call and the search never exceeds the
@@ -207,14 +213,12 @@ TEST(ComboSearch, RealizeFallthroughMatchesLegacyUnderCapacity) {
       }
       ApproMultiOptions legacy_opts;
       legacy_opts.max_servers = 3;
-      legacy_opts.engine = engine;
       legacy_opts.resources = &state_a;
-      legacy_opts.search = ApproMultiOptions::Search::kLegacySweep;
       ApproMultiOptions bnb_opts = legacy_opts;
       bnb_opts.resources = &state_b;
-      bnb_opts.search = ApproMultiOptions::Search::kBranchAndBound;
-      const OfflineSolution legacy = run(inst, legacy_opts);
-      const OfflineSolution bnb = run(inst, bnb_opts);
+      const OfflineSolution legacy =
+          run(inst, legacy_opts, engine, Search::kLegacySweep);
+      const OfflineSolution bnb = run(inst, bnb_opts, engine, Search::kBranchAndBound);
       expect_same_decision(legacy, bnb);
       EXPECT_LE(bnb.combinations_explored, legacy.combinations_explored)
           << "seed " << seed;
@@ -232,9 +236,7 @@ TEST(ComboSearch, PruningAccountingCoversTheCombinationSpace) {
 
       ApproMultiOptions bnb_opts;
       bnb_opts.max_servers = 3;
-      bnb_opts.engine = engine;
-      bnb_opts.search = ApproMultiOptions::Search::kBranchAndBound;
-      const OfflineSolution sol = run(inst, bnb_opts);
+      const OfflineSolution sol = run(inst, bnb_opts, engine, Search::kBranchAndBound);
       // Uncapacitated, no delay bound: the cheapest candidate realizes on
       // the first pass, so every combination was either evaluated or
       // pruned (dominated ones included).
@@ -243,7 +245,7 @@ TEST(ComboSearch, PruningAccountingCoversTheCombinationSpace) {
                 util::count_combinations_upto(n, std::min<std::size_t>(3, n)));
       EXPECT_GE(sol.combinations_explored, 1u);
       EXPECT_LE(sol.combinations_dominated, sol.combinations_pruned);
-      if (engine == ApproMultiOptions::Engine::kReference) {
+      if (engine == Engine::kReference) {
         EXPECT_EQ(sol.combinations_dominated, 0u);
       }
     }
@@ -409,18 +411,16 @@ TEST(ComboSearch, FallthroughPassesSkipDominatedAndMatchLegacy) {
     Instance inst = random_instance(seed, 40, 4);
     util::Rng delay_rng(seed + 1000);
     topo::assign_delays(inst.topo, delay_rng);
-    ApproMultiOptions bnb_opts;
-    bnb_opts.max_servers = 3;
-    bnb_opts.engine = ApproMultiOptions::Engine::kSharedDijkstra;
-    ApproMultiOptions legacy_opts = bnb_opts;
-    legacy_opts.search = ApproMultiOptions::Search::kLegacySweep;
+    ApproMultiOptions opts;
+    opts.max_servers = 3;
     // Without a delay bound the first candidate realizes: one pass.
-    const OfflineSolution one_pass = run(inst, bnb_opts);
+    const OfflineSolution one_pass = run(inst, opts);
     ASSERT_TRUE(one_pass.admitted);
     for (const double delay_ms : {2.0, 5.0, 10.0}) {
       inst.request.max_delay_ms = delay_ms;
-      const OfflineSolution legacy = run(inst, legacy_opts);
-      const OfflineSolution bnb = run(inst, bnb_opts);
+      const OfflineSolution legacy =
+          run(inst, opts, Engine::kSharedDijkstra, Search::kLegacySweep);
+      const OfflineSolution bnb = run(inst, opts);
       expect_same_decision(legacy, bnb);
       // The delay bound only acts in realize, so the first pass is the
       // one-pass call's; anything beyond its dominated count was met by
@@ -438,7 +438,6 @@ TEST(ComboSearch, ExploredAndPrunedAreThreadCountInvariant) {
   const Instance inst = random_instance(61, 45, 5);
   ApproMultiOptions opts;
   opts.max_servers = 3;
-  opts.engine = ApproMultiOptions::Engine::kSharedDijkstra;
 
   util::ThreadPool::set_global_threads(1);
   const OfflineSolution serial = run(inst, opts);
@@ -465,8 +464,7 @@ TEST(ComboSearch, WorkAtKThreeIsPinnedOnASeededRequestSet) {
     for (std::size_t e = 0; e < 2; ++e) {
       ApproMultiOptions opts;
       opts.max_servers = 3;
-      opts.engine = kEngines[e];
-      const OfflineSolution sol = run(inst, opts);
+      const OfflineSolution sol = run(inst, opts, kEngines[e], Search::kBranchAndBound);
       explored[e] += sol.combinations_explored;
       pruned[e] += sol.combinations_pruned;
     }
@@ -480,15 +478,15 @@ TEST(ComboSearch, WorkAtKThreeIsPinnedOnASeededRequestSet) {
 TEST(ComboSearch, EvaluationBudgetIsRespectedInBothModes) {
   GlobalThreadsGuard guard;
   const Instance inst = random_instance(71, 40, 3);
-  for (const auto search : {ApproMultiOptions::Search::kLegacySweep,
-                            ApproMultiOptions::Search::kBranchAndBound}) {
-    ApproMultiOptions opts;
-    opts.max_servers = 3;
-    opts.max_combinations = 5;
-    opts.search = search;
-    const OfflineSolution sol = run(inst, opts);
-    EXPECT_LE(sol.combinations_explored, 5u);
-    EXPECT_GE(sol.combinations_explored, 1u);
+  for (const auto engine : kEngines) {
+    for (const auto search : {Search::kLegacySweep, Search::kBranchAndBound}) {
+      ApproMultiOptions opts;
+      opts.max_servers = 3;
+      opts.max_combinations = 5;
+      const OfflineSolution sol = run(inst, opts, engine, search);
+      EXPECT_LE(sol.combinations_explored, 5u);
+      EXPECT_GE(sol.combinations_explored, 1u);
+    }
   }
 }
 
@@ -499,8 +497,8 @@ TEST(BeamSearch, CostIsNonIncreasingInWidthAndExactAtFullPool) {
       const Instance inst = random_instance(seed, 40, 5);
       ApproMultiOptions exact_opts;
       exact_opts.max_servers = 3;
-      exact_opts.engine = engine;
-      const OfflineSolution exact = run(inst, exact_opts);
+      const OfflineSolution exact =
+          run(inst, exact_opts, engine, Search::kBranchAndBound);
       ASSERT_TRUE(exact.admitted);
 
       const std::size_t n = pool_size(inst);
@@ -509,7 +507,8 @@ TEST(BeamSearch, CostIsNonIncreasingInWidthAndExactAtFullPool) {
       for (std::size_t m = 1; m <= n; ++m) {
         ApproMultiOptions beam_opts = exact_opts;
         beam_opts.beam_width = m;
-        const OfflineSolution beamed = run(inst, beam_opts);
+        const OfflineSolution beamed =
+            run(inst, beam_opts, engine, Search::kBranchAndBound);
         ASSERT_TRUE(beamed.admitted) << "beam width " << m;
         // Nested pools: widening the beam only adds candidate combinations.
         EXPECT_LE(beamed.tree.cost, prev + 1e-12) << "beam width " << m;
@@ -628,8 +627,8 @@ TEST_P(ComboBoundsAdmissibilityTest, BoundsNeverExceedEvaluatedCosts) {
     for (std::size_t i = 0; i < k; ++i) idx[i] = i;
     do {
       const graph::SteinerResult shared = rig.solve(idx);
-      const AuxiliaryGraph aux =
-          build_auxiliary_graph(rig.ctx, rig.request.source, rig.servers(idx));
+      const reference::AuxiliaryGraph aux = reference::build_auxiliary_graph(
+          rig.ctx, rig.request.source, rig.servers(idx));
       const graph::SteinerResult ref = graph::kmb_steiner(aux.graph, terminals);
       ASSERT_EQ(shared.connected, ref.connected);
       const double evaluated =

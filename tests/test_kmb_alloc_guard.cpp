@@ -78,31 +78,6 @@ Instance make_instance(std::size_t n, std::uint64_t seed) {
 
 class KmbAllocationGuard : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(KmbAllocationGuard, RecordFinishAllocatesOnlyItsResult) {
-  const Instance inst = make_instance(GetParam(), 41);
-  const graph::Graph& g = inst.topo.graph;
-  std::vector<graph::VertexId> terms{inst.request.source};
-  terms.insert(terms.end(), inst.request.destinations.begin(),
-               inst.request.destinations.end());
-  // The union of the source's tree paths to every destination, as records.
-  const graph::ShortestPaths sp = graph::dijkstra(g, inst.request.source);
-  std::vector<graph::EdgeRecord> records;
-  for (const graph::VertexId d : inst.request.destinations) {
-    for (const graph::EdgeId e : graph::path_edges(sp, d)) {
-      const graph::Edge& ed = g.edge(e);
-      records.push_back(graph::EdgeRecord{e, ed.u, ed.v, ed.weight});
-    }
-  }
-
-  graph::SteinerResult st = graph::kmb_finish(g.num_vertices(), records, terms);
-  ASSERT_TRUE(st.connected);
-  ASSERT_FALSE(st.edges.empty());
-  const std::size_t count = allocations_during(
-      [&] { st = graph::kmb_finish(g.num_vertices(), records, terms); });
-  EXPECT_TRUE(st.connected);
-  EXPECT_LE(count, kMaxAllocationsPerCall) << "n = " << GetParam();
-}
-
 TEST_P(KmbAllocationGuard, FromTablesAllocatesOnlyItsResult) {
   const Instance inst = make_instance(GetParam(), 42);
   const graph::Graph& g = inst.topo.graph;

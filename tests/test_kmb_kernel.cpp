@@ -1,7 +1,7 @@
 // Randomized oracle for the KMB finishing kernel (graph/kmb_kernel.h).
 //
-// Every entry point that finishes a KMB tree — kmb_steiner_from_tables,
-// both kmb_finish overloads and core::SharedComboSolver — must reproduce the
+// Every entry point that finishes a KMB tree — kmb_steiner,
+// kmb_steiner_from_tables and core::SharedComboSolver — must reproduce the
 // node-based-set / kruskal_mst_subset / leaf-pruning pipeline it replaced
 // (tests/reference) bit for bit: the same edges in the same order, the same
 // weight bits and the same exceptions. Inputs are random multigraphs with
@@ -19,13 +19,13 @@
 #include <string>
 #include <vector>
 
-#include "core/aux_graph.h"
 #include "core/cost_model.h"
 #include "core/shared_closure.h"
 #include "graph/dijkstra.h"
 #include "graph/kmb_kernel.h"
 #include "graph/steiner.h"
 #include "nfv/service_chain.h"
+#include "reference/appro_multi_reference.h"
 #include "reference/kmb_reference.h"
 #include "topology/waxman.h"
 #include "util/rng.h"
@@ -147,55 +147,6 @@ TEST(KmbKernelOracle, KmbSteinerMatchesReference) {
   });
 }
 
-TEST(KmbKernelOracle, GraphFinishMatchesReference) {
-  compare_at_thread_counts(400, [](std::size_t i) {
-    util::Rng rng(9000 + i);
-    const Weights kind = i % 2 == 0 ? Weights::kSmallIntegers : Weights::kReals;
-    const Graph g = random_multigraph(rng, kind);
-    // A union in arbitrary order with repeats; one case in eight carries a
-    // single invalid edge id, which both sides must reject alike.
-    std::vector<EdgeId> union_edges;
-    if (g.num_edges() > 0) {
-      union_edges.resize(static_cast<std::size_t>(
-          rng.uniform_int(0, 2 * static_cast<std::int64_t>(g.num_edges()))));
-      for (EdgeId& e : union_edges) e = static_cast<EdgeId>(rng.next_below(g.num_edges()));
-    }
-    if (i % 8 == 3) {
-      union_edges.insert(union_edges.begin() + static_cast<std::ptrdiff_t>(
-                                                   rng.next_below(union_edges.size() + 1)),
-                         static_cast<EdgeId>(g.num_edges()));
-    }
-    const std::vector<VertexId> terms = random_terminals(rng, g.num_vertices());
-    return std::pair{run([&] { return kmb_finish(g, union_edges, terms); }),
-                     run([&] { return reference::kmb_finish(g, union_edges, terms); })};
-  });
-}
-
-TEST(KmbKernelOracle, RecordFinishMatchesReference) {
-  compare_at_thread_counts(400, [](std::size_t i) {
-    util::Rng rng(10000 + i);
-    const Weights kind = i % 2 == 0 ? Weights::kSmallIntegers : Weights::kReals;
-    const auto n = static_cast<std::size_t>(rng.uniform_int(2, 30));
-    // Records with repeated ids, parallel pairs and self-loops; one case in
-    // eight has an endpoint out of range somewhere in the list.
-    std::vector<EdgeRecord> records(static_cast<std::size_t>(rng.uniform_int(0, 60)));
-    for (EdgeRecord& r : records) {
-      r.id = static_cast<EdgeId>(rng.next_below(40));
-      r.u = static_cast<VertexId>(rng.next_below(n));
-      r.v = rng.bernoulli(0.1) ? r.u : static_cast<VertexId>(rng.next_below(n));
-      r.weight = draw_weight(rng, kind);
-    }
-    if (i % 8 == 5 && !records.empty()) {
-      records[rng.next_below(records.size())].v = static_cast<VertexId>(n);
-    }
-    std::vector<VertexId> terms = random_terminals(rng, n);
-    if (i % 50 == 7) terms.clear();                            // empty set
-    if (i % 50 == 9) terms.push_back(static_cast<VertexId>(n));  // bad terminal
-    return std::pair{run([&] { return kmb_finish(n, records, terms); }),
-                     run([&] { return reference::kmb_finish(n, records, terms); })};
-  });
-}
-
 TEST(KmbKernelOracle, TerminalErrorsMatchReference) {
   const Graph g = [] {
     Graph h(3);
@@ -203,12 +154,8 @@ TEST(KmbKernelOracle, TerminalErrorsMatchReference) {
     h.add_edge(1, 2, 1.0);
     return h;
   }();
-  const std::vector<EdgeId> union_edges{0, 1};
   for (const std::vector<VertexId>& terms :
        {std::vector<VertexId>{}, std::vector<VertexId>{0, 3}, std::vector<VertexId>{2, 2}}) {
-    expect_identical(run([&] { return kmb_finish(g, union_edges, terms); }),
-                     run([&] { return reference::kmb_finish(g, union_edges, terms); }),
-                     "graph finish");
     std::map<VertexId, ShortestPaths> tables;
     for (VertexId v = 0; v < g.num_vertices(); ++v) tables.emplace(v, dijkstra(g, v));
     const std::function<const ShortestPaths&(VertexId)> table_for =
@@ -286,7 +233,8 @@ TEST(KmbKernelOracle, SharedComboSolverMatchesMaterializedAuxGraph) {
       std::vector<std::pair<graph::Outcome, graph::Outcome>> out(combos.size());
       util::ThreadPool::global().parallel_for(combos.size(), [&](std::size_t i) {
         const AuxOverlay overlay = build_aux_overlay(ctx, inst.request.source, combos[i]);
-        const AuxiliaryGraph aux = build_auxiliary_graph(ctx, inst.request.source, combos[i]);
+        const reference::AuxiliaryGraph aux =
+            reference::build_auxiliary_graph(ctx, inst.request.source, combos[i]);
         std::vector<graph::VertexId> terms{aux.virtual_source};
         terms.insert(terms.end(), inst.request.destinations.begin(),
                      inst.request.destinations.end());

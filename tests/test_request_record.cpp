@@ -33,13 +33,6 @@ std::vector<nfv::Request> workload(const topo::Topology& topo, std::size_t n,
   return gen.sequence(n);
 }
 
-std::unique_ptr<OnlineAlgorithm> make_algorithm(const std::string& name,
-                                                const topo::Topology& topo) {
-  if (name == "Online_CP") return std::make_unique<OnlineCp>(topo);
-  if (name == "SP") return std::make_unique<OnlineSp>(topo);
-  return std::make_unique<OnlineSpStatic>(topo);
-}
-
 TEST(RequestRecord, AbsentByDefault) {
   const topo::Topology topo = small_topology();
   OnlineCp algo(topo);
@@ -52,6 +45,13 @@ TEST(RequestRecord, AbsentByDefault) {
 }
 
 #if NFVM_OBS
+
+std::unique_ptr<OnlineAlgorithm> make_algorithm(const std::string& name,
+                                                const topo::Topology& topo) {
+  if (name == "Online_CP") return std::make_unique<OnlineCp>(topo);
+  if (name == "SP") return std::make_unique<OnlineSp>(topo);
+  return std::make_unique<OnlineSpStatic>(topo);
+}
 
 TEST(RequestRecord, PopulatedForEveryAlgorithm) {
   const topo::Topology topo = small_topology();

@@ -158,36 +158,6 @@ TEST(ExactSteiner, ThreeTerminalMedianVertex) {
   EXPECT_EQ(st.edges.size(), 5u);
 }
 
-TEST(KmbFinish, PrunesAndMeasuresUnion) {
-  const Graph g = star_with_ring();
-  // Union: the full star plus one ring edge; terminals {1, 3}. The MST step
-  // drops redundancy, pruning removes the leaves 2 and 4 with their spokes.
-  std::vector<EdgeId> union_edges{0, 1, 2, 3, 4};
-  const SteinerResult st =
-      kmb_finish(g, union_edges, std::vector<VertexId>{1, 3});
-  ASSERT_TRUE(st.connected);
-  EXPECT_TRUE(is_steiner_tree(g, st.edges, std::vector<VertexId>{1, 3}));
-  EXPECT_DOUBLE_EQ(st.weight, 2.0);  // 1-0-3 through the center
-}
-
-TEST(KmbFinish, ReportsDisconnectedUnion) {
-  Graph g(4);
-  const EdgeId a = g.add_edge(0, 1, 1.0);
-  g.add_edge(2, 3, 1.0);
-  const SteinerResult st =
-      kmb_finish(g, std::vector<EdgeId>{a}, std::vector<VertexId>{0, 3});
-  EXPECT_FALSE(st.connected);
-}
-
-TEST(KmbFinish, SingleTerminalTrivial) {
-  Graph g(2);
-  g.add_edge(0, 1, 1.0);
-  const SteinerResult st =
-      kmb_finish(g, std::vector<EdgeId>{0}, std::vector<VertexId>{0});
-  EXPECT_TRUE(st.connected);
-  EXPECT_TRUE(st.edges.empty());
-}
-
 TEST(ExactSteiner, EightTerminalsAgainstKmbSandwich) {
   // exact <= kmb <= 2 exact with a larger terminal set.
   Graph g(12);

@@ -1,8 +1,11 @@
 #include "cli_setup.h"
 
+#include <sys/socket.h>
+
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -102,6 +105,18 @@ std::string read_file(const char* flag, const std::string& path) {
   std::ostringstream text;
   text << in.rdbuf();
   return text.str();
+}
+
+sockaddr_un unix_address(const char* flag, const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  if (path.size() >= sizeof(addr.sun_path)) {
+    usage(std::string(flag) + ": path too long for AF_UNIX (" +
+          std::to_string(path.size()) + " bytes, at most " +
+          std::to_string(sizeof(addr.sun_path) - 1) + ")");
+  }
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  return addr;
 }
 
 Args::Args(int argc, char** argv, std::string usage_text) : argc_(argc), argv_(argv) {

@@ -6,6 +6,8 @@
 // so a bad one is a usage error (exit 2) before any work starts.
 #pragma once
 
+#include <sys/un.h>
+
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -40,6 +42,11 @@ void validate_writable(const char* flag, const std::string& path);
 
 /// The whole file at `path`; an unreadable one is a usage error.
 std::string read_file(const char* flag, const std::string& path);
+
+/// The AF_UNIX address of socket `path`. A path too long for sun_path is a
+/// usage error naming `flag`, so a tool builds the address while it
+/// validates its flags, before it prints anything.
+sockaddr_un unix_address(const char* flag, const std::string& path);
 
 /// Cursor over argv; every failure exits through usage().
 class Args {

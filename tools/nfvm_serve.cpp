@@ -71,6 +71,7 @@ struct Options {
   cli::NetworkFlags net;
   cli::EngineFlags engine{.algorithm = "online_cp"};
   std::string socket_path;
+  sockaddr_un socket_address{};  // built from socket_path at parse time
   std::string snapshot_path;
   std::size_t snapshot_every = 0;
   std::string restore_path;
@@ -102,6 +103,7 @@ void validate_options(Options& opts) {
   cli::validate_writable("--snapshot", opts.snapshot_path);
   cli::validate_writable("--metrics-json", opts.engine.metrics_json);
   if (!opts.socket_path.empty()) {
+    opts.socket_address = cli::unix_address("--socket", opts.socket_path);
     const auto parent = std::filesystem::path(opts.socket_path).parent_path();
     if (!parent.empty() && !std::filesystem::is_directory(parent)) {
       cli::usage("--socket: directory \"" + parent.string() + "\" does not exist");
@@ -219,14 +221,9 @@ void emit_summary(const serve::DaemonStats& stats) {
 int serve_socket(const Options& opts, serve::Daemon& daemon) {
   const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (listener < 0) cli::usage(std::string("--socket: socket: ") + std::strerror(errno));
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (opts.socket_path.size() >= sizeof(addr.sun_path)) {
-    cli::usage("--socket: path too long for AF_UNIX");
-  }
-  std::strncpy(addr.sun_path, opts.socket_path.c_str(), sizeof(addr.sun_path) - 1);
   ::unlink(opts.socket_path.c_str());
-  if (::bind(listener, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
+  if (::bind(listener, reinterpret_cast<const sockaddr*>(&opts.socket_address),
+             sizeof(opts.socket_address)) != 0 ||
       ::listen(listener, 1) != 0) {
     cli::usage("--socket: cannot bind/listen on \"" + opts.socket_path + "\": " +
                std::strerror(errno));

@@ -60,6 +60,7 @@ struct Options {
   std::string input_path;
   std::string input;  // the --input trace, read eagerly
   std::string connect_path;
+  sockaddr_un connect_address{};  // built from connect_path at parse time
 };
 
 void validate_options(Options& opts) {
@@ -72,6 +73,9 @@ void validate_options(Options& opts) {
   }
   if (!opts.out_path.empty() && !opts.connect_path.empty()) {
     cli::usage("--out and --connect are mutually exclusive (replies go to stdout)");
+  }
+  if (!opts.connect_path.empty()) {
+    opts.connect_address = cli::unix_address("--connect", opts.connect_path);
   }
 }
 
@@ -124,13 +128,8 @@ std::string make_trace(const Options& opts) {
 int replay(const Options& opts, const std::string& trace) {
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0) cli::usage(std::string("--connect: socket: ") + std::strerror(errno));
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (opts.connect_path.size() >= sizeof(addr.sun_path)) {
-    cli::usage("--connect: path too long for AF_UNIX");
-  }
-  std::strncpy(addr.sun_path, opts.connect_path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&opts.connect_address),
+                sizeof(opts.connect_address)) != 0) {
     cli::usage("--connect: cannot connect to \"" + opts.connect_path + "\": " +
                std::strerror(errno));
   }

@@ -14,9 +14,6 @@
 //                            whole-run latency quantiles
 //     --beam-width <m>       offline mode: restrict Appro_Multi to the m most
 //                            central eligible servers (0 = exact, default)
-//     --legacy-path          offline mode: run Appro_Multi's exhaustive
-//                            combination sweep instead of branch-and-bound
-//                            (same decisions; CI diffs the two tables)
 //     --dump-topology <file> write the topology in nfvm-topology format
 //     --dump-dot <file>      write a Graphviz rendering of the topology
 //   Observability (the artifacts are documented in docs/observability.md):
@@ -78,7 +75,7 @@ const std::string kUsage =
     "                [--max-delay MS] [--dynamic]\n"
     "                [--arrival-rate X] [--mean-duration X]\n"
     "                [--soak N] [--diurnal-amplitude A] [--diurnal-period P]\n"
-    "                [--threads N] [--beam-width M] [--legacy-path]\n"
+    "                [--threads N] [--beam-width M]\n"
     "                [--dump-topology FILE] [--dump-dot FILE]\n"
     "                [--metrics-json FILE|-] [--trace FILE] [--events FILE|-]\n"
     "                [--run-dir DIR] [--timeseries FILE] [--sample-interval-ms N]\n"
@@ -86,7 +83,7 @@ const std::string kUsage =
     "                [--log-level " + cli::kLogLevels + "]\n"
     "  topologies: " + cli::kTopologies + "\n"
     "  algorithms: " + kAlgorithms + "\n"
-    "  --beam-width and --legacy-path apply to --mode offline only\n";
+    "  --beam-width applies to --mode offline only\n";
 
 /// Soak-mode graceful shutdown: SIGINT/SIGTERM stop the arrival loop at the
 /// next iteration, so the run still flushes its partial artifacts (manifest,
@@ -101,12 +98,6 @@ struct Options {
   cli::WorkloadFlags work{.requests = 300};
   cli::EngineFlags engine{.algorithm = "all"};
   bool dynamic = false;
-  /// Offline only: run Appro_Multi with the legacy materialize-everything
-  /// combination sweep instead of branch-and-bound. Decisions must be
-  /// byte-identical to the default search — CI diffs the two offline
-  /// tables. Online mode has one admission path; the tests compare it
-  /// against the reference scans in tests/reference.
-  bool legacy_path = false;
   /// Offline: Appro_Multi beam width (0 = exact full server pool).
   std::size_t beam_width = 0;
   std::size_t soak = 0;  // 0 = not a soak run
@@ -132,9 +123,6 @@ void validate_options(Options& opts) {
   }
   if (opts.beam_width > 0 && opts.mode != "offline") {
     cli::usage("--beam-width only applies to --mode offline");
-  }
-  if (opts.legacy_path && opts.mode != "offline") {
-    cli::usage("--legacy-path only applies to --mode offline");
   }
   if (opts.soak > 0) {
     if (opts.mode != "online") cli::usage("--soak requires --mode online");
@@ -198,7 +186,6 @@ Options parse_args(int argc, char** argv) {
     const std::string& arg = args.flag();
     if (arg == "--mode") opts.mode = args.choice(kModes);
     else if (arg == "--dynamic") opts.dynamic = true;
-    else if (arg == "--legacy-path") opts.legacy_path = true;
     else if (arg == "--soak") opts.soak = args.count();
     else if (arg == "--beam-width") opts.beam_width = args.count();
     else if (arg == "--dump-topology") opts.dump_topology = args.value();
@@ -255,7 +242,6 @@ std::map<std::string, std::string> manifest_config(const Options& opts) {
   config["dest_ratio"] = util::format_double(opts.work.dest_ratio, 4);
   config["max_delay_ms"] = util::format_double(opts.net.max_delay_ms, 3);
   config["dynamic"] = opts.dynamic ? "true" : "false";
-  config["legacy_path"] = opts.legacy_path ? "true" : "false";
   if (opts.mode == "offline") {
     config["beam_width"] = std::to_string(opts.beam_width);
   }
@@ -446,9 +432,6 @@ int main(int argc, char** argv) {
       // Requests fan out across the thread pool; aggregation below walks the
       // indexed results in request order, so stats match a serial run.
       sim::OfflineBatchOptions batch_opts;
-      batch_opts.search = opts.legacy_path
-                              ? core::ApproMultiOptions::Search::kLegacySweep
-                              : core::ApproMultiOptions::Search::kBranchAndBound;
       batch_opts.beam_width = opts.beam_width;
       const auto results =
           sim::run_offline_batch(topo, costs, batch_requests, batch_opts);
