@@ -30,10 +30,6 @@ bool key_less(double cost_a, const std::vector<std::size_t>& idx_a,
 
 }  // namespace
 
-bool combo_key_less(const ComboKey& a, const ComboKey& b) {
-  return key_less(a.cost, a.idx, b.cost, b.idx);
-}
-
 ComboSearch::ComboSearch(std::size_t pool_size, const ComboBounds& bounds,
                          std::size_t max_servers, Evaluator evaluator,
                          const SprimeTable* sprime)

@@ -58,8 +58,6 @@ struct ComboKey {
   std::vector<std::size_t> idx;
 };
 
-bool combo_key_less(const ComboKey& a, const ComboKey& b);
-
 struct ComboSearchResult {
   /// True when some evaluated combination was connected (and above the
   /// floor, when one was given).

@@ -5,17 +5,6 @@
 
 namespace nfvm::core {
 
-LinearCosts uniform_costs(const topo::Topology& topo, double link_cost,
-                          double server_cost) {
-  if (!(link_cost >= 0) || !(server_cost >= 0)) {
-    throw std::invalid_argument("uniform_costs: costs must be non-negative");
-  }
-  LinearCosts costs;
-  costs.link_unit_cost.assign(topo.num_links(), link_cost);
-  costs.server_unit_cost.assign(topo.num_switches(), server_cost);
-  return costs;
-}
-
 LinearCosts random_costs(const topo::Topology& topo, util::Rng& rng,
                          const RandomCostOptions& options) {
   if (options.min_link_cost < 0 || options.min_link_cost > options.max_link_cost ||
@@ -60,16 +49,6 @@ double ExponentialCostModel::server_weight(graph::VertexId v,
 double ExponentialCostModel::edge_weight(graph::EdgeId e,
                                          const nfv::ResourceState& state) const {
   return std::pow(beta_, state.bandwidth_utilization(e)) - 1.0;
-}
-
-double ExponentialCostModel::server_cost(graph::VertexId v,
-                                         const nfv::ResourceState& state) const {
-  return state.compute_capacity(v) * server_weight(v, state);
-}
-
-double ExponentialCostModel::edge_cost(graph::EdgeId e,
-                                       const nfv::ResourceState& state) const {
-  return state.bandwidth_capacity(e) * edge_weight(e, state);
 }
 
 }  // namespace nfvm::core

@@ -34,10 +34,6 @@ struct LinearCosts {
   }
 };
 
-/// All links cost `link_cost` per Mbps, all servers `server_cost` per MHz.
-LinearCosts uniform_costs(const topo::Topology& topo, double link_cost = 1.0,
-                          double server_cost = 1.0);
-
 struct RandomCostOptions {
   // Defaults chosen so that, for the paper's request mix (b_k in [50,200]
   // Mbps, chains of 1-3 NFs), bandwidth and computing costs are the same
@@ -70,8 +66,6 @@ class ExponentialCostModel {
   double alpha() const noexcept { return alpha_; }
   double beta() const noexcept { return beta_; }
 
-  double server_cost(graph::VertexId v, const nfv::ResourceState& state) const;
-  double edge_cost(graph::EdgeId e, const nfv::ResourceState& state) const;
   double server_weight(graph::VertexId v, const nfv::ResourceState& state) const;
   double edge_weight(graph::EdgeId e, const nfv::ResourceState& state) const;
 

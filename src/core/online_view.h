@@ -78,13 +78,11 @@ class OnlineWeightedView {
   // --- State export (serve snapshot/restore + tests) ------------------------
   // The view's *decision-relevant* state is entirely derivable from the
   // residuals (weights are a pure function of them); the stored trees and
-  // the patch count are performance state only. These accessors exist so
+  // the patch count are performance state only. This accessor exists so
   // snapshot round-trip tests can assert exactly that: after a restore the
-  // weights must match the uninterrupted run edge-for-edge, while the store
-  // may legitimately differ without perturbing a single decision.
+  // weights must match the uninterrupted run edge-for-edge, while the patch
+  // count may legitimately differ without perturbing a single decision.
 
-  /// Persistent server trees currently held by the repair store.
-  std::size_t stored_trees() const noexcept { return store_.size(); }
   /// Patched-weight applications since construction (apply_allocate calls).
   std::uint64_t patches_applied() const noexcept { return patches_applied_; }
 

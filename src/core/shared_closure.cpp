@@ -45,11 +45,6 @@ SharedOracle build_shared_oracle(const WorkContext& ctx,
   return oracle;
 }
 
-SharedOracle build_shared_oracle(const WorkContext& ctx,
-                                 const nfv::Request& request) {
-  return build_shared_oracle(ctx, request, ctx.eligible_servers);
-}
-
 std::size_t nearest_table_root(
     std::span<const std::shared_ptr<const graph::ShortestPaths>> tables,
     graph::VertexId v) {

@@ -83,10 +83,6 @@ SharedOracle build_shared_oracle(const WorkContext& ctx,
                                  const nfv::Request& request,
                                  std::span<const graph::VertexId> servers);
 
-/// Full-pool overload: every eligible server.
-SharedOracle build_shared_oracle(const WorkContext& ctx,
-                                 const nfv::Request& request);
-
 /// Index into `tables` of the tree whose root is nearest to `v`; the first
 /// minimum wins, matching the deterministic first-min scans used across the
 /// codebase. Returns tables.size() when `v` is unreachable from every root.

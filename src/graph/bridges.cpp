@@ -5,14 +5,6 @@
 
 namespace nfvm::graph {
 
-bool CutAnalysis::is_bridge(EdgeId e) const {
-  return std::binary_search(bridges.begin(), bridges.end(), e);
-}
-
-bool CutAnalysis::is_articulation_point(VertexId v) const {
-  return std::binary_search(articulation_points.begin(), articulation_points.end(), v);
-}
-
 CutAnalysis find_cut_elements(const Graph& g) {
   const std::size_t n = g.num_vertices();
   std::vector<int> disc(n, -1);

@@ -19,9 +19,6 @@ struct CutAnalysis {
   std::vector<EdgeId> bridges;
   /// Vertices whose removal disconnects their component.
   std::vector<VertexId> articulation_points;
-
-  bool is_bridge(EdgeId e) const;
-  bool is_articulation_point(VertexId v) const;
 };
 
 /// Runs the analysis over every component. O(n + m).

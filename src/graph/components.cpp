@@ -1,7 +1,6 @@
 #include "graph/components.h"
 
 #include <queue>
-#include <stdexcept>
 
 namespace nfvm::graph {
 
@@ -26,33 +25,6 @@ Components connected_components(const Graph& g) {
     }
   }
   return result;
-}
-
-bool is_connected(const Graph& g) {
-  return connected_components(g).count <= 1;
-}
-
-std::vector<VertexId> reachable_from(const Graph& g, VertexId source) {
-  if (!g.has_vertex(source)) {
-    throw std::out_of_range("reachable_from: invalid source");
-  }
-  std::vector<bool> seen(g.num_vertices(), false);
-  std::vector<VertexId> order;
-  std::queue<VertexId> queue;
-  seen[source] = true;
-  queue.push(source);
-  while (!queue.empty()) {
-    const VertexId u = queue.front();
-    queue.pop();
-    order.push_back(u);
-    for (const Adjacency& adj : g.neighbors(u)) {
-      if (!seen[adj.neighbor]) {
-        seen[adj.neighbor] = true;
-        queue.push(adj.neighbor);
-      }
-    }
-  }
-  return order;
 }
 
 }  // namespace nfvm::graph

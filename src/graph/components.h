@@ -1,4 +1,4 @@
-// Connected components and reachability queries.
+// Connected components.
 #pragma once
 
 #include <vector>
@@ -19,11 +19,5 @@ struct Components {
 
 /// Labels connected components via BFS.
 Components connected_components(const Graph& g);
-
-/// True iff the whole graph is one connected component (empty graph: true).
-bool is_connected(const Graph& g);
-
-/// Vertices reachable from `source` (including `source`).
-std::vector<VertexId> reachable_from(const Graph& g, VertexId source);
 
 }  // namespace nfvm::graph

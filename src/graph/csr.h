@@ -9,8 +9,8 @@
 // tie-break on scan order behave identically on either representation.
 //
 // A view records the (uid, epoch) of the graph it was built from;
-// `matches()` detects both mutation (epoch bump from add_edge / set_weight /
-// add_vertex) and rebinding to a different graph object (uid change).
+// `matches()` detects both mutation (epoch bump from add_edge / set_weight)
+// and rebinding to a different graph object (uid change).
 #pragma once
 
 #include <cstdint>

@@ -53,19 +53,6 @@ Graph& Graph::operator=(Graph&& other) noexcept {
   return *this;
 }
 
-VertexId Graph::add_vertex() {
-  adjacency_.emplace_back();
-  ++epoch_;
-  return static_cast<VertexId>(adjacency_.size() - 1);
-}
-
-VertexId Graph::add_vertices(std::size_t count) {
-  const VertexId first = static_cast<VertexId>(adjacency_.size());
-  adjacency_.resize(adjacency_.size() + count);
-  ++epoch_;
-  return first;
-}
-
 void Graph::check_vertex(VertexId v) const {
   if (!has_vertex(v)) {
     throw std::out_of_range("Graph: invalid vertex id " + std::to_string(v));
@@ -109,23 +96,6 @@ std::span<const Adjacency> Graph::neighbors(VertexId v) const {
   return adjacency_[v];
 }
 
-std::size_t Graph::degree(VertexId v) const {
-  check_vertex(v);
-  std::size_t deg = adjacency_[v].size();
-  // Self-loops appear once in the adjacency list but count twice.
-  for (const Adjacency& adj : adjacency_[v]) {
-    if (adj.neighbor == v) ++deg;
-  }
-  return deg;
-}
-
-VertexId Graph::other_endpoint(EdgeId e, VertexId x) const {
-  const Edge& ed = edge(e);
-  if (ed.u == x) return ed.v;
-  if (ed.v == x) return ed.u;
-  throw std::invalid_argument("Graph::other_endpoint: vertex is not an endpoint");
-}
-
 std::optional<EdgeId> Graph::find_edge(VertexId u, VertexId v) const {
   check_vertex(u);
   check_vertex(v);
@@ -135,12 +105,6 @@ std::optional<EdgeId> Graph::find_edge(VertexId u, VertexId v) const {
     if (adj.neighbor == want) return adj.edge;
   }
   return std::nullopt;
-}
-
-double Graph::total_weight() const noexcept {
-  double sum = 0.0;
-  for (const Edge& e : edges_) sum += e.weight;
-  return sum;
 }
 
 }  // namespace nfvm::graph

@@ -61,11 +61,6 @@ class Graph {
   Graph& operator=(Graph&& other) noexcept;
   ~Graph() = default;
 
-  /// Appends an isolated vertex and returns its id.
-  VertexId add_vertex();
-  /// Appends `count` isolated vertices; returns the id of the first.
-  VertexId add_vertices(std::size_t count);
-
   /// Adds an undirected edge. Self-loops and parallel edges are permitted
   /// (parallel edges arise naturally in pseudo-multicast accounting).
   /// Throws std::out_of_range for invalid endpoints and
@@ -88,29 +83,18 @@ class Graph {
   /// Neighbors of `v` in insertion order. Throws std::out_of_range.
   std::span<const Adjacency> neighbors(VertexId v) const;
 
-  /// Degree counting parallel edges; a self-loop contributes 2.
-  std::size_t degree(VertexId v) const;
-
-  /// The endpoint of `e` that is not `x`. For a self-loop returns `x`.
-  /// Throws std::invalid_argument if `x` is not an endpoint of `e`.
-  VertexId other_endpoint(EdgeId e, VertexId x) const;
-
   /// Finds some edge between u and v (linear in min degree), if any.
   std::optional<EdgeId> find_edge(VertexId u, VertexId v) const;
 
   /// All edges, indexed by EdgeId.
   std::span<const Edge> edges() const noexcept { return edges_; }
 
-  /// Sum of all edge weights.
-  double total_weight() const noexcept;
-
   /// Identity of this graph object, unique process-wide. Copies get a fresh
   /// uid; moves transfer it. Derived structures (CSR views, shortest-path
   /// caches) key on (uid, epoch) to detect both mutation and rebinding.
   std::uint64_t uid() const noexcept { return uid_; }
 
-  /// Mutation counter: bumped by every add_vertex / add_vertices / add_edge /
-  /// set_weight. A view or cache built at epoch e is stale iff
+  /// Mutation counter: bumped by every add_edge / set_weight. A view or cache built at epoch e is stale iff
   /// epoch() != e (for the same uid()).
   std::uint64_t epoch() const noexcept { return epoch_; }
 

@@ -1,15 +1,13 @@
 #include "graph/mst.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "graph/union_find.h"
 
 namespace nfvm::graph {
-namespace {
 
-MstResult kruskal_impl(const Graph& g, std::vector<EdgeId> candidate_edges,
-                       bool require_all_vertices) {
+MstResult kruskal_mst_subset(const Graph& g, std::span<const EdgeId> edges) {
+  std::vector<EdgeId> candidate_edges(edges.begin(), edges.end());
   std::stable_sort(candidate_edges.begin(), candidate_edges.end(),
                    [&g](EdgeId a, EdgeId b) { return g.weight(a) < g.weight(b); });
 
@@ -30,12 +28,12 @@ MstResult kruskal_impl(const Graph& g, std::vector<EdgeId> candidate_edges,
     }
   }
 
-  // The forest spans if every (relevant) vertex is in one component.
+  // The forest spans if every touched vertex is in one component.
   std::size_t root = static_cast<std::size_t>(-1);
   bool spanning = true;
   bool any = false;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (!require_all_vertices && !touched[v]) continue;
+    if (!touched[v]) continue;
     any = true;
     const std::size_t r = uf.find(v);
     if (root == static_cast<std::size_t>(-1)) {
@@ -47,19 +45,6 @@ MstResult kruskal_impl(const Graph& g, std::vector<EdgeId> candidate_edges,
   }
   result.spanning = any && spanning;
   return result;
-}
-
-}  // namespace
-
-MstResult kruskal_mst(const Graph& g) {
-  std::vector<EdgeId> all(g.num_edges());
-  std::iota(all.begin(), all.end(), EdgeId{0});
-  return kruskal_impl(g, std::move(all), /*require_all_vertices=*/true);
-}
-
-MstResult kruskal_mst_subset(const Graph& g, std::span<const EdgeId> edges) {
-  return kruskal_impl(g, std::vector<EdgeId>(edges.begin(), edges.end()),
-                      /*require_all_vertices=*/false);
 }
 
 }  // namespace nfvm::graph

@@ -1,4 +1,4 @@
-// Minimum spanning trees / forests (Kruskal).
+// Minimum spanning forests (Kruskal) over a subset of a graph's edges.
 #pragma once
 
 #include <span>
@@ -13,17 +13,15 @@ struct MstResult {
   std::vector<EdgeId> edges;
   /// Total weight of the forest.
   double weight = 0.0;
-  /// True iff the forest is a single tree spanning every vertex.
+  /// True iff the chosen edges connect every vertex `edges` touches (and
+  /// there is at least one).
   bool spanning = false;
 };
-
-/// Minimum spanning forest of the whole graph. Deterministic: ties are
-/// broken by edge id.
-MstResult kruskal_mst(const Graph& g);
 
 /// Minimum spanning forest restricted to `edges` (ids into `g`). Vertices
 /// not touched by `edges` are ignored for the `spanning` flag, which instead
 /// reports whether the chosen edges connect all touched vertices.
+/// Deterministic: ties are broken by position in `edges`.
 MstResult kruskal_mst_subset(const Graph& g, std::span<const EdgeId> edges);
 
 }  // namespace nfvm::graph

@@ -207,14 +207,6 @@ ShortestPaths SpEngine::shortest_paths(const Graph& g, VertexId source) {
   return sp;
 }
 
-ShortestPaths SpEngine::shortest_paths_masked(
-    const Graph& g, VertexId source, std::span<const std::uint8_t> edge_mask) {
-  ShortestPaths sp;
-  sp.source = source;
-  compute(g, sp, edge_mask);
-  return sp;
-}
-
 std::vector<ShortestPaths> SpEngine::batch_shortest_paths(
     const Graph& g, std::span<const VertexId> sources,
     std::span<const std::uint8_t> edge_mask) {

@@ -86,17 +86,10 @@ class SpEngine {
   /// Throws std::out_of_range for a bad source.
   ShortestPaths shortest_paths(const Graph& g, VertexId source);
 
-  /// Dijkstra ignoring edges whose mask byte is zero. `edge_mask` must
+  /// Batched multi-source SSSP ignoring edges whose mask byte is zero:
+  /// one view refresh serves every source in order (slot i = tree from
+  /// sources[i]), so the batch pays a single CSR sync. `edge_mask` must
   /// cover every EdgeId of `g`; an empty mask means all edges allowed.
-  /// Callers that evaluate the same predicate across many sources
-  /// precompute the mask once.
-  ShortestPaths shortest_paths_masked(const Graph& g, VertexId source,
-                                      std::span<const std::uint8_t> edge_mask);
-
-  /// Batched multi-source SSSP: one view refresh serves every source in
-  /// order (slot i = tree from sources[i]), so the batch pays a single CSR
-  /// sync. Results are bit-identical to calling shortest_paths_masked per
-  /// source.
   std::vector<ShortestPaths> batch_shortest_paths(
       const Graph& g, std::span<const VertexId> sources,
       std::span<const std::uint8_t> edge_mask = {});

@@ -299,12 +299,6 @@ void SpTreeStore::clear() {
   log_base_ = 0;
 }
 
-std::size_t SpTreeStore::size() const noexcept {
-  return static_cast<std::size_t>(std::count_if(
-      entries_.begin(), entries_.end(),
-      [](const Entry& entry) { return entry.tree != nullptr; }));
-}
-
 void SpTreeStore::sync(const Graph& g, std::span<const std::uint8_t> edge_mask) {
   const std::size_t m = g.num_edges();
   const std::span<const Edge> edges = g.edges();

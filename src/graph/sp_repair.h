@@ -74,9 +74,6 @@ class SpTreeStore {
   /// Drops every stored tree, the weight snapshot and the change log.
   void clear();
 
-  /// Persistent trees currently held.
-  std::size_t size() const noexcept;
-
  private:
   struct Entry {
     std::shared_ptr<ShortestPaths> tree;  // null until first built

@@ -2,7 +2,6 @@
 
 #include "graph/dijkstra.h"
 #include "graph/kmb_kernel.h"
-#include "graph/union_find.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/thread_pool.h"
@@ -98,30 +97,6 @@ SteinerResult kmb_steiner_from_tables(
   tables.resize(terms.size());
   for (std::size_t i = 0; i < terms.size(); ++i) tables[i] = &table_for(terms[i]);
   return kmb_from_terminal_tables(g, terms, tables);
-}
-
-bool is_steiner_tree(const Graph& g, std::span<const EdgeId> edges,
-                     std::span<const VertexId> terminals) {
-  const std::vector<VertexId> terms = distinct_terminals(g, terminals);
-  if (terms.size() == 1) return edges.empty();
-
-  UnionFind uf(g.num_vertices());
-  std::vector<bool> touched(g.num_vertices(), false);
-  for (EdgeId e : edges) {
-    if (!g.has_edge(e)) return false;
-    const Edge& ed = g.edge(e);
-    if (!uf.unite(ed.u, ed.v)) return false;  // cycle (or self-loop)
-    touched[ed.u] = true;
-    touched[ed.v] = true;
-  }
-  for (VertexId t : terms) {
-    if (!touched[t]) return false;
-    if (uf.find(t) != uf.find(terms[0])) return false;
-  }
-  // Connected over touched vertices: #touched vertices == #edges + 1.
-  std::size_t touched_count = 0;
-  for (bool b : touched) touched_count += b ? 1 : 0;
-  return touched_count == edges.size() + 1;
 }
 
 }  // namespace nfvm::graph

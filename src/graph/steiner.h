@@ -53,10 +53,4 @@ SteinerResult kmb_steiner_from_tables(
     const Graph& g, std::span<const VertexId> terminals,
     const std::function<const ShortestPaths&(VertexId)>& table_for);
 
-/// Checks that `edges` forms a tree (acyclic, connected over touched
-/// vertices) containing every terminal. Utility shared by tests and the
-/// pseudo-multicast validator.
-bool is_steiner_tree(const Graph& g, std::span<const EdgeId> edges,
-                     std::span<const VertexId> terminals);
-
 }  // namespace nfvm::graph

@@ -117,26 +117,6 @@ bool RootedTree::contains(VertexId v) const {
   return v < present_.size() && present_[v];
 }
 
-VertexId RootedTree::parent(VertexId v) const {
-  check_present(v);
-  return parent_[v];
-}
-
-EdgeId RootedTree::parent_edge(VertexId v) const {
-  check_present(v);
-  return parent_edge_[v];
-}
-
-std::size_t RootedTree::depth(VertexId v) const {
-  check_present(v);
-  return depth_[v];
-}
-
-double RootedTree::dist_from_root(VertexId v) const {
-  check_present(v);
-  return dist_[v];
-}
-
 VertexId RootedTree::lca(VertexId a, VertexId b) const {
   check_present(a);
   check_present(b);
@@ -161,10 +141,6 @@ VertexId RootedTree::lca(std::span<const VertexId> vertices) const {
   VertexId acc = vertices.front();
   for (std::size_t i = 1; i < vertices.size(); ++i) acc = lca(acc, vertices[i]);
   return acc;
-}
-
-bool RootedTree::is_ancestor(VertexId ancestor, VertexId v) const {
-  return lca(ancestor, v) == ancestor;
 }
 
 std::vector<VertexId> RootedTree::path_vertices(VertexId a, VertexId b) const {

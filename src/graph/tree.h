@@ -33,23 +33,11 @@ class RootedTree {
   /// True iff `v` belongs to the root's tree.
   bool contains(VertexId v) const;
 
-  /// Parent of v (kInvalidVertex for the root). Throws if !contains(v).
-  VertexId parent(VertexId v) const;
-  /// Edge to the parent (kInvalidEdge for the root).
-  EdgeId parent_edge(VertexId v) const;
-  /// Depth in edges from the root.
-  std::size_t depth(VertexId v) const;
-  /// Sum of edge weights on the root -> v path.
-  double dist_from_root(VertexId v) const;
-
   /// Lowest common ancestor of two vertices in the root's tree.
   VertexId lca(VertexId a, VertexId b) const;
   /// Iterated LCA over a non-empty vertex list:
   /// LCA(x1,...,xn) = LCA(LCA(x1,...,x(n-1)), xn). Throws on empty input.
   VertexId lca(std::span<const VertexId> vertices) const;
-
-  /// True iff `ancestor` lies on the root -> v path (inclusive).
-  bool is_ancestor(VertexId ancestor, VertexId v) const;
 
   /// Vertices of the unique tree path a -> b (inclusive, in travel order).
   std::vector<VertexId> path_vertices(VertexId a, VertexId b) const;

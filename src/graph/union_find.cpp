@@ -28,6 +28,4 @@ bool UnionFind::unite(std::size_t a, std::size_t b) {
   return true;
 }
 
-std::size_t UnionFind::set_size(std::size_t x) { return size_[find(x)]; }
-
 }  // namespace nfvm::graph

@@ -18,9 +18,6 @@ class UnionFind {
 
   bool connected(std::size_t a, std::size_t b) { return find(a) == find(b); }
 
-  /// Size of x's set.
-  std::size_t set_size(std::size_t x);
-
   /// Current number of disjoint sets.
   std::size_t num_sets() const noexcept { return num_sets_; }
 

@@ -1,21 +1,11 @@
 #include "io/serialize.h"
 
-#include <algorithm>
 #include <iomanip>
 #include <limits>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 namespace nfvm::io {
-namespace {
-
-[[noreturn]] void parse_error(std::size_t line, const std::string& message) {
-  throw std::runtime_error("read_topology: line " + std::to_string(line) + ": " +
-                           message);
-}
-
-}  // namespace
 
 void write_topology(std::ostream& os, const topo::Topology& topo) {
   if (topo.link_bandwidth.size() != topo.num_links() ||
@@ -43,117 +33,6 @@ void write_topology(std::ostream& os, const topo::Topology& topo) {
     if (topo.has_delays()) os << " " << topo.link_delay_ms[e];
     os << "\n";
   }
-}
-
-std::string topology_to_string(const topo::Topology& topo) {
-  std::ostringstream oss;
-  write_topology(oss, topo);
-  return oss.str();
-}
-
-topo::Topology read_topology(std::istream& is) {
-  topo::Topology topo;
-  std::string line;
-  std::size_t line_no = 0;
-  bool saw_header = false;
-  bool saw_nodes = false;
-  std::vector<std::pair<graph::VertexId, double>> servers;
-
-  auto require_nodes = [&](std::size_t at_line) {
-    if (!saw_nodes) parse_error(at_line, "directive before 'nodes'");
-  };
-  auto check_vertex = [&](long long v, std::size_t at_line) {
-    if (v < 0 || static_cast<std::size_t>(v) >= topo.num_switches()) {
-      parse_error(at_line, "vertex id out of range");
-    }
-    return static_cast<graph::VertexId>(v);
-  };
-
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    std::string directive;
-    ls >> directive;
-    if (!saw_header) {
-      int version = 0;
-      if (directive != "nfvm-topology" || !(ls >> version) || version != 1) {
-        parse_error(line_no, "expected header 'nfvm-topology 1'");
-      }
-      saw_header = true;
-      continue;
-    }
-    if (directive == "name") {
-      ls >> topo.name;
-    } else if (directive == "nodes") {
-      std::size_t n = 0;
-      if (!(ls >> n) || n == 0) parse_error(line_no, "bad node count");
-      if (saw_nodes) parse_error(line_no, "duplicate 'nodes' directive");
-      topo.graph = graph::Graph(n);
-      topo.server_compute.assign(n, 0.0);
-      saw_nodes = true;
-    } else if (directive == "coord") {
-      require_nodes(line_no);
-      long long v = -1;
-      double x = 0;
-      double y = 0;
-      if (!(ls >> v >> x >> y)) parse_error(line_no, "bad coord line");
-      const graph::VertexId vid = check_vertex(v, line_no);
-      if (topo.coords.empty()) topo.coords.resize(topo.num_switches());
-      topo.coords[vid] = topo::Point{x, y};
-    } else if (directive == "table") {
-      require_nodes(line_no);
-      long long v = -1;
-      double entries = 0;
-      if (!(ls >> v >> entries) || !(entries >= 1)) {
-        parse_error(line_no, "bad table line");
-      }
-      if (topo.switch_table_capacity.empty()) {
-        topo.switch_table_capacity.assign(topo.num_switches(), 1.0);
-      }
-      topo.switch_table_capacity[check_vertex(v, line_no)] = entries;
-    } else if (directive == "server") {
-      require_nodes(line_no);
-      long long v = -1;
-      double mhz = 0;
-      if (!(ls >> v >> mhz) || !(mhz > 0)) parse_error(line_no, "bad server line");
-      servers.emplace_back(check_vertex(v, line_no), mhz);
-    } else if (directive == "edge") {
-      require_nodes(line_no);
-      long long u = -1;
-      long long v = -1;
-      double mbps = 0;
-      if (!(ls >> u >> v >> mbps) || !(mbps > 0)) parse_error(line_no, "bad edge line");
-      topo.graph.add_edge(check_vertex(u, line_no), check_vertex(v, line_no), 1.0);
-      topo.link_bandwidth.push_back(mbps);
-      double delay = 0.0;
-      if (ls >> delay) {
-        if (!(delay > 0)) parse_error(line_no, "non-positive edge delay");
-        topo.link_delay_ms.push_back(delay);
-      } else if (!topo.link_delay_ms.empty()) {
-        parse_error(line_no, "edge missing delay while earlier edges have one");
-      }
-    } else {
-      parse_error(line_no, "unknown directive '" + directive + "'");
-    }
-  }
-  if (!saw_header) parse_error(line_no, "missing header");
-  if (!saw_nodes) parse_error(line_no, "missing 'nodes' directive");
-
-  std::sort(servers.begin(), servers.end());
-  for (const auto& [v, mhz] : servers) {
-    if (!topo.servers.empty() && topo.servers.back() == v) {
-      throw std::runtime_error("read_topology: duplicate server " + std::to_string(v));
-    }
-    topo.servers.push_back(v);
-    topo.server_compute[v] = mhz;
-  }
-  return topo;
-}
-
-topo::Topology topology_from_string(const std::string& text) {
-  std::istringstream iss(text);
-  return read_topology(iss);
 }
 
 }  // namespace nfvm::io

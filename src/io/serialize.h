@@ -1,8 +1,7 @@
-// Plain-text topology serialization.
+// Plain-text topology export (nfvm-sim --dump-topology).
 //
-// A small line-oriented format so topologies can be saved, diffed, versioned
-// and re-loaded (e.g. to pin one generated network for a whole experiment
-// campaign, or to import a real map in Topology Zoo edge-list style):
+// A small line-oriented format so a generated network can be saved, diffed
+// and versioned:
 //
 //   nfvm-topology 1
 //   name <string>
@@ -11,12 +10,9 @@
 //   server <vertex> <compute_mhz>     (one per server)
 //   table <vertex> <entries>          (optional, one per switch when present)
 //   edge <u> <v> <bandwidth_mbps> [delay_ms]   (one per link, insertion order)
-//
-// Lines starting with '#' and blank lines are ignored.
 #pragma once
 
 #include <iosfwd>
-#include <string>
 
 #include "topology/topology.h"
 
@@ -25,11 +21,5 @@ namespace nfvm::io {
 /// Serializes a topology. Link bandwidths / server capacities must be
 /// assigned (write uses them); throws std::invalid_argument otherwise.
 void write_topology(std::ostream& os, const topo::Topology& topo);
-std::string topology_to_string(const topo::Topology& topo);
-
-/// Parses the format above. Throws std::runtime_error with a line number on
-/// malformed input (unknown directive, out-of-range vertex, missing header).
-topo::Topology read_topology(std::istream& is);
-topo::Topology topology_from_string(const std::string& text);
 
 }  // namespace nfvm::io

@@ -37,8 +37,4 @@ double compute_demand_per_100mbps(NetworkFunction nf) {
 
 double processing_delay_ms(NetworkFunction nf) { return profile(nf).delay_ms; }
 
-NetworkFunction random_network_function(util::Rng& rng) {
-  return kAllNetworkFunctions[rng.next_below(kNumNetworkFunctions)];
-}
-
 }  // namespace nfvm::nfv

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <string_view>
 
-#include "util/rng.h"
 
 namespace nfvm::nfv {
 
@@ -41,8 +40,5 @@ double compute_demand_per_100mbps(NetworkFunction nf);
 /// Per-packet processing latency added by one NF instance, in ms. Used by
 /// the delay-constrained extension (core/delay.h).
 double processing_delay_ms(NetworkFunction nf);
-
-/// Uniformly random NF.
-NetworkFunction random_network_function(util::Rng& rng);
 
 }  // namespace nfvm::nfv

@@ -62,11 +62,6 @@ double ResourceState::residual_table_entries(graph::VertexId v) const {
   return residual_table_.at(v);
 }
 
-double ResourceState::table_capacity(graph::VertexId v) const {
-  if (!tracks_tables()) return std::numeric_limits<double>::infinity();
-  return table_capacity_.at(v);
-}
-
 namespace {
 std::vector<std::pair<std::size_t, double>> aggregate_tables(
     const std::vector<graph::VertexId>& entries) {
@@ -184,22 +179,6 @@ void ResourceState::restore_residuals(const ResourceResiduals& residuals) {
   residual_bandwidth_ = residuals.bandwidth;
   residual_compute_ = residuals.compute;
   residual_table_ = residuals.table;
-}
-
-double ResourceState::total_allocated_bandwidth() const {
-  double total = 0.0;
-  for (std::size_t e = 0; e < residual_bandwidth_.size(); ++e) {
-    total += bandwidth_capacity_[e] - residual_bandwidth_[e];
-  }
-  return total;
-}
-
-double ResourceState::total_allocated_compute() const {
-  double total = 0.0;
-  for (std::size_t v = 0; v < residual_compute_.size(); ++v) {
-    total += compute_capacity_[v] - residual_compute_[v];
-  }
-  return total;
 }
 
 }  // namespace nfvm::nfv

@@ -49,7 +49,6 @@ class ResourceState {
   /// Initializes residuals to the topology's full capacities.
   explicit ResourceState(const topo::Topology& topo);
 
-  double bandwidth_capacity(graph::EdgeId e) const { return bandwidth_capacity_.at(e); }
   double residual_bandwidth(graph::EdgeId e) const { return residual_bandwidth_.at(e); }
   double compute_capacity(graph::VertexId v) const { return compute_capacity_.at(v); }
   double residual_compute(graph::VertexId v) const { return residual_compute_.at(v); }
@@ -58,7 +57,6 @@ class ResourceState {
   bool tracks_tables() const noexcept { return !table_capacity_.empty(); }
   /// Residual flow entries at switch v; +infinity when not tracked.
   double residual_table_entries(graph::VertexId v) const;
-  double table_capacity(graph::VertexId v) const;
 
   /// Utilization in [0, 1]: 1 - residual/capacity.
   double bandwidth_utilization(graph::EdgeId e) const;
@@ -88,11 +86,6 @@ class ResourceState {
   /// value lies outside [0, capacity] - a snapshot taken on a different
   /// network must fail loudly, not restore garbage.
   void restore_residuals(const ResourceResiduals& residuals);
-
-  /// Sum of allocated bandwidth over all links (Mbps).
-  double total_allocated_bandwidth() const;
-  /// Sum of allocated compute over all servers (MHz).
-  double total_allocated_compute() const;
 
  private:
   std::vector<double> bandwidth_capacity_;

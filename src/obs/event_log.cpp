@@ -73,11 +73,4 @@ void EventLog::set_stamp(const JsonLine& stamp) {
   stamp_ = stamp.body();
 }
 
-void EventLog::close() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (sink_ == &out_ && out_.is_open()) out_.close();
-  if (sink_ != nullptr && sink_ != &out_) sink_->flush();
-  sink_ = nullptr;
-}
-
 }  // namespace nfvm::obs

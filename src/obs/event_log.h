@@ -71,9 +71,6 @@ class EventLog {
   /// even when cut out of its bundle. Call before the first write.
   void set_stamp(const JsonLine& stamp);
 
-  /// Flushes and closes the sink.
-  void close();
-
  private:
   std::mutex mu_;
   std::ofstream out_;

@@ -76,12 +76,4 @@ double HdrHistogram::quantile(double q) const {
   return obs::estimate_quantile(snapshot_buckets(), q, min(), max());
 }
 
-void HdrHistogram::reset() noexcept {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(std::numeric_limits<double>::infinity(), std::memory_order_relaxed);
-  max_.store(-std::numeric_limits<double>::infinity(), std::memory_order_relaxed);
-}
-
 }  // namespace nfvm::obs

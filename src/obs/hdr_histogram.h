@@ -69,8 +69,6 @@ class HdrHistogram {
   /// emits and estimate_quantile consumes.
   std::vector<HistogramBucket> snapshot_buckets() const;
 
-  void reset() noexcept;
-
  private:
   std::array<std::atomic<std::uint64_t>, kNumBuckets> buckets_{};
   std::atomic<std::uint64_t> count_{0};

@@ -129,12 +129,6 @@ JsonWriter& JsonWriter::value(bool flag) {
   return *this;
 }
 
-JsonWriter& JsonWriter::null() {
-  before_value();
-  raw("null");
-  return *this;
-}
-
 JsonWriter& JsonWriter::raw_value(std::string_view json) {
   before_value();
   raw(json);
@@ -162,6 +156,17 @@ void JsonWriter::raw(std::string_view text) { out_ << text; }
 const JsonValue& JsonValue::at(const std::string& key) const {
   if (!has(key)) throw std::runtime_error("missing key: " + key);
   return object.at(key);
+}
+
+std::uint64_t json_uint(const JsonValue& v, std::string_view what, std::uint64_t max) {
+  // Every double of 2^64 or more is out of the cast's range: test it first.
+  if (v.is_number() && v.number >= 0 && v.number < 0x1p64 &&
+      v.number == std::floor(v.number)) {
+    const auto value = static_cast<std::uint64_t>(v.number);
+    if (value <= max) return value;
+  }
+  throw std::runtime_error(std::string(what) + " must be an integer in [0, " +
+                           std::to_string(max) + "]");
 }
 
 namespace {

@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <map>
 #include <string>
 #include <string_view>
@@ -55,7 +56,6 @@ class JsonWriter {
   JsonWriter& value(std::uint64_t number);
   JsonWriter& value(std::int64_t number);
   JsonWriter& value(bool flag);
-  JsonWriter& null();
 
   /// Splices pre-serialized JSON in value position (comma placement still
   /// handled). The caller guarantees `json` is one complete valid value -
@@ -104,6 +104,13 @@ struct JsonValue {
   /// consumers treat a missing key as a malformed artifact).
   const JsonValue& at(const std::string& key) const;
 };
+
+/// `v` as an unsigned integer no larger than `max` (the target id type's
+/// range, say). Throws std::runtime_error naming `what` unless `v` is a
+/// number with no fraction in [0, max]; the range is checked before the
+/// cast, which is undefined behaviour for a double the target cannot hold.
+std::uint64_t json_uint(const JsonValue& v, std::string_view what,
+                        std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 /// Deepest container nesting parse_json accepts. The parser recurses once
 /// per level, so the cap keeps a hostile line from exhausting the stack;

@@ -20,7 +20,6 @@ std::string_view to_string(LogLevel level);
 std::optional<LogLevel> parse_log_level(std::string_view name);
 
 void set_log_level(LogLevel level);
-LogLevel log_level();
 bool log_enabled(LogLevel level);
 
 void log_message(LogLevel level, std::string_view message);

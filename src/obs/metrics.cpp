@@ -90,15 +90,8 @@ WindowedHistogram* Registry::windowed_histogram(std::string_view name) {
   const auto it = windowed_.find(name);
   if (it != windowed_.end()) return it->second.get();
   return windowed_
-      .emplace(std::string(name),
-               std::make_unique<WindowedHistogram>(
-                   window_options_ ? *window_options_ : WindowOptions{}))
+      .emplace(std::string(name), std::make_unique<WindowedHistogram>())
       .first->second.get();
-}
-
-void Registry::set_window_options(const WindowOptions& options) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  window_options_ = std::make_unique<WindowOptions>(options);
 }
 
 std::vector<std::pair<std::string, WindowedHistogram*>>
@@ -108,14 +101,6 @@ Registry::windowed_instruments() const {
   out.reserve(windowed_.size());
   for (const auto& [name, w] : windowed_) out.emplace_back(name, w.get());
   return out;
-}
-
-void Registry::reset_values() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : hdr_histograms_) h->reset();
-  for (auto& [name, w] : windowed_) w->reset();
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> Registry::counter_snapshot() const {
@@ -131,14 +116,6 @@ std::vector<std::pair<std::string, double>> Registry::gauge_snapshot() const {
   std::vector<std::pair<std::string, double>> out;
   out.reserve(gauges_.size());
   for (const auto& [name, g] : gauges_) out.emplace_back(name, g->value());
-  return out;
-}
-
-std::vector<std::string> Registry::counter_names() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(counters_.size());
-  for (const auto& [name, c] : counters_) out.push_back(name);
   return out;
 }
 

@@ -8,9 +8,8 @@
 //   * Call sites use the NFVM_COUNTER_* / NFVM_*_OBSERVE macros, which
 //     cache the instrument pointer in a function-local static: after the
 //     first execution an increment is one relaxed fetch_add.
-//   * Instrument pointers are stable for the life of the process.
-//     Registry::reset_values() zeroes every instrument but never removes
-//     one, so cached pointers stay valid across simulation runs.
+//   * Instrument pointers are stable for the life of the process: the
+//     registry never removes an instrument.
 //   * Compiling with -DNFVM_OBS=0 (CMake: cmake -DNFVM_OBS=0) turns every
 //     macro into a no-op; the classes remain available so code that uses
 //     them directly still builds.
@@ -43,7 +42,6 @@ class Counter {
   std::uint64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
@@ -54,7 +52,6 @@ class Gauge {
  public:
   void set(double value) noexcept { value_.store(value, std::memory_order_relaxed); }
   double value() const noexcept { return value_.load(std::memory_order_relaxed); }
-  void reset() noexcept { set(0.0); }
 
  private:
   std::atomic<double> value_{0.0};
@@ -85,7 +82,6 @@ double estimate_quantile(const std::vector<HistogramBucket>& buckets, double q,
 
 class HdrHistogram;        // obs/hdr_histogram.h
 class WindowedHistogram;   // obs/window.h
-struct WindowOptions;      // obs/window.h
 
 /// Name -> instrument map. Lookups are mutex-guarded; use the macros (or
 /// cache the returned pointer) on hot paths.
@@ -107,30 +103,19 @@ class Registry {
   /// "histograms" JSON section tagged "kind": "hdr".
   HdrHistogram* hdr_histogram(std::string_view name);
   /// Time-aware instrument (obs/window.h): sliding-window + decaying views
-  /// of one sample stream. Created with the registry's default WindowOptions
-  /// (set_window_options); never part of write_json - windowed state is
-  /// emitted per tick in the nfvm-timeseries-v2 "windows" section instead.
+  /// of one sample stream, with the default WindowOptions. Never part of
+  /// write_json - windowed state is emitted per tick in the
+  /// nfvm-timeseries-v2 "windows" section instead.
   WindowedHistogram* windowed_histogram(std::string_view name);
-
-  /// Options applied to windowed instruments created after this call
-  /// (existing instruments keep theirs) - call before the first
-  /// NFVM_WINDOW_OBSERVE executes to change the process-wide defaults.
-  void set_window_options(const WindowOptions& options);
 
   /// Name -> instrument pointers of every windowed histogram (sorted by
   /// name; pointers are registry-lifetime stable). The sampler snapshots
   /// these outside the registry lock.
   std::vector<std::pair<std::string, WindowedHistogram*>> windowed_instruments() const;
 
-  /// Zeroes every instrument's value. Never removes instruments, so
-  /// pointers cached by call sites stay valid. Use between runs.
-  void reset_values();
-
   /// Snapshots for tests and ad-hoc consumers (sorted by name).
   std::vector<std::pair<std::string, std::uint64_t>> counter_snapshot() const;
   std::vector<std::pair<std::string, double>> gauge_snapshot() const;
-  /// Names of all registered instruments of each kind (sorted).
-  std::vector<std::string> counter_names() const;
 
   /// Writes the whole registry as one JSON object ("nfvm-metrics-v2"):
   ///   {"schema": "nfvm-metrics-v2",
@@ -153,7 +138,6 @@ class Registry {
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<HdrHistogram>, std::less<>> hdr_histograms_;
   std::map<std::string, std::unique_ptr<WindowedHistogram>, std::less<>> windowed_;
-  std::unique_ptr<WindowOptions> window_options_;  // null = library defaults
 };
 
 /// Schema tag written by Registry::write_json.

@@ -155,9 +155,7 @@ void TimeseriesSampler::write_sample(bool final_sample) {
       }
       const auto it = prev_counters_.find(name);
       const std::uint64_t prev_value = it == prev_counters_.end() ? 0 : it->second;
-      return now_value >= prev_value
-                 ? static_cast<double>(now_value - prev_value)
-                 : 0.0;  // reset_values between samples
+      return static_cast<double>(now_value - prev_value);  // counters only grow
     };
     const double d_requests = delta("online.requests");
     const double d_admitted = delta("online.admitted");

@@ -16,9 +16,6 @@ std::uint32_t this_thread_ordinal() {
   return ordinal;
 }
 
-/// Current span nesting depth of this thread.
-thread_local std::uint32_t tls_span_depth = 0;
-
 }  // namespace
 
 Tracer& Tracer::global() {
@@ -38,21 +35,6 @@ void Tracer::start() {
 
 void Tracer::stop() { enabled_.store(false, std::memory_order_relaxed); }
 
-void Tracer::set_max_events(std::size_t max_events) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  max_events_ = max_events;
-}
-
-std::size_t Tracer::num_events() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return events_.size();
-}
-
-std::vector<TraceEvent> Tracer::snapshot() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return events_;
-}
-
 double Tracer::now_us() const noexcept {
   if (!enabled()) return 0.0;
   return std::chrono::duration<double, std::micro>(
@@ -60,14 +42,13 @@ double Tracer::now_us() const noexcept {
       .count();
 }
 
-void Tracer::record(const char* name, double ts_us, double dur_us,
-                    std::uint32_t depth) {
+void Tracer::record(const char* name, double ts_us, double dur_us) {
   const std::lock_guard<std::mutex> lock(mu_);
   if (events_.size() >= max_events_) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  events_.push_back(TraceEvent{name, ts_us, dur_us, this_thread_ordinal(), depth});
+  events_.push_back(TraceEvent{name, ts_us, dur_us, this_thread_ordinal()});
 }
 
 void Tracer::write_chrome_trace(std::ostream& out) const {
@@ -97,21 +78,17 @@ void Tracer::write_chrome_trace(std::ostream& out) const {
 
 SpanScope::SpanScope(const char* name) noexcept
     : name_(Tracer::global().enabled() ? name : nullptr) {
-  if (name_ != nullptr) {
-    depth_ = ++tls_span_depth;
-    start_us_ = Tracer::global().now_us();
-  }
+  if (name_ != nullptr) start_us_ = Tracer::global().now_us();
 }
 
 SpanScope::~SpanScope() {
   if (name_ == nullptr) return;
-  --tls_span_depth;
   Tracer& tracer = Tracer::global();
   // If the tracer was stopped mid-span, now_us() is 0; drop the event
   // rather than record a negative duration.
   const double end_us = tracer.now_us();
   if (end_us < start_us_) return;
-  tracer.record(name_, start_us_, end_us - start_us_, depth_);
+  tracer.record(name_, start_us_, end_us - start_us_);
 }
 
 }  // namespace nfvm::obs

@@ -9,7 +9,7 @@
 //
 // Cost model: when the tracer is stopped (the default), a span is one
 // relaxed atomic load. When recording, scope exit takes a mutex to append
-// ~40 bytes. Compiling with -DNFVM_OBS=0 removes spans entirely.
+// ~32 bytes. Compiling with -DNFVM_OBS=0 removes spans entirely.
 #pragma once
 
 #include <atomic>
@@ -33,15 +33,18 @@ struct TraceEvent {
   double dur_us = 0.0;
   /// Small per-thread ordinal (0 for the first thread seen).
   std::uint32_t tid = 0;
-  /// Nesting depth at the time the span opened (outermost = 1).
-  std::uint32_t depth = 0;
 };
 
 class SpanScope;
 
 class Tracer {
  public:
-  Tracer() = default;
+  /// Buffer cap: further spans are counted in dropped() instead of stored,
+  /// so runaway traces cannot OOM (1M events is ~32 MB).
+  static constexpr std::size_t kDefaultMaxEvents = 1'000'000;
+
+  explicit Tracer(std::size_t max_events = kDefaultMaxEvents)
+      : max_events_(max_events) {}
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
@@ -57,15 +60,9 @@ class Tracer {
     return enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Caps the buffer; further spans are counted in dropped() instead of
-  /// stored. Default 1M events (~40 MB) so runaway traces cannot OOM.
-  void set_max_events(std::size_t max_events);
   std::uint64_t dropped() const noexcept {
     return dropped_.load(std::memory_order_relaxed);
   }
-
-  std::size_t num_events() const;
-  std::vector<TraceEvent> snapshot() const;
 
   /// Writes the buffer in Chrome trace_event JSON ("traceEvents" array of
   /// ph:"X" complete events, timestamps in microseconds). Loadable in
@@ -76,7 +73,7 @@ class Tracer {
   double now_us() const noexcept;
 
   /// Appends one finished span (called by SpanScope; public for tests).
-  void record(const char* name, double ts_us, double dur_us, std::uint32_t depth);
+  void record(const char* name, double ts_us, double dur_us);
 
  private:
   std::atomic<bool> enabled_{false};
@@ -84,7 +81,7 @@ class Tracer {
   std::chrono::steady_clock::time_point epoch_{};
   mutable std::mutex mu_;
   std::vector<TraceEvent> events_;
-  std::size_t max_events_ = 1'000'000;
+  const std::size_t max_events_;
 };
 
 /// RAII span bound to the global tracer. Samples the enabled flag once at
@@ -100,7 +97,6 @@ class SpanScope {
  private:
   const char* name_;  // nullptr when not recording
   double start_us_ = 0.0;
-  std::uint32_t depth_ = 0;
 };
 
 }  // namespace nfvm::obs

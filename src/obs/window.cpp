@@ -88,12 +88,6 @@ SlidingHdrHistogram::Slot& SlidingHdrHistogram::slot_for(std::int64_t now_ms) {
   return slot;
 }
 
-void SlidingHdrHistogram::advance(std::int64_t now_ms) {
-  // Touching the current slot is enough to claim it; expired slots are
-  // detected (and skipped / reused) by their epoch at read and write time.
-  (void)slot_for(now_ms);
-}
-
 void SlidingHdrHistogram::observe(double sample, std::int64_t now_ms) {
   Slot& slot = slot_for(now_ms);
   slot.buckets[HdrHistogram::bucket_index(sample)] += 1;
@@ -219,8 +213,6 @@ void DecayingHdrHistogram::observe(double sample, std::int64_t now_ms) {
   lifetime_max_ = std::max(lifetime_max_, sample);
 }
 
-void DecayingHdrHistogram::advance(std::int64_t now_ms) { decay_to(now_ms); }
-
 double DecayingHdrHistogram::weight(std::int64_t now_ms) {
   decay_to(now_ms);
   return weight_;
@@ -234,7 +226,7 @@ double DecayingHdrHistogram::quantile(double q, std::int64_t now_ms) {
 // --- WindowedHistogram ------------------------------------------------------
 
 WindowedHistogram::WindowedHistogram(const WindowOptions& options)
-    : options_(options), sliding_(options), decaying_(options) {}
+    : sliding_(options), decaying_(options) {}
 
 void WindowedHistogram::observe(double sample, std::int64_t now_ms) {
   const std::lock_guard<std::mutex> lock(mu_);
@@ -260,12 +252,6 @@ WindowSnapshot WindowedHistogram::snapshot(std::int64_t now_ms) {
   snap.decayed_p90 = decaying_.quantile(0.90, now_ms);
   snap.decayed_p99 = decaying_.quantile(0.99, now_ms);
   return snap;
-}
-
-void WindowedHistogram::reset() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  sliding_ = SlidingHdrHistogram(options_);
-  decaying_ = DecayingHdrHistogram(options_);
 }
 
 }  // namespace nfvm::obs

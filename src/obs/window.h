@@ -77,9 +77,6 @@ class SlidingHdrHistogram {
   /// than one slot; stale timestamps are clamped into the current slot.
   void observe(double sample, std::int64_t now_ms);
 
-  /// Rotates expired slots without recording. Idempotent.
-  void advance(std::int64_t now_ms);
-
   /// Samples currently inside the window.
   std::uint64_t count(std::int64_t now_ms);
   double sum(std::int64_t now_ms);
@@ -134,8 +131,6 @@ class DecayingHdrHistogram {
   explicit DecayingHdrHistogram(const WindowOptions& options = {});
 
   void observe(double sample, std::int64_t now_ms);
-  /// Applies any pending decay without recording.
-  void advance(std::int64_t now_ms);
 
   /// Total decayed weight (fractional). Weights below kNegligibleWeight are
   /// flushed to zero so an idle instrument eventually reads exactly empty.
@@ -174,13 +169,8 @@ class WindowedHistogram {
 
   void observe(double sample, std::int64_t now_ms);
   WindowSnapshot snapshot(std::int64_t now_ms);
-  /// Zeroes both views (Registry::reset_values).
-  void reset();
-
-  const WindowOptions& options() const { return options_; }
 
  private:
-  WindowOptions options_;
   std::mutex mu_;
   SlidingHdrHistogram sliding_;
   DecayingHdrHistogram decaying_;

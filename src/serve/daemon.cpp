@@ -30,12 +30,6 @@ void strip_cr(std::string& line) {
 
 }  // namespace
 
-bool IstreamLineSource::next(std::string& line) {
-  if (!std::getline(in_, line)) return false;
-  strip_cr(line);
-  return true;
-}
-
 bool FdLineSource::next(std::string& line) {
   for (;;) {
     const std::size_t newline = buffer_.find('\n');
@@ -104,6 +98,28 @@ void Daemon::restore(const Snapshot& snapshot) {
     throw std::runtime_error(
         "snapshot restore: configuration mismatch - the snapshot cannot be "
         "replayed against this run (" + detail + ")");
+  }
+  // A footprint id outside the topology would make that request's depart
+  // throw, or release another link, long after the restore succeeded.
+  const topo::Topology& topo = algorithm_->topology();
+  for (const ActiveEntry& entry : snapshot.active) {
+    const auto check = [&entry](std::uint32_t id, std::size_t count, const char* what) {
+      if (id >= count) {
+        throw std::runtime_error("snapshot restore: active request " +
+                                 std::to_string(entry.id) + " holds " + what + " " +
+                                 std::to_string(id) + " of a network with " +
+                                 std::to_string(count));
+      }
+    };
+    for (const auto& [e, mbps] : entry.footprint.bandwidth) {
+      check(e, topo.num_links(), "link");
+    }
+    for (const auto& [v, mhz] : entry.footprint.compute) {
+      check(v, topo.num_switches(), "switch");
+    }
+    for (graph::VertexId v : entry.footprint.table_entries) {
+      check(v, topo.num_switches(), "switch");
+    }
   }
   restore_into(*algorithm_, snapshot);
   for (const ActiveEntry& entry : snapshot.active) {

@@ -29,7 +29,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <istream>
 #include <map>
 #include <ostream>
 #include <set>
@@ -50,16 +49,6 @@ class LineSource {
   /// Blocks for the next line; false at end of input or after a stop
   /// request. `line` is overwritten on success.
   virtual bool next(std::string& line) = 0;
-};
-
-/// Lines from a std::istream - tests and non-interactive piping.
-class IstreamLineSource final : public LineSource {
- public:
-  explicit IstreamLineSource(std::istream& in) : in_(in) {}
-  bool next(std::string& line) override;
-
- private:
-  std::istream& in_;
 };
 
 /// Lines from a file descriptor (stdin, an accepted Unix-socket connection)
@@ -123,7 +112,8 @@ class Daemon {
   /// Reinstates a loaded snapshot: verifies the config echo and algorithm
   /// name, replays the active footprints into the engine, and arranges for
   /// run() to skip the already-consumed input prefix. Must be called before
-  /// run(), at most once. Throws std::runtime_error on any mismatch.
+  /// run(), at most once. Throws std::runtime_error, before changing any
+  /// state, on any mismatch or on a footprint id outside the topology.
   void restore(const Snapshot& snapshot);
 
   /// Serves `source` until end of input, a drain command, or the stop flag;

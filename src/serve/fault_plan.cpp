@@ -1,5 +1,6 @@
 #include "serve/fault_plan.h"
 
+#include <chrono>
 #include <stdexcept>
 
 #include "obs/json.h"
@@ -18,59 +19,58 @@ FaultKind kind_from_string(const std::string& name) {
                               "\"");
 }
 
-std::uint64_t plan_u64(const obs::JsonValue& v, const char* what) {
-  // 2^64 and above are checked before the cast, which would be undefined.
-  if (!v.is_number() || v.number < 0 || !(v.number < 0x1p64) ||
-      v.number != static_cast<double>(static_cast<std::uint64_t>(v.number))) {
-    throw std::invalid_argument(std::string("fault plan: ") + what +
-                                " must be a non-negative integer below 2^64");
-  }
-  return static_cast<std::uint64_t>(v.number);
-}
-
 }  // namespace
 
 FaultPlan FaultPlan::parse(std::string_view text) {
-  obs::JsonValue doc;
-  try {
-    doc = obs::parse_json(text);
-  } catch (const std::exception& e) {
-    throw std::invalid_argument(std::string("fault plan: ") + e.what());
-  }
-  if (!doc.is_object() || !doc.has("schema") ||
-      doc.at("schema").string != kFaultPlanSchema) {
-    throw std::invalid_argument("fault plan: not an \"" +
-                                std::string(kFaultPlanSchema) + "\" document");
-  }
+  // The longest stall std::this_thread::sleep_for can convert: beyond it the
+  // conversion to its clock's ticks is undefined behaviour.
+  const double max_stall_ms =
+      std::chrono::duration<double, std::milli>(std::chrono::nanoseconds::max())
+          .count();
   FaultPlan plan;
-  if (doc.has("seed")) plan.seed_ = plan_u64(doc.at("seed"), "seed");
-  if (!doc.has("faults") || !doc.at("faults").is_array()) {
-    throw std::invalid_argument("fault plan: \"faults\" must be an array");
-  }
-  for (const obs::JsonValue& entry : doc.at("faults").array) {
-    if (!entry.is_object() || !entry.has("line") || !entry.has("kind")) {
-      throw std::invalid_argument(
-          "fault plan: each fault needs \"line\" and \"kind\"");
+  try {
+    const obs::JsonValue doc = obs::parse_json(text);
+    if (!doc.is_object() || !doc.has("schema") ||
+        doc.at("schema").string != kFaultPlanSchema) {
+      throw std::invalid_argument("fault plan: not an \"" +
+                                  std::string(kFaultPlanSchema) + "\" document");
     }
-    const std::uint64_t line = plan_u64(entry.at("line"), "line");
-    if (line == 0) {
-      throw std::invalid_argument("fault plan: line numbers are 1-based");
+    if (doc.has("seed")) plan.seed_ = obs::json_uint(doc.at("seed"), "seed");
+    if (!doc.has("faults") || !doc.at("faults").is_array()) {
+      throw std::invalid_argument("fault plan: \"faults\" must be an array");
     }
-    if (!entry.at("kind").is_string()) {
-      throw std::invalid_argument("fault plan: \"kind\" must be a string");
-    }
-    Fault fault;
-    fault.kind = kind_from_string(entry.at("kind").string);
-    if (entry.has("value")) {
-      const obs::JsonValue& value = entry.at("value");
-      if (!value.is_number() || value.number < 0) {
+    for (const obs::JsonValue& entry : doc.at("faults").array) {
+      if (!entry.is_object() || !entry.has("line") || !entry.has("kind")) {
         throw std::invalid_argument(
-            "fault plan: \"value\" must be a non-negative number");
+            "fault plan: each fault needs \"line\" and \"kind\"");
       }
-      fault.value = value.number;
+      const std::uint64_t line = obs::json_uint(entry.at("line"), "line");
+      if (line == 0) {
+        throw std::invalid_argument("fault plan: line numbers are 1-based");
+      }
+      if (!entry.at("kind").is_string()) {
+        throw std::invalid_argument("fault plan: \"kind\" must be a string");
+      }
+      Fault fault;
+      fault.kind = kind_from_string(entry.at("kind").string);
+      if (entry.has("value")) {
+        const obs::JsonValue& value = entry.at("value");
+        if (!value.is_number() || value.number < 0) {
+          throw std::invalid_argument(
+              "fault plan: \"value\" must be a non-negative number");
+        }
+        fault.value = value.number;
+      }
+      if (fault.kind == FaultKind::kStallMs && !(fault.value < max_stall_ms)) {
+        throw std::invalid_argument("fault plan: stall_ms value must be below " +
+                                    std::to_string(max_stall_ms) + " ms");
+      }
+      plan.faults_[line].push_back(fault);
+      ++plan.total_;
     }
-    plan.faults_[line].push_back(fault);
-    ++plan.total_;
+  } catch (const std::runtime_error& e) {
+    // Malformed JSON, a missing member or an integer out of range.
+    throw std::invalid_argument(std::string("fault plan: ") + e.what());
   }
   return plan;
 }

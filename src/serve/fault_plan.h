@@ -61,7 +61,8 @@ class FaultPlan {
   FaultPlan() = default;
 
   /// Parses a plan document. Throws std::invalid_argument describing the
-  /// first violation (unknown kind, missing fields, bad schema).
+  /// first violation (unknown kind, missing fields, bad schema, an integer
+  /// out of range, a stall too long to sleep).
   static FaultPlan parse(std::string_view text);
 
   bool empty() const noexcept { return faults_.size() == 0; }

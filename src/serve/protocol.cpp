@@ -17,33 +17,18 @@ std::optional<nfv::NetworkFunction> nf_from_string(std::string_view name) {
   return std::nullopt;
 }
 
-/// Non-negative integral JSON number -> u64; throws std::runtime_error on a
-/// wrong type, a fraction, a negative value, or a value of 2^64 or more
-/// (checked before the cast, which would be undefined behaviour).
-std::uint64_t as_u64(const obs::JsonValue& v, const char* what) {
-  if (!v.is_number() || v.number < 0 || !(v.number < 0x1p64) ||
-      v.number != static_cast<double>(static_cast<std::uint64_t>(v.number))) {
-    throw std::runtime_error(std::string(what) +
-                             " must be a non-negative integer below 2^64");
-  }
-  return static_cast<std::uint64_t>(v.number);
-}
-
-/// as_u64 narrowed to a vertex id. A value beyond graph::VertexId's range
-/// is rejected, not truncated onto some other vertex.
+/// A vertex id: a value beyond graph::VertexId's range is rejected, not
+/// truncated onto some other vertex.
 graph::VertexId as_vertex(const obs::JsonValue& v, const char* what) {
-  const std::uint64_t id = as_u64(v, what);
-  if (id > std::numeric_limits<graph::VertexId>::max()) {
-    throw std::runtime_error(std::string(what) + " is not a valid vertex id");
-  }
-  return static_cast<graph::VertexId>(id);
+  return static_cast<graph::VertexId>(
+      obs::json_uint(v, what, std::numeric_limits<graph::VertexId>::max()));
 }
 
 Command parse_arrive(const obs::JsonValue& doc) {
   Command cmd;
   cmd.kind = CommandKind::kArrive;
   nfv::Request& r = cmd.request;
-  r.id = as_u64(doc.at("id"), "id");
+  r.id = obs::json_uint(doc.at("id"), "id");
   r.source = as_vertex(doc.at("source"), "source");
   const obs::JsonValue& dests = doc.at("destinations");
   if (!dests.is_array() || dests.array.empty()) {
@@ -109,7 +94,7 @@ std::optional<Command> parse_command(std::string_view line,
     if (cmd.string == "depart") {
       Command command;
       command.kind = CommandKind::kDepart;
-      command.request.id = as_u64(doc.at("id"), "id");
+      command.request.id = obs::json_uint(doc.at("id"), "id");
       return command;
     }
     if (cmd.string == "snapshot") return Command{CommandKind::kSnapshot, {}};

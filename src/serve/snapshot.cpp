@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -38,11 +39,14 @@ void write_all(int fd, const std::string& path, std::string_view text) {
 }
 
 std::uint64_t load_u64(const obs::JsonValue& doc, const std::string& key) {
-  const obs::JsonValue& v = doc.at(key);
-  if (!v.is_number() || v.number < 0) {
-    throw std::runtime_error("field \"" + key + "\" must be a non-negative number");
-  }
-  return static_cast<std::uint64_t>(v.number);
+  return obs::json_uint(doc.at(key), "field \"" + key + "\"");
+}
+
+/// An edge or vertex id of a footprint; the daemon checks it against the
+/// topology on restore.
+std::uint32_t load_id(const obs::JsonValue& v, const char* what) {
+  return static_cast<std::uint32_t>(
+      obs::json_uint(v, what, std::numeric_limits<std::uint32_t>::max()));
 }
 
 }  // namespace
@@ -221,25 +225,22 @@ Snapshot load_snapshot(const std::string& path) {
           throw std::runtime_error("bandwidth entries must be [edge, mbps] pairs");
         }
         active.footprint.bandwidth.emplace_back(
-            static_cast<graph::EdgeId>(pair.array[0].number),
-            pair.array[1].number);
+            load_id(pair.array[0], "bandwidth edge id"), pair.array[1].number);
       }
       for (const obs::JsonValue& pair : entry.at("compute").array) {
         if (!pair.is_array() || pair.array.size() != 2) {
           throw std::runtime_error("compute entries must be [server, mhz] pairs");
         }
         active.footprint.compute.emplace_back(
-            static_cast<graph::VertexId>(pair.array[0].number),
-            pair.array[1].number);
+            load_id(pair.array[0], "compute server id"), pair.array[1].number);
       }
       for (const obs::JsonValue& v : entry.at("table").array) {
-        active.footprint.table_entries.push_back(
-            static_cast<graph::VertexId>(v.number));
+        active.footprint.table_entries.push_back(load_id(v, "table switch id"));
       }
       snapshot.active.push_back(std::move(active));
     }
     for (const obs::JsonValue& id : doc.at("rejected_pending").array) {
-      snapshot.rejected_pending.push_back(static_cast<std::uint64_t>(id.number));
+      snapshot.rejected_pending.push_back(obs::json_uint(id, "rejected_pending id"));
     }
     return snapshot;
   } catch (const std::exception& e) {

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "graph/components.h"
-
 namespace nfvm::topo {
 
 bool Topology::is_server(graph::VertexId v) const {
@@ -64,52 +62,6 @@ void assign_table_capacities(Topology& topo, double entries_per_switch) {
     throw std::invalid_argument("assign_table_capacities: need >= 1 entry");
   }
   topo.switch_table_capacity.assign(topo.num_switches(), entries_per_switch);
-}
-
-void validate_topology(const Topology& topo) {
-  if (topo.link_bandwidth.size() != topo.num_links()) {
-    throw std::logic_error("topology: link_bandwidth size mismatch");
-  }
-  if (topo.server_compute.size() != topo.num_switches()) {
-    throw std::logic_error("topology: server_compute size mismatch");
-  }
-  if (!topo.coords.empty() && topo.coords.size() != topo.num_switches()) {
-    throw std::logic_error("topology: coords size mismatch");
-  }
-  if (topo.servers.empty()) {
-    throw std::logic_error("topology: no servers");
-  }
-  if (!std::is_sorted(topo.servers.begin(), topo.servers.end())) {
-    throw std::logic_error("topology: servers not sorted");
-  }
-  for (graph::VertexId v : topo.servers) {
-    if (!topo.graph.has_vertex(v)) throw std::logic_error("topology: server id out of range");
-    if (!(topo.server_compute[v] > 0)) {
-      throw std::logic_error("topology: server with non-positive compute capacity");
-    }
-  }
-  for (double b : topo.link_bandwidth) {
-    if (!(b > 0)) throw std::logic_error("topology: non-positive link bandwidth");
-  }
-  if (topo.has_delays()) {
-    if (topo.link_delay_ms.size() != topo.num_links()) {
-      throw std::logic_error("topology: link_delay_ms size mismatch");
-    }
-    for (double d : topo.link_delay_ms) {
-      if (!(d > 0)) throw std::logic_error("topology: non-positive link delay");
-    }
-  }
-  if (topo.has_table_capacities()) {
-    if (topo.switch_table_capacity.size() != topo.num_switches()) {
-      throw std::logic_error("topology: switch_table_capacity size mismatch");
-    }
-    for (double t : topo.switch_table_capacity) {
-      if (!(t >= 1)) throw std::logic_error("topology: table capacity < 1");
-    }
-  }
-  if (!graph::is_connected(topo.graph)) {
-    throw std::logic_error("topology: graph is not connected");
-  }
 }
 
 }  // namespace nfvm::topo

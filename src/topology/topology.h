@@ -81,8 +81,4 @@ void assign_delays(Topology& topo, util::Rng& rng, double min_ms = 0.1,
 /// Throws std::invalid_argument for entries < 1.
 void assign_table_capacities(Topology& topo, double entries_per_switch);
 
-/// Validates internal consistency (sizes, sortedness, server capacities
-/// positive, connected graph); throws std::logic_error on violation.
-void validate_topology(const Topology& topo);
-
 }  // namespace nfvm::topo

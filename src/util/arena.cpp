@@ -26,12 +26,6 @@ void* Arena::allocate(std::size_t bytes, std::size_t align) {
   return block_.data() + offset;
 }
 
-void Arena::reset() {
-  retired_.clear();
-  used_ = 0;
-  ++block_generation_;
-}
-
 Arena& Arena::thread_local_arena() {
   thread_local Arena arena;
   return arena;

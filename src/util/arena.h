@@ -10,15 +10,14 @@
 //
 // Lifetime rules (see docs/performance.md, "SP engine internals"):
 //  * allocate()/make_span() return uninitialized storage valid until the
-//    enclosing scope is rewound or the arena is reset.
+//    enclosing scope is rewound.
 //  * ArenaScope is the intended API: mark on entry, rewind on exit (LIFO
 //    nesting, exception-safe). Rewinding reclaims the bytes in O(1).
 //  * If an allocation outgrows the live block, the block is retired (NOT
 //    freed — outstanding pointers stay valid) and a larger one starts;
-//    rewinding across a growth is a no-op and the memory is reclaimed at
-//    the next reset()/scope-chain unwind to a pre-growth marker.
-//  * reset() frees retired blocks and rewinds the live one: the epoch
-//    boundary between requests.
+//    rewinding across a growth is a no-op, and retired blocks live as long
+//    as the arena (the request for WorkContext's, the thread for
+//    thread_local_arena()).
 //
 // Thread model: an Arena is single-threaded. thread_local_arena() gives
 // each thread its own (the pattern for pool workers building RootedTrees
@@ -42,7 +41,7 @@ class Arena {
   Arena& operator=(const Arena&) = delete;
 
   /// Uninitialized storage of `bytes` bytes aligned to `align` (a power of
-  /// two). Valid until the covering rewind()/reset().
+  /// two). Valid until the covering rewind().
   void* allocate(std::size_t bytes, std::size_t align);
 
   /// Typed span of `count` uninitialized T slots. T must be trivially
@@ -63,15 +62,11 @@ class Arena {
   Marker mark() const noexcept { return Marker{block_generation_, used_}; }
 
   /// Reclaims everything allocated since `m` — O(1). If the arena grew a
-  /// new block since the mark, the rewind is deferred: pointers stay valid
-  /// and the memory comes back at the next reset().
+  /// new block since the mark, the rewind is a no-op: pointers into the
+  /// retired block stay valid.
   void rewind(Marker m) noexcept {
     if (m.block_generation == block_generation_) used_ = m.used;
   }
-
-  /// Epoch reset: frees retired blocks, rewinds the live one to empty.
-  /// Every pointer previously handed out becomes invalid.
-  void reset();
 
   /// Bytes currently allocated out of the live block.
   std::size_t bytes_used() const noexcept { return used_; }
@@ -89,8 +84,7 @@ class Arena {
   std::vector<std::byte> block_;
   std::size_t used_ = 0;
   std::uint64_t block_generation_ = 0;
-  /// Blocks outgrown since the last reset; kept alive so pointers into
-  /// them stay valid until the epoch ends.
+  /// Outgrown blocks, kept alive so pointers into them stay valid.
   std::vector<std::vector<std::byte>> retired_;
 };
 

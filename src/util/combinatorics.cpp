@@ -10,18 +10,6 @@ constexpr std::size_t kSaturated = std::numeric_limits<std::size_t>::max();
 
 }  // namespace
 
-bool next_combination(std::vector<std::size_t>& idx, std::size_t n) {
-  const std::size_t k = idx.size();
-  for (std::size_t i = k; i-- > 0;) {
-    if (idx[i] + (k - i) < n) {
-      ++idx[i];
-      for (std::size_t j = i + 1; j < k; ++j) idx[j] = idx[j - 1] + 1;
-      return true;
-    }
-  }
-  return false;
-}
-
 std::size_t count_combinations(std::size_t n, std::size_t k) {
   if (k > n) return 0;
   k = std::min(k, n - k);

@@ -1,17 +1,10 @@
-// K-combination enumeration and counting, shared by the offline sweeps
-// (Appro_Multi's legacy sweep, the exact offline solvers and the
-// branch-and-bound combination search).
+// Saturating combination counts for the branch-and-bound combination
+// search's budget and pruned-subtree accounting.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace nfvm::util {
-
-/// Advances `idx` (strictly increasing indices into [0, n)) to the next
-/// K-combination in lexicographic order; false when exhausted. An empty
-/// `idx` (k == 0) has no successor and returns false.
-bool next_combination(std::vector<std::size_t>& idx, std::size_t n);
 
 /// C(n, k); saturates at SIZE_MAX instead of overflowing. C(n, 0) == 1 and
 /// k > n yields 0.

@@ -13,13 +13,4 @@ std::int64_t env_int(const std::string& name, std::int64_t fallback) {
   return value;
 }
 
-double env_double(const std::string& name, double fallback) {
-  const char* raw = std::getenv(name.c_str());
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const double value = std::strtod(raw, &end);
-  if (end == raw || *end != '\0') return fallback;
-  return value;
-}
-
 }  // namespace nfvm::util

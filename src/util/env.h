@@ -15,7 +15,4 @@ namespace nfvm::util {
 /// variable is unset or unparsable.
 std::int64_t env_int(const std::string& name, std::int64_t fallback);
 
-/// Reads a floating-point environment variable with a fallback.
-double env_double(const std::string& name, double fallback);
-
 }  // namespace nfvm::util

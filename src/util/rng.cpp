@@ -97,6 +97,4 @@ std::vector<std::size_t> Rng::sample_without_replacement(std::size_t population,
   return indices;
 }
 
-Rng Rng::split() noexcept { return Rng(next() ^ 0xd1b54a32d192ed03ULL); }
-
 }  // namespace nfvm::util

@@ -65,10 +65,6 @@ class Rng {
   std::vector<std::size_t> sample_without_replacement(std::size_t population,
                                                       std::size_t count);
 
-  /// Derives an independent child generator; useful to decorrelate
-  /// subsystems that draw in interleaved order.
-  Rng split() noexcept;
-
  private:
   std::uint64_t state_[4];
 };

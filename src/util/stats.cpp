@@ -1,68 +1,22 @@
 #include "util/stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
-#include <stdexcept>
 
 namespace nfvm::util {
 
 void RunningStats::add(double x) noexcept {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
+  max_ = count_ == 0 ? x : std::max(max_, x);
   ++count_;
   sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  count_ += other.count_;
+  mean_ += (x - mean_) / static_cast<double>(count_);
 }
 
 double RunningStats::mean() const noexcept { return count_ == 0 ? 0.0 : mean_; }
 
-double RunningStats::variance() const noexcept {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-double RunningStats::min() const noexcept { return count_ == 0 ? 0.0 : min_; }
-
 double RunningStats::max() const noexcept { return count_ == 0 ? 0.0 : max_; }
 
-void SampleSet::add(double x) {
-  values_.push_back(x);
-  sorted_ = false;
-}
-
-void SampleSet::ensure_sorted() const {
-  if (!sorted_) {
-    std::sort(values_.begin(), values_.end());
-    sorted_ = true;
-  }
-}
+void SampleSet::add(double x) { values_.push_back(x); }
 
 double SampleSet::sum() const noexcept {
   return std::accumulate(values_.begin(), values_.end(), 0.0);
@@ -70,38 +24,6 @@ double SampleSet::sum() const noexcept {
 
 double SampleSet::mean() const noexcept {
   return values_.empty() ? 0.0 : sum() / static_cast<double>(values_.size());
-}
-
-double SampleSet::stddev() const noexcept {
-  if (values_.size() < 2) return 0.0;
-  const double m = mean();
-  double acc = 0.0;
-  for (double v : values_) acc += (v - m) * (v - m);
-  return std::sqrt(acc / static_cast<double>(values_.size() - 1));
-}
-
-double SampleSet::min() const {
-  if (values_.empty()) throw std::out_of_range("SampleSet::min: empty");
-  ensure_sorted();
-  return values_.front();
-}
-
-double SampleSet::max() const {
-  if (values_.empty()) throw std::out_of_range("SampleSet::max: empty");
-  ensure_sorted();
-  return values_.back();
-}
-
-double SampleSet::quantile(double q) const {
-  if (values_.empty()) throw std::out_of_range("SampleSet::quantile: empty");
-  if (q < 0.0 || q > 1.0) throw std::out_of_range("SampleSet::quantile: q outside [0,1]");
-  ensure_sorted();
-  if (values_.size() == 1) return values_.front();
-  const double pos = q * static_cast<double>(values_.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, values_.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return values_[lo] * (1.0 - frac) + values_[hi] * frac;
 }
 
 }  // namespace nfvm::util

@@ -7,11 +7,10 @@
 
 namespace nfvm::util {
 
-/// Single-pass accumulator for count/mean/variance/min/max (Welford).
+/// Single-pass accumulator for count/sum/mean/max (Welford mean).
 class RunningStats {
  public:
   void add(double x) noexcept;
-  void merge(const RunningStats& other) noexcept;
   void reset() noexcept { *this = RunningStats{}; }
 
   std::size_t count() const noexcept { return count_; }
@@ -19,24 +18,17 @@ class RunningStats {
   double sum() const noexcept { return sum_; }
   /// Mean of the observations; 0 when empty.
   double mean() const noexcept;
-  /// Unbiased sample variance; 0 with fewer than two observations.
-  double variance() const noexcept;
-  double stddev() const noexcept;
-  /// Min/max of the observations; 0 when empty.
-  double min() const noexcept;
+  /// Max of the observations; 0 when empty.
   double max() const noexcept;
 
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double sum_ = 0.0;
-  double min_ = 0.0;
   double max_ = 0.0;
 };
 
-/// Retaining accumulator that additionally supports exact quantiles.
-/// Keeps all observations; intended for benchmark-scale sample counts.
+/// Retaining accumulator: keeps every observation in insertion order.
 class SampleSet {
  public:
   void add(double x);
@@ -44,19 +36,10 @@ class SampleSet {
   bool empty() const noexcept { return values_.empty(); }
   double sum() const noexcept;
   double mean() const noexcept;
-  double stddev() const noexcept;
-  double min() const;
-  double max() const;
-  /// Quantile in [0, 1] via linear interpolation between order statistics.
-  /// Throws std::out_of_range when empty or q outside [0, 1].
-  double quantile(double q) const;
-  double median() const { return quantile(0.5); }
   const std::vector<double>& values() const noexcept { return values_; }
 
  private:
-  mutable std::vector<double> values_;
-  mutable bool sorted_ = true;
-  void ensure_sorted() const;
+  std::vector<double> values_;
 };
 
 }  // namespace nfvm::util

@@ -36,8 +36,6 @@ Table& Table::add(double value, int precision) {
 }
 
 Table& Table::add(std::size_t value) { return add(std::to_string(value)); }
-Table& Table::add(long long value) { return add(std::to_string(value)); }
-Table& Table::add(int value) { return add(std::to_string(value)); }
 
 const std::string& Table::cell(std::size_t row, std::size_t col) const {
   return rows_.at(row).at(col);

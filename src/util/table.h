@@ -22,8 +22,6 @@ class Table {
   Table& add(const char* value);
   Table& add(double value, int precision = 3);
   Table& add(std::size_t value);
-  Table& add(long long value);
-  Table& add(int value);
 
   std::size_t num_rows() const noexcept { return rows_.size(); }
   std::size_t num_columns() const noexcept { return columns_.size(); }

@@ -12,6 +12,7 @@
 #include "obs/hdr_histogram.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "reference/support.h"
 #include "util/combinatorics.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -43,14 +44,14 @@ AuxiliaryGraph build_auxiliary_graph(const WorkContext& ctx,
   aux.num_real_edges = ctx.cost_graph.num_edges();
   aux.combo.assign(combo.begin(), combo.end());
 
-  // Real part: same vertex/edge ids as cost_graph.
-  aux.graph = graph::Graph(ctx.cost_graph.num_vertices());
+  // Real part: same vertex/edge ids as cost_graph; the virtual source s'_k
+  // is the one vertex after them.
+  aux.virtual_source = static_cast<graph::VertexId>(ctx.cost_graph.num_vertices());
+  aux.graph = graph::Graph(ctx.cost_graph.num_vertices() + 1);
   for (graph::EdgeId e = 0; e < ctx.cost_graph.num_edges(); ++e) {
     const graph::Edge& ed = ctx.cost_graph.edge(e);
     aux.graph.add_edge(ed.u, ed.v, ed.weight);
   }
-
-  aux.virtual_source = aux.graph.add_vertex();
 
   // Virtual edges s'_k -> v, weighted path-cost + chain cost.
   aux.virtual_paths.reserve(combo.size());
@@ -200,7 +201,7 @@ OfflineSolution appro_multi(const topo::Topology& topo, const core::LinearCosts&
           std::vector<graph::VertexId> combo(k);
           for (std::size_t i = 0; i < k; ++i) combo[i] = pool[idx[i]];
           combos.push_back(std::move(combo));
-        } while (util::next_combination(idx, pool.size()));
+        } while (next_combination(idx, pool.size()));
       }
       NFVM_HDR_OBSERVE("core.appro_multi.enumerate_us", phase_watch.elapsed_us());
     }

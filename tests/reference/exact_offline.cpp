@@ -8,7 +8,7 @@
 #include "graph/tree.h"
 #include "reference/appro_multi_reference.h"
 #include "reference/exact_steiner.h"
-#include "util/combinatorics.h"
+#include "reference/support.h"
 
 namespace nfvm::reference {
 
@@ -18,7 +18,6 @@ using core::LinearCosts;
 using core::OfflineSolution;
 using core::PseudoMulticastTree;
 using core::WorkContext;
-using util::next_combination;
 
 OfflineSolution exact_one_server(const topo::Topology& topo, const LinearCosts& costs,
                                  const nfv::Request& request,

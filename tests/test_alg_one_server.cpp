@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/appro_multi.h"
+#include "reference/support.h"
 #include "topology/waxman.h"
 #include "util/rng.h"
 
@@ -25,7 +26,7 @@ struct PathFixture {
     topo.link_bandwidth = {1000, 1000, 1000, 1000};
     topo.server_compute = {0, 0, 8000, 0, 8000};
 
-    costs = uniform_costs(topo, 1.0, 0.001);
+    costs = reference::uniform_costs(topo, 1.0, 0.001);
 
     request.id = 1;
     request.source = 0;
@@ -70,7 +71,7 @@ TEST(AlgOneServer, BackhaulWhenServerBehindDestination) {
   topo.servers = {3};
   topo.link_bandwidth = {1000, 1000, 1000};
   topo.server_compute = {0, 0, 0, 8000};
-  const LinearCosts costs = uniform_costs(topo, 1.0, 0.001);
+  const LinearCosts costs = reference::uniform_costs(topo, 1.0, 0.001);
 
   nfv::Request request;
   request.id = 1;

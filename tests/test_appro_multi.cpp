@@ -5,6 +5,7 @@
 #include "graph/components.h"
 #include "reference/appro_multi_reference.h"
 #include "reference/subgraph.h"
+#include "reference/support.h"
 #include "topology/waxman.h"
 #include "util/rng.h"
 
@@ -28,7 +29,7 @@ struct PathFixture {
     topo.link_bandwidth = {1000, 1000, 1000, 1000};
     topo.server_compute = {0, 0, 8000, 0, 8000};
 
-    costs = uniform_costs(topo, 1.0, 0.001);
+    costs = reference::uniform_costs(topo, 1.0, 0.001);
 
     request.id = 1;
     request.source = 0;
@@ -138,7 +139,7 @@ TEST(ApproMulti, MultiServerBeatsSingleWhenBandwidthExpensive) {
   topo.servers = {2, 5};
   topo.link_bandwidth.assign(6, 10000.0);
   topo.server_compute = {0, 0, 8000, 0, 0, 8000, 0};
-  const LinearCosts costs = uniform_costs(topo, 10.0, 0.0001);
+  const LinearCosts costs = reference::uniform_costs(topo, 10.0, 0.0001);
 
   nfv::Request request;
   request.id = 1;
@@ -172,7 +173,7 @@ TEST(ApproMulti, SingleServerPreferredWhenComputeExpensive) {
   topo.servers = {2, 5};
   topo.link_bandwidth.assign(6, 10000.0);
   topo.server_compute = {0, 0, 8000, 0, 0, 8000, 0};
-  const LinearCosts costs = uniform_costs(topo, 0.001, 10.0);
+  const LinearCosts costs = reference::uniform_costs(topo, 0.001, 10.0);
 
   nfv::Request request;
   request.id = 1;
@@ -264,7 +265,7 @@ TEST(ApproMultiCap, CapacitatedSolutionRespectsResiduals) {
     pruned[e] = true;
     const reference::Subgraph sub = reference::filter_edges(
         topo.graph, [&](graph::EdgeId x) { return !pruned[x]; });
-    if (!graph::is_connected(sub.graph)) {
+    if (!reference::is_connected(sub.graph)) {
       pruned[e] = false;
       continue;
     }

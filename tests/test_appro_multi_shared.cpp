@@ -8,6 +8,7 @@
 #include "core/appro_multi.h"
 #include "reference/appro_multi_reference.h"
 #include "reference/exact_offline.h"
+#include "reference/support.h"
 #include "sim/request_gen.h"
 #include "topology/geant.h"
 #include "topology/waxman.h"
@@ -113,7 +114,7 @@ TEST(SharedEngine, ValidAndWithinBoundOnTieHeavyGraphs) {
     util::Rng rng(seed);
     Instance inst;
     inst.topo = topo::make_waxman(18, rng);
-    inst.costs = uniform_costs(inst.topo, 1.0, 0.01);
+    inst.costs = reference::uniform_costs(inst.topo, 1.0, 0.01);
     inst.request.id = seed;
     inst.request.bandwidth_mbps = 100.0;
     inst.request.chain = nfv::ServiceChain({nfv::NetworkFunction::kFirewall});

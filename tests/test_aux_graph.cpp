@@ -8,7 +8,9 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs_test_util.h"
 #include "reference/appro_multi_reference.h"
+#include "reference/support.h"
 #include "topology/waxman.h"
 #include "util/rng.h"
 
@@ -32,7 +34,7 @@ struct Fixture {
     topo.link_bandwidth = {1000, 1000, 1000, 1000};
     topo.server_compute = {0, 0, 8000, 0, 8000};
 
-    costs = uniform_costs(topo, /*link=*/1.0, /*server=*/0.01);
+    costs = reference::uniform_costs(topo, /*link=*/1.0, /*server=*/0.01);
 
     request.id = 1;
     request.source = 0;
@@ -106,12 +108,6 @@ TEST(WorkContext, RejectsMalformedCostTables) {
                std::invalid_argument);
 }
 
-#if NFVM_OBS
-std::uint64_t counter_value(const std::string& name) {
-  return obs::Registry::global().counter(name)->value();
-}
-#endif
-
 bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -133,7 +129,7 @@ TEST(WorkContext, ContextTreesShareOneTreePerRoot) {
   request.bandwidth_mbps = 100.0;
   request.chain = nfv::ServiceChain({nfv::NetworkFunction::kNat});
 
-  obs::Registry::global().reset_values();
+  const test::CounterBaseline counters;
   const WorkContext ctx = build_work_context(topo, costs, request, nullptr);
   const std::vector<graph::VertexId> roots{7, 3, 7, 0};
   const auto trees = context_trees(ctx, roots);
@@ -155,8 +151,8 @@ TEST(WorkContext, ContextTreesShareOneTreePerRoot) {
 #if NFVM_OBS
   // A miss on each root's first lookup (the source's came from
   // build_work_context), a hit on every later one.
-  EXPECT_EQ(counter_value("graph.spcache.misses"), 3u);
-  EXPECT_EQ(counter_value("graph.spcache.hits"), 3u);
+  EXPECT_EQ(counters.since("graph.spcache.misses"), 3u);
+  EXPECT_EQ(counters.since("graph.spcache.hits"), 3u);
 #endif
 }
 

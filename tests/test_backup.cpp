@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/bridges.h"
+#include "reference/support.h"
 #include "topology/waxman.h"
 #include "util/rng.h"
 
@@ -36,7 +37,7 @@ nfv::Request simple_request() {
 
 TEST(Backup, DisjointBackupOnDiamond) {
   const topo::Topology t = diamond();
-  const LinearCosts costs = uniform_costs(t, 1.0, 0.001);
+  const LinearCosts costs = reference::uniform_costs(t, 1.0, 0.001);
   const nfv::Request r = simple_request();
 
   const OfflineSolution primary = appro_multi(t, costs, r);
@@ -60,7 +61,7 @@ TEST(Backup, RejectsWhenPrimaryUsesABridge) {
   t.servers = {1};
   t.link_bandwidth = {1000, 1000};
   t.server_compute = {0, 8000, 0};
-  const LinearCosts costs = uniform_costs(t, 1.0, 0.001);
+  const LinearCosts costs = reference::uniform_costs(t, 1.0, 0.001);
   nfv::Request r;
   r.id = 1;
   r.source = 0;
@@ -88,7 +89,7 @@ TEST(Backup, LinkDisjointPredicate) {
 
 TEST(Backup, UnknownPrimaryEdgeRejected) {
   const topo::Topology t = diamond();
-  const LinearCosts costs = uniform_costs(t, 1.0, 0.001);
+  const LinearCosts costs = reference::uniform_costs(t, 1.0, 0.001);
   PseudoMulticastTree bogus;
   bogus.edge_uses = {{99, 1}};
   EXPECT_THROW(compute_backup_tree(t, costs, simple_request(), bogus),
@@ -98,7 +99,7 @@ TEST(Backup, UnknownPrimaryEdgeRejected) {
 TEST(Backup, HonorsResidualState) {
   // The alternative route exists but its links lack residual bandwidth.
   const topo::Topology t = diamond();
-  const LinearCosts costs = uniform_costs(t, 1.0, 0.001);
+  const LinearCosts costs = reference::uniform_costs(t, 1.0, 0.001);
   const nfv::Request r = simple_request();
   const OfflineSolution primary = appro_multi(t, costs, r);
   ASSERT_TRUE(primary.admitted);
@@ -157,7 +158,7 @@ TEST(Backup, BackupCostAtLeastPrimaryTypically) {
   // same heuristic) it is not expected to beat the primary; assert it stays
   // within a sane factor instead of an unsound strict inequality.
   const topo::Topology t = diamond();
-  const LinearCosts costs = uniform_costs(t, 1.0, 0.001);
+  const LinearCosts costs = reference::uniform_costs(t, 1.0, 0.001);
   const nfv::Request r = simple_request();
   const OfflineSolution primary = appro_multi(t, costs, r);
   const OfflineSolution backup = compute_backup_tree(t, costs, r, primary.tree);

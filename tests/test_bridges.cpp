@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/components.h"
 #include "topology/waxman.h"
 #include "util/rng.h"
@@ -44,10 +46,6 @@ TEST(Bridges, BarbellBridgeAndArticulations) {
   const CutAnalysis cut = find_cut_elements(g);
   EXPECT_EQ(cut.bridges, (std::vector<EdgeId>{joint}));
   EXPECT_EQ(cut.articulation_points, (std::vector<VertexId>{2, 3}));
-  EXPECT_TRUE(cut.is_bridge(joint));
-  EXPECT_FALSE(cut.is_bridge(0));
-  EXPECT_TRUE(cut.is_articulation_point(2));
-  EXPECT_FALSE(cut.is_articulation_point(0));
 }
 
 TEST(Bridges, ParallelEdgesAreNotBridges) {
@@ -106,7 +104,9 @@ TEST(Bridges, AgreesWithBruteForceOnRandomGraphs) {
       }
       const bool disconnects =
           connected_components(without).count > base_components;
-      EXPECT_EQ(cut.is_bridge(e), disconnects)
+      const bool bridge =
+          std::find(cut.bridges.begin(), cut.bridges.end(), e) != cut.bridges.end();
+      EXPECT_EQ(bridge, disconnects)
           << "trial " << trial << " edge " << e;
     }
   }

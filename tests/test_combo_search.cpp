@@ -24,6 +24,7 @@
 #include "nfv/resources.h"
 #include "reference/appro_multi_reference.h"
 #include "reference/subset_mst_sweep.h"
+#include "reference/support.h"
 #include "sim/request_gen.h"
 #include "topology/geant.h"
 #include "topology/waxman.h"
@@ -82,7 +83,7 @@ Instance geant_instance(std::uint64_t seed, std::size_t dests) {
 /// routing values tie everywhere.
 Instance tie_instance(std::uint64_t seed, std::size_t n, std::size_t dests) {
   Instance inst = random_instance(seed, n, dests);
-  inst.costs = uniform_costs(inst.topo, 1.0, 0.01);
+  inst.costs = reference::uniform_costs(inst.topo, 1.0, 0.01);
   return inst;
 }
 
@@ -393,7 +394,7 @@ TEST(ComboSearch, DominatedCombinationsSolveLikeTheirWitnessSubset) {
         if (!marked) continue;
         ++skipped;
         expect_same_tree_without(rig, idx, witness);
-      } while (util::next_combination(idx, n));
+      } while (reference::next_combination(idx, n));
     }
     EXPECT_EQ(res.evaluated, evaluated.size());
     EXPECT_EQ(res.evaluated + res.pruned, space);
@@ -607,7 +608,7 @@ TEST_P(ComboBoundsAdmissibilityTest, BoundsNeverExceedEvaluatedCosts) {
   const BoundCase& c = GetParam();
   Instance inst = c.geant ? geant_instance(1200 + c.dests, c.dests)
                           : random_instance(1100 + c.dests, 100, c.dests);
-  if (c.unit_costs) inst.costs = uniform_costs(inst.topo);
+  if (c.unit_costs) inst.costs = reference::uniform_costs(inst.topo);
   const SharedSearchRig rig(inst);
   const std::size_t n = rig.pool.size();
   ASSERT_GT(n, 0u);
@@ -643,7 +644,7 @@ TEST_P(ComboBoundsAdmissibilityTest, BoundsNeverExceedEvaluatedCosts) {
       }
       combos.push_back(idx);
       cost.push_back(evaluated);
-    } while (util::next_combination(idx, n));
+    } while (reference::next_combination(idx, n));
   }
 
   // Prefixes of every size below K, the empty one included.

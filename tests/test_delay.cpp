@@ -5,6 +5,7 @@
 #include "core/appro_multi.h"
 #include "core/online_cp.h"
 #include "core/online_sp.h"
+#include "reference/support.h"
 #include "topology/waxman.h"
 #include "util/rng.h"
 
@@ -110,7 +111,7 @@ TEST(Delay, BoundEnforced) {
 
 TEST(DelayConstrained, ApproMultiRejectsWhenBoundImpossible) {
   Fixture f;
-  const LinearCosts costs = uniform_costs(f.topo, 1.0, 0.01);
+  const LinearCosts costs = reference::uniform_costs(f.topo, 1.0, 0.01);
   f.request.max_delay_ms = 1.0;  // even reaching the server takes 3 ms
   const OfflineSolution sol = appro_multi(f.topo, costs, f.request);
   EXPECT_FALSE(sol.admitted);
@@ -119,7 +120,7 @@ TEST(DelayConstrained, ApproMultiRejectsWhenBoundImpossible) {
 
 TEST(DelayConstrained, ApproMultiAdmitsWithinBound) {
   Fixture f;
-  const LinearCosts costs = uniform_costs(f.topo, 1.0, 0.01);
+  const LinearCosts costs = reference::uniform_costs(f.topo, 1.0, 0.01);
   f.request.max_delay_ms = 10.0;
   const OfflineSolution sol = appro_multi(f.topo, costs, f.request);
   ASSERT_TRUE(sol.admitted) << sol.reject_reason;
@@ -143,7 +144,7 @@ TEST(DelayConstrained, ApproMultiPicksDelayFeasibleCandidate) {
   t.link_bandwidth = {1000, 1000, 1000, 1000, 1000};
   t.server_compute = {0, 8000, 8000, 0, 0};
   t.link_delay_ms = {1.0, 1.0, 1.0, 10.0, 10.0};
-  LinearCosts costs = uniform_costs(t, 1.0, 0.001);
+  LinearCosts costs = reference::uniform_costs(t, 1.0, 0.001);
   costs.link_unit_cost = {1.9, 1.9, 1.9, 1.0, 1.0};  // lower path cheaper
 
   nfv::Request r;
@@ -198,7 +199,7 @@ TEST(DelayConstrained, AssignDelaysHelper) {
     EXPECT_GE(d, 0.5);
     EXPECT_LE(d, 1.5);
   }
-  EXPECT_NO_THROW(topo::validate_topology(t));
+  EXPECT_NO_THROW(reference::validate_topology(t));
   EXPECT_THROW(topo::assign_delays(t, rng, 0.0, 1.0), std::invalid_argument);
   EXPECT_THROW(topo::assign_delays(t, rng, 2.0, 1.0), std::invalid_argument);
 }
@@ -206,9 +207,9 @@ TEST(DelayConstrained, AssignDelaysHelper) {
 TEST(DelayConstrained, ValidateRejectsBadDelayVector) {
   Fixture f;
   f.topo.link_delay_ms.pop_back();
-  EXPECT_THROW(topo::validate_topology(f.topo), std::logic_error);
+  EXPECT_THROW(reference::validate_topology(f.topo), std::logic_error);
   f.topo.link_delay_ms = {1.0, -1.0, 1.0};
-  EXPECT_THROW(topo::validate_topology(f.topo), std::logic_error);
+  EXPECT_THROW(reference::validate_topology(f.topo), std::logic_error);
 }
 
 TEST(DelayConstrained, ChainProcessingDelaySums) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "graph/sp_engine.h"
+#include "reference/support.h"
 #include "topology/waxman.h"
 #include "util/rng.h"
 
@@ -86,7 +87,7 @@ TEST(Dijkstra, FilteredExcludesEdges) {
   // Forbid the cheap 0-1 edge; best route to 2 becomes the direct edge.
   const std::vector<std::uint8_t> mask = {0, 1, 1};
   const ShortestPaths sp =
-      SpEngine::thread_local_engine().shortest_paths_masked(g, 0, mask);
+      reference::shortest_paths_masked(SpEngine::thread_local_engine(), g, 0, mask);
   EXPECT_DOUBLE_EQ(sp.dist[2], 5.0);
   EXPECT_EQ(path_vertices(sp, 2), (std::vector<VertexId>{0, 2}));
 }
@@ -96,7 +97,7 @@ TEST(Dijkstra, FilteredCanDisconnect) {
   g.add_edge(0, 1, 1.0);
   const std::vector<std::uint8_t> mask = {0};
   const ShortestPaths sp =
-      SpEngine::thread_local_engine().shortest_paths_masked(g, 0, mask);
+      reference::shortest_paths_masked(SpEngine::thread_local_engine(), g, 0, mask);
   EXPECT_FALSE(sp.reachable(1));
 }
 

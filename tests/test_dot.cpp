@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/appro_multi.h"
+#include "reference/support.h"
 #include "topology/waxman.h"
 #include "util/rng.h"
 
@@ -56,7 +57,7 @@ TEST(Dot, CoordinatesEmittedWhenPresent) {
 
 TEST(Dot, TreeOverlayHighlightsRoles) {
   const topo::Topology t = small_topology();
-  const core::LinearCosts costs = core::uniform_costs(t, 1.0, 0.01);
+  const core::LinearCosts costs = reference::uniform_costs(t, 1.0, 0.01);
   nfv::Request r;
   r.id = 1;
   r.source = 0;

@@ -2,6 +2,7 @@
 
 #include "core/online_cp.h"
 #include "core/online_sp.h"
+#include "reference/support.h"
 #include "sim/simulator.h"
 #include "topology/waxman.h"
 #include "util/rng.h"
@@ -71,8 +72,10 @@ TEST(DynamicSimulator, ResourcesFullyReleasedAtEnd) {
   const auto workload = make_poisson_workload(gen, rng, 150);
   core::OnlineCp algo(t);
   run_online_dynamic(algo, workload);
-  EXPECT_NEAR(algo.resources().total_allocated_bandwidth(), 0.0, 1e-6);
-  EXPECT_NEAR(algo.resources().total_allocated_compute(), 0.0, 1e-6);
+  EXPECT_NEAR(reference::total_allocated_bandwidth(algo.topology(), algo.resources()),
+              0.0, 1e-6);
+  EXPECT_NEAR(reference::total_allocated_compute(algo.topology(), algo.resources()),
+              0.0, 1e-6);
 }
 
 TEST(DynamicSimulator, UnsortedArrivalsRejected) {

@@ -34,20 +34,5 @@ TEST_F(EnvTest, IntFallbackOnGarbage) {
   EXPECT_EQ(env_int("NFVM_TEST_VAR", 42), 42);
 }
 
-TEST_F(EnvTest, DoubleParsesValue) {
-  setenv("NFVM_TEST_VAR", "2.5", 1);
-  EXPECT_DOUBLE_EQ(env_double("NFVM_TEST_VAR", 1.0), 2.5);
-}
-
-TEST_F(EnvTest, DoubleFallbackOnGarbage) {
-  setenv("NFVM_TEST_VAR", "x", 1);
-  EXPECT_DOUBLE_EQ(env_double("NFVM_TEST_VAR", 1.5), 1.5);
-}
-
-TEST_F(EnvTest, DoubleFallbackWhenUnset) {
-  unsetenv("NFVM_TEST_VAR");
-  EXPECT_DOUBLE_EQ(env_double("NFVM_TEST_VAR", 0.25), 0.25);
-}
-
 }  // namespace
 }  // namespace nfvm::util

@@ -1,6 +1,6 @@
-// Model-based fuzzing of the Graph class: random operation sequences are
-// mirrored against a trivially correct adjacency-matrix reference and all
-// observable queries must agree.
+// Model-based fuzzing of the Graph class: random edge insertions (parallel
+// edges and self-loops included) are mirrored against a trivially correct
+// adjacency-matrix reference and all observable queries must agree.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -14,11 +14,7 @@ namespace {
 /// Reference implementation: dense matrix of multiplicity + edge list.
 class ReferenceGraph {
  public:
-  std::size_t add_vertex() {
-    for (auto& row : matrix_) row.push_back(0);
-    matrix_.emplace_back(matrix_.size() + 1, 0);
-    return matrix_.size() - 1;
-  }
+  explicit ReferenceGraph(std::size_t n) : matrix_(n, std::vector<int>(n, 0)) {}
 
   void add_edge(std::size_t u, std::size_t v, double w) {
     edges_.push_back({u, v, w});
@@ -29,22 +25,7 @@ class ReferenceGraph {
   std::size_t num_vertices() const { return matrix_.size(); }
   std::size_t num_edges() const { return edges_.size(); }
 
-  std::size_t degree(std::size_t v) const {
-    std::size_t deg = 0;
-    for (std::size_t u = 0; u < matrix_.size(); ++u) {
-      deg += static_cast<std::size_t>(matrix_[v][u]);
-      if (u == v) deg += static_cast<std::size_t>(matrix_[v][u]);  // loops x2
-    }
-    return deg;
-  }
-
   int multiplicity(std::size_t u, std::size_t v) const { return matrix_[u][v]; }
-
-  double total_weight() const {
-    double sum = 0;
-    for (const auto& e : edges_) sum += e.w;
-    return sum;
-  }
 
   struct E {
     std::size_t u, v;
@@ -61,31 +42,20 @@ class GraphModelTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(GraphModelTest, RandomOperationSequenceAgrees) {
   util::Rng rng(GetParam());
-  Graph g;
-  ReferenceGraph ref;
+  const std::size_t n = 1 + rng.next_below(60);
+  Graph g(n);
+  ReferenceGraph ref(n);
 
-  for (int step = 0; step < 600; ++step) {
-    const std::uint64_t op = rng.next_below(10);
-    if (op < 3 || g.num_vertices() == 0) {
-      const VertexId a = g.add_vertex();
-      const std::size_t b = ref.add_vertex();
-      ASSERT_EQ(a, b);
-    } else {
-      const auto u = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-      const auto v = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-      const double w = rng.uniform_real(0.0, 5.0);
-      g.add_edge(u, v, w);
-      ref.add_edge(u, v, w);
-    }
+  for (int step = 0; step < 420; ++step) {
+    const auto u = static_cast<VertexId>(rng.next_below(n));
+    const auto v = static_cast<VertexId>(rng.next_below(n));
+    const double w = rng.uniform_real(0.0, 5.0);
+    g.add_edge(u, v, w);
+    ref.add_edge(u, v, w);
   }
 
   ASSERT_EQ(g.num_vertices(), ref.num_vertices());
   ASSERT_EQ(g.num_edges(), ref.num_edges());
-  EXPECT_NEAR(g.total_weight(), ref.total_weight(), 1e-9);
-
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(g.degree(v), ref.degree(v)) << "vertex " << v;
-  }
 
   // Edge records match the reference list, id by id.
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
@@ -95,12 +65,12 @@ TEST_P(GraphModelTest, RandomOperationSequenceAgrees) {
     EXPECT_DOUBLE_EQ(ed.weight, ref.edges()[e].w);
   }
 
-  // Adjacency multiplicities agree with the matrix.
+  // Adjacency multiplicities agree with the matrix (a self-loop is one
+  // record in its vertex's list, as it is one count on the diagonal).
   for (VertexId u = 0; u < g.num_vertices(); ++u) {
     std::vector<int> count(g.num_vertices(), 0);
     for (const Adjacency& adj : g.neighbors(u)) ++count[adj.neighbor];
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      if (u == v) continue;  // self-loops appear once per adjacency list
       EXPECT_EQ(count[v], ref.multiplicity(u, v)) << u << "-" << v;
     }
   }

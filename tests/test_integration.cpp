@@ -9,6 +9,7 @@
 #include "core/delay.h"
 #include "core/online_cp.h"
 #include "core/online_sp.h"
+#include "reference/support.h"
 #include "sim/request_gen.h"
 #include "sim/simulator.h"
 #include "topology/geant.h"
@@ -181,8 +182,10 @@ TEST(Integration, AllConstraintsTogetherOnlineRun) {
   core::OnlineCp algo(topo);
   const sim::DynamicMetrics m = sim::run_online_dynamic(algo, timed);
   EXPECT_GT(m.num_admitted, 0u);
-  EXPECT_NEAR(algo.resources().total_allocated_bandwidth(), 0.0, 1e-6);
-  EXPECT_NEAR(algo.resources().total_allocated_compute(), 0.0, 1e-6);
+  EXPECT_NEAR(reference::total_allocated_bandwidth(algo.topology(), algo.resources()),
+              0.0, 1e-6);
+  EXPECT_NEAR(reference::total_allocated_compute(algo.topology(), algo.resources()),
+              0.0, 1e-6);
   for (graph::VertexId v = 0; v < topo.num_switches(); ++v) {
     EXPECT_NEAR(algo.resources().residual_table_entries(v), 25.0, 1e-9);
   }

@@ -104,7 +104,8 @@ TEST_P(KmbAllocationGuard, SharedComboSolverAllocatesOnlyItsResult) {
       core::build_work_context(inst.topo, inst.costs, inst.request, nullptr);
   ASSERT_TRUE(ctx.destinations_reachable);
   ASSERT_GE(ctx.eligible_servers.size(), 2u);
-  const core::SharedOracle oracle = core::build_shared_oracle(ctx, inst.request);
+  const core::SharedOracle oracle =
+      core::build_shared_oracle(ctx, inst.request, ctx.eligible_servers);
   const std::vector<graph::VertexId> combo{ctx.eligible_servers[0],
                                            ctx.eligible_servers[1]};
   const core::AuxOverlay overlay =

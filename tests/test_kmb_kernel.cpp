@@ -222,7 +222,7 @@ TEST(KmbKernelOracle, SharedComboSolverMatchesMaterializedAuxGraph) {
       const WorkContext ctx =
           build_work_context(inst.topo, inst.costs, inst.request, nullptr);
       if (!ctx.destinations_reachable || ctx.eligible_servers.empty()) continue;
-      const SharedOracle oracle = build_shared_oracle(ctx, inst.request);
+      const SharedOracle oracle = build_shared_oracle(ctx, inst.request, ctx.eligible_servers);
       // Every single server and every server pair.
       std::vector<std::vector<graph::VertexId>> combos;
       const auto& pool = ctx.eligible_servers;

@@ -44,12 +44,5 @@ TEST(NetworkFunction, InvalidEnumThrows) {
                std::invalid_argument);
 }
 
-TEST(NetworkFunction, RandomDrawCoversAll) {
-  util::Rng rng(3);
-  std::set<NetworkFunction> seen;
-  for (int i = 0; i < 200; ++i) seen.insert(random_network_function(rng));
-  EXPECT_EQ(seen.size(), kNumNetworkFunctions);
-}
-
 }  // namespace
 }  // namespace nfvm::nfv

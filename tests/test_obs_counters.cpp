@@ -7,6 +7,7 @@
 
 #include "core/online_cp.h"
 #include "obs/metrics.h"
+#include "obs_test_util.h"
 #include "sim/request_gen.h"
 #include "sim/simulator.h"
 #include "topology/waxman.h"
@@ -15,12 +16,8 @@
 namespace nfvm {
 namespace {
 
-std::uint64_t counter_value(const std::string& name) {
-  return obs::Registry::global().counter(name)->value();
-}
-
 TEST(ObsCounters, RejectCauseCountersSumToRejected) {
-  obs::Registry::global().reset_values();
+  const test::CounterBaseline counters;
 
   // A tiny overloaded topology with a long arrival sequence guarantees
   // capacity-driven rejections (same setup as the SimulationMetrics
@@ -32,23 +29,23 @@ TEST(ObsCounters, RejectCauseCountersSumToRejected) {
   core::OnlineCp algo(t);
   const sim::SimulationMetrics m = sim::run_online(algo, gen.sequence(200));
 
-  const std::uint64_t reject_sum = counter_value("online.reject.bandwidth") +
-                                   counter_value("online.reject.compute") +
-                                   counter_value("online.reject.threshold") +
-                                   counter_value("online.reject.delay") +
-                                   counter_value("online.reject.other");
+  const std::uint64_t reject_sum = counters.since("online.reject.bandwidth") +
+                                   counters.since("online.reject.compute") +
+                                   counters.since("online.reject.threshold") +
+                                   counters.since("online.reject.delay") +
+                                   counters.since("online.reject.other");
   // The invariant holds whether or not the obs layer is compiled in: with
   // NFVM_OBS=0 every counter reads zero and both sides collapse to 0.
-  EXPECT_EQ(reject_sum, counter_value("online.rejected"));
+  EXPECT_EQ(reject_sum, counters.since("online.rejected"));
 #if NFVM_OBS
   EXPECT_GT(m.num_rejected, 0u);
-  EXPECT_EQ(counter_value("online.rejected"),
+  EXPECT_EQ(counters.since("online.rejected"),
             static_cast<std::uint64_t>(m.num_rejected));
-  EXPECT_EQ(counter_value("online.admitted"),
+  EXPECT_EQ(counters.since("online.admitted"),
             static_cast<std::uint64_t>(m.num_admitted));
 #else
   (void)m;
-  EXPECT_EQ(counter_value("online.rejected"), 0u);
+  EXPECT_EQ(counters.since("online.rejected"), 0u);
 #endif
 }
 

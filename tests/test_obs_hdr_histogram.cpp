@@ -55,9 +55,6 @@ TEST(HdrHistogram, TracksCountSumMinMax) {
   EXPECT_DOUBLE_EQ(h.sum(), 14.0);
   EXPECT_DOUBLE_EQ(h.min(), 1.0);
   EXPECT_DOUBLE_EQ(h.max(), 10.0);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_TRUE(h.snapshot_buckets().empty());
 }
 
 TEST(HdrHistogram, ConcurrentObservationsAreNotLost) {

@@ -70,8 +70,7 @@ std::string write_fixture_log(const std::string& name,
   JsonLine summary;
   summary.field("event", "summary").field("requests", std::uint64_t{3});
   log.write(summary);
-  log.close();
-  return path;
+  return path;  // the log closes (and flushes) on return
 }
 
 TEST(RequestEvents, LoadsStampAndProvenance) {
@@ -211,15 +210,16 @@ TEST(RequestEvents, DecisionsProjectionIsTimingFree) {
 
 TEST(EventLogStamp, PrependsFieldsToEveryLine) {
   const std::string path = ::testing::TempDir() + "/stamped.jsonl";
-  EventLog log;
-  ASSERT_TRUE(log.open(path));
-  JsonLine stamp;
-  stamp.field("schema", kEventsSchema).field("config_hash", "abc");
-  log.set_stamp(stamp);
-  JsonLine line;
-  line.field("event", "request").field("index", std::uint64_t{0});
-  log.write(line);
-  log.close();
+  {
+    EventLog log;
+    ASSERT_TRUE(log.open(path));
+    JsonLine stamp;
+    stamp.field("schema", kEventsSchema).field("config_hash", "abc");
+    log.set_stamp(stamp);
+    JsonLine line;
+    line.field("event", "request").field("index", std::uint64_t{0});
+    log.write(line);
+  }  // closing the log flushes it
   std::ifstream in(path);
   std::string written;
   std::getline(in, written);

@@ -108,20 +108,21 @@ TEST(EventsSchemaV2, GoldenShapeFromTheRealEmitter) {
   const auto requests = gen.sequence(200);
 
   const std::string path = ::testing::TempDir() + "/schema_events.jsonl";
-  EventLog log;
-  ASSERT_TRUE(log.open(path));
-  JsonLine stamp;
-  stamp.field("schema", report::kEventsSchema)
-      .field("config_hash", config_hash_hex("schema-test"))
-      .field("seed", std::uint64_t{11});
-  log.set_stamp(stamp);
+  {
+    EventLog log;
+    ASSERT_TRUE(log.open(path));
+    JsonLine stamp;
+    stamp.field("schema", report::kEventsSchema)
+        .field("config_hash", config_hash_hex("schema-test"))
+        .field("seed", std::uint64_t{11});
+    log.set_stamp(stamp);
 
-  core::OnlineCp algo(topo);
-  sim::SimulatorOptions opts;
-  opts.event_log = &log;
-  opts.record_provenance = true;
-  sim::run_online(algo, requests, opts);
-  log.close();
+    core::OnlineCp algo(topo);
+    sim::SimulatorOptions opts;
+    opts.event_log = &log;
+    opts.record_provenance = true;
+    sim::run_online(algo, requests, opts);
+  }  // closing the log flushes it
 
   const std::set<std::string> stamp_fields = {"schema", "config_hash", "seed"};
   const std::set<std::string> base_fields = {

@@ -195,13 +195,14 @@ TEST(SloTracker, FinishUsesTrueElapsedTimeForRates) {
 }
 
 TEST(SloTracker, BreachesAreLoggedAsEvents) {
-  EventLog log;
-  ASSERT_TRUE(log.open("slo_breach_events.jsonl"));
-  SloTracker tracker(parse_slo_specs("windows.lat.p99 < 100 over 1s"));
-  tracker.set_event_log(&log);
-  tracker.offer(0, {{"windows.lat.p99", 10.0}});
-  tracker.offer(1000, {{"windows.lat.p99", 500.0}});
-  log.close();
+  {
+    EventLog log;
+    ASSERT_TRUE(log.open("slo_breach_events.jsonl"));
+    SloTracker tracker(parse_slo_specs("windows.lat.p99 < 100 over 1s"));
+    tracker.set_event_log(&log);
+    tracker.offer(0, {{"windows.lat.p99", 10.0}});
+    tracker.offer(1000, {{"windows.lat.p99", 500.0}});
+  }  // closing the log flushes it
   std::ifstream in("slo_breach_events.jsonl");
   std::string line;
   ASSERT_TRUE(std::getline(in, line));

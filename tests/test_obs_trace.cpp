@@ -17,19 +17,27 @@ namespace {
 /// Restores the global tracer to the stopped state even if a test fails.
 struct TracerGuard {
   TracerGuard() { Tracer::global().start(); }
-  ~TracerGuard() {
-    Tracer::global().stop();
-    Tracer::global().set_max_events(1'000'000);
-  }
+  ~TracerGuard() { Tracer::global().stop(); }
 };
+
+/// The tracer's buffer as its Chrome trace export parses it.
+test::JsonValue export_trace(const Tracer& tracer) {
+  std::ostringstream out;
+  tracer.write_chrome_trace(out);
+  return test::parse_json(out.str());
+}
+
+std::size_t num_events(const Tracer& tracer) {
+  return export_trace(tracer).at("traceEvents").array.size();
+}
 
 TEST(Tracer, DisabledByDefaultRecordsNothing) {
   // Do not start the tracer: spans must be no-ops.
-  const std::size_t before = Tracer::global().num_events();
+  const std::size_t before = num_events(Tracer::global());
   {
     NFVM_SPAN("test/should_not_record");
   }
-  EXPECT_EQ(Tracer::global().num_events(), before);
+  EXPECT_EQ(num_events(Tracer::global()), before);
 }
 
 TEST(Tracer, StartClearsBufferAndRecordsSpans) {
@@ -38,17 +46,17 @@ TEST(Tracer, StartClearsBufferAndRecordsSpans) {
     NFVM_SPAN("test/outer");
   }
 #if NFVM_OBS
-  ASSERT_EQ(Tracer::global().num_events(), 1u);
-  const auto events = Tracer::global().snapshot();
-  EXPECT_STREQ(events[0].name, "test/outer");
-  EXPECT_GE(events[0].ts_us, 0.0);
-  EXPECT_GE(events[0].dur_us, 0.0);
-  EXPECT_EQ(events[0].depth, 1u);
+  const test::JsonValue doc = export_trace(Tracer::global());
+  const auto& events = doc.at("traceEvents").array;
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].at("name").string, "test/outer");
+  EXPECT_GE(events[0].at("ts").number, 0.0);
+  EXPECT_GE(events[0].at("dur").number, 0.0);
 #else
-  EXPECT_EQ(Tracer::global().num_events(), 0u);
+  EXPECT_EQ(num_events(Tracer::global()), 0u);
 #endif
   Tracer::global().start();  // restarting clears
-  EXPECT_EQ(Tracer::global().num_events(), 0u);
+  EXPECT_EQ(num_events(Tracer::global()), 0u);
 }
 
 #if NFVM_OBS
@@ -61,19 +69,20 @@ TEST(Tracer, NestedSpansCarryDepthAndContainment) {
     }
   }
   Tracer::global().stop();
-  const auto events = Tracer::global().snapshot();
+  const test::JsonValue doc = export_trace(Tracer::global());
+  const auto& events = doc.at("traceEvents").array;
   ASSERT_EQ(events.size(), 2u);
-  // Spans land in completion order: the inner one closes first.
-  const TraceEvent& inner = events[0];
-  const TraceEvent& outer = events[1];
-  EXPECT_STREQ(inner.name, "test/inner");
-  EXPECT_STREQ(outer.name, "test/outer");
-  EXPECT_EQ(outer.depth, 1u);
-  EXPECT_EQ(inner.depth, 2u);
-  EXPECT_EQ(inner.tid, outer.tid);
+  // Spans land in completion order: the inner one closes first. Chrome
+  // derives the nesting depth from containment on one thread.
+  const test::JsonValue& inner = events[0];
+  const test::JsonValue& outer = events[1];
+  EXPECT_EQ(inner.at("name").string, "test/inner");
+  EXPECT_EQ(outer.at("name").string, "test/outer");
+  EXPECT_EQ(inner.at("tid").number, outer.at("tid").number);
   // The inner interval nests inside the outer one.
-  EXPECT_GE(inner.ts_us, outer.ts_us);
-  EXPECT_LE(inner.ts_us + inner.dur_us, outer.ts_us + outer.dur_us);
+  EXPECT_GE(inner.at("ts").number, outer.at("ts").number);
+  EXPECT_LE(inner.at("ts").number + inner.at("dur").number,
+            outer.at("ts").number + outer.at("dur").number);
 }
 
 TEST(Tracer, ChromeTraceExportIsWellFormed) {
@@ -85,10 +94,7 @@ TEST(Tracer, ChromeTraceExportIsWellFormed) {
     }
   }
   Tracer::global().stop();
-  std::ostringstream out;
-  Tracer::global().write_chrome_trace(out);
-
-  const test::JsonValue doc = test::parse_json(out.str());
+  const test::JsonValue doc = export_trace(Tracer::global());
   ASSERT_TRUE(doc.is_object());
   EXPECT_EQ(doc.at("displayTimeUnit").string, "ms");
   const auto& events = doc.at("traceEvents").array;
@@ -104,30 +110,25 @@ TEST(Tracer, ChromeTraceExportIsWellFormed) {
   EXPECT_EQ(events[1].at("name").string, "test/export \"quoted\"");
 }
 
-TEST(Tracer, EventCapCountsDropsInsteadOfGrowing) {
-  TracerGuard guard;
-  Tracer::global().set_max_events(2);
-  for (int i = 0; i < 5; ++i) {
-    NFVM_SPAN("test/capped");
-  }
-  EXPECT_EQ(Tracer::global().num_events(), 2u);
-  EXPECT_EQ(Tracer::global().dropped(), 3u);
-
-  std::ostringstream out;
-  Tracer::global().write_chrome_trace(out);
-  const test::JsonValue doc = test::parse_json(out.str());
-  EXPECT_EQ(doc.at("nfvmDroppedEvents").number, 3.0);
-}
-
 TEST(Tracer, SpanOpenAcrossStopIsDropped) {
   TracerGuard guard;
   {
     SpanScope span("test/interrupted");
     Tracer::global().stop();
   }  // closes after stop: must not record a negative-duration event
-  EXPECT_EQ(Tracer::global().num_events(), 0u);
+  EXPECT_EQ(num_events(Tracer::global()), 0u);
 }
 #endif  // NFVM_OBS
+
+TEST(Tracer, EventCapCountsDropsInsteadOfGrowing) {
+  Tracer tracer(2);
+  tracer.start();
+  for (int i = 0; i < 5; ++i) tracer.record("test/capped", 0.0, 1.0);
+  EXPECT_EQ(tracer.dropped(), 3u);
+  const test::JsonValue doc = export_trace(tracer);
+  EXPECT_EQ(doc.at("traceEvents").array.size(), 2u);
+  EXPECT_EQ(doc.at("nfvmDroppedEvents").number, 3.0);
+}
 
 TEST(JsonLine, BuildsFlatObjectInInsertionOrder) {
   JsonLine line;
@@ -155,9 +156,7 @@ TEST(EventLog, WritesOneLinePerEvent) {
     log.write(a);
     log.write(b);
     EXPECT_EQ(log.lines_written(), 2u);
-    log.close();
-    EXPECT_FALSE(log.is_open());
-  }
+  }  // the destructor flushes and closes
   std::ifstream in(path);
   std::vector<std::string> lines;
   for (std::string line; std::getline(in, line);) lines.push_back(line);
@@ -184,12 +183,11 @@ TEST(Log, LevelParsingAndThresholds) {
   EXPECT_EQ(parse_log_level("debug"), LogLevel::kDebug);
   EXPECT_FALSE(parse_log_level("verbose").has_value());
 
-  const LogLevel saved = log_level();
   set_log_level(LogLevel::kInfo);
   EXPECT_TRUE(log_enabled(LogLevel::kError));
   EXPECT_TRUE(log_enabled(LogLevel::kInfo));
   EXPECT_FALSE(log_enabled(LogLevel::kDebug));
-  set_log_level(saved);
+  set_log_level(LogLevel::kWarn);  // the default
 }
 
 }  // namespace

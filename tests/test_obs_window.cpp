@@ -70,8 +70,7 @@ TEST(SlidingHdrHistogram, SlotReuseClearsStaleCounts) {
 TEST(SlidingHdrHistogram, AdvanceWithoutObserveExpires) {
   SlidingHdrHistogram h(small_window());
   h.observe(10.0, 0);
-  h.advance(5000);
-  EXPECT_EQ(h.count(5000), 0u);
+  EXPECT_EQ(h.count(5000), 0u);  // a read 5 s later, with no new sample
 }
 
 TEST(SlidingHdrHistogram, QuantilesMatchHdrWithinBucketError) {
@@ -150,36 +149,14 @@ TEST(WindowedHistogram, WindowEmptiesButDecayRemembers) {
   EXPECT_NEAR(snap.decayed_p50, 100.0, 100.0 / 64);
 }
 
-TEST(WindowedHistogram, ResetClearsBothViews) {
-  WindowedHistogram h(small_window());
-  h.observe(100.0, 0);
-  h.reset();
-  const WindowSnapshot snap = h.snapshot(0);
-  EXPECT_EQ(snap.count, 0u);
-  EXPECT_DOUBLE_EQ(snap.decayed_count, 0.0);
-}
-
-TEST(Registry, WindowedInstrumentsAreStableAndResettable) {
+TEST(Registry, WindowedInstrumentsAreStable) {
   Registry registry;
   WindowedHistogram* h = registry.windowed_histogram("test.window");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(registry.windowed_histogram("test.window"), h);
   h->observe(10.0, 0);
   EXPECT_EQ(h->snapshot(0).count, 1u);
-  registry.reset_values();
-  EXPECT_EQ(h->snapshot(0).count, 0u);
   EXPECT_EQ(registry.windowed_instruments().size(), 1u);
-}
-
-TEST(Registry, WindowOptionsApplyToNewInstruments) {
-  Registry registry;
-  WindowOptions options;
-  options.window_ms = 2000;
-  options.slots = 2;
-  registry.set_window_options(options);
-  WindowedHistogram* h = registry.windowed_histogram("test.window");
-  EXPECT_EQ(h->options().window_ms, 2000);
-  EXPECT_EQ(h->options().slots, 2u);
 }
 
 TEST(WindowClock, IsMonotoneNonNegative) {

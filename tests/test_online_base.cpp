@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/online.h"
+#include "reference/support.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 
@@ -101,7 +102,8 @@ TEST(OnlineBase, RejectionLeavesStateUntouched) {
   const AdmissionDecision d = algo.process(simple_request());
   EXPECT_FALSE(d.admitted);
   EXPECT_EQ(d.reject_reason, "scripted rejection");
-  EXPECT_DOUBLE_EQ(algo.resources().total_allocated_bandwidth(), 0.0);
+  EXPECT_DOUBLE_EQ(reference::total_allocated_bandwidth(algo.topology(), algo.resources()),
+                   0.0);
 }
 
 TEST(OnlineBase, OverCommittedFootprintThrowsInsteadOfOverbooking) {
@@ -111,7 +113,8 @@ TEST(OnlineBase, OverCommittedFootprintThrowsInsteadOfOverbooking) {
   FakeAlgorithm algo(t);
   algo.mode = FakeAlgorithm::Mode::kAdmitOverCommitted;
   EXPECT_THROW(algo.process(simple_request()), std::runtime_error);
-  EXPECT_DOUBLE_EQ(algo.resources().total_allocated_bandwidth(), 0.0);
+  EXPECT_DOUBLE_EQ(reference::total_allocated_bandwidth(algo.topology(), algo.resources()),
+                   0.0);
 }
 
 TEST(OnlineBase, MalformedRequestRejectedBeforeTryAdmit) {
@@ -130,7 +133,8 @@ TEST(OnlineBase, ReleaseReturnsResources) {
   algo.mode = FakeAlgorithm::Mode::kAdmitValid;
   const AdmissionDecision d = algo.process(simple_request());
   algo.release(d.footprint);
-  EXPECT_NEAR(algo.resources().total_allocated_bandwidth(), 0.0, 1e-9);
+  EXPECT_NEAR(reference::total_allocated_bandwidth(algo.topology(), algo.resources()),
+              0.0, 1e-9);
 }
 
 TEST(OnlineBase, SimulatorDetectsBogusTrees) {

@@ -18,7 +18,9 @@
 #include "graph/sp_engine.h"
 #include "nfv/resources.h"
 #include "obs/metrics.h"
+#include "obs_test_util.h"
 #include "reference/online_reference.h"
+#include "reference/support.h"
 #include "sim/request_gen.h"
 #include "sim/simulator.h"
 #include "topology/geant.h"
@@ -88,24 +90,18 @@ void run_trace_equivalence(OnlineAlgorithm& fast, OnlineAlgorithm& reference,
   EXPECT_EQ(fast.num_rejected(), reference.num_rejected());
 }
 
-#if NFVM_OBS
-std::uint64_t counter_value(const char* name) {
-  return obs::Registry::global().counter(name)->value();
-}
-#endif
-
 TEST(OnlineFastPath, CpTraceEquivalenceWithDepartures) {
   util::Rng rng(91);
   const topo::Topology topo = topo::make_waxman(60, rng);
   OnlineCp fast(topo);
   OnlineCpRebuild reference(topo);
-  obs::Registry::global().reset_values();
+  const test::CounterBaseline counters;
   // Long enough to leave the zero-weight warm-up, where ties force full
   // recomputes, and to repair trees across releases afterwards.
   run_trace_equivalence(fast, reference, 200);
 #if NFVM_OBS
-  EXPECT_GT(counter_value("graph.sp_repair.trees_repaired"), 0u);
-  EXPECT_GT(counter_value("graph.sp_repair.trees_kept"), 0u);
+  EXPECT_GT(counters.since("graph.sp_repair.trees_repaired"), 0u);
+  EXPECT_GT(counters.since("graph.sp_repair.trees_kept"), 0u);
 #endif
 }
 
@@ -209,29 +205,29 @@ void check_cli_dynamic() {
 }
 
 #if NFVM_OBS
-/// Sum of the repair store's per-tree outcomes since the last registry
-/// reset: zero when no server tree came from the store.
-std::uint64_t stored_tree_outcomes() {
-  return counter_value("graph.sp_repair.trees_kept") +
-         counter_value("graph.sp_repair.trees_repaired") +
-         counter_value("graph.sp_repair.tie_fallbacks");
+/// Sum of the repair store's per-tree outcomes since `counters` was taken:
+/// zero when no server tree came from the store.
+std::uint64_t stored_tree_outcomes(const test::CounterBaseline& counters) {
+  return counters.since("graph.sp_repair.trees_kept") +
+         counters.since("graph.sp_repair.trees_repaired") +
+         counters.since("graph.sp_repair.tie_fallbacks");
 }
 #endif
 
 TEST(OnlineFastPath, CpMatchesReferenceOnCliGeant) {
-  obs::Registry::global().reset_values();
+  const test::CounterBaseline counters;
   check_cli_static<OnlineCp, OnlineCpRebuild>("geant");
 #if NFVM_OBS
   // GEANT's 61 links take the same repair-store path as every other graph.
-  EXPECT_GT(stored_tree_outcomes(), 0u);
+  EXPECT_GT(stored_tree_outcomes(counters), 0u);
 #endif
 }
 
 TEST(OnlineFastPath, SpMatchesReferenceOnCliGeant) {
-  obs::Registry::global().reset_values();
+  const test::CounterBaseline counters;
   check_cli_static<OnlineSp, OnlineSpRebuild>("geant");
 #if NFVM_OBS
-  EXPECT_GT(stored_tree_outcomes(), 0u);
+  EXPECT_GT(stored_tree_outcomes(counters), 0u);
 #endif
 }
 
@@ -244,13 +240,13 @@ TEST(OnlineFastPath, SpMatchesReferenceOnCliWaxman100) {
 }
 
 TEST(OnlineFastPath, CpMatchesReferenceOnCliDynamicWaxman100) {
-  obs::Registry::global().reset_values();
+  const test::CounterBaseline counters;
   check_cli_dynamic<OnlineCp, OnlineCpRebuild>();
 #if NFVM_OBS
   // The run leaves the zero-weight warm-up, so releases and admissions are
   // answered by repaired server trees: the comparison covers the repair
   // path, not just full recomputes.
-  EXPECT_GT(counter_value("graph.sp_repair.trees_repaired"), 0u);
+  EXPECT_GT(counters.since("graph.sp_repair.trees_repaired"), 0u);
 #endif
 }
 
@@ -285,7 +281,7 @@ OnlineWeightedView::EdgeWeightFn consumption_weight(const topo::Topology& topo,
                                                     const nfv::ResourceState& state) {
   return [&topo, &state](graph::EdgeId e) {
     const double consumed =
-        state.bandwidth_capacity(e) - state.residual_bandwidth(e);
+        topo.link_bandwidth[e] - state.residual_bandwidth(e);
     return topo.graph.weight(e) + consumed / 1000.0;
   };
 }
@@ -300,7 +296,7 @@ void expect_fresh(const OnlineWeightedView& view, const nfv::ResourceState& stat
   }
   graph::SpEngine engine;
   const graph::ShortestPaths fresh =
-      engine.shortest_paths_masked(view.graph(), tree.source, mask);
+      reference::shortest_paths_masked(engine, view.graph(), tree.source, mask);
   EXPECT_EQ(tree.dist, fresh.dist) << "source " << tree.source;
   EXPECT_EQ(tree.parent, fresh.parent) << "source " << tree.source;
   EXPECT_EQ(tree.parent_edge, fresh.parent_edge) << "source " << tree.source;
@@ -364,9 +360,7 @@ TEST(OnlineWeightedView, ReleaseRepairsTreesInsteadOfDropping) {
   nfv::ResourceState state(topo);
   OnlineWeightedView view(topo, consumption_weight(topo, state));
   const std::vector<graph::VertexId> sources = {0, 3};
-  obs::Registry::global().reset_values();
   view.trees_for(state, sources, 50.0);
-  EXPECT_EQ(view.stored_trees(), 2u);
 
   // Make e2 expensive enough to reroute the tree from 0, then release it.
   nfv::Footprint fp;
@@ -378,17 +372,19 @@ TEST(OnlineWeightedView, ReleaseRepairsTreesInsteadOfDropping) {
   const graph::ShortestPaths* held = loaded[0].get();
   state.release(fp);
   view.apply_release(fp);
-  obs::Registry::global().reset_values();
+  const test::CounterBaseline counters;
   const auto released = view.trees_for(state, sources, 50.0);
 #if NFVM_OBS
   // Both trees are repaired from the release's weight decrease; nothing is
   // recomputed.
-  EXPECT_EQ(counter_value("graph.dijkstra.runs"), 0u);
-  EXPECT_EQ(counter_value("graph.sp_repair.trees_repaired"), 2u);
+  EXPECT_EQ(counters.since("graph.dijkstra.runs"), 0u);
+  EXPECT_EQ(counters.since("graph.sp_repair.trees_repaired"), 2u);
 #endif
-  // The store still holds both trees; the one from 0 is back on e2 and
-  // identical to a fresh run.
-  EXPECT_EQ(view.stored_trees(), 2u);
+  // The store still holds both trees (an unchanged view hands back the same
+  // ones); the one from 0 is back on e2 and identical to a fresh run.
+  const auto again = view.trees_for(state, sources, 50.0);
+  EXPECT_EQ(again[0].get(), released[0].get());
+  EXPECT_EQ(again[1].get(), released[1].get());
   EXPECT_EQ(released[0]->parent_edge[2], 2u);
   EXPECT_EQ(held->parent_edge[2], 1u);  // a held tree is never rewritten
   expect_fresh(view, state, *released[0], 50.0);
@@ -458,7 +454,7 @@ TEST(OnlineWeightedView, NonTreeIncreaseKeepsTreeWithTies) {
   nfv::ResourceState state(topo);
   OnlineWeightedView view(topo, consumption_weight(topo, state));
   const std::vector<graph::VertexId> sources = {0};
-  obs::Registry::global().reset_values();
+  const test::CounterBaseline counters;
   const auto first = view.trees_for(state, sources, 50.0);
   ASSERT_EQ(first[0]->dist[3], 2.0);
 
@@ -478,9 +474,9 @@ TEST(OnlineWeightedView, NonTreeIncreaseKeepsTreeWithTies) {
   const auto third = view.trees_for(state, sources, 50.0);
   expect_fresh(view, state, *third[0], 50.0);
 #if NFVM_OBS
-  EXPECT_EQ(counter_value("graph.sp_repair.trees_kept"), 1u);
-  EXPECT_EQ(counter_value("graph.sp_repair.tie_fallbacks"), 1u);
-  EXPECT_EQ(counter_value("graph.sp_repair.trees_repaired"), 0u);
+  EXPECT_EQ(counters.since("graph.sp_repair.trees_kept"), 1u);
+  EXPECT_EQ(counters.since("graph.sp_repair.tie_fallbacks"), 1u);
+  EXPECT_EQ(counters.since("graph.sp_repair.trees_repaired"), 0u);
 #endif
 }
 
@@ -501,12 +497,12 @@ TEST(OnlineWeightedView, AfterRestoreDropsStore) {
     restored.process(requests[i]);
   }
   restored.restore_resources(live.resources().export_residuals());
-  obs::Registry::global().reset_values();
+  const test::CounterBaseline counters;
   const AdmissionDecision a = restored.process(requests.back());
 #if NFVM_OBS
-  EXPECT_EQ(counter_value("graph.sp_repair.trees_kept"), 0u);
-  EXPECT_EQ(counter_value("graph.sp_repair.trees_repaired"), 0u);
-  EXPECT_GT(counter_value("graph.dijkstra.runs"), 0u);
+  EXPECT_EQ(counters.since("graph.sp_repair.trees_kept"), 0u);
+  EXPECT_EQ(counters.since("graph.sp_repair.trees_repaired"), 0u);
+  EXPECT_GT(counters.since("graph.dijkstra.runs"), 0u);
 #endif
   const AdmissionDecision b = live.process(requests.back());
   expect_same_decision(a, b, requests.size() - 1);

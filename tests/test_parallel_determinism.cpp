@@ -9,6 +9,7 @@
 #include "core/appro_multi.h"
 #include "graph/steiner.h"
 #include "reference/apsp.h"
+#include "reference/support.h"
 #include "sim/offline_batch.h"
 #include "sim/request_gen.h"
 #include "topology/waxman.h"
@@ -67,7 +68,7 @@ TEST(ParallelDeterminism, KmbSteinerIsThreadCountInvariant) {
 TEST(ParallelDeterminism, ApproMultiIsThreadCountInvariant) {
   GlobalThreadsGuard guard;
   const topo::Topology topo = make_topology(40, 33);
-  const core::LinearCosts costs = core::uniform_costs(topo, 1.0, 0.001);
+  const core::LinearCosts costs = reference::uniform_costs(topo, 1.0, 0.001);
   util::Rng rng(34);
   sim::RequestGenerator gen(topo, rng);
   const std::vector<nfv::Request> requests = gen.sequence(5);
@@ -93,7 +94,7 @@ TEST(ParallelDeterminism, ApproMultiIsThreadCountInvariant) {
 TEST(ParallelDeterminism, OfflineBatchIsThreadCountInvariant) {
   GlobalThreadsGuard guard;
   const topo::Topology topo = make_topology(30, 35);
-  const core::LinearCosts costs = core::uniform_costs(topo, 1.0, 0.001);
+  const core::LinearCosts costs = reference::uniform_costs(topo, 1.0, 0.001);
   util::Rng rng(36);
   sim::RequestGenerator gen(topo, rng);
   const std::vector<nfv::Request> requests = gen.sequence(6);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "reference/support.h"
 #include "util/rng.h"
 
 namespace nfvm::nfv {
@@ -122,18 +123,20 @@ TEST(ResourceState, EmptyFootprintAlwaysFits) {
 }
 
 TEST(ResourceState, TotalsTrackAllocations) {
-  ResourceState state(small_topology());
+  const topo::Topology t = small_topology();
+  ResourceState state(t);
   Footprint fp;
   fp.bandwidth = {{0, 100.0}, {1, 300.0}};
   fp.compute = {{1, 1500.0}};
   state.allocate(fp);
-  EXPECT_DOUBLE_EQ(state.total_allocated_bandwidth(), 400.0);
-  EXPECT_DOUBLE_EQ(state.total_allocated_compute(), 1500.0);
+  EXPECT_DOUBLE_EQ(reference::total_allocated_bandwidth(t, state), 400.0);
+  EXPECT_DOUBLE_EQ(reference::total_allocated_compute(t, state), 1500.0);
 }
 
 TEST(ResourceState, ManyAllocationsConserveTotals) {
   util::Rng rng(9);
-  ResourceState state(small_topology());
+  const topo::Topology t = small_topology();
+  ResourceState state(t);
   std::vector<Footprint> fps;
   for (int i = 0; i < 20; ++i) {
     Footprint fp;
@@ -143,7 +146,7 @@ TEST(ResourceState, ManyAllocationsConserveTotals) {
     fps.push_back(fp);
   }
   for (const Footprint& fp : fps) state.release(fp);
-  EXPECT_NEAR(state.total_allocated_bandwidth(), 0.0, 1e-6);
+  EXPECT_NEAR(reference::total_allocated_bandwidth(t, state), 0.0, 1e-6);
 }
 
 }  // namespace

@@ -181,17 +181,6 @@ TEST(Rng, SampleZeroCountEmpty) {
   EXPECT_TRUE(rng.sample_without_replacement(5, 0).empty());
 }
 
-TEST(Rng, SplitProducesIndependentStream) {
-  Rng parent(47);
-  Rng child = parent.split();
-  // Child stream should not mirror the parent's continued stream.
-  int same = 0;
-  for (int i = 0; i < 32; ++i) {
-    if (parent.next() == child.next()) ++same;
-  }
-  EXPECT_LT(same, 4);
-}
-
 TEST(Rng, ChiSquareUniformityOfNextBelow) {
   // 16 buckets, 16000 draws: expected 1000 per bucket. Chi-square with 15
   // degrees of freedom; 99.9th percentile ~ 37.7. A deterministic seed makes

@@ -86,6 +86,11 @@ TEST(FaultPlan, RejectsMalformedPlans) {
   EXPECT_THROW(FaultPlan::parse(
                    R"({"schema":"nfvm-fault-plan-v1","seed":1e30,"faults":[]})"),
                std::invalid_argument);
+  // A stall sleep_for cannot convert to its clock (undefined behaviour).
+  EXPECT_THROW(FaultPlan::parse(
+                   R"({"schema":"nfvm-fault-plan-v1","seed":1,)"
+                   R"("faults":[{"line":1,"kind":"stall_ms","value":1e300}]})"),
+               std::invalid_argument);
   // Missing faults array.
   EXPECT_THROW(
       FaultPlan::parse(R"({"schema":"nfvm-fault-plan-v1","seed":1})"),

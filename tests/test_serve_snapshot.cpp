@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -61,6 +62,20 @@ std::size_t count_lines(const std::string& text) {
   for (char c : text) n += c == '\n';
   return n;
 }
+
+/// Lines from a std::istream, CR-stripped like the daemon's fd reader.
+class IstreamLineSource final : public LineSource {
+ public:
+  explicit IstreamLineSource(std::istream& in) : in_(in) {}
+  bool next(std::string& line) override {
+    if (!std::getline(in_, line)) return false;
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    return true;
+  }
+
+ private:
+  std::istream& in_;
+};
 
 std::string run_daemon(core::OnlineAlgorithm& algorithm,
                        const std::string& input, const DaemonOptions& options,
@@ -165,6 +180,80 @@ TEST(ServeSnapshot, RestoreRejectsWrongTopologyShape) {
 }
 
 // ---------------------------------------------------------------------------
+// Corrupt snapshots
+// ---------------------------------------------------------------------------
+
+/// A daemon's snapshot after the first 60 lines of a trace, as written.
+std::string real_snapshot_text(const topo::Topology& topo) {
+  const std::string path = temp_path("corrupt_base.snap");
+  DaemonOptions options;
+  options.snapshot_path = path;
+  core::OnlineCp algorithm(topo);
+  run_daemon(algorithm, head_lines(make_trace(topo, 100), 60), options);
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::remove(path.c_str());
+  return text.str();
+}
+
+/// `text` with the first footprint's first bandwidth edge id replaced.
+std::string with_first_edge_id(std::string text, const std::string& id) {
+  const std::string key = "\"bandwidth\":[[";
+  const std::size_t start = text.find(key);
+  EXPECT_NE(start, std::string::npos) << "no active footprint in the snapshot";
+  if (start == std::string::npos) return text;
+  const std::size_t begin = start + key.size();
+  return text.replace(begin, text.find(',', begin) - begin, id);
+}
+
+Snapshot load_text(const std::string& text) {
+  const std::string path = temp_path("corrupt.snap");
+  {
+    std::ofstream out(path);
+    out << text;
+  }
+  try {
+    Snapshot snapshot = load_snapshot(path);
+    std::remove(path.c_str());
+    return snapshot;
+  } catch (...) {
+    std::remove(path.c_str());
+    throw;
+  }
+}
+
+TEST(ServeSnapshot, IdsThatNoIdTypeHoldsAreRejectedOnLoad) {
+  const std::string text = real_snapshot_text(make_topo());
+  EXPECT_NO_THROW(load_text(text));
+  // Negative, fractional, past 2^32 (once truncated onto edge 1), past
+  // 2^64: each used to load and crash or corrupt the first depart.
+  for (const char* id : {"-1", "3.5", "1e10", "4294967297", "1e30"}) {
+    EXPECT_THROW(load_text(with_first_edge_id(text, id)), std::runtime_error)
+        << "edge id " << id;
+  }
+  // Counters and sequence numbers are whole numbers as well.
+  std::string seq = text;
+  const std::size_t at = seq.find("\"seq\":");
+  ASSERT_NE(at, std::string::npos);
+  seq.insert(seq.find(',', at), ".5");
+  EXPECT_THROW(load_text(seq), std::runtime_error);
+}
+
+TEST(ServeSnapshot, RestoreRejectsFootprintOutsideTheTopology) {
+  const topo::Topology topo = make_topo();
+  const Snapshot snapshot =
+      load_text(with_first_edge_id(real_snapshot_text(topo), "100000"));
+  core::OnlineCp algorithm(topo);
+  const nfv::ResourceResiduals before = algorithm.resources().export_residuals();
+  Daemon daemon(algorithm, test_config(), DaemonOptions{});
+  EXPECT_THROW(daemon.restore(snapshot), std::runtime_error);
+  // Rejected before any state changed.
+  EXPECT_EQ(algorithm.resources().export_residuals().bandwidth, before.bandwidth);
+  EXPECT_EQ(algorithm.num_admitted(), 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Crash/restore decision-stream equivalence
 // ---------------------------------------------------------------------------
 
@@ -221,7 +310,7 @@ TEST(ServeSnapshot, ViewWeightsAreAPureFunctionOfRestoredResiduals) {
   const auto weight_against = [&topo](const nfv::ResourceState& state) {
     return [&topo, &state](graph::EdgeId e) {
       return std::pow(2.0, 1.0 - state.residual_bandwidth(e) /
-                               state.bandwidth_capacity(e)) -
+                               topo.link_bandwidth[e]) -
              1.0;
     };
   };

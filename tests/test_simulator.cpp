@@ -139,12 +139,14 @@ TEST(Simulator, EventLogRecordsEveryRequest) {
   RequestGenerator gen(t, rng);
   core::OnlineCp algo(t);
   const std::string path = ::testing::TempDir() + "/nfvm_sim_events.jsonl";
-  obs::EventLog events;
-  ASSERT_TRUE(events.open(path));
-  SimulatorOptions opts;
-  opts.event_log = &events;
-  const SimulationMetrics m = run_online(algo, gen.sequence(25), opts);
-  events.close();
+  SimulationMetrics m;
+  {
+    obs::EventLog events;
+    ASSERT_TRUE(events.open(path));
+    SimulatorOptions opts;
+    opts.event_log = &events;
+    m = run_online(algo, gen.sequence(25), opts);
+  }  // closing the log flushes it
   EXPECT_EQ(m.num_requests, 25u);
   std::ifstream in(path);
   std::size_t lines = 0;

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "reference/support.h"
 #include "topology/waxman.h"
 #include "util/rng.h"
 
@@ -110,7 +111,7 @@ TEST(SpEngine, FilteredMatchesFreeFunction) {
   const std::vector<ShortestPaths> batch =
       batch_dijkstra(topo.graph, std::span<const VertexId>(&source, 1), mask);
   ASSERT_EQ(batch.size(), 1u);
-  expect_trees_equal(engine.shortest_paths_masked(topo.graph, source, mask),
+  expect_trees_equal(reference::shortest_paths_masked(engine, topo.graph, source, mask),
                      batch[0]);
 }
 

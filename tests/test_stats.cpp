@@ -2,11 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <stdexcept>
-
-#include "util/rng.h"
-
 namespace nfvm::util {
 namespace {
 
@@ -15,8 +10,6 @@ TEST(RunningStats, EmptyDefaults) {
   EXPECT_TRUE(s.empty());
   EXPECT_EQ(s.count(), 0u);
   EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.min(), 0.0);
   EXPECT_EQ(s.max(), 0.0);
 }
 
@@ -25,9 +18,7 @@ TEST(RunningStats, SingleObservation) {
   s.add(3.5);
   EXPECT_EQ(s.count(), 1u);
   EXPECT_DOUBLE_EQ(s.mean(), 3.5);
-  EXPECT_DOUBLE_EQ(s.min(), 3.5);
   EXPECT_DOUBLE_EQ(s.max(), 3.5);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
 }
 
 TEST(RunningStats, KnownValues) {
@@ -35,41 +26,7 @@ TEST(RunningStats, KnownValues) {
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-  // Sample variance of this classic data set is 32/7.
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStats, MergeMatchesSequential) {
-  Rng rng(5);
-  RunningStats whole;
-  RunningStats left;
-  RunningStats right;
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.uniform_real(-10, 10);
-    whole.add(x);
-    (i < 250 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(RunningStats, MergeWithEmptyIsIdentity) {
-  RunningStats s;
-  s.add(1.0);
-  s.add(2.0);
-  RunningStats empty;
-  s.merge(empty);
-  EXPECT_EQ(s.count(), 2u);
-  EXPECT_DOUBLE_EQ(s.mean(), 1.5);
-  empty.merge(s);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 1.5);
 }
 
 TEST(RunningStats, ResetClears) {
@@ -79,60 +36,20 @@ TEST(RunningStats, ResetClears) {
   EXPECT_TRUE(s.empty());
 }
 
-TEST(SampleSet, MeanAndStddev) {
+TEST(SampleSet, MeanAndSum) {
   SampleSet s;
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
+  EXPECT_EQ(s.count(), 8u);
+  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
+  EXPECT_EQ(s.values().front(), 2.0);  // insertion order
+  EXPECT_EQ(s.values().back(), 9.0);
 }
 
-TEST(SampleSet, QuantileInterpolation) {
+TEST(SampleSet, EmptyMeanIsZero) {
   SampleSet s;
-  for (double x : {1.0, 2.0, 3.0, 4.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(s.quantile(1.0), 4.0);
-  EXPECT_DOUBLE_EQ(s.median(), 2.5);
-  EXPECT_DOUBLE_EQ(s.quantile(1.0 / 3.0), 2.0);
-}
-
-TEST(SampleSet, SingleValueQuantiles) {
-  SampleSet s;
-  s.add(7.0);
-  EXPECT_DOUBLE_EQ(s.quantile(0.0), 7.0);
-  EXPECT_DOUBLE_EQ(s.quantile(0.5), 7.0);
-  EXPECT_DOUBLE_EQ(s.quantile(1.0), 7.0);
-}
-
-TEST(SampleSet, EmptyThrows) {
-  SampleSet s;
-  EXPECT_THROW(s.quantile(0.5), std::out_of_range);
-  EXPECT_THROW(s.min(), std::out_of_range);
-  EXPECT_THROW(s.max(), std::out_of_range);
+  EXPECT_TRUE(s.empty());
   EXPECT_EQ(s.mean(), 0.0);
-}
-
-TEST(SampleSet, QuantileRangeChecked) {
-  SampleSet s;
-  s.add(1.0);
-  EXPECT_THROW(s.quantile(-0.1), std::out_of_range);
-  EXPECT_THROW(s.quantile(1.1), std::out_of_range);
-}
-
-TEST(SampleSet, AddAfterQuantileKeepsConsistency) {
-  SampleSet s;
-  s.add(3.0);
-  s.add(1.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  s.add(0.5);  // after a sorted read
-  EXPECT_DOUBLE_EQ(s.min(), 0.5);
-  EXPECT_DOUBLE_EQ(s.max(), 3.0);
-  EXPECT_EQ(s.count(), 3u);
-}
-
-TEST(SampleSet, StddevOfSingleIsZero) {
-  SampleSet s;
-  s.add(42.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
 }
 
 }  // namespace

