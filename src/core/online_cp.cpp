@@ -223,6 +223,7 @@ AdmissionDecision OnlineCp::try_admit(const nfv::Request& request) {
       continue;
     }
 
+    NFVM_COUNTER_INC("core.online.trees_assembled");
     const graph::RootedTree rooted(view_.graph(), slot.edges, request.source);
     std::vector<graph::VertexId> lca_args;
     lca_args.push_back(v);

@@ -7,7 +7,6 @@
 #include "graph/dijkstra.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace nfvm::core {
@@ -30,16 +29,15 @@ void OnlineSp::after_release(const nfv::Footprint& footprint) {
 
 namespace {
 
-/// Per-candidate evaluation written by the parallel scan, replayed
-/// sequentially in true server order so reasons and the winner match a
-/// sequential per-server scan (tests/reference keeps one as the oracle).
-/// The delay check and footprint are deferred to the replay loop, which
-/// only pays them for candidates surviving the cost prune.
+/// What pricing found for one candidate, replayed in true server order so
+/// reasons and the winner match a sequential per-server scan
+/// (tests/reference keeps one as the oracle). The tree, the delay check and
+/// the footprint are deferred to the replay loop, which only pays them for
+/// candidates surviving the cost prune.
 struct SpCandidateSlot {
   bool server_reachable = false;
   bool dests_reachable = false;
   double cost = 0.0;
-  PseudoMulticastTree tree;
 };
 
 }  // namespace
@@ -88,13 +86,14 @@ AdmissionDecision OnlineSp::try_admit(const nfv::Request& request) {
   NFVM_OBS_ONLY(if (rec) rec->closure_us = phase_watch.elapsed_us();
                 phase_watch.reset();)
 
-  // Phase C: evaluate candidates in parallel, each writing only its slot.
+  // Phase C: price every candidate. A price is one walk over the two trees,
+  // far cheaper than a pool hand-off, so the loop stays sequential.
   std::vector<SpCandidateSlot> slots(eval.size());
-  util::ThreadPool::global().parallel_for(eval.size(), [&](std::size_t i) {
+  for (std::size_t i = 0; i < eval.size(); ++i) {
     const graph::VertexId v = eval[i];
     SpCandidateSlot& slot = slots[i];
     slot.server_reachable = from_source.reachable(v);
-    if (!slot.server_reachable) return;
+    if (!slot.server_reachable) continue;
     const graph::ShortestPaths& from_server = *trees[1 + i];
     slot.dests_reachable = true;
     for (graph::VertexId d : request.destinations) {
@@ -103,16 +102,11 @@ AdmissionDecision OnlineSp::try_admit(const nfv::Request& request) {
         break;
       }
     }
-    if (!slot.dests_reachable) return;
-
-    // Edge ids are physical already (the view mirrors the topology), so no
-    // subgraph remap is needed.
-    slot.tree = make_one_server_spt_tree(request, v, from_source, from_server,
-                                         /*to_physical=*/nullptr, /*cost=*/0.0);
+    if (!slot.dests_reachable) continue;
     // Cost = number of link traversals (unit weights on links).
-    slot.tree.cost = static_cast<double>(slot.tree.total_link_traversals());
-    slot.cost = slot.tree.cost;
-  });
+    slot.cost = static_cast<double>(
+        one_server_spt_traversals(request, v, from_source, from_server, marks_));
+  }
   NFVM_OBS_ONLY(if (rec) {
     rec->servers_evaluated = eval.size();
     rec->eval_us = phase_watch.elapsed_us();
@@ -120,7 +114,8 @@ AdmissionDecision OnlineSp::try_admit(const nfv::Request& request) {
 
   // Phase D: sequential replay — the branch ladder of a sequential
   // per-server scan (note the cost prune sits BEFORE the delay check,
-  // silently). Delay and footprint are only paid by prune survivors.
+  // silently). The tree, the delay check and the footprint are only paid
+  // by prune survivors.
   struct Candidate {
     double cost = 0.0;
     PseudoMulticastTree tree;
@@ -128,7 +123,7 @@ AdmissionDecision OnlineSp::try_admit(const nfv::Request& request) {
   };
   std::optional<Candidate> best;
   for (std::size_t i = 0; i < eval.size(); ++i) {
-    SpCandidateSlot& slot = slots[i];
+    const SpCandidateSlot& slot = slots[i];
     if (!slot.server_reachable) {
       reject.update(RejectTracker::kRankCandidate,
                     "server unreachable at the demanded bandwidth",
@@ -147,14 +142,17 @@ AdmissionDecision OnlineSp::try_admit(const nfv::Request& request) {
       NFVM_OBS_ONLY(if (rec) ++rec->cost_pruned;)
       continue;
     }
-    if (!meets_delay_bound(*topo_, request, slot.tree)) {
+    NFVM_COUNTER_INC("core.online.trees_assembled");
+    PseudoMulticastTree tree = make_one_server_spt_tree(
+        request, eval[i], from_source, *trees[1 + i], slot.cost, marks_);
+    if (!meets_delay_bound(*topo_, request, tree)) {
       reject.update(RejectTracker::kRankCandidate,
                     "no candidate tree meets the delay bound",
                     RejectCause::kDelay);
       NFVM_OBS_ONLY(if (rec) ++rec->failed_delay;)
       continue;
     }
-    nfv::Footprint footprint = slot.tree.footprint(request, topo_->graph);
+    nfv::Footprint footprint = tree.footprint(request, topo_->graph);
     if (!state_.can_allocate(footprint)) {
       reject.update(RejectTracker::kRankCandidate,
                     "path overlaps exceed residual bandwidth",
@@ -167,7 +165,7 @@ AdmissionDecision OnlineSp::try_admit(const nfv::Request& request) {
       rec->chosen_server = static_cast<std::int64_t>(eval[i]);
       rec->cost_total = slot.cost;
     })
-    best = Candidate{slot.cost, std::move(slot.tree), std::move(footprint)};
+    best = Candidate{slot.cost, std::move(tree), std::move(footprint)};
   }
   NFVM_OBS_ONLY(if (rec) rec->realize_us = phase_watch.elapsed_us();)
 

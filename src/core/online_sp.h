@@ -12,8 +12,10 @@
 namespace nfvm::core {
 
 /// The server scan runs against a persistent working view that keeps one
-/// repaired shortest-path tree per server. Decisions are bit-identical at
-/// any thread count. See docs/performance.md, "The online fast path".
+/// repaired shortest-path tree per server, prices every candidate with one
+/// parent walk, and assembles pseudo-trees only for the cost-prune
+/// survivors. Decisions are bit-identical at any thread count. See
+/// docs/performance.md, "The online fast path".
 class OnlineSp final : public OnlineAlgorithm {
  public:
   explicit OnlineSp(const topo::Topology& topo);
@@ -29,6 +31,8 @@ class OnlineSp final : public OnlineAlgorithm {
   /// SP's working weights are the physical link weights (constant), so only
   /// eligibility flips ever reach the stored server trees.
   OnlineWeightedView view_;
+  /// Scratch for pricing and assembling candidate trees.
+  VertexMarks marks_;
 };
 
 }  // namespace nfvm::core

@@ -64,14 +64,16 @@ AdmissionDecision OnlineSpStatic::try_admit(const nfv::Request& request) {
       continue;
     }
 
-    PseudoMulticastTree tree = make_one_server_spt_tree(
-        request, v, from_source, from_server, /*to_physical=*/nullptr,
-        /*cost=*/0.0);
-    tree.cost = static_cast<double>(tree.total_link_traversals());
-    if (best.has_value() && tree.cost >= best->cost) {
+    // Cost = number of link traversals; only prune survivors get a tree.
+    const double cost = static_cast<double>(
+        one_server_spt_traversals(request, v, from_source, from_server, marks_));
+    if (best.has_value() && cost >= best->cost) {
       NFVM_OBS_ONLY(if (rec) ++rec->cost_pruned;)
       continue;
     }
+    NFVM_COUNTER_INC("core.online.trees_assembled");
+    PseudoMulticastTree tree =
+        make_one_server_spt_tree(request, v, from_source, from_server, cost, marks_);
     if (!meets_delay_bound(*topo_, request, tree)) {
       reason = "no candidate tree meets the delay bound";
       cause = RejectCause::kDelay;
@@ -90,9 +92,9 @@ AdmissionDecision OnlineSpStatic::try_admit(const nfv::Request& request) {
     NFVM_OBS_ONLY(if (rec) {
       ++rec->candidates_feasible;
       rec->chosen_server = static_cast<std::int64_t>(v);
-      rec->cost_total = tree.cost;
+      rec->cost_total = cost;
     })
-    best = Candidate{tree.cost, std::move(tree), std::move(footprint)};
+    best = Candidate{cost, std::move(tree), std::move(footprint)};
   }
   NFVM_OBS_ONLY(if (rec) rec->eval_us = phase_watch.elapsed_us();)
 

@@ -32,6 +32,7 @@ class OnlineSpStatic final : public OnlineAlgorithm {
   const graph::ShortestPaths& paths_from(graph::VertexId v);
 
   std::vector<graph::ShortestPaths> trees_;  // by switch; empty until used
+  VertexMarks marks_;  // scratch for pricing and assembling candidate trees
 };
 
 }  // namespace nfvm::core

@@ -40,7 +40,6 @@ void OnlineWeightedView::patch(const nfv::Footprint& footprint) {
 void OnlineWeightedView::apply_allocate(const nfv::Footprint& footprint) {
   NFVM_SPAN("online/view_patch");
   patch(footprint);
-  ++patches_applied_;
   NFVM_COUNTER_INC("core.online.view_patches");
 }
 

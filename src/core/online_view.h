@@ -75,17 +75,6 @@ class OnlineWeightedView {
       const nfv::ResourceState& state, std::span<const graph::VertexId> sources,
       double b);
 
-  // --- State export (serve snapshot/restore + tests) ------------------------
-  // The view's *decision-relevant* state is entirely derivable from the
-  // residuals (weights are a pure function of them); the stored trees and
-  // the patch count are performance state only. This accessor exists so
-  // snapshot round-trip tests can assert exactly that: after a restore the
-  // weights must match the uninterrupted run edge-for-edge, while the patch
-  // count may legitimately differ without perturbing a single decision.
-
-  /// Patched-weight applications since construction (apply_allocate calls).
-  std::uint64_t patches_applied() const noexcept { return patches_applied_; }
-
  private:
   /// Fills mask_ with nfv::edge_eligible(state, e, b) for every edge — the
   /// predicate is a pure function of (state, b), so one O(|E|) sweep
@@ -101,7 +90,6 @@ class OnlineWeightedView {
   graph::SpTreeStore store_;
   /// Per-edge eligibility bitmap scratch, rebuilt once per trees_for call.
   std::vector<std::uint8_t> mask_;
-  std::uint64_t patches_applied_ = 0;
 };
 
 }  // namespace nfvm::core

@@ -1,7 +1,6 @@
 #include "core/pseudo_tree.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <stdexcept>
 #include <unordered_map>
@@ -25,15 +24,18 @@ std::size_t PseudoMulticastTree::total_link_traversals() const {
 
 std::vector<graph::VertexId> PseudoMulticastTree::touched_switches(
     const graph::Graph& g) const {
-  std::set<graph::VertexId> touched;
-  touched.insert(source);
-  for (graph::VertexId s : servers) touched.insert(s);
+  std::vector<graph::VertexId> touched;
+  touched.reserve(1 + servers.size() + 2 * edge_uses.size());
+  touched.push_back(source);
+  touched.insert(touched.end(), servers.begin(), servers.end());
   for (const auto& [edge, mult] : edge_uses) {
     const graph::Edge& ed = g.edge(edge);
-    touched.insert(ed.u);
-    touched.insert(ed.v);
+    touched.push_back(ed.u);
+    touched.push_back(ed.v);
   }
-  return {touched.begin(), touched.end()};
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  return touched;
 }
 
 nfv::Footprint PseudoMulticastTree::footprint(const nfv::Request& request,
@@ -68,10 +70,67 @@ std::vector<std::pair<graph::EdgeId, int>> accumulate_edge_uses(
   return uses;
 }
 
+void VertexMarks::reset(std::size_t num_vertices) {
+  if (stamp_.size() < num_vertices) stamp_.resize(num_vertices, 0);
+  if (++generation_ == 0) {  // wrapped: stale stamps could collide
+    std::fill(stamp_.begin(), stamp_.end(), 0);
+    generation_ = 1;
+  }
+}
+
+namespace {
+
+/// Calls `fn(e)` once for every edge of the union of the shortest paths
+/// from_server.source -> d over the request's destinations. Each walk goes
+/// up the parent pointers and stops at the root or at a vertex an earlier
+/// walk marked, whose path to the root is in the union already.
+template <typename Fn>
+void for_each_union_edge(const nfv::Request& request,
+                         const graph::ShortestPaths& from_server,
+                         VertexMarks& marks, Fn&& fn) {
+  marks.reset(from_server.parent.size());
+  for (graph::VertexId d : request.destinations) {
+    for (graph::VertexId x = d; x != from_server.source && marks.mark(x);
+         x = from_server.parent[x]) {
+      fn(from_server.parent_edge[x]);
+    }
+  }
+}
+
+/// Edges on the shortest path sp.source -> target (target reachable).
+std::size_t hops_to(const graph::ShortestPaths& sp, graph::VertexId target) {
+  std::size_t hops = 0;
+  for (graph::VertexId x = target; x != sp.source; x = sp.parent[x]) ++hops;
+  return hops;
+}
+
+/// Writes the path sp.source -> target (target reachable) into the slots
+/// that end just before `end`, walking parent pointers back from `target`.
+void write_path(const graph::ShortestPaths& sp, graph::VertexId target,
+                std::vector<graph::VertexId>::iterator end) {
+  for (graph::VertexId x = target;; x = sp.parent[x]) {
+    *--end = x;
+    if (x == sp.source) return;
+  }
+}
+
+}  // namespace
+
+std::size_t one_server_spt_traversals(const nfv::Request& request,
+                                      graph::VertexId server,
+                                      const graph::ShortestPaths& from_source,
+                                      const graph::ShortestPaths& from_server,
+                                      VertexMarks& marks) {
+  std::size_t traversals = hops_to(from_source, server);
+  for_each_union_edge(request, from_server, marks,
+                      [&traversals](graph::EdgeId) { ++traversals; });
+  return traversals;
+}
+
 PseudoMulticastTree make_one_server_spt_tree(
     const nfv::Request& request, graph::VertexId server,
     const graph::ShortestPaths& from_source, const graph::ShortestPaths& from_server,
-    const std::vector<graph::EdgeId>* to_physical, double cost) {
+    double cost, VertexMarks& marks) {
   if (!from_source.reachable(server)) {
     throw std::invalid_argument("make_one_server_spt_tree: server unreachable");
   }
@@ -80,34 +139,34 @@ PseudoMulticastTree make_one_server_spt_tree(
       throw std::invalid_argument("make_one_server_spt_tree: destination unreachable");
     }
   }
-  const auto map_edge = [to_physical](graph::EdgeId e) {
-    return to_physical == nullptr ? e : to_physical->at(e);
-  };
 
   PseudoMulticastTree tree;
   tree.source = request.source;
   tree.servers = {server};
   tree.cost = cost;
 
-  std::map<graph::EdgeId, int> mult;  // physical ids
-  for (graph::EdgeId e : graph::path_edges(from_source, server)) ++mult[map_edge(e)];
-  std::set<graph::EdgeId> spt_edges;  // g-local ids, deduped across dests
-  for (graph::VertexId d : request.destinations) {
-    for (graph::EdgeId e : graph::path_edges(from_server, d)) spt_edges.insert(e);
-  }
-  for (graph::EdgeId e : spt_edges) ++mult[map_edge(e)];
-  tree.edge_uses.assign(mult.begin(), mult.end());
+  // One traversal per source-path edge and one per union edge: a link on
+  // both gets multiplicity 2.
+  std::vector<graph::EdgeId> traversals;
+  graph::for_each_path_edge(from_source, server,
+                            [&traversals](graph::EdgeId e) { traversals.push_back(e); });
+  const std::size_t hops = traversals.size();
+  for_each_union_edge(request, from_server, marks,
+                      [&traversals](graph::EdgeId e) { traversals.push_back(e); });
+  tree.edge_uses = accumulate_edge_uses(std::move(traversals));
 
-  const std::vector<graph::VertexId> to_server =
-      graph::path_vertices(from_source, server);
+  tree.routes.reserve(request.destinations.size());
   for (graph::VertexId d : request.destinations) {
     DestinationRoute route;
     route.destination = d;
     route.server = server;
-    route.walk = to_server;
-    route.server_index = route.walk.size() - 1;
-    const std::vector<graph::VertexId> down = graph::path_vertices(from_server, d);
-    route.walk.insert(route.walk.end(), down.begin() + 1, down.end());
+    route.server_index = hops;
+    // source ... server, then server ... d; both writes put the server at
+    // walk[hops].
+    route.walk.resize(hops + hops_to(from_server, d) + 1);
+    write_path(from_source, server,
+               route.walk.begin() + static_cast<std::ptrdiff_t>(hops + 1));
+    write_path(from_server, d, route.walk.end());
     tree.routes.push_back(std::move(route));
   }
   return tree;

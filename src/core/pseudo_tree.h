@@ -9,6 +9,8 @@
 // accounting charges.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -66,18 +68,52 @@ struct PseudoMulticastTree {
   nfv::Footprint footprint(const nfv::Request& request) const;
 };
 
+/// Generation-stamped vertex marks: the SP baselines walk shortest-path
+/// trees with them, so a walk marks what it visits and the next walk starts
+/// unmarked in O(1). The owner keeps one across calls; not thread-safe.
+class VertexMarks {
+ public:
+  /// Unmarks every vertex and sizes the marks for `num_vertices`.
+  void reset(std::size_t num_vertices);
+  /// Marks `v`; false when `v` was marked since the last reset.
+  bool mark(graph::VertexId v) {
+    if (stamp_[v] == generation_) return false;
+    stamp_[v] = generation_;
+    return true;
+  }
+
+ private:
+  std::vector<std::uint32_t> stamp_;
+  std::uint32_t generation_ = 0;
+};
+
+/// The price of the SP baselines' one-server pseudo-multicast tree: the
+/// total_link_traversals() of the tree make_one_server_spt_tree assembles,
+/// without assembling it. That is the hops of source -> server on
+/// `from_source` plus the distinct edges of the server -> D_k paths on
+/// `from_server`, counted by one parent walk per destination that stops at
+/// the first vertex an earlier walk marked (a vertex other than the root
+/// owns exactly one tree edge, its parent edge). The server must be
+/// reachable on `from_source` and every destination on `from_server`.
+std::size_t one_server_spt_traversals(const nfv::Request& request,
+                                      graph::VertexId server,
+                                      const graph::ShortestPaths& from_source,
+                                      const graph::ShortestPaths& from_server,
+                                      VertexMarks& marks);
+
 /// Assembles the one-server pseudo-multicast tree used by the SP baselines:
 /// the shortest path source -> server plus, for every destination, the
 /// shortest path server -> destination (a shortest-path tree rooted at the
-/// server). Overlapping links accumulate multiplicity. `from_source` and
-/// `from_server` must be shortest-path results on the same working graph;
-/// `to_physical` (optional) remaps that graph's edge ids to physical ids
-/// when it is a filtered subgraph. Throws std::invalid_argument when the
-/// server or a destination is unreachable.
+/// server). A link on both parts has multiplicity 2; links shared between
+/// destinations count once. `from_source` and `from_server` must be
+/// shortest-path results on the same graph, whose edge ids are physical.
+/// Routes are written from parent pointers straight into their walks.
+/// Throws std::invalid_argument when the server or a destination is
+/// unreachable.
 PseudoMulticastTree make_one_server_spt_tree(
     const nfv::Request& request, graph::VertexId server,
     const graph::ShortestPaths& from_source, const graph::ShortestPaths& from_server,
-    const std::vector<graph::EdgeId>* to_physical, double cost);
+    double cost, VertexMarks& marks);
 
 /// Sorted-vector accumulator for `edge_uses`: sorts the traversal list
 /// (one entry per traversal, duplicates allowed) and run-length-counts it

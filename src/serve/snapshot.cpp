@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -47,6 +48,15 @@ std::uint64_t load_u64(const obs::JsonValue& doc, const std::string& key) {
 std::uint32_t load_id(const obs::JsonValue& v, const char* what) {
   return static_cast<std::uint32_t>(
       obs::json_uint(v, what, std::numeric_limits<std::uint32_t>::max()));
+}
+
+/// A footprint amount (Mbps or MHz): a finite, non-negative number.
+double load_amount(const obs::JsonValue& v, const char* what) {
+  if (!v.is_number() || !std::isfinite(v.number) || v.number < 0.0) {
+    throw std::runtime_error(std::string(what) +
+                             " must be a finite, non-negative number");
+  }
+  return v.number;
 }
 
 }  // namespace
@@ -225,14 +235,16 @@ Snapshot load_snapshot(const std::string& path) {
           throw std::runtime_error("bandwidth entries must be [edge, mbps] pairs");
         }
         active.footprint.bandwidth.emplace_back(
-            load_id(pair.array[0], "bandwidth edge id"), pair.array[1].number);
+            load_id(pair.array[0], "bandwidth edge id"),
+            load_amount(pair.array[1], "bandwidth amount"));
       }
       for (const obs::JsonValue& pair : entry.at("compute").array) {
         if (!pair.is_array() || pair.array.size() != 2) {
           throw std::runtime_error("compute entries must be [server, mhz] pairs");
         }
         active.footprint.compute.emplace_back(
-            load_id(pair.array[0], "compute server id"), pair.array[1].number);
+            load_id(pair.array[0], "compute server id"),
+            load_amount(pair.array[1], "compute amount"));
       }
       for (const obs::JsonValue& v : entry.at("table").array) {
         active.footprint.table_entries.push_back(load_id(v, "table switch id"));
@@ -249,14 +261,30 @@ Snapshot load_snapshot(const std::string& path) {
 }
 
 void restore_into(core::OnlineAlgorithm& algorithm, const Snapshot& snapshot) {
+  // Each active footprint departs later through ResourceState::release, so
+  // the ledger must be able to take them all back: release them into a
+  // scratch ledger restored from the snapshot's residuals, under the same
+  // rule and slack, before anything changes.
+  nfv::ResourceState ledger(algorithm.topology());
   try {
-    algorithm.restore_resources(snapshot.residuals);
+    ledger.restore_residuals(snapshot.residuals);
   } catch (const std::exception& e) {
     throw std::runtime_error(
         std::string("snapshot restore: residuals do not fit the topology "
                     "(wrong network?): ") +
         e.what());
   }
+  for (const ActiveEntry& entry : snapshot.active) {
+    try {
+      ledger.release(entry.footprint);
+    } catch (const std::exception& e) {
+      throw std::runtime_error("snapshot restore: active request " +
+                               std::to_string(entry.id) +
+                               " holds more than the ledger can take back: " +
+                               e.what());
+    }
+  }
+  algorithm.restore_resources(snapshot.residuals);
   algorithm.restore_counts(snapshot.num_admitted, snapshot.num_rejected);
   NFVM_COUNTER_INC("serve.restores");
 }

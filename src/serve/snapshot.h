@@ -101,9 +101,11 @@ Snapshot load_snapshot(const std::string& path);
 /// Reinstates snapshot state into a freshly constructed algorithm: installs
 /// the residual vectors bit-for-bit (rebuilding residual-derived state) and
 /// restores the lifetime counters. The algorithm must be newly built on the
-/// same topology the snapshot was taken from. Throws std::runtime_error on
-/// a residual shape/range mismatch (topology mismatch that the config echo
-/// comparison could not catch).
+/// same topology the snapshot was taken from. Throws std::runtime_error,
+/// before changing anything, on a residual shape/range mismatch (topology
+/// mismatch that the config echo comparison could not catch) or when the
+/// restored ledger could not release every active footprint (amounts past
+/// the capacities).
 void restore_into(core::OnlineAlgorithm& algorithm, const Snapshot& snapshot);
 
 }  // namespace nfvm::serve

@@ -11,7 +11,6 @@ namespace nfvm::util {
 class RunningStats {
  public:
   void add(double x) noexcept;
-  void reset() noexcept { *this = RunningStats{}; }
 
   std::size_t count() const noexcept { return count_; }
   bool empty() const noexcept { return count_ == 0; }

@@ -1,6 +1,9 @@
 #include "reference/online_reference.h"
 
+#include <map>
 #include <optional>
+#include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "core/delay.h"
@@ -21,7 +24,6 @@ using core::RejectCause;
 using core::RejectTracker;
 using core::RequestRecord;
 using core::accumulate_edge_uses;
-using core::make_one_server_spt_tree;
 using core::meets_delay_bound;
 
 OnlineCpRebuild::OnlineCpRebuild(const topo::Topology& topo,
@@ -209,6 +211,51 @@ AdmissionDecision OnlineCpRebuild::try_admit(const nfv::Request& request) {
   decision.tree = std::move(best->tree);
   decision.footprint = std::move(best->footprint);
   return decision;
+}
+
+PseudoMulticastTree make_one_server_spt_tree(
+    const nfv::Request& request, graph::VertexId server,
+    const graph::ShortestPaths& from_source, const graph::ShortestPaths& from_server,
+    const std::vector<graph::EdgeId>* to_physical, double cost) {
+  if (!from_source.reachable(server)) {
+    throw std::invalid_argument("make_one_server_spt_tree: server unreachable");
+  }
+  for (graph::VertexId d : request.destinations) {
+    if (!from_server.reachable(d)) {
+      throw std::invalid_argument("make_one_server_spt_tree: destination unreachable");
+    }
+  }
+  const auto map_edge = [to_physical](graph::EdgeId e) {
+    return to_physical == nullptr ? e : to_physical->at(e);
+  };
+
+  PseudoMulticastTree tree;
+  tree.source = request.source;
+  tree.servers = {server};
+  tree.cost = cost;
+
+  std::map<graph::EdgeId, int> mult;  // physical ids
+  for (graph::EdgeId e : graph::path_edges(from_source, server)) ++mult[map_edge(e)];
+  std::set<graph::EdgeId> spt_edges;  // g-local ids, deduped across dests
+  for (graph::VertexId d : request.destinations) {
+    for (graph::EdgeId e : graph::path_edges(from_server, d)) spt_edges.insert(e);
+  }
+  for (graph::EdgeId e : spt_edges) ++mult[map_edge(e)];
+  tree.edge_uses.assign(mult.begin(), mult.end());
+
+  const std::vector<graph::VertexId> to_server =
+      graph::path_vertices(from_source, server);
+  for (graph::VertexId d : request.destinations) {
+    DestinationRoute route;
+    route.destination = d;
+    route.server = server;
+    route.walk = to_server;
+    route.server_index = route.walk.size() - 1;
+    const std::vector<graph::VertexId> down = graph::path_vertices(from_server, d);
+    route.walk.insert(route.walk.end(), down.begin() + 1, down.end());
+    tree.routes.push_back(std::move(route));
+  }
+  return tree;
 }
 
 AdmissionDecision OnlineSpRebuild::try_admit(const nfv::Request& request) {

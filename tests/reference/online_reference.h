@@ -5,15 +5,19 @@
 // from scratch and run one Steiner tree or Dijkstra per candidate server.
 // They keep the old counters, spans and RequestRecord fields, so tests can
 // require the production classes to take bit-identical decisions, and
-// bench_micro_online_admit can time the production scan against them.
+// bench_micro_online_admit can time the production scan against them. The
+// SP scan also keeps the node-based pseudo-tree assembly the production
+// scans replaced.
 #pragma once
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/cost_model.h"
 #include "core/online.h"
 #include "core/online_cp.h"
+#include "graph/dijkstra.h"
 
 namespace nfvm::reference {
 
@@ -41,9 +45,22 @@ class OnlineCpRebuild final : public core::OnlineAlgorithm {
   std::string name_;
 };
 
+/// The SP baselines' one-server pseudo-multicast tree as the node-based
+/// assembly core::make_one_server_spt_tree replaced: the path source ->
+/// server and the server -> D_k path union gathered in a std::map and a
+/// std::set, routes spliced from graph::path_vertices. `to_physical`
+/// (optional) remaps the trees' edge ids to physical ids when they were
+/// computed on a filtered subgraph. Throws std::invalid_argument when the
+/// server or a destination is unreachable.
+core::PseudoMulticastTree make_one_server_spt_tree(
+    const nfv::Request& request, graph::VertexId server,
+    const graph::ShortestPaths& from_source, const graph::ShortestPaths& from_server,
+    const std::vector<graph::EdgeId>* to_physical, double cost);
+
 /// The SP baseline with the rebuild scan: the bandwidth-filtered graph is
 /// built per request, with one Dijkstra from the source and one from each
-/// reachable candidate server.
+/// reachable candidate server, and every reachable candidate's tree is
+/// assembled by make_one_server_spt_tree above.
 class OnlineSpRebuild final : public core::OnlineAlgorithm {
  public:
   explicit OnlineSpRebuild(const topo::Topology& topo) : OnlineAlgorithm(topo) {}

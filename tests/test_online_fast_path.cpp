@@ -8,11 +8,13 @@
 #include <memory>
 #include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/online.h"
 #include "core/online_cp.h"
 #include "core/online_sp.h"
+#include "core/online_sp_static.h"
 #include "core/online_view.h"
 #include "graph/dijkstra.h"
 #include "graph/sp_engine.h"
@@ -253,6 +255,64 @@ TEST(OnlineFastPath, CpMatchesReferenceOnCliDynamicWaxman100) {
 TEST(OnlineFastPath, SpMatchesReferenceOnCliDynamicWaxman100) {
   check_cli_dynamic<OnlineSp, OnlineSpRebuild>();
 }
+
+#if NFVM_OBS
+/// nfvm-sim's dynamic GEANT workload (`--topology geant --dynamic
+/// --requests 2000 --arrival-rate 5 --mean-duration 40 --seed 7`) through
+/// one algorithm with provenance on. The scans price every candidate and
+/// assemble a pseudo-tree only for those that pass the cost prune, i.e.
+/// that reach the delay check, so `core.online.trees_assembled` equals
+/// candidates_feasible + failed_delay + failed_capacity summed over the
+/// request records, and the prune must have spared some assemblies.
+template <typename Algo>
+void check_trees_assembled_on_cli_geant() {
+  const topo::Topology topo = cli_topology("geant");
+  util::Rng workload(kCliSeed + 1);
+  sim::RequestGenerator gen(topo, workload);
+  sim::DynamicWorkloadOptions dyn;
+  dyn.arrival_rate = 5.0;
+  dyn.mean_duration = 40.0;
+  const std::vector<sim::TimedRequest> requests =
+      sim::make_poisson_workload(gen, workload, 2000, dyn);
+
+  Algo algo(topo);
+  algo.set_record_provenance(true);
+  const test::CounterBaseline counters;
+  using Departure = std::pair<double, nfv::Footprint>;
+  const auto later = [](const Departure& a, const Departure& b) {
+    return a.first > b.first;
+  };
+  std::priority_queue<Departure, std::vector<Departure>, decltype(later)> active(later);
+  std::uint64_t reached_delay_check = 0;
+  std::uint64_t cost_pruned = 0;
+  for (const sim::TimedRequest& tr : requests) {
+    while (!active.empty() && active.top().first <= tr.arrival_time) {
+      algo.release(active.top().second);
+      active.pop();
+    }
+    const AdmissionDecision decision = algo.process(tr.request);
+    ASSERT_NE(decision.record, nullptr);
+    const RequestRecord& rec = *decision.record;
+    reached_delay_check +=
+        rec.candidates_feasible + rec.failed_delay + rec.failed_capacity;
+    cost_pruned += rec.cost_pruned;
+    if (decision.admitted) {
+      active.emplace(tr.arrival_time + tr.duration, decision.footprint);
+    }
+  }
+  EXPECT_EQ(counters.since("core.online.trees_assembled"), reached_delay_check);
+  EXPECT_GT(cost_pruned, 0u);
+}
+
+TEST(OnlineFastPath, SpAssemblesTreesOnlyForPruneSurvivorsOnCliGeant) {
+  check_trees_assembled_on_cli_geant<OnlineSp>();
+}
+
+TEST(OnlineFastPath, SpStaticAndCpAssembleTreesOnlyForPruneSurvivorsOnCliGeant) {
+  check_trees_assembled_on_cli_geant<OnlineSpStatic>();
+  check_trees_assembled_on_cli_geant<OnlineCp>();
+}
+#endif
 
 // ---------------------------------------------------------------------------
 // OnlineWeightedView: patching and the repair store

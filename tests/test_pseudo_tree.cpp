@@ -2,6 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <set>
+#include <span>
+#include <stdexcept>
+#include <vector>
+
+#include "graph/sp_engine.h"
+#include "reference/online_reference.h"
+#include "reference/support.h"
+#include "util/rng.h"
+
 namespace nfvm::core {
 namespace {
 
@@ -204,8 +216,7 @@ TEST(PseudoTree, BackhaulWalkWithRevisitsAccepted) {
   EXPECT_TRUE(validate_pseudo_tree(g, request, tree, &error)) << error;
 }
 
-TEST(MakeOneServerSptTree, BuildsValidTreeWithMapping) {
-  // Filtered working graph scenario: identity mapping here for simplicity.
+TEST(MakeOneServerSptTree, BuildsValidTree) {
   graph::Graph g(4);
   g.add_edge(0, 1, 1.0);
   g.add_edge(1, 2, 1.0);
@@ -220,9 +231,12 @@ TEST(MakeOneServerSptTree, BuildsValidTreeWithMapping) {
 
   const graph::ShortestPaths from_source = graph::dijkstra(g, 0);
   const graph::ShortestPaths from_server = graph::dijkstra(g, 2);
+  VertexMarks marks;
   PseudoMulticastTree tree =
-      make_one_server_spt_tree(r, 2, from_source, from_server, nullptr, 3.0);
+      make_one_server_spt_tree(r, 2, from_source, from_server, 3.0, marks);
   EXPECT_DOUBLE_EQ(tree.cost, 3.0);
+  EXPECT_EQ(one_server_spt_traversals(r, 2, from_source, from_server, marks),
+            tree.total_link_traversals());
   std::string error;
   EXPECT_TRUE(validate_pseudo_tree(g, r, tree, &error)) << error;
 }
@@ -240,9 +254,9 @@ TEST(MakeOneServerSptTree, ThrowsOnUnreachableServer) {
 
   const graph::ShortestPaths from_source = graph::dijkstra(g, 0);
   const graph::ShortestPaths from_server = graph::dijkstra(g, 2);
-  EXPECT_THROW(
-      make_one_server_spt_tree(r, 2, from_source, from_server, nullptr, 0.0),
-      std::invalid_argument);
+  VertexMarks marks;
+  EXPECT_THROW(make_one_server_spt_tree(r, 2, from_source, from_server, 0.0, marks),
+               std::invalid_argument);
 }
 
 TEST(MakeOneServerSptTree, ThrowsOnUnreachableDestination) {
@@ -258,9 +272,115 @@ TEST(MakeOneServerSptTree, ThrowsOnUnreachableDestination) {
 
   const graph::ShortestPaths from_source = graph::dijkstra(g, 0);
   const graph::ShortestPaths from_server = graph::dijkstra(g, 1);
-  EXPECT_THROW(
-      make_one_server_spt_tree(r, 1, from_source, from_server, nullptr, 0.0),
-      std::invalid_argument);
+  VertexMarks marks;
+  EXPECT_THROW(make_one_server_spt_tree(r, 1, from_source, from_server, 0.0, marks),
+               std::invalid_argument);
+}
+
+// The price and the assembly against the node-based assembly they replaced
+// (reference::make_one_server_spt_tree), on random multigraphs with
+// parallel edges, self-loops, unit or {1..4} weights and random masks. The
+// requests cover a server that is also a destination and a source that is
+// the server; one VertexMarks serves every call, as in the SP scans.
+TEST(MakeOneServerSptTree, MatchesNodeBasedAssemblyOnRandomMultigraphs) {
+  util::Rng rng(311);
+  graph::SpEngine engine;
+  VertexMarks marks;
+  std::size_t compared = 0;
+  std::size_t server_is_destination = 0;
+  std::size_t source_is_server = 0;
+  std::size_t shared_links = 0;  // multiplicity 2: on both parts of the tree
+  for (int trial = 0; trial < 600; ++trial) {
+    const std::size_t n = 2 + rng.next_below(30);
+    graph::Graph g(n);
+    const bool unit = trial % 2 == 0;
+    const std::size_t m = n + rng.next_below(3 * n);
+    for (std::size_t i = 0; i < m; ++i) {
+      const auto u = static_cast<graph::VertexId>(rng.next_below(n));
+      // A few self-loops; parallel edges come from repeated pairs.
+      const auto v = rng.bernoulli(0.05) ? u
+                                         : static_cast<graph::VertexId>(rng.next_below(n));
+      g.add_edge(u, v, unit ? 1.0 : static_cast<double>(rng.uniform_int(1, 4)));
+    }
+    std::vector<std::uint8_t> mask(g.num_edges());
+    for (std::uint8_t& allowed : mask) allowed = rng.bernoulli(0.8) ? 1 : 0;
+
+    nfv::Request request;
+    request.source = static_cast<graph::VertexId>(rng.next_below(n));
+    const auto server = trial % 5 == 0
+                            ? request.source
+                            : static_cast<graph::VertexId>(rng.next_below(n));
+    std::vector<graph::VertexId> others;
+    for (graph::VertexId v = 0; v < n; ++v) {
+      if (v != request.source && v != server) others.push_back(v);
+    }
+    rng.shuffle(std::span<graph::VertexId>(others));
+    const std::size_t k = 1 + rng.next_below(std::max<std::size_t>(1, others.size()));
+    request.destinations.assign(others.begin(),
+                                others.begin() + static_cast<std::ptrdiff_t>(
+                                                     std::min(k, others.size())));
+    if (server != request.source && (request.destinations.empty() || trial % 3 == 0)) {
+      request.destinations.insert(
+          request.destinations.begin() +
+              static_cast<std::ptrdiff_t>(rng.next_below(request.destinations.size() + 1)),
+          server);
+    }
+    if (request.destinations.empty()) continue;
+
+    const graph::ShortestPaths from_source =
+        reference::shortest_paths_masked(engine, g, request.source, mask);
+    const graph::ShortestPaths from_server =
+        reference::shortest_paths_masked(engine, g, server, mask);
+    bool reachable = from_source.reachable(server);
+    for (graph::VertexId d : request.destinations) {
+      reachable = reachable && from_server.reachable(d);
+    }
+    if (!reachable) {
+      EXPECT_THROW(make_one_server_spt_tree(request, server, from_source, from_server,
+                                            0.0, marks),
+                   std::invalid_argument);
+      continue;
+    }
+
+    const PseudoMulticastTree expected = reference::make_one_server_spt_tree(
+        request, server, from_source, from_server, nullptr, 0.0);
+    const std::size_t price =
+        one_server_spt_traversals(request, server, from_source, from_server, marks);
+    ASSERT_EQ(price, expected.total_link_traversals()) << "trial " << trial;
+    const PseudoMulticastTree tree = make_one_server_spt_tree(
+        request, server, from_source, from_server, static_cast<double>(price), marks);
+    EXPECT_EQ(tree.source, request.source);
+    EXPECT_EQ(tree.servers, expected.servers) << "trial " << trial;
+    EXPECT_EQ(tree.edge_uses, expected.edge_uses) << "trial " << trial;
+    EXPECT_EQ(tree.cost, static_cast<double>(expected.total_link_traversals()));
+    ASSERT_EQ(tree.routes.size(), expected.routes.size()) << "trial " << trial;
+    for (std::size_t r = 0; r < tree.routes.size(); ++r) {
+      EXPECT_EQ(tree.routes[r].destination, expected.routes[r].destination);
+      EXPECT_EQ(tree.routes[r].server, expected.routes[r].server);
+      EXPECT_EQ(tree.routes[r].walk, expected.routes[r].walk) << "trial " << trial;
+      EXPECT_EQ(tree.routes[r].server_index, expected.routes[r].server_index);
+    }
+
+    std::set<graph::VertexId> touched{tree.source};
+    touched.insert(tree.servers.begin(), tree.servers.end());
+    for (const auto& [edge, mult] : tree.edge_uses) {
+      touched.insert(g.edge(edge).u);
+      touched.insert(g.edge(edge).v);
+      shared_links += mult == 2;
+    }
+    EXPECT_EQ(tree.touched_switches(g),
+              std::vector<graph::VertexId>(touched.begin(), touched.end()))
+        << "trial " << trial;
+
+    ++compared;
+    for (graph::VertexId d : request.destinations) server_is_destination += d == server;
+    source_is_server += server == request.source;
+  }
+  // The cases the comparison is meant to cover all occurred.
+  EXPECT_GT(compared, 200u);
+  EXPECT_GT(server_is_destination, 20u);
+  EXPECT_GT(source_is_server, 20u);
+  EXPECT_GT(shared_links, 20u);
 }
 
 }  // namespace

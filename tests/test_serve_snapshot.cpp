@@ -16,6 +16,7 @@
 
 #include "core/online_cp.h"
 #include "core/online_view.h"
+#include "obs_test_util.h"
 #include "serve/daemon.h"
 #include "serve/snapshot.h"
 #include "serve/trace_gen.h"
@@ -89,8 +90,12 @@ std::string run_daemon(core::OnlineAlgorithm& algorithm,
   return out.str();
 }
 
+/// A scratch file of the running test: ctest runs each test of this file in
+/// its own process, in parallel, so two tests must never share a file.
 std::string temp_path(const char* name) {
-  return testing::TempDir() + name;
+  return testing::TempDir() +
+         testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+         name;
 }
 
 // ---------------------------------------------------------------------------
@@ -253,6 +258,40 @@ TEST(ServeSnapshot, RestoreRejectsFootprintOutsideTheTopology) {
   EXPECT_EQ(algorithm.num_admitted(), 0u);
 }
 
+/// `text` with the first footprint's first bandwidth amount replaced.
+std::string with_first_amount(std::string text, const std::string& amount) {
+  const std::string key = "\"bandwidth\":[[";
+  const std::size_t start = text.find(key);
+  EXPECT_NE(start, std::string::npos) << "no active footprint in the snapshot";
+  if (start == std::string::npos) return text;
+  const std::size_t begin = text.find(',', start + key.size()) + 1;
+  return text.replace(begin, text.find(']', begin) - begin, amount);
+}
+
+TEST(ServeSnapshot, AmountsThatAreNotFiniteNonNegativeNumbersAreRejectedOnLoad) {
+  const std::string text = real_snapshot_text(make_topo());
+  // A string used to load as 0 and a negative amount unchanged.
+  for (const char* amount : {"-1", "\"50\""}) {
+    EXPECT_THROW(load_text(with_first_amount(text, amount)), std::runtime_error)
+        << "amount " << amount;
+  }
+}
+
+TEST(ServeSnapshot, RestoreRejectsAmountsTheLedgerCannotTakeBack) {
+  const topo::Topology topo = make_topo();
+  // A well-formed amount, but no link of the network can carry it: the
+  // request's depart would throw out of ResourceState::release.
+  const Snapshot snapshot =
+      load_text(with_first_amount(real_snapshot_text(topo), "1e9"));
+  core::OnlineCp algorithm(topo);
+  const nfv::ResourceResiduals before = algorithm.resources().export_residuals();
+  Daemon daemon(algorithm, test_config(), DaemonOptions{});
+  EXPECT_THROW(daemon.restore(snapshot), std::runtime_error);
+  // Rejected before any state changed.
+  EXPECT_EQ(algorithm.resources().export_residuals().bandwidth, before.bandwidth);
+  EXPECT_EQ(algorithm.num_admitted(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Crash/restore decision-stream equivalence
 // ---------------------------------------------------------------------------
@@ -305,6 +344,7 @@ TEST(ServeSnapshot, ViewWeightsAreAPureFunctionOfRestoredResiduals) {
   // its weights are a pure function of the residuals, so rebuilding from
   // bit-exact restored residuals must reproduce them edge-for-edge, while
   // the patch count and stored trees - performance state only - may differ.
+  const test::CounterBaseline counters;
   const topo::Topology topo = make_topo();
   nfv::ResourceState live(topo);
   const auto weight_against = [&topo](const nfv::ResourceState& state) {
@@ -321,7 +361,10 @@ TEST(ServeSnapshot, ViewWeightsAreAPureFunctionOfRestoredResiduals) {
     live.allocate(fp);
     patched.apply_allocate(fp);
   }
-  ASSERT_GT(patched.patches_applied(), 0u);
+#if NFVM_OBS
+  const std::uint64_t patches = counters.since("core.online.view_patches");
+  ASSERT_GT(patches, 0u);
+#endif
 
   nfv::ResourceState restored(topo);
   restored.restore_residuals(live.export_residuals());
@@ -331,9 +374,11 @@ TEST(ServeSnapshot, ViewWeightsAreAPureFunctionOfRestoredResiduals) {
     EXPECT_EQ(patched.graph().weight(e), rebuilt.graph().weight(e))  // bit-exact
         << "edge " << e;
   }
-  // The incremental and rebuilt views took different paths to that state.
-  EXPECT_EQ(rebuilt.patches_applied(), 0u);
-  EXPECT_NE(patched.patches_applied(), rebuilt.patches_applied());
+#if NFVM_OBS
+  // The incremental and rebuilt views took different paths to that state:
+  // the rebuild applied no patch.
+  EXPECT_EQ(counters.since("core.online.view_patches"), patches);
+#endif
 }
 
 TEST(ServeSnapshot, RestoreVerifiesConfigEcho) {

@@ -29,13 +29,6 @@ TEST(RunningStats, KnownValues) {
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
 }
 
-TEST(RunningStats, ResetClears) {
-  RunningStats s;
-  s.add(5.0);
-  s.reset();
-  EXPECT_TRUE(s.empty());
-}
-
 TEST(SampleSet, MeanAndSum) {
   SampleSet s;
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
