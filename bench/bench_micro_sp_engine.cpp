@@ -2,8 +2,8 @@
 //
 //   * adjacency-list Dijkstra (the historical implementation, kept here as
 //     the reference) vs the CSR-backed SpEngine,
-//   * the Dial bucket-ring specialization (auto-selected on integer-weight
-//     graphs) vs the binary-heap fallback on a non-integer-weight clone,
+//   * the breadth-first search (auto-selected on unit-weight graphs) vs the
+//     4-ary heap on a non-integer-weight clone,
 //   * batched multi-source SSSP (graph::batch_dijkstra on the pool) vs the
 //     equivalent per-source engine loop,
 //   * APSP builds at 1 / 2 / 4 worker threads (the test-only
@@ -15,7 +15,7 @@
 // cross-thread-count agreement on every run; timing columns (*_ms, *time*,
 // the per-row time_ratio) are machine-dependent and excluded from gating.
 // The binary itself also exits non-zero when the engine disagrees with the
-// reference, when Dial auto-selection picks the wrong implementation, or
+// reference, when auto-selection picks the wrong implementation, or
 // when the batched tables diverge from the sequential ones.
 #include <numeric>
 #include <queue>
@@ -86,7 +86,7 @@ int main() {
   constexpr std::size_t kNodes = 200;
   constexpr std::size_t kSssspSources = 50;  // full-tree comparison sweep
 
-  std::cout << "# micro: CSR SpEngine vs adjacency Dijkstra, Dial ring, batched "
+  std::cout << "# micro: CSR SpEngine vs adjacency Dijkstra, breadth-first search, batched "
                "SSSP, parallel APSP\n";
   std::cout << "# dist_checksum columns are deterministic and gate in CI; "
                "*_ms / *time* columns do not\n";
@@ -96,7 +96,7 @@ int main() {
   const graph::Graph& g = topo.graph;
   const std::size_t m = g.num_edges();
 
-  // time_ratio is per-case: heap/dial for the Dial row, sequential/batched
+  // time_ratio is per-case: heap/BFS for the BFS row, sequential/batched
   // for the batch row; 0 elsewhere.
   util::Table table({"case", "n", "m", "reps", "time_ms", "dist_checksum",
                      "time_ratio"});
@@ -136,10 +136,11 @@ int main() {
     return 1;
   }
 
-  // --- Dial bucket ring vs binary-heap fallback -------------------------
+  // --- breadth-first search vs the heap ---------------------------------
   // The sweep topology is unit-weight, so the engine rows above already ran
-  // on the Dial ring; these rows pin the auto-selection rule explicitly and
-  // time the heap fallback on a non-integer-weight clone of the topology.
+  // the breadth-first search; these rows pin the auto-selection rule
+  // explicitly and time the heap on a non-integer-weight clone of the
+  // topology.
   {
     graph::Graph frac(g.num_vertices());
     for (graph::EdgeId e = 0; e < m; ++e) {
@@ -147,19 +148,19 @@ int main() {
       frac.add_edge(ed.u, ed.v, 1.0 + static_cast<double>(e % 7) * 0.1);
     }
 
-    graph::SpEngine dial_engine;
-    double dial_checksum = 0.0;
-    util::Stopwatch dial_watch;
+    graph::SpEngine bfs_engine;
+    double bfs_checksum = 0.0;
+    util::Stopwatch bfs_watch;
     for (graph::VertexId s = 0; s < kSssspSources; ++s) {
-      dial_checksum += tree_checksum(dial_engine.shortest_paths(g, s));
+      bfs_checksum += tree_checksum(bfs_engine.shortest_paths(g, s));
     }
-    const double dial_ms = dial_watch.elapsed_ms();
-    if (!dial_engine.last_used_dial()) {
-      std::cerr << "FATAL: unit-weight graph did not select the Dial ring\n";
+    const double bfs_ms = bfs_watch.elapsed_ms();
+    if (!bfs_engine.last_used_bfs()) {
+      std::cerr << "FATAL: unit-weight graph did not select the breadth-first search\n";
       return 1;
     }
-    if (dial_checksum != ref_checksum) {
-      std::cerr << "FATAL: Dial ring disagrees with the adjacency reference\n";
+    if (bfs_checksum != ref_checksum) {
+      std::cerr << "FATAL: breadth-first search disagrees with the adjacency reference\n";
       return 1;
     }
 
@@ -170,8 +171,8 @@ int main() {
       frac_checksum += tree_checksum(heap_engine.shortest_paths(frac, s));
     }
     const double frac_ms = frac_watch.elapsed_ms();
-    if (heap_engine.last_used_dial()) {
-      std::cerr << "FATAL: non-integer weights selected the Dial ring\n";
+    if (heap_engine.last_used_bfs()) {
+      std::cerr << "FATAL: non-integer weights selected the breadth-first search\n";
       return 1;
     }
     double frac_ref = 0.0;
@@ -179,11 +180,11 @@ int main() {
       frac_ref += tree_checksum(adjacency_dijkstra(frac, s));
     }
     if (frac_checksum != frac_ref) {
-      std::cerr << "FATAL: heap fallback disagrees with the adjacency reference\n";
+      std::cerr << "FATAL: the heap disagrees with the adjacency reference\n";
       return 1;
     }
-    row("dial_unit_weight", kSssspSources, dial_ms, dial_checksum,
-        dial_ms > 0.0 ? frac_ms / dial_ms : 0.0);
+    row("bfs_unit_weight", kSssspSources, bfs_ms, bfs_checksum,
+        bfs_ms > 0.0 ? frac_ms / bfs_ms : 0.0);
     row("heap_fractional_weight", kSssspSources, frac_ms, frac_checksum, 0.0);
   }
 

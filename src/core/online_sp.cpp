@@ -4,28 +4,12 @@
 #include <vector>
 
 #include "core/delay.h"
-#include "graph/dijkstra.h"
+#include "graph/sp_engine.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace nfvm::core {
-
-// The scan's Dijkstras run on the physical link weights (the per-request
-// pruning only removes edges, it never reweights), so the view's weight
-// function is residual-independent: only eligibility flips reach the stored
-// server trees.
-OnlineSp::OnlineSp(const topo::Topology& topo)
-    : OnlineAlgorithm(topo),
-      view_(topo, [this](graph::EdgeId e) { return topo_->graph.weight(e); }) {}
-
-void OnlineSp::after_allocate(const nfv::Footprint& footprint) {
-  view_.apply_allocate(footprint);
-}
-
-void OnlineSp::after_release(const nfv::Footprint& footprint) {
-  view_.apply_release(footprint);
-}
 
 namespace {
 
@@ -41,6 +25,27 @@ struct SpCandidateSlot {
 };
 
 }  // namespace
+
+// try_admit calls this only with servers past the compute gate, so there
+// are always at least two trees and the fan-out only asks for more than one
+// pool thread. Each slot depends only on its source, so the trees are
+// identical at any thread count.
+void OnlineSp::compute_trees(graph::VertexId source,
+                             std::span<const graph::VertexId> servers, double b) {
+  nfv::fill_eligibility_mask(state_, topo_->graph, b, mask_);
+  if (trees_.size() <= servers.size()) trees_.resize(servers.size() + 1);
+  trees_[0].source = source;
+  for (std::size_t i = 0; i < servers.size(); ++i) trees_[1 + i].source = servers[i];
+  const auto compute_tree = [this](std::size_t k) {
+    graph::SpEngine::thread_local_engine().compute(topo_->graph, trees_[k], mask_);
+  };
+  util::ThreadPool& pool = util::ThreadPool::global();
+  if (pool.num_threads() > 1) {
+    pool.parallel_for(servers.size() + 1, compute_tree);
+  } else {
+    for (std::size_t k = 0; k <= servers.size(); ++k) compute_tree(k);
+  }
+}
 
 AdmissionDecision OnlineSp::try_admit(const nfv::Request& request) {
   AdmissionDecision decision;
@@ -75,14 +80,10 @@ AdmissionDecision OnlineSp::try_admit(const nfv::Request& request) {
   NFVM_COUNTER_INC("core.online.closure_scans");
 
   // Phase B: one shortest-path tree per terminal (source + candidate
-  // servers); server trees come from the view's repair store.
-  std::vector<graph::VertexId> sources;
-  sources.reserve(1 + eval.size());
-  sources.push_back(request.source);
-  sources.insert(sources.end(), eval.begin(), eval.end());
+  // servers).
   NFVM_OBS_ONLY(phase_watch.reset();)
-  const auto trees = view_.trees_for(state_, sources, b);
-  const graph::ShortestPaths& from_source = *trees[0];
+  compute_trees(request.source, eval, b);
+  const graph::ShortestPaths& from_source = trees_[0];
   NFVM_OBS_ONLY(if (rec) rec->closure_us = phase_watch.elapsed_us();
                 phase_watch.reset();)
 
@@ -94,7 +95,7 @@ AdmissionDecision OnlineSp::try_admit(const nfv::Request& request) {
     SpCandidateSlot& slot = slots[i];
     slot.server_reachable = from_source.reachable(v);
     if (!slot.server_reachable) continue;
-    const graph::ShortestPaths& from_server = *trees[1 + i];
+    const graph::ShortestPaths& from_server = trees_[1 + i];
     slot.dests_reachable = true;
     for (graph::VertexId d : request.destinations) {
       if (!from_server.reachable(d)) {
@@ -144,7 +145,7 @@ AdmissionDecision OnlineSp::try_admit(const nfv::Request& request) {
     }
     NFVM_COUNTER_INC("core.online.trees_assembled");
     PseudoMulticastTree tree = make_one_server_spt_tree(
-        request, eval[i], from_source, *trees[1 + i], slot.cost, marks_);
+        request, eval[i], from_source, trees_[1 + i], slot.cost, marks_);
     if (!meets_delay_bound(*topo_, request, tree)) {
       reject.update(RejectTracker::kRankCandidate,
                     "no candidate tree meets the delay bound",

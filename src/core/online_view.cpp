@@ -50,21 +50,12 @@ void OnlineWeightedView::apply_release(const nfv::Footprint& footprint) {
   patch(footprint);
 }
 
-void OnlineWeightedView::build_eligibility_mask(const nfv::ResourceState& state,
-                                                double b) {
-  const std::size_t m = topo_->graph.num_edges();
-  mask_.resize(m);
-  for (graph::EdgeId e = 0; e < m; ++e) {
-    mask_[e] = nfv::edge_eligible(state, topo_->graph, e, b) ? 1 : 0;
-  }
-}
-
 std::vector<std::shared_ptr<const graph::ShortestPaths>>
 OnlineWeightedView::trees_for(const nfv::ResourceState& state,
                               std::span<const graph::VertexId> sources,
                               double b) {
   NFVM_SPAN("online/view_trees");
-  build_eligibility_mask(state, b);
+  nfv::fill_eligibility_mask(state, topo_->graph, b, mask_);
   return store_.trees(view_, sources, mask_);
 }
 

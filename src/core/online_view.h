@@ -1,4 +1,7 @@
-// Persistent weighted working view for the online admission fast path.
+// Persistent weighted working view for Online_CP's admission fast path.
+// Online_SP needs no view: its links keep their unit weights, so it
+// computes each request's trees fresh by breadth-first search
+// (core/online_sp.h).
 //
 // Online_CP's weighted graph G_k (w_e = beta^{u_e} - 1) is a pure function
 // of each link's residual bandwidth, so after an admission only the edges of
@@ -10,9 +13,10 @@
 //
 // Bandwidth/table eligibility is deliberately NOT baked into the view:
 // queries run a masked Dijkstra with the per-request predicate
-// nfv::edge_eligible(state, g, e, b_k). A tree is therefore a function of
-// the edges' *effective* weights (weight if eligible at b_k, infinity
-// otherwise), and that is what the repair store tracks.
+// nfv::edge_eligible(state, g, e, b_k), filled by nfv::fill_eligibility_mask.
+// A tree is therefore a function of the edges' *effective* weights (weight
+// if eligible at b_k, infinity otherwise), and that is what the repair
+// store tracks.
 //
 // Repair invariant (the correctness core — see docs/performance.md,
 // "Repairing the server trees", and graph/sp_repair.h): the view keeps one
@@ -76,10 +80,6 @@ class OnlineWeightedView {
       double b);
 
  private:
-  /// Fills mask_ with nfv::edge_eligible(state, e, b) for every edge — the
-  /// predicate is a pure function of (state, b), so one O(|E|) sweep
-  /// serves every tree of the call.
-  void build_eligibility_mask(const nfv::ResourceState& state, double b);
   /// Re-reads the footprint's edge weights.
   void patch(const nfv::Footprint& footprint);
 

@@ -15,24 +15,16 @@ void CsrView::rebuild(const Graph& g) {
   entries_.clear();
   entries_.reserve(total);
 
-  dial_eligible_ = true;
-  max_int_weight_ = 1;
+  unit_weights_ = true;
   for (VertexId v = 0; v < n; ++v) {
     offsets_[v] = entries_.size();
     for (const Adjacency& adj : g.neighbors(v)) {
       const double w = edges[adj.edge].weight;
       entries_.push_back(CsrEntry{adj.neighbor, adj.edge, w});
-      if (dial_eligible_) {
-        if (w < 1.0 || w > kMaxDialWeight || w != static_cast<double>(static_cast<std::uint32_t>(w))) {
-          dial_eligible_ = false;
-        } else if (static_cast<std::uint32_t>(w) > max_int_weight_) {
-          max_int_weight_ = static_cast<std::uint32_t>(w);
-        }
-      }
+      if (w != 1.0) unit_weights_ = false;
     }
   }
   offsets_[n] = entries_.size();
-  if (!dial_eligible_) max_int_weight_ = 0;
 
   uid_ = g.uid();
   epoch_ = g.epoch();

@@ -28,12 +28,6 @@ struct CsrEntry {
   double weight = 0.0;
 };
 
-/// Largest integer edge weight for which the bucket-queue (Dial) Dijkstra
-/// specialization engages. The bucket ring needs max_weight + 1 slots, so
-/// the cap bounds its memory; topology generators emit unit weights and
-/// hop-count modes stay far below this.
-inline constexpr double kMaxDialWeight = 1024.0;
-
 class CsrView {
  public:
   CsrView() = default;
@@ -57,7 +51,6 @@ class CsrView {
   std::size_t num_vertices() const noexcept {
     return offsets_.empty() ? 0 : offsets_.size() - 1;
   }
-  std::size_t num_entries() const noexcept { return entries_.size(); }
 
   /// Packed out-entries of `v`, in Graph::neighbors order. `v` must be a
   /// valid vertex of the source graph (unchecked: hot path).
@@ -65,28 +58,17 @@ class CsrView {
     return {entries_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
   }
 
-  /// (uid, epoch) of the graph this view was built from.
-  std::uint64_t source_uid() const noexcept { return uid_; }
-  std::uint64_t source_epoch() const noexcept { return epoch_; }
-
-  /// True when every edge weight is a strictly positive integer no larger
-  /// than kMaxDialWeight — the precondition for the bucket-queue (Dial)
-  /// Dijkstra specialization. Strict positivity matters for determinism:
-  /// a zero-weight edge would insert into the bucket currently being
-  /// drained, breaking the sorted-drain equivalence with the binary heap.
-  /// Recorded once per rebuild so the engine's per-query check is two loads.
-  bool dial_eligible() const noexcept { return dial_eligible_; }
-
-  /// Largest edge weight as an integer; only meaningful when
-  /// dial_eligible() is true (sizes the engine's bucket ring).
-  std::uint32_t max_integer_weight() const noexcept { return max_int_weight_; }
+  /// True when every edge weight equals 1.0 — the precondition for the
+  /// engine's breadth-first search, which then settles vertices in the
+  /// heap's (distance, id) order. Recorded once per rebuild, so the
+  /// engine's per-query check is one load.
+  bool unit_weights() const noexcept { return unit_weights_; }
 
  private:
   bool built_ = false;
   std::uint64_t uid_ = 0;
   std::uint64_t epoch_ = 0;
-  bool dial_eligible_ = false;
-  std::uint32_t max_int_weight_ = 0;
+  bool unit_weights_ = false;
   std::vector<std::size_t> offsets_;  // size num_vertices + 1
   std::vector<CsrEntry> entries_;
 };

@@ -1,6 +1,7 @@
 #include "graph/sp_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -66,6 +67,14 @@ void SpEngine::prepare(const Graph& g) {
     settled_.resize(n, 0);
     heap_pos_.resize(n, kNotInHeap);
   }
+  const std::size_t words = (n + 63) / 64;
+  if (seen_.size() < words) {
+    seen_.resize(words, 0);
+    level_.resize(words, 0);
+    next_level_.resize(words, 0);
+    level_words_.reserve(words);  // a level touches each word at most once
+    next_level_words_.reserve(words);
+  }
   if (++generation_ == 0) {  // wrapped: stamps are ambiguous, hard reset
     std::fill(stamp_.begin(), stamp_.end(), 0);
     std::fill(settled_.begin(), settled_.end(), 0);
@@ -103,59 +112,56 @@ void SpEngine::run_heap(ShortestPaths& tree, const std::uint8_t* edge_mask) {
   NFVM_COUNTER_ADD("graph.dijkstra.edges_relaxed", edges_relaxed);
 }
 
-// Bucket-queue (Dial) loop. Precondition (checked by the CSR weight
-// inspection): every edge weight is an integer in [1, kMaxDialWeight].
-// Invariant: while draining distance d, every live entry lies in
-// [d, d + ring - 1], and bucket d % ring holds only entries whose stored
-// distance is exactly d — a push during the drain of d' targets
-// nd in [d' + 1, d' + ring - 1], which never wraps onto a still-undrained
-// smaller distance. Draining each bucket in ascending vertex-id order
-// therefore settles vertices in exactly the heap's (distance, id) order.
-// A run ends only once every queued entry is drained, so each bucket is
-// empty again when the next query starts.
-void SpEngine::run_dial(ShortestPaths& tree, const std::uint8_t* edge_mask) {
+// Level-synchronous breadth-first search. Precondition (checked by the CSR
+// weight inspection): every edge weight is exactly 1.0. The heap settles
+// the vertices in (distance, id) order, and with unit weights the first
+// relaxation of a vertex already carries its final distance, so its parent
+// is the first settled in-neighbour with an allowed edge: the smallest-id
+// vertex of the previous level, through that vertex's first allowed edge
+// in adjacency order. Draining each level's bitset word by word in
+// ascending word index, and each word from its lowest bit, scans the
+// levels in exactly that order; a vertex counts as relaxed once, when it
+// is first seen, and every scanned edge is one the heap scans too. Only
+// the words a level touched are drained, so a run stays O(n + m) on
+// long-diameter graphs.
+void SpEngine::run_bfs(ShortestPaths& tree, const std::uint8_t* edge_mask) {
   NFVM_OBS_ONLY(std::uint64_t edges_scanned = 0; std::uint64_t edges_relaxed = 0;)
-  const std::size_t ring = static_cast<std::size_t>(view_.max_integer_weight()) + 1;
-  if (buckets_.size() < ring) buckets_.resize(ring);
   double* const dist = tree.dist.data();
   VertexId* const parent = tree.parent.data();
   EdgeId* const parent_edge = tree.parent_edge.data();
+  const auto word = [](VertexId v) { return static_cast<std::uint32_t>(v >> 6); };
+  const auto bit = [](VertexId v) { return std::uint64_t{1} << (v & 63); };
 
-  buckets_[0].push_back(tree.source);
-  std::size_t pending = 1;
-  std::uint64_t d = 0;
-  while (pending > 0) {
-    std::vector<VertexId>& bucket = buckets_[static_cast<std::size_t>(d % ring)];
-    if (bucket.empty()) {
-      ++d;
-      continue;
-    }
-    // Stage and sort: every entry here has stored distance exactly d, so
-    // ascending id is the heap's tie-break. Entries whose dist no longer
-    // equals d were improved before being drained — stale, skip.
-    bucket_scratch_.assign(bucket.begin(), bucket.end());
-    bucket.clear();
-    pending -= bucket_scratch_.size();
-    std::sort(bucket_scratch_.begin(), bucket_scratch_.end());
-    const double dd = static_cast<double>(d);
-    for (VertexId u : bucket_scratch_) {
-      if (dist[u] != dd) continue;  // stale entry
-      for (const CsrEntry& entry : view_.out(u)) {
-        if (edge_mask != nullptr && edge_mask[entry.edge] == 0) continue;
-        NFVM_OBS_ONLY(++edges_scanned;)
-        const double nd = dd + entry.weight;
-        if (nd < dist[entry.neighbor]) {
+  std::fill_n(seen_.begin(), (view_.num_vertices() + 63) / 64, 0);
+  seen_[word(tree.source)] = bit(tree.source);
+  level_[word(tree.source)] = bit(tree.source);
+  level_words_.assign(1, word(tree.source));
+  // nd is the distance of the level being found, one past the level drained.
+  for (double nd = 1.0; !level_words_.empty(); nd += 1.0) {
+    std::sort(level_words_.begin(), level_words_.end());
+    next_level_words_.clear();
+    for (const std::uint32_t w : level_words_) {
+      for (std::uint64_t bits = std::exchange(level_[w], 0); bits != 0;
+           bits &= bits - 1) {
+        const VertexId u =
+            (VertexId{w} << 6) | static_cast<VertexId>(std::countr_zero(bits));
+        for (const CsrEntry& entry : view_.out(u)) {
+          if (edge_mask != nullptr && edge_mask[entry.edge] == 0) continue;
+          NFVM_OBS_ONLY(++edges_scanned;)
+          const VertexId v = entry.neighbor;
+          if ((seen_[word(v)] & bit(v)) != 0) continue;
           NFVM_OBS_ONLY(++edges_relaxed;)
-          dist[entry.neighbor] = nd;
-          parent[entry.neighbor] = u;
-          parent_edge[entry.neighbor] = entry.edge;
-          buckets_[static_cast<std::size_t>(static_cast<std::uint64_t>(nd) % ring)]
-              .push_back(entry.neighbor);
-          ++pending;
+          seen_[word(v)] |= bit(v);
+          dist[v] = nd;
+          parent[v] = u;
+          parent_edge[v] = entry.edge;
+          if (next_level_[word(v)] == 0) next_level_words_.push_back(word(v));
+          next_level_[word(v)] |= bit(v);
         }
       }
     }
-    ++d;
+    level_.swap(next_level_);
+    level_words_.swap(next_level_words_);
   }
   NFVM_COUNTER_ADD("graph.dijkstra.edges_scanned", edges_scanned);
   NFVM_COUNTER_ADD("graph.dijkstra.edges_relaxed", edges_relaxed);
@@ -177,9 +183,10 @@ void SpEngine::compute_prepared(ShortestPaths& tree, const std::uint8_t* edge_ma
   reset_tree(tree, tree.source, view_.num_vertices());
   NFVM_SPAN("graph/dijkstra");
   tree.dist[tree.source] = 0.0;
-  last_used_dial_ = view_.dial_eligible();
-  if (last_used_dial_) {
-    run_dial(tree, edge_mask);
+  last_used_bfs_ = view_.unit_weights();
+  if (last_used_bfs_) {
+    run_bfs(tree, edge_mask);
+    // The counter keeps the name of the bucket ring the search replaced.
     NFVM_COUNTER_INC("graph.dijkstra.dial_runs");
   } else {
     heap_update(tree.source, 0.0);

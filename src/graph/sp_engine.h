@@ -14,14 +14,16 @@
 //    relaxation loop never makes an indirect call. graph::dijkstra is a thin
 //    wrapper over the per-thread engine.
 //
-//    When the CSR weight inspection proves every edge weight is a strictly
-//    positive integer <= kMaxDialWeight (true for every topology generator
-//    in the repo and all hop-count modes), queries take a bucket-queue
-//    (Dial) specialization instead of the heap: a bucket ring reused across
-//    queries, each bucket drained in ascending vertex-id order. That drain
-//    order reproduces the heap's (distance, vertex id) pop order exactly,
-//    so the two paths are bit-identical — which tests/test_sp_dial.cpp
-//    asserts.
+//    When the CSR weight inspection finds every edge weight equal to 1.0
+//    (true for every topology generator in the repo), queries take a
+//    level-synchronous breadth-first search instead of the heap: the seen
+//    set and the frontier are bitsets, each level drained in ascending
+//    vertex id. A vertex's parent is then the smallest-id vertex of the
+//    previous level with an allowed edge to it, through that vertex's
+//    first allowed edge in adjacency order — exactly the heap's
+//    (distance, vertex id) tree, with the same scan and relax counts,
+//    which tests/test_sp_dial.cpp asserts. Integer weights above 1 take
+//    the heap, which is exact on them.
 //
 //    SpEngine::repair brings an existing tree up to date after a batch of
 //    edge-weight / mask changes without a full run (graph/sp_repair.h holds
@@ -120,11 +122,8 @@ class SpEngine {
                        std::span<const EdgeChange> changes,
                        std::span<const std::uint8_t> edge_mask, bool& tie_free);
 
-  /// True when the last query ran the bucket-queue (Dial) specialization.
-  bool last_used_dial() const noexcept { return last_used_dial_; }
-
-  /// The CSR view currently held (refreshed on every query).
-  const CsrView& view() const noexcept { return view_; }
+  /// True when the last query ran the breadth-first search.
+  bool last_used_bfs() const noexcept { return last_used_bfs_; }
 
   /// Per-thread engine backing the graph::dijkstra wrappers. Scratch
   /// buffers and the CSR view persist across calls on the same thread.
@@ -157,13 +156,13 @@ class SpEngine {
   /// generation.
   void prepare(const Graph& g);
   /// Full masked run from `tree.source` into `tree` (view already
-  /// prepared): the Dial loop when the view's weight inspection allows it,
-  /// the 4-ary heap loop otherwise. `edge_mask` may be null.
+  /// prepared): the breadth-first search when every weight is 1.0, the
+  /// 4-ary heap loop otherwise. `edge_mask` may be null.
   void compute_prepared(ShortestPaths& tree, const std::uint8_t* edge_mask);
   /// The two loops behind compute_prepared, on a tree whose labels are
   /// reset and whose source sits at distance zero.
   void run_heap(ShortestPaths& tree, const std::uint8_t* edge_mask);
-  void run_dial(ShortestPaths& tree, const std::uint8_t* edge_mask);
+  void run_bfs(ShortestPaths& tree, const std::uint8_t* edge_mask);
   /// v's parent and parent edge as determined by its tight in-neighbours
   /// (see tie_free); false when v is not locally tie-free. Reads the view
   /// prepared for the tree's graph.
@@ -181,11 +180,15 @@ class SpEngine {
   CsrView view_;
   std::vector<HeapItem> heap_;  // indexed 4-ary min-heap
   std::vector<std::uint32_t> heap_pos_;  // vertex -> heap slot, or kNotInHeap
-  /// Dial bucket ring, sized max_integer_weight + 1 and reused across
-  /// queries; every run leaves it empty.
-  std::vector<std::vector<VertexId>> buckets_;
-  std::vector<VertexId> bucket_scratch_;  // drain staging, sorted by id
-  bool last_used_dial_ = false;
+  /// Breadth-first search state, one bit per vertex: the vertices reached,
+  /// the level being drained and the next level, with the indices of the
+  /// level words that hold a bit. Every run leaves both level bitsets zero.
+  std::vector<std::uint64_t> seen_;
+  std::vector<std::uint64_t> level_;
+  std::vector<std::uint64_t> next_level_;
+  std::vector<std::uint32_t> level_words_;
+  std::vector<std::uint32_t> next_level_words_;
+  bool last_used_bfs_ = false;
   /// Repair scratch: the invalidated region (stamp_ == generation_), the
   /// old tree's children (CSR by parent), the re-settled vertices
   /// (settled_ == generation_), the vertices queued for a parent check

@@ -1,4 +1,6 @@
 // Persistent shortest-path trees, repaired in place across edge changes.
+// The store serves Online_CP only: Online_SP's unit-weight trees cost less
+// to recompute by breadth-first search than to diff and repair.
 //
 // Online_CP prices every candidate server with a tree from that server, and
 // between two requests those trees barely change: an admission raises the

@@ -2,24 +2,41 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <stdexcept>
+#include <utility>
 
 namespace nfvm::nfv {
 namespace {
 
 constexpr double kSlack = 1e-9;  // float tolerance for capacity checks
 
-std::vector<std::pair<std::size_t, double>> aggregate_impl(
-    const std::vector<std::pair<std::uint32_t, double>>& entries) {
-  std::map<std::size_t, double> acc;
-  for (const auto& [id, amount] : entries) {
-    if (!(amount >= 0)) {
-      throw std::invalid_argument("resources: negative footprint amount");
-    }
-    acc[id] += amount;
+/// Sorts `entries` stably by id and merges equal ids left to right, each
+/// sum starting at 0.0. Footprints arrive sorted by id, so the sort is
+/// usually skipped.
+std::vector<std::pair<std::size_t, double>> merge_by_id(
+    std::vector<std::pair<std::size_t, double>> entries) {
+  const auto by_id = [](const auto& a, const auto& b) { return a.first < b.first; };
+  if (!std::is_sorted(entries.begin(), entries.end(), by_id)) {
+    std::stable_sort(entries.begin(), entries.end(), by_id);
   }
-  return {acc.begin(), acc.end()};
+  std::size_t out = 0;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (out > 0 && entries[out - 1].first == entries[i].first) {
+      entries[out - 1].second += entries[i].second;
+    } else {
+      entries[out++] = {entries[i].first, 0.0 + entries[i].second};
+    }
+  }
+  entries.resize(out);
+  return entries;
+}
+
+std::vector<std::pair<std::size_t, double>> aggregate_tables(
+    const std::vector<graph::VertexId>& entries) {
+  std::vector<std::pair<std::size_t, double>> ones;
+  ones.reserve(entries.size());
+  for (graph::VertexId v : entries) ones.emplace_back(v, 1.0);
+  return merge_by_id(std::move(ones));
 }
 
 }  // namespace
@@ -47,14 +64,14 @@ double ResourceState::compute_utilization(graph::VertexId v) const {
   return cap <= 0 ? 0.0 : 1.0 - residual_compute_.at(v) / cap;
 }
 
-std::vector<std::pair<std::size_t, double>> ResourceState::aggregate(
-    const std::vector<std::pair<graph::EdgeId, double>>& entries) {
-  return aggregate_impl(entries);
-}
-
-std::vector<std::pair<std::size_t, double>> ResourceState::aggregate_v(
-    const std::vector<std::pair<graph::VertexId, double>>& entries) {
-  return aggregate_impl(entries);
+std::vector<std::pair<std::size_t, double>> aggregate_amounts(
+    std::span<const std::pair<std::uint32_t, double>> entries) {
+  for (const auto& [id, amount] : entries) {
+    if (!(amount >= 0)) {
+      throw std::invalid_argument("resources: negative footprint amount");
+    }
+  }
+  return merge_by_id({entries.begin(), entries.end()});
 }
 
 double ResourceState::residual_table_entries(graph::VertexId v) const {
@@ -62,20 +79,11 @@ double ResourceState::residual_table_entries(graph::VertexId v) const {
   return residual_table_.at(v);
 }
 
-namespace {
-std::vector<std::pair<std::size_t, double>> aggregate_tables(
-    const std::vector<graph::VertexId>& entries) {
-  std::map<std::size_t, double> acc;
-  for (graph::VertexId v : entries) acc[v] += 1.0;
-  return {acc.begin(), acc.end()};
-}
-}  // namespace
-
 bool ResourceState::can_allocate(const Footprint& fp) const {
-  for (const auto& [e, amount] : aggregate(fp.bandwidth)) {
+  for (const auto& [e, amount] : aggregate_amounts(fp.bandwidth)) {
     if (amount > residual_bandwidth_.at(e) + kSlack) return false;
   }
-  for (const auto& [v, amount] : aggregate_v(fp.compute)) {
+  for (const auto& [v, amount] : aggregate_amounts(fp.compute)) {
     if (amount > residual_compute_.at(v) + kSlack) return false;
   }
   if (tracks_tables()) {
@@ -87,8 +95,8 @@ bool ResourceState::can_allocate(const Footprint& fp) const {
 }
 
 void ResourceState::allocate(const Footprint& fp) {
-  const auto bw = aggregate(fp.bandwidth);
-  const auto cp = aggregate_v(fp.compute);
+  const auto bw = aggregate_amounts(fp.bandwidth);
+  const auto cp = aggregate_amounts(fp.compute);
   const auto tb = tracks_tables() ? aggregate_tables(fp.table_entries)
                                   : std::vector<std::pair<std::size_t, double>>{};
   for (const auto& [e, amount] : bw) {
@@ -118,8 +126,8 @@ void ResourceState::allocate(const Footprint& fp) {
 }
 
 void ResourceState::release(const Footprint& fp) {
-  const auto bw = aggregate(fp.bandwidth);
-  const auto cp = aggregate_v(fp.compute);
+  const auto bw = aggregate_amounts(fp.bandwidth);
+  const auto cp = aggregate_amounts(fp.compute);
   const auto tb = tracks_tables() ? aggregate_tables(fp.table_entries)
                                   : std::vector<std::pair<std::size_t, double>>{};
   for (const auto& [e, amount] : bw) {
@@ -179,6 +187,14 @@ void ResourceState::restore_residuals(const ResourceResiduals& residuals) {
   residual_bandwidth_ = residuals.bandwidth;
   residual_compute_ = residuals.compute;
   residual_table_ = residuals.table;
+}
+
+void fill_eligibility_mask(const ResourceState& state, const graph::Graph& g,
+                           double bandwidth_mbps, std::vector<std::uint8_t>& mask) {
+  mask.resize(g.num_edges());
+  for (graph::EdgeId e = 0; e < mask.size(); ++e) {
+    mask[e] = edge_eligible(state, g, e, bandwidth_mbps) ? 1 : 0;
+  }
 }
 
 }  // namespace nfvm::nfv

@@ -8,6 +8,9 @@
 // backhaul detour).
 #pragma once
 
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -94,13 +97,15 @@ class ResourceState {
   std::vector<double> residual_compute_;
   std::vector<double> table_capacity_;   // empty when not tracked
   std::vector<double> residual_table_;
-
-  /// Aggregates footprint entries into dense (id -> amount) maps.
-  static std::vector<std::pair<std::size_t, double>> aggregate(
-      const std::vector<std::pair<graph::EdgeId, double>>& entries);
-  static std::vector<std::pair<std::size_t, double>> aggregate_v(
-      const std::vector<std::pair<graph::VertexId, double>>& entries);
 };
+
+/// One (id, total) pair per distinct id of `entries`, ascending by id: how
+/// ResourceState sums a footprint's entries for one resource. Each total
+/// starts at 0.0 and adds the id's amounts in input order, so it carries
+/// the bits a std::map<id, double> would accumulate. Throws
+/// std::invalid_argument on a negative or NaN amount.
+std::vector<std::pair<std::size_t, double>> aggregate_amounts(
+    std::span<const std::pair<std::uint32_t, double>> entries);
 
 /// The admission algorithms' shared link-eligibility predicate: link `e` of
 /// `g` can join a new multicast tree for a request demanding
@@ -114,5 +119,12 @@ inline bool edge_eligible(const ResourceState& state, const graph::Graph& g,
   return state.residual_table_entries(ed.u) >= 1.0 &&
          state.residual_table_entries(ed.v) >= 1.0;
 }
+
+/// Sizes `mask` to the links of `g` and sets each byte to edge_eligible at
+/// `bandwidth_mbps`: 1 for a link a new tree may use, 0 otherwise. The
+/// predicate is a pure function of (state, bandwidth), so one O(|E|) sweep
+/// serves every shortest-path tree of a request.
+void fill_eligibility_mask(const ResourceState& state, const graph::Graph& g,
+                           double bandwidth_mbps, std::vector<std::uint8_t>& mask);
 
 }  // namespace nfvm::nfv

@@ -1,11 +1,13 @@
-// Allocation guard for the KMB finishing kernel.
+// Allocation guards for the KMB finishing kernel and the shortest-path
+// engine's breadth-first search.
 //
 // This binary replaces the global operator new with a counting one. After
 // one warm-up call per graph (which grows the thread-local scratch to that
 // graph's size), a KMB finish may allocate only the returned edge vector:
-// the same fixed count on a 50-vertex and a 400-vertex graph. Wall time
-// cannot be gated on shared runners; this count is the deterministic guard
-// for the kernel's gain.
+// the same fixed count on a 50-vertex and a 400-vertex graph. A warm
+// unit-weight SpEngine::compute into a reused tree allocates nothing. Wall
+// time cannot be gated on shared runners; these counts are the
+// deterministic guards for the kernels' gains.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +20,7 @@
 #include "core/cost_model.h"
 #include "core/shared_closure.h"
 #include "graph/dijkstra.h"
+#include "graph/sp_engine.h"
 #include "graph/steiner.h"
 #include "nfv/service_chain.h"
 #include "topology/waxman.h"
@@ -127,6 +130,28 @@ INSTANTIATE_TEST_SUITE_P(GraphSizes, KmbAllocationGuard,
                            name += std::to_string(info.param);
                            return name;
                          });
+
+TEST(SpEngineAllocationGuard, WarmUnitWeightComputeAllocatesNothing) {
+  for (const std::size_t n : {std::size_t{50}, std::size_t{400}}) {
+    util::Rng rng(44);
+    const topo::Topology topo = topo::make_waxman(n, rng);
+    const graph::Graph& g = topo.graph;
+    std::vector<std::uint8_t> mask(g.num_edges(), 1);
+    for (graph::EdgeId e = 0; e < mask.size(); e += 5) mask[e] = 0;
+    graph::SpEngine engine;
+    graph::ShortestPaths tree;
+    tree.source = 0;
+    engine.compute(g, tree, mask);  // sizes the view, the bitsets and the tree
+    ASSERT_TRUE(engine.last_used_bfs());
+    for (const graph::VertexId s : {graph::VertexId{0}, graph::VertexId{17},
+                                    static_cast<graph::VertexId>(n - 1)}) {
+      tree.source = s;
+      EXPECT_EQ(allocations_during([&] { engine.compute(g, tree, mask); }), 0u)
+          << "n = " << n << ", source " << s;
+      EXPECT_EQ(tree.dist[s], 0.0);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace nfvm

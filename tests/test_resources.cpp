@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "reference/support.h"
 #include "util/rng.h"
 
@@ -55,6 +63,49 @@ TEST(ResourceState, RepeatedEntriesAggregate) {
   EXPECT_THROW(state.allocate(fp), std::runtime_error);
   // State unchanged after the failed allocation.
   EXPECT_DOUBLE_EQ(state.residual_bandwidth(0), 1000.0);
+}
+
+// The sort-and-merge aggregation against the std::map accumulation it
+// replaced: same ids in the same order and the same sum bits, on random
+// footprints with repeated ids, zeros and -0.0, sorted and unsorted, whose
+// amounts span enough magnitudes that a reordered sum would change bits.
+TEST(ResourceState, AggregationMatchesMapSumsBitForBit) {
+  util::Rng rng(2024);
+  std::size_t repeated = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<std::pair<std::uint32_t, double>> entries(rng.next_below(40));
+    for (auto& [id, amount] : entries) {
+      id = static_cast<std::uint32_t>(rng.next_below(12));
+      switch (rng.next_below(5)) {
+        case 0: amount = 0.0; break;
+        case 1: amount = -0.0; break;
+        default:
+          amount = rng.uniform01() * std::pow(10.0, rng.uniform_int(-8, 16));
+      }
+    }
+    if (trial % 3 == 0) {
+      std::stable_sort(entries.begin(), entries.end(),
+                       [](const auto& a, const auto& b) { return a.first < b.first; });
+    }
+    std::map<std::size_t, double> want;
+    for (const auto& [id, amount] : entries) want[id] += amount;
+    repeated += entries.size() - want.size();
+
+    const std::vector<std::pair<std::size_t, double>> got = aggregate_amounts(entries);
+    ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+    std::size_t k = 0;
+    for (const auto& [id, sum] : want) {
+      EXPECT_EQ(got[k].first, id) << "trial " << trial;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k].second),
+                std::bit_cast<std::uint64_t>(sum))
+          << "trial " << trial << " id " << id;
+      ++k;
+    }
+  }
+  EXPECT_GT(repeated, 10000u);
+  EXPECT_THROW(aggregate_amounts(std::vector<std::pair<std::uint32_t, double>>{
+                   {1, 2.0}, {1, -1.0}}),
+               std::invalid_argument);
 }
 
 TEST(ResourceState, ExactFitAllocates) {

@@ -1,18 +1,24 @@
-// Dial bucket-queue determinism suite: the bucket-ring specialization must
-// be bit-identical to the binary-heap path (dist, parent AND parent_edge),
-// the CSR weight inspection must only ever select it on strictly-positive
-// integer weights <= kMaxDialWeight, and the batched multi-source SSSP must
+// Breadth-first search determinism suite. On unit weights SpEngine runs a
+// level-synchronous breadth-first search instead of the 4-ary heap; it must
+// return the heap's trees bit for bit (dist, parent AND parent_edge) with
+// the same scan and relax counts, the CSR weight inspection must select it
+// only when every weight is 1.0, and the batched multi-source SSSP must
 // reproduce the sequential per-source loop byte-for-byte at any thread
-// count. See the determinism argument in src/graph/sp_engine.cpp above
-// run_dial and docs/performance.md "SP engine internals".
+// count. The suite keeps the name of the Dial bucket ring the search
+// replaced. See the argument above SpEngine::run_bfs and
+// docs/performance.md "SP engine internals".
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "graph/csr.h"
 #include "graph/sp_engine.h"
+#include "obs_test_util.h"
 #include "reference/support.h"
 #include "topology/waxman.h"
 #include "util/rng.h"
@@ -31,10 +37,20 @@ void expect_trees_equal(const ShortestPaths& a, const ShortestPaths& b) {
   }
 }
 
-/// The historical binary-heap Dijkstra — the order the Dial ring must
-/// reproduce exactly.
-ShortestPaths reference_dijkstra(const Graph& g, VertexId source) {
-  ShortestPaths sp;
+/// A reference run: the tree and the engine's two work counts for it.
+struct ReferenceRun {
+  ShortestPaths tree;
+  std::uint64_t edges_scanned = 0;  // allowed entries of settled vertices
+  std::uint64_t edges_relaxed = 0;  // strict label improvements
+};
+
+/// The historical binary-heap Dijkstra over the edges `mask` allows (an
+/// empty mask allows all) — the (distance, id) order the breadth-first
+/// search must reproduce exactly.
+ReferenceRun reference_dijkstra(const Graph& g, VertexId source,
+                                std::span<const std::uint8_t> mask = {}) {
+  ReferenceRun run;
+  ShortestPaths& sp = run.tree;
   sp.source = source;
   sp.dist.assign(g.num_vertices(), kInfiniteDistance);
   sp.parent.assign(g.num_vertices(), kInvalidVertex);
@@ -48,8 +64,11 @@ ShortestPaths reference_dijkstra(const Graph& g, VertexId source) {
     frontier.pop_back();
     if (d > sp.dist[u]) continue;
     for (const Adjacency& adj : g.neighbors(u)) {
+      if (!mask.empty() && mask[adj.edge] == 0) continue;
+      ++run.edges_scanned;
       const double nd = d + g.edge(adj.edge).weight;
       if (nd < sp.dist[adj.neighbor]) {
+        ++run.edges_relaxed;
         sp.dist[adj.neighbor] = nd;
         sp.parent[adj.neighbor] = u;
         sp.parent_edge[adj.neighbor] = adj.edge;
@@ -58,7 +77,7 @@ ShortestPaths reference_dijkstra(const Graph& g, VertexId source) {
       }
     }
   }
-  return sp;
+  return run;
 }
 
 /// A Waxman topology re-weighted through `weight_of(e)` — same structure,
@@ -75,6 +94,52 @@ Graph reweighted_waxman(std::size_t n, std::uint64_t seed,
   return g;
 }
 
+/// A random unit-weight multigraph on `n` vertices: about a tenth of the
+/// vertices isolated, up to 3n random edges among the others, some of them
+/// self-loops and some doubled into parallel edges.
+Graph random_unit_multigraph(util::Rng& rng, std::size_t n) {
+  Graph g(n);
+  std::vector<VertexId> linked;
+  for (VertexId v = 0; v < n; ++v) {
+    if (!rng.bernoulli(0.1)) linked.push_back(v);
+  }
+  if (linked.empty()) return g;
+  const std::size_t extra = static_cast<std::size_t>(rng.uniform_int(0, 3 * n));
+  for (std::size_t i = 0; i < extra; ++i) {
+    const VertexId u = linked[rng.next_below(linked.size())];
+    VertexId v = linked[rng.next_below(linked.size())];
+    if (rng.bernoulli(0.05)) v = u;  // self-loop
+    g.add_edge(u, v, 1.0);
+    if (rng.bernoulli(0.1)) g.add_edge(u, v, 1.0);  // parallel
+  }
+  return g;
+}
+
+std::vector<std::uint8_t> random_mask(util::Rng& rng, std::size_t m) {
+  std::vector<std::uint8_t> mask(m);
+  for (std::uint8_t& b : mask) b = rng.bernoulli(0.8) ? 1 : 0;
+  return mask;
+}
+
+/// Runs `engine.compute` from `source` into the reused `tree` and checks
+/// it, and under NFVM_OBS its scan and relax counts, against the heap.
+void expect_bfs_matches_heap(SpEngine& engine, const Graph& g, VertexId source,
+                             std::span<const std::uint8_t> mask,
+                             ShortestPaths& tree, const std::string& where) {
+  SCOPED_TRACE(where);
+  const ReferenceRun want = reference_dijkstra(g, source, mask);
+  tree.source = source;
+  const test::CounterBaseline counters;
+  engine.compute(g, tree, mask);
+  EXPECT_TRUE(engine.last_used_bfs()) << "unit weights must select the BFS";
+  expect_trees_equal(tree, want.tree);
+#if NFVM_OBS
+  EXPECT_EQ(counters.since("graph.dijkstra.edges_scanned"), want.edges_scanned);
+  EXPECT_EQ(counters.since("graph.dijkstra.edges_relaxed"), want.edges_relaxed);
+  EXPECT_EQ(counters.since("graph.dijkstra.dial_runs"), 1u);
+#endif
+}
+
 TEST(SpDial, MatchesHeapOnRandomUnitWeightGraphs) {
   for (std::uint64_t seed : {7u, 11u, 23u}) {
     const Graph g =
@@ -82,20 +147,68 @@ TEST(SpDial, MatchesHeapOnRandomUnitWeightGraphs) {
     SpEngine engine;
     for (VertexId s = 0; s < g.num_vertices(); s += 7) {
       const ShortestPaths sp = engine.shortest_paths(g, s);
-      EXPECT_TRUE(engine.last_used_dial()) << "unit weights must select Dial";
-      expect_trees_equal(sp, reference_dijkstra(g, s));
+      EXPECT_TRUE(engine.last_used_bfs()) << "unit weights must select the BFS";
+      expect_trees_equal(sp, reference_dijkstra(g, s).tree);
+    }
+  }
+}
+
+// Word boundaries of the bitsets (63/64/65, 127/128/129), the smallest
+// graphs, and a graph spanning seven words; isolated vertices, parallel
+// edges, self-loops and random masks throughout. One engine and one tree
+// serve every run, so stale state between runs would show.
+TEST(SpDial, BfsMatchesHeapOnRandomMaskedMultigraphs) {
+  util::Rng rng(2323);
+  SpEngine engine;
+  ShortestPaths tree;
+  for (const std::size_t n : {1u, 2u, 63u, 64u, 65u, 127u, 128u, 129u, 400u}) {
+    for (int trial = 0; trial < 6; ++trial) {
+      const Graph g = random_unit_multigraph(rng, n);
+      const std::vector<std::uint8_t> mask = random_mask(rng, g.num_edges());
+      for (int k = 0; k < 4; ++k) {
+        const VertexId s = static_cast<VertexId>(rng.next_below(n));
+        const std::string where = "n " + std::to_string(n) + " trial " +
+                                  std::to_string(trial) + " source " +
+                                  std::to_string(s);
+        expect_bfs_matches_heap(engine, g, s, mask, tree, where + " masked");
+        expect_bfs_matches_heap(engine, g, s, {}, tree, where + " unmasked");
+      }
+    }
+  }
+}
+
+// A 4,000-vertex path, once with ids in path order and once shuffled so
+// every level lands in a random word: 4,000 levels of one vertex each.
+TEST(SpDial, BfsMatchesHeapOnLongPath) {
+  constexpr std::size_t kN = 4000;
+  util::Rng rng(4000);
+  SpEngine engine;
+  ShortestPaths tree;
+  for (const bool shuffled : {false, true}) {
+    std::vector<VertexId> order(kN);
+    std::iota(order.begin(), order.end(), VertexId{0});
+    if (shuffled) rng.shuffle(std::span<VertexId>(order));
+    Graph g(kN);
+    for (std::size_t i = 1; i < kN; ++i) g.add_edge(order[i - 1], order[i], 1.0);
+    std::vector<std::uint8_t> cut(g.num_edges(), 1);
+    cut[kN / 2] = 0;  // splits the path in two
+    const std::string where = shuffled ? "shuffled path" : "path";
+    for (const VertexId s : {order[0], order[kN / 3], order[kN - 1]}) {
+      expect_bfs_matches_heap(engine, g, s, {}, tree, where);
+      expect_bfs_matches_heap(engine, g, s, cut, tree, where + " cut");
     }
   }
 }
 
 TEST(SpDial, MatchesHeapOnSmallIntegerWeights) {
+  // Integer weights above 1 take the heap, which is exact on them.
   const Graph g = reweighted_waxman(
       60, 42, +[](EdgeId e) { return 1.0 + static_cast<double>(e % 9); });
   SpEngine engine;
   for (VertexId s = 0; s < g.num_vertices(); s += 5) {
     const ShortestPaths sp = engine.shortest_paths(g, s);
-    EXPECT_TRUE(engine.last_used_dial());
-    expect_trees_equal(sp, reference_dijkstra(g, s));
+    EXPECT_FALSE(engine.last_used_bfs());
+    expect_trees_equal(sp, reference_dijkstra(g, s).tree);
   }
 }
 
@@ -106,30 +219,29 @@ TEST(SpDial, MixedWeightsSelectHeapWithEqualResults) {
   SpEngine engine;
   for (VertexId s = 0; s < g.num_vertices(); s += 5) {
     const ShortestPaths sp = engine.shortest_paths(g, s);
-    EXPECT_FALSE(engine.last_used_dial())
-        << "non-integer weights must fall back to the heap";
-    expect_trees_equal(sp, reference_dijkstra(g, s));
+    EXPECT_FALSE(engine.last_used_bfs())
+        << "non-unit weights must take the heap";
+    expect_trees_equal(sp, reference_dijkstra(g, s).tree);
   }
 }
 
 TEST(SpDial, ZeroWeightEdgeSelectsHeap) {
-  // Zero-weight edges would relax into the bucket currently being drained;
-  // eligibility requires strictly positive weights.
   const Graph g = reweighted_waxman(
       30, 9, +[](EdgeId e) { return e == 0 ? 0.0 : 1.0; });
   SpEngine engine;
   const ShortestPaths sp = engine.shortest_paths(g, 0);
-  EXPECT_FALSE(engine.last_used_dial());
-  expect_trees_equal(sp, reference_dijkstra(g, 0));
+  EXPECT_FALSE(engine.last_used_bfs());
+  expect_trees_equal(sp, reference_dijkstra(g, 0).tree);
 }
 
 TEST(SpDial, OversizedIntegerWeightSelectsHeap) {
+  // One weight other than 1.0, here a large integer, is enough.
   const Graph g = reweighted_waxman(
-      30, 9, +[](EdgeId e) { return e == 0 ? kMaxDialWeight + 1.0 : 1.0; });
+      30, 9, +[](EdgeId e) { return e == 0 ? 1025.0 : 1.0; });
   SpEngine engine;
   const ShortestPaths sp = engine.shortest_paths(g, 0);
-  EXPECT_FALSE(engine.last_used_dial());
-  expect_trees_equal(sp, reference_dijkstra(g, 0));
+  EXPECT_FALSE(engine.last_used_bfs());
+  expect_trees_equal(sp, reference_dijkstra(g, 0).tree);
 }
 
 class SpBatch : public ::testing::TestWithParam<std::size_t> {

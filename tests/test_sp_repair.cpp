@@ -216,12 +216,12 @@ TEST(SpRepair, IndexedHeapMatchesLazyHeapReference) {
       const std::vector<std::uint8_t> mask = random_mask(rng, g.num_edges());
       const VertexId s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
       const ShortestPaths got = reference::shortest_paths_masked(engine, g, s, mask);
-      heap_runs += engine.last_used_dial() ? 0 : 1;
+      heap_runs += engine.last_used_bfs() ? 0 : 1;
       expect_same_tree(got, lazy_heap_dijkstra(g, s, mask),
                        weights_name(kind) + " trial " + std::to_string(trial));
     }
   }
-  // Zero weights and reals keep almost every run off the Dial ring.
+  // Zero weights and reals keep almost every run off the breadth-first search.
   EXPECT_GT(heap_runs, 350u);
 }
 
