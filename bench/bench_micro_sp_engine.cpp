@@ -4,8 +4,8 @@
 //     the reference) vs the CSR-backed SpEngine,
 //   * the breadth-first search (auto-selected on unit-weight graphs) vs the
 //     4-ary heap on a non-integer-weight clone,
-//   * batched multi-source SSSP (graph::batch_dijkstra on the pool) vs the
-//     equivalent per-source engine loop,
+//   * batched multi-source SSSP (graph::TreeTable::compute, one pool task
+//     per tree) vs the equivalent per-source engine loop,
 //   * APSP builds at 1 / 2 / 4 worker threads (the test-only
 //     reference::AllPairsShortestPaths, which fans sources out on the pool).
 //
@@ -202,16 +202,14 @@ int main() {
     const double seq_ms = seq_watch.elapsed_ms();
 
     util::ThreadPool::set_global_threads(4);
+    graph::TreeTable table;
     util::Stopwatch batch_watch;
-    const std::vector<graph::ShortestPaths> batch =
-        graph::batch_dijkstra(g, sources);
+    table.compute(g, sources);
     const double batch_ms = batch_watch.elapsed_ms();
     util::ThreadPool::set_global_threads(1);
 
     double batch_checksum = 0.0;
-    for (const graph::ShortestPaths& sp : batch) {
-      batch_checksum += tree_checksum(sp);
-    }
+    for (graph::VertexId s : sources) batch_checksum += tree_checksum(table.from(s));
     if (batch_checksum != seq_checksum) {
       std::cerr << "FATAL: batched SSSP diverged from the sequential loop\n";
       return 1;

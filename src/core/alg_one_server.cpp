@@ -41,7 +41,7 @@ OfflineSolution alg_one_server(const topo::Topology& topo, const LinearCosts& co
                                const nfv::Request& request,
                                const nfv::ResourceState* resources) {
   OfflineSolution sol;
-  const WorkContext ctx = build_work_context(topo, costs, request, resources);
+  WorkContext ctx = build_work_context(topo, costs, request, resources);
   if (!ctx.destinations_reachable) {
     sol.reject_reason = "a destination is unreachable with the demanded bandwidth";
     return sol;
@@ -55,8 +55,11 @@ OfflineSolution alg_one_server(const topo::Topology& topo, const LinearCosts& co
 
   // Shortest paths from every destination (shared across candidate servers):
   // computed in parallel and kept in the context's tree table.
-  const std::vector<std::shared_ptr<const graph::ShortestPaths>> sp_dest =
-      context_trees(ctx, dests);
+  context_trees(ctx, dests);
+  const auto sp_dest = [&](std::size_t i) -> const graph::ShortestPaths& {
+    return ctx.trees.from(dests[i]);
+  };
+  const graph::ShortestPaths& from_source = ctx.trees.from(request.source);
 
   // Metric-closure MST over the destinations (Prim), server-independent.
   const std::size_t t = dests.size();
@@ -73,13 +76,13 @@ OfflineSolution alg_one_server(const topo::Topology& topo, const LinearCosts& co
     in_tree[pick] = true;
     if (pick != 0) {
       for (graph::EdgeId e :
-           graph::path_edges(*sp_dest[best_from[pick]], dests[pick])) {
+           graph::path_edges(sp_dest(best_from[pick]), dests[pick])) {
         mst_expansion.insert(e);
       }
     }
     for (std::size_t j = 0; j < t; ++j) {
       if (in_tree[j]) continue;
-      const double d = sp_dest[pick]->dist[dests[j]];
+      const double d = sp_dest(pick).dist[dests[j]];
       if (d < best[j]) {
         best[j] = d;
         best_from[j] = pick;
@@ -91,11 +94,11 @@ OfflineSolution alg_one_server(const topo::Topology& topo, const LinearCosts& co
   std::vector<CandidatePlan> candidates;
   for (graph::VertexId v : ctx.eligible_servers) {
     ++sol.combinations_explored;
-    const std::size_t nearest = nearest_table_root(sp_dest, v);
+    const std::size_t nearest = nearest_table_root(ctx.trees, dests, v);
     if (nearest == t) continue;  // no destination reaches this server
 
     std::set<graph::EdgeId> edges = mst_expansion;
-    for (graph::EdgeId e : graph::path_edges(*sp_dest[nearest], v)) edges.insert(e);
+    for (graph::EdgeId e : graph::path_edges(sp_dest(nearest), v)) edges.insert(e);
 
     CandidatePlan plan;
     plan.server = v;
@@ -104,7 +107,7 @@ OfflineSolution alg_one_server(const topo::Topology& topo, const LinearCosts& co
     for (graph::EdgeId e : plan.subgraph_edges) {
       subgraph_cost += ctx.cost_graph.weight(e);
     }
-    plan.cost = ctx.sp_source.dist[v] + ctx.server_chain_cost[v] + subgraph_cost;
+    plan.cost = from_source.dist[v] + ctx.server_chain_cost[v] + subgraph_cost;
     candidates.push_back(std::move(plan));
   }
 
@@ -130,7 +133,7 @@ OfflineSolution alg_one_server(const topo::Topology& topo, const LinearCosts& co
     tree.cost = plan.cost;
 
     std::map<graph::EdgeId, int> mult;
-    for (graph::EdgeId e : graph::path_edges(ctx.sp_source, plan.server)) {
+    for (graph::EdgeId e : graph::path_edges(from_source, plan.server)) {
       ++mult[ctx.to_physical[e]];
     }
     for (graph::EdgeId e : plan.subgraph_edges) ++mult[ctx.to_physical[e]];
@@ -138,7 +141,7 @@ OfflineSolution alg_one_server(const topo::Topology& topo, const LinearCosts& co
 
     const graph::RootedTree rooted(ctx.cost_graph, routing.edges, plan.server);
     const std::vector<graph::VertexId> to_server =
-        graph::path_vertices(ctx.sp_source, plan.server);
+        graph::path_vertices(from_source, plan.server);
     bool routable = true;
     for (graph::VertexId d : dests) {
       if (!rooted.contains(d)) {

@@ -26,8 +26,7 @@ OfflineSolution appro_multi(const topo::Topology& topo, const LinearCosts& costs
   NFVM_COUNTER_INC("core.appro_multi.calls");
   OfflineSolution sol;
   NFVM_OBS_ONLY(util::Stopwatch phase_watch;)
-  const WorkContext ctx =
-      build_work_context(topo, costs, request, options.resources);
+  WorkContext ctx = build_work_context(topo, costs, request, options.resources);
   NFVM_HDR_OBSERVE("core.appro_multi.context_us", phase_watch.elapsed_us());
   NFVM_OBS_ONLY(phase_watch.reset();)
   if (!ctx.destinations_reachable) {
@@ -41,35 +40,43 @@ OfflineSolution appro_multi(const topo::Topology& topo, const LinearCosts& costs
 
   // Destination SP trees feed the beam centrality score and the
   // branch-and-bound lower bounds.
-  const std::vector<std::shared_ptr<const graph::ShortestPaths>> dest_trees =
-      context_trees(ctx, request.destinations);
+  context_trees(ctx, request.destinations);
   const std::vector<graph::VertexId> pool =
-      options.beam_width != 0
-          ? beam_server_pool(ctx, dest_trees, options.beam_width)
-          : ctx.eligible_servers;
-  const SharedOracle oracle = build_shared_oracle(ctx, request, pool);
+      options.beam_width != 0 ? beam_server_pool(ctx, request, options.beam_width)
+                              : ctx.eligible_servers;
+  {
+    // The pool's server trees, in one fan-out. Listing the destinations
+    // again only counts their lookups as table hits.
+    NFVM_SPAN("appro_multi/pool_trees");
+    NFVM_OBS_ONLY(util::Stopwatch trees_watch;)
+    std::vector<graph::VertexId> roots(request.destinations.begin(),
+                                       request.destinations.end());
+    roots.insert(roots.end(), pool.begin(), pool.end());
+    context_trees(ctx, roots);
+    NFVM_HDR_OBSERVE("core.shared_closure.oracle_us", trees_watch.elapsed_us());
+  }
 
   // Branch-and-bound search over the shared-table evaluation. The search
   // returns exactly the combination an exhaustive sweep with the same
   // evaluator would rank first (see core/combo_search.h).
   NFVM_SPAN("appro_multi/branch_and_bound");
-  const ComboBounds bounds(ctx, request, pool, dest_trees);
+  const ComboBounds bounds(ctx, request, pool);
   const auto evaluator = [&](std::span<const std::size_t> idx) {
     std::vector<graph::VertexId> combo(idx.size());
     for (std::size_t i = 0; i < idx.size(); ++i) combo[i] = pool[idx[i]];
     const AuxOverlay aux = build_aux_overlay(ctx, request.source, combo);
-    graph::SteinerResult st = SharedComboSolver(oracle, aux).solve();
+    graph::SteinerResult st = SharedComboSolver(aux, request).solve();
     return ComboEvaluation{st.connected, st.weight, std::move(st.edges)};
   };
   // The trees depend on a star-free combination only through its
   // per-destination routes, which makes dominance exact. Single servers are
   // never dominated, so K = 1 needs no table.
   std::optional<SprimeTable> sprime;
-  if (options.max_servers > 1) sprime.emplace(oracle, pool);
+  if (options.max_servers > 1) sprime.emplace(ctx, request, pool);
   ComboSearch search(pool.size(), bounds, options.max_servers, evaluator,
                      sprime ? &*sprime : nullptr);
-  // Everything between the context and the search: destination trees, the
-  // shared oracle, the bounds and the dominance table.
+  // Everything between the context and the search: destination and pool
+  // trees, the bounds and the dominance table.
   NFVM_HDR_OBSERVE("core.appro_multi.prepare_us", phase_watch.elapsed_us());
 
   // Realize-fallthrough: when the cheapest tree violates the delay bound or

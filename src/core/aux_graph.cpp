@@ -38,13 +38,13 @@ WorkContext build_work_context(const topo::Topology& topo, const LinearCosts& co
     ctx.to_physical.push_back(e);
   }
 
-  ctx.arena = std::make_shared<util::Arena>();
-  ctx.trees.resize(ctx.cost_graph.num_vertices());
-  ctx.sp_source = *context_trees(ctx, {&request.source, 1}).front();
+  ctx.arena = std::make_unique<util::Arena>();
+  context_trees(ctx, {&request.source, 1});
+  const graph::ShortestPaths& from_source = ctx.trees.from(request.source);
 
   ctx.destinations_reachable = true;
   for (graph::VertexId d : request.destinations) {
-    if (!ctx.sp_source.reachable(d)) {
+    if (!from_source.reachable(d)) {
       ctx.destinations_reachable = false;
       break;
     }
@@ -56,41 +56,19 @@ WorkContext build_work_context(const topo::Topology& topo, const LinearCosts& co
     ctx.server_chain_cost[v] = costs.server_cost(v, demand);
     const bool capacity_ok =
         resources == nullptr || resources->residual_compute(v) >= demand;
-    if (capacity_ok && ctx.sp_source.reachable(v)) {
+    if (capacity_ok && from_source.reachable(v)) {
       ctx.eligible_servers.push_back(v);
     }
   }
   return ctx;
 }
 
-std::vector<std::shared_ptr<const graph::ShortestPaths>> context_trees(
-    const WorkContext& ctx, std::span<const graph::VertexId> sources) {
-  NFVM_SPAN("core/context_trees");
-  std::vector<graph::VertexId> missing;
-  for (const graph::VertexId s : sources) {
-    if (ctx.trees.at(s) != nullptr ||
-        std::find(missing.begin(), missing.end(), s) != missing.end()) {
-      NFVM_COUNTER_INC("graph.spcache.hits");
-    } else {
-      NFVM_COUNTER_INC("graph.spcache.misses");
-      missing.push_back(s);
-    }
+void context_trees(WorkContext& ctx, std::span<const graph::VertexId> sources) {
+  const std::size_t misses = ctx.trees.compute(ctx.cost_graph, sources);
+  if (misses != 0) NFVM_COUNTER_ADD("graph.spcache.misses", misses);
+  if (misses != sources.size()) {
+    NFVM_COUNTER_ADD("graph.spcache.hits", sources.size() - misses);
   }
-  if (!missing.empty()) {
-    // Batched multi-source SSSP: one engine invocation per pool chunk fills
-    // every missing tree off a single CSR sync, instead of |missing|
-    // independent Dijkstra calls.
-    std::vector<graph::ShortestPaths> batch =
-        graph::batch_dijkstra(ctx.cost_graph, missing);
-    for (std::size_t j = 0; j < missing.size(); ++j) {
-      ctx.trees[missing[j]] =
-          std::make_shared<const graph::ShortestPaths>(std::move(batch[j]));
-    }
-  }
-  std::vector<std::shared_ptr<const graph::ShortestPaths>> trees;
-  trees.reserve(sources.size());
-  for (const graph::VertexId s : sources) trees.push_back(ctx.trees[s]);
-  return trees;
 }
 
 double AuxOverlay::weight(graph::EdgeId e) const {
@@ -120,12 +98,13 @@ AuxOverlay build_aux_overlay(const WorkContext& ctx, graph::VertexId source,
   aux.virtual_source = static_cast<graph::VertexId>(ctx.cost_graph.num_vertices());
   aux.combo.assign(combo.begin(), combo.end());
 
+  const graph::ShortestPaths& from_source = ctx.trees.from(source);
   aux.virtual_weight.reserve(combo.size());
   for (graph::VertexId v : combo) {
-    if (!ctx.sp_source.reachable(v)) {
+    if (!from_source.reachable(v)) {
       throw std::invalid_argument("build_aux_overlay: server unreachable");
     }
-    aux.virtual_weight.push_back(ctx.sp_source.dist[v] + ctx.server_chain_cost[v]);
+    aux.virtual_weight.push_back(from_source.dist[v] + ctx.server_chain_cost[v]);
   }
 
   // Zero-cost correction: physical edges (s_k, v) with v in the combination.
@@ -155,6 +134,7 @@ PseudoMulticastTree realize_pseudo_tree(const WorkContext& ctx,
 
   PseudoMulticastTree tree;
   tree.source = request.source;
+  const graph::ShortestPaths& from_source = ctx.trees.from(request.source);
 
   std::vector<graph::EdgeId> traversals;  // physical ids, one per traversal
   traversals.reserve(tree_edges.size());
@@ -164,7 +144,7 @@ PseudoMulticastTree realize_pseudo_tree(const WorkContext& ctx,
     if (aux.is_virtual(e)) {
       const std::size_t i = aux.virtual_index(e);
       tree.servers.push_back(aux.combo[i]);
-      for (graph::EdgeId pe : graph::path_edges(ctx.sp_source, aux.combo[i])) {
+      for (graph::EdgeId pe : graph::path_edges(from_source, aux.combo[i])) {
         traversals.push_back(ctx.to_physical[pe]);
       }
     } else {
@@ -189,7 +169,7 @@ PseudoMulticastTree realize_pseudo_tree(const WorkContext& ctx,
     DestinationRoute route;
     route.destination = d;
     route.server = server;
-    route.walk = graph::path_vertices(ctx.sp_source, server);
+    route.walk = graph::path_vertices(from_source, server);
     route.server_index = route.walk.size() - 1;
     route.walk.insert(route.walk.end(), aux_path.begin() + 2, aux_path.end());
     tree.routes.push_back(std::move(route));

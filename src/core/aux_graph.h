@@ -1,5 +1,9 @@
 // Per-request working context and the auxiliary graphs of Algorithm 1.
 //
+// The WorkContext owns the request's cost-weighted working graph and its
+// shortest-path trees (a graph::TreeTable keyed by root), which every
+// offline stage reads through ctx.trees.from(v).
+//
 // For a request r_k and a server combination V_S^i, the auxiliary graph is
 //   G_k^i = (V ∪ {s'_k}, E ∪ {(s'_k, v) : v ∈ V_S^i})
 // where the virtual edge (s'_k, v) stands for "route from s_k to v along a
@@ -21,6 +25,7 @@
 #include "core/pseudo_tree.h"
 #include "graph/dijkstra.h"
 #include "graph/graph.h"
+#include "graph/sp_engine.h"
 #include "nfv/request.h"
 #include "nfv/resources.h"
 #include "topology/topology.h"
@@ -29,22 +34,21 @@
 namespace nfvm::core {
 
 /// Everything the offline algorithms need about one request, computed once:
-/// the (optionally capacity-filtered) cost-weighted graph, shortest paths
-/// from the source, and the eligible server set.
+/// the (optionally capacity-filtered) cost-weighted graph, its shortest-path
+/// trees, and the eligible server set.
 struct WorkContext {
   /// Physical graph restricted to links with residual bandwidth >= b_k
   /// (unrestricted when uncapacitated), with edge weight = c_e * b_k.
   graph::Graph cost_graph;
   /// cost_graph edge id -> physical edge id.
   std::vector<graph::EdgeId> to_physical;
-  /// Dijkstra from the request source on `cost_graph`.
-  graph::ShortestPaths sp_source;
   /// Shortest-path trees on `cost_graph` by root vertex, shared by every
   /// algorithm stage touching this request (source, destination and server
-  /// trees); null until context_trees builds one. build_work_context seeds
-  /// the source tree. `cost_graph` never changes once built, so no entry
-  /// ever goes stale.
-  mutable std::vector<std::shared_ptr<const graph::ShortestPaths>> trees;
+  /// trees) and added through context_trees; build_work_context computes
+  /// the source's. `cost_graph` never changes once built and the table is
+  /// never cleared, so every reference from trees.from(v) stays valid for
+  /// the context's lifetime.
+  graph::TreeTable trees;
   /// Servers that can host SC_k: enough residual computing (capacitated
   /// case) and reachable from the source. Sorted ascending.
   std::vector<graph::VertexId> eligible_servers;
@@ -58,7 +62,7 @@ struct WorkContext {
   /// buffer in realize_pseudo_tree). Dies with the context — the epoch
   /// reset between requests. Never null after build_work_context. Parallel
   /// phases must use util::Arena::thread_local_arena() instead.
-  std::shared_ptr<util::Arena> arena;
+  std::unique_ptr<util::Arena> arena;
 };
 
 /// Builds the context. `resources == nullptr` means uncapacitated.
@@ -66,14 +70,12 @@ WorkContext build_work_context(const topo::Topology& topo, const LinearCosts& co
                                const nfv::Request& request,
                                const nfv::ResourceState* resources);
 
-/// Shortest-path trees on ctx.cost_graph from each of `sources`, in order.
-/// Trees already in ctx.trees are shared as they are; the missing ones are
-/// computed once each (a repeated source shares one tree) in one
-/// graph::batch_dijkstra fan-out and stored. Each lookup counts one of
-/// graph.spcache.{hits,misses}: a miss for the first lookup of a root, a
-/// hit for every later one. Throws std::out_of_range for a bad source.
-std::vector<std::shared_ptr<const graph::ShortestPaths>> context_trees(
-    const WorkContext& ctx, std::span<const graph::VertexId> sources);
+/// Adds the tree from each of `sources` on ctx.cost_graph to ctx.trees
+/// (graph::TreeTable::compute: each missing root once, in one fan-out).
+/// Each lookup counts one of graph.spcache.{hits,misses}: a miss for the
+/// first lookup of a root, a hit for every later one. Throws
+/// std::out_of_range for a bad source.
+void context_trees(WorkContext& ctx, std::span<const graph::VertexId> sources);
 
 /// G_k^i as a view over ctx.cost_graph: instead of copying the whole
 /// working graph per combination, it records only what differs from the

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/delay.h"
-#include "core/shared_closure.h"
 #include "graph/steiner.h"
 #include "graph/tree.h"
 #include "obs/metrics.h"
@@ -129,15 +128,11 @@ AdmissionDecision OnlineCp::try_admit(const nfv::Request& request) {
                  request.destinations.end());
   sources.insert(sources.end(), eval.begin(), eval.end());
   NFVM_OBS_ONLY(phase_watch.reset();)
-  const auto trees = view_.trees_for(state_, sources, b);
-  TerminalTables tables(topo_->graph.num_vertices());
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    tables.set(sources[i], trees[i]);
-  }
+  const graph::SpTreeStore& trees = view_.trees_for(state_, sources, b);
   NFVM_OBS_ONLY(if (rec) rec->closure_us = phase_watch.elapsed_us();)
   const std::function<const graph::ShortestPaths&(graph::VertexId)> table_for =
-      [&tables](graph::VertexId v) -> const graph::ShortestPaths& {
-    return tables.from(v);
+      [&trees](graph::VertexId v) -> const graph::ShortestPaths& {
+    return trees.from(v);
   };
 
   // Phase C: evaluate every surviving candidate's Steiner tree and cost in

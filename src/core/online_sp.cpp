@@ -6,7 +6,6 @@
 #include "core/delay.h"
 #include "graph/sp_engine.h"
 #include "obs/metrics.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace nfvm::core {
@@ -26,27 +25,6 @@ struct SpCandidateSlot {
 
 }  // namespace
 
-// try_admit calls this only with servers past the compute gate, so there
-// are always at least two trees and the fan-out only asks for more than one
-// pool thread. Each slot depends only on its source, so the trees are
-// identical at any thread count.
-void OnlineSp::compute_trees(graph::VertexId source,
-                             std::span<const graph::VertexId> servers, double b) {
-  nfv::fill_eligibility_mask(state_, topo_->graph, b, mask_);
-  if (trees_.size() <= servers.size()) trees_.resize(servers.size() + 1);
-  trees_[0].source = source;
-  for (std::size_t i = 0; i < servers.size(); ++i) trees_[1 + i].source = servers[i];
-  const auto compute_tree = [this](std::size_t k) {
-    graph::SpEngine::thread_local_engine().compute(topo_->graph, trees_[k], mask_);
-  };
-  util::ThreadPool& pool = util::ThreadPool::global();
-  if (pool.num_threads() > 1) {
-    pool.parallel_for(servers.size() + 1, compute_tree);
-  } else {
-    for (std::size_t k = 0; k <= servers.size(); ++k) compute_tree(k);
-  }
-}
-
 AdmissionDecision OnlineSp::try_admit(const nfv::Request& request) {
   AdmissionDecision decision;
   const double b = request.bandwidth_mbps;
@@ -58,15 +36,16 @@ AdmissionDecision OnlineSp::try_admit(const nfv::Request& request) {
                 util::Stopwatch phase_watch;)
 
   // Phase A: the compute gate (the only resource pruning done per server
-  // before path evaluation).
-  std::vector<graph::VertexId> eval;
+  // before path evaluation). The survivors follow the source in `roots`.
+  std::vector<graph::VertexId> roots{request.source};
   for (graph::VertexId v : topo_->servers) {
     if (state_.residual_compute(v) < demand) {
       NFVM_OBS_ONLY(if (rec) ++rec->skipped_compute;)
       continue;
     }
-    eval.push_back(v);
+    roots.push_back(v);
   }
+  const auto eval = std::span<const graph::VertexId>(roots).subspan(1);
   NFVM_OBS_ONLY(if (rec) {
     rec->fast_path = true;
     rec->servers_eligible = eval.size();
@@ -79,11 +58,13 @@ AdmissionDecision OnlineSp::try_admit(const nfv::Request& request) {
   }
   NFVM_COUNTER_INC("core.online.closure_scans");
 
-  // Phase B: one shortest-path tree per terminal (source + candidate
-  // servers).
+  // Phase B: one shortest-path tree per distinct terminal (source +
+  // candidate servers; a source that is itself a candidate gets one tree).
   NFVM_OBS_ONLY(phase_watch.reset();)
-  compute_trees(request.source, eval, b);
-  const graph::ShortestPaths& from_source = trees_[0];
+  nfv::fill_eligibility_mask(state_, topo_->graph, b, mask_);
+  table_.clear();
+  table_.compute(topo_->graph, roots, mask_);
+  const graph::ShortestPaths& from_source = table_.from(request.source);
   NFVM_OBS_ONLY(if (rec) rec->closure_us = phase_watch.elapsed_us();
                 phase_watch.reset();)
 
@@ -95,7 +76,7 @@ AdmissionDecision OnlineSp::try_admit(const nfv::Request& request) {
     SpCandidateSlot& slot = slots[i];
     slot.server_reachable = from_source.reachable(v);
     if (!slot.server_reachable) continue;
-    const graph::ShortestPaths& from_server = trees_[1 + i];
+    const graph::ShortestPaths& from_server = table_.from(v);
     slot.dests_reachable = true;
     for (graph::VertexId d : request.destinations) {
       if (!from_server.reachable(d)) {
@@ -145,7 +126,7 @@ AdmissionDecision OnlineSp::try_admit(const nfv::Request& request) {
     }
     NFVM_COUNTER_INC("core.online.trees_assembled");
     PseudoMulticastTree tree = make_one_server_spt_tree(
-        request, eval[i], from_source, trees_[1 + i], slot.cost, marks_);
+        request, eval[i], from_source, table_.from(eval[i]), slot.cost, marks_);
     if (!meets_delay_bound(*topo_, request, tree)) {
       reject.update(RejectTracker::kRankCandidate,
                     "no candidate tree meets the delay bound",

@@ -7,17 +7,17 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/online.h"
-#include "graph/dijkstra.h"
+#include "graph/sp_engine.h"
 
 namespace nfvm::core {
 
-/// Every request computes the source tree and one tree per server that
-/// passes the compute gate, fresh on the topology graph over the links
-/// eligible at b_k. The topology's unit link weights make each tree a
+/// Every request computes one tree per distinct root among the source and
+/// the servers that pass the compute gate, fresh on the topology graph over
+/// the links eligible at b_k, into a graph::TreeTable cleared per request.
+/// The topology's unit link weights make each tree a
 /// breadth-first search (graph/sp_engine.h), which costs less than diffing
 /// and repairing stored trees, so SP keeps no repair store and no working
 /// view. Candidates are priced with one parent walk, and pseudo-trees are
@@ -34,18 +34,12 @@ class OnlineSp final : public OnlineAlgorithm {
   AdmissionDecision try_admit(const nfv::Request& request) override;
 
  private:
-  /// Fills trees_[0] with the tree from `source` and trees_[1 + i] with the
-  /// tree from servers[i], on the topology graph over the links eligible at
-  /// bandwidth `b`; fanned out over util::ThreadPool::global().
-  void compute_trees(graph::VertexId source,
-                     std::span<const graph::VertexId> servers, double b);
-
   /// Per-request scratch, reused across requests: the links eligible at the
-  /// request's bandwidth, the trees (slot 0 from the source, slot 1 + i
-  /// from the i-th server past the compute gate) and the marks for pricing
-  /// and assembling candidate trees.
+  /// request's bandwidth, the trees from the source and the servers past
+  /// the compute gate, and the marks for pricing and assembling candidate
+  /// trees.
   std::vector<std::uint8_t> mask_;
-  std::vector<graph::ShortestPaths> trees_;
+  graph::TreeTable table_;
   VertexMarks marks_;
 };
 

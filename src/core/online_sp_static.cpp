@@ -6,24 +6,20 @@
 
 namespace nfvm::core {
 
-OnlineSpStatic::OnlineSpStatic(const topo::Topology& topo)
-    : OnlineAlgorithm(topo), trees_(topo.graph.num_vertices()) {}
-
-const graph::ShortestPaths& OnlineSpStatic::paths_from(graph::VertexId v) {
-  graph::ShortestPaths& tree = trees_.at(v);
-  if (tree.dist.empty()) {
-    NFVM_COUNTER_INC("graph.spcache.misses");
-    tree = graph::dijkstra(topo_->graph, v);
-  } else {
-    NFVM_COUNTER_INC("graph.spcache.hits");
-  }
-  return tree;
-}
-
 AdmissionDecision OnlineSpStatic::try_admit(const nfv::Request& request) {
   AdmissionDecision decision;
   const double demand = request.compute_demand_mhz();
-  const graph::ShortestPaths& from_source = paths_from(request.source);
+  // The fixed tree from `v`, computed on its first use; each call counts
+  // one of graph.spcache.{hits,misses}.
+  const auto fixed_tree = [this](graph::VertexId v) -> const graph::ShortestPaths& {
+    if (table_.compute(topo_->graph, {&v, 1}) != 0) {
+      NFVM_COUNTER_INC("graph.spcache.misses");
+    } else {
+      NFVM_COUNTER_INC("graph.spcache.hits");
+    }
+    return table_.from(v);
+  };
+  const graph::ShortestPaths& from_source = fixed_tree(request.source);
 
   struct Candidate {
     double cost = 0.0;
@@ -48,7 +44,7 @@ AdmissionDecision OnlineSpStatic::try_admit(const nfv::Request& request) {
       NFVM_OBS_ONLY(if (rec) ++rec->failed_disconnected;)
       continue;
     }
-    const graph::ShortestPaths& from_server = paths_from(v);
+    const graph::ShortestPaths& from_server = fixed_tree(v);
     NFVM_OBS_ONLY(if (rec) ++rec->servers_evaluated;)
     bool all_reachable = true;
     for (graph::VertexId d : request.destinations) {

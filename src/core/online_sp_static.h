@@ -9,16 +9,14 @@
 // "SP" matches this static variant (see EXPERIMENTS.md, Fig. 8/9 notes).
 #pragma once
 
-#include <vector>
-
 #include "core/online.h"
-#include "graph/dijkstra.h"
+#include "graph/sp_engine.h"
 
 namespace nfvm::core {
 
 class OnlineSpStatic final : public OnlineAlgorithm {
  public:
-  explicit OnlineSpStatic(const topo::Topology& topo);
+  explicit OnlineSpStatic(const topo::Topology& topo) : OnlineAlgorithm(topo) {}
 
   std::string_view name() const override { return "SP_static"; }
 
@@ -26,12 +24,10 @@ class OnlineSpStatic final : public OnlineAlgorithm {
   AdmissionDecision try_admit(const nfv::Request& request) override;
 
  private:
-  /// Unit-weight shortest paths from `v` on the full topology, computed on
-  /// first use and kept for the lifetime of the run (the topology graph
-  /// never mutates). Each call counts one of graph.spcache.{hits,misses}.
-  const graph::ShortestPaths& paths_from(graph::VertexId v);
-
-  std::vector<graph::ShortestPaths> trees_;  // by switch; empty until used
+  /// Unit-weight shortest paths on the full topology by root switch, each
+  /// computed on first use and kept for the lifetime of the run (the
+  /// topology graph never mutates).
+  graph::TreeTable table_;
   VertexMarks marks_;  // scratch for pricing and assembling candidate trees
 };
 

@@ -50,13 +50,12 @@ void OnlineWeightedView::apply_release(const nfv::Footprint& footprint) {
   patch(footprint);
 }
 
-std::vector<std::shared_ptr<const graph::ShortestPaths>>
-OnlineWeightedView::trees_for(const nfv::ResourceState& state,
-                              std::span<const graph::VertexId> sources,
-                              double b) {
-  NFVM_SPAN("online/view_trees");
+const graph::SpTreeStore& OnlineWeightedView::trees_for(
+    const nfv::ResourceState& state, std::span<const graph::VertexId> sources,
+    double b) {
   nfv::fill_eligibility_mask(state, topo_->graph, b, mask_);
-  return store_.trees(view_, sources, mask_);
+  store_.update(view_, sources, mask_);
+  return store_;
 }
 
 }  // namespace nfvm::core

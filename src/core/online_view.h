@@ -22,17 +22,18 @@
 // "Repairing the server trees", and graph/sp_repair.h): the view keeps one
 // persistent shortest-path tree per topology server in a graph::SpTreeStore.
 // Each trees_for call diffs the effective weights against the store's
-// snapshot, and every server tree it returns is brought up to date by an
+// snapshot, and every server tree it lists is brought up to date by an
 // exact repair — kept as is when only non-tree edges got more expensive,
 // repaired locally otherwise, recomputed in full when a tie makes the local
-// parent rule unsafe. Source and destination trees are computed fresh. Every
-// tree is bit-identical to a fresh masked Dijkstra on the current view, so
-// admissions, releases and bandwidth changes need no invalidation at all.
+// parent rule unsafe. Source and destination trees are computed fresh into
+// the store's per-call tree table. Every tree is bit-identical to a fresh
+// masked Dijkstra on the current view, so admissions, releases and
+// bandwidth changes need no invalidation at all. Callers read the trees
+// through the returned store's from(v) until the next trees_for call.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -69,15 +70,16 @@ class OnlineWeightedView {
   /// Patches the footprint's edge weights after a release.
   void apply_release(const nfv::Footprint& footprint);
 
-  /// Shortest-path trees from each of `sources` on the view, restricted to
-  /// edges eligible at bandwidth threshold `b` (nfv::edge_eligible against
-  /// `state`). Server trees come from the repair store, brought up to date
-  /// in parallel on util::ThreadPool::global(); other sources are computed
-  /// fresh. Every tree equals a fresh filtered Dijkstra bit for bit, at any
-  /// thread count. A repeated source gets one tree, shared by its slots.
-  std::vector<std::shared_ptr<const graph::ShortestPaths>> trees_for(
-      const nfv::ResourceState& state, std::span<const graph::VertexId> sources,
-      double b);
+  /// Brings the shortest-path trees from each of `sources` on the view up
+  /// to date, restricted to edges eligible at bandwidth threshold `b`
+  /// (nfv::edge_eligible against `state`), and returns the store that
+  /// answers from(v) for them until the next call. Server trees come from
+  /// the repair store, brought up to date in parallel on
+  /// util::ThreadPool::global(); other sources are computed fresh. Every
+  /// tree equals a fresh filtered Dijkstra bit for bit, at any thread count.
+  const graph::SpTreeStore& trees_for(const nfv::ResourceState& state,
+                                      std::span<const graph::VertexId> sources,
+                                      double b);
 
  private:
   /// Re-reads the footprint's edge weights.

@@ -1,78 +1,46 @@
 #include "core/shared_closure.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <utility>
 
 #include "graph/kmb_kernel.h"
-#include "obs/hdr_histogram.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/timer.h"
 
 namespace nfvm::core {
 
-const graph::ShortestPaths& TerminalTables::from(graph::VertexId v) const {
-  const graph::ShortestPaths* table = by_vertex_.at(v);
-  if (table == nullptr) {
-    throw std::logic_error("TerminalTables: no shortest-path table for vertex");
-  }
-  return *table;
-}
-
-SharedOracle build_shared_oracle(const WorkContext& ctx,
-                                 const nfv::Request& request,
-                                 std::span<const graph::VertexId> servers) {
-  NFVM_SPAN("appro_multi/build_shared_oracle");
-  NFVM_OBS_ONLY(util::Stopwatch oracle_watch;)
-  SharedOracle oracle;
-  oracle.ctx = &ctx;
-  oracle.request = &request;
-  oracle.tables = TerminalTables(ctx.cost_graph.num_vertices());
-  // One parallel fan-out over destination + server trees, primed into (and
-  // served from) the context's shared tree table.
-  std::vector<graph::VertexId> sources(request.destinations.begin(),
-                                       request.destinations.end());
-  sources.insert(sources.end(), servers.begin(), servers.end());
-  auto trees = context_trees(ctx, sources);
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    oracle.tables.set(sources[i], std::move(trees[i]));
-  }
-  // Registered last so the source always resolves to ctx.sp_source, even
-  // when it doubles as a destination or an eligible server.
-  oracle.tables.set_unowned(request.source, &ctx.sp_source);
-  NFVM_HDR_OBSERVE("core.shared_closure.oracle_us", oracle_watch.elapsed_us());
-  return oracle;
-}
-
-std::size_t nearest_table_root(
-    std::span<const std::shared_ptr<const graph::ShortestPaths>> tables,
-    graph::VertexId v) {
-  std::size_t nearest = tables.size();
+std::size_t nearest_table_root(const graph::TreeTable& trees,
+                               std::span<const graph::VertexId> roots,
+                               graph::VertexId v) {
+  std::size_t nearest = roots.size();
   double nearest_dist = graph::kInfiniteDistance;
-  for (std::size_t i = 0; i < tables.size(); ++i) {
-    if (tables[i]->dist[v] < nearest_dist) {
-      nearest_dist = tables[i]->dist[v];
+  for (std::size_t i = 0; i < roots.size(); ++i) {
+    const double d = trees.from(roots[i]).dist[v];
+    if (d < nearest_dist) {
+      nearest_dist = d;
       nearest = i;
     }
   }
   return nearest;
 }
 
-std::vector<graph::VertexId> beam_server_pool(
-    const WorkContext& ctx,
-    std::span<const std::shared_ptr<const graph::ShortestPaths>> dest_trees,
-    std::size_t beam_width) {
+std::vector<graph::VertexId> beam_server_pool(const WorkContext& ctx,
+                                              const nfv::Request& request,
+                                              std::size_t beam_width) {
   std::vector<graph::VertexId> pool(ctx.eligible_servers.begin(),
                                     ctx.eligible_servers.end());
   if (beam_width == 0 || beam_width >= pool.size()) return pool;
+  const graph::ShortestPaths& from_source = ctx.trees.from(request.source);
   std::vector<std::pair<double, graph::VertexId>> scored;
   scored.reserve(pool.size());
   for (const graph::VertexId v : pool) {
     double dest_sum = 0.0;
-    for (const auto& tree : dest_trees) dest_sum += tree->dist[v];
-    const double score = ctx.sp_source.dist[v] + ctx.server_chain_cost[v] +
-                         dest_sum / static_cast<double>(dest_trees.size());
+    for (const graph::VertexId d : request.destinations) {
+      dest_sum += ctx.trees.from(d).dist[v];
+    }
+    const double score =
+        from_source.dist[v] + ctx.server_chain_cost[v] +
+        dest_sum / static_cast<double>(request.destinations.size());
     scored.emplace_back(score, v);
   }
   // (score, vertex) pairs give a deterministic total order, so the top-m
@@ -84,14 +52,16 @@ std::vector<graph::VertexId> beam_server_pool(
   return pool;
 }
 
-ComboBounds::ComboBounds(
-    const WorkContext& ctx, const nfv::Request& request,
-    std::span<const graph::VertexId> pool,
-    std::span<const std::shared_ptr<const graph::ShortestPaths>> dest_trees)
-    : num_servers_(pool.size()), num_dests_(dest_trees.size()) {
+ComboBounds::ComboBounds(const WorkContext& ctx, const nfv::Request& request,
+                         std::span<const graph::VertexId> pool)
+    : num_servers_(pool.size()), num_dests_(request.destinations.size()) {
   const std::size_t n = num_servers_;
   const std::size_t nd = num_dests_;
   constexpr double kInf = graph::kInfiniteDistance;
+  const graph::ShortestPaths& from_source = ctx.trees.from(request.source);
+  const auto dest_tree = [&](std::size_t d) -> const graph::ShortestPaths& {
+    return ctx.trees.from(request.destinations[d]);
+  };
 
   // Widened zero-cost star: the source plus every POOL server adjacent to
   // it (a superset of any single combination's star — shortcuts can only
@@ -105,13 +75,13 @@ ComboBounds::ComboBounds(
   }
   double maxstar = 0.0;
   for (const graph::VertexId a : star) {
-    maxstar = std::max(maxstar, ctx.sp_source.dist[a]);
+    maxstar = std::max(maxstar, from_source.dist[a]);
   }
   // snear[d]: exact distance from destination d to the widened star.
   std::vector<double> snear(nd, kInf);
   for (std::size_t d = 0; d < nd; ++d) {
     for (const graph::VertexId a : star) {
-      snear[d] = std::min(snear[d], dest_trees[d]->dist[a]);
+      snear[d] = std::min(snear[d], dest_tree(d).dist[a]);
     }
   }
 
@@ -121,21 +91,21 @@ ComboBounds::ComboBounds(
   star_member_.assign(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     const graph::VertexId v = pool[i];
-    virt_[i] = ctx.sp_source.dist[v] + ctx.server_chain_cost[v];
-    sdist_[i] = ctx.sp_source.dist[v];
+    virt_[i] = from_source.dist[v] + ctx.server_chain_cost[v];
+    sdist_[i] = from_source.dist[v];
     star_member_[i] =
         std::find(star.begin(), star.end(), v) != star.end() ? 1 : 0;
     for (std::size_t d = 0; d < nd; ++d) {
-      ddirect_[i * nd + d] = dest_trees[d]->dist[v];
+      ddirect_[i * nd + d] = dest_tree(d).dist[v];
     }
   }
 
   dsrc_.resize(nd);
   ddraw_.assign(nd * nd, 0.0);
   for (std::size_t d = 0; d < nd; ++d) {
-    dsrc_[d] = dest_trees[d]->dist[request.source];
+    dsrc_[d] = dest_tree(d).dist[request.source];
     for (std::size_t e = 0; e < nd; ++e) {
-      ddraw_[d * nd + e] = dest_trees[d]->dist[request.destinations[e]];
+      ddraw_[d * nd + e] = dest_tree(d).dist[request.destinations[e]];
     }
   }
 
@@ -465,13 +435,13 @@ double ComboBounds::bound_from(double min_virt, std::span<const double> min_sv,
   return bound * (1.0 - 1e-9);
 }
 
-SharedComboSolver::SharedComboSolver(const SharedOracle& oracle,
-                                     const AuxOverlay& aux)
-    : oracle_(oracle), aux_(aux), request_(*oracle.request) {
+SharedComboSolver::SharedComboSolver(const AuxOverlay& aux,
+                                     const nfv::Request& request)
+    : aux_(aux), request_(request), trees_(aux.ctx->trees) {
   // Zero-cost star: the source plus combo servers adjacent to it.
   star_.push_back({request_.source, graph::kInvalidEdge});
   for (const graph::Adjacency& adj :
-       oracle_.ctx->cost_graph.neighbors(request_.source)) {
+       aux_.ctx->cost_graph.neighbors(request_.source)) {
     if (std::find(aux.combo.begin(), aux.combo.end(), adj.neighbor) ==
         aux.combo.end()) {
       continue;
@@ -523,7 +493,7 @@ SharedComboSolver::Via SharedComboSolver::vertex_distance(
   double out = graph::kInfiniteDistance;
   graph::VertexId qb = graph::kInvalidVertex;
   for (const StarEntry& e : star_) {
-    const double d = oracle_.from(e.vertex).dist[y];
+    const double d = trees_.from(e.vertex).dist[y];
     if (d < out) {
       out = d;
       qb = e.vertex;
@@ -543,7 +513,7 @@ SharedComboSolver::ViaSprime SharedComboSolver::best_via_sprime(
   for (std::size_t i = 0; i < aux_.combo.size(); ++i) {
     const graph::VertexId v = aux_.combo[i];
     const double virt = aux_.virtual_weight[i];
-    const Via via = vertex_distance(oracle_.from(v), y);
+    const Via via = vertex_distance(trees_.from(v), y);
     if (virt + via.value < best.value) {
       best.value = virt + via.value;
       best.server = v;
@@ -559,7 +529,7 @@ double SharedComboSolver::closure_distance(std::size_t a, std::size_t b) const {
   if (a == 0) return via_sprime_[b - 1].value;
   const graph::VertexId x = request_.destinations[a - 1];
   const graph::VertexId y = request_.destinations[b - 1];
-  const double direct = vertex_distance(oracle_.from(x), y).value;
+  const double direct = vertex_distance(trees_.from(x), y).value;
   const double via_virtual = via_sprime_[a - 1].value + via_sprime_[b - 1].value;
   return std::min(direct, via_virtual);
 }
@@ -578,7 +548,7 @@ void SharedComboSolver::emit_via(graph::KmbKernel& kernel,
       kernel.add_edge(e.edge);
     }
   }
-  kernel.add_path(oracle_.from(via.q), y);
+  kernel.add_path(trees_.from(via.q), y);
 }
 
 void SharedComboSolver::emit_sprime(graph::KmbKernel& kernel,
@@ -588,7 +558,7 @@ void SharedComboSolver::emit_sprime(graph::KmbKernel& kernel,
       std::find(aux_.combo.begin(), aux_.combo.end(), vs.server) -
       aux_.combo.begin());
   kernel.add_edge(static_cast<graph::EdgeId>(aux_.num_real_edges + combo_index));
-  emit_via(kernel, oracle_.from(vs.server), request_.destinations[dest_index],
+  emit_via(kernel, trees_.from(vs.server), request_.destinations[dest_index],
            vs.inner);
 }
 
@@ -601,31 +571,31 @@ void SharedComboSolver::expand(graph::KmbKernel& kernel, std::size_t a,
   }
   const graph::VertexId x = request_.destinations[a - 1];
   const graph::VertexId y = request_.destinations[b - 1];
-  const Via direct = vertex_distance(oracle_.from(x), y);
+  const Via direct = vertex_distance(trees_.from(x), y);
   const double via_virtual = via_sprime_[a - 1].value + via_sprime_[b - 1].value;
   if (via_virtual < direct.value) {
     emit_sprime(kernel, a - 1);
     emit_sprime(kernel, b - 1);
   } else {
-    emit_via(kernel, oracle_.from(x), y, direct);
+    emit_via(kernel, trees_.from(x), y, direct);
   }
 }
 
-SprimeTable::SprimeTable(const SharedOracle& oracle,
+SprimeTable::SprimeTable(const WorkContext& ctx, const nfv::Request& request,
                          std::span<const graph::VertexId> pool)
-    : num_dests_(oracle.request->destinations.size()),
+    : num_dests_(request.destinations.size()),
       value_(pool.size() * num_dests_, graph::kInfiniteDistance),
       source_adjacent_(pool.size(), 0) {
   for (std::size_t i = 0; i < pool.size(); ++i) {
-    const AuxOverlay aux = build_aux_overlay(*oracle.ctx, oracle.request->source,
-                                             std::span(&pool[i], 1));
+    const AuxOverlay aux =
+        build_aux_overlay(ctx, request.source, std::span(&pool[i], 1));
     // The overlay zeroes exactly the (s_k, v) edges of source-adjacent
     // combination servers, the same test the solver's star uses.
     if (!aux.zero_edges.empty()) {
       source_adjacent_[i] = 1;
       continue;
     }
-    const SharedComboSolver solver(oracle, aux);
+    const SharedComboSolver solver(aux, request);
     for (std::size_t d = 0; d < num_dests_; ++d) {
       value_[i * num_dests_ + d] = solver.sprime_distance(d);
     }

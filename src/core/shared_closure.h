@@ -3,31 +3,31 @@
 // Both Appro_Multi's shared engine and the online fast paths evaluate many
 // candidate trees whose metric closures are all assembled from the SAME small
 // family of shortest-path trees: one per terminal (source, destinations) plus
-// one per candidate server. This header factors that family out:
+// one per candidate server. Appro_Multi keeps that family in its
+// WorkContext's tree table (WorkContext::trees, a graph::TreeTable filled by
+// context_trees), and everything here reads it through trees.from(v):
 //
-//   * TerminalTables — a per-request registry of shortest-path tables keyed
-//     by root vertex, pinning shared trees so they outlive their owner's
-//     scan.
-//   * SharedOracle / build_shared_oracle — the Appro_Multi per-request
-//     tables (source + destinations + eligible servers), primed in one
-//     parallel fan-out through the WorkContext's tree table.
 //   * SharedComboSolver — evaluates one server combination's Steiner tree
-//     from the tables over an AuxOverlay, never materializing the auxiliary
+//     from the table over an AuxOverlay, never materializing the auxiliary
 //     graph. Distances in G_k^i decompose into
 //       d_i(x, y) = min( d_G'(x, y),                 # plain working graph
 //                        star_in(x) + star_out(y),   # through the zero-cost
 //                                                    # star {s_k} ∪ (combo ∩ N(s_k))
 //                        d_i(s', x) + d_i(s', y) )   # through the virtual source
 //     with d_i(s', y) = min over v in combo of (w_virtual(v) + d_i(v, y)).
+//     It needs the trees from the source, the destinations and the
+//     combination's servers.
+//   * ComboBounds, SprimeTable and beam_server_pool — the branch-and-bound
+//     ingredients, from the same trees.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "core/aux_graph.h"
 #include "graph/dijkstra.h"
+#include "graph/sp_engine.h"
 #include "graph/steiner.h"
 #include "nfv/request.h"
 
@@ -37,58 +37,13 @@ class KmbKernel;
 
 namespace nfvm::core {
 
-/// Shortest-path tables keyed by root vertex. Shared trees (typically from a
-/// WorkContext's tree table) are pinned via shared_ptr; borrowed tables
-/// (set_unowned) must outlive the registry. Later set() calls for the same vertex override
-/// earlier ones.
-class TerminalTables {
- public:
-  TerminalTables() = default;
-  explicit TerminalTables(std::size_t num_vertices)
-      : by_vertex_(num_vertices, nullptr) {}
-
-  void set(graph::VertexId v, std::shared_ptr<const graph::ShortestPaths> tree) {
-    by_vertex_.at(v) = tree.get();
-    pinned_.push_back(std::move(tree));
-  }
-  void set_unowned(graph::VertexId v, const graph::ShortestPaths* tree) {
-    by_vertex_.at(v) = tree;
-  }
-  bool has(graph::VertexId v) const { return by_vertex_.at(v) != nullptr; }
-
-  /// Throws std::logic_error when no table was registered for `v`.
-  const graph::ShortestPaths& from(graph::VertexId v) const;
-
- private:
-  std::vector<const graph::ShortestPaths*> by_vertex_;
-  std::vector<std::shared_ptr<const graph::ShortestPaths>> pinned_;
-};
-
-/// Per-request shortest-path tables on the working graph: the source tree
-/// plus one tree per destination and per eligible server.
-struct SharedOracle {
-  const WorkContext* ctx = nullptr;
-  const nfv::Request* request = nullptr;
-  TerminalTables tables;
-
-  const graph::ShortestPaths& from(graph::VertexId v) const {
-    return tables.from(v);
-  }
-};
-
-/// Primes the oracle's tables in one parallel fan-out (context_trees) through
-/// ctx.trees. `servers` is the combination pool the oracle must answer
-/// for — the beamed Appro_Multi passes a subset of ctx.eligible_servers.
-SharedOracle build_shared_oracle(const WorkContext& ctx,
-                                 const nfv::Request& request,
-                                 std::span<const graph::VertexId> servers);
-
-/// Index into `tables` of the tree whose root is nearest to `v`; the first
-/// minimum wins, matching the deterministic first-min scans used across the
-/// codebase. Returns tables.size() when `v` is unreachable from every root.
-std::size_t nearest_table_root(
-    std::span<const std::shared_ptr<const graph::ShortestPaths>> tables,
-    graph::VertexId v);
+/// Index into `roots` of the root whose tree in `trees` is nearest to `v`;
+/// the first minimum wins, matching the deterministic first-min scans used
+/// across the codebase. Returns roots.size() when `v` is unreachable from
+/// every root.
+std::size_t nearest_table_root(const graph::TreeTable& trees,
+                               std::span<const graph::VertexId> roots,
+                               graph::VertexId v);
 
 /// The top-`beam_width` eligible servers by closure centrality — score
 ///   d(s_k, v) + c_v(SC_k) + mean over destinations of d(v, d)
@@ -98,10 +53,10 @@ std::size_t nearest_table_root(
 /// score order does not depend on m, so pools are nested in beam_width;
 /// that nesting is what makes the beamed Appro_Multi cost non-increasing
 /// in m (a wider beam only adds combinations).
-std::vector<graph::VertexId> beam_server_pool(
-    const WorkContext& ctx,
-    std::span<const std::shared_ptr<const graph::ShortestPaths>> dest_trees,
-    std::size_t beam_width);
+/// Reads the trees from the source and the destinations in ctx.trees.
+std::vector<graph::VertexId> beam_server_pool(const WorkContext& ctx,
+                                              const nfv::Request& request,
+                                              std::size_t beam_width);
 
 /// Scaled subset-MST sweep over a closure-matrix lower bound M on the
 /// terminals {s'} ∪ D (terminal 0 = s', terminal j >= 1 = destination j-1):
@@ -156,7 +111,7 @@ class SubsetMstSweep {
 /// {s'_k} ∪ D_k in ANY auxiliary graph G_k^i whose combination is drawn
 /// from the pool, so pruning with strict inequality preserves the exact
 /// argmin of the exhaustive sweep for both evaluation engines. The
-/// ingredients only need the source and destination shortest-path tables
+/// ingredients only need the source and destination trees in ctx.trees
 /// (the graph is undirected, so d(v, d) = dest_tree[d].dist[v]); the
 /// zero-cost star is widened to source ∪ (pool ∩ N(source)), which can only
 /// shorten distances and therefore keeps every bound admissible for every
@@ -164,12 +119,7 @@ class SubsetMstSweep {
 class ComboBounds {
  public:
   ComboBounds(const WorkContext& ctx, const nfv::Request& request,
-              std::span<const graph::VertexId> pool,
-              std::span<const std::shared_ptr<const graph::ShortestPaths>>
-                  dest_trees);
-
-  std::size_t num_servers() const { return num_servers_; }
-  std::size_t num_destinations() const { return num_dests_; }
+              std::span<const graph::VertexId> pool);
 
   /// Element-wise minima of the bound ingredients over a combination
   /// prefix. Extending a prefix only takes O(|D|).
@@ -280,10 +230,11 @@ class ComboBounds {
 /// in auxiliary-graph edge ids. Deterministic: identical output to running
 /// KMB inside the materialized auxiliary graph. The closure MST, the path
 /// union and the finish run on this thread's graph::KmbKernel, so solve()
-/// allocates only the returned edge vector.
+/// allocates only the returned edge vector. aux.ctx->trees must hold the
+/// trees from the source, every destination and every combination server.
 class SharedComboSolver {
  public:
-  SharedComboSolver(const SharedOracle& oracle, const AuxOverlay& aux);
+  SharedComboSolver(const AuxOverlay& aux, const nfv::Request& request);
 
   graph::SteinerResult solve() const;
 
@@ -321,9 +272,9 @@ class SharedComboSolver {
   void emit_sprime(graph::KmbKernel& kernel, std::size_t dest_index) const;
   void expand(graph::KmbKernel& kernel, std::size_t a, std::size_t b) const;
 
-  const SharedOracle& oracle_;
   const AuxOverlay& aux_;
   const nfv::Request& request_;
+  const graph::TreeTable& trees_;
   std::vector<StarEntry> star_;
   std::vector<ViaSprime> via_sprime_;
 };
@@ -344,7 +295,8 @@ class SharedComboSolver {
 /// evaluated weight or tree.
 class SprimeTable {
  public:
-  SprimeTable(const SharedOracle& oracle, std::span<const graph::VertexId> pool);
+  SprimeTable(const WorkContext& ctx, const nfv::Request& request,
+              std::span<const graph::VertexId> pool);
 
   std::size_t num_destinations() const { return num_dests_; }
   double value(std::size_t i, std::size_t d) const {

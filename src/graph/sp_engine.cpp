@@ -214,56 +214,50 @@ ShortestPaths SpEngine::shortest_paths(const Graph& g, VertexId source) {
   return sp;
 }
 
-std::vector<ShortestPaths> SpEngine::batch_shortest_paths(
-    const Graph& g, std::span<const VertexId> sources,
-    std::span<const std::uint8_t> edge_mask) {
-  for (VertexId s : sources) {
-    if (!g.has_vertex(s)) {
-      throw std::out_of_range("dijkstra: invalid source vertex");
-    }
-  }
-  if (!edge_mask.empty() && edge_mask.size() < g.num_edges()) {
-    throw std::invalid_argument("dijkstra: edge mask smaller than edge count");
-  }
-  const std::uint8_t* mask = edge_mask.empty() ? nullptr : edge_mask.data();
-  std::vector<ShortestPaths> out(sources.size());
-  prepare(g);  // one CSR sync serves the whole batch
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    out[i].source = sources[i];
-    compute_prepared(out[i], mask);
-  }
-  return out;
-}
-
 SpEngine& SpEngine::thread_local_engine() {
   thread_local SpEngine engine;
   return engine;
 }
 
-std::vector<ShortestPaths> batch_dijkstra(const Graph& g,
-                                          std::span<const VertexId> sources,
-                                          std::span<const std::uint8_t> edge_mask) {
-  util::ThreadPool& pool = util::ThreadPool::global();
-  const std::size_t chunks = std::min(sources.size(), pool.num_threads());
-  if (chunks <= 1) {
-    return SpEngine::thread_local_engine().batch_shortest_paths(g, sources,
-                                                                edge_mask);
+// --- TreeTable ----------------------------------------------------------------
+
+std::size_t TreeTable::compute(const Graph& g, std::span<const VertexId> roots,
+                               std::span<const std::uint8_t> edge_mask) {
+  for (const VertexId r : roots) {
+    if (!g.has_vertex(r)) throw std::out_of_range("dijkstra: invalid source vertex");
   }
-  // Contiguous chunks, one batched engine invocation per chunk. Slot i
-  // depends only on sources[i], never on the chunking, so the merged result
-  // is byte-identical to the single-threaded batch.
-  std::vector<ShortestPaths> out(sources.size());
-  pool.parallel_for(chunks, [&](std::size_t c) {
-    const std::size_t begin = sources.size() * c / chunks;
-    const std::size_t end = sources.size() * (c + 1) / chunks;
-    std::vector<ShortestPaths> part =
-        SpEngine::thread_local_engine().batch_shortest_paths(
-            g, sources.subspan(begin, end - begin), edge_mask);
-    for (std::size_t i = 0; i < part.size(); ++i) {
-      out[begin + i] = std::move(part[i]);
-    }
-  });
-  return out;
+  if (!edge_mask.empty() && edge_mask.size() < g.num_edges()) {
+    throw std::invalid_argument("dijkstra: edge mask smaller than edge count");
+  }
+  if (tree_of_.size() < g.num_vertices()) tree_of_.resize(g.num_vertices(), nullptr);
+  missing_.clear();
+  for (const VertexId r : roots) {
+    if (tree_of_[r] != nullptr) continue;
+    if (held_ == trees_.size()) trees_.emplace_back();
+    ShortestPaths& tree = trees_[held_++];
+    tree.source = r;
+    tree_of_[r] = &tree;
+    missing_.push_back(&tree);
+  }
+  const auto compute_tree = [&](std::size_t k) {
+    SpEngine::thread_local_engine().compute(g, *missing_[k], edge_mask);
+  };
+  util::ThreadPool& pool = util::ThreadPool::global();
+  if (pool.num_threads() > 1 && missing_.size() > 1) {
+    pool.parallel_for(missing_.size(), compute_tree);
+  } else {
+    for (std::size_t k = 0; k < missing_.size(); ++k) compute_tree(k);
+  }
+  return missing_.size();
+}
+
+void TreeTable::clear() noexcept {
+  for (std::size_t i = 0; i < held_; ++i) tree_of_[trees_[i].source] = nullptr;
+  held_ = 0;
+}
+
+void TreeTable::throw_missing() {
+  throw std::logic_error("TreeTable: no shortest-path tree from this vertex");
 }
 
 }  // namespace nfvm::graph

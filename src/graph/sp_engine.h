@@ -29,8 +29,13 @@
 //    edge-weight / mask changes without a full run (graph/sp_repair.h holds
 //    the exactness argument and the persistent store built on it).
 //
-//  * batch_dijkstra — many sources on one graph, fanned out over the
-//    global ThreadPool, one engine per chunk.
+//  * TreeTable — the one owner of fresh shortest-path trees: trees on one
+//    graph under one mask, keyed by root, each computed once by
+//    SpEngine::compute and fanned out over the global ThreadPool. A
+//    request's WorkContext, Online_SP, SP_static and the repair store's
+//    non-root sources each keep one; readers ask it for from(v), a
+//    reference that stays valid and unchanged until clear(). Only the
+//    repair store's persistent roots (graph/sp_repair.h) live elsewhere.
 //
 // Tie-breaking: the engine's heap orders items by (distance, vertex id),
 // exactly like the std::priority_queue<pair<double, VertexId>> it
@@ -45,6 +50,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <span>
 #include <utility>
 #include <vector>
@@ -87,14 +93,6 @@ class SpEngine {
   /// Full Dijkstra from `source`. Bit-identical to graph::dijkstra.
   /// Throws std::out_of_range for a bad source.
   ShortestPaths shortest_paths(const Graph& g, VertexId source);
-
-  /// Batched multi-source SSSP ignoring edges whose mask byte is zero:
-  /// one view refresh serves every source in order (slot i = tree from
-  /// sources[i]), so the batch pays a single CSR sync. `edge_mask` must
-  /// cover every EdgeId of `g`; an empty mask means all edges allowed.
-  std::vector<ShortestPaths> batch_shortest_paths(
-      const Graph& g, std::span<const VertexId> sources,
-      std::span<const std::uint8_t> edge_mask = {});
 
   /// Full masked Dijkstra from `tree.source`, written into `tree` (resized
   /// to the graph). Lets a caller that keeps a tree reuse its buffers.
@@ -206,14 +204,56 @@ class SpEngine {
   std::vector<std::pair<double, VertexId>> tight_;
 };
 
-/// Parallel batched SSSP over the global ThreadPool: slot i of the result
-/// is the shortest-path tree from sources[i] under the (optional) shared
-/// edge mask. Sources are split into contiguous chunks, one thread-local
-/// engine per chunk, each chunk served by one batched engine invocation;
-/// every slot depends only on (graph, mask, sources[i]), so the output is
-/// byte-identical at any thread count and to a sequential per-source loop.
-std::vector<ShortestPaths> batch_dijkstra(
-    const Graph& g, std::span<const VertexId> sources,
-    std::span<const std::uint8_t> edge_mask = {});
+/// Shortest-path trees on one graph under one edge mask, keyed by root.
+/// Trees are held by value in storage that never moves one when the table
+/// grows, so a reference from from() stays valid and unchanged while later
+/// compute() calls add trees, until clear(). A held tree is never
+/// recomputed: between two clear() calls every compute() must pass the same
+/// unchanged graph and the same mask.
+class TreeTable {
+ public:
+  TreeTable() = default;
+  // Not copyable: tree_of_ points into trees_. A move keeps the trees
+  // where they are.
+  TreeTable(const TreeTable&) = delete;
+  TreeTable& operator=(const TreeTable&) = delete;
+  TreeTable(TreeTable&&) = default;
+  TreeTable& operator=(TreeTable&&) = default;
+
+  /// Computes the tree from each of `roots` that the table does not hold
+  /// yet, once (a repeated root gets one tree), on `g` over the edges whose
+  /// mask byte is nonzero (an empty mask allows every edge). Fans out over
+  /// util::ThreadPool::global(), one task per tree, when the pool has more
+  /// than one thread and more than one tree is missing. Every tree depends
+  /// only on (graph, mask, root), so the table is identical at any thread
+  /// count. Returns the number of trees computed. Throws std::out_of_range
+  /// for a bad root and std::invalid_argument for a short mask, before
+  /// computing anything.
+  std::size_t compute(const Graph& g, std::span<const VertexId> roots,
+                      std::span<const std::uint8_t> edge_mask = {});
+
+  bool has(VertexId v) const noexcept {
+    return v < tree_of_.size() && tree_of_[v] != nullptr;
+  }
+
+  /// The tree from `v`. Throws std::logic_error when the table holds none.
+  const ShortestPaths& from(VertexId v) const {
+    if (!has(v)) throw_missing();
+    return *tree_of_[v];
+  }
+
+  /// Forgets every tree but keeps the buffers, so computing as many trees
+  /// again allocates nothing.
+  void clear() noexcept;
+
+ private:
+  [[noreturn]] static void throw_missing();
+
+  /// trees_[0, held_) are the held trees; the rest are spare buffers.
+  std::deque<ShortestPaths> trees_;
+  std::size_t held_ = 0;
+  std::vector<ShortestPaths*> tree_of_;  // by root; null when not held
+  std::vector<ShortestPaths*> missing_;  // compute() scratch
+};
 
 }  // namespace nfvm::graph

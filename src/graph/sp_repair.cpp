@@ -293,6 +293,7 @@ SpTreeStore::SpTreeStore(std::span<const VertexId> roots) {
 
 void SpTreeStore::clear() {
   for (Entry& entry : entries_) entry = Entry{};
+  fresh_.clear();
   bound_ = false;
   effective_.clear();
   log_.clear();
@@ -351,10 +352,9 @@ std::vector<EdgeChange> SpTreeStore::changes_since(std::uint64_t since) {
   return changes;
 }
 
-std::vector<std::shared_ptr<const ShortestPaths>> SpTreeStore::trees(
-    const Graph& g, std::span<const VertexId> sources,
-    std::span<const std::uint8_t> edge_mask) {
-  NFVM_SPAN("graph/sp_tree_store");
+void SpTreeStore::update(const Graph& g, std::span<const VertexId> sources,
+                         std::span<const std::uint8_t> edge_mask) {
+  NFVM_SPAN("graph/sp_tree_update");
   for (const VertexId s : sources) {
     if (!g.has_vertex(s)) throw std::out_of_range("dijkstra: invalid source vertex");
   }
@@ -363,89 +363,64 @@ std::vector<std::shared_ptr<const ShortestPaths>> SpTreeStore::trees(
   }
   sync(g, edge_mask);
   const std::uint64_t now = log_end();
-  const std::size_t n = g.num_vertices();
-  if (slot_stamp_.size() < n) {
-    slot_stamp_.resize(n, 0);
-    slot_index_.resize(n, 0);
-  }
-  if (++slot_generation_ == 0) {
-    std::fill(slot_stamp_.begin(), slot_stamp_.end(), 0);
-    slot_generation_ = 1;
-  }
+  ++updates_;
 
-  // Work that needs an engine: a full run (changes < 0) or a repair
-  // against change set `changes`. Entries current at the same position
-  // share one change set.
+  // Persistent trees that need an engine: a full run (changes < 0) or a
+  // repair against change set `changes`. Entries current at the same
+  // position share one change set.
   struct Task {
-    std::shared_ptr<ShortestPaths> tree;
-    Entry* entry = nullptr;  // null for a transient tree
+    Entry* entry = nullptr;
     std::ptrdiff_t changes = -1;
   };
   std::vector<Task> tasks;
   std::vector<std::pair<std::uint64_t, std::vector<EdgeChange>>> change_sets;
-  std::vector<std::shared_ptr<const ShortestPaths>> out(sources.size());
+  fresh_sources_.clear();
 
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    const VertexId s = sources[i];
-    if (slot_stamp_[s] == slot_generation_) continue;  // filled below
-    slot_stamp_[s] = slot_generation_;
-    slot_index_[s] = i;
-    Entry* entry = s < entry_of_.size() && entry_of_[s] != 0
-                       ? &entries_[entry_of_[s] - 1]
-                       : nullptr;
-    if (entry == nullptr) {
-      auto tree = std::make_shared<ShortestPaths>();
-      tree->source = s;
-      out[i] = tree;
-      tasks.push_back(Task{std::move(tree), nullptr, -1});
+  for (const VertexId s : sources) {
+    if (s >= entry_of_.size() || entry_of_[s] == 0) {
+      fresh_sources_.push_back(s);
       continue;
     }
+    Entry& entry = entries_[entry_of_[s] - 1];
+    if (entry.listed_in == updates_) continue;  // a repeated root
+    entry.listed_in = updates_;
     std::ptrdiff_t set = -1;
-    if (entry->tree != nullptr && entry->synced_at >= log_base_) {
+    if (!entry.tree.dist.empty() && entry.synced_at >= log_base_) {
       const auto it = std::find_if(
           change_sets.begin(), change_sets.end(),
-          [&](const auto& cs) { return cs.first == entry->synced_at; });
+          [&](const auto& cs) { return cs.first == entry.synced_at; });
       if (it == change_sets.end()) {
-        change_sets.emplace_back(entry->synced_at, changes_since(entry->synced_at));
+        change_sets.emplace_back(entry.synced_at, changes_since(entry.synced_at));
         set = static_cast<std::ptrdiff_t>(change_sets.size()) - 1;
       } else {
         set = it - change_sets.begin();
       }
       const std::vector<EdgeChange>& changes = change_sets[set].second;
-      if (tree_unaffected(g, *entry->tree, changes)) {
+      if (tree_unaffected(g, entry.tree, changes)) {
         NFVM_COUNTER_INC("graph.sp_repair.trees_kept");
-        entry->synced_at = now;
-        out[i] = entry->tree;
+        entry.synced_at = now;
         continue;
       }
       // A change set touching a quarter of all edges is cheaper to redo.
       if (4 * changes.size() > g.num_edges()) set = -1;
     }
-    if (entry->tree == nullptr) {
-      entry->tree = std::make_shared<ShortestPaths>();
-    } else if (entry->tree.use_count() > 1) {
-      // A caller still reads the old tree: repair a copy (or start afresh).
-      entry->tree = set >= 0 ? std::make_shared<ShortestPaths>(*entry->tree)
-                             : std::make_shared<ShortestPaths>();
-    }
-    entry->tree->source = s;
-    entry->synced_at = now;
-    out[i] = entry->tree;
-    tasks.push_back(Task{entry->tree, entry, set});
+    entry.tree.source = s;
+    entry.synced_at = now;
+    tasks.push_back(Task{&entry, set});
   }
 
+  fresh_.clear();
+  fresh_.compute(g, fresh_sources_, edge_mask);
   const auto run_task = [&](std::size_t k) {
-    Task& task = tasks[k];
+    Entry& entry = *tasks[k].entry;
     SpEngine& engine = SpEngine::thread_local_engine();
-    if (task.changes >= 0) {
-      engine.repair(g, *task.tree, change_sets[task.changes].second, edge_mask,
-                    task.entry->tie_free);
+    if (tasks[k].changes >= 0) {
+      engine.repair(g, entry.tree, change_sets[tasks[k].changes].second, edge_mask,
+                    entry.tie_free);
       return;
     }
-    engine.compute(g, *task.tree, edge_mask);
-    if (task.entry != nullptr) {
-      task.entry->tie_free = engine.tie_free(g, *task.tree, edge_mask);
-    }
+    engine.compute(g, entry.tree, edge_mask);
+    entry.tie_free = engine.tie_free(g, entry.tree, edge_mask);
   };
   util::ThreadPool& pool = util::ThreadPool::global();
   if (pool.num_threads() > 1 && tasks.size() > 1) {
@@ -453,11 +428,15 @@ std::vector<std::shared_ptr<const ShortestPaths>> SpTreeStore::trees(
   } else {
     for (std::size_t k = 0; k < tasks.size(); ++k) run_task(k);
   }
+}
 
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    if (out[i] == nullptr) out[i] = out[slot_index_[sources[i]]];
+const ShortestPaths& SpTreeStore::from(VertexId v) const {
+  if (v >= entry_of_.size() || entry_of_[v] == 0) return fresh_.from(v);
+  const Entry& entry = entries_[entry_of_[v] - 1];
+  if (entry.listed_in != updates_ || entry.tree.dist.empty()) {
+    throw std::logic_error("SpTreeStore: the last update did not list this root");
   }
-  return out;
+  return entry.tree;
 }
 
 }  // namespace nfvm::graph

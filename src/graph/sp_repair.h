@@ -39,13 +39,16 @@
 //    with (zero-weight plateaus, unit weights) are recomputed in full
 //    unless the keep rule applies.
 //
-// The store is plain per-owner state — no globals, no thread-locals — so
-// two owners replaying the same stream do identical work. Not thread-safe;
-// repairs of different trees fan out over util::ThreadPool::global().
+// The store holds each root's tree by value and repairs it in place; a
+// caller reads it through from(v) until the next update. Every other
+// source's tree is computed fresh on each update into a graph::TreeTable
+// whose buffers are reused across calls. The store is plain per-owner
+// state — no globals, no thread-locals — so two owners replaying the same
+// stream do identical work. Not thread-safe; repairs of different trees fan
+// out over util::ThreadPool::global().
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -58,28 +61,32 @@ namespace nfvm::graph {
 class SpTreeStore {
  public:
   /// Trees from `roots` persist across calls; every other source is
-  /// computed fresh on each call and not kept.
+  /// computed fresh on each call and kept until the next one.
   explicit SpTreeStore(std::span<const VertexId> roots);
   SpTreeStore(const SpTreeStore&) = delete;
   SpTreeStore& operator=(const SpTreeStore&) = delete;
 
-  /// Shortest-path trees on `g` over the edges whose mask byte is nonzero
-  /// (an empty mask allows every edge); slot i is the tree from sources[i].
-  /// A repeated source gets one tree, shared by its slots. Persistent trees
-  /// are repaired (or kept) in place when nobody else holds them, and
-  /// copied first when a caller still does. Results are identical at any
+  /// Brings the tree from each of `sources` up to date on `g` over the
+  /// edges whose mask byte is nonzero (an empty mask allows every edge):
+  /// persistent trees are kept or repaired in place, the others computed
+  /// fresh. A repeated source gets one tree. Results are identical at any
   /// thread count.
-  std::vector<std::shared_ptr<const ShortestPaths>> trees(
-      const Graph& g, std::span<const VertexId> sources,
-      std::span<const std::uint8_t> edge_mask);
+  void update(const Graph& g, std::span<const VertexId> sources,
+              std::span<const std::uint8_t> edge_mask);
+
+  /// The tree from `v`, which the last update() must have listed; throws
+  /// std::logic_error otherwise. The reference stays valid and unchanged
+  /// until the next update() or clear().
+  const ShortestPaths& from(VertexId v) const;
 
   /// Drops every stored tree, the weight snapshot and the change log.
   void clear();
 
  private:
   struct Entry {
-    std::shared_ptr<ShortestPaths> tree;  // null until first built
-    std::uint64_t synced_at = 0;          // log position it is current at
+    ShortestPaths tree;          // empty until first built
+    std::uint64_t synced_at = 0;  // log position it is current at
+    std::uint64_t listed_in = 0;  // the last update() that listed it
     bool tie_free = false;
   };
   struct LogEntry {
@@ -96,6 +103,9 @@ class SpTreeStore {
 
   std::vector<Entry> entries_;           // one per distinct root
   std::vector<std::uint32_t> entry_of_;  // vertex -> entries_ index + 1, 0 = none
+  std::uint64_t updates_ = 0;            // update() calls so far
+  TreeTable fresh_;                      // the last update's other sources
+  std::vector<VertexId> fresh_sources_;  // update() scratch
   bool bound_ = false;
   std::uint64_t uid_ = 0;
   std::vector<double> effective_;  // per edge, as of the last sync
@@ -103,10 +113,6 @@ class SpTreeStore {
   std::uint64_t log_base_ = 0;  // absolute position of log_[0]
   std::vector<std::uint32_t> seen_;  // per-edge dedupe stamp for changes_since
   std::uint32_t seen_generation_ = 0;
-  /// Per-vertex dedupe for trees(): the first slot of a source this call.
-  std::vector<std::uint32_t> slot_stamp_;
-  std::vector<std::size_t> slot_index_;
-  std::uint32_t slot_generation_ = 0;
 };
 
 }  // namespace nfvm::graph

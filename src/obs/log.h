@@ -23,8 +23,6 @@ void set_log_level(LogLevel level);
 bool log_enabled(LogLevel level);
 
 void log_message(LogLevel level, std::string_view message);
-inline void log_error(std::string_view m) { log_message(LogLevel::kError, m); }
-inline void log_warn(std::string_view m) { log_message(LogLevel::kWarn, m); }
 inline void log_info(std::string_view m) { log_message(LogLevel::kInfo, m); }
 inline void log_debug(std::string_view m) { log_message(LogLevel::kDebug, m); }
 

@@ -68,11 +68,6 @@ class Arena {
     if (m.block_generation == block_generation_) used_ = m.used;
   }
 
-  /// Bytes currently allocated out of the live block.
-  std::size_t bytes_used() const noexcept { return used_; }
-  /// Capacity of the live block (retired blocks excluded).
-  std::size_t capacity() const noexcept { return block_.size(); }
-
   /// Per-thread arena for call sites without a natural owner (e.g.
   /// RootedTree scratch inside ThreadPool workers). Confine use to
   /// ArenaScope so independent call sites on one thread compose.

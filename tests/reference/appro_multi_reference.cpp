@@ -29,7 +29,6 @@ using core::DestinationRoute;
 using core::OfflineSolution;
 using core::PseudoMulticastTree;
 using core::SharedComboSolver;
-using core::SharedOracle;
 using core::SprimeTable;
 using core::WorkContext;
 
@@ -54,14 +53,15 @@ AuxiliaryGraph build_auxiliary_graph(const WorkContext& ctx,
   }
 
   // Virtual edges s'_k -> v, weighted path-cost + chain cost.
+  const graph::ShortestPaths& from_source = ctx.trees.from(source);
   aux.virtual_paths.reserve(combo.size());
   for (graph::VertexId v : combo) {
-    if (!ctx.sp_source.reachable(v)) {
+    if (!from_source.reachable(v)) {
       throw std::invalid_argument("build_auxiliary_graph: server unreachable");
     }
-    const double w = ctx.sp_source.dist[v] + ctx.server_chain_cost[v];
+    const double w = from_source.dist[v] + ctx.server_chain_cost[v];
     aux.graph.add_edge(aux.virtual_source, v, w);
-    aux.virtual_paths.push_back(graph::path_edges(ctx.sp_source, v));
+    aux.virtual_paths.push_back(graph::path_edges(from_source, v));
   }
 
   // Zero-cost correction: physical edges (s_k, v) with v in the combination.
@@ -114,7 +114,7 @@ PseudoMulticastTree realize_pseudo_tree(const WorkContext& ctx,
     DestinationRoute route;
     route.destination = d;
     route.server = server;
-    route.walk = graph::path_vertices(ctx.sp_source, server);
+    route.walk = graph::path_vertices(ctx.trees.from(request.source), server);
     route.server_index = route.walk.size() - 1;
     route.walk.insert(route.walk.end(), aux_path.begin() + 2, aux_path.end());
     tree.routes.push_back(std::move(route));
@@ -136,8 +136,7 @@ OfflineSolution appro_multi(const topo::Topology& topo, const core::LinearCosts&
   NFVM_COUNTER_INC("core.appro_multi.calls");
   OfflineSolution sol;
   NFVM_OBS_ONLY(util::Stopwatch phase_watch;)
-  const WorkContext ctx =
-      core::build_work_context(topo, costs, request, options.resources);
+  WorkContext ctx = core::build_work_context(topo, costs, request, options.resources);
   NFVM_HDR_OBSERVE("core.appro_multi.context_us", phase_watch.elapsed_us());
   NFVM_OBS_ONLY(phase_watch.reset();)
   if (!ctx.destinations_reachable) {
@@ -152,17 +151,21 @@ OfflineSolution appro_multi(const topo::Topology& topo, const core::LinearCosts&
   // Destination SP trees feed the beam centrality score and the
   // branch-and-bound lower bounds; the legacy unbeamed sweep never needs
   // them, so it skips the fan-out entirely.
-  std::vector<std::shared_ptr<const graph::ShortestPaths>> dest_trees;
-  if (bnb || options.beam_width != 0) {
-    dest_trees = core::context_trees(ctx, request.destinations);
-  }
+  if (bnb || options.beam_width != 0) core::context_trees(ctx, request.destinations);
   const std::vector<graph::VertexId> pool =
       options.beam_width != 0
-          ? core::beam_server_pool(ctx, dest_trees, options.beam_width)
+          ? core::beam_server_pool(ctx, request, options.beam_width)
           : ctx.eligible_servers;
 
-  SharedOracle oracle;
-  if (shared) oracle = core::build_shared_oracle(ctx, request, pool);
+  // The shared engine's tables: the destination and pool trees.
+  if (shared) {
+    NFVM_OBS_ONLY(util::Stopwatch trees_watch;)
+    std::vector<graph::VertexId> roots(request.destinations.begin(),
+                                       request.destinations.end());
+    roots.insert(roots.end(), pool.begin(), pool.end());
+    core::context_trees(ctx, roots);
+    NFVM_HDR_OBSERVE("core.shared_closure.oracle_us", trees_watch.elapsed_us());
+  }
 
   // Terminals in every auxiliary graph: the virtual source plus D_k. The
   // virtual source id equals |V| in each aux graph by construction.
@@ -221,7 +224,7 @@ OfflineSolution appro_multi(const topo::Topology& topo, const core::LinearCosts&
         if (shared) {
           // Overlay + shared tables: no per-combination graph copy at all.
           const AuxOverlay aux = core::build_aux_overlay(ctx, request.source, combos[i]);
-          st = SharedComboSolver(oracle, aux).solve();
+          st = SharedComboSolver(aux, request).solve();
         } else {
           const AuxiliaryGraph aux =
               build_auxiliary_graph(ctx, request.source, combos[i]);
@@ -284,14 +287,14 @@ OfflineSolution appro_multi(const topo::Topology& topo, const core::LinearCosts&
   // costs and trees; the search therefore returns exactly the combination
   // the legacy sweep would have ranked first (see core/combo_search.h).
   NFVM_SPAN("appro_multi/branch_and_bound");
-  const ComboBounds bounds(ctx, request, pool, dest_trees);
+  const ComboBounds bounds(ctx, request, pool);
   const auto evaluator = [&](std::span<const std::size_t> idx) {
     std::vector<graph::VertexId> combo(idx.size());
     for (std::size_t i = 0; i < idx.size(); ++i) combo[i] = pool[idx[i]];
     graph::SteinerResult st;
     if (shared) {
       const AuxOverlay aux = core::build_aux_overlay(ctx, request.source, combo);
-      st = SharedComboSolver(oracle, aux).solve();
+      st = SharedComboSolver(aux, request).solve();
     } else {
       const AuxiliaryGraph aux = build_auxiliary_graph(ctx, request.source, combo);
       st = graph::kmb_steiner(aux.graph, terminals);
@@ -303,11 +306,11 @@ OfflineSolution appro_multi(const topo::Topology& topo, const core::LinearCosts&
   // the reference engine's Dijkstra ties give no such guarantee. Single
   // servers are never dominated, so K = 1 needs no table.
   std::optional<SprimeTable> sprime;
-  if (shared && options.max_servers > 1) sprime.emplace(oracle, pool);
+  if (shared && options.max_servers > 1) sprime.emplace(ctx, request, pool);
   ComboSearch combo_search(pool.size(), bounds, options.max_servers, evaluator,
                            sprime ? &*sprime : nullptr);
-  // Everything between the context and the search: destination trees, the
-  // shared oracle, the bounds and the dominance table.
+  // Everything between the context and the search: destination and pool
+  // trees, the bounds and the dominance table.
   NFVM_HDR_OBSERVE("core.appro_multi.prepare_us", phase_watch.elapsed_us());
 
   // Realize-fallthrough: when the cheapest tree violates the delay bound or

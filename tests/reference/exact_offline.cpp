@@ -36,6 +36,7 @@ OfflineSolution exact_one_server(const topo::Topology& topo, const LinearCosts& 
     return sol;
   }
 
+  const graph::ShortestPaths& from_source = ctx.trees.from(request.source);
   double best_cost = std::numeric_limits<double>::infinity();
   graph::VertexId best_server = graph::kInvalidVertex;
   graph::SteinerResult best_tree;
@@ -47,7 +48,7 @@ OfflineSolution exact_one_server(const topo::Topology& topo, const LinearCosts& 
     graph::SteinerResult st = exact_steiner(ctx.cost_graph, terminals);
     if (!st.connected) continue;
     const double cost =
-        ctx.sp_source.dist[v] + ctx.server_chain_cost[v] + st.weight;
+        from_source.dist[v] + ctx.server_chain_cost[v] + st.weight;
     if (cost < best_cost) {
       best_cost = cost;
       best_server = v;
@@ -64,7 +65,7 @@ OfflineSolution exact_one_server(const topo::Topology& topo, const LinearCosts& 
   tree.servers = {best_server};
   tree.cost = best_cost;
   std::map<graph::EdgeId, int> mult;
-  for (graph::EdgeId e : graph::path_edges(ctx.sp_source, best_server)) {
+  for (graph::EdgeId e : graph::path_edges(from_source, best_server)) {
     ++mult[ctx.to_physical[e]];
   }
   for (graph::EdgeId e : best_tree.edges) ++mult[ctx.to_physical[e]];
@@ -72,7 +73,7 @@ OfflineSolution exact_one_server(const topo::Topology& topo, const LinearCosts& 
 
   const graph::RootedTree rooted(ctx.cost_graph, best_tree.edges, best_server);
   const std::vector<graph::VertexId> to_server =
-      graph::path_vertices(ctx.sp_source, best_server);
+      graph::path_vertices(from_source, best_server);
   for (graph::VertexId d : request.destinations) {
     DestinationRoute route;
     route.destination = d;

@@ -130,24 +130,27 @@ TEST(WorkContext, ContextTreesShareOneTreePerRoot) {
   request.chain = nfv::ServiceChain({nfv::NetworkFunction::kNat});
 
   const test::CounterBaseline counters;
-  const WorkContext ctx = build_work_context(topo, costs, request, nullptr);
+  WorkContext ctx = build_work_context(topo, costs, request, nullptr);
+  const graph::ShortestPaths* const source_tree = &ctx.trees.from(0);
   const std::vector<graph::VertexId> roots{7, 3, 7, 0};
-  const auto trees = context_trees(ctx, roots);
-  ASSERT_EQ(trees.size(), roots.size());
-  for (std::size_t i = 0; i < roots.size(); ++i) {
-    const graph::ShortestPaths fresh = graph::dijkstra(ctx.cost_graph, roots[i]);
-    EXPECT_EQ(trees[i]->source, roots[i]);
-    EXPECT_TRUE(same_bits(trees[i]->dist, fresh.dist)) << "root " << roots[i];
-    EXPECT_EQ(trees[i]->parent, fresh.parent);
-    EXPECT_EQ(trees[i]->parent_edge, fresh.parent_edge);
+  context_trees(ctx, roots);
+  for (const graph::VertexId root : roots) {
+    const graph::ShortestPaths fresh = graph::dijkstra(ctx.cost_graph, root);
+    const graph::ShortestPaths& tree = ctx.trees.from(root);
+    EXPECT_EQ(tree.source, root);
+    EXPECT_TRUE(same_bits(tree.dist, fresh.dist)) << "root " << root;
+    EXPECT_EQ(tree.parent, fresh.parent);
+    EXPECT_EQ(tree.parent_edge, fresh.parent_edge);
   }
-  EXPECT_EQ(trees[0].get(), trees[2].get());  // a repeated root shares one tree
-  EXPECT_EQ(trees[3].get(), ctx.trees[0].get());  // build_work_context's tree
-  EXPECT_TRUE(same_bits(ctx.sp_source.dist, trees[3]->dist));
-  const auto again = context_trees(ctx, std::vector<graph::VertexId>{3});
-  EXPECT_EQ(again[0].get(), trees[1].get());
+  // build_work_context's tree stays where it was; a later lookup neither
+  // recomputes nor moves a held tree.
+  EXPECT_EQ(&ctx.trees.from(0), source_tree);
+  const graph::ShortestPaths* const tree_3 = &ctx.trees.from(3);
+  context_trees(ctx, std::vector<graph::VertexId>{3});
+  EXPECT_EQ(&ctx.trees.from(3), tree_3);
   EXPECT_THROW(context_trees(ctx, std::vector<graph::VertexId>{30}),
                std::out_of_range);
+  EXPECT_THROW(ctx.trees.from(11), std::logic_error);  // never looked up
 #if NFVM_OBS
   // A miss on each root's first lookup (the source's came from
   // build_work_context), a hit on every later one.
@@ -193,7 +196,7 @@ TEST(AuxGraph, VirtualEdgeWeightIsPathPlusChainCost) {
   const double chain_cost = ctx.server_chain_cost[2];
   EXPECT_DOUBLE_EQ(aux.weight(4), 200.0 + chain_cost);
   // Realization expands the virtual edge into the source's path to 2.
-  EXPECT_EQ(graph::path_edges(ctx.sp_source, aux.combo[0]),
+  EXPECT_EQ(graph::path_edges(ctx.trees.from(f.request.source), aux.combo[0]),
             (std::vector<graph::EdgeId>{0, 1}));
 }
 
@@ -236,7 +239,7 @@ TEST(AuxGraph, SourceCoLocatedServerGetsZeroPath) {
   const AuxOverlay aux =
       build_aux_overlay(ctx, f.request.source, std::vector<graph::VertexId>{2});
   EXPECT_DOUBLE_EQ(aux.weight(4), ctx.server_chain_cost[2]);
-  EXPECT_TRUE(graph::path_edges(ctx.sp_source, aux.combo[0]).empty());
+  EXPECT_TRUE(graph::path_edges(ctx.trees.from(f.request.source), aux.combo[0]).empty());
 }
 
 }  // namespace

@@ -253,17 +253,24 @@ TEST(ComboSearch, PruningAccountingCoversTheCombinationSpace) {
   }
 }
 
+/// The work context with its destination and eligible-server trees, as
+/// appro_multi primes them.
+WorkContext primed_context(const Instance& inst) {
+  WorkContext ctx = build_work_context(inst.topo, inst.costs, inst.request, nullptr);
+  context_trees(ctx, inst.request.destinations);
+  context_trees(ctx, ctx.eligible_servers);
+  return ctx;
+}
+
 /// The shared engine's per-request state, set up the way appro_multi sets
 /// it up, for tests that drive ComboSearch and SharedComboSolver directly.
 struct SharedSearchRig {
   explicit SharedSearchRig(const Instance& inst)
       : request(inst.request),
-        ctx(build_work_context(inst.topo, inst.costs, request, nullptr)),
-        dest_trees(context_trees(ctx, request.destinations)),
+        ctx(primed_context(inst)),
         pool(ctx.eligible_servers),
-        oracle(build_shared_oracle(ctx, request, pool)),
-        bounds(ctx, request, pool, dest_trees),
-        sprime(oracle, pool) {}
+        bounds(ctx, request, pool),
+        sprime(ctx, request, pool) {}
 
   std::vector<graph::VertexId> servers(std::span<const std::size_t> idx) const {
     std::vector<graph::VertexId> combo;
@@ -272,14 +279,12 @@ struct SharedSearchRig {
   }
   graph::SteinerResult solve(std::span<const std::size_t> idx) const {
     const AuxOverlay aux = build_aux_overlay(ctx, request.source, servers(idx));
-    return SharedComboSolver(oracle, aux).solve();
+    return SharedComboSolver(aux, request).solve();
   }
 
   nfv::Request request;
   WorkContext ctx;
-  std::vector<std::shared_ptr<const graph::ShortestPaths>> dest_trees;
   std::vector<graph::VertexId> pool;
-  SharedOracle oracle;
   ComboBounds bounds;
   SprimeTable sprime;
 };

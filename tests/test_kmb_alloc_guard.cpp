@@ -5,7 +5,8 @@
 // one warm-up call per graph (which grows the thread-local scratch to that
 // graph's size), a KMB finish may allocate only the returned edge vector:
 // the same fixed count on a 50-vertex and a 400-vertex graph. A warm
-// unit-weight SpEngine::compute into a reused tree allocates nothing. Wall
+// unit-weight SpEngine::compute into a reused tree allocates nothing, and
+// neither does a graph::TreeTable computing as many trees after clear(). Wall
 // time cannot be gated on shared runners; these counts are the
 // deterministic guards for the kernels' gains.
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include "nfv/service_chain.h"
 #include "topology/waxman.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace {
 std::atomic<std::size_t> g_allocations{0};
@@ -103,17 +105,17 @@ TEST_P(KmbAllocationGuard, FromTablesAllocatesOnlyItsResult) {
 
 TEST_P(KmbAllocationGuard, SharedComboSolverAllocatesOnlyItsResult) {
   const Instance inst = make_instance(GetParam(), 43);
-  const core::WorkContext ctx =
+  core::WorkContext ctx =
       core::build_work_context(inst.topo, inst.costs, inst.request, nullptr);
   ASSERT_TRUE(ctx.destinations_reachable);
   ASSERT_GE(ctx.eligible_servers.size(), 2u);
-  const core::SharedOracle oracle =
-      core::build_shared_oracle(ctx, inst.request, ctx.eligible_servers);
+  core::context_trees(ctx, inst.request.destinations);
+  core::context_trees(ctx, ctx.eligible_servers);
   const std::vector<graph::VertexId> combo{ctx.eligible_servers[0],
                                            ctx.eligible_servers[1]};
   const core::AuxOverlay overlay =
       core::build_aux_overlay(ctx, inst.request.source, combo);
-  const core::SharedComboSolver solver(oracle, overlay);
+  const core::SharedComboSolver solver(overlay, inst.request);
 
   graph::SteinerResult st = solver.solve();
   ASSERT_TRUE(st.connected);
@@ -150,6 +152,35 @@ TEST(SpEngineAllocationGuard, WarmUnitWeightComputeAllocatesNothing) {
           << "n = " << n << ", source " << s;
       EXPECT_EQ(tree.dist[s], 0.0);
     }
+  }
+}
+
+TEST(SpEngineAllocationGuard, WarmTreeTableComputeAfterClearAllocatesNothing) {
+  // One pool thread: the table computes its trees in order, with no fan-out.
+  struct GlobalThreadsGuard {
+    ~GlobalThreadsGuard() { util::ThreadPool::set_global_threads(1); }
+  } guard;
+  util::ThreadPool::set_global_threads(1);
+  for (const std::size_t n : {std::size_t{50}, std::size_t{400}}) {
+    util::Rng rng(45);
+    const topo::Topology topo = topo::make_waxman(n, rng);
+    const graph::Graph& g = topo.graph;
+    std::vector<std::uint8_t> mask(g.num_edges(), 1);
+    for (graph::EdgeId e = 0; e < mask.size(); e += 5) mask[e] = 0;
+    const auto last = static_cast<graph::VertexId>(n - 1);
+    const std::vector<graph::VertexId> first{0, 17, 3, 17, last};
+    const std::vector<graph::VertexId> second{5, 9, 9, 1, 2};
+    graph::TreeTable table;
+    // Sizes the engine, the table's slots and the trees' buffers.
+    ASSERT_EQ(table.compute(g, first, mask), 4u);
+    table.clear();
+    std::size_t computed = 0;
+    EXPECT_EQ(allocations_during([&] { computed = table.compute(g, second, mask); }),
+              0u)
+        << "n = " << n;
+    EXPECT_EQ(computed, 4u);
+    EXPECT_EQ(table.from(9).dist[9], 0.0);
+    EXPECT_FALSE(table.has(17));
   }
 }
 

@@ -219,10 +219,10 @@ TEST(KmbKernelOracle, SharedComboSolverMatchesMaterializedAuxGraph) {
     util::ThreadPool::set_global_threads(threads);
     std::size_t compared = 0;
     for (const Instance& inst : instances) {
-      const WorkContext ctx =
-          build_work_context(inst.topo, inst.costs, inst.request, nullptr);
+      WorkContext ctx = build_work_context(inst.topo, inst.costs, inst.request, nullptr);
       if (!ctx.destinations_reachable || ctx.eligible_servers.empty()) continue;
-      const SharedOracle oracle = build_shared_oracle(ctx, inst.request, ctx.eligible_servers);
+      context_trees(ctx, inst.request.destinations);
+      context_trees(ctx, ctx.eligible_servers);
       // Every single server and every server pair.
       std::vector<std::vector<graph::VertexId>> combos;
       const auto& pool = ctx.eligible_servers;
@@ -240,7 +240,9 @@ TEST(KmbKernelOracle, SharedComboSolverMatchesMaterializedAuxGraph) {
                      inst.request.destinations.end());
         std::map<graph::VertexId, graph::ShortestPaths> tables;
         for (const graph::VertexId t : terms) tables.emplace(t, graph::dijkstra(aux.graph, t));
-        out[i] = {graph::run([&] { return SharedComboSolver(oracle, overlay).solve(); }),
+        out[i] = {graph::run([&] {
+                    return SharedComboSolver(overlay, inst.request).solve();
+                  }),
                   graph::run([&] {
                     return reference::kmb_steiner_from_tables(
                         aux.graph, terms,

@@ -237,6 +237,60 @@ TEST(OnlineFastPath, SpMatchesReferenceOnCliGeant) {
 #endif
 }
 
+// Every request starts at a server. While that server passes the compute
+// gate, one breadth-first tree serves it both as the source and as a
+// candidate: a request costs one run per distinct root of {source} ∪ eval,
+// and decides exactly like the reference rebuild scan.
+TEST(OnlineFastPath, SpComputesOneTreePerDistinctRoot) {
+  const topo::Topology topo = cli_topology("geant");
+  util::Rng workload(kCliSeed);
+  sim::RequestGenerator gen(topo, workload);
+  const std::vector<nfv::Request> requests = gen.sequence(300);
+  OnlineSp fast(topo);
+  OnlineSpRebuild reference(topo);
+  std::vector<nfv::Footprint> admitted_fast;
+  std::vector<nfv::Footprint> admitted_reference;
+  std::size_t shared = 0;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    nfv::Request request = requests[i];
+    request.source = topo.servers[i % topo.servers.size()];
+    std::erase(request.destinations, request.source);
+    if (request.destinations.empty()) continue;
+    std::vector<graph::VertexId> roots{request.source};
+    bool source_in_eval = false;
+    for (const graph::VertexId v : topo.servers) {
+      if (fast.resources().residual_compute(v) < request.compute_demand_mhz()) continue;
+      if (v == request.source) {
+        source_in_eval = true;
+      } else {
+        roots.push_back(v);
+      }
+    }
+    const bool scanned = source_in_eval || roots.size() > 1;
+    shared += source_in_eval ? 1 : 0;
+    const test::CounterBaseline counters;
+    const AdmissionDecision df = fast.process(request);
+#if NFVM_OBS
+    EXPECT_EQ(counters.since("graph.dijkstra.runs"), scanned ? roots.size() : 0u)
+        << "request " << i;
+#endif
+    const AdmissionDecision dr = reference.process(request);
+    expect_same_decision(df, dr, i);
+    if (df.admitted) {
+      admitted_fast.push_back(df.footprint);
+      admitted_reference.push_back(dr.footprint);
+    }
+    if (i % 3 == 2 && !admitted_fast.empty()) {
+      fast.release(admitted_fast.front());
+      reference.release(admitted_reference.front());
+      admitted_fast.erase(admitted_fast.begin());
+      admitted_reference.erase(admitted_reference.begin());
+    }
+  }
+  EXPECT_GT(shared, 0u);
+  EXPECT_GT(fast.num_admitted(), 0u);
+}
+
 TEST(OnlineFastPath, CpMatchesReferenceOnCliWaxman100) {
   check_cli_static<OnlineCp, OnlineCpRebuild>("waxman");
 }
@@ -372,34 +426,39 @@ TEST(OnlineWeightedView, PatchRepairsOnlyTreesContainingChangedEdges) {
   OnlineWeightedView view(topo, consumption_weight(topo, state));
 
   const std::vector<graph::VertexId> sources = {0, 1};
-  const auto first = view.trees_for(state, sources, 50.0);
+  const graph::SpTreeStore& trees = view.trees_for(state, sources, 50.0);
   // Tree from 0 uses e2 (1.5 < 1+1); tree from 1 reaches everything through
   // e0/e1/e3.
-  ASSERT_EQ(first[0]->parent_edge[2], 2u);
-  ASSERT_EQ(first[1]->parent_edge[2], 1u);
+  ASSERT_EQ(trees.from(0).parent_edge[2], 2u);
+  ASSERT_EQ(trees.from(1).parent_edge[2], 1u);
 
   nfv::Footprint fp;
   fp.bandwidth = {{2, 100.0}};  // consume on e2 only
   state.allocate(fp);
   view.apply_allocate(fp);
 
-  const auto second = view.trees_for(state, sources, 50.0);
-  // e2 is a tree edge of the tree from 0: repaired into a copy, because
-  // `first` still holds the old one.
-  EXPECT_NE(second[0].get(), first[0].get());
-  EXPECT_EQ(second[1].get(), first[1].get());  // non-tree increase: kept
-  EXPECT_EQ(first[0]->dist[2], 1.5);           // the old tree is untouched
-  expect_fresh(view, state, *second[0], 50.0);
+  const test::CounterBaseline counters;
+  view.trees_for(state, sources, 50.0);
+#if NFVM_OBS
+  // e2 is a tree edge of the tree from 0: repaired in place. The tree from
+  // 1 only saw a non-tree increase: kept. Nothing is recomputed.
+  EXPECT_EQ(counters.since("graph.sp_repair.trees_repaired"), 1u);
+  EXPECT_EQ(counters.since("graph.sp_repair.trees_kept"), 1u);
+  EXPECT_EQ(counters.since("graph.sp_repair.tie_fallbacks"), 0u);
+  EXPECT_EQ(counters.since("graph.dijkstra.runs"), 0u);
+#endif
+  expect_fresh(view, state, trees.from(0), 50.0);
+  expect_fresh(view, state, trees.from(1), 50.0);
   // e2 now costs 1.6, so the path 0-1-2 (2.0) still loses; bump it past
   // 2.0 and the repaired tree reroutes.
   nfv::Footprint fp2;
   fp2.bandwidth = {{2, 500.0}};
   state.allocate(fp2);
   view.apply_allocate(fp2);
-  const auto third = view.trees_for(state, sources, 50.0);
-  EXPECT_EQ(third[0]->parent_edge[2], 1u);  // rerouted around the hot link
-  expect_fresh(view, state, *third[0], 50.0);
-  expect_fresh(view, state, *third[1], 50.0);
+  view.trees_for(state, sources, 50.0);
+  EXPECT_EQ(trees.from(0).parent_edge[2], 1u);  // rerouted around the hot link
+  expect_fresh(view, state, trees.from(0), 50.0);
+  expect_fresh(view, state, trees.from(1), 50.0);
 }
 
 TEST(OnlineWeightedView, AllocationWithoutWeightChangeKeepsTree) {
@@ -410,13 +469,19 @@ TEST(OnlineWeightedView, AllocationWithoutWeightChangeKeepsTree) {
   OnlineWeightedView view(topo,
                           [&](graph::EdgeId e) { return topo.graph.weight(e); });
   const std::vector<graph::VertexId> sources = {0};
-  const auto first = view.trees_for(state, sources, 50.0);
+  view.trees_for(state, sources, 50.0);
   nfv::Footprint fp;
   fp.bandwidth = {{0, 100.0}, {1, 100.0}, {2, 100.0}, {3, 100.0}};
   state.allocate(fp);
   view.apply_allocate(fp);
-  const auto second = view.trees_for(state, sources, 50.0);
-  EXPECT_EQ(second[0].get(), first[0].get());
+  const test::CounterBaseline counters;
+  const graph::SpTreeStore& trees = view.trees_for(state, sources, 50.0);
+#if NFVM_OBS
+  EXPECT_EQ(counters.since("graph.sp_repair.trees_kept"), 1u);
+  EXPECT_EQ(counters.since("graph.sp_repair.trees_repaired"), 0u);
+  EXPECT_EQ(counters.since("graph.dijkstra.runs"), 0u);
+#endif
+  expect_fresh(view, state, trees.from(0), 50.0);
 }
 
 TEST(OnlineWeightedView, ReleaseRepairsTreesInsteadOfDropping) {
@@ -431,28 +496,29 @@ TEST(OnlineWeightedView, ReleaseRepairsTreesInsteadOfDropping) {
   fp.bandwidth = {{2, 600.0}};
   state.allocate(fp);
   view.apply_allocate(fp);
-  const auto loaded = view.trees_for(state, sources, 50.0);
-  ASSERT_EQ(loaded[0]->parent_edge[2], 1u);
-  const graph::ShortestPaths* held = loaded[0].get();
+  const graph::SpTreeStore& trees = view.trees_for(state, sources, 50.0);
+  ASSERT_EQ(trees.from(0).parent_edge[2], 1u);
   state.release(fp);
   view.apply_release(fp);
   const test::CounterBaseline counters;
-  const auto released = view.trees_for(state, sources, 50.0);
+  view.trees_for(state, sources, 50.0);
 #if NFVM_OBS
   // Both trees are repaired from the release's weight decrease; nothing is
   // recomputed.
   EXPECT_EQ(counters.since("graph.dijkstra.runs"), 0u);
   EXPECT_EQ(counters.since("graph.sp_repair.trees_repaired"), 2u);
 #endif
-  // The store still holds both trees (an unchanged view hands back the same
-  // ones); the one from 0 is back on e2 and identical to a fresh run.
-  const auto again = view.trees_for(state, sources, 50.0);
-  EXPECT_EQ(again[0].get(), released[0].get());
-  EXPECT_EQ(again[1].get(), released[1].get());
-  EXPECT_EQ(released[0]->parent_edge[2], 2u);
-  EXPECT_EQ(held->parent_edge[2], 1u);  // a held tree is never rewritten
-  expect_fresh(view, state, *released[0], 50.0);
-  expect_fresh(view, state, *released[1], 50.0);
+  // The store still holds both trees: an unchanged view keeps them as they
+  // are. The one from 0 is back on e2 and identical to a fresh run.
+  const test::CounterBaseline again;
+  view.trees_for(state, sources, 50.0);
+#if NFVM_OBS
+  EXPECT_EQ(again.since("graph.sp_repair.trees_kept"), 2u);
+  EXPECT_EQ(again.since("graph.dijkstra.runs"), 0u);
+#endif
+  EXPECT_EQ(trees.from(0).parent_edge[2], 2u);
+  expect_fresh(view, state, trees.from(0), 50.0);
+  expect_fresh(view, state, trees.from(3), 50.0);
 }
 
 TEST(OnlineWeightedView, LowerBandwidthThresholdRepairsTree) {
@@ -464,15 +530,15 @@ TEST(OnlineWeightedView, LowerBandwidthThresholdRepairsTree) {
   state.allocate(fp);
   view.apply_allocate(fp);
   const std::vector<graph::VertexId> sources = {0};
-  const auto at_100 = view.trees_for(state, sources, 100.0);
-  ASSERT_EQ(at_100[0]->parent_edge[2], 1u);  // e2 ineligible at b = 100
+  const graph::SpTreeStore& trees = view.trees_for(state, sources, 100.0);
+  ASSERT_EQ(trees.from(0).parent_edge[2], 1u);  // e2 ineligible at b = 100
   // b' < b_T: e2 becomes eligible again (an effective-weight decrease).
-  const auto at_50 = view.trees_for(state, sources, 50.0);
-  expect_fresh(view, state, *at_50[0], 50.0);
+  view.trees_for(state, sources, 50.0);
+  expect_fresh(view, state, trees.from(0), 50.0);
   // Back up to b' >= b_T: e2 drops out again.
-  const auto at_90 = view.trees_for(state, sources, 90.0);
-  EXPECT_EQ(at_90[0]->parent_edge[2], 1u);
-  expect_fresh(view, state, *at_90[0], 90.0);
+  view.trees_for(state, sources, 90.0);
+  EXPECT_EQ(trees.from(0).parent_edge[2], 1u);
+  expect_fresh(view, state, trees.from(0), 90.0);
 }
 
 TEST(OnlineWeightedView, IneligibleTreeEdgeIsRepaired) {
@@ -481,8 +547,8 @@ TEST(OnlineWeightedView, IneligibleTreeEdgeIsRepaired) {
   OnlineWeightedView view(topo,
                           [&](graph::EdgeId e) { return topo.graph.weight(e); });
   const std::vector<graph::VertexId> sources = {0};
-  const auto before = view.trees_for(state, sources, 50.0);
-  ASSERT_EQ(before[0]->parent_edge[2], 2u);  // uses e2
+  const graph::SpTreeStore& trees = view.trees_for(state, sources, 50.0);
+  ASSERT_EQ(trees.from(0).parent_edge[2], 2u);  // uses e2
   // Starve e2 below the request bandwidth WITHOUT changing weights (weights
   // are residual-independent here), so only the eligibility diff can
   // notice.
@@ -490,10 +556,14 @@ TEST(OnlineWeightedView, IneligibleTreeEdgeIsRepaired) {
   fp.bandwidth = {{2, 960.0}};
   state.allocate(fp);
   view.apply_allocate(fp);
-  const auto after = view.trees_for(state, sources, 50.0);
-  EXPECT_NE(after[0].get(), before[0].get());
-  EXPECT_EQ(after[0]->parent_edge[2], 1u);  // rerouted: e2 now ineligible
-  expect_fresh(view, state, *after[0], 50.0);
+  const test::CounterBaseline counters;
+  view.trees_for(state, sources, 50.0);
+#if NFVM_OBS
+  EXPECT_EQ(counters.since("graph.sp_repair.trees_kept"), 0u);
+  EXPECT_EQ(counters.since("graph.sp_repair.trees_repaired"), 1u);
+#endif
+  EXPECT_EQ(trees.from(0).parent_edge[2], 1u);  // rerouted: e2 now ineligible
+  expect_fresh(view, state, trees.from(0), 50.0);
 }
 
 /// The unit square 0-1-3 / 0-2-3 with a chord 1-2: from 0, vertex 3 has two
@@ -519,24 +589,23 @@ TEST(OnlineWeightedView, NonTreeIncreaseKeepsTreeWithTies) {
   OnlineWeightedView view(topo, consumption_weight(topo, state));
   const std::vector<graph::VertexId> sources = {0};
   const test::CounterBaseline counters;
-  const auto first = view.trees_for(state, sources, 50.0);
-  ASSERT_EQ(first[0]->dist[3], 2.0);
+  const graph::SpTreeStore& trees = view.trees_for(state, sources, 50.0);
+  ASSERT_EQ(trees.from(0).dist[3], 2.0);
 
   // Raise the chord (a non-tree edge): kept as is, ties and all.
   nfv::Footprint chord;
   chord.bandwidth = {{4, 300.0}};
   state.allocate(chord);
   view.apply_allocate(chord);
-  const auto second = view.trees_for(state, sources, 50.0);
-  EXPECT_EQ(second[0].get(), first[0].get());
-  expect_fresh(view, state, *second[0], 50.0);
+  view.trees_for(state, sources, 50.0);
+  expect_fresh(view, state, trees.from(0), 50.0);
 
   // Lower it again: a decrease on a tree with ties cannot be repaired
   // locally, so the tree is recomputed in full (and still exact).
   state.release(chord);
   view.apply_release(chord);
-  const auto third = view.trees_for(state, sources, 50.0);
-  expect_fresh(view, state, *third[0], 50.0);
+  view.trees_for(state, sources, 50.0);
+  expect_fresh(view, state, trees.from(0), 50.0);
 #if NFVM_OBS
   EXPECT_EQ(counters.since("graph.sp_repair.trees_kept"), 1u);
   EXPECT_EQ(counters.since("graph.sp_repair.tie_fallbacks"), 1u);

@@ -2,17 +2,19 @@
 // level-synchronous breadth-first search instead of the 4-ary heap; it must
 // return the heap's trees bit for bit (dist, parent AND parent_edge) with
 // the same scan and relax counts, the CSR weight inspection must select it
-// only when every weight is 1.0, and the batched multi-source SSSP must
-// reproduce the sequential per-source loop byte-for-byte at any thread
-// count. The suite keeps the name of the Dial bucket ring the search
-// replaced. See the argument above SpEngine::run_bfs and
-// docs/performance.md "SP engine internals".
+// only when every weight is 1.0, and the batched multi-source SSSP
+// (SpBatch: graph::TreeTable::compute) must reproduce a fresh per-source run
+// byte-for-byte at any thread count while keeping every held tree in place.
+// The suite keeps the name of the Dial bucket ring the search replaced.
+// See the argument above SpEngine::run_bfs and docs/performance.md "SP
+// engine internals".
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -244,31 +246,87 @@ TEST(SpDial, OversizedIntegerWeightSelectsHeap) {
   expect_trees_equal(sp, reference_dijkstra(g, 0).tree);
 }
 
+/// graph::TreeTable, the batched multi-source SSSP, at a pool of
+/// GetParam() threads.
 class SpBatch : public ::testing::TestWithParam<std::size_t> {
  protected:
+  void SetUp() override { util::ThreadPool::set_global_threads(GetParam()); }
   void TearDown() override { util::ThreadPool::set_global_threads(1); }
 };
 
-TEST_P(SpBatch, BatchedSsspMatchesSequentialLoop) {
-  util::ThreadPool::set_global_threads(GetParam());
-  for (std::uint64_t seed : {5u, 19u}) {
-    util::Rng rng(seed);
-    const topo::Topology topo = topo::make_waxman(80, rng);
-    const Graph& g = topo.graph;
-    std::vector<VertexId> sources;
-    for (VertexId v = 0; v < g.num_vertices(); v += 3) sources.push_back(v);
+/// A random multigraph from random_unit_multigraph, its weights kept at 1.0
+/// (the breadth-first search) or redrawn from {1, 2, a real in [0.5, 4)}
+/// (the heap, with ties).
+Graph random_table_graph(util::Rng& rng, std::size_t n, bool unit) {
+  const Graph shape = random_unit_multigraph(rng, n);
+  if (unit) return shape;
+  Graph g(n);
+  for (EdgeId e = 0; e < shape.num_edges(); ++e) {
+    const Edge& ed = shape.edge(e);
+    const double w = rng.bernoulli(0.5) ? static_cast<double>(rng.uniform_int(1, 2))
+                                        : rng.uniform_real(0.5, 4.0);
+    g.add_edge(ed.u, ed.v, w);
+  }
+  return g;
+}
 
-    const std::vector<ShortestPaths> batch = batch_dijkstra(g, sources);
-    ASSERT_EQ(batch.size(), sources.size());
-    SpEngine engine;
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      expect_trees_equal(batch[i], engine.shortest_paths(g, sources[i]));
+/// `count` random roots on an n-vertex graph, the first one repeated last.
+std::vector<VertexId> random_roots(util::Rng& rng, std::size_t n, std::size_t count) {
+  std::vector<VertexId> roots;
+  for (std::size_t k = 0; k < count; ++k) {
+    roots.push_back(static_cast<VertexId>(rng.next_below(n)));
+  }
+  roots.push_back(roots.front());
+  return roots;
+}
+
+std::size_t distinct_count(std::vector<VertexId> roots) {
+  std::sort(roots.begin(), roots.end());
+  return static_cast<std::size_t>(std::unique(roots.begin(), roots.end()) -
+                                  roots.begin());
+}
+
+/// The tree SpEngine::compute returns from `root` on a fresh engine.
+ShortestPaths fresh_tree(const Graph& g, VertexId root,
+                         std::span<const std::uint8_t> mask) {
+  SpEngine engine;
+  ShortestPaths tree;
+  tree.source = root;
+  engine.compute(g, tree, mask);
+  return tree;
+}
+
+// Random masked and unmasked multigraphs (unit and mixed weights, parallel
+// edges, self-loops, isolated vertices) with repeated roots: every tree
+// equals a fresh SpEngine::compute bit for bit, and the returned count is
+// the number of distinct roots, each computed once.
+TEST_P(SpBatch, BatchedSsspMatchesSequentialLoop) {
+  util::Rng rng(5019);
+  for (const std::size_t n : {1u, 2u, 63u, 64u, 65u, 129u, 200u}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const Graph g = random_table_graph(rng, n, trial % 2 == 0);
+      const std::vector<std::uint8_t> mask =
+          trial < 2 ? random_mask(rng, g.num_edges()) : std::vector<std::uint8_t>{};
+      const std::vector<VertexId> roots =
+          random_roots(rng, n, static_cast<std::size_t>(rng.uniform_int(1, 12)));
+      const std::string where = "n " + std::to_string(n) + " trial " +
+                                std::to_string(trial);
+      TreeTable table;
+      const test::CounterBaseline counters;
+      EXPECT_EQ(table.compute(g, roots, mask), distinct_count(roots)) << where;
+#if NFVM_OBS
+      EXPECT_EQ(counters.since("graph.dijkstra.runs"), distinct_count(roots)) << where;
+#endif
+      for (const VertexId r : roots) {
+        SCOPED_TRACE(where + " root " + std::to_string(r));
+        ASSERT_TRUE(table.has(r));
+        expect_trees_equal(table.from(r), fresh_tree(g, r, mask));
+      }
     }
   }
 }
 
 TEST_P(SpBatch, MaskedBatchMatchesSequentialMaskedLoop) {
-  util::ThreadPool::set_global_threads(GetParam());
   util::Rng rng(31);
   const topo::Topology topo = topo::make_waxman(80, rng);
   const Graph& g = topo.graph;
@@ -277,13 +335,81 @@ TEST_P(SpBatch, MaskedBatchMatchesSequentialMaskedLoop) {
   std::vector<VertexId> sources;
   for (VertexId v = 0; v < g.num_vertices(); v += 4) sources.push_back(v);
 
-  const std::vector<ShortestPaths> batch = batch_dijkstra(g, sources, mask);
-  ASSERT_EQ(batch.size(), sources.size());
+  TreeTable table;
+  ASSERT_EQ(table.compute(g, sources, mask), sources.size());
   SpEngine engine;
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    expect_trees_equal(batch[i],
-                       reference::shortest_paths_masked(engine, g, sources[i], mask));
+  for (const VertexId s : sources) {
+    expect_trees_equal(table.from(s),
+                       reference::shortest_paths_masked(engine, g, s, mask));
   }
+}
+
+// A compute() that adds roots, many more than the first one held, neither
+// moves nor rewrites an earlier tree, and recomputes none of them.
+TEST_P(SpBatch, AddedRootsLeaveEarlierTreesInPlace) {
+  util::Rng rng(77);
+  const Graph g = random_table_graph(rng, 150, false);
+  const std::vector<std::uint8_t> mask = random_mask(rng, g.num_edges());
+  const std::vector<VertexId> first = {3, 140, 3, 77};
+  TreeTable table;
+  ASSERT_EQ(table.compute(g, first, mask), 3u);
+  std::vector<const ShortestPaths*> held;
+  std::vector<ShortestPaths> copies;
+  for (const VertexId r : first) {
+    held.push_back(&table.from(r));
+    copies.push_back(table.from(r));
+  }
+  std::vector<VertexId> more(first.begin(), first.end());
+  for (VertexId v = 0; v < g.num_vertices(); v += 2) more.push_back(v);
+  const test::CounterBaseline counters;
+  const std::size_t added = table.compute(g, more, mask);
+  EXPECT_EQ(added, distinct_count(more) - 3);
+#if NFVM_OBS
+  EXPECT_EQ(counters.since("graph.dijkstra.runs"), added);
+#endif
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    SCOPED_TRACE("root " + std::to_string(first[i]));
+    EXPECT_EQ(&table.from(first[i]), held[i]);
+    expect_trees_equal(*held[i], copies[i]);
+  }
+  for (const VertexId r : more) {
+    SCOPED_TRACE("root " + std::to_string(r));
+    expect_trees_equal(table.from(r), fresh_tree(g, r, mask));
+  }
+}
+
+// clear() forgets every tree, so the next compute() recomputes each root
+// (under another mask here); a bad root or a short mask throws before
+// anything is computed.
+TEST_P(SpBatch, ClearRecomputesEveryRoot) {
+  util::Rng rng(78);
+  const Graph g = random_table_graph(rng, 90, true);
+  ASSERT_GT(g.num_edges(), 1u);
+  const std::vector<VertexId> roots = {8, 1, 8, 40, 89};
+  TreeTable table;
+  ASSERT_EQ(table.compute(g, roots), 4u);
+  table.clear();
+  for (const VertexId r : roots) {
+    EXPECT_FALSE(table.has(r));
+    EXPECT_THROW(table.from(r), std::logic_error);
+  }
+  const std::vector<std::uint8_t> mask = random_mask(rng, g.num_edges());
+  const test::CounterBaseline counters;
+  EXPECT_EQ(table.compute(g, roots, mask), 4u);
+#if NFVM_OBS
+  EXPECT_EQ(counters.since("graph.dijkstra.runs"), 4u);
+#endif
+  for (const VertexId r : roots) {
+    expect_trees_equal(table.from(r), fresh_tree(g, r, mask));
+  }
+
+  const std::vector<VertexId> bad = {2, 90};
+  EXPECT_THROW(table.compute(g, bad, mask), std::out_of_range);
+  EXPECT_FALSE(table.has(2));
+  const std::vector<std::uint8_t> short_mask(g.num_edges() - 1, 1);
+  EXPECT_THROW(table.compute(g, std::vector<VertexId>{2}, short_mask),
+               std::invalid_argument);
+  EXPECT_FALSE(table.has(2));
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, SpBatch, ::testing::Values(1u, 4u));

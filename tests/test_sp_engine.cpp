@@ -1,6 +1,6 @@
 // SpEngine: equivalence with the dijkstra() free function and the
-// historical heap loop, masked and batched runs, and CsrView staleness
-// tracking.
+// historical heap loop, masked runs (also through graph::TreeTable), and
+// CsrView staleness tracking.
 #include "graph/sp_engine.h"
 
 #include <gtest/gtest.h>
@@ -108,11 +108,10 @@ TEST(SpEngine, FilteredMatchesFreeFunction) {
   for (EdgeId e = 0; e < mask.size(); ++e) mask[e] = e % 3 != 0 ? 1 : 0;
   SpEngine engine;
   const VertexId source = 4;
-  const std::vector<ShortestPaths> batch =
-      batch_dijkstra(topo.graph, std::span<const VertexId>(&source, 1), mask);
-  ASSERT_EQ(batch.size(), 1u);
+  TreeTable table;
+  ASSERT_EQ(table.compute(topo.graph, std::span<const VertexId>(&source, 1), mask), 1u);
   expect_trees_equal(reference::shortest_paths_masked(engine, topo.graph, source, mask),
-                     batch[0]);
+                     table.from(source));
 }
 
 TEST(CsrView, MatchesAndRefreshTrackEpoch) {

@@ -10,12 +10,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "graph/csr.h"
 #include "graph/sp_engine.h"
+#include "obs_test_util.h"
 #include "reference/support.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -311,9 +312,8 @@ TEST(SpRepair, ParallelEdgesTakeTheFirstTightOne) {
   EXPECT_EQ(tree.parent_edge[1], 0u);
 }
 
-/// Drives an SpTreeStore through random steps with repeated sources,
-/// non-root sources and callers holding trees across steps; every slot must
-/// equal a fresh run, and a held tree must never change.
+/// Drives an SpTreeStore through random steps with repeated sources and
+/// non-root sources; every listed source's tree must equal a fresh run.
 void run_store_oracle(std::size_t threads) {
   GlobalThreadsGuard guard;
   util::ThreadPool::set_global_threads(threads);
@@ -328,8 +328,6 @@ void run_store_oracle(std::size_t threads) {
       if (rng.bernoulli(0.5)) roots.push_back(v);
     }
     SpTreeStore store(roots);
-    std::vector<std::shared_ptr<const ShortestPaths>> held;
-    std::vector<ShortestPaths> held_copies;
     for (int step = 0; step < 40; ++step) {
       random_step(rng, kind, g, mask);
       std::vector<VertexId> sources;
@@ -338,22 +336,13 @@ void run_store_oracle(std::size_t threads) {
         sources.push_back(static_cast<VertexId>(rng.next_below(g.num_vertices())));
       }
       if (!sources.empty()) sources.push_back(sources.front());  // a repeat
-      const auto trees = store.trees(g, sources, mask);
-      ASSERT_EQ(trees.size(), sources.size());
+      store.update(g, sources, mask);
       const std::string where = "graph " + std::to_string(graph_trial) +
                                 " step " + std::to_string(step);
       for (std::size_t i = 0; i < sources.size(); ++i) {
-        expect_same_tree(*trees[i],
+        expect_same_tree(store.from(sources[i]),
                          reference::shortest_paths_masked(fresh_engine, g, sources[i], mask),
                          where + " slot " + std::to_string(i));
-      }
-      EXPECT_EQ(trees.front().get(), trees.back().get()) << where;
-      for (std::size_t h = 0; h < held.size(); ++h) {
-        expect_same_tree(*held[h], held_copies[h], where + " held tree");
-      }
-      if (rng.bernoulli(0.3)) {
-        held.push_back(trees.front());
-        held_copies.push_back(*trees.front());
       }
     }
   }
@@ -371,14 +360,30 @@ TEST(SpRepair, StoreDropsEverythingOnClear) {
   SpTreeStore store(roots);
   const std::vector<std::uint8_t> mask(g.num_edges(), 1);
   const std::vector<VertexId> sources = {0, 1, 2};
-  const auto first = store.trees(g, sources, mask);
-  const auto again = store.trees(g, sources, mask);
-  EXPECT_EQ(again[0].get(), first[0].get());  // nothing changed: kept
-  EXPECT_NE(again[1].get(), first[1].get());  // transient: fresh each call
+  store.update(g, sources, mask);
+  const ShortestPaths tree_2 = store.from(2);
+  const test::CounterBaseline again;
+  store.update(g, sources, mask);
+#if NFVM_OBS
+  // Nothing changed: the roots are kept, only the other source is computed
+  // fresh.
+  EXPECT_EQ(again.since("graph.sp_repair.trees_kept"), 2u);
+  EXPECT_EQ(again.since("graph.dijkstra.runs"), 1u);
+#endif
   store.clear();
-  const auto rebuilt = store.trees(g, sources, mask);
-  EXPECT_NE(rebuilt[0].get(), first[0].get());
-  expect_same_tree(*rebuilt[2], *first[2], "after clear");
+  EXPECT_THROW(store.from(0), std::logic_error);
+  EXPECT_THROW(store.from(1), std::logic_error);
+  const test::CounterBaseline rebuilt;
+  store.update(g, sources, mask);
+#if NFVM_OBS
+  EXPECT_EQ(rebuilt.since("graph.dijkstra.runs"), 3u);
+  EXPECT_EQ(rebuilt.since("graph.sp_repair.trees_kept"), 0u);
+#endif
+  expect_same_tree(store.from(2), tree_2, "after clear");
+  // Only what the last update listed can be read.
+  store.update(g, std::vector<VertexId>{2}, mask);
+  EXPECT_THROW(store.from(0), std::logic_error);
+  EXPECT_THROW(store.from(1), std::logic_error);
 }
 
 }  // namespace
