@@ -221,8 +221,9 @@ SpEngine& SpEngine::thread_local_engine() {
 
 // --- TreeTable ----------------------------------------------------------------
 
-std::size_t TreeTable::compute(const Graph& g, std::span<const VertexId> roots,
-                               std::span<const std::uint8_t> edge_mask) {
+std::span<ShortestPaths* const> TreeTable::add(const Graph& g,
+                                               std::span<const VertexId> roots,
+                                               std::span<const std::uint8_t> edge_mask) {
   for (const VertexId r : roots) {
     if (!g.has_vertex(r)) throw std::out_of_range("dijkstra: invalid source vertex");
   }
@@ -239,16 +240,22 @@ std::size_t TreeTable::compute(const Graph& g, std::span<const VertexId> roots,
     tree_of_[r] = &tree;
     missing_.push_back(&tree);
   }
+  return missing_;
+}
+
+std::size_t TreeTable::compute(const Graph& g, std::span<const VertexId> roots,
+                               std::span<const std::uint8_t> edge_mask) {
+  const std::span<ShortestPaths* const> missing = add(g, roots, edge_mask);
   const auto compute_tree = [&](std::size_t k) {
-    SpEngine::thread_local_engine().compute(g, *missing_[k], edge_mask);
+    SpEngine::thread_local_engine().compute(g, *missing[k], edge_mask);
   };
   util::ThreadPool& pool = util::ThreadPool::global();
-  if (pool.num_threads() > 1 && missing_.size() > 1) {
-    pool.parallel_for(missing_.size(), compute_tree);
+  if (pool.num_threads() > 1 && missing.size() > 1) {
+    pool.parallel_for(missing.size(), compute_tree);
   } else {
-    for (std::size_t k = 0; k < missing_.size(); ++k) compute_tree(k);
+    for (std::size_t k = 0; k < missing.size(); ++k) compute_tree(k);
   }
-  return missing_.size();
+  return missing.size();
 }
 
 void TreeTable::clear() noexcept {

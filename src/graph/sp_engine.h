@@ -232,6 +232,15 @@ class TreeTable {
   std::size_t compute(const Graph& g, std::span<const VertexId> roots,
                       std::span<const std::uint8_t> edge_mask = {});
 
+  /// compute() without the runs, for an owner that fans them out with other
+  /// work: adds a tree for each of `roots` the table does not hold yet, once,
+  /// with only its source set, and returns them. The caller must fill each
+  /// with SpEngine::compute on `g` and `edge_mask` before reading it through
+  /// from(); the span stays valid until the next add(), compute() or
+  /// clear(). Throws like compute(), before adding anything.
+  std::span<ShortestPaths* const> add(const Graph& g, std::span<const VertexId> roots,
+                                      std::span<const std::uint8_t> edge_mask = {});
+
   bool has(VertexId v) const noexcept {
     return v < tree_of_.size() && tree_of_[v] != nullptr;
   }
@@ -253,7 +262,7 @@ class TreeTable {
   std::deque<ShortestPaths> trees_;
   std::size_t held_ = 0;
   std::vector<ShortestPaths*> tree_of_;  // by root; null when not held
-  std::vector<ShortestPaths*> missing_;  // compute() scratch
+  std::vector<ShortestPaths*> missing_;  // the trees the last add() added
 };
 
 }  // namespace nfvm::graph

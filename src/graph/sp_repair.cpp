@@ -409,24 +409,32 @@ void SpTreeStore::update(const Graph& g, std::span<const VertexId> sources,
     tasks.push_back(Task{&entry, set});
   }
 
+  // The other sources' fresh trees and the persistent trees' repairs run
+  // as one task list, so a pool opens one region per update.
   fresh_.clear();
-  fresh_.compute(g, fresh_sources_, edge_mask);
+  const std::span<ShortestPaths* const> fresh = fresh_.add(g, fresh_sources_, edge_mask);
   const auto run_task = [&](std::size_t k) {
-    Entry& entry = *tasks[k].entry;
     SpEngine& engine = SpEngine::thread_local_engine();
-    if (tasks[k].changes >= 0) {
-      engine.repair(g, entry.tree, change_sets[tasks[k].changes].second, edge_mask,
+    if (k < fresh.size()) {
+      engine.compute(g, *fresh[k], edge_mask);
+      return;
+    }
+    const Task& task = tasks[k - fresh.size()];
+    Entry& entry = *task.entry;
+    if (task.changes >= 0) {
+      engine.repair(g, entry.tree, change_sets[task.changes].second, edge_mask,
                     entry.tie_free);
       return;
     }
     engine.compute(g, entry.tree, edge_mask);
     entry.tie_free = engine.tie_free(g, entry.tree, edge_mask);
   };
+  const std::size_t num_tasks = fresh.size() + tasks.size();
   util::ThreadPool& pool = util::ThreadPool::global();
-  if (pool.num_threads() > 1 && tasks.size() > 1) {
-    pool.parallel_for(tasks.size(), run_task);
+  if (pool.num_threads() > 1 && num_tasks > 1) {
+    pool.parallel_for(num_tasks, run_task);
   } else {
-    for (std::size_t k = 0; k < tasks.size(); ++k) run_task(k);
+    for (std::size_t k = 0; k < num_tasks; ++k) run_task(k);
   }
 }
 

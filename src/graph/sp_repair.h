@@ -44,8 +44,8 @@
 // source's tree is computed fresh on each update into a graph::TreeTable
 // whose buffers are reused across calls. The store is plain per-owner
 // state — no globals, no thread-locals — so two owners replaying the same
-// stream do identical work. Not thread-safe; repairs of different trees fan
-// out over util::ThreadPool::global().
+// stream do identical work. Not thread-safe; an update's fresh trees and
+// repairs fan out together, one pool region, over util::ThreadPool::global().
 #pragma once
 
 #include <cstdint>

@@ -5,11 +5,9 @@
 
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <exception>
 #include <iostream>
-#include <mutex>
 #include <thread>
 
 #include "obs/event_log.h"
@@ -30,37 +28,40 @@ void strip_cr(std::string& line) {
 
 }  // namespace
 
-bool FdLineSource::next(std::string& line) {
+ReadStatus FdLineSource::next(std::string& line, bool wait) {
   for (;;) {
     const std::size_t newline = buffer_.find('\n');
     if (newline != std::string::npos) {
       line.assign(buffer_, 0, newline);
       buffer_.erase(0, newline + 1);
       strip_cr(line);
-      return true;
+      return ReadStatus::kLine;
     }
     if (eof_) {
-      if (buffer_.empty()) return false;
+      if (buffer_.empty()) return ReadStatus::kEnd;
       line = std::move(buffer_);
       buffer_.clear();
       strip_cr(line);
-      return true;
+      return ReadStatus::kLine;
     }
     if (stop_ != nullptr && stop_->load(std::memory_order_relaxed)) {
-      return false;
+      return ReadStatus::kEnd;
     }
     pollfd pfd{fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, 200);
+    const int ready = ::poll(&pfd, 1, wait ? 200 : 0);
     if (ready < 0) {
       if (errno == EINTR) continue;
-      return false;
+      return ReadStatus::kEnd;
     }
-    if (ready == 0) continue;
+    if (ready == 0) {
+      if (!wait) return ReadStatus::kPending;
+      continue;
+    }
     char chunk[4096];
     const ssize_t n = ::read(fd_, chunk, sizeof chunk);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return false;
+      return ReadStatus::kEnd;
     }
     if (n == 0) {
       eof_ = true;
@@ -165,52 +166,38 @@ DaemonStats Daemon::run(LineSource& source, std::ostream& out) {
     Clock::time_point enqueued;
   };
   std::deque<Item> queue;
-  std::mutex mutex;
-  std::condition_variable queue_room;
-  std::condition_variable queue_ready;
   bool input_done = false;
-  std::atomic<bool> halt{false};  // drain command: stop the reader too
-
-  std::thread reader([&] {
-    std::string line;
-    while (!halt.load(std::memory_order_relaxed) && !stopping() &&
-           source.next(line)) {
-      std::unique_lock<std::mutex> lock(mutex);
-      queue_room.wait(lock, [&] {
-        return queue.size() < options_.max_inflight ||
-               halt.load(std::memory_order_relaxed);
-      });
-      if (halt.load(std::memory_order_relaxed)) break;
-      queue.push_back(Item{std::move(line), Clock::now()});
-      queue_ready.notify_one();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      input_done = true;
-    }
-    queue_ready.notify_one();
-  });
+  std::string line;
+  // Queues the source's next line, stamped as it enters; without `wait`,
+  // only one it can deliver without blocking. True when a line was queued.
+  const auto enqueue = [&](bool wait) {
+    const ReadStatus status = source.next(line, wait);
+    if (status == ReadStatus::kLine) queue.push_back(Item{std::move(line), Clock::now()});
+    if (status == ReadStatus::kEnd) input_done = true;
+    return status == ReadStatus::kLine;
+  };
 
   std::string stop_cause = "eof";
   for (;;) {
-    Item item;
-    {
-      std::unique_lock<std::mutex> lock(mutex);
-      // wait_for, not wait: the stop flag is flipped from a signal handler,
-      // which cannot notify a condition variable.
-      while (queue.empty() && !input_done && !stopping()) {
-        queue_ready.wait_for(lock, std::chrono::milliseconds(50));
-      }
-      if (stopping()) {
-        // Graceful drain: queued lines are dropped unanswered; the snapshot
-        // cursor only ever covers replied lines, so nothing is lost.
-        stop_cause = "signal";
-        break;
-      }
-      if (queue.empty()) break;  // input_done
-      item = std::move(queue.front());
-      queue.pop_front();
-      queue_room.notify_one();
+    if (stopping()) {
+      // Graceful drain: queued lines are dropped unanswered; the snapshot
+      // cursor only ever covers replied lines, so nothing is lost.
+      stop_cause = "signal";
+      break;
+    }
+    if (queue.empty()) {
+      if (input_done) break;
+      // The source's poll wakes every 200 ms, so a stop flag set by a
+      // signal handler is seen while the peer is silent.
+      enqueue(/*wait=*/true);
+      continue;
+    }
+    Item item = std::move(queue.front());
+    queue.pop_front();
+    // Refill before handling: whatever arrived while the last line was
+    // handled starts its queue wait now, not after this line.
+    while (!input_done && queue.size() < options_.max_inflight) {
+      if (!enqueue(/*wait=*/false)) break;
     }
     const double queued_us =
         std::chrono::duration<double, std::micro>(Clock::now() - item.enqueued)
@@ -221,9 +208,6 @@ DaemonStats Daemon::run(LineSource& source, std::ostream& out) {
       break;
     }
   }
-  halt.store(true, std::memory_order_relaxed);
-  queue_room.notify_all();
-  reader.join();
 
   if (!options_.snapshot_path.empty()) {
     try {
@@ -253,9 +237,15 @@ DaemonStats Daemon::run(LineSource& source, std::ostream& out) {
 }
 
 void Daemon::write_reply(std::ostream& out, std::string_view reply) {
-  // Flush per line: a kill -9 must never take back a reply the client saw,
-  // and the crash gate counts on replies_emitted >= any snapshot's cursor.
-  out << reply << '\n' << std::flush;
+  // One write: on an unbuffered socket stream a separate newline is a
+  // second write(2), and the first can wake the client on a line with no
+  // newline yet. Flush per line: a kill -9 must never take back a reply the
+  // client saw, and the crash gate counts on replies_emitted >= any
+  // snapshot's cursor.
+  reply_line_.assign(reply);
+  reply_line_ += '\n';
+  out.write(reply_line_.data(), static_cast<std::streamsize>(reply_line_.size()));
+  out.flush();
   ++replies_emitted_;
 }
 

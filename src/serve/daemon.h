@@ -1,12 +1,16 @@
 // The nfvm-serve admission daemon: a long-lived loop around
 // core::OnlineAlgorithm that speaks the serve/protocol.h JSONL protocol.
 //
-// Architecture: a reader thread pulls lines from a LineSource into a bounded
-// inflight queue (capacity --max-inflight; a full queue blocks the reader,
-// giving natural backpressure on pipes and sockets). The main loop pops one
-// line at a time, applies any scheduled faults, parses, dispatches, and
-// writes exactly one reply line - flushed immediately, so a kill -9 can
-// never lose output the client already saw.
+// Architecture: one loop, no reader thread. It takes the next line from a
+// bounded inflight queue (capacity --max-inflight), moves every line the
+// LineSource can deliver without blocking into the queue (each stamped as it
+// enters, which starts its queue wait), then applies any scheduled faults to
+// the taken line, parses, dispatches, and writes exactly one reply line - in
+// one write, flushed immediately, so a kill -9 can never lose output the
+// client already saw. Only an empty queue makes the loop block in the
+// source. A full queue leaves lines unread in the pipe or socket, which is
+// natural backpressure on the client; a line that arrives while another is
+// being handled enters the queue when that handling ends.
 //
 // Robustness contract:
 //   * every input line gets exactly one reply, malformed ones a structured
@@ -42,24 +46,33 @@
 
 namespace nfvm::serve {
 
+/// What LineSource::next found.
+enum class ReadStatus : std::uint8_t {
+  kLine,     ///< `line` holds the next line
+  kPending,  ///< no whole line can be read without blocking (wait = false)
+  kEnd,      ///< end of input, a read error, or a stop request
+};
+
 /// Pull-based source of input lines (newline already stripped).
 class LineSource {
  public:
   virtual ~LineSource() = default;
-  /// Blocks for the next line; false at end of input or after a stop
-  /// request. `line` is overwritten on success.
-  virtual bool next(std::string& line) = 0;
+  /// Takes the next line into `line`. With `wait`, blocks until a line
+  /// arrives or input ends; without, returns kPending at once when no whole
+  /// line can be read without blocking.
+  virtual ReadStatus next(std::string& line, bool wait) = 0;
 };
 
 /// Lines from a file descriptor (stdin, an accepted Unix-socket connection)
 /// via poll(2), so a pending stop flag is honoured within ~200 ms even when
-/// the peer goes silent, and EINTR from signal delivery is harmless.
+/// the peer goes silent, and EINTR from signal delivery is harmless. A read
+/// without `wait` polls with a zero timeout.
 class FdLineSource final : public LineSource {
  public:
-  /// `stop` may be null; when set and true, next() returns false at the
+  /// `stop` may be null; when set and true, next() returns kEnd at the
   /// next poll wakeup. Does not take ownership of `fd`.
   FdLineSource(int fd, const std::atomic<bool>* stop) : fd_(fd), stop_(stop) {}
-  bool next(std::string& line) override;
+  ReadStatus next(std::string& line, bool wait) override;
 
  private:
   int fd_;
@@ -69,7 +82,8 @@ class FdLineSource final : public LineSource {
 };
 
 struct DaemonOptions {
-  /// Bounded inflight queue capacity; the reader blocks when full.
+  /// Bounded inflight queue capacity: a full queue stops the loop reading
+  /// more input until a line is taken.
   std::size_t max_inflight = 1024;
   /// Shed arrive commands older than this (queue wait) unevaluated;
   /// 0 disables. Keep 0 for runs that must be byte-reproducible.
@@ -134,6 +148,7 @@ class Daemon {
                      std::ostream& out);
   void handle_snapshot(const LinePosition& position, std::ostream& out);
   void emit_stats(std::ostream& out);
+  /// Hands `out` the reply and its newline in one write, then flushes.
   void write_reply(std::ostream& out, std::string_view reply);
   bool stopping() const noexcept {
     return options_.stop != nullptr &&
@@ -160,6 +175,7 @@ class Daemon {
   std::uint64_t last_released_ = 0;  ///< dup_depart fault target
   bool drain_requested_ = false;
   obs::HdrHistogram latency_;
+  std::string reply_line_;  ///< write_reply scratch: reply + '\n'
 };
 
 }  // namespace nfvm::serve

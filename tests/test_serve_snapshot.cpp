@@ -3,7 +3,9 @@
 // with byte-offset provenance, and the tentpole guarantee - a daemon
 // restored from a mid-stream snapshot continues the reply stream
 // byte-identically to an uninterrupted run, with departures interleaved, at
-// thread counts 1 and 4.
+// thread counts 1 and 4. Also the daemon loop: each reply reaches the
+// stream in one write, and a stall sheds exactly the arrives queued behind
+// it.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +13,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -18,6 +21,7 @@
 #include "core/online_view.h"
 #include "obs_test_util.h"
 #include "serve/daemon.h"
+#include "serve/fault_plan.h"
 #include "serve/snapshot.h"
 #include "serve/trace_gen.h"
 #include "topology/waxman.h"
@@ -64,14 +68,15 @@ std::size_t count_lines(const std::string& text) {
   return n;
 }
 
-/// Lines from a std::istream, CR-stripped like the daemon's fd reader.
+/// Lines from a std::istream, CR-stripped like the daemon's fd reader. It
+/// never blocks: every line is there already.
 class IstreamLineSource final : public LineSource {
  public:
   explicit IstreamLineSource(std::istream& in) : in_(in) {}
-  bool next(std::string& line) override {
-    if (!std::getline(in_, line)) return false;
+  ReadStatus next(std::string& line, bool /*wait*/) override {
+    if (!std::getline(in_, line)) return ReadStatus::kEnd;
     if (!line.empty() && line.back() == '\r') line.pop_back();
-    return true;
+    return ReadStatus::kLine;
   }
 
  private:
@@ -379,6 +384,97 @@ TEST(ServeSnapshot, ViewWeightsAreAPureFunctionOfRestoredResiduals) {
   // the rebuild applied no patch.
   EXPECT_EQ(counters.since("core.online.view_patches"), patches);
 #endif
+}
+
+// ---------------------------------------------------------------------------
+// Reply writes and overload shedding
+// ---------------------------------------------------------------------------
+
+/// Keeps each call a stream makes on it as one entry; with no put area,
+/// every character reaches xsputn or overflow, as on nfvm-serve's
+/// unbuffered socket stream, where each call is one write(2).
+class WriteRecorder final : public std::streambuf {
+ public:
+  std::vector<std::string> writes;
+
+ protected:
+  int overflow(int ch) override {
+    if (ch == traits_type::eof()) return traits_type::not_eof(ch);
+    writes.emplace_back(1, static_cast<char>(ch));
+    return ch;
+  }
+  std::streamsize xsputn(const char* data, std::streamsize count) override {
+    writes.emplace_back(data, static_cast<std::size_t>(count));
+    return count;
+  }
+};
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+TEST(ServeDaemon, EveryReplyIsOneWriteEndingInNewline) {
+  const topo::Topology topo = make_topo();
+  core::OnlineCp algorithm(topo);
+  // Every reply kind: arrive, depart, parse error, stats, a snapshot with no
+  // path configured, drain.
+  const std::string input = head_lines(make_trace(topo, 40), 60) +
+                            "{not json\n"
+                            "{\"cmd\":\"stats\"}\n"
+                            "{\"cmd\":\"snapshot\"}\n"
+                            "{\"cmd\":\"drain\"}\n";
+  Daemon daemon(algorithm, test_config(), DaemonOptions{});
+  std::istringstream in(input);
+  IstreamLineSource source(in);
+  WriteRecorder recorder;
+  std::ostream out(&recorder);
+  const DaemonStats stats = daemon.run(source, out);
+  EXPECT_EQ(stats.stop_cause, "drain");
+  ASSERT_EQ(recorder.writes.size(), count_lines(input));
+  EXPECT_EQ(stats.replies_emitted, recorder.writes.size());
+  for (std::size_t i = 0; i < recorder.writes.size(); ++i) {
+    const std::string& write = recorder.writes[i];
+    EXPECT_EQ(write.find('\n'), write.size() - 1)
+        << "reply " << i + 1 << " is not one line ending in a newline: " << write;
+  }
+}
+
+TEST(ServeDaemon, StallShedsExactlyTheArrivesQueuedBehindIt) {
+  // A 100 ms stall at line k with a 4-line queue and a 20 ms deadline: the
+  // lines k+1..k+4 are queued before the stall starts, so its arrives are
+  // shed; line k+5 enters the queue after it and is served.
+  constexpr std::size_t kStallLine = 40;
+  constexpr std::size_t kQueue = 4;
+  util::Rng rng(11);
+  const topo::Topology topo = topo::make_waxman(30, rng);
+  const std::string input = make_trace(topo, 60);
+  const std::vector<std::string> trace = split_lines(input);
+  DaemonOptions options;
+  options.max_inflight = kQueue;
+  options.request_deadline_ms = 20.0;
+  options.fault_plan = FaultPlan::parse(
+      R"({"schema": "nfvm-fault-plan-v1", "seed": 1, "faults": [{"line": )" +
+      std::to_string(kStallLine) + R"(, "kind": "stall_ms", "value": 100}]})");
+  core::OnlineCp algorithm(topo);
+  const std::vector<std::string> replies =
+      split_lines(run_daemon(algorithm, input, options));
+  ASSERT_EQ(replies.size(), trace.size());
+
+  std::vector<std::size_t> shed;
+  std::vector<std::size_t> expected;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const std::size_t number = i + 1;
+    if (replies[i].find("\"shed\":true") != std::string::npos) shed.push_back(number);
+    if (number > kStallLine && number <= kStallLine + kQueue &&
+        trace[i].starts_with("{\"cmd\":\"arrive\"")) {
+      expected.push_back(number);
+    }
+  }
+  ASSERT_FALSE(expected.empty()) << "no arrive line behind the stall";
+  EXPECT_EQ(shed, expected);
 }
 
 TEST(ServeSnapshot, RestoreVerifiesConfigEcho) {

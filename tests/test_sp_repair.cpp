@@ -386,5 +386,33 @@ TEST(SpRepair, StoreDropsEverythingOnClear) {
   EXPECT_THROW(store.from(1), std::logic_error);
 }
 
+#if NFVM_OBS
+TEST(SpRepair, StoreUpdateOpensOnePoolRegion) {
+  GlobalThreadsGuard guard;
+  util::ThreadPool::set_global_threads(4);
+  // A path 0 - 1 - ... - 7 with distinct weights: every tree is tie-free
+  // and every edge lies on every tree.
+  Graph g(8);
+  for (VertexId v = 0; v + 1 < 8; ++v) g.add_edge(v, v + 1, 1.0 + 0.125 * v);
+  const std::vector<VertexId> roots = {0, 7};
+  SpTreeStore store(roots);
+  const std::vector<std::uint8_t> mask(g.num_edges(), 1);
+  const std::vector<VertexId> sources = {0, 2, 5, 7};
+  store.update(g, sources, mask);
+  g.set_weight(3, 2.5);  // raises a tree edge of both roots
+  const test::CounterBaseline counters;
+  store.update(g, sources, mask);
+  // Two fresh trees and two repairs, fanned out together.
+  EXPECT_EQ(counters.since("graph.dijkstra.runs"), 2u);
+  EXPECT_EQ(counters.since("graph.sp_repair.trees_repaired"), 2u);
+  EXPECT_EQ(counters.since("pool.parallel_regions"), 1u);
+  SpEngine fresh_engine;
+  for (const VertexId s : sources) {
+    expect_same_tree(store.from(s), fresh_engine.shortest_paths(g, s),
+                     "source " + std::to_string(s));
+  }
+}
+#endif
+
 }  // namespace
 }  // namespace nfvm::graph

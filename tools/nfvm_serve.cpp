@@ -11,7 +11,8 @@
 //     --restore <file>       resume from a snapshot; the reply stream goes on
 //                            byte-identical to an uninterrupted run
 //     --max-inflight <n>     queue capacity (default 1024); a full queue
-//                            blocks the reader (backpressure)
+//                            leaves further lines unread in the pipe or
+//                            socket until one is taken (backpressure)
 //     --request-deadline-ms <x>  shed arrives queued longer than x ms
 //                            (reject_cause overload); 0, the default, disables
 //                            shedding and keeps runs byte-reproducible
@@ -164,7 +165,8 @@ std::map<std::string, std::string> snapshot_config(const Options& opts) {
 }
 
 /// Unbuffered std::streambuf over a connected socket fd, so Daemon::run can
-/// keep its per-line flush discipline on sockets too.
+/// keep its per-line flush discipline on sockets too: each write the daemon
+/// makes (one per reply, newline included) is one write(2).
 class FdStreambuf final : public std::streambuf {
  public:
   explicit FdStreambuf(int fd) : fd_(fd) {}
