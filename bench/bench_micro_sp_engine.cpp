@@ -7,7 +7,9 @@
 //   * batched multi-source SSSP (graph::TreeTable::compute, one pool task
 //     per tree) vs the equivalent per-source engine loop,
 //   * APSP builds at 1 / 2 / 4 worker threads (the test-only
-//     reference::AllPairsShortestPaths, which fans sources out on the pool).
+//     reference::AllPairsShortestPaths, which fans sources out on the pool),
+//   * Online_SP's closure on GEANT: per request, one table of breadth-first
+//     trees from a source and the nine servers under a fresh link mask.
 //
 // Every row carries a dist_checksum — the sum of finite shortest-path
 // distances produced by that case. The checksums are bit-deterministic, so
@@ -23,6 +25,7 @@
 #include "bench_common.h"
 #include "graph/sp_engine.h"
 #include "reference/apsp.h"
+#include "topology/geant.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -85,9 +88,10 @@ double apsp_checksum(const reference::AllPairsShortestPaths& apsp) {
 int main() {
   constexpr std::size_t kNodes = 200;
   constexpr std::size_t kSssspSources = 50;  // full-tree comparison sweep
+  constexpr std::size_t kClosureRequests = 2000;  // sp_closure_geant
 
   std::cout << "# micro: CSR SpEngine vs adjacency Dijkstra, breadth-first search, batched "
-               "SSSP, parallel APSP\n";
+               "SSSP, parallel APSP, Online_SP's GEANT closure\n";
   std::cout << "# dist_checksum columns are deterministic and gate in CI; "
                "*_ms / *time* columns do not\n";
 
@@ -100,16 +104,21 @@ int main() {
   // for the batch row; 0 elsewhere.
   util::Table table({"case", "n", "m", "reps", "time_ms", "dist_checksum",
                      "time_ratio"});
-  const auto row = [&](const std::string& name, std::size_t reps, double ms,
-                       double checksum, double speedup) {
+  const auto graph_row = [&](const std::string& name, const graph::Graph& on,
+                             std::size_t reps, double ms, double checksum,
+                             double speedup) {
     table.begin_row()
         .add(name)
-        .add(g.num_vertices())
-        .add(m)
+        .add(on.num_vertices())
+        .add(on.num_edges())
         .add(reps)
         .add(ms, 3)
         .add(checksum, 3)
         .add(speedup, 2);
+  };
+  const auto row = [&](const std::string& name, std::size_t reps, double ms,
+                       double checksum, double speedup) {
+    graph_row(name, g, reps, ms, checksum, speedup);
   };
 
   // --- adjacency reference vs CSR engine --------------------------------
@@ -228,6 +237,41 @@ int main() {
         watch.elapsed_ms(), apsp_checksum(apsp), 0.0);
   }
   util::ThreadPool::set_global_threads(1);
+
+  // --- Online_SP's closure on GEANT ----------------------------------------
+  // What Online_SP computes per request, with the link eligibility drawn
+  // instead of read from residuals: one table, cleared, then the trees from
+  // a seeded source and the nine servers (one tree when the source is a
+  // server) under a fresh mask allowing about 90% of the links. The masks
+  // and sources are drawn before the clock starts.
+  {
+    util::Rng geant_rng(4343);
+    const topo::Topology geant = topo::make_geant(geant_rng);
+    const graph::Graph& gg = geant.graph;
+    std::vector<std::vector<std::uint8_t>> masks(kClosureRequests);
+    std::vector<std::vector<graph::VertexId>> roots(kClosureRequests);
+    for (std::size_t r = 0; r < kClosureRequests; ++r) {
+      masks[r].resize(gg.num_edges());
+      for (std::uint8_t& allowed : masks[r]) allowed = geant_rng.bernoulli(0.9) ? 1 : 0;
+      roots[r].push_back(
+          static_cast<graph::VertexId>(geant_rng.next_below(gg.num_vertices())));
+      roots[r].insert(roots[r].end(), geant.servers.begin(), geant.servers.end());
+    }
+    graph::TreeTable closure;
+    double closure_ms = 0.0;
+    double closure_checksum = 0.0;
+    for (std::size_t r = 0; r < kClosureRequests; ++r) {
+      util::Stopwatch watch;
+      closure.clear();
+      closure.compute(gg, roots[r], masks[r]);
+      closure_ms += watch.elapsed_ms();
+      for (const graph::VertexId root : roots[r]) {
+        closure_checksum += tree_checksum(closure.from(root));
+      }
+    }
+    graph_row("sp_closure_geant", gg, kClosureRequests, closure_ms, closure_checksum,
+              0.0);
+  }
 
   bench::finish("micro_sp_engine", table);
   return 0;

@@ -17,13 +17,14 @@ namespace nfvm::core {
 /// Every request computes one tree per distinct root among the source and
 /// the servers that pass the compute gate, fresh on the topology graph over
 /// the links eligible at b_k, into a graph::TreeTable cleared per request.
-/// The topology's unit link weights make each tree a
-/// breadth-first search (graph/sp_engine.h), which costs less than diffing
-/// and repairing stored trees, so SP keeps no repair store and no working
-/// view. Candidates are priced with one parent walk, and pseudo-trees are
-/// assembled only for the cost-prune survivors. Decisions are
-/// bit-identical at any thread count. See docs/performance.md, "The online
-/// fast path".
+/// The topology's unit link weights make each tree a breadth-first search
+/// (graph/sp_engine.h) over bitset rows of the eligible links, which the
+/// table builds once per request for all of its trees; that costs less
+/// than diffing and repairing stored trees, so SP keeps no repair store
+/// and no working view. Candidates are priced with one parent walk, and
+/// pseudo-trees are assembled only for the cost-prune survivors. Decisions
+/// are bit-identical at any thread count. See docs/performance.md, "The
+/// online fast path".
 class OnlineSp final : public OnlineAlgorithm {
  public:
   explicit OnlineSp(const topo::Topology& topo) : OnlineAlgorithm(topo) {}

@@ -52,6 +52,10 @@ class CsrView {
     return offsets_.empty() ? 0 : offsets_.size() - 1;
   }
 
+  /// Packed entries of all vertices: one per endpoint of each edge, one
+  /// for a self-loop.
+  std::size_t num_entries() const noexcept { return entries_.size(); }
+
   /// Packed out-entries of `v`, in Graph::neighbors order. `v` must be a
   /// valid vertex of the source graph (unchecked: hot path).
   std::span<const CsrEntry> out(VertexId v) const noexcept {

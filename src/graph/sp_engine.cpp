@@ -11,6 +11,31 @@
 
 namespace nfvm::graph {
 
+namespace {
+
+std::uint32_t word_of(VertexId v) { return static_cast<std::uint32_t>(v >> 6); }
+std::uint64_t bit_of(VertexId v) { return std::uint64_t{1} << (v & 63); }
+
+/// The number of set bits of `bits` below bit `b`. Counted inline:
+/// std::popcount is a library call on a build without -mpopcnt.
+unsigned rank_below(std::uint64_t bits, int b) {
+  std::uint64_t x = bits & ((std::uint64_t{1} << b) - 1);
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  return static_cast<unsigned>((x * 0x0101010101010101ULL) >> 56);
+}
+
+/// Resets `tree` to "nothing reached" from `source` on an n-vertex graph.
+void reset_tree(ShortestPaths& tree, VertexId source, std::size_t n) {
+  tree.source = source;
+  tree.dist.assign(n, kInfiniteDistance);
+  tree.parent.assign(n, kInvalidVertex);
+  tree.parent_edge.assign(n, kInvalidEdge);
+}
+
+}  // namespace
+
 // --- SpEngine ---------------------------------------------------------------
 
 void SpEngine::heap_update(VertexId v, double d) {
@@ -62,6 +87,7 @@ void SpEngine::prepare(const Graph& g) {
   view_.refresh(g);
   const std::size_t n = g.num_vertices();
   if (stamp_.size() < n) {
+    claims_.resize(n);  // each kept claim reaches a new vertex
     stamp_.resize(n, 0);
     mark_.resize(n, 0);
     settled_.resize(n, 0);
@@ -72,8 +98,9 @@ void SpEngine::prepare(const Graph& g) {
     seen_.resize(words, 0);
     level_.resize(words, 0);
     next_level_.resize(words, 0);
-    level_words_.reserve(words);  // a level touches each word at most once
-    next_level_words_.reserve(words);
+    // A level lists each word at most once, plus the search's spare write.
+    level_words_.resize(words + 1);
+    next_level_words_.resize(words + 1);
   }
   if (++generation_ == 0) {  // wrapped: stamps are ambiguous, hard reset
     std::fill(stamp_.begin(), stamp_.end(), 0);
@@ -112,80 +139,160 @@ void SpEngine::run_heap(ShortestPaths& tree, const std::uint8_t* edge_mask) {
   NFVM_COUNTER_ADD("graph.dijkstra.edges_relaxed", edges_relaxed);
 }
 
-// Level-synchronous breadth-first search. Precondition (checked by the CSR
-// weight inspection): every edge weight is exactly 1.0. The heap settles
-// the vertices in (distance, id) order, and with unit weights the first
-// relaxation of a vertex already carries its final distance, so its parent
-// is the first settled in-neighbour with an allowed edge: the smallest-id
-// vertex of the previous level, through that vertex's first allowed edge
-// in adjacency order. Draining each level's bitset word by word in
-// ascending word index, and each word from its lowest bit, scans the
-// levels in exactly that order; a vertex counts as relaxed once, when it
-// is first seen, and every scanned edge is one the heap scans too. Only
-// the words a level touched are drained, so a run stays O(n + m) on
-// long-diameter graphs.
-void SpEngine::run_bfs(ShortestPaths& tree, const std::uint8_t* edge_mask) {
-  NFVM_OBS_ONLY(std::uint64_t edges_scanned = 0; std::uint64_t edges_relaxed = 0;)
-  double* const dist = tree.dist.data();
-  VertexId* const parent = tree.parent.data();
-  EdgeId* const parent_edge = tree.parent_edge.data();
-  const auto word = [](VertexId v) { return static_cast<std::uint32_t>(v >> 6); };
-  const auto bit = [](VertexId v) { return std::uint64_t{1} << (v & 63); };
+// One backward pass over each vertex's entries, with no branch on the
+// mask: an allowed entry sets its neighbour's bit in the vertex's pending
+// words and writes its edge as the neighbour's first edge (a masked one
+// writes into the spare slot n), so the first allowed entry in adjacency
+// order writes last and stays. Each filled word then closes as one run.
+void SpEngine::BitsetRows::build(const CsrView& view, const std::uint8_t* edge_mask) {
+  const std::size_t n = view.num_vertices();
+  rows.resize(n + 1);
+  runs.resize(view.num_entries());
+  edges.resize(view.num_entries());
+  const std::size_t words = (n + 63) / 64;
+  if (pending.size() < words) {
+    pending.resize(words, 0);
+    // A vertex lists each word it fills once, plus the loop's spare write.
+    pending_words.resize(words + 1);
+  }
+  if (pending_edge.size() < n + 1) pending_edge.resize(n + 1);
+  std::uint64_t* const pend = pending.data();
+  std::uint32_t* const filled = pending_words.data();
+  EdgeId* const first_edge = pending_edge.data();
+  std::uint32_t run = 0;
+  std::uint32_t edge = 0;
+  for (VertexId u = 0; u < n; ++u) {
+    const std::span<const CsrEntry> out = view.out(u);
+    std::uint32_t allowed = 0;
+    std::uint32_t num_filled = 0;
+    for (std::size_t i = out.size(); i-- > 0;) {
+      const CsrEntry& entry = out[i];
+      const std::uint32_t ok = edge_mask == nullptr || edge_mask[entry.edge] != 0;
+      const VertexId v = entry.neighbor;
+      std::uint64_t& word = pend[word_of(v)];
+      filled[num_filled] = word_of(v);
+      num_filled += ok & static_cast<std::uint32_t>(word == 0);
+      word |= bit_of(v) & (std::uint64_t{0} - ok);
+      // v when allowed, n when masked, selected without a branch.
+      const VertexId slot = v ^ ((v ^ static_cast<VertexId>(n)) & (ok - 1));
+      first_edge[slot] = entry.edge;
+      allowed += ok;
+    }
+    rows[u] = Row{run, allowed};
+    for (std::uint32_t k = 0; k < num_filled; ++k) {
+      const std::uint32_t w = filled[k];
+      const std::uint64_t bits = std::exchange(pend[w], 0);
+      runs[run++] = Run{bits, w, edge};
+      for (std::uint64_t rest = bits; rest != 0; rest &= rest - 1) {
+        edges[edge++] = first_edge[(VertexId{w} << 6) |
+                                   static_cast<VertexId>(std::countr_zero(rest))];
+      }
+    }
+  }
+  rows[n] = Row{run, 0};
+}
 
-  std::fill_n(seen_.begin(), (view_.num_vertices() + 63) / 64, 0);
-  seen_[word(tree.source)] = bit(tree.source);
-  level_[word(tree.source)] = bit(tree.source);
-  level_words_.assign(1, word(tree.source));
-  // nd is the distance of the level being found, one past the level drained.
-  for (double nd = 1.0; !level_words_.empty(); nd += 1.0) {
-    std::sort(level_words_.begin(), level_words_.end());
-    next_level_words_.clear();
-    for (const std::uint32_t w : level_words_) {
-      for (std::uint64_t bits = std::exchange(level_[w], 0); bits != 0;
+// Level-synchronous breadth-first search over bitset rows. Precondition
+// (checked by the CSR weight inspection): every edge weight is exactly 1.0.
+// The heap settles the vertices in (distance, id) order, and with unit
+// weights the first relaxation of a vertex already carries its final
+// distance, so its parent is the first settled in-neighbour with an allowed
+// edge: the smallest-id vertex of the previous level, through that vertex's
+// first allowed edge in adjacency order. Each level is drained word by word
+// in ascending word index and each word from its lowest bit, so its
+// vertices settle in ascending id; a settled vertex claims, from each of
+// its runs, the bits not seen yet (fresh = bits & ~seen), so every vertex
+// is claimed by the first settled vertex of the previous level that
+// reaches it, through the run's first allowed edge to it: the heap's tree.
+// The first pass only finds the levels and logs each nonempty claim, with
+// no branch per run; the second writes each claimed vertex's label in log
+// order, where its claimer's distance is already final. The heap scans
+// every allowed entry of a settled vertex and relaxes each reached vertex
+// once, so the search adds a settled vertex's allowed-entry count to
+// edges_scanned and counts each claimed vertex as one relaxation. Only the
+// words a level touched are drained, so a run stays O(n + m) on
+// long-diameter graphs.
+void SpEngine::run_bfs(ShortestPaths& tree, const BitsetRows& rows) {
+  NFVM_OBS_ONLY(std::uint64_t edges_scanned = 0; std::uint64_t edges_relaxed = 0;)
+  std::uint64_t* const seen = seen_.data();
+  std::uint64_t* level = level_.data();
+  std::uint64_t* next_level = next_level_.data();
+  // The words each level fills, each listed once: every run writes its
+  // word at the end of the next level's list and keeps it only when it
+  // fills the word first. Claims are logged the same way.
+  std::uint32_t* level_words = level_words_.data();
+  std::uint32_t* next_level_words = next_level_words_.data();
+  BfsClaim* const claims = claims_.data();
+  const BitsetRows::Row* const row = rows.rows.data();
+  const BitsetRows::Run* const runs = rows.runs.data();
+
+  std::fill_n(seen, (view_.num_vertices() + 63) / 64, 0);
+  seen[word_of(tree.source)] = bit_of(tree.source);
+  level[word_of(tree.source)] = bit_of(tree.source);
+  level_words[0] = word_of(tree.source);
+  std::size_t num_claims = 0;
+  for (std::size_t num_level_words = 1; num_level_words != 0;) {
+    if (num_level_words > 1) std::sort(level_words, level_words + num_level_words);
+    std::size_t num_next_words = 0;
+    for (std::size_t i = 0; i < num_level_words; ++i) {
+      const std::uint32_t w = level_words[i];
+      for (std::uint64_t bits = std::exchange(level[w], 0); bits != 0;
            bits &= bits - 1) {
         const VertexId u =
             (VertexId{w} << 6) | static_cast<VertexId>(std::countr_zero(bits));
-        for (const CsrEntry& entry : view_.out(u)) {
-          if (edge_mask != nullptr && edge_mask[entry.edge] == 0) continue;
-          NFVM_OBS_ONLY(++edges_scanned;)
-          const VertexId v = entry.neighbor;
-          if ((seen_[word(v)] & bit(v)) != 0) continue;
-          NFVM_OBS_ONLY(++edges_relaxed;)
-          seen_[word(v)] |= bit(v);
-          dist[v] = nd;
-          parent[v] = u;
-          parent_edge[v] = entry.edge;
-          if (next_level_[word(v)] == 0) next_level_words_.push_back(word(v));
-          next_level_[word(v)] |= bit(v);
+        NFVM_OBS_ONLY(edges_scanned += row[u].allowed;)
+        for (std::uint32_t r = row[u].first_run; r < row[u + 1].first_run; ++r) {
+          const std::uint32_t word = runs[r].word;
+          const std::uint64_t fresh = runs[r].bits & ~seen[word];
+          seen[word] |= fresh;
+          next_level_words[num_next_words] = word;
+          num_next_words +=
+              static_cast<std::size_t>((next_level[word] == 0) & (fresh != 0));
+          next_level[word] |= fresh;
+          claims[num_claims] = BfsClaim{fresh, u, r};
+          num_claims += static_cast<std::size_t>(fresh != 0);
         }
       }
     }
-    level_.swap(next_level_);
-    level_words_.swap(next_level_words_);
+    std::swap(level, next_level);
+    std::swap(level_words, next_level_words);
+    num_level_words = num_next_words;
+  }
+
+  double* const dist = tree.dist.data();
+  VertexId* const parent = tree.parent.data();
+  EdgeId* const parent_edge = tree.parent_edge.data();
+  for (std::size_t c = 0; c < num_claims; ++c) {
+    const BfsClaim claim = claims[c];
+    const BitsetRows::Run run = runs[claim.run];
+    const double d = dist[claim.by] + 1.0;
+    for (std::uint64_t rest = claim.fresh; rest != 0; rest &= rest - 1) {
+      NFVM_OBS_ONLY(++edges_relaxed;)
+      const int b = std::countr_zero(rest);
+      const VertexId v = (VertexId{run.word} << 6) | static_cast<VertexId>(b);
+      dist[v] = d;
+      parent[v] = claim.by;
+      parent_edge[v] = rows.edges[run.first_edge + rank_below(run.bits, b)];
+    }
   }
   NFVM_COUNTER_ADD("graph.dijkstra.edges_scanned", edges_scanned);
   NFVM_COUNTER_ADD("graph.dijkstra.edges_relaxed", edges_relaxed);
 }
 
-namespace {
-
-/// Resets `tree` to "nothing reached" from `source` on an n-vertex graph.
-void reset_tree(ShortestPaths& tree, VertexId source, std::size_t n) {
-  tree.source = source;
-  tree.dist.assign(n, kInfiniteDistance);
-  tree.parent.assign(n, kInvalidVertex);
-  tree.parent_edge.assign(n, kInvalidEdge);
+const SpEngine::BitsetRows* SpEngine::unit_rows(const std::uint8_t* edge_mask) {
+  if (!view_.unit_weights()) return nullptr;
+  rows_.build(view_, edge_mask);
+  return &rows_;
 }
 
-}  // namespace
-
-void SpEngine::compute_prepared(ShortestPaths& tree, const std::uint8_t* edge_mask) {
+void SpEngine::compute_prepared(ShortestPaths& tree, const std::uint8_t* edge_mask,
+                                const BitsetRows* rows) {
   reset_tree(tree, tree.source, view_.num_vertices());
   NFVM_SPAN("graph/dijkstra");
   tree.dist[tree.source] = 0.0;
-  last_used_bfs_ = view_.unit_weights();
+  last_used_bfs_ = rows != nullptr;
   if (last_used_bfs_) {
-    run_bfs(tree, edge_mask);
+    run_bfs(tree, *rows);
     // The counter keeps the name of the bucket ring the search replaced.
     NFVM_COUNTER_INC("graph.dijkstra.dial_runs");
   } else {
@@ -204,7 +311,8 @@ void SpEngine::compute(const Graph& g, ShortestPaths& tree,
     throw std::invalid_argument("dijkstra: edge mask smaller than edge count");
   }
   prepare(g);
-  compute_prepared(tree, edge_mask.empty() ? nullptr : edge_mask.data());
+  const std::uint8_t* const mask = edge_mask.empty() ? nullptr : edge_mask.data();
+  compute_prepared(tree, mask, unit_rows(mask));
 }
 
 ShortestPaths SpEngine::shortest_paths(const Graph& g, VertexId source) {
@@ -246,8 +354,17 @@ std::span<ShortestPaths* const> TreeTable::add(const Graph& g,
 std::size_t TreeTable::compute(const Graph& g, std::span<const VertexId> roots,
                                std::span<const std::uint8_t> edge_mask) {
   const std::span<ShortestPaths* const> missing = add(g, roots, edge_mask);
+  if (missing.empty()) return 0;
+  const std::uint8_t* const mask = edge_mask.empty() ? nullptr : edge_mask.data();
+  // One build of the rows for all trees of the call; they stay unchanged
+  // while the trees run, since no tree builds rows of its own.
+  SpEngine& caller = SpEngine::thread_local_engine();
+  caller.prepare(g);
+  const SpEngine::BitsetRows* const rows = caller.unit_rows(mask);
   const auto compute_tree = [&](std::size_t k) {
-    SpEngine::thread_local_engine().compute(g, *missing[k], edge_mask);
+    SpEngine& engine = SpEngine::thread_local_engine();
+    engine.prepare(g);
+    engine.compute_prepared(*missing[k], mask, rows);
   };
   util::ThreadPool& pool = util::ThreadPool::global();
   if (pool.num_threads() > 1 && missing.size() > 1) {

@@ -16,22 +16,27 @@
 //
 //    When the CSR weight inspection finds every edge weight equal to 1.0
 //    (true for every topology generator in the repo), queries take a
-//    level-synchronous breadth-first search instead of the heap: the seen
-//    set and the frontier are bitsets, each level drained in ascending
-//    vertex id. A vertex's parent is then the smallest-id vertex of the
-//    previous level with an allowed edge to it, through that vertex's
-//    first allowed edge in adjacency order — exactly the heap's
-//    (distance, vertex id) tree, with the same scan and relax counts,
-//    which tests/test_sp_dial.cpp asserts. Integer weights above 1 take
-//    the heap, which is exact on them.
+//    level-synchronous breadth-first search instead of the heap. It reads
+//    bitset rows instead of the CSR entries: each vertex's mask-allowed
+//    neighbours as runs of (word, bits), with its first allowed edge to
+//    each. The seen set and the frontier are bitsets, each level drained
+//    in ascending vertex id, and a settled vertex claims the unseen bits of
+//    each run in one word operation. A vertex's parent is then the
+//    smallest-id vertex of the previous level with an allowed edge to it,
+//    through that vertex's first allowed edge in adjacency order — exactly
+//    the heap's (distance, vertex id) tree, with the same scan and relax
+//    counts, which tests/test_sp_dial.cpp asserts. A lone compute() builds
+//    the rows for its one tree; TreeTable::compute builds them once per
+//    call and every missing tree of that call reads them. Integer weights
+//    above 1 take the heap, which is exact on them.
 //
 //    SpEngine::repair brings an existing tree up to date after a batch of
 //    edge-weight / mask changes without a full run (graph/sp_repair.h holds
 //    the exactness argument and the persistent store built on it).
 //
 //  * TreeTable — the one owner of fresh shortest-path trees: trees on one
-//    graph under one mask, keyed by root, each computed once by
-//    SpEngine::compute and fanned out over the global ThreadPool. A
+//    graph under one mask, keyed by root, each computed once by the
+//    engine's full run and fanned out over the global ThreadPool. A
 //    request's WorkContext, Online_SP, SP_static and the repair store's
 //    non-root sources each keep one; readers ask it for from(v), a
 //    reference that stays valid and unchanged until clear(). Only the
@@ -150,17 +155,54 @@ class SpEngine {
   /// a repair that met a tie left queued. Every other query drains it.
   void heap_clear();
 
+  friend class TreeTable;  // shares one engine's rows across a call's trees
+
+  /// The breadth-first search's adjacency on one graph under one mask. For
+  /// each vertex: the neighbours its allowed entries reach, as runs of
+  /// (word, bits); its first allowed edge to each of them in adjacency
+  /// order, indexed by the bit's rank in its run; and its count of allowed
+  /// entries, self-loops and parallel edges included.
+  struct BitsetRows {
+    struct Row {
+      std::uint32_t first_run;  // runs of vertex v: [first_run, row v+1's)
+      std::uint32_t allowed;    // allowed entries
+    };
+    struct Run {
+      std::uint64_t bits;        // the neighbours in word `word`
+      std::uint32_t word;
+      std::uint32_t first_edge;  // edges[first_edge + rank of a bit in bits]
+    };
+    std::vector<Row> rows;  // by vertex, plus one closing row
+    std::vector<Run> runs;  // sized for one run per entry
+    std::vector<EdgeId> edges;  // sized for one edge per entry
+    /// Build scratch: one vertex's neighbours by word, the words they
+    /// fill, and the first allowed edge to each neighbour.
+    std::vector<std::uint64_t> pending;
+    std::vector<std::uint32_t> pending_words;
+    std::vector<EdgeId> pending_edge;
+
+    /// Rebuilds the rows from `view` over the entries `edge_mask` allows
+    /// (null allows all). O(n + m); allocates only when the view grew.
+    void build(const CsrView& view, const std::uint8_t* edge_mask);
+  };
+
   /// Refreshes the view, sizes the scratch buffers and advances the
   /// generation.
   void prepare(const Graph& g);
+  /// Builds rows_ on the prepared view under `edge_mask` and returns them
+  /// when every weight is 1.0; null otherwise. They stay unchanged until
+  /// the next unit_rows() call on this engine.
+  const BitsetRows* unit_rows(const std::uint8_t* edge_mask);
   /// Full masked run from `tree.source` into `tree` (view already
-  /// prepared): the breadth-first search when every weight is 1.0, the
-  /// 4-ary heap loop otherwise. `edge_mask` may be null.
-  void compute_prepared(ShortestPaths& tree, const std::uint8_t* edge_mask);
+  /// prepared): the breadth-first search over `rows` when they are given,
+  /// which must be unit_rows() of a view of the same graph under the same
+  /// mask, and the 4-ary heap loop otherwise. `edge_mask` may be null.
+  void compute_prepared(ShortestPaths& tree, const std::uint8_t* edge_mask,
+                        const BitsetRows* rows);
   /// The two loops behind compute_prepared, on a tree whose labels are
   /// reset and whose source sits at distance zero.
   void run_heap(ShortestPaths& tree, const std::uint8_t* edge_mask);
-  void run_bfs(ShortestPaths& tree, const std::uint8_t* edge_mask);
+  void run_bfs(ShortestPaths& tree, const BitsetRows& rows);
   /// v's parent and parent edge as determined by its tight in-neighbours
   /// (see tie_free); false when v is not locally tie-free. Reads the view
   /// prepared for the tree's graph.
@@ -186,6 +228,15 @@ class SpEngine {
   std::vector<std::uint64_t> next_level_;
   std::vector<std::uint32_t> level_words_;
   std::vector<std::uint32_t> next_level_words_;
+  /// One settled vertex's run that reached unseen vertices: the search's
+  /// log of nonempty claims, in settle order.
+  struct BfsClaim {
+    std::uint64_t fresh;  // the vertices claimed, in the run's word
+    VertexId by;          // the claiming vertex
+    std::uint32_t run;    // its run, an index into BitsetRows::runs
+  };
+  std::vector<BfsClaim> claims_;
+  BitsetRows rows_;
   bool last_used_bfs_ = false;
   /// Repair scratch: the invalidated region (stamp_ == generation_), the
   /// old tree's children (CSR by parent), the re-settled vertices
@@ -222,9 +273,11 @@ class TreeTable {
 
   /// Computes the tree from each of `roots` that the table does not hold
   /// yet, once (a repeated root gets one tree), on `g` over the edges whose
-  /// mask byte is nonzero (an empty mask allows every edge). Fans out over
-  /// util::ThreadPool::global(), one task per tree, when the pool has more
-  /// than one thread and more than one tree is missing. Every tree depends
+  /// mask byte is nonzero (an empty mask allows every edge). On unit
+  /// weights the calling thread's engine builds the breadth-first search's
+  /// bitset rows once, and every missing tree of the call reads them. Fans
+  /// out over util::ThreadPool::global(), one task per tree, when the pool
+  /// has more than one thread and more than one tree is missing. Every tree depends
   /// only on (graph, mask, root), so the table is identical at any thread
   /// count. Returns the number of trees computed. Throws std::out_of_range
   /// for a bad root and std::invalid_argument for a short mask, before

@@ -275,7 +275,7 @@ RepairOutcome SpEngine::repair(const Graph& g, ShortestPaths& tree,
   }
   NFVM_COUNTER_INC("graph.sp_repair.tie_fallbacks");
   heap_clear();  // a repair that met a tie may stop with vertices queued
-  compute_prepared(tree, mask);
+  compute_prepared(tree, mask, unit_rows(mask));
   tie_free = tie_free_prepared(tree, mask);
   return RepairOutcome::kRecomputed;
 }

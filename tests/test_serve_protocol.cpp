@@ -1,13 +1,20 @@
 // serve/protocol.h: command parsing (valid, malformed, invalid), the
 // structured error replies with line/offset provenance, reply builder
-// shapes, and the arrive/depart trace-line round trip.
+// shapes, the arrive/depart trace-line round trip, and seeded mutations of
+// a generated trace.
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "nfv/network_function.h"
+#include "obs/json.h"
 #include "serve/protocol.h"
+#include "serve/trace_gen.h"
+#include "topology/geant.h"
 #include "topology/waxman.h"
 #include "util/rng.h"
 
@@ -184,6 +191,109 @@ TEST(ServeProtocol, ReplyBuildersCarryTheContractFields) {
   EXPECT_NE(e.find("\"ok\":false"), std::string::npos);
   EXPECT_NE(e.find("\"line\":4"), std::string::npos);
   EXPECT_NE(e.find("\"offset\":99"), std::string::npos);
+}
+
+/// `line` with one seeded edit: a byte flip, a token insert, a truncation, a
+/// duplicated slice, or a splice with a line of `pool`.
+std::string mutate(std::string line, const std::vector<std::string>& pool,
+                   util::Rng& rng) {
+  static const std::vector<std::string> kTokens = {
+      "{", "}", "[", "]", ",", ":", "\"", "\\", "null", "true", "false", "-",
+      "-1", "0", "1e309", "-0.0", "18446744073709551616", "4294967296", "NaN",
+      "\"cmd\"", "\"arrive\"", "\"depart\"", "\"snapshot\"", "\"stats\"",
+      "\"drain\"", "\"id\":", "\"destinations\":[]", "\"chain\":[\"NAT\"]",
+      "\"\\u0000\"", "\"\\ud800\"", "[[[[[[[[", std::string(1, '\0'), "\xff\xfe"};
+  const auto at = [&](std::size_t extra) {
+    return static_cast<std::size_t>(rng.next_below(line.size() + extra));
+  };
+  switch (rng.next_below(5)) {
+    case 0:  // byte flip
+      if (!line.empty()) {
+        line[at(0)] ^= static_cast<char>(1 + rng.next_below(255));
+      }
+      break;
+    case 1:  // token insert
+      line.insert(at(1), kTokens[rng.next_below(kTokens.size())]);
+      break;
+    case 2:  // truncation
+      line.resize(at(1));
+      break;
+    case 3: {  // duplicated slice
+      const std::size_t from = at(1);
+      const std::size_t length = rng.next_below(line.size() - from + 1);
+      line.insert(at(1), line.substr(from, length));
+      break;
+    }
+    default: {  // splice: a prefix of this line and a suffix of another
+      const std::string& other = pool[rng.next_below(pool.size())];
+      line = line.substr(0, at(1)) +
+             other.substr(static_cast<std::size_t>(rng.next_below(other.size() + 1)));
+      break;
+    }
+  }
+  return line;
+}
+
+// Every mutated line of a generated GEANT trace (arrive, depart, snapshot
+// and stats lines, plus a drain) either parses into a command or is refused
+// with a failure reply that is a JSON object with "ok": false; the parser
+// never throws. Each mutation applies one to three edits.
+TEST(ServeProtocol, MutatedLinesYieldCommandOrStructuredFailure) {
+  util::Rng topo_rng(2);
+  const topo::Topology topo = topo::make_geant(topo_rng);
+  TraceGenOptions options;
+  options.num_requests = 200;
+  options.snapshot_every = 40;
+  options.final_stats = true;
+  std::ostringstream trace;
+  util::Rng trace_rng(21);
+  write_serve_trace(trace, topo, trace_rng, options);
+  std::vector<std::string> lines;
+  std::istringstream in(trace.str());
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  lines.push_back(R"({"cmd":"drain"})");
+
+  std::size_t kinds[5] = {};
+  for (const std::string& line : lines) {
+    ParseFailure failure;
+    const auto command = parse(topo, line, failure);
+    ASSERT_TRUE(command.has_value()) << line << " -> " << failure.reply;
+    ++kinds[static_cast<std::size_t>(command->kind)];
+  }
+  for (const std::size_t count : kinds) ASSERT_GT(count, 0u);
+
+  util::Rng rng(9001);
+  std::size_t parsed = 0;
+  std::size_t refused = 0;
+  for (std::uint64_t i = 0; i < 50'000; ++i) {
+    std::string line = lines[rng.next_below(lines.size())];
+    for (std::uint64_t edits = 1 + rng.next_below(3); edits > 0; --edits) {
+      line = mutate(std::move(line), lines, rng);
+    }
+    ParseFailure failure;
+    std::optional<Command> command;
+    try {
+      command = parse(topo, line, failure, {i * 100, i + 1});
+    } catch (const std::exception& e) {
+      FAIL() << "parse_command threw on " << line << ": " << e.what();
+    }
+    if (command.has_value()) {
+      ++parsed;
+      continue;
+    }
+    ++refused;
+    obs::JsonValue reply;
+    try {
+      reply = obs::parse_json(failure.reply);
+    } catch (const std::exception& e) {
+      FAIL() << "failure reply is not JSON for " << line << ": " << failure.reply;
+    }
+    ASSERT_TRUE(reply.is_object()) << failure.reply;
+    ASSERT_TRUE(reply.has("ok") && reply.at("ok").is_bool() && !reply.at("ok").boolean)
+        << failure.reply;
+  }
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(refused, 0u);
 }
 
 }  // namespace

@@ -202,6 +202,99 @@ TEST(SpDial, BfsMatchesHeapOnLongPath) {
   }
 }
 
+// The rows keep each neighbour's first allowed edge: of two parallel u-v
+// edges, the allowed second one when the first is masked, the first one
+// when both are allowed.
+TEST(SpDial, ParallelEdgesKeepTheFirstAllowedOne) {
+  Graph g(3);
+  const EdgeId first = g.add_edge(0, 1, 1.0);
+  const EdgeId second = g.add_edge(0, 1, 1.0);
+  const EdgeId onward = g.add_edge(1, 2, 1.0);
+  SpEngine engine;
+  ShortestPaths tree;
+  std::vector<std::uint8_t> mask(g.num_edges(), 1);
+  mask[first] = 0;
+  for (const VertexId s : {VertexId{0}, VertexId{1}, VertexId{2}}) {
+    expect_bfs_matches_heap(engine, g, s, mask, tree, "first masked");
+  }
+  tree.source = 0;
+  engine.compute(g, tree, mask);
+  EXPECT_EQ(tree.parent_edge[1], second);
+  EXPECT_EQ(tree.parent_edge[2], onward);
+  tree.source = 2;
+  engine.compute(g, tree, mask);
+  EXPECT_EQ(tree.parent_edge[0], second);
+
+  for (const VertexId s : {VertexId{0}, VertexId{1}, VertexId{2}}) {
+    expect_bfs_matches_heap(engine, g, s, {}, tree, "both allowed");
+  }
+  tree.source = 0;
+  engine.compute(g, tree, {});
+  EXPECT_EQ(tree.parent_edge[1], first);
+  tree.source = 2;
+  engine.compute(g, tree, {});
+  EXPECT_EQ(tree.parent_edge[0], first);
+}
+
+// Self-loops are allowed entries like any other: a settled vertex's loops
+// count in edges_scanned, and a vertex whose only allowed entries are loops
+// is nobody's parent. Vertex 3 has two loops and a masked edge to 2; vertex
+// 2 has a loop and reaches 0 and 1.
+TEST(SpDial, SelfLoopsCountButParentNobody) {
+  Graph g(4);
+  g.add_edge(0, 1, 1.0);
+  g.add_edge(1, 2, 1.0);
+  g.add_edge(2, 2, 1.0);
+  const EdgeId cut = g.add_edge(2, 3, 1.0);
+  g.add_edge(3, 3, 1.0);
+  g.add_edge(3, 3, 1.0);
+  std::vector<std::uint8_t> mask(g.num_edges(), 1);
+  mask[cut] = 0;
+  SpEngine engine;
+  ShortestPaths tree;
+  for (const VertexId s : {VertexId{0}, VertexId{2}, VertexId{3}}) {
+    const std::string where = "source " + std::to_string(s);
+    expect_bfs_matches_heap(engine, g, s, mask, tree, where + " masked");
+    expect_bfs_matches_heap(engine, g, s, {}, tree, where + " unmasked");
+    tree.source = s;
+    engine.compute(g, tree, mask);
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      EXPECT_NE(tree.parent[v], 3u) << where << " vertex " << v;
+    }
+  }
+  tree.source = 3;
+  const ReferenceRun alone = reference_dijkstra(g, 3, mask);
+  EXPECT_EQ(alone.edges_scanned, 2u);  // its two loops
+  EXPECT_EQ(alone.edges_relaxed, 0u);
+  engine.compute(g, tree, mask);
+  for (VertexId v = 0; v < 3; ++v) EXPECT_FALSE(tree.reachable(v)) << v;
+}
+
+// One vertex adjacent to both sides of each word boundary of a 129-vertex
+// graph (0, 63, 64, 127 and 128), with edges across both boundaries that tie
+// at distance two; rooted on each side of each boundary.
+TEST(SpDial, NeighboursAcrossWordBoundaries) {
+  Graph g(129);
+  constexpr VertexId kHub = 100;
+  for (const VertexId v : {0u, 63u, 64u, 127u, 128u}) g.add_edge(kHub, v, 1.0);
+  g.add_edge(63, 64, 1.0);
+  g.add_edge(127, 128, 1.0);
+  g.add_edge(0, 128, 1.0);
+  g.add_edge(1, 64, 1.0);
+  g.add_edge(65, 127, 1.0);
+  SpEngine engine;
+  ShortestPaths tree;
+  util::Rng rng(129);
+  for (const VertexId s : {0u, 1u, 63u, 64u, 65u, 100u, 127u, 128u}) {
+    const std::string where = "source " + std::to_string(s);
+    expect_bfs_matches_heap(engine, g, s, {}, tree, where);
+    for (int trial = 0; trial < 4; ++trial) {
+      const std::vector<std::uint8_t> mask = random_mask(rng, g.num_edges());
+      expect_bfs_matches_heap(engine, g, s, mask, tree, where + " masked");
+    }
+  }
+}
+
 TEST(SpDial, MatchesHeapOnSmallIntegerWeights) {
   // Integer weights above 1 take the heap, which is exact on them.
   const Graph g = reweighted_waxman(
@@ -311,11 +404,25 @@ TEST_P(SpBatch, BatchedSsspMatchesSequentialLoop) {
           random_roots(rng, n, static_cast<std::size_t>(rng.uniform_int(1, 12)));
       const std::string where = "n " + std::to_string(n) + " trial " +
                                 std::to_string(trial);
+      std::vector<VertexId> distinct = roots;
+      std::sort(distinct.begin(), distinct.end());
+      distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
+      std::uint64_t want_scanned = 0;
+      std::uint64_t want_relaxed = 0;
+      for (const VertexId r : distinct) {
+        const ReferenceRun run = reference_dijkstra(g, r, mask);
+        want_scanned += run.edges_scanned;
+        want_relaxed += run.edges_relaxed;
+      }
       TreeTable table;
       const test::CounterBaseline counters;
-      EXPECT_EQ(table.compute(g, roots, mask), distinct_count(roots)) << where;
+      EXPECT_EQ(table.compute(g, roots, mask), distinct.size()) << where;
 #if NFVM_OBS
-      EXPECT_EQ(counters.since("graph.dijkstra.runs"), distinct_count(roots)) << where;
+      // One table call shares its rows across every tree, at any thread
+      // count; the scan and relax counts are still the heap's, tree by tree.
+      EXPECT_EQ(counters.since("graph.dijkstra.runs"), distinct.size()) << where;
+      EXPECT_EQ(counters.since("graph.dijkstra.edges_scanned"), want_scanned) << where;
+      EXPECT_EQ(counters.since("graph.dijkstra.edges_relaxed"), want_relaxed) << where;
 #endif
       for (const VertexId r : roots) {
         SCOPED_TRACE(where + " root " + std::to_string(r));
