@@ -3,8 +3,8 @@
 //   * the rebuild scans kept in tests/reference (reference::OnlineCpRebuild
 //     and reference::OnlineSpRebuild: filter the weighted graph and run
 //     per-server Dijkstras from scratch on every request) vs the production
-//     core::OnlineCp (a persistent OnlineWeightedView patched after each
-//     admission plus the shared-closure server scan) and core::OnlineSp
+//     core::OnlineCp (its own weighted graph, patched after each admission,
+//     plus the shared-closure server scan) and core::OnlineSp
 //     (fresh breadth-first trees priced by parent walks),
 //   * Online_CP and Online_SP, on GEANT and Waxman sweeps up to 400 nodes,
 //   * periodic departures so repairs across weight decreases are paid

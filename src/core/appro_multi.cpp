@@ -82,21 +82,16 @@ OfflineSolution appro_multi(const topo::Topology& topo, const LinearCosts& costs
   // Realize-fallthrough: when the cheapest tree violates the delay bound or
   // the residual capacities, re-search with its key as the floor to obtain
   // the next candidate in cost order. Later passes reuse the bounds and
-  // evaluations of earlier ones, so the shared evaluation budget (and
-  // combinations_explored) counts each combination once per call.
+  // evaluations of earlier ones, so combinations_explored counts each
+  // combination once per call.
   ComboKey floor;
   bool have_floor = false;
   bool any_connected = false;
   NFVM_OBS_ONLY(double evaluate_us = 0.0; double realize_us = 0.0;
                 util::Stopwatch pass_watch;)
   while (true) {
-    const std::size_t remaining =
-        options.max_combinations > sol.combinations_explored
-            ? options.max_combinations - sol.combinations_explored
-            : 0;
     NFVM_OBS_ONLY(pass_watch.reset();)
-    ComboSearchResult pass =
-        search.next_best(have_floor ? &floor : nullptr, remaining);
+    ComboSearchResult pass = search.next_best(have_floor ? &floor : nullptr);
     NFVM_OBS_ONLY(evaluate_us += pass_watch.elapsed_us();)
     sol.combinations_explored += pass.evaluated;
     sol.combinations_pruned =

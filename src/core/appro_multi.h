@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstddef>
-#include <limits>
 #include <string>
 
 #include "core/cost_model.h"
@@ -55,12 +54,6 @@ struct ApproMultiOptions {
   std::size_t max_servers = 3;
   /// Non-null enables the capacitated variant (Appro_Multi_Cap).
   const nfv::ResourceState* resources = nullptr;
-  /// Safety valve for pathological |V_S| choose K blow-ups: the number of
-  /// combinations *evaluated* per request, counted across every re-search
-  /// pass; pruned combinations, dominated ones included, are free and do not
-  /// consume budget. The search stops deterministically once the budget is
-  /// spent, and may then return a costlier tree than the exact search.
-  std::size_t max_combinations = std::numeric_limits<std::size_t>::max();
   /// perfbench copies these two from sim::OfflineBatchOptions, so they keep
   /// their names with one value each; nothing reads them. The paper-literal
   /// engine and the exhaustive sweep are test oracles now

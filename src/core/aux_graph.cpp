@@ -7,6 +7,7 @@
 #include "graph/tree.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/arena.h"
 
 namespace nfvm::core {
 
@@ -38,7 +39,6 @@ WorkContext build_work_context(const topo::Topology& topo, const LinearCosts& co
     ctx.to_physical.push_back(e);
   }
 
-  ctx.arena = std::make_unique<util::Arena>();
   context_trees(ctx, {&request.source, 1});
   const graph::ShortestPaths& from_source = ctx.trees.from(request.source);
 
@@ -121,10 +121,9 @@ PseudoMulticastTree realize_pseudo_tree(const WorkContext& ctx,
                                         const AuxOverlay& aux,
                                         const std::vector<graph::EdgeId>& tree_edges,
                                         const nfv::Request& request) {
-  // Per-candidate record buffer from the request arena: realization is
-  // sequential (one candidate at a time), so a scope per call reuses the
-  // same warm bytes across the whole candidate walk.
-  util::ArenaScope scope(*ctx.arena);
+  // Per-candidate record buffer from this thread's arena, which the
+  // RootedTree below scopes too: every call reuses the same warm bytes.
+  util::ArenaScope scope(util::Arena::thread_local_arena());
   std::span<graph::EdgeRecord> records =
       scope.arena().make_span<graph::EdgeRecord>(tree_edges.size());
   for (std::size_t i = 0; i < tree_edges.size(); ++i) {

@@ -17,7 +17,6 @@
 // (tests/reference/appro_multi_reference.h).
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -29,7 +28,6 @@
 #include "nfv/request.h"
 #include "nfv/resources.h"
 #include "topology/topology.h"
-#include "util/arena.h"
 
 namespace nfvm::core {
 
@@ -57,12 +55,6 @@ struct WorkContext {
   /// False when some destination is unreachable from the source in
   /// `cost_graph` (the request must then be rejected).
   bool destinations_reachable = false;
-  /// Request-lifetime bump arena for short-lived record buffers built in
-  /// the request's *sequential* phases (e.g. the per-candidate EdgeRecord
-  /// buffer in realize_pseudo_tree). Dies with the context — the epoch
-  /// reset between requests. Never null after build_work_context. Parallel
-  /// phases must use util::Arena::thread_local_arena() instead.
-  std::unique_ptr<util::Arena> arena;
 };
 
 /// Builds the context. `resources == nullptr` means uncapacitated.

@@ -88,8 +88,7 @@ void ComboSearch::route(const Cand& prefix, std::size_t i, Cand& c) const {
   }
 }
 
-ComboSearchResult ComboSearch::next_best(const ComboKey* floor,
-                                         std::size_t max_evaluations) {
+ComboSearchResult ComboSearch::next_best(const ComboKey* floor) {
   ComboSearchResult res;
   const std::size_t n = pool_size_;
   // The incumbent; its key and tree are copied out once the pass ends. A
@@ -109,8 +108,7 @@ ComboSearchResult ComboSearch::next_best(const ComboKey* floor,
   // thread-count invariant.
   std::vector<std::size_t> frontier;  // positions in levels_[k - 2]
   std::vector<std::size_t> to_eval;
-  bool stop = false;
-  for (std::size_t k = 1; k <= max_servers_ && !stop; ++k) {
+  for (std::size_t k = 1; k <= max_servers_; ++k) {
     std::vector<Cand>& level = levels_[k - 1];
     std::vector<std::size_t> members;  // positions in `level`
     if (k == 1) {
@@ -149,13 +147,13 @@ ComboSearchResult ComboSearch::next_best(const ComboKey* floor,
     });
 
     bool level_done = false;
-    for (std::size_t base = 0; base < cands.size() && !stop && !level_done;
+    for (std::size_t base = 0; base < cands.size() && !level_done;
          base += kChunk) {
       const std::size_t end = std::min(base + kChunk, cands.size());
       // Skip decisions are taken sequentially against the incumbent as of
       // the previous chunk; commits below update it in canonical order.
       // Candidates an earlier pass evaluated are committed without being
-      // evaluated (or budgeted) again.
+      // evaluated again.
       to_eval.clear();
       std::size_t stop_at = end;
       for (std::size_t c = base; c < end; ++c) {
@@ -172,12 +170,6 @@ ComboSearchResult ComboSearch::next_best(const ComboKey* floor,
           break;
         }
         if (cand.evaluated) continue;
-        if (res.evaluated + to_eval.size() >= max_evaluations) {
-          res.budget_exhausted = true;
-          stop = true;
-          stop_at = c;
-          break;
-        }
         to_eval.push_back(cands[c]);
       }
 
@@ -210,7 +202,7 @@ ComboSearchResult ComboSearch::next_best(const ComboKey* floor,
       }
     }
 
-    if (stop || k == max_servers_) break;
+    if (k == max_servers_) break;
 
     std::vector<std::size_t> next;
     for (const std::size_t pos : members) {

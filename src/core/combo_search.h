@@ -67,8 +67,8 @@ struct ComboSearchResult {
   std::vector<graph::EdgeId> tree_edges;
   /// Combinations evaluated for the first time during this pass. A later
   /// pass of the same search reuses earlier evaluations without counting
-  /// (or budgeting) them again, so the sum over passes counts each
-  /// combination at most once.
+  /// them again, so the sum over passes counts each combination at most
+  /// once.
   std::size_t evaluated = 0;
   /// Combinations discarded without evaluation by the bounds or as
   /// dominated — skipped candidates count one each, a killed prefix counts
@@ -78,10 +78,6 @@ struct ComboSearchResult {
   std::size_t pruned = 0;
   /// The dominated share of `pruned`, counted the same way.
   std::size_t dominated = 0;
-  /// True when the evaluation budget stopped the search before the
-  /// combination space was exhausted; the result is then the best among the
-  /// combinations evaluated so far (matching the legacy budget valve).
-  bool budget_exhausted = false;
 };
 
 class ComboSearch {
@@ -103,12 +99,11 @@ class ComboSearch {
   /// with the rejected candidate's key to obtain the next-cheapest
   /// candidate. The floor cannot tighten pruning (an equal-cost,
   /// larger-index candidate still qualifies), so bounds only compare
-  /// against this pass's own incumbent. At most `max_evaluations`
-  /// evaluator calls are spent. Every pass walks the same candidate order
-  /// as a fresh search would; candidate bounds, subtree bounds and
-  /// evaluations met by an earlier pass are reused instead of recomputed.
-  ComboSearchResult next_best(const ComboKey* floor,
-                              std::size_t max_evaluations);
+  /// against this pass's own incumbent. Every pass walks the same
+  /// candidate order as a fresh search would; candidate bounds, subtree
+  /// bounds and evaluations met by an earlier pass are reused instead of
+  /// recomputed.
+  ComboSearchResult next_best(const ComboKey* floor);
 
  private:
   static constexpr std::size_t kNoServer = static_cast<std::size_t>(-1);

@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/delay.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/timer.h"
@@ -19,6 +20,54 @@ std::string_view to_string(RejectCause cause) {
     case RejectCause::kOther: return "other";
   }
   return "other";
+}
+
+AdmissionDecision rejected(const RejectTracker& reject) {
+  AdmissionDecision decision;
+  decision.reject_reason = std::string(reject.reason());
+  decision.reject_cause = reject.cause();
+  return decision;
+}
+
+bool CandidateReplay::pruned(double cost) {
+  if (best_.admitted && best_.tree.cost <= cost) {
+    NFVM_OBS_ONLY(if (record_) ++record_->cost_pruned;)
+    return true;
+  }
+  NFVM_COUNTER_INC("core.online.trees_assembled");
+  return false;
+}
+
+bool CandidateReplay::offer(PseudoMulticastTree tree,
+                            std::string_view capacity_reason) {
+  if (!meets_delay_bound(*topo_, *request_, tree)) {
+    reject_->update(RejectTracker::kRankCandidate,
+                    "no candidate tree meets the delay bound",
+                    RejectCause::kDelay);
+    NFVM_OBS_ONLY(if (record_) ++record_->failed_delay;)
+    return false;
+  }
+  nfv::Footprint footprint = tree.footprint(*request_, topo_->graph);
+  if (!state_->can_allocate(footprint)) {
+    reject_->update(RejectTracker::kRankCandidate, capacity_reason,
+                    RejectCause::kBandwidth);
+    NFVM_OBS_ONLY(if (record_) ++record_->failed_capacity;)
+    return false;
+  }
+  NFVM_OBS_ONLY(if (record_) {
+    ++record_->candidates_feasible;
+    record_->chosen_server = static_cast<std::int64_t>(tree.servers.front());
+    record_->cost_total = tree.cost;
+  })
+  best_.admitted = true;
+  best_.tree = std::move(tree);
+  best_.footprint = std::move(footprint);
+  return true;
+}
+
+AdmissionDecision CandidateReplay::decide() && {
+  if (!best_.admitted) return rejected(*reject_);
+  return std::move(best_);
 }
 
 OnlineAlgorithm::OnlineAlgorithm(const topo::Topology& topo)

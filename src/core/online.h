@@ -93,6 +93,49 @@ struct AdmissionDecision {
   std::shared_ptr<const RequestRecord> record;
 };
 
+/// The rejection carrying the tracker's reason and cause.
+AdmissionDecision rejected(const RejectTracker& reject);
+
+/// The last phase every online scan shares: candidates are offered in true
+/// server order, each as a one-server pseudo-multicast tree, and the
+/// cheapest one that meets the delay bound and fits the residuals is
+/// admitted. A scan asks pruned() before it assembles a candidate's tree,
+/// so only candidates that can still win pay for one, then hands the tree
+/// to offer(). Failures go to the scan's RejectTracker at kRankCandidate
+/// and, with a record, to its reject-context counters.
+class CandidateReplay {
+ public:
+  /// Everything but `reject` and `record` (null when not recording) is
+  /// read only; all must outlive the replay.
+  CandidateReplay(const topo::Topology& topo, const nfv::ResourceState& state,
+                  const nfv::Request& request, RejectTracker& reject,
+                  RequestRecord* record)
+      : topo_(&topo), state_(&state), request_(&request), reject_(&reject),
+        record_(record) {}
+
+  /// True when the incumbent costs at most `cost`: the candidate cannot win
+  /// (counted as cost_pruned). Otherwise counts core.online.trees_assembled
+  /// for the tree the caller assembles next.
+  bool pruned(double cost);
+
+  /// Checks `tree` against the delay bound, then its footprint against the
+  /// residuals (a failure reports `capacity_reason`). A tree passing both
+  /// becomes the incumbent, and offer returns true.
+  bool offer(PseudoMulticastTree tree, std::string_view capacity_reason);
+
+  /// The incumbent's admission, or rejected(reject).
+  AdmissionDecision decide() &&;
+
+ private:
+  const topo::Topology* topo_;
+  const nfv::ResourceState* state_;
+  const nfv::Request* request_;
+  RejectTracker* reject_;
+  [[maybe_unused]] RequestRecord* record_;  // read only with NFVM_OBS=1
+  /// The incumbent; admitted once some candidate was accepted.
+  AdmissionDecision best_;
+};
+
 class OnlineAlgorithm {
  public:
   /// The algorithm owns a ResourceState initialized to the topology's full
@@ -115,7 +158,7 @@ class OnlineAlgorithm {
   /// Snapshot-restore support (serve/snapshot.h): installs the residual
   /// vectors recorded in a snapshot bit-for-bit and rebuilds
   /// residual-derived state (after_restore hook; e.g. OnlineCp's weighted
-  /// view, whose weights are a pure function of the residuals). Replaying
+  /// graph, whose weights are a pure function of the residuals). Replaying
   /// the active footprints instead would reassociate the floating-point
   /// accumulation and drift from the uninterrupted run by an ulp - carrying
   /// the residual doubles themselves is what makes the subsequent decision
@@ -157,7 +200,7 @@ class OnlineAlgorithm {
   /// Called by process() right after an admitted footprint was allocated,
   /// and by release() right after a footprint was returned. Default: no-op.
   /// Algorithms maintaining incremental state derived from the residuals
-  /// (e.g. OnlineCp's weighted working view) patch it here.
+  /// (e.g. OnlineCp's weighted graph) patch it here.
   virtual void after_allocate(const nfv::Footprint& footprint);
   virtual void after_release(const nfv::Footprint& footprint);
 

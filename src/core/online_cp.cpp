@@ -1,9 +1,9 @@
 #include "core/online_cp.h"
 
-#include <optional>
+#include <functional>
+#include <utility>
 #include <vector>
 
-#include "core/delay.h"
 #include "graph/steiner.h"
 #include "graph/tree.h"
 #include "obs/metrics.h"
@@ -26,7 +26,14 @@ OnlineCp::OnlineCp(const topo::Topology& topo, const OnlineCpOptions& options)
                    : static_cast<double>(topo.num_switches()) - 1.0),
       linear_weights_(options.linear_weights),
       name_(options.linear_weights ? "Online_CP(linear)" : "Online_CP"),
-      view_(topo, [this](graph::EdgeId e) { return edge_weight(e); }) {}
+      graph_(topo.graph.num_vertices()),
+      trees_(topo.servers) {
+  for (graph::EdgeId e = 0; e < topo.graph.num_edges(); ++e) {
+    const graph::Edge& ed = topo.graph.edge(e);
+    graph_.add_edge(ed.u, ed.v, edge_weight(e));
+  }
+  NFVM_COUNTER_INC("core.online.view_rebuilds");
+}
 
 double OnlineCp::edge_weight(graph::EdgeId e) const {
   if (linear_weights_) return state_.bandwidth_utilization(e);
@@ -38,19 +45,37 @@ double OnlineCp::server_weight(graph::VertexId v) const {
   return model_.server_weight(v, state_);
 }
 
+void OnlineCp::patch(const nfv::Footprint& footprint) {
+  for (const auto& [e, amount] : footprint.bandwidth) {
+    const double w = edge_weight(e);
+    if (graph_.weight(e) != w) graph_.set_weight(e, w);
+  }
+}
+
 void OnlineCp::after_allocate(const nfv::Footprint& footprint) {
-  view_.apply_allocate(footprint);
+  NFVM_SPAN("online/view_patch");
+  patch(footprint);
+  NFVM_COUNTER_INC("core.online.view_patches");
 }
 
 void OnlineCp::after_release(const nfv::Footprint& footprint) {
-  view_.apply_release(footprint);
+  NFVM_SPAN("online/view_release");
+  // Residuals grew back: some weights fall and some links become eligible
+  // again. The store sees both as decreases at its next update and repairs.
+  patch(footprint);
 }
 
 void OnlineCp::after_restore() {
-  // Every weight is a pure function of its residual, so a full rebuild from
-  // the restored residuals reproduces the uninterrupted run's view exactly;
-  // the dropped repair store never influences decisions.
-  view_.rebuild();
+  // Every weight is a pure function of its residual, so re-reading them
+  // from the restored residuals reproduces the uninterrupted run's graph
+  // exactly; the dropped repair store never influences decisions.
+  NFVM_SPAN("online/view_rebuild");
+  for (graph::EdgeId e = 0; e < graph_.num_edges(); ++e) {
+    const double w = edge_weight(e);
+    if (graph_.weight(e) != w) graph_.set_weight(e, w);
+  }
+  trees_.clear();
+  NFVM_COUNTER_INC("core.online.view_rebuilds");
 }
 
 namespace {
@@ -70,18 +95,54 @@ struct CpCandidateSlot {
   std::vector<graph::EdgeId> edges;  // physical ids
 };
 
+/// The pseudo-multicast tree of a candidate whose Steiner tree over
+/// {s_k, v} ∪ D_k is `edges` (Algorithm 2, steps 10-12): rooted at s_k,
+/// each destination's traffic goes s_k -> v -> d, so the links on the tree
+/// path from v to u = LCA(v, D_k) carry the backhaul a second time.
+PseudoMulticastTree backhaul_tree(const graph::Graph& g,
+                                  const nfv::Request& request, graph::VertexId v,
+                                  std::vector<graph::EdgeId> edges, double cost) {
+  const graph::RootedTree rooted(g, edges, request.source);
+  std::vector<graph::VertexId> lca_args;
+  lca_args.push_back(v);
+  lca_args.insert(lca_args.end(), request.destinations.begin(),
+                  request.destinations.end());
+  const graph::VertexId meet = rooted.lca(lca_args);
+
+  PseudoMulticastTree tree;
+  tree.source = request.source;
+  tree.servers = {v};
+  tree.cost = cost;
+  const std::vector<graph::EdgeId> backhaul = rooted.path_edges(v, meet);
+  edges.insert(edges.end(), backhaul.begin(), backhaul.end());
+  tree.edge_uses = accumulate_edge_uses(std::move(edges));
+
+  const std::vector<graph::VertexId> to_server =
+      rooted.path_vertices(request.source, v);
+  for (graph::VertexId d : request.destinations) {
+    DestinationRoute route;
+    route.destination = d;
+    route.server = v;
+    route.walk = to_server;
+    route.server_index = route.walk.size() - 1;
+    const std::vector<graph::VertexId> down = rooted.path_vertices(v, d);
+    route.walk.insert(route.walk.end(), down.begin() + 1, down.end());
+    tree.routes.push_back(std::move(route));
+  }
+  return tree;
+}
+
 }  // namespace
 
 AdmissionDecision OnlineCp::try_admit(const nfv::Request& request) {
   NFVM_SPAN("online_cp/try_admit");
-  AdmissionDecision decision;
   const double b = request.bandwidth_mbps;
   const double demand = request.compute_demand_mhz();
 
   RejectTracker reject("no server has sufficient residual computing",
                        RejectCause::kCompute);
-  NFVM_OBS_ONLY(RequestRecord* const rec = active_record();
-                util::Stopwatch phase_watch;)
+  RequestRecord* const rec = active_record();
+  NFVM_OBS_ONLY(util::Stopwatch phase_watch;)
 
   // Phase A: classify the servers. Compute-skips stay silent and the sigma_v
   // gate records its (low-rank) reason; survivors form the evaluation list.
@@ -110,17 +171,13 @@ AdmissionDecision OnlineCp::try_admit(const nfv::Request& request) {
     rec->classify_us = phase_watch.elapsed_us();
   })
 
-  if (eval.empty()) {
-    decision.reject_reason = std::string(reject.reason());
-    decision.reject_cause = reject.cause();
-    return decision;
-  }
+  if (eval.empty()) return rejected(reject);
   NFVM_COUNTER_INC("core.online.closure_scans");
 
   // Phase B: one shortest-path tree per distinct terminal for the WHOLE
   // scan instead of |D_k| + 2 per candidate. Server trees come from the
-  // view's repair store (mostly kept or repaired, not recomputed); the
-  // source and destination trees are computed fresh, in parallel.
+  // repair store (mostly kept or repaired, not recomputed); the source and
+  // destination trees are computed fresh, in parallel.
   std::vector<graph::VertexId> sources;
   sources.reserve(1 + request.destinations.size() + eval.size());
   sources.push_back(request.source);
@@ -128,15 +185,16 @@ AdmissionDecision OnlineCp::try_admit(const nfv::Request& request) {
                  request.destinations.end());
   sources.insert(sources.end(), eval.begin(), eval.end());
   NFVM_OBS_ONLY(phase_watch.reset();)
-  const graph::SpTreeStore& trees = view_.trees_for(state_, sources, b);
+  nfv::fill_eligibility_mask(state_, topo_->graph, b, mask_);
+  trees_.update(graph_, sources, mask_);
   NFVM_OBS_ONLY(if (rec) rec->closure_us = phase_watch.elapsed_us();)
   const std::function<const graph::ShortestPaths&(graph::VertexId)> table_for =
-      [&trees](graph::VertexId v) -> const graph::ShortestPaths& {
-    return trees.from(v);
+      [this](graph::VertexId v) -> const graph::ShortestPaths& {
+    return trees_.from(v);
   };
 
   // Phase C: evaluate every surviving candidate's Steiner tree and cost in
-  // parallel. Each evaluation is pure (reads the view + tables, writes its
+  // parallel. Each evaluation is pure (reads the graph + tables, writes its
   // slot); the cost prune of the sequential scan is deliberately NOT applied
   // here — it only suppresses work, never changes the admitted candidate,
   // and the replay loop below re-applies it for reason parity.
@@ -157,7 +215,7 @@ AdmissionDecision OnlineCp::try_admit(const nfv::Request& request) {
       terminals.insert(terminals.end(), request.destinations.begin(),
                        request.destinations.end());
       graph::SteinerResult st =
-          graph::kmb_steiner_from_tables(view_.graph(), terminals, table_for);
+          graph::kmb_steiner_from_tables(graph_, terminals, table_for);
       if (!st.connected) return;
       slot.connected = true;
       if (st.weight >= sigma_e_) {
@@ -167,7 +225,7 @@ AdmissionDecision OnlineCp::try_admit(const nfv::Request& request) {
 
       // Backhaul from v to the LCA of {v} ∪ D_k (Algorithm 2, steps 10-12)
       // prices the candidate; route assembly waits for the replay loop.
-      const graph::RootedTree rooted(view_.graph(), st.edges, request.source);
+      const graph::RootedTree rooted(graph_, st.edges, request.source);
       std::vector<graph::VertexId> lca_args;
       lca_args.push_back(v);
       lca_args.insert(lca_args.end(), request.destinations.begin(),
@@ -189,16 +247,10 @@ AdmissionDecision OnlineCp::try_admit(const nfv::Request& request) {
   // the cause are the same at any thread count. Candidates surviving the
   // cost prune (a strictly decreasing cost chain, typically a handful) get
   // their routes, delay check and footprint here.
-  struct Candidate {
-    double cost = 0.0;
-    PseudoMulticastTree tree;
-    nfv::Footprint footprint;
-  };
-  std::optional<Candidate> best;
+  CandidateReplay replay(*topo_, state_, request, reject, rec);
   NFVM_OBS_ONLY(phase_watch.reset();)
   for (std::size_t i = 0; i < eval.size(); ++i) {
     CpCandidateSlot& slot = slots[i];
-    const graph::VertexId v = eval[i];
     if (!slot.connected) {
       reject.update(RejectTracker::kRankCandidate,
                     "source, server and destinations are disconnected at b_k",
@@ -213,80 +265,21 @@ AdmissionDecision OnlineCp::try_admit(const nfv::Request& request) {
       NFVM_OBS_ONLY(if (rec) ++rec->failed_sigma_e;)
       continue;
     }
-    if (best.has_value() && slot.cost >= best->cost) {
-      NFVM_OBS_ONLY(if (rec) ++rec->cost_pruned;)
-      continue;
+    if (replay.pruned(slot.cost)) continue;
+    // Double-traversed backhaul links can need 2 b_k; charge honestly and
+    // skip candidates that no longer fit.
+    if (replay.offer(backhaul_tree(graph_, request, eval[i],
+                                   std::move(slot.edges), slot.cost),
+                     "backhaul multiplicities exceed residual bandwidth")) {
+      NFVM_OBS_ONLY(if (rec) {
+        rec->cost_steiner = slot.steiner_weight;
+        rec->cost_server = eval_wv[i];
+        rec->cost_backhaul = slot.cost - slot.steiner_weight - eval_wv[i];
+      })
     }
-
-    NFVM_COUNTER_INC("core.online.trees_assembled");
-    const graph::RootedTree rooted(view_.graph(), slot.edges, request.source);
-    std::vector<graph::VertexId> lca_args;
-    lca_args.push_back(v);
-    lca_args.insert(lca_args.end(), request.destinations.begin(),
-                    request.destinations.end());
-    const graph::VertexId meet = rooted.lca(lca_args);
-
-    Candidate cand;
-    cand.cost = slot.cost;
-    cand.tree.source = request.source;
-    cand.tree.servers = {v};
-    cand.tree.cost = slot.cost;
-    std::vector<graph::EdgeId> traversals = std::move(slot.edges);
-    const std::vector<graph::EdgeId> backhaul = rooted.path_edges(v, meet);
-    traversals.insert(traversals.end(), backhaul.begin(), backhaul.end());
-    cand.tree.edge_uses = accumulate_edge_uses(std::move(traversals));
-
-    const std::vector<graph::VertexId> to_server =
-        rooted.path_vertices(request.source, v);
-    for (graph::VertexId d : request.destinations) {
-      DestinationRoute route;
-      route.destination = d;
-      route.server = v;
-      route.walk = to_server;
-      route.server_index = route.walk.size() - 1;
-      const std::vector<graph::VertexId> down = rooted.path_vertices(v, d);
-      route.walk.insert(route.walk.end(), down.begin() + 1, down.end());
-      cand.tree.routes.push_back(std::move(route));
-    }
-
-    if (!meets_delay_bound(*topo_, request, cand.tree)) {
-      reject.update(RejectTracker::kRankCandidate,
-                    "no candidate tree meets the delay bound",
-                    RejectCause::kDelay);
-      NFVM_OBS_ONLY(if (rec) ++rec->failed_delay;)
-      continue;
-    }
-    cand.footprint = cand.tree.footprint(request, topo_->graph);
-    if (!state_.can_allocate(cand.footprint)) {
-      // Double-traversed backhaul links can need 2 b_k; charge honestly and
-      // skip candidates that no longer fit.
-      reject.update(RejectTracker::kRankCandidate,
-                    "backhaul multiplicities exceed residual bandwidth",
-                    RejectCause::kBandwidth);
-      NFVM_OBS_ONLY(if (rec) ++rec->failed_capacity;)
-      continue;
-    }
-    NFVM_OBS_ONLY(if (rec) {
-      ++rec->candidates_feasible;
-      rec->chosen_server = static_cast<std::int64_t>(v);
-      rec->cost_total = slot.cost;
-      rec->cost_steiner = slot.steiner_weight;
-      rec->cost_server = eval_wv[i];
-      rec->cost_backhaul = slot.cost - slot.steiner_weight - eval_wv[i];
-    })
-    best = std::move(cand);
   }
   NFVM_OBS_ONLY(if (rec) rec->realize_us = phase_watch.elapsed_us();)
-
-  if (!best.has_value()) {
-    decision.reject_reason = std::string(reject.reason());
-    decision.reject_cause = reject.cause();
-    return decision;
-  }
-  decision.admitted = true;
-  decision.tree = std::move(best->tree);
-  decision.footprint = std::move(best->footprint);
-  return decision;
+  return std::move(replay).decide();
 }
 
 }  // namespace nfvm::core

@@ -16,9 +16,13 @@
 // sigma_v = sigma_e = |V| - 1 (Theorem 2).
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "core/cost_model.h"
 #include "core/online.h"
-#include "core/online_view.h"
+#include "graph/graph.h"
+#include "graph/sp_repair.h"
 
 namespace nfvm::core {
 
@@ -35,11 +39,11 @@ struct OnlineCpOptions {
   bool linear_weights = false;
 };
 
-/// The admission scan keeps a persistent weighted view of the network,
+/// The admission scan keeps a persistent weighted copy of the network,
 /// patched after each admission and release, and evaluates every candidate
-/// server's KMB tree from one shared shortest-path tree per terminal.
-/// Decisions are bit-identical at any thread count. See
-/// docs/performance.md, "The online fast path".
+/// server's KMB tree from one shared shortest-path tree per terminal; the
+/// server trees persist in a repair store. Decisions are bit-identical at
+/// any thread count. See docs/performance.md, "The online fast path".
 class OnlineCp final : public OnlineAlgorithm {
  public:
   explicit OnlineCp(const topo::Topology& topo, const OnlineCpOptions& options = {});
@@ -59,14 +63,24 @@ class OnlineCp final : public OnlineAlgorithm {
  private:
   double edge_weight(graph::EdgeId e) const;
   double server_weight(graph::VertexId v) const;
+  /// Re-reads the weights of the footprint's links.
+  void patch(const nfv::Footprint& footprint);
 
   ExponentialCostModel model_;
   double sigma_v_;
   double sigma_e_;
   bool linear_weights_;
   std::string name_;
-  /// Declared last: its constructor weighs every edge with edge_weight().
-  OnlineWeightedView view_;
+  /// The weighted graph G_k: the topology's links with the same ids in the
+  /// same adjacency order, each weighing edge_weight(e), a pure function of
+  /// the link's residual bandwidth. Eligibility at b_k is not baked in: each
+  /// request passes its links as `mask_` (nfv::fill_eligibility_mask).
+  graph::Graph graph_;
+  /// One persistent shortest-path tree per topology server, kept, repaired
+  /// or recomputed so that it equals a fresh masked Dijkstra on `graph_`
+  /// (graph/sp_repair.h); the request's other terminals are computed fresh.
+  graph::SpTreeStore trees_;
+  std::vector<std::uint8_t> mask_;
 };
 
 }  // namespace nfvm::core

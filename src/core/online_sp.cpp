@@ -1,9 +1,7 @@
 #include "core/online_sp.h"
 
-#include <optional>
 #include <vector>
 
-#include "core/delay.h"
 #include "graph/sp_engine.h"
 #include "obs/metrics.h"
 #include "util/timer.h"
@@ -26,14 +24,13 @@ struct SpCandidateSlot {
 }  // namespace
 
 AdmissionDecision OnlineSp::try_admit(const nfv::Request& request) {
-  AdmissionDecision decision;
   const double b = request.bandwidth_mbps;
   const double demand = request.compute_demand_mhz();
 
   RejectTracker reject("no server has sufficient residual computing",
                        RejectCause::kCompute);
-  NFVM_OBS_ONLY(RequestRecord* const rec = active_record();
-                util::Stopwatch phase_watch;)
+  RequestRecord* const rec = active_record();
+  NFVM_OBS_ONLY(util::Stopwatch phase_watch;)
 
   // Phase A: the compute gate (the only resource pruning done per server
   // before path evaluation). The survivors follow the source in `roots`.
@@ -51,11 +48,7 @@ AdmissionDecision OnlineSp::try_admit(const nfv::Request& request) {
     rec->servers_eligible = eval.size();
     rec->classify_us = phase_watch.elapsed_us();
   })
-  if (eval.empty()) {
-    decision.reject_reason = std::string(reject.reason());
-    decision.reject_cause = reject.cause();
-    return decision;
-  }
+  if (eval.empty()) return rejected(reject);
   NFVM_COUNTER_INC("core.online.closure_scans");
 
   // Phase B: one shortest-path tree per distinct terminal (source +
@@ -98,12 +91,7 @@ AdmissionDecision OnlineSp::try_admit(const nfv::Request& request) {
   // per-server scan (note the cost prune sits BEFORE the delay check,
   // silently). The tree, the delay check and the footprint are only paid
   // by prune survivors.
-  struct Candidate {
-    double cost = 0.0;
-    PseudoMulticastTree tree;
-    nfv::Footprint footprint;
-  };
-  std::optional<Candidate> best;
+  CandidateReplay replay(*topo_, state_, request, reject, rec);
   for (std::size_t i = 0; i < eval.size(); ++i) {
     const SpCandidateSlot& slot = slots[i];
     if (!slot.server_reachable) {
@@ -120,46 +108,13 @@ AdmissionDecision OnlineSp::try_admit(const nfv::Request& request) {
       NFVM_OBS_ONLY(if (rec) ++rec->failed_disconnected;)
       continue;
     }
-    if (best.has_value() && slot.cost >= best->cost) {
-      NFVM_OBS_ONLY(if (rec) ++rec->cost_pruned;)
-      continue;
-    }
-    NFVM_COUNTER_INC("core.online.trees_assembled");
-    PseudoMulticastTree tree = make_one_server_spt_tree(
-        request, eval[i], from_source, table_.from(eval[i]), slot.cost, marks_);
-    if (!meets_delay_bound(*topo_, request, tree)) {
-      reject.update(RejectTracker::kRankCandidate,
-                    "no candidate tree meets the delay bound",
-                    RejectCause::kDelay);
-      NFVM_OBS_ONLY(if (rec) ++rec->failed_delay;)
-      continue;
-    }
-    nfv::Footprint footprint = tree.footprint(request, topo_->graph);
-    if (!state_.can_allocate(footprint)) {
-      reject.update(RejectTracker::kRankCandidate,
-                    "path overlaps exceed residual bandwidth",
-                    RejectCause::kBandwidth);
-      NFVM_OBS_ONLY(if (rec) ++rec->failed_capacity;)
-      continue;
-    }
-    NFVM_OBS_ONLY(if (rec) {
-      ++rec->candidates_feasible;
-      rec->chosen_server = static_cast<std::int64_t>(eval[i]);
-      rec->cost_total = slot.cost;
-    })
-    best = Candidate{slot.cost, std::move(tree), std::move(footprint)};
+    if (replay.pruned(slot.cost)) continue;
+    replay.offer(make_one_server_spt_tree(request, eval[i], from_source,
+                                          table_.from(eval[i]), slot.cost, marks_),
+                 "path overlaps exceed residual bandwidth");
   }
   NFVM_OBS_ONLY(if (rec) rec->realize_us = phase_watch.elapsed_us();)
-
-  if (!best.has_value()) {
-    decision.reject_reason = std::string(reject.reason());
-    decision.reject_cause = reject.cause();
-    return decision;
-  }
-  decision.admitted = true;
-  decision.tree = std::move(best->tree);
-  decision.footprint = std::move(best->footprint);
-  return decision;
+  return std::move(replay).decide();
 }
 
 }  // namespace nfvm::core

@@ -12,10 +12,10 @@
 // Phase names (the contract shared with sim/simulator.cpp's event fields
 // and obs/request_events.cpp's aggregation):
 //   classify   server classification / weighted working-graph build
-//   closure    shared-closure shortest-path tree family (view trees_for)
+//   closure    shared-closure shortest-path tree family (tree store update)
 //   eval       candidate-server / combination evaluation scan
 //   realize    sequential replay: route assembly, delay + capacity checks
-//   view_patch incremental weighted-view patch after an admission
+//   view_patch Online_CP's weighted-graph patch after an admission
 // Phases that a path does not run stay 0; phases need not sum to total_us
 // (validation and resource allocation sit between them).
 #pragma once

@@ -10,9 +10,9 @@
 //   * the residual resource vectors, bit-for-bit (obs::json_number prints
 //     every double so it round-trips exactly) - residuals are accumulated
 //     floating-point sums, so replaying footprints would reassociate them
-//     and drift by an ulp; the residual-derived incremental view
-//     (core::OnlineWeightedView) is rebuilt from them because its weights
-//     are a pure function of the residuals;
+//     and drift by an ulp; residual-derived state (core::OnlineCp's
+//     weighted graph) is rebuilt from them because its weights are a pure
+//     function of the residuals;
 //   * the active-request table (id -> footprint), needed to serve future
 //     departs, and the ids of rejected arrivals whose departs are still
 //     pending;

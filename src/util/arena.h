@@ -16,13 +16,12 @@
 //  * If an allocation outgrows the live block, the block is retired (NOT
 //    freed — outstanding pointers stay valid) and a larger one starts;
 //    rewinding across a growth is a no-op, and retired blocks live as long
-//    as the arena (the request for WorkContext's, the thread for
-//    thread_local_arena()).
+//    as the arena, i.e. as long as its thread.
 //
-// Thread model: an Arena is single-threaded. thread_local_arena() gives
-// each thread its own (the pattern for pool workers building RootedTrees
-// in parallel); per-request arenas (WorkContext) are confined to the
-// request's sequential phases.
+// Thread model: an Arena is single-threaded, and there is one per thread:
+// every call site takes thread_local_arena() (pool workers building
+// RootedTrees in parallel, Appro_Multi realizing a candidate) and uses it
+// through an ArenaScope, so nested call sites on one thread compose.
 #pragma once
 
 #include <cstddef>

@@ -1,5 +1,5 @@
 // Saturating combination counts for the branch-and-bound combination
-// search's budget and pruned-subtree accounting.
+// search's pruned-subtree accounting.
 #pragma once
 
 #include <cstddef>

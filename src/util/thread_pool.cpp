@@ -14,10 +14,11 @@
 namespace nfvm::util {
 namespace {
 
-/// Set while the current thread is a pool worker executing region bodies;
-/// a nested parallel_for from such a thread must run inline rather than
-/// wait on the pool it is part of.
-thread_local bool t_in_pool_worker = false;
+/// Set while the current thread runs region bodies: always on a pool
+/// worker, and on the submitting thread for the length of its region. A
+/// parallel_for from such a thread runs inline rather than wait on a region
+/// it is part of.
+thread_local bool t_in_region = false;
 
 void run_inline(std::size_t count, const std::function<void(std::size_t)>& body) {
   for (std::size_t i = 0; i < count; ++i) body(i);
@@ -29,8 +30,9 @@ struct ThreadPool::Impl {
   std::vector<std::thread> workers;
 
   // One region at a time: the submitting thread holds run_mu for the whole
-  // region, so a second thread arriving mid-region fails the try_lock and
-  // runs inline instead of blocking.
+  // region, so another thread arriving mid-region fails the try_lock and
+  // runs inline instead of blocking. The submitter itself never reaches
+  // the try_lock while it holds run_mu: t_in_region sends it inline first.
   std::mutex run_mu;
 
   // Region state. body/count are published under state_mu before workers
@@ -66,7 +68,7 @@ struct ThreadPool::Impl {
   }
 
   void worker_loop() {
-    t_in_pool_worker = true;
+    t_in_region = true;
     std::uint64_t seen_seq = 0;
     for (;;) {
       {
@@ -143,18 +145,22 @@ void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& body) {
   if (count == 0) return;
   NFVM_COUNTER_ADD("pool.tasks", count);
-  if (count == 1 || impl_->workers.empty() || t_in_pool_worker) {
+  if (count == 1 || impl_->workers.empty() || t_in_region) {
     run_inline(count, body);
     return;
   }
-  // Another region in flight on this pool (e.g. a caller above us in the
-  // stack) — serialize instead of deadlocking on its completion.
+  // Another thread's region in flight on this pool: serialize instead of
+  // waiting for it.
   std::unique_lock<std::mutex> region(impl_->run_mu, std::try_to_lock);
   if (!region.owns_lock()) {
     run_inline(count, body);
     return;
   }
   NFVM_COUNTER_INC("pool.parallel_regions");
+  struct InRegion {
+    InRegion() { t_in_region = true; }
+    ~InRegion() { t_in_region = false; }
+  } in_region;
   impl_->run_region(count, body);
 }
 

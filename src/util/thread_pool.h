@@ -9,7 +9,8 @@
 // order, so `--threads 1` / unset NFVM_THREADS is bit-identical to the
 // pre-pool code by construction. Nested parallel_for calls (e.g.
 // Appro_Multi fanning out combinations whose Steiner solver fans out
-// terminal Dijkstras) serialize instead of deadlocking: a pool worker, or
+// terminal Dijkstras) serialize instead of deadlocking: a thread running
+// region bodies (a pool worker, or the submitter during its region), or
 // any thread arriving while a region is in flight, runs its loop inline.
 #pragma once
 
@@ -32,9 +33,9 @@ class ThreadPool {
 
   /// Runs body(i) for every i in [0, count); returns when all are done.
   /// Runs inline (in index order) when the pool is single-threaded, count
-  /// <= 1, this thread is itself a pool worker, or another region is in
-  /// flight. The first exception thrown by any body is rethrown here after
-  /// the region drains.
+  /// <= 1, this thread is running region bodies (a nested call), or another
+  /// region is in flight. The first exception thrown by any body is
+  /// rethrown here after the region drains.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& body);
 

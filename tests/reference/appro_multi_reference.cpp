@@ -188,19 +188,14 @@ OfflineSolution appro_multi(const topo::Topology& topo, const core::LinearCosts&
     // identical for any thread count.
     std::vector<std::vector<graph::VertexId>> combos;
     const std::size_t max_k = std::min(options.max_servers, pool.size());
-    bool budget_left = true;
     {
       NFVM_HDR_OBSERVE("core.appro_multi.prepare_us", phase_watch.elapsed_us());
       NFVM_SPAN("appro_multi/enumerate_servers");
       NFVM_OBS_ONLY(phase_watch.reset();)
-      for (std::size_t k = 1; k <= max_k && budget_left; ++k) {
+      for (std::size_t k = 1; k <= max_k; ++k) {
         std::vector<std::size_t> idx(k);
         for (std::size_t i = 0; i < k; ++i) idx[i] = i;
         do {
-          if (combos.size() >= options.max_combinations) {
-            budget_left = false;
-            break;
-          }
           std::vector<graph::VertexId> combo(k);
           for (std::size_t i = 0; i < k; ++i) combo[i] = pool[idx[i]];
           combos.push_back(std::move(combo));
@@ -316,21 +311,16 @@ OfflineSolution appro_multi(const topo::Topology& topo, const core::LinearCosts&
   // Realize-fallthrough: when the cheapest tree violates the delay bound or
   // the residual capacities, re-search with its key as the floor to obtain
   // the next candidate in the legacy sort order. Later passes reuse the
-  // bounds and evaluations of earlier ones, so the shared evaluation budget
-  // (and combinations_explored) counts each combination once per call.
+  // bounds and evaluations of earlier ones, so combinations_explored counts
+  // each combination once per call.
   ComboKey floor;
   bool have_floor = false;
   bool any_connected = false;
   NFVM_OBS_ONLY(double evaluate_us = 0.0; double realize_us = 0.0;
                 util::Stopwatch pass_watch;)
   while (true) {
-    const std::size_t remaining =
-        options.max_combinations > sol.combinations_explored
-            ? options.max_combinations - sol.combinations_explored
-            : 0;
     NFVM_OBS_ONLY(pass_watch.reset();)
-    ComboSearchResult pass =
-        combo_search.next_best(have_floor ? &floor : nullptr, remaining);
+    ComboSearchResult pass = combo_search.next_best(have_floor ? &floor : nullptr);
     NFVM_OBS_ONLY(evaluate_us += pass_watch.elapsed_us();)
     sol.combinations_explored += pass.evaluated;
     sol.combinations_pruned =

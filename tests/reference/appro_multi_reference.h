@@ -61,8 +61,8 @@ enum class Engine { kReference, kSharedDijkstra };
 enum class Search { kLegacySweep, kBranchAndBound };
 
 /// Appro_Multi with the given engine and search. Reads max_servers,
-/// resources, max_combinations and beam_width from `options`; its engine and
-/// search fields are ignored. Throws like core::appro_multi.
+/// resources and beam_width from `options`; its engine and search fields
+/// are ignored. Throws like core::appro_multi.
 core::OfflineSolution appro_multi(const topo::Topology& topo,
                                   const core::LinearCosts& costs,
                                   const nfv::Request& request,

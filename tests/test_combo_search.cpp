@@ -379,8 +379,7 @@ TEST(ComboSearch, DominatedCombinationsSolveLikeTheirWitnessSubset) {
           return ComboEvaluation{};
         },
         &rig.sprime);
-    const ComboSearchResult res =
-        search.next_best(nullptr, std::numeric_limits<std::size_t>::max());
+    const ComboSearchResult res = search.next_best(nullptr);
     ASSERT_FALSE(res.found);
     std::sort(evaluated.begin(), evaluated.end());
 
@@ -479,21 +478,6 @@ TEST(ComboSearch, WorkAtKThreeIsPinnedOnASeededRequestSet) {
   EXPECT_EQ(pruned[0], 182u);
   EXPECT_EQ(explored[1], 647u);  // shared engine
   EXPECT_EQ(pruned[1], 679u);
-}
-
-TEST(ComboSearch, EvaluationBudgetIsRespectedInBothModes) {
-  GlobalThreadsGuard guard;
-  const Instance inst = random_instance(71, 40, 3);
-  for (const auto engine : kEngines) {
-    for (const auto search : {Search::kLegacySweep, Search::kBranchAndBound}) {
-      ApproMultiOptions opts;
-      opts.max_servers = 3;
-      opts.max_combinations = 5;
-      const OfflineSolution sol = run(inst, opts, engine, search);
-      EXPECT_LE(sol.combinations_explored, 5u);
-      EXPECT_GE(sol.combinations_explored, 1u);
-    }
-  }
 }
 
 TEST(BeamSearch, CostIsNonIncreasingInWidthAndExactAtFullPool) {

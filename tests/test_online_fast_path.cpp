@@ -1,13 +1,15 @@
 // The online admission fast path: trace equivalence between the production
-// scans (Online_CP: patched weighted view + repaired server trees +
+// scans (Online_CP: patched weighted graph + repaired server trees +
 // shared-closure scan; Online_SP: fresh breadth-first trees + parent-walk
-// pricing) and the per-request rebuild scans kept in tests/reference, the
-// OnlineWeightedView repair store, and RejectTracker precedence.
+// pricing) and the per-request rebuild scans kept in tests/reference,
+// Online_CP's weighted graph and repair store, and RejectTracker
+// precedence.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <queue>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,9 +18,9 @@
 #include "core/online_cp.h"
 #include "core/online_sp.h"
 #include "core/online_sp_static.h"
-#include "core/online_view.h"
 #include "graph/dijkstra.h"
 #include "graph/sp_engine.h"
+#include "graph/sp_repair.h"
 #include "nfv/resources.h"
 #include "obs/metrics.h"
 #include "obs_test_util.h"
@@ -266,11 +268,11 @@ TEST(OnlineFastPath, SpComputesOneTreePerDistinctRoot) {
         roots.push_back(v);
       }
     }
-    const bool scanned = source_in_eval || roots.size() > 1;
     shared += source_in_eval ? 1 : 0;
     const test::CounterBaseline counters;
     const AdmissionDecision df = fast.process(request);
 #if NFVM_OBS
+    const bool scanned = source_in_eval || roots.size() > 1;
     EXPECT_EQ(counters.since("graph.dijkstra.runs"), scanned ? roots.size() : 0u)
         << "request " << i;
 #endif
@@ -373,7 +375,7 @@ TEST(OnlineFastPath, SpStaticAndCpAssembleTreesOnlyForPruneSurvivorsOnCliGeant) 
 #endif
 
 // ---------------------------------------------------------------------------
-// OnlineWeightedView: patching and the repair store
+// OnlineWeightedView: Online_CP's weighted graph and its repair store
 // ---------------------------------------------------------------------------
 
 /// Triangle 0-1-2 (0-2 direct more expensive than 0-1 + 1-2) plus a tail
@@ -393,28 +395,72 @@ topo::Topology triangle_tail_topology() {
   return t;
 }
 
-/// Weight = f(residual): the static link weight plus consumed bandwidth in
-/// thousandths, so allocations move exactly the touched edges.
-OnlineWeightedView::EdgeWeightFn consumption_weight(const topo::Topology& topo,
-                                                    const nfv::ResourceState& state) {
-  return [&topo, &state](graph::EdgeId e) {
-    const double consumed =
-        topo.link_bandwidth[e] - state.residual_bandwidth(e);
-    return topo.graph.weight(e) + consumed / 1000.0;
-  };
+/// A link weight as a pure function of the residuals: the static link
+/// weight plus the consumed bandwidth in thousandths, so allocations move
+/// exactly the touched edges.
+double consumption_weight(const topo::Topology& topo,
+                          const nfv::ResourceState& state, graph::EdgeId e) {
+  const double consumed = topo.link_bandwidth[e] - state.residual_bandwidth(e);
+  return topo.graph.weight(e) + consumed / 1000.0;
 }
+
+/// A residual-independent link weight.
+double static_weight(const topo::Topology& topo, const nfv::ResourceState& /*state*/,
+                     graph::EdgeId e) {
+  return topo.graph.weight(e);
+}
+
+/// What Online_CP keeps for its scan, driven directly: a mirror of the
+/// topology's links (same ids, same adjacency order) whose weights the test
+/// sets from the ResourceState, and the repair store of the trees from
+/// every server.
+struct ServerTrees {
+  using LinkWeight = double (*)(const topo::Topology&, const nfv::ResourceState&,
+                                graph::EdgeId);
+
+  ServerTrees(const topo::Topology& topo, const nfv::ResourceState& state,
+              LinkWeight weight)
+      : topo(&topo), state(&state), weight(weight),
+        graph(topo.graph.num_vertices()), store(topo.servers) {
+    for (graph::EdgeId e = 0; e < topo.graph.num_edges(); ++e) {
+      const graph::Edge& ed = topo.graph.edge(e);
+      graph.add_edge(ed.u, ed.v, weight(topo, state, e));
+    }
+  }
+
+  /// Re-reads every link weight from the residuals, then brings the trees
+  /// from `sources` up to date over the links eligible at `b`, as Online_CP
+  /// does before a scan.
+  const graph::SpTreeStore& update(std::span<const graph::VertexId> sources,
+                                   double b) {
+    for (graph::EdgeId e = 0; e < graph.num_edges(); ++e) {
+      const double w = weight(*topo, *state, e);
+      if (graph.weight(e) != w) graph.set_weight(e, w);
+    }
+    nfv::fill_eligibility_mask(*state, topo->graph, b, mask);
+    store.update(graph, sources, mask);
+    return store;
+  }
+
+  const topo::Topology* topo;
+  const nfv::ResourceState* state;
+  LinkWeight weight;
+  graph::Graph graph;
+  graph::SpTreeStore store;
+  std::vector<std::uint8_t> mask;
+};
 
 /// The tree every stored one must equal: a fresh masked Dijkstra, with the
 /// mask built from the same nfv::edge_eligible predicate.
-void expect_fresh(const OnlineWeightedView& view, const nfv::ResourceState& state,
+void expect_fresh(const graph::Graph& g, const nfv::ResourceState& state,
                   const graph::ShortestPaths& tree, double b) {
-  std::vector<std::uint8_t> mask(view.graph().num_edges());
+  std::vector<std::uint8_t> mask(g.num_edges());
   for (graph::EdgeId e = 0; e < mask.size(); ++e) {
-    mask[e] = nfv::edge_eligible(state, view.graph(), e, b) ? 1 : 0;
+    mask[e] = nfv::edge_eligible(state, g, e, b) ? 1 : 0;
   }
   graph::SpEngine engine;
   const graph::ShortestPaths fresh =
-      reference::shortest_paths_masked(engine, view.graph(), tree.source, mask);
+      reference::shortest_paths_masked(engine, g, tree.source, mask);
   EXPECT_EQ(tree.dist, fresh.dist) << "source " << tree.source;
   EXPECT_EQ(tree.parent, fresh.parent) << "source " << tree.source;
   EXPECT_EQ(tree.parent_edge, fresh.parent_edge) << "source " << tree.source;
@@ -423,10 +469,10 @@ void expect_fresh(const OnlineWeightedView& view, const nfv::ResourceState& stat
 TEST(OnlineWeightedView, PatchRepairsOnlyTreesContainingChangedEdges) {
   const topo::Topology topo = triangle_tail_topology();
   nfv::ResourceState state(topo);
-  OnlineWeightedView view(topo, consumption_weight(topo, state));
+  ServerTrees view(topo, state, consumption_weight);
 
   const std::vector<graph::VertexId> sources = {0, 1};
-  const graph::SpTreeStore& trees = view.trees_for(state, sources, 50.0);
+  const graph::SpTreeStore& trees = view.update(sources, 50.0);
   // Tree from 0 uses e2 (1.5 < 1+1); tree from 1 reaches everything through
   // e0/e1/e3.
   ASSERT_EQ(trees.from(0).parent_edge[2], 2u);
@@ -435,10 +481,9 @@ TEST(OnlineWeightedView, PatchRepairsOnlyTreesContainingChangedEdges) {
   nfv::Footprint fp;
   fp.bandwidth = {{2, 100.0}};  // consume on e2 only
   state.allocate(fp);
-  view.apply_allocate(fp);
 
   const test::CounterBaseline counters;
-  view.trees_for(state, sources, 50.0);
+  view.update(sources, 50.0);
 #if NFVM_OBS
   // e2 is a tree edge of the tree from 0: repaired in place. The tree from
   // 1 only saw a non-tree increase: kept. Nothing is recomputed.
@@ -447,18 +492,17 @@ TEST(OnlineWeightedView, PatchRepairsOnlyTreesContainingChangedEdges) {
   EXPECT_EQ(counters.since("graph.sp_repair.tie_fallbacks"), 0u);
   EXPECT_EQ(counters.since("graph.dijkstra.runs"), 0u);
 #endif
-  expect_fresh(view, state, trees.from(0), 50.0);
-  expect_fresh(view, state, trees.from(1), 50.0);
+  expect_fresh(view.graph, state, trees.from(0), 50.0);
+  expect_fresh(view.graph, state, trees.from(1), 50.0);
   // e2 now costs 1.6, so the path 0-1-2 (2.0) still loses; bump it past
   // 2.0 and the repaired tree reroutes.
   nfv::Footprint fp2;
   fp2.bandwidth = {{2, 500.0}};
   state.allocate(fp2);
-  view.apply_allocate(fp2);
-  view.trees_for(state, sources, 50.0);
+  view.update(sources, 50.0);
   EXPECT_EQ(trees.from(0).parent_edge[2], 1u);  // rerouted around the hot link
-  expect_fresh(view, state, trees.from(0), 50.0);
-  expect_fresh(view, state, trees.from(1), 50.0);
+  expect_fresh(view.graph, state, trees.from(0), 50.0);
+  expect_fresh(view.graph, state, trees.from(1), 50.0);
 }
 
 TEST(OnlineWeightedView, AllocationWithoutWeightChangeKeepsTree) {
@@ -466,88 +510,82 @@ TEST(OnlineWeightedView, AllocationWithoutWeightChangeKeepsTree) {
   nfv::ResourceState state(topo);
   // Residual-independent weights: allocations that leave every edge
   // eligible change nothing the tree can see.
-  OnlineWeightedView view(topo,
-                          [&](graph::EdgeId e) { return topo.graph.weight(e); });
+  ServerTrees view(topo, state, static_weight);
   const std::vector<graph::VertexId> sources = {0};
-  view.trees_for(state, sources, 50.0);
+  view.update(sources, 50.0);
   nfv::Footprint fp;
   fp.bandwidth = {{0, 100.0}, {1, 100.0}, {2, 100.0}, {3, 100.0}};
   state.allocate(fp);
-  view.apply_allocate(fp);
   const test::CounterBaseline counters;
-  const graph::SpTreeStore& trees = view.trees_for(state, sources, 50.0);
+  const graph::SpTreeStore& trees = view.update(sources, 50.0);
 #if NFVM_OBS
   EXPECT_EQ(counters.since("graph.sp_repair.trees_kept"), 1u);
   EXPECT_EQ(counters.since("graph.sp_repair.trees_repaired"), 0u);
   EXPECT_EQ(counters.since("graph.dijkstra.runs"), 0u);
 #endif
-  expect_fresh(view, state, trees.from(0), 50.0);
+  expect_fresh(view.graph, state, trees.from(0), 50.0);
 }
 
 TEST(OnlineWeightedView, ReleaseRepairsTreesInsteadOfDropping) {
   const topo::Topology topo = triangle_tail_topology();
   nfv::ResourceState state(topo);
-  OnlineWeightedView view(topo, consumption_weight(topo, state));
+  ServerTrees view(topo, state, consumption_weight);
   const std::vector<graph::VertexId> sources = {0, 3};
-  view.trees_for(state, sources, 50.0);
+  view.update(sources, 50.0);
 
   // Make e2 expensive enough to reroute the tree from 0, then release it.
   nfv::Footprint fp;
   fp.bandwidth = {{2, 600.0}};
   state.allocate(fp);
-  view.apply_allocate(fp);
-  const graph::SpTreeStore& trees = view.trees_for(state, sources, 50.0);
+  const graph::SpTreeStore& trees = view.update(sources, 50.0);
   ASSERT_EQ(trees.from(0).parent_edge[2], 1u);
   state.release(fp);
-  view.apply_release(fp);
   const test::CounterBaseline counters;
-  view.trees_for(state, sources, 50.0);
+  view.update(sources, 50.0);
 #if NFVM_OBS
   // Both trees are repaired from the release's weight decrease; nothing is
   // recomputed.
   EXPECT_EQ(counters.since("graph.dijkstra.runs"), 0u);
   EXPECT_EQ(counters.since("graph.sp_repair.trees_repaired"), 2u);
 #endif
-  // The store still holds both trees: an unchanged view keeps them as they
-  // are. The one from 0 is back on e2 and identical to a fresh run.
+  // The store still holds both trees: an unchanged graph keeps them as
+  // they are. The one from 0 is back on e2 and identical to a fresh run.
   const test::CounterBaseline again;
-  view.trees_for(state, sources, 50.0);
+  view.update(sources, 50.0);
 #if NFVM_OBS
   EXPECT_EQ(again.since("graph.sp_repair.trees_kept"), 2u);
   EXPECT_EQ(again.since("graph.dijkstra.runs"), 0u);
 #endif
   EXPECT_EQ(trees.from(0).parent_edge[2], 2u);
-  expect_fresh(view, state, trees.from(0), 50.0);
-  expect_fresh(view, state, trees.from(3), 50.0);
+  expect_fresh(view.graph, state, trees.from(0), 50.0);
+  expect_fresh(view.graph, state, trees.from(3), 50.0);
 }
 
 TEST(OnlineWeightedView, LowerBandwidthThresholdRepairsTree) {
   const topo::Topology topo = triangle_tail_topology();
   nfv::ResourceState state(topo);
-  OnlineWeightedView view(topo, consumption_weight(topo, state));
+  ServerTrees view(topo, state, consumption_weight);
   nfv::Footprint fp;
   fp.bandwidth = {{2, 920.0}};  // 80 left on e2
   state.allocate(fp);
-  view.apply_allocate(fp);
   const std::vector<graph::VertexId> sources = {0};
-  const graph::SpTreeStore& trees = view.trees_for(state, sources, 100.0);
+  const graph::SpTreeStore& trees = view.update(sources, 100.0);
   ASSERT_EQ(trees.from(0).parent_edge[2], 1u);  // e2 ineligible at b = 100
   // b' < b_T: e2 becomes eligible again (an effective-weight decrease).
-  view.trees_for(state, sources, 50.0);
-  expect_fresh(view, state, trees.from(0), 50.0);
+  view.update(sources, 50.0);
+  expect_fresh(view.graph, state, trees.from(0), 50.0);
   // Back up to b' >= b_T: e2 drops out again.
-  view.trees_for(state, sources, 90.0);
+  view.update(sources, 90.0);
   EXPECT_EQ(trees.from(0).parent_edge[2], 1u);
-  expect_fresh(view, state, trees.from(0), 90.0);
+  expect_fresh(view.graph, state, trees.from(0), 90.0);
 }
 
 TEST(OnlineWeightedView, IneligibleTreeEdgeIsRepaired) {
   const topo::Topology topo = triangle_tail_topology();
   nfv::ResourceState state(topo);
-  OnlineWeightedView view(topo,
-                          [&](graph::EdgeId e) { return topo.graph.weight(e); });
+  ServerTrees view(topo, state, static_weight);
   const std::vector<graph::VertexId> sources = {0};
-  const graph::SpTreeStore& trees = view.trees_for(state, sources, 50.0);
+  const graph::SpTreeStore& trees = view.update(sources, 50.0);
   ASSERT_EQ(trees.from(0).parent_edge[2], 2u);  // uses e2
   // Starve e2 below the request bandwidth WITHOUT changing weights (weights
   // are residual-independent here), so only the eligibility diff can
@@ -555,15 +593,14 @@ TEST(OnlineWeightedView, IneligibleTreeEdgeIsRepaired) {
   nfv::Footprint fp;
   fp.bandwidth = {{2, 960.0}};
   state.allocate(fp);
-  view.apply_allocate(fp);
   const test::CounterBaseline counters;
-  view.trees_for(state, sources, 50.0);
+  view.update(sources, 50.0);
 #if NFVM_OBS
   EXPECT_EQ(counters.since("graph.sp_repair.trees_kept"), 0u);
   EXPECT_EQ(counters.since("graph.sp_repair.trees_repaired"), 1u);
 #endif
   EXPECT_EQ(trees.from(0).parent_edge[2], 1u);  // rerouted: e2 now ineligible
-  expect_fresh(view, state, trees.from(0), 50.0);
+  expect_fresh(view.graph, state, trees.from(0), 50.0);
 }
 
 /// The unit square 0-1-3 / 0-2-3 with a chord 1-2: from 0, vertex 3 has two
@@ -586,26 +623,24 @@ topo::Topology tied_square_topology() {
 TEST(OnlineWeightedView, NonTreeIncreaseKeepsTreeWithTies) {
   const topo::Topology topo = tied_square_topology();
   nfv::ResourceState state(topo);
-  OnlineWeightedView view(topo, consumption_weight(topo, state));
+  ServerTrees view(topo, state, consumption_weight);
   const std::vector<graph::VertexId> sources = {0};
   const test::CounterBaseline counters;
-  const graph::SpTreeStore& trees = view.trees_for(state, sources, 50.0);
+  const graph::SpTreeStore& trees = view.update(sources, 50.0);
   ASSERT_EQ(trees.from(0).dist[3], 2.0);
 
   // Raise the chord (a non-tree edge): kept as is, ties and all.
   nfv::Footprint chord;
   chord.bandwidth = {{4, 300.0}};
   state.allocate(chord);
-  view.apply_allocate(chord);
-  view.trees_for(state, sources, 50.0);
-  expect_fresh(view, state, trees.from(0), 50.0);
+  view.update(sources, 50.0);
+  expect_fresh(view.graph, state, trees.from(0), 50.0);
 
   // Lower it again: a decrease on a tree with ties cannot be repaired
   // locally, so the tree is recomputed in full (and still exact).
   state.release(chord);
-  view.apply_release(chord);
-  view.trees_for(state, sources, 50.0);
-  expect_fresh(view, state, trees.from(0), 50.0);
+  view.update(sources, 50.0);
+  expect_fresh(view.graph, state, trees.from(0), 50.0);
 #if NFVM_OBS
   EXPECT_EQ(counters.since("graph.sp_repair.trees_kept"), 1u);
   EXPECT_EQ(counters.since("graph.sp_repair.tie_fallbacks"), 1u);
@@ -614,8 +649,8 @@ TEST(OnlineWeightedView, NonTreeIncreaseKeepsTreeWithTies) {
 }
 
 TEST(OnlineWeightedView, AfterRestoreDropsStore) {
-  // A restore installs residuals wholesale; OnlineCp::after_restore rebuilds
-  // the view, which drops every stored tree. The first request after the
+  // A restore installs residuals wholesale; OnlineCp::after_restore
+  // re-reads every weight and drops every stored tree. The first request after the
   // restore therefore computes all its trees fresh — and decides exactly
   // like a twin that never restored.
   util::Rng rng(95);

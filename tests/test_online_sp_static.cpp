@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/online_sp.h"
 #include "sim/request_gen.h"
 #include "sim/simulator.h"
@@ -116,6 +118,71 @@ TEST(OnlineSpStatic, RejectReasonProvided) {
   const AdmissionDecision d = algo.process(r);
   EXPECT_FALSE(d.admitted);
   EXPECT_FALSE(d.reject_reason.empty());
+}
+
+/// Processes `r` on a fresh SP_static over `t`, expecting a rejection with
+/// this reason and cause.
+void expect_reject(const topo::Topology& t, const nfv::Request& r,
+                   const std::string& reason, RejectCause cause) {
+  OnlineSpStatic algo(t);
+  const AdmissionDecision d = algo.process(r);
+  ASSERT_FALSE(d.admitted);
+  EXPECT_EQ(d.reject_reason, reason);
+  EXPECT_EQ(d.reject_cause, cause);
+}
+
+TEST(OnlineSpStatic, RejectReasonsAndCausesArePinned) {
+  const nfv::Request r = simple_request();
+  {
+    topo::Topology t = diamond_topology();
+    t.server_compute = {0, r.compute_demand_mhz() / 2, r.compute_demand_mhz() / 2, 0};
+    expect_reject(t, r, "no server has sufficient residual computing",
+                  RejectCause::kCompute);
+  }
+  {
+    // Both fixed routes take 2 ms of links against a 1 ms bound.
+    topo::Topology t = diamond_topology();
+    t.link_delay_ms = {1.0, 1.0, 1.0, 1.0};
+    nfv::Request bounded = r;
+    bounded.max_delay_ms = 1.0;
+    expect_reject(t, bounded, "no candidate tree meets the delay bound",
+                  RejectCause::kDelay);
+  }
+  {
+    topo::Topology t = diamond_topology();
+    t.link_bandwidth = {50, 50, 50, 50};
+    expect_reject(t, r, "fixed route exceeds residual bandwidth",
+                  RejectCause::kBandwidth);
+  }
+}
+
+TEST(OnlineSpStatic, LastCandidateFailureWins) {
+  // Server 1's route 0-1-3 is slow, server 2's route 0-2-3 is fast but
+  // thin, so the candidates fail different checks; the scan reports the
+  // failure of the last one it examined, in server order.
+  topo::Topology t = diamond_topology();
+  t.link_delay_ms = {5.0, 5.0, 0.1, 0.1};
+  t.link_bandwidth = {1000, 1000, 50, 50};
+  nfv::Request r = simple_request();
+  r.max_delay_ms = 1.0;
+  OnlineSpStatic algo(t);
+  algo.set_record_provenance(true);
+  const AdmissionDecision d = algo.process(r);
+  ASSERT_FALSE(d.admitted);
+  EXPECT_EQ(d.reject_reason, "fixed route exceeds residual bandwidth");
+  EXPECT_EQ(d.reject_cause, RejectCause::kBandwidth);
+#if NFVM_OBS
+  ASSERT_NE(d.record, nullptr);
+  EXPECT_EQ(d.record->failed_delay, 1u);
+  EXPECT_EQ(d.record->failed_capacity, 1u);
+#endif
+
+  // Swap the failures: now the thin route comes first and the slow one
+  // last, so the delay failure is reported.
+  t.link_delay_ms = {0.1, 0.1, 5.0, 5.0};
+  t.link_bandwidth = {50, 50, 1000, 1000};
+  expect_reject(t, r, "no candidate tree meets the delay bound",
+                RejectCause::kDelay);
 }
 
 TEST(OnlineSpStatic, NeverBeatsAdaptiveSp) {

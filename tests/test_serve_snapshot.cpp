@@ -8,8 +8,8 @@
 // it.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
+#include <deque>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -18,12 +18,12 @@
 #include <vector>
 
 #include "core/online_cp.h"
-#include "core/online_view.h"
 #include "obs_test_util.h"
 #include "serve/daemon.h"
 #include "serve/fault_plan.h"
 #include "serve/snapshot.h"
 #include "serve/trace_gen.h"
+#include "sim/request_gen.h"
 #include "topology/waxman.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -345,45 +345,57 @@ TEST(ServeSnapshot, RestoredStreamIsByteIdenticalFourThreads) {
 }
 
 TEST(ServeSnapshot, ViewWeightsAreAPureFunctionOfRestoredResiduals) {
-  // The snapshot deliberately does NOT serialize OnlineWeightedView state:
-  // its weights are a pure function of the residuals, so rebuilding from
-  // bit-exact restored residuals must reproduce them edge-for-edge, while
-  // the patch count and stored trees - performance state only - may differ.
+  // The snapshot deliberately does NOT serialize Online_CP's weighted graph
+  // or its stored trees: the weights are a pure function of the residuals,
+  // so an instance restored from bit-exact residuals re-reads them edge for
+  // edge and decides exactly like the live one, while the patch count and
+  // the stored trees - performance state only - differ.
   const test::CounterBaseline counters;
   const topo::Topology topo = make_topo();
-  nfv::ResourceState live(topo);
-  const auto weight_against = [&topo](const nfv::ResourceState& state) {
-    return [&topo, &state](graph::EdgeId e) {
-      return std::pow(2.0, 1.0 - state.residual_bandwidth(e) /
-                               topo.link_bandwidth[e]) -
-             1.0;
-    };
-  };
-  core::OnlineWeightedView patched(topo, weight_against(live));
-  for (std::uint32_t i = 0; i + 3 < topo.graph.num_edges(); i += 7) {
-    nfv::Footprint fp;
-    fp.bandwidth = {{i, 55.5}, {i + 3, 27.25}};
-    live.allocate(fp);
-    patched.apply_allocate(fp);
+  util::Rng workload(29);
+  sim::RequestGenerator gen(topo, workload);
+  const std::vector<nfv::Request> requests = gen.sequence(160);
+  constexpr std::size_t kHead = 100;
+
+  // Admissions and releases patch the live instance's weights.
+  core::OnlineCp live(topo);
+  std::deque<nfv::Footprint> held;
+  for (std::size_t i = 0; i < kHead; ++i) {
+    const core::AdmissionDecision d = live.process(requests[i]);
+    if (d.admitted) held.push_back(d.footprint);
+    if (i % 4 == 3 && !held.empty()) {
+      live.release(held.front());
+      held.pop_front();
+    }
   }
 #if NFVM_OBS
   const std::uint64_t patches = counters.since("core.online.view_patches");
   ASSERT_GT(patches, 0u);
 #endif
 
-  nfv::ResourceState restored(topo);
-  restored.restore_residuals(live.export_residuals());
-  core::OnlineWeightedView rebuilt(topo, weight_against(restored));
-
-  for (std::uint32_t e = 0; e < topo.graph.num_edges(); ++e) {
-    EXPECT_EQ(patched.graph().weight(e), rebuilt.graph().weight(e))  // bit-exact
-        << "edge " << e;
-  }
+  core::OnlineCp restored(topo);
+  restored.restore_resources(live.resources().export_residuals());
 #if NFVM_OBS
-  // The incremental and rebuilt views took different paths to that state:
-  // the rebuild applied no patch.
+  // The restored instance took another path to the same weights: it
+  // applied no patch.
   EXPECT_EQ(counters.since("core.online.view_patches"), patches);
 #endif
+
+  std::size_t admitted = 0;
+  for (std::size_t i = kHead; i < requests.size(); ++i) {
+    const core::AdmissionDecision a = live.process(requests[i]);
+    const core::AdmissionDecision b = restored.process(requests[i]);
+    ASSERT_EQ(a.admitted, b.admitted) << "request " << i;
+    EXPECT_EQ(a.reject_reason, b.reject_reason) << "request " << i;
+    EXPECT_EQ(a.tree.servers, b.tree.servers) << "request " << i;
+    EXPECT_EQ(a.tree.cost, b.tree.cost) << "request " << i;  // bit-exact
+    EXPECT_EQ(a.tree.edge_uses, b.tree.edge_uses) << "request " << i;
+    EXPECT_EQ(a.footprint.bandwidth, b.footprint.bandwidth) << "request " << i;
+    if (a.admitted) ++admitted;
+  }
+  EXPECT_GT(admitted, 0u);
+  EXPECT_EQ(live.resources().export_residuals().bandwidth,
+            restored.resources().export_residuals().bandwidth);
 }
 
 // ---------------------------------------------------------------------------
