@@ -3,22 +3,27 @@
 //   * adjacency-list Dijkstra (the historical implementation, kept here as
 //     the reference) vs the CSR-backed SpEngine,
 //   * the breadth-first search (auto-selected on unit-weight graphs) vs the
-//     4-ary heap on a non-integer-weight clone,
+//     radix queue's Dijkstra on a non-integer-weight clone,
 //   * batched multi-source SSSP (graph::TreeTable::compute, one pool task
 //     per tree) vs the equivalent per-source engine loop,
 //   * APSP builds at 1 / 2 / 4 worker threads (the test-only
 //     reference::AllPairsShortestPaths, which fans sources out on the pool),
 //   * Online_SP's closure on GEANT: per request, one table of breadth-first
-//     trees from a source and the nine servers under a fresh link mask.
+//     trees from a source and the nine servers under a fresh link mask,
+//   * Online_CP's fresh trees on Waxman-400: per request, one table of
+//     weighted trees from a source and twenty destinations under a fresh
+//     link mask, on exponential-cost weights with many links at zero.
 //
 // Every row carries a dist_checksum — the sum of finite shortest-path
-// distances produced by that case. The checksums are bit-deterministic, so
+// distances produced by that case (cp_closure_waxman400 adds a hash of
+// every tree's parent edges, so a changed tie order shows too). The checksums are bit-deterministic, so
 // the CI artifact gate (nfvm-report --check) verifies engine/reference and
 // cross-thread-count agreement on every run; timing columns (*_ms, *time*,
 // the per-row time_ratio) are machine-dependent and excluded from gating.
 // The binary itself also exits non-zero when the engine disagrees with the
 // reference, when auto-selection picks the wrong implementation, or
 // when the batched tables diverge from the sequential ones.
+#include <cmath>
 #include <numeric>
 #include <queue>
 
@@ -72,6 +77,17 @@ double tree_checksum(const graph::ShortestPaths& sp) {
   return sum;
 }
 
+/// A polynomial hash of the tree's parent edges modulo a prime: any one
+/// changed entry moves it.
+double parent_edge_hash(const graph::ShortestPaths& sp) {
+  constexpr std::uint64_t kPrime = 1'000'003;
+  std::uint64_t h = 0;
+  for (const graph::EdgeId e : sp.parent_edge) {
+    h = (h * 31 + std::uint64_t{e} + 1) % kPrime;
+  }
+  return static_cast<double>(h);
+}
+
 double apsp_checksum(const reference::AllPairsShortestPaths& apsp) {
   double sum = 0.0;
   for (graph::VertexId u = 0; u < apsp.num_vertices(); ++u) {
@@ -89,9 +105,12 @@ int main() {
   constexpr std::size_t kNodes = 200;
   constexpr std::size_t kSssspSources = 50;  // full-tree comparison sweep
   constexpr std::size_t kClosureRequests = 2000;  // sp_closure_geant
+  constexpr std::size_t kCpRequests = 200;         // cp_closure_waxman400
+  constexpr std::size_t kCpDestinations = 20;
 
   std::cout << "# micro: CSR SpEngine vs adjacency Dijkstra, breadth-first search, batched "
-               "SSSP, parallel APSP, Online_SP's GEANT closure\n";
+               "SSSP, parallel APSP, Online_SP's GEANT closure, Online_CP's fresh "
+               "trees\n";
   std::cout << "# dist_checksum columns are deterministic and gate in CI; "
                "*_ms / *time* columns do not\n";
 
@@ -145,11 +164,11 @@ int main() {
     return 1;
   }
 
-  // --- breadth-first search vs the heap ---------------------------------
+  // --- breadth-first search vs the radix queue ---------------------------
   // The sweep topology is unit-weight, so the engine rows above already ran
   // the breadth-first search; these rows pin the auto-selection rule
-  // explicitly and time the heap on a non-integer-weight clone of the
-  // topology.
+  // explicitly and time the queue's Dijkstra on a non-integer-weight clone
+  // of the topology (the heap_fractional_weight row keeps its old name).
   {
     graph::Graph frac(g.num_vertices());
     for (graph::EdgeId e = 0; e < m; ++e) {
@@ -189,7 +208,7 @@ int main() {
       frac_ref += tree_checksum(adjacency_dijkstra(frac, s));
     }
     if (frac_checksum != frac_ref) {
-      std::cerr << "FATAL: the heap disagrees with the adjacency reference\n";
+      std::cerr << "FATAL: the radix queue disagrees with the adjacency reference\n";
       return 1;
     }
     row("bfs_unit_weight", kSssspSources, bfs_ms, bfs_checksum,
@@ -270,6 +289,50 @@ int main() {
       }
     }
     graph_row("sp_closure_geant", gg, kClosureRequests, closure_ms, closure_checksum,
+              0.0);
+  }
+
+  // --- Online_CP's fresh trees on Waxman-400 --------------------------------
+  // What Online_CP's scan computes fresh per request, with the link weights
+  // and the eligibility drawn: Waxman-400 at mean degree 4 with
+  // exponential-cost weights alpha^(0.6 u) - 1 (alpha = 800), about 40% of
+  // the links idle at exactly 0 (ties on zero-weight plateaus); per request
+  // one table, cleared, then the trees from a seeded source and twenty
+  // destinations under a fresh mask allowing about 90% of the links. The
+  // weights, masks and roots are drawn before the clock starts.
+  {
+    util::Rng cp_rng(4444);
+    topo::Topology wax = bench::make_sweep_topology(400, cp_rng);
+    graph::Graph& wg = wax.graph;
+    for (graph::EdgeId e = 0; e < wg.num_edges(); ++e) {
+      wg.set_weight(e, cp_rng.bernoulli(0.4)
+                           ? 0.0
+                           : std::pow(800.0, 0.6 * cp_rng.uniform_real(0.0, 1.0)) - 1.0);
+    }
+    std::vector<std::vector<std::uint8_t>> masks(kCpRequests);
+    std::vector<std::vector<graph::VertexId>> roots(kCpRequests);
+    for (std::size_t r = 0; r < kCpRequests; ++r) {
+      masks[r].resize(wg.num_edges());
+      for (std::uint8_t& allowed : masks[r]) allowed = cp_rng.bernoulli(0.9) ? 1 : 0;
+      for (const std::size_t v :
+           cp_rng.sample_without_replacement(wg.num_vertices(), kCpDestinations + 1)) {
+        roots[r].push_back(static_cast<graph::VertexId>(v));
+      }
+    }
+    graph::TreeTable closure;
+    double closure_ms = 0.0;
+    double closure_checksum = 0.0;
+    for (std::size_t r = 0; r < kCpRequests; ++r) {
+      util::Stopwatch watch;
+      closure.clear();
+      closure.compute(wg, roots[r], masks[r]);
+      closure_ms += watch.elapsed_ms();
+      for (const graph::VertexId root : roots[r]) {
+        closure_checksum += tree_checksum(closure.from(root)) +
+                            parent_edge_hash(closure.from(root));
+      }
+    }
+    graph_row("cp_closure_waxman400", wg, kCpRequests, closure_ms, closure_checksum,
               0.0);
   }
 

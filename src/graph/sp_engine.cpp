@@ -36,52 +36,144 @@ void reset_tree(ShortestPaths& tree, VertexId source, std::size_t n) {
 
 }  // namespace
 
-// --- SpEngine ---------------------------------------------------------------
+// --- SpEngine::RadixQueue ----------------------------------------------------
 
-void SpEngine::heap_update(VertexId v, double d) {
-  std::size_t i = heap_pos_[v];
-  if (i == kNotInHeap) {
-    i = heap_.size();
-    heap_.push_back(HeapItem{d, v});
-  }
-  const HeapItem item{d, v};
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (!item_less(item, heap_[parent])) break;
-    heap_place(i, heap_[parent]);
-    i = parent;
-  }
-  heap_place(i, item);
+void SpEngine::RadixQueue::reserve(std::size_t n) {
+  if (!nodes_.empty() && n <= cap_) return;
+  cap_ = static_cast<std::uint32_t>(n);
+  nodes_.resize(n + kBuckets);
+  for (std::uint32_t v = 0; v < cap_; ++v) nodes_[v] = Node{kUnqueued, 0, 0};
+  for (std::uint32_t s = cap_; s < cap_ + kBuckets; ++s) nodes_[s] = Node{0, s, s};
+  equal_.assign((n + 63) / 64, 0);
+  clear();
 }
 
-SpEngine::HeapItem SpEngine::heap_pop() {
-  const HeapItem top = heap_.front();
-  heap_pos_[top.vertex] = kNotInHeap;
-  const HeapItem last = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t first = 4 * i + 1;
-      if (first >= heap_.size()) break;
-      const std::size_t end = std::min(first + 4, heap_.size());
-      std::size_t best = first;
-      for (std::size_t j = first + 1; j < end; ++j) {
-        if (item_less(heap_[j], heap_[best])) best = j;
-      }
-      if (!item_less(heap_[best], last)) break;
-      heap_place(i, heap_[best]);
-      i = best;
+void SpEngine::RadixQueue::place(VertexId v) {
+  const std::uint64_t key = nodes_[v].key;
+  const std::uint64_t diff = key ^ last_;
+  if (diff == 0) {
+    equal_[word_of(v)] |= bit_of(v);
+    equal_word_ = std::min<std::size_t>(equal_word_, word_of(v));
+    ++equal_count_;
+    return;
+  }
+  // The highest byte in which the key differs from last_, where it is the
+  // larger one, and the key's value there.
+  const unsigned level = static_cast<unsigned>(std::bit_width(diff) - 1) >> 3;
+  const std::uint32_t bucket =
+      256 * level + static_cast<std::uint32_t>((key >> (8 * level)) & 255);
+  const std::uint32_t head = cap_ + bucket;
+  const std::uint32_t first = nodes_[head].next;
+  nodes_[v].next = first;
+  nodes_[v].prev = head;
+  nodes_[first].prev = v;
+  nodes_[head].next = v;
+  occupied_[bucket >> 6] |= std::uint64_t{1} << (bucket & 63);
+  levels_ |= 1u << level;
+}
+
+void SpEngine::RadixQueue::push(VertexId v, double d) {
+  Node& node = nodes_[v];
+  if (node.key == kUnqueued) {
+    ++size_;
+  } else {
+    // Queued above last_ (a key equal to it cannot fall): leave its list.
+    nodes_[node.prev].next = node.next;
+    nodes_[node.next].prev = node.prev;
+  }
+  node.key = std::bit_cast<std::uint64_t>(d);
+  place(v);
+}
+
+// Every key in a bucket of level L agrees with last_ above byte L and
+// exceeds it in byte L, so the lowest nonempty bucket of the lowest level
+// holds the smallest keys. Making their minimum the new last_ leaves every
+// other queued key in the same bucket, and each of this bucket's keys moves
+// to a lower level or to the equal set.
+std::uint32_t SpEngine::RadixQueue::refill() {
+  for (;;) {
+    const int level = std::countr_zero(levels_);
+    std::uint64_t* const words = occupied_.data() + 4 * level;
+    int w = 0;
+    while (words[w] == 0) ++w;
+    const std::uint32_t head =
+        cap_ + 256 * static_cast<std::uint32_t>(level) +
+        64 * static_cast<std::uint32_t>(w) +
+        static_cast<std::uint32_t>(std::countr_zero(words[w]));
+    words[w] &= words[w] - 1;
+    if ((words[0] | words[1] | words[2] | words[3]) == 0) levels_ &= ~(1u << level);
+    const std::uint32_t first = nodes_[head].next;
+    if (first == head) continue;  // emptied by decrease-keys
+    nodes_[head].next = head;
+    nodes_[head].prev = head;
+    if (nodes_[first].next == head) {  // one vertex: the minimum itself
+      last_ = nodes_[first].key;
+      return first;
     }
-    heap_place(i, last);
+    std::uint64_t min_key = nodes_[first].key;
+    for (std::uint32_t v = nodes_[first].next; v != head; v = nodes_[v].next) {
+      min_key = std::min(min_key, nodes_[v].key);
+    }
+    last_ = min_key;
+    for (std::uint32_t v = first; v != head;) {
+      const std::uint32_t next = nodes_[v].next;
+      place(v);
+      v = next;
+    }
+    return head;
   }
-  return top;
 }
 
-void SpEngine::heap_clear() {
-  for (const HeapItem& item : heap_) heap_pos_[item.vertex] = kNotInHeap;
-  heap_.clear();
+VertexId SpEngine::RadixQueue::pop() {
+  --size_;
+  if (equal_count_ == 0) {
+    const std::uint32_t v = refill();
+    if (v < cap_) {
+      nodes_[v].key = kUnqueued;
+      return v;
+    }
+  }
+  while (equal_[equal_word_] == 0) ++equal_word_;
+  const std::uint64_t bits = equal_[equal_word_];
+  equal_[equal_word_] = bits & (bits - 1);
+  const VertexId v = (static_cast<VertexId>(equal_word_) << 6) |
+                     static_cast<VertexId>(std::countr_zero(bits));
+  if (--equal_count_ == 0) equal_word_ = equal_.size();
+  nodes_[v].key = kUnqueued;
+  return v;
 }
+
+void SpEngine::RadixQueue::clear() {
+  if (size_ != 0) {
+    for (std::uint32_t i = 0; i < occupied_.size(); ++i) {
+      for (std::uint64_t bits = occupied_[i]; bits != 0; bits &= bits - 1) {
+        const std::uint32_t head =
+            cap_ + 64 * i + static_cast<std::uint32_t>(std::countr_zero(bits));
+        for (std::uint32_t v = nodes_[head].next; v != head; v = nodes_[v].next) {
+          nodes_[v].key = kUnqueued;
+        }
+        nodes_[head].next = head;
+        nodes_[head].prev = head;
+      }
+    }
+    for (std::size_t w = 0; w < equal_.size(); ++w) {
+      for (std::uint64_t bits = std::exchange(equal_[w], 0); bits != 0;
+           bits &= bits - 1) {
+        nodes_[(static_cast<VertexId>(w) << 6) |
+               static_cast<VertexId>(std::countr_zero(bits))]
+            .key = kUnqueued;
+      }
+    }
+    size_ = 0;
+  }
+  occupied_.fill(0);
+  levels_ = 0;
+  equal_count_ = 0;
+  equal_word_ = equal_.size();
+  last_ = 0;
+}
+
+// --- SpEngine ---------------------------------------------------------------
 
 void SpEngine::prepare(const Graph& g) {
   view_.refresh(g);
@@ -91,7 +183,7 @@ void SpEngine::prepare(const Graph& g) {
     stamp_.resize(n, 0);
     mark_.resize(n, 0);
     settled_.resize(n, 0);
-    heap_pos_.resize(n, kNotInHeap);
+    queue_.reserve(n);
   }
   const std::size_t words = (n + 63) / 64;
   if (seen_.size() < words) {
@@ -109,29 +201,29 @@ void SpEngine::prepare(const Graph& g) {
   }
 }
 
-// Indexed-heap loop. Each vertex is queued at most once and its key only
-// ever decreases, so the pop sequence is the (distance, id) order of the
-// settled vertices — the same sequence the historical lazy-deletion heap
-// produced after skipping its stale entries (tests/test_sp_repair.cpp
+// Dijkstra on the radix queue. Each vertex is queued at most once and its
+// key only ever decreases, so the pop sequence is the (distance, id) order
+// of the settled vertices — the same sequence the historical lazy-deletion
+// heap produced after skipping its stale entries (tests/test_sp_repair.cpp
 // compares the two).
-void SpEngine::run_heap(ShortestPaths& tree, const std::uint8_t* edge_mask) {
+void SpEngine::run_weighted(ShortestPaths& tree, const std::uint8_t* edge_mask) {
   NFVM_OBS_ONLY(std::uint64_t edges_scanned = 0; std::uint64_t edges_relaxed = 0;)
   double* const dist = tree.dist.data();
   VertexId* const parent = tree.parent.data();
   EdgeId* const parent_edge = tree.parent_edge.data();
-  while (!heap_.empty()) {
-    const HeapItem top = heap_pop();
-    const VertexId u = top.vertex;
+  while (!queue_.empty()) {
+    const VertexId u = queue_.pop();
+    const double du = dist[u];
     for (const CsrEntry& entry : view_.out(u)) {
       if (edge_mask != nullptr && edge_mask[entry.edge] == 0) continue;
       NFVM_OBS_ONLY(++edges_scanned;)
-      const double nd = top.dist + entry.weight;
+      const double nd = du + entry.weight;
       if (nd < dist[entry.neighbor]) {
         NFVM_OBS_ONLY(++edges_relaxed;)
         dist[entry.neighbor] = nd;
         parent[entry.neighbor] = u;
         parent_edge[entry.neighbor] = entry.edge;
-        heap_update(entry.neighbor, nd);
+        queue_.push(entry.neighbor, nd);
       }
     }
   }
@@ -194,7 +286,7 @@ void SpEngine::BitsetRows::build(const CsrView& view, const std::uint8_t* edge_m
 
 // Level-synchronous breadth-first search over bitset rows. Precondition
 // (checked by the CSR weight inspection): every edge weight is exactly 1.0.
-// The heap settles the vertices in (distance, id) order, and with unit
+// Dijkstra settles the vertices in (distance, id) order, and with unit
 // weights the first relaxation of a vertex already carries its final
 // distance, so its parent is the first settled in-neighbour with an allowed
 // edge: the smallest-id vertex of the previous level, through that vertex's
@@ -203,10 +295,10 @@ void SpEngine::BitsetRows::build(const CsrView& view, const std::uint8_t* edge_m
 // vertices settle in ascending id; a settled vertex claims, from each of
 // its runs, the bits not seen yet (fresh = bits & ~seen), so every vertex
 // is claimed by the first settled vertex of the previous level that
-// reaches it, through the run's first allowed edge to it: the heap's tree.
+// reaches it, through the run's first allowed edge to it: Dijkstra's tree.
 // The first pass only finds the levels and logs each nonempty claim, with
 // no branch per run; the second writes each claimed vertex's label in log
-// order, where its claimer's distance is already final. The heap scans
+// order, where its claimer's distance is already final. Dijkstra scans
 // every allowed entry of a settled vertex and relaxes each reached vertex
 // once, so the search adds a settled vertex's allowed-entry count to
 // edges_scanned and counts each claimed vertex as one relaxation. Only the
@@ -296,8 +388,9 @@ void SpEngine::compute_prepared(ShortestPaths& tree, const std::uint8_t* edge_ma
     // The counter keeps the name of the bucket ring the search replaced.
     NFVM_COUNTER_INC("graph.dijkstra.dial_runs");
   } else {
-    heap_update(tree.source, 0.0);
-    run_heap(tree, edge_mask);
+    queue_.clear();
+    queue_.push(tree.source, 0.0);
+    run_weighted(tree, edge_mask);
   }
   NFVM_COUNTER_INC("graph.dijkstra.runs");
 }

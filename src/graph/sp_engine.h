@@ -2,21 +2,22 @@
 //
 // Every algorithm in this library bottoms out in repeated Dijkstra runs.
 // The free function graph::dijkstra allocates its result per call; the
-// engine behind it keeps everything else — the CSR view, the heap and the
-// repair scratch — across calls, so under heavy request volumes no query
-// pays for allocation or pointer-chasing adjacency lists.
+// engine behind it keeps everything else — the CSR view, the queue and
+// the repair scratch — across calls, so under heavy request volumes no
+// query pays for allocation or pointer-chasing adjacency lists.
 //
 //  * SpEngine — owns a CsrView (rebuilt lazily when the graph's
-//    (uid, epoch) changes) and an indexed (decrease-key) 4-ary heap. Every
-//    query runs from one source to completion and writes straight into the
-//    returned ShortestPaths. Filtering is by a per-edge byte mask only:
+//    (uid, epoch) changes) and one exact monotone radix queue keyed on the
+//    bits of a distance (SpEngine::RadixQueue). Every query runs from one
+//    source to completion and writes straight into the returned
+//    ShortestPaths. Filtering is by a per-edge byte mask only:
 //    callers evaluate their predicate once per edge into the mask, so the
 //    relaxation loop never makes an indirect call. graph::dijkstra is a thin
 //    wrapper over the per-thread engine.
 //
 //    When the CSR weight inspection finds every edge weight equal to 1.0
 //    (true for every topology generator in the repo), queries take a
-//    level-synchronous breadth-first search instead of the heap. It reads
+//    level-synchronous breadth-first search instead of the queue. It reads
 //    bitset rows instead of the CSR entries: each vertex's mask-allowed
 //    neighbours as runs of (word, bits), with its first allowed edge to
 //    each. The seen set and the frontier are bitsets, each level drained
@@ -24,11 +25,11 @@
 //    each run in one word operation. A vertex's parent is then the
 //    smallest-id vertex of the previous level with an allowed edge to it,
 //    through that vertex's first allowed edge in adjacency order — exactly
-//    the heap's (distance, vertex id) tree, with the same scan and relax
+//    the queue's (distance, vertex id) tree, with the same scan and relax
 //    counts, which tests/test_sp_dial.cpp asserts. A lone compute() builds
 //    the rows for its one tree; TreeTable::compute builds them once per
-//    call and every missing tree of that call reads them. Integer weights
-//    above 1 take the heap, which is exact on them.
+//    call and every missing tree of that call reads them. Every other
+//    weighting, integer weights above 1 included, takes the queue.
 //
 //    SpEngine::repair brings an existing tree up to date after a batch of
 //    edge-weight / mask changes without a full run (graph/sp_repair.h holds
@@ -42,18 +43,26 @@
 //    reference that stays valid and unchanged until clear(). Only the
 //    repair store's persistent roots (graph/sp_repair.h) live elsewhere.
 //
-// Tie-breaking: the engine's heap orders items by (distance, vertex id),
-// exactly like the std::priority_queue<pair<double, VertexId>> it
-// replaces, and CSR entries keep Graph::neighbors order — so the engine
-// returns bit-identical trees to the historical implementation. The
-// decrease-key heap pops the same (distance, id) minimum the historical
-// lazy-deletion heap reached after skipping its stale entries.
+// Tie-breaking: the engine's queue pops vertices in (distance, vertex id)
+// order, exactly like the std::priority_queue<pair<double, VertexId>> of
+// the historical implementation, and CSR entries keep Graph::neighbors
+// order — so the engine returns bit-identical trees to it. Each vertex is
+// queued once and its key lowered in place, so the queue pops the same
+// (distance, id) minimum the historical lazy-deletion heap reached after
+// skipping its stale entries. Its keys are exact: a run pushes
+// fl(d + w) >= d for w >= 0, never -0.0 (the source sits at +0.0 and
+// fl(+0.0 + -0.0) = +0.0, though Graph::add_edge takes -0.0), and never
+// +inf (an overflowing sum is no improvement); a repair pushes its seeds
+// before its first pop. Equal distances pop in ascending id, also when a
+// zero-weight edge queues a smaller id after a larger one popped at that
+// distance; a FIFO bucket would change parents on zero-weight plateaus.
 //
 // Thread model: SpEngine is NOT thread-safe; use one per thread
 // (SpEngine::thread_local_engine()). Concurrent *reads* of a const Graph
 // from many engines are safe.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <span>
@@ -133,27 +142,62 @@ class SpEngine {
   static SpEngine& thread_local_engine();
 
  private:
-  struct HeapItem {
-    double dist;
-    VertexId vertex;
-  };
-  /// (distance, vertex id) lexicographic — the historical pop order.
-  static bool item_less(const HeapItem& a, const HeapItem& b) noexcept {
-    return a.dist < b.dist || (a.dist == b.dist && a.vertex < b.vertex);
-  }
-  static constexpr std::uint32_t kNotInHeap = static_cast<std::uint32_t>(-1);
+  /// The engine's one priority queue: an exact monotone radix queue over
+  /// vertex ids (Ahuja, Mehlhorn, Orlin and Tarjan, JACM 1990), keyed on
+  /// the IEEE-754 bits of a distance. A finite double >= +0.0 sorts like
+  /// its uint64 bit pattern, and runs and repairs push only such keys, none
+  /// below the last pop. A queued vertex whose key differs from the last
+  /// pop sits in the bucket of the highest byte in which they differ,
+  /// indexed by its key's value there (8 levels x 256 buckets, each an
+  /// intrusive list); one whose key equals the last pop sits in an id
+  /// bitset drained with countr_zero. So pop() returns the (distance, id)
+  /// minimum, even after a zero-weight edge queues a smaller id at the
+  /// distance just popped.
+  class RadixQueue {
+   public:
+    /// Sizes the queue for vertex ids below `n`; the queue must be empty.
+    /// O(n) memory; allocates only when `n` grows.
+    void reserve(std::size_t n);
+    bool empty() const noexcept { return size_ == 0; }
+    /// Queues `v` at `d`, or lowers its key to `d` when it is queued. `d`
+    /// must be finite, at least +0.0 and no smaller than the last pop.
+    void push(VertexId v, double d);
+    /// Removes and returns the queued vertex of smallest (key, id).
+    VertexId pop();
+    /// Unqueues every vertex and rebases the keys at +0.0. Every run and
+    /// repair starts with it; a drained queue needs nothing else.
+    void clear();
 
-  /// Inserts `v` at distance `d`, or lowers its key when already queued.
-  void heap_update(VertexId v, double d);
-  /// Removes and returns the (distance, id) minimum.
-  HeapItem heap_pop();
-  void heap_place(std::size_t i, HeapItem item) {
-    heap_[i] = item;
-    heap_pos_[item.vertex] = static_cast<std::uint32_t>(i);
-  }
-  /// Empties the heap, restoring heap_pos_ to kNotInHeap for every entry
-  /// a repair that met a tie left queued. Every other query drains it.
-  void heap_clear();
+   private:
+    static constexpr std::uint32_t kBuckets = 8 * 256;
+    static constexpr std::uint64_t kUnqueued = ~std::uint64_t{0};  // a NaN
+    struct Node {
+      std::uint64_t key;  // kUnqueued when the vertex is not queued
+      std::uint32_t next;
+      std::uint32_t prev;
+    };
+    /// Files queued `v` by its key: in the equal set or a bucket's list.
+    void place(VertexId v);
+    /// Makes the smallest key of the lowest nonempty bucket the last pop
+    /// and files that bucket's vertices under it. Returns the vertex when
+    /// the bucket held only it (left unfiled), and cap_ or more otherwise.
+    std::uint32_t refill();
+
+    /// Vertices [0, cap_), then one list head (sentinel) per bucket.
+    std::vector<Node> nodes_;
+    std::uint32_t cap_ = 0;
+    /// Buckets that may be nonempty (a decrease-key leaves its bit set),
+    /// and the levels that hold such a bucket.
+    std::array<std::uint64_t, kBuckets / 64> occupied_{};
+    std::uint32_t levels_ = 0;
+    /// The vertices queued at last_, by id; no word below equal_word_
+    /// holds a bit.
+    std::vector<std::uint64_t> equal_;
+    std::size_t equal_count_ = 0;
+    std::size_t equal_word_ = 0;
+    std::uint64_t last_ = 0;  // the last pop's key
+    std::size_t size_ = 0;
+  };
 
   friend class TreeTable;  // shares one engine's rows across a call's trees
 
@@ -196,12 +240,13 @@ class SpEngine {
   /// Full masked run from `tree.source` into `tree` (view already
   /// prepared): the breadth-first search over `rows` when they are given,
   /// which must be unit_rows() of a view of the same graph under the same
-  /// mask, and the 4-ary heap loop otherwise. `edge_mask` may be null.
+  /// mask, and the radix queue's Dijkstra loop otherwise. `edge_mask` may
+  /// be null.
   void compute_prepared(ShortestPaths& tree, const std::uint8_t* edge_mask,
                         const BitsetRows* rows);
   /// The two loops behind compute_prepared, on a tree whose labels are
   /// reset and whose source sits at distance zero.
-  void run_heap(ShortestPaths& tree, const std::uint8_t* edge_mask);
+  void run_weighted(ShortestPaths& tree, const std::uint8_t* edge_mask);
   void run_bfs(ShortestPaths& tree, const BitsetRows& rows);
   /// v's parent and parent edge as determined by its tight in-neighbours
   /// (see tie_free); false when v is not locally tie-free. Reads the view
@@ -211,15 +256,14 @@ class SpEngine {
                     EdgeId& parent_edge);
   bool tie_free_prepared(const ShortestPaths& tree, const std::uint8_t* edge_mask);
   /// The local repair behind repair(); false when it met a tie. The tree is
-  /// then partly rewritten and the heap may still hold vertices: the caller
-  /// clears the heap and recomputes.
+  /// then partly rewritten and the queue may still hold vertices: the
+  /// caller clears the queue and recomputes.
   bool repair_prepared(const Graph& g, ShortestPaths& tree,
                        std::span<const EdgeChange> changes,
                        const std::uint8_t* edge_mask);
 
   CsrView view_;
-  std::vector<HeapItem> heap_;  // indexed 4-ary min-heap
-  std::vector<std::uint32_t> heap_pos_;  // vertex -> heap slot, or kNotInHeap
+  RadixQueue queue_;
   /// Breadth-first search state, one bit per vertex: the vertices reached,
   /// the level being drained and the next level, with the indices of the
   /// level words that hold a bit. Every run leaves both level bitsets zero.

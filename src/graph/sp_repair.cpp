@@ -152,14 +152,15 @@ bool SpEngine::repair_prepared(const Graph& g, ShortestPaths& tree,
   }
 
   // 2. Seed the region from its boundary, and both ends of every decreased
-  // edge from the other end.
+  // edge from the other end. Every seed is queued before the first pop.
+  queue_.clear();
   for (const VertexId v : region_) {
     for (const CsrEntry& entry : view_.out(v)) {
       if (!allowed(entry.edge) || stamp_[entry.neighbor] == gen) continue;
       const double nd = tree.dist[entry.neighbor] + entry.weight;
       if (nd < tree.dist[v]) {
         tree.dist[v] = nd;
-        heap_update(v, nd);
+        queue_.push(v, nd);
       }
     }
   }
@@ -168,7 +169,7 @@ bool SpEngine::repair_prepared(const Graph& g, ShortestPaths& tree,
     const double nd = tree.dist[from] + w;
     if (nd < tree.dist[to]) {
       tree.dist[to] = nd;
-      heap_update(to, nd);
+      queue_.push(to, nd);
     }
   };
   for (const EdgeChange& c : changes) {
@@ -185,10 +186,9 @@ bool SpEngine::repair_prepared(const Graph& g, ShortestPaths& tree,
   // vanishes next to dist[u] (zero, or absorbed by rounding) could tie u
   // with a neighbour whose label is not final yet, so it counts as a tie.
   NFVM_OBS_ONLY(std::uint64_t touched = region_.size();)
-  while (!heap_.empty()) {
-    const HeapItem top = heap_pop();
-    const VertexId u = top.vertex;
-    const double du = top.dist;
+  while (!queue_.empty()) {
+    const VertexId u = queue_.pop();
+    const double du = tree.dist[u];
     NFVM_OBS_ONLY(if (stamp_[u] != gen) ++touched;)
     settled_[u] = gen;
     tight_.clear();
@@ -224,7 +224,7 @@ bool SpEngine::repair_prepared(const Graph& g, ShortestPaths& tree,
       const double nd = du + entry.weight;
       if (nd < dv) {
         tree.dist[v] = nd;
-        heap_update(v, nd);
+        queue_.push(v, nd);
       } else if (nd == dv) {
         recheck(v);  // u joins v's tight set
       }
@@ -274,7 +274,7 @@ RepairOutcome SpEngine::repair(const Graph& g, ShortestPaths& tree,
     return RepairOutcome::kRepaired;
   }
   NFVM_COUNTER_INC("graph.sp_repair.tie_fallbacks");
-  heap_clear();  // a repair that met a tie may stop with vertices queued
+  queue_.clear();  // a repair that met a tie may stop with vertices queued
   compute_prepared(tree, mask, unit_rows(mask));
   tie_free = tie_free_prepared(tree, mask);
   return RepairOutcome::kRecomputed;

@@ -1,17 +1,19 @@
 // Allocation guards for the KMB finishing kernel and the shortest-path
-// engine's breadth-first search.
+// engine's breadth-first search, radix-queue Dijkstra and repair.
 //
 // This binary replaces the global operator new with a counting one. After
 // one warm-up call per graph (which grows the thread-local scratch to that
 // graph's size), a KMB finish may allocate only the returned edge vector:
 // the same fixed count on a 50-vertex and a 400-vertex graph. A warm
-// unit-weight SpEngine::compute into a reused tree allocates nothing, and
-// neither does a graph::TreeTable computing as many trees after clear(). Wall
+// unit-weight SpEngine::compute into a reused tree allocates nothing, nor
+// does a warm weighted compute or repair, nor a graph::TreeTable computing
+// as many trees after clear(). Wall
 // time cannot be gated on shared runners; these counts are the
 // deterministic guards for the kernels' gains.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <functional>
 #include <new>
@@ -152,6 +154,63 @@ TEST(SpEngineAllocationGuard, WarmUnitWeightComputeAllocatesNothing) {
           << "n = " << n << ", source " << s;
       EXPECT_EQ(tree.dist[s], 0.0);
     }
+  }
+}
+
+TEST(SpEngineAllocationGuard, WarmWeightedComputeAllocatesNothing) {
+  for (const std::size_t n : {std::size_t{50}, std::size_t{400}}) {
+    util::Rng rng(46);
+    topo::WaxmanOptions options;
+    options.target_mean_degree = 4.0;  // the CLI's Waxman graphs
+    topo::Topology topo = topo::make_waxman(n, rng, options);
+    graph::Graph& g = topo.graph;
+    // Online_CP-like weights: alpha^(0.6 u) - 1 with alpha = 800, and about
+    // 40% of the links idle at exactly 0.
+    for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+      g.set_weight(e, rng.bernoulli(0.4)
+                          ? 0.0
+                          : std::pow(800.0, 0.6 * rng.uniform_real(0.0, 1.0)) - 1.0);
+    }
+    std::vector<std::uint8_t> mask(g.num_edges(), 1);
+    for (graph::EdgeId e = 0; e < mask.size(); e += 5) mask[e] = 0;
+    graph::SpEngine engine;
+    graph::ShortestPaths tree;
+    tree.source = 0;
+    engine.compute(g, tree, mask);  // sizes the view, the queue and the tree
+    ASSERT_FALSE(engine.last_used_bfs());
+    for (const graph::VertexId s : {graph::VertexId{0}, graph::VertexId{17},
+                                    static_cast<graph::VertexId>(n - 1)}) {
+      tree.source = s;
+      EXPECT_EQ(allocations_during([&] { engine.compute(g, tree, mask); }), 0u)
+          << "n = " << n << ", source " << s;
+      EXPECT_EQ(tree.dist[s], 0.0);
+    }
+
+    // A small weight change on an edge of the tree from 0.
+    tree.source = 0;
+    engine.compute(g, tree, mask);
+    graph::EdgeId changed = graph::kInvalidEdge;
+    for (const graph::EdgeId e : tree.parent_edge) {
+      if (e != graph::kInvalidEdge) changed = e;
+    }
+    ASSERT_NE(changed, graph::kInvalidEdge);
+    const double before = g.weight(changed);
+    const double after = before * 1.25 + 0.5;
+    const std::vector<graph::EdgeChange> apply{{changed, before, after}};
+    const std::vector<graph::EdgeChange> revert{{changed, after, before}};
+    bool tie_free = engine.tie_free(g, tree, mask);
+    // Warm-up round: apply, repair, revert, repair.
+    g.set_weight(changed, after);
+    engine.repair(g, tree, apply, mask, tie_free);
+    g.set_weight(changed, before);
+    engine.repair(g, tree, revert, mask, tie_free);
+    g.set_weight(changed, after);
+    graph::RepairOutcome outcome = graph::RepairOutcome::kKept;
+    EXPECT_EQ(allocations_during(
+                  [&] { outcome = engine.repair(g, tree, apply, mask, tie_free); }),
+              0u)
+        << "n = " << n;
+    EXPECT_NE(outcome, graph::RepairOutcome::kKept);
   }
 }
 

@@ -2,14 +2,17 @@
 // of weight / mask changes, SpEngine::repair and SpTreeStore must return
 // trees bit-identical (dist, parent, parent_edge) to a fresh SpEngine run,
 // on multigraphs with parallel edges, self-loops and heavy ties. Also pins
-// the indexed (decrease-key) heap against the historical lazy-deletion
-// 4-ary heap, kept here as the reference implementation.
+// the engine's radix queue against the historical lazy-deletion 4-ary heap,
+// kept here as the reference implementation, on IEEE-754 corner weights
+// (both zeros, subnormals, sums that overflow) and zero-weight plateaus.
 #include "graph/sp_repair.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -103,7 +106,7 @@ ShortestPaths lazy_heap_dijkstra(const Graph& g, VertexId source,
 
 // --- Random multigraphs and change steps --------------------------------------
 
-enum class Weights { kZeroToThree, kOneToFour, kReal, kRealOrZero };
+enum class Weights { kZeroToThree, kOneToFour, kReal, kRealOrZero, kEdgeCases };
 
 std::string weights_name(Weights w) {
   switch (w) {
@@ -111,6 +114,7 @@ std::string weights_name(Weights w) {
     case Weights::kOneToFour: return "1..4";
     case Weights::kReal: return "real";
     case Weights::kRealOrZero: return "real or zero";
+    case Weights::kEdgeCases: return "edge cases";
   }
   return "?";
 }
@@ -129,6 +133,29 @@ double draw_weight(util::Rng& rng, Weights kind) {
       // exponential cost model). random_multigraph starts from reals, so
       // trees start tie-free and repairs meet the ties midway.
       return rng.bernoulli(0.1) ? 0.0 : draw_weight(rng, Weights::kReal);
+    case Weights::kEdgeCases:
+      // The corners of the queue's keys, the bits of a distance: both
+      // zeros, the smallest subnormal and small multiples of it, 2^-1000
+      // and exact powers of two, reals, and weights near 1e300 and near the
+      // largest double, whose sums overflow to +inf (never an improvement,
+      // so never queued on either side).
+      switch (rng.uniform_int(0, 6)) {
+        case 0:
+          return rng.bernoulli(0.5) ? 0.0 : -0.0;
+        case 1:
+          return std::numeric_limits<double>::denorm_min() *
+                 static_cast<double>(rng.uniform_int(1, 4));
+        case 2:
+          return rng.bernoulli(0.3)
+                     ? std::ldexp(1.0, -1000)
+                     : std::ldexp(1.0, static_cast<int>(rng.uniform_int(-3, 3)));
+        case 3:
+          return 1e300 * rng.uniform_real(1.0, 2.0);
+        case 4:
+          return std::numeric_limits<double>::max() * rng.uniform_real(0.5, 1.0);
+        default:
+          return draw_weight(rng, Weights::kReal);
+      }
   }
   return 1.0;
 }
@@ -207,30 +234,90 @@ std::vector<std::uint8_t> random_mask(util::Rng& rng, std::size_t m) {
 
 // --- Tests ---------------------------------------------------------------------
 
-TEST(SpRepair, IndexedHeapMatchesLazyHeapReference) {
+TEST(SpRepair, QueueMatchesLazyHeapReference) {
   SpEngine engine;
   util::Rng rng(4242);
-  std::size_t heap_runs = 0;
-  for (const Weights kind : {Weights::kZeroToThree, Weights::kReal}) {
+  std::size_t queue_runs = 0;
+  for (const Weights kind : {Weights::kZeroToThree, Weights::kReal, Weights::kEdgeCases}) {
     for (int trial = 0; trial < 200; ++trial) {
       const Graph g = random_multigraph(rng, kind);
       const std::vector<std::uint8_t> mask = random_mask(rng, g.num_edges());
       const VertexId s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
       const ShortestPaths got = reference::shortest_paths_masked(engine, g, s, mask);
-      heap_runs += engine.last_used_bfs() ? 0 : 1;
+      queue_runs += engine.last_used_bfs() ? 0 : 1;
       expect_same_tree(got, lazy_heap_dijkstra(g, s, mask),
                        weights_name(kind) + " trial " + std::to_string(trial));
     }
   }
-  // Zero weights and reals keep almost every run off the breadth-first search.
-  EXPECT_GT(heap_runs, 350u);
+  // Zero weights, reals and corner weights keep almost every run off the
+  // breadth-first search.
+  EXPECT_GT(queue_runs, 550u);
+
+  // 5,000 vertices: the equal-distance bitset spans 79 words, and the
+  // zero-weight plateaus (40% of the edges) cross word boundaries.
+  constexpr std::size_t n = 5000;
+  Graph g(n);
+  const auto weight = [&rng] {
+    return rng.bernoulli(0.4) ? 0.0 : draw_weight(rng, Weights::kEdgeCases);
+  };
+  for (VertexId v = 1; v < n; ++v) {
+    g.add_edge(static_cast<VertexId>(rng.next_below(v)), v, weight());
+  }
+  for (std::size_t i = 0; i < 2 * n; ++i) {
+    g.add_edge(static_cast<VertexId>(rng.next_below(n)),
+               static_cast<VertexId>(rng.next_below(n)), weight());
+  }
+  const std::vector<std::uint8_t> mask = random_mask(rng, g.num_edges());
+  for (const VertexId s : {VertexId{0}, VertexId{2500}, VertexId{n - 1}}) {
+    const ShortestPaths got = reference::shortest_paths_masked(engine, g, s, mask);
+    EXPECT_FALSE(engine.last_used_bfs());
+    expect_same_tree(got, lazy_heap_dijkstra(g, s, mask),
+                     "n = 5000, source " + std::to_string(s));
+  }
+}
+
+TEST(SpRepair, EqualDistancesPopInIdOrder) {
+  // From 4, vertices 3 and 7 sit at distance 1 and 3 pops first; its
+  // zero-weight edge then queues 1 at distance 1, after 7. The heap pops
+  // 4, 3, 1, 7, 9, so 9's parent is 1: a FIFO equal-distance bucket would
+  // pop 7 before 1 and give 7.
+  Graph g(10);
+  g.add_edge(4, 3, 1.0);
+  g.add_edge(4, 7, 1.0);
+  const EdgeId e31 = g.add_edge(3, 1, 0.0);
+  const EdgeId e19 = g.add_edge(1, 9, 2.0);
+  const EdgeId e79 = g.add_edge(7, 9, 2.0);
+  SpEngine engine;
+  const ShortestPaths fresh = engine.shortest_paths(g, 4);
+  EXPECT_EQ(fresh.parent[9], 1u);
+  EXPECT_EQ(fresh.parent_edge[9], e19);
+  expect_same_tree(fresh, lazy_heap_dijkstra(g, 4, {}), "fresh");
+
+  // A tie-free tree in which 9 hangs below 1; lowering (3,1) to 0 and
+  // (7,9) to 2 invalidates 1 and 9 and re-settles them. The zero-weight
+  // edge next to 1 is a tie, so the repair finishes with a full run.
+  g.set_weight(e31, 0.5);
+  g.set_weight(e79, 2.75);
+  ShortestPaths tree = engine.shortest_paths(g, 4);
+  bool tie_free = engine.tie_free(g, tree, {});
+  ASSERT_TRUE(tie_free);
+  ASSERT_EQ(tree.parent[9], 1u);
+  g.set_weight(e31, 0.0);
+  g.set_weight(e79, 2.0);
+  const std::vector<EdgeChange> changes = {EdgeChange{e31, 0.5, 0.0},
+                                           EdgeChange{e79, 2.75, 2.0}};
+  EXPECT_EQ(engine.repair(g, tree, changes, {}, tie_free), RepairOutcome::kRecomputed);
+  EXPECT_EQ(tree.parent[9], 1u);
+  EXPECT_EQ(tree.parent_edge[9], e19);
+  expect_same_tree(tree, fresh, "repair");
 }
 
 TEST(SpRepair, RandomStepsMatchFreshRun) {
   SpEngine engine;
   SpEngine fresh_engine;
   for (const Weights kind : {Weights::kZeroToThree, Weights::kOneToFour,
-                             Weights::kReal, Weights::kRealOrZero}) {
+                             Weights::kReal, Weights::kRealOrZero,
+                             Weights::kEdgeCases}) {
     util::Rng rng(777 + static_cast<std::uint64_t>(kind));
     std::size_t kept = 0;
     std::size_t repaired = 0;
