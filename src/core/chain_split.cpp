@@ -1,10 +1,11 @@
 #include "core/chain_split.h"
 
 #include <algorithm>
-#include <limits>
+#include <functional>
 #include <map>
 #include <queue>
 
+#include "core/aux_graph.h"
 #include "core/delay.h"
 #include "graph/dijkstra.h"
 #include "graph/steiner.h"
@@ -28,28 +29,15 @@ ChainSplitSolution chain_split_multicast(const topo::Topology& topo,
                                          const LinearCosts& costs,
                                          const nfv::Request& request,
                                          const ChainSplitOptions& options) {
-  nfv::validate_request(request, topo.graph);
+  // The working graph (links eligible for b_k, weighted c_e * b_k) and its
+  // tree table. Validates the request and the cost table.
+  WorkContext ctx = build_work_context(topo, costs, request, options.resources);
+  const graph::Graph& work = ctx.cost_graph;
   ChainSplitSolution sol;
   const double b = request.bandwidth_mbps;
   const std::vector<nfv::NetworkFunction>& chain = request.chain.functions();
   const std::size_t m = chain.size();
   const std::size_t n = topo.num_switches();
-
-  // Working graph: links with residual >= b_k, weighted c_e * b_k.
-  graph::Graph work(n);
-  std::vector<graph::EdgeId> to_physical;
-  for (graph::EdgeId e = 0; e < topo.num_links(); ++e) {
-    const graph::Edge& ed = topo.graph.edge(e);
-    if (options.resources != nullptr) {
-      if (options.resources->residual_bandwidth(e) < b) continue;
-      if (options.resources->residual_table_entries(ed.u) < 1.0 ||
-          options.resources->residual_table_entries(ed.v) < 1.0) {
-        continue;
-      }
-    }
-    work.add_edge(ed.u, ed.v, costs.edge_cost(e, b));
-    to_physical.push_back(e);
-  }
 
   // Per-NF demands and per-(NF, server) processing costs.
   std::vector<double> nf_demand(m);
@@ -101,7 +89,23 @@ ChainSplitSolution chain_split_multicast(const topo::Topology& topo,
 
   // Candidates: servers v where the *last* NF can be placed; rooting the
   // multicast tree at the last processing server dominates any post-
-  // processing relocation (the tree itself provides all movement).
+  // processing relocation (the tree itself provides all movement). Their
+  // trees and the destinations' are computed in one context_trees call,
+  // and every candidate's KMB tree reads them.
+  std::vector<graph::VertexId> roots;
+  for (graph::VertexId v : topo.servers) {
+    if (can_process(m - 1, v) && dist[(m - 1) * n + v] < graph::kInfiniteDistance) {
+      roots.push_back(v);
+    }
+  }
+  const std::size_t num_candidates = roots.size();
+  roots.insert(roots.end(), request.destinations.begin(), request.destinations.end());
+  if (num_candidates > 0) context_trees(ctx, roots);
+  const std::function<const graph::ShortestPaths&(graph::VertexId)> table_for =
+      [&ctx](graph::VertexId v) -> const graph::ShortestPaths& {
+    return ctx.trees.from(v);
+  };
+
   struct Candidate {
     double total = 0.0;
     graph::VertexId root = graph::kInvalidVertex;
@@ -109,16 +113,15 @@ ChainSplitSolution chain_split_multicast(const topo::Topology& topo,
     graph::SteinerResult steiner;
   };
   std::vector<Candidate> candidates;
-  std::vector<graph::VertexId> terminals_base(request.destinations);
-  for (graph::VertexId v : topo.servers) {
-    if (!can_process(m - 1, v)) continue;
-    const LayeredId before = (m - 1) * n + v;
-    if (dist[before] >= graph::kInfiniteDistance) continue;
-    const double walk_cost = dist[before] + costs.server_cost(v, nf_demand[m - 1]);
-
-    std::vector<graph::VertexId> terminals{v};
-    terminals.insert(terminals.end(), terminals_base.begin(), terminals_base.end());
-    graph::SteinerResult st = graph::kmb_steiner(work, terminals);
+  std::vector<graph::VertexId> terminals{graph::kInvalidVertex};
+  terminals.insert(terminals.end(), request.destinations.begin(),
+                   request.destinations.end());
+  for (std::size_t i = 0; i < num_candidates; ++i) {
+    const graph::VertexId v = roots[i];
+    const double walk_cost =
+        dist[(m - 1) * n + v] + costs.server_cost(v, nf_demand[m - 1]);
+    terminals[0] = v;
+    graph::SteinerResult st = graph::kmb_steiner_from_tables(work, terminals, table_for);
     if (!st.connected) continue;
     candidates.push_back(
         Candidate{walk_cost + st.weight, v, walk_cost, std::move(st)});
@@ -179,8 +182,8 @@ ChainSplitSolution chain_split_multicast(const topo::Topology& topo,
                        tree.servers.end());
 
     std::map<graph::EdgeId, int> mult;
-    for (graph::EdgeId e : walk_edges) ++mult[to_physical[e]];
-    for (graph::EdgeId e : cand.steiner.edges) ++mult[to_physical[e]];
+    for (graph::EdgeId e : walk_edges) ++mult[ctx.to_physical[e]];
+    for (graph::EdgeId e : cand.steiner.edges) ++mult[ctx.to_physical[e]];
     tree.edge_uses.assign(mult.begin(), mult.end());
 
     const graph::RootedTree rooted(work, cand.steiner.edges, cand.root);

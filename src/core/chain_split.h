@@ -49,9 +49,10 @@ struct ChainSplitSolution {
   std::vector<std::pair<nfv::NetworkFunction, graph::VertexId>> placements;
 };
 
-/// Computes a split-chain pseudo-multicast tree. Honors
-/// `request.max_delay_ms` like the consolidated algorithms (candidate
-/// filter). Throws std::invalid_argument on malformed input.
+/// Computes a split-chain pseudo-multicast tree on the request's
+/// WorkContext (core/aux_graph.h). Honors `request.max_delay_ms` like the
+/// consolidated algorithms (candidate filter). Throws std::invalid_argument
+/// on a malformed request or a cost table of the wrong size.
 ChainSplitSolution chain_split_multicast(const topo::Topology& topo,
                                          const LinearCosts& costs,
                                          const nfv::Request& request,

@@ -3,8 +3,8 @@
 // union, non-terminal leaf pruning) on per-thread scratch reused across
 // calls.
 //
-// Every KMB tree in the library is finished here: kmb_steiner and
-// kmb_steiner_from_tables (Online_CP's candidate scan) and
+// Every KMB tree in the library is finished here: kmb_steiner_from_tables
+// (kmb_steiner, Online_CP's candidate scan and chain splitting) and
 // core::SharedComboSolver (Appro_Multi's combination evaluation). The
 // test-only Dreyfus–Wagner oracle in tests/reference also cleans up its
 // reconstructed union here. Per-call work is sized by the union (tens of

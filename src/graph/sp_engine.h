@@ -38,10 +38,11 @@
 //  * TreeTable — the one owner of fresh shortest-path trees: trees on one
 //    graph under one mask, keyed by root, each computed once by the
 //    engine's full run and fanned out over the global ThreadPool. A
-//    request's WorkContext, Online_SP, SP_static and the repair store's
-//    non-root sources each keep one; readers ask it for from(v), a
-//    reference that stays valid and unchanged until clear(). Only the
-//    repair store's persistent roots (graph/sp_repair.h) live elsewhere.
+//    request's WorkContext (Appro_Multi, Alg_One_Server, chain splitting),
+//    Online_SP, SP_static, the repair store's non-root sources and each
+//    kmb_steiner call keep one; readers ask it for from(v), a reference
+//    that stays valid and unchanged until clear(). Only the repair store's
+//    persistent roots (graph/sp_repair.h) live elsewhere.
 //
 // Tie-breaking: the engine's queue pops vertices in (distance, vertex id)
 // order, exactly like the std::priority_queue<pair<double, VertexId>> of

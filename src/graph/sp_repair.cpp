@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -296,8 +295,7 @@ void SpTreeStore::clear() {
   fresh_.clear();
   bound_ = false;
   effective_.clear();
-  log_.clear();
-  log_base_ = 0;
+  changes_.clear();
 }
 
 void SpTreeStore::sync(const Graph& g, std::span<const std::uint8_t> edge_mask) {
@@ -315,41 +313,14 @@ void SpTreeStore::sync(const Graph& g, std::span<const std::uint8_t> edge_mask) 
     for (EdgeId e = 0; e < m; ++e) effective_[e] = effective(e);
     return;
   }
+  changes_.clear();
   for (EdgeId e = 0; e < m; ++e) {
     const double w = effective(e);
     if (w != effective_[e]) {
-      log_.push_back(LogEntry{e, effective_[e]});
+      changes_.push_back(EdgeChange{e, effective_[e], w});
       effective_[e] = w;
     }
   }
-  // Bound the log: keep the last m entries. A tree current at an older
-  // position is rebuilt in full on its next use (its change set would
-  // cover a large share of the graph anyway).
-  if (log_.size() > 2 * m + 64) {
-    const std::size_t drop = log_.size() - m;
-    log_.erase(log_.begin(), log_.begin() + static_cast<std::ptrdiff_t>(drop));
-    log_base_ += drop;
-  }
-}
-
-std::vector<EdgeChange> SpTreeStore::changes_since(std::uint64_t since) {
-  if (seen_.size() < effective_.size()) seen_.resize(effective_.size(), 0);
-  if (++seen_generation_ == 0) {
-    std::fill(seen_.begin(), seen_.end(), 0);
-    seen_generation_ = 1;
-  }
-  std::vector<EdgeChange> changes;
-  for (std::size_t k = since - log_base_; k < log_.size(); ++k) {
-    const EdgeId e = log_[k].edge;
-    if (seen_[e] == seen_generation_) continue;
-    seen_[e] = seen_generation_;
-    // The first entry after `since` holds the weight the tree was built
-    // against; an edge that has moved back since is no change at all.
-    if (log_[k].old_weight != effective_[e]) {
-      changes.push_back(EdgeChange{e, log_[k].old_weight, effective_[e]});
-    }
-  }
-  return changes;
 }
 
 void SpTreeStore::update(const Graph& g, std::span<const VertexId> sources,
@@ -362,20 +333,15 @@ void SpTreeStore::update(const Graph& g, std::span<const VertexId> sources,
     throw std::invalid_argument("dijkstra: edge mask smaller than edge count");
   }
   sync(g, edge_mask);
-  const std::uint64_t now = log_end();
-  ++updates_;
+  const std::uint64_t previous = updates_++;
+  // A change set touching a quarter of all edges is cheaper to redo.
+  const bool repairable = 4 * changes_.size() <= g.num_edges();
 
-  // Persistent trees that need an engine: a full run (changes < 0) or a
-  // repair against change set `changes`. Entries current at the same
-  // position share one change set.
-  struct Task {
-    Entry* entry = nullptr;
-    std::ptrdiff_t changes = -1;
-  };
-  std::vector<Task> tasks;
-  std::vector<std::pair<std::uint64_t, std::vector<EdgeChange>>> change_sets;
+  // Persistent trees that need an engine. Only a tree the previous update
+  // listed is current as of the snapshot changes_ was diffed against; any
+  // other is recomputed in full.
+  tasks_.clear();
   fresh_sources_.clear();
-
   for (const VertexId s : sources) {
     if (s >= entry_of_.size() || entry_of_[s] == 0) {
       fresh_sources_.push_back(s);
@@ -383,30 +349,14 @@ void SpTreeStore::update(const Graph& g, std::span<const VertexId> sources,
     }
     Entry& entry = entries_[entry_of_[s] - 1];
     if (entry.listed_in == updates_) continue;  // a repeated root
+    const bool current = entry.listed_in == previous && !entry.tree.dist.empty();
     entry.listed_in = updates_;
-    std::ptrdiff_t set = -1;
-    if (!entry.tree.dist.empty() && entry.synced_at >= log_base_) {
-      const auto it = std::find_if(
-          change_sets.begin(), change_sets.end(),
-          [&](const auto& cs) { return cs.first == entry.synced_at; });
-      if (it == change_sets.end()) {
-        change_sets.emplace_back(entry.synced_at, changes_since(entry.synced_at));
-        set = static_cast<std::ptrdiff_t>(change_sets.size()) - 1;
-      } else {
-        set = it - change_sets.begin();
-      }
-      const std::vector<EdgeChange>& changes = change_sets[set].second;
-      if (tree_unaffected(g, entry.tree, changes)) {
-        NFVM_COUNTER_INC("graph.sp_repair.trees_kept");
-        entry.synced_at = now;
-        continue;
-      }
-      // A change set touching a quarter of all edges is cheaper to redo.
-      if (4 * changes.size() > g.num_edges()) set = -1;
+    if (current && tree_unaffected(g, entry.tree, changes_)) {
+      NFVM_COUNTER_INC("graph.sp_repair.trees_kept");
+      continue;
     }
     entry.tree.source = s;
-    entry.synced_at = now;
-    tasks.push_back(Task{&entry, set});
+    tasks_.push_back(Task{&entry, current && repairable});
   }
 
   // The other sources' fresh trees and the persistent trees' repairs run
@@ -419,17 +369,16 @@ void SpTreeStore::update(const Graph& g, std::span<const VertexId> sources,
       engine.compute(g, *fresh[k], edge_mask);
       return;
     }
-    const Task& task = tasks[k - fresh.size()];
+    const Task& task = tasks_[k - fresh.size()];
     Entry& entry = *task.entry;
-    if (task.changes >= 0) {
-      engine.repair(g, entry.tree, change_sets[task.changes].second, edge_mask,
-                    entry.tie_free);
+    if (task.repair) {
+      engine.repair(g, entry.tree, changes_, edge_mask, entry.tie_free);
       return;
     }
     engine.compute(g, entry.tree, edge_mask);
     entry.tie_free = engine.tie_free(g, entry.tree, edge_mask);
   };
-  const std::size_t num_tasks = fresh.size() + tasks.size();
+  const std::size_t num_tasks = fresh.size() + tasks_.size();
   util::ThreadPool& pool = util::ThreadPool::global();
   if (pool.num_threads() > 1 && num_tasks > 1) {
     pool.parallel_for(num_tasks, run_task);

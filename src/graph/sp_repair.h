@@ -13,11 +13,12 @@
 // Exactness (docs/performance.md, "Repairing the server trees"):
 //
 //  * Changed edges. The store keeps one snapshot of every edge's effective
-//    weight (its weight when the mask allows it, infinity otherwise) and a
-//    log of the edges whose effective weight moved, each with its previous
-//    value. A tree records the log position it was last brought up to date
-//    at, so its change set C is the log suffix, first entry per edge, minus
-//    edges that moved back.
+//    weight (its weight when the mask allows it, infinity otherwise) and,
+//    per update, one change set C: the edges whose effective weight moved
+//    since the previous update, each with its old and new value. A tree
+//    the previous update listed is current as of that snapshot, so C is
+//    its change set; a tree the previous update did not list is recomputed
+//    in full.
 //  * Keep rule. When every edge of C is a non-tree edge whose effective
 //    weight did not go down, the tree is unchanged — even with ties: such a
 //    change can neither create a shorter path nor remove a parent edge, and
@@ -79,40 +80,36 @@ class SpTreeStore {
   /// until the next update() or clear().
   const ShortestPaths& from(VertexId v) const;
 
-  /// Drops every stored tree, the weight snapshot and the change log.
+  /// Drops every stored tree, the weight snapshot and the change set.
   void clear();
 
  private:
   struct Entry {
-    ShortestPaths tree;          // empty until first built
-    std::uint64_t synced_at = 0;  // log position it is current at
+    ShortestPaths tree;           // empty until first built
     std::uint64_t listed_in = 0;  // the last update() that listed it
     bool tie_free = false;
   };
-  struct LogEntry {
-    EdgeId edge;
-    double old_weight;  // effective weight before this change
+  /// A persistent tree the update runs an engine on: a repair against
+  /// changes_, or a full run.
+  struct Task {
+    Entry* entry;
+    bool repair;
   };
 
-  /// Binds to `g` (dropping everything on a different graph) and appends
-  /// every edge whose effective weight moved since the last call.
+  /// Binds to `g` (dropping everything on a different graph) and sets
+  /// changes_ to the edges whose effective weight moved since the last call.
   void sync(const Graph& g, std::span<const std::uint8_t> edge_mask);
-  /// C for a tree current at log position `since`.
-  std::vector<EdgeChange> changes_since(std::uint64_t since);
-  std::uint64_t log_end() const noexcept { return log_base_ + log_.size(); }
 
   std::vector<Entry> entries_;           // one per distinct root
   std::vector<std::uint32_t> entry_of_;  // vertex -> entries_ index + 1, 0 = none
   std::uint64_t updates_ = 0;            // update() calls so far
   TreeTable fresh_;                      // the last update's other sources
   std::vector<VertexId> fresh_sources_;  // update() scratch
+  std::vector<Task> tasks_;              // update() scratch
   bool bound_ = false;
   std::uint64_t uid_ = 0;
-  std::vector<double> effective_;  // per edge, as of the last sync
-  std::vector<LogEntry> log_;
-  std::uint64_t log_base_ = 0;  // absolute position of log_[0]
-  std::vector<std::uint32_t> seen_;  // per-edge dedupe stamp for changes_since
-  std::uint32_t seen_generation_ = 0;
+  std::vector<double> effective_;    // per edge, as of the last sync
+  std::vector<EdgeChange> changes_;  // one per edge the last sync saw move
 };
 
 }  // namespace nfvm::graph

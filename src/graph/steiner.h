@@ -30,25 +30,28 @@ struct SteinerResult {
   double weight = 0.0;
 };
 
-/// KMB approximation. Steps: metric closure over terminals -> MST of the
-/// closure -> expand closure edges into shortest paths -> MST of the union
-/// subgraph -> prune non-terminal leaves. Duplicate terminals are allowed
-/// and ignored. Throws std::out_of_range on invalid vertices and
-/// std::invalid_argument when `terminals` is empty.
+/// KMB approximation. Steps: shortest-path trees from the distinct
+/// terminals, computed in one graph::TreeTable (none for a single
+/// terminal) -> MST of the metric closure over the terminals -> expand
+/// closure edges into shortest paths -> MST of the union subgraph -> prune
+/// non-terminal leaves; steps 2-5 are kmb_steiner_from_tables over that
+/// table. Duplicate terminals are allowed and ignored. Throws
+/// std::out_of_range on invalid vertices and std::invalid_argument when
+/// `terminals` is empty, before computing any tree.
 ///
 /// Guarantee: weight <= 2 (1 - 1/t) * OPT where t = #distinct terminals.
 SteinerResult kmb_steiner(const Graph& g, std::span<const VertexId> terminals);
 
-/// KMB from caller-supplied per-terminal shortest-path tables: identical to
-/// kmb_steiner except that step 1 (one SSSP per distinct terminal) is
-/// replaced by `table_for(t)` lookups. `table_for` must return the full
-/// shortest-path tree rooted at `t` on `g` (same graph, same weights) and
-/// the reference must stay valid for the duration of the call; it must not
-/// itself build a Steiner tree on the calling thread (the call runs on that
-/// thread's graph::KmbKernel scratch). This is the online fast path's entry
-/// point: the per-request terminal trees are primed once (and cached across
-/// requests) instead of being recomputed per candidate server, and the
-/// result is bit-identical to kmb_steiner.
+/// KMB from caller-supplied per-terminal shortest-path trees: steps 2-5 of
+/// kmb_steiner, with each distinct terminal's tree looked up by
+/// `table_for(t)`. `table_for` must return the full shortest-path tree
+/// rooted at `t` on `g` (same graph, same weights) and the reference must
+/// stay valid for the duration of the call; it must not itself build a
+/// Steiner tree on the calling thread (the call runs on that thread's
+/// graph::KmbKernel scratch). A caller that builds many trees over shared
+/// terminals (Online_CP's server scan, chain splitting's candidates) looks
+/// each terminal's tree up in a table it fills once, and every result is
+/// bit-identical to kmb_steiner's.
 SteinerResult kmb_steiner_from_tables(
     const Graph& g, std::span<const VertexId> terminals,
     const std::function<const ShortestPaths&(VertexId)>& table_for);

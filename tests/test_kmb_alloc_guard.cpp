@@ -7,9 +7,10 @@
 // the same fixed count on a 50-vertex and a 400-vertex graph. A warm
 // unit-weight SpEngine::compute into a reused tree allocates nothing, nor
 // does a warm weighted compute or repair, nor a graph::TreeTable computing
-// as many trees after clear(). Wall
-// time cannot be gated on shared runners; these counts are the
-// deterministic guards for the kernels' gains.
+// as many trees after clear(), nor a warm graph::SpTreeStore update. The
+// Waxman graphs have the CLI's mean degree of 4. Wall time cannot be gated
+// on shared runners; these counts are the deterministic guards for the
+// kernels' gains.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,8 +25,10 @@
 #include "core/shared_closure.h"
 #include "graph/dijkstra.h"
 #include "graph/sp_engine.h"
+#include "graph/sp_repair.h"
 #include "graph/steiner.h"
 #include "nfv/service_chain.h"
+#include "obs_test_util.h"
 #include "topology/waxman.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -135,10 +138,22 @@ INSTANTIATE_TEST_SUITE_P(GraphSizes, KmbAllocationGuard,
                            return name;
                          });
 
+/// The CLI's Waxman graph on n vertices (mean degree 4), unit weights.
+topo::Topology cli_waxman(std::size_t n, util::Rng& rng) {
+  topo::WaxmanOptions options;
+  options.target_mean_degree = 4.0;
+  return topo::make_waxman(n, rng, options);
+}
+
+/// Restores the global pool to single-threaded when a test exits.
+struct GlobalThreadsGuard {
+  ~GlobalThreadsGuard() { util::ThreadPool::set_global_threads(1); }
+};
+
 TEST(SpEngineAllocationGuard, WarmUnitWeightComputeAllocatesNothing) {
   for (const std::size_t n : {std::size_t{50}, std::size_t{400}}) {
     util::Rng rng(44);
-    const topo::Topology topo = topo::make_waxman(n, rng);
+    const topo::Topology topo = cli_waxman(n, rng);
     const graph::Graph& g = topo.graph;
     std::vector<std::uint8_t> mask(g.num_edges(), 1);
     for (graph::EdgeId e = 0; e < mask.size(); e += 5) mask[e] = 0;
@@ -160,9 +175,7 @@ TEST(SpEngineAllocationGuard, WarmUnitWeightComputeAllocatesNothing) {
 TEST(SpEngineAllocationGuard, WarmWeightedComputeAllocatesNothing) {
   for (const std::size_t n : {std::size_t{50}, std::size_t{400}}) {
     util::Rng rng(46);
-    topo::WaxmanOptions options;
-    options.target_mean_degree = 4.0;  // the CLI's Waxman graphs
-    topo::Topology topo = topo::make_waxman(n, rng, options);
+    topo::Topology topo = cli_waxman(n, rng);
     graph::Graph& g = topo.graph;
     // Online_CP-like weights: alpha^(0.6 u) - 1 with alpha = 800, and about
     // 40% of the links idle at exactly 0.
@@ -216,13 +229,11 @@ TEST(SpEngineAllocationGuard, WarmWeightedComputeAllocatesNothing) {
 
 TEST(SpEngineAllocationGuard, WarmTreeTableComputeAfterClearAllocatesNothing) {
   // One pool thread: the table computes its trees in order, with no fan-out.
-  struct GlobalThreadsGuard {
-    ~GlobalThreadsGuard() { util::ThreadPool::set_global_threads(1); }
-  } guard;
+  GlobalThreadsGuard guard;
   util::ThreadPool::set_global_threads(1);
   for (const std::size_t n : {std::size_t{50}, std::size_t{400}}) {
     util::Rng rng(45);
-    const topo::Topology topo = topo::make_waxman(n, rng);
+    const topo::Topology topo = cli_waxman(n, rng);
     const graph::Graph& g = topo.graph;
     std::vector<std::uint8_t> mask(g.num_edges(), 1);
     for (graph::EdgeId e = 0; e < mask.size(); e += 5) mask[e] = 0;
@@ -241,6 +252,58 @@ TEST(SpEngineAllocationGuard, WarmTreeTableComputeAfterClearAllocatesNothing) {
     EXPECT_EQ(table.from(9).dist[9], 0.0);
     EXPECT_FALSE(table.has(17));
   }
+}
+
+TEST(SpEngineAllocationGuard, WarmStoreUpdateAllocatesNothing) {
+  // One pool thread: the update runs its trees in order, with no fan-out.
+  GlobalThreadsGuard guard;
+  util::ThreadPool::set_global_threads(1);
+  util::Rng rng(47);
+  topo::Topology topo = cli_waxman(400, rng);
+  graph::Graph& g = topo.graph;
+  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+    g.set_weight(e, rng.uniform_real(1.0, 10.0));
+  }
+  std::vector<std::uint8_t> mask(g.num_edges(), 1);
+  for (graph::EdgeId e = 0; e < mask.size(); e += 5) mask[e] = 0;
+  // 40 persistent roots, as Online_CP's servers on Waxman-400, and three
+  // sources computed fresh on every update.
+  std::vector<graph::VertexId> roots;
+  for (graph::VertexId v = 0; v < 400; v += 10) roots.push_back(v);
+  std::vector<graph::VertexId> sources = roots;
+  sources.insert(sources.end(), {3, 57, 211});
+  graph::SpTreeStore store(roots);
+  store.update(g, sources, mask);
+
+  // One edge of the tree from root 0 moves; warm-up round: raise, update
+  // (repairs), lower, update.
+  graph::EdgeId changed = graph::kInvalidEdge;
+  for (const graph::EdgeId e : store.from(0).parent_edge) {
+    if (e != graph::kInvalidEdge) changed = e;
+  }
+  ASSERT_NE(changed, graph::kInvalidEdge);
+  const double before = g.weight(changed);
+  const double after = before * 1.25 + 0.5;
+  g.set_weight(changed, after);
+  store.update(g, sources, mask);
+  g.set_weight(changed, before);
+  store.update(g, sources, mask);
+  g.set_weight(changed, after);
+#if NFVM_OBS
+  const test::CounterBaseline counters;
+#endif
+  EXPECT_EQ(allocations_during([&] { store.update(g, sources, mask); }), 0u);
+#if NFVM_OBS
+  // The roots were repaired or kept; only the other sources ran in full.
+  EXPECT_GE(counters.since("graph.sp_repair.trees_repaired"), 1u);
+  EXPECT_EQ(counters.since("graph.dijkstra.runs"), 3u);
+#endif
+  graph::SpEngine fresh_engine;
+  graph::ShortestPaths fresh;
+  fresh.source = 0;
+  fresh_engine.compute(g, fresh, mask);
+  EXPECT_EQ(store.from(0).dist, fresh.dist);
+  EXPECT_EQ(store.from(0).parent_edge, fresh.parent_edge);
 }
 
 }  // namespace

@@ -499,6 +499,32 @@ TEST(SpRepair, StoreUpdateOpensOnePoolRegion) {
                      "source " + std::to_string(s));
   }
 }
+
+TEST(SpRepair, StoreRebuildsARootTheLastUpdateSkipped) {
+  // A path 0 - 1 - ... - 12 with distinct weights: every tree is tie-free,
+  // every edge lies on every tree, and two changes stay under the quarter
+  // rule (4 * 2 <= 12 edges).
+  Graph g(13);
+  for (VertexId v = 0; v + 1 < 13; ++v) g.add_edge(v, v + 1, 1.0 + 0.125 * v);
+  const std::vector<VertexId> roots = {0, 12};
+  SpTreeStore store(roots);
+  const std::vector<std::uint8_t> mask(g.num_edges(), 1);
+  store.update(g, roots, mask);
+  g.set_weight(3, 2.75);
+  store.update(g, std::vector<VertexId>{0}, mask);  // skips root 12
+  g.set_weight(8, 3.5);
+  const test::CounterBaseline counters;
+  store.update(g, roots, mask);
+  // Root 0 is repaired against the last change. Root 12 missed the one
+  // before it, so it is recomputed in full.
+  EXPECT_EQ(counters.since("graph.dijkstra.runs"), 1u);
+  EXPECT_EQ(counters.since("graph.sp_repair.trees_repaired"), 1u);
+  SpEngine fresh_engine;
+  for (const VertexId s : roots) {
+    expect_same_tree(store.from(s), fresh_engine.shortest_paths(g, s),
+                     "root " + std::to_string(s));
+  }
+}
 #endif
 
 }  // namespace
